@@ -1,4 +1,4 @@
-.PHONY: install lint lint-baseline test bench perf figures examples clean
+.PHONY: install lint lint-baseline test bench bench-repo bench-test perf figures examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -32,6 +32,17 @@ bench:
 # gate it against the previous comparable record (docs/observability.md).
 perf:
 	PYTHONPATH=src python -m repro bench --check
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): all four
+# workloads, traced and untraced passes, about 4 minutes.  Compare two
+# results with `python3 bench/compare.py before.json after.json`.
+BENCH_OUT ?= bench-result.json
+bench-repo:
+	python3 bench/run.py --seed 7 --out $(BENCH_OUT)
+
+# The benchmark's own tests (not part of tier-1 `testpaths`; about 10 s).
+bench-test:
+	python3 -m pytest bench/tests -q
 
 bench-output:
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

@@ -11,6 +11,11 @@ Invariants (catalogued with rationale in ``docs/analysis.md``):
 * **flit conservation** — every flit popped from a source queue is either
   buffered in a router, in flight on a channel, or ejected; per-router
   ``_flit_count`` must equal the actual buffered total.
+* **occupancy counters** — the O(1) bookkeeping the cycle loop skips work
+  by must equal what a scan would find: each router's ``inbound.flits`` is
+  the sum of its incoming channels' queue lengths, the network's busy-
+  channel set is exactly the channels holding flits, and each router's
+  occupied-VC mask marks exactly its non-empty input VCs.
 * **credit conservation** — per-VC occupancy (queue + reservations) never
   exceeds depth, reservations never go negative, and each router's
   reservation total matches the unacked copies channels hold against it.
@@ -118,6 +123,7 @@ class NocSanitizer:
         self.checks_run += 1
         self._check_bookkeeping(network, cycle)
         self._check_flit_conservation(network, cycle)
+        self._check_occupancy_counters(network, cycle)
         self._check_credit_conservation(network, cycle)
         self._check_bst_consistency(network, cycle)
         self._check_gated_buffers(network, cycle)
@@ -160,6 +166,35 @@ class NocSanitizer:
                 f"sourced={sourced} != ejected={ejected} + buffered={buffered}"
                 f" + in_flight={in_flight} + dropped={dropped} (leak of "
                 f"{sourced - ejected - buffered - in_flight - dropped} flits)",
+            )
+
+    def _check_occupancy_counters(self, network: "Network", cycle: int) -> None:
+        """The counters that let ``Network.step`` skip idle routers and
+        empty channels must match a full scan."""
+        for router in network.routers:
+            queued = sum(len(c.queue) for c in router.incoming.values())
+            if router.inbound.flits != queued:
+                self._fail(
+                    network, "occupancy-counters", cycle,
+                    f"router {router.id}: inbound.flits={router.inbound.flits} "
+                    f"but its incoming channels queue {queued} flits",
+                )
+            occupied = 0
+            for bit, (_, _, vc) in enumerate(router._vc_slots):
+                if vc.queue:
+                    occupied |= 1 << bit
+            if router._occupied_vcs != occupied:
+                self._fail(
+                    network, "occupancy-counters", cycle,
+                    f"router {router.id}: occupied-VC mask "
+                    f"{router._occupied_vcs:#b} but buffers say {occupied:#b}",
+                )
+        busy = {i for i, c in enumerate(network.channels) if c.queue}
+        if network._busy_channels != busy:
+            stale = sorted(network._busy_channels ^ busy)
+            self._fail(
+                network, "occupancy-counters", cycle,
+                f"busy-channel set disagrees with the queues on channels {stale}",
             )
 
     def _check_credit_conservation(self, network: "Network", cycle: int) -> None:

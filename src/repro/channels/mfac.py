@@ -48,13 +48,38 @@ class ChannelFunction(enum.Enum):
     RELAXED = "relaxed"  # doubled traversal time, near-zero timing errors
 
 
+class InboundCounter:
+    """Flits queued on every channel into one router.
+
+    The router owns one; each of its incoming channels shares it and keeps
+    it equal to the sum of their queue lengths, so "is anything headed for
+    this router?" is one attribute read instead of a scan over channels.
+    """
+
+    __slots__ = ("flits",)
+
+    def __init__(self) -> None:
+        self.flits = 0
+
+
 class Channel:
-    """A directed inter-router channel."""
+    """A directed inter-router channel.
+
+    Occupancy bookkeeping (kept by :meth:`send` and :meth:`remove`, the
+    only two places a queue changes length): ``inbound.flits`` counts the
+    flits queued toward the destination router, and ``busy`` holds the
+    ``index`` of every channel of the fabric whose queue is non-empty.
+    The network passes shared objects for both; a standalone channel
+    keeps private ones.
+    """
 
     __slots__ = (
         "src",
         "direction",
         "dst",
+        "index",
+        "inbound",
+        "busy",
         "is_wire",
         "is_mfac",
         "stages_per_link",
@@ -90,6 +115,9 @@ class Channel:
         subnetworks: int = 1,
         link_latency: int = 1,
         is_mfac: bool = False,
+        index: int = 0,
+        inbound: InboundCounter | None = None,
+        busy: set[int] | None = None,
     ):
         if buffer_depth < 0:
             raise ValueError("buffer depth cannot be negative")
@@ -98,6 +126,9 @@ class Channel:
         self.src = src
         self.direction = direction
         self.dst = dst
+        self.index = index
+        self.inbound = inbound if inbound is not None else InboundCounter()
+        self.busy = busy if busy is not None else set()
         self.is_wire = buffer_depth == 0
         self.is_mfac = is_mfac
         self.links = max(1, links)
@@ -199,17 +230,15 @@ class Channel:
 
     # --- sending -------------------------------------------------------------
 
-    def _budget_left(self, cycle: int) -> int:
-        if cycle != self._cycle_of_budget:
-            return self.bandwidth
-        return self.bandwidth - self._accepted_this_cycle
-
     def can_accept(self, cycle: int) -> bool:
         """Whether the upstream router may push one flit this cycle."""
         if self.down:
             return False
-        if self._budget_left(cycle) <= 0:
-            return False
+        if (
+            cycle == self._cycle_of_budget
+            and self._accepted_this_cycle >= self.bandwidth
+        ):
+            return False  # this cycle's bandwidth is spent
         if len(self.queue) >= self.capacity:
             return False
         if self.function is ChannelFunction.RETRANSMISSION:
@@ -234,7 +263,11 @@ class Channel:
         self._accepted_this_cycle += 1
         # Entry layout: [flit, ready_cycle, cached error sample (None until
         # the delivery logic draws the traversal's bit-error count)].
-        self.queue.append([flit, cycle + self.traversal_latency + extra_latency, None])
+        queue = self.queue
+        if not queue:
+            self.busy.add(self.index)
+        queue.append([flit, cycle + self.traversal_latency + extra_latency, None])
+        self.inbound.flits += 1
         self.flits_sent += 1
         if keep_copy:
             if self.function is not ChannelFunction.RETRANSMISSION:
@@ -263,17 +296,27 @@ class Channel:
 
     def remove(self, entry: list) -> None:
         """Take a delivered entry out of the queue."""
-        try:
-            self.queue.remove(entry)
-        except ValueError:
-            raise ValueError("entry is not in this channel") from None
+        queue = self.queue
+        if queue and queue[0] is entry:
+            queue.popleft()  # the common case: flits leave in order
+        else:
+            try:
+                queue.remove(entry)
+            except ValueError:
+                raise ValueError("entry is not in this channel") from None
+        self.inbound.flits -= 1
+        if not queue:
+            self.busy.discard(self.index)
 
     def acknowledge(self, flit: Flit) -> None:
-        """ACK received downstream: drop the retransmission copy."""
-        try:
-            self.copies.remove(flit)
-        except ValueError:
-            pass  # copy already aged out by a function switch
+        """ACK received downstream: drop the retransmission copy.
+
+        A no-op when no copy is held: outside retransmission mode none is
+        ever kept, and a function switch ages out the ones that were.
+        """
+        copies = self.copies
+        if copies and flit in copies:
+            copies.remove(flit)
 
     def nack_resend(self, entry: list, cycle: int) -> None:
         """NACK: replay the flit from its copy (or upstream reservation).
@@ -282,7 +325,11 @@ class Channel:
         the fresh traversal gets a fresh error sample.
         """
         self.remove(entry)
-        self.queue.appendleft([entry[0], cycle + self.traversal_latency, None])
+        queue = self.queue
+        if not queue:
+            self.busy.add(self.index)
+        queue.appendleft([entry[0], cycle + self.traversal_latency, None])
+        self.inbound.flits += 1
         self.flits_retransmitted += 1
 
     def stored_flits(self, cycle: int) -> int:

@@ -91,11 +91,18 @@ class ErrorSampler:
             return 1.0
         return -math.expm1(self.flit_bits * math.log1p(-bit_error_rate))
 
-    def sample_bit_errors(self, bit_error_rate: float) -> int:
-        """Draw the number of flipped bits in one flit traversal."""
+    def sample_bit_errors(
+        self, bit_error_rate: float, p_fault: float | None = None
+    ) -> int:
+        """Draw the number of flipped bits in one flit traversal.
+
+        *p_fault* is :meth:`flit_fault_probability` of the same rate, for
+        callers that sample one link many times between rate changes.
+        """
         if bit_error_rate <= 0.0:
             return 0
-        p_fault = self.flit_fault_probability(bit_error_rate)
+        if p_fault is None:
+            p_fault = self.flit_fault_probability(bit_error_rate)
         if self._rng.random() >= p_fault:
             return 0
         # Faulty flit: either a multi-bit burst or independent flips

@@ -311,6 +311,7 @@ class ScenarioEngine:
         for i in sorted(self._active_bursts - active):
             net.note_scenario_event(cycle, "burst_end")
         self._active_bursts = active
+        net.invalidate_hop_rates()  # the multipliers below feed scaled_rate
         if not active:
             self._multipliers = None
             return
@@ -365,6 +366,7 @@ class ScenarioEngine:
             thermal.peak_temperature_k = max(
                 thermal.peak_temperature_k, float(np.max(temps))
             )
+            net.invalidate_hop_rates()  # error rates follow temperature
             self.events_fired += 1
             net.note_scenario_event(
                 cycle, "thermal_attack", routers=len(attack.routers),

@@ -36,6 +36,22 @@ class RoundRobinArbiter:
                 return idx
         return None
 
+    def grant_mask(self, requests: int) -> int | None:
+        """:meth:`grant` with the request lines packed into an int (bit
+        ``i`` set = requester ``i`` asks): the same winner and the same
+        pointer update, without a per-call list of lines."""
+        if not requests:
+            return None
+        if requests < 0 or requests >> self.size:
+            raise ValueError(f"request mask {requests:#b} exceeds {self.size} lines")
+        ahead = requests >> self._next  # requesters at or past the pointer
+        if ahead:
+            idx = self._next + (ahead & -ahead).bit_length() - 1
+        else:
+            idx = (requests & -requests).bit_length() - 1
+        self._next = (idx + 1) % self.size
+        return idx
+
     def peek(self) -> int:
         """The requester that currently has top priority (for tests)."""
         return self._next

@@ -21,9 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.channels.mfac import Channel
+from repro.channels.mfac import Channel, ChannelFunction
 from repro.config import ControlPolicy, EccScheme, SimulationConfig
 from repro.ecc.outcomes import DecodeOutcome, ErrorSampler, decode_outcome
 
@@ -102,6 +103,7 @@ class Network:
             burst_extra_bits_mean=config.faults.burst_extra_bits_mean,
         )
         self.power_model = PowerModel(self.technique, config.power)
+        self.invalidate_hop_rates()
 
         self.policy = policy if policy is not None else make_policy(
             self.technique, self.topology.num_routers, self.rngs
@@ -109,6 +111,9 @@ class Network:
 
         self.routers: list[Router] = []
         self.channels: list[Channel] = []
+        # Indices (into ``channels``) of the channels holding flits; the
+        # channels keep it current, the per-cycle walks read it sorted.
+        self._busy_channels: set[int] = set()
         # Source queues are per *node* (traffic endpoint); on a concentrated
         # mesh several nodes share one router, so the node->router / port
         # maps below are precomputed once and consulted on the hot paths.
@@ -198,6 +203,9 @@ class Network:
                 subnetworks=noc.subnetworks,
                 link_latency=noc.link_latency,
                 is_mfac=self.technique.uses_mfac,
+                index=len(self.channels),
+                inbound=self.routers[dst].inbound,
+                busy=self._busy_channels,
             )
             self.channels.append(channel)
             self.routers[src].outgoing[direction] = channel
@@ -210,12 +218,7 @@ class Network:
             router.finish_wiring()
 
     def _make_charger(self, rid: int):
-        accountant = self.accountant
-
-        def charge(energy_pj: float) -> None:
-            accountant.add_dynamic(rid, energy_pj)
-
-        return charge
+        return partial(self.accountant.add_dynamic, rid)
 
     def _make_ejector(self, rid: int):
         def eject(flit: Flit, cycle: int) -> None:
@@ -411,8 +414,15 @@ class Network:
             self.step()
         return self.cycle
 
+    def _busy_channels_in_order(self) -> list[Channel]:
+        """The channels holding flits, in channel-list order (a snapshot:
+        walkers may empty channels as they go).  Order matters — it fixes
+        the sequence of error-sampling draws and of energy additions."""
+        channels = self.channels
+        return [channels[index] for index in sorted(self._busy_channels)]
+
     def _network_drained(self) -> bool:
-        if any(ch.queue for ch in self.channels):
+        if self._busy_channels:
             return False
         return all(r.is_empty() for r in self.routers)
 
@@ -520,17 +530,40 @@ class Network:
 
     # --- phase 2: channel delivery -----------------------------------------------------
 
-    def _hop_error_rate(self, channel: Channel) -> float:
-        upstream = self.routers[channel.src]
+    def _hop_error_rates(self, channel: Channel) -> tuple[float, float]:
+        """(per-bit error rate, Eq. 3 flit fault probability) of one
+        traversal of *channel*.
+
+        Both depend only on the upstream router's temperature, its burst
+        multiplier and whether the hop runs relaxed timing, so they are
+        memoised per (relaxed, source router) until
+        :meth:`invalidate_hop_rates`.
+        """
+        src = channel.src
         relaxed = (
-            upstream.relaxed_timing
-            or channel.function.value == "relaxed"
+            self.routers[src].relaxed_timing
+            or channel.function is ChannelFunction.RELAXED
         )
-        temperature = self.thermal.temperature(channel.src)
-        rate = self.fault_model.bit_error_rate(temperature, relaxed_timing=relaxed)
-        if self._scenario is not None:
-            rate = self._scenario.scaled_rate(rate, channel.src)
-        return rate
+        memo = self._hop_rates[relaxed]
+        rates = memo[src]
+        if rates is None:
+            rate = self.fault_model.bit_error_rate(
+                self.thermal.temperature(src), relaxed_timing=relaxed
+            )
+            if self._scenario is not None:
+                rate = self._scenario.scaled_rate(rate, src)
+            p_fault = self.sampler.flit_fault_probability(rate) if rate > 0.0 else 0.0
+            rates = memo[src] = (rate, p_fault)
+        return rates
+
+    def invalidate_hop_rates(self) -> None:
+        """Forget the memoised link error rates.  Whoever moves a router
+        temperature or a scenario error-rate multiplier calls this: the
+        stats epoch after ``thermal.step``, and the scenario engine on a
+        burst edge or a thermal-attack tick.  (Mode switches need no call:
+        relaxed timing is part of the memo key.)"""
+        unknown: list[tuple[float, float] | None] = [None] * self.topology.num_routers
+        self._hop_rates = (unknown, unknown.copy())
 
     def _sample_channel_errors(self, channel: Channel) -> int:
         """Bit errors for one traversal (also charges the link energy)."""
@@ -542,7 +575,8 @@ class Network:
                 self._charge_link(channel)
                 return injected
         self._charge_link(channel)
-        return self.sampler.sample_bit_errors(self._hop_error_rate(channel))
+        rate, p_fault = self._hop_error_rates(channel)
+        return self.sampler.sample_bit_errors(rate, p_fault)
 
     def _charge_link(self, channel: Channel) -> None:
         # The physical wire length (and so the traversal energy) is the
@@ -554,9 +588,8 @@ class Network:
         )
 
     def _deliver_channels(self, cycle: int) -> None:
-        for channel in self.channels:
-            queue = channel.queue
-            if not queue or queue[0][1] > cycle:
+        for channel in self._busy_channels_in_order():
+            if channel.queue[0][1] > cycle:
                 continue  # nothing ready (entries age monotonically)
             if channel.down:
                 continue  # scenario outage: flits are held, not lost
@@ -565,8 +598,7 @@ class Network:
             if state is PowerState.GATED:
                 if dst_router.technique.uses_bypass:
                     continue  # the bypass switch pulls from the channel itself
-                if channel.deliverable(cycle):
-                    dst_router.gating.request_wakeup(cycle)
+                dst_router.gating.request_wakeup(cycle)
                 continue
             if state is PowerState.WAKING:
                 continue
@@ -653,31 +685,62 @@ class Network:
 
     # --- phase 3: routers ---------------------------------------------------------------
 
+    def _bypass_has_work(self, router: Router) -> bool:
+        """Whether a gated router can do anything this cycle (never,
+        without a bypass: it waits for its wakeup).
+
+        With nothing queued toward it and no local source holding a flit,
+        :meth:`Router.bypass_step` raises no request line, so its arbiter
+        does not move and no flit does; the watchdog cannot fire either,
+        since an empty channel is not congested (``congested_when_empty``
+        covers the zero-capacity exception).  Skipping the visit is then
+        exactly a no-op.
+        """
+        if not router.technique.uses_bypass:
+            return False
+        if router.inbound.flits or router.congested_when_empty:
+            return True
+        for _, source in self._router_locals[router.id]:
+            if not source.is_empty():
+                return True
+        return False
+
+    def _observe_idle(self, router: Router, cycle: int) -> None:
+        """Feed the idle detector of a powered-on router.
+
+        CP/CPD gate on idleness and pay a wakeup; IntelliNoC also gates on
+        idleness (Section 1) but its bypass keeps forwarding sporadic
+        flits without waking the router.  The detector only counts while
+        ON, so nothing is computed for it in any other state.
+        """
+        gating = router.gating
+        if gating.state is PowerState.ON:
+            gating.observe_idle(
+                router.is_idle()
+                and all(s.is_empty() for _, s in self._router_locals[router.id]),
+                cycle,
+            )
+
     def _step_routers(self, cycle: int) -> None:
+        power_gating = self.technique.power_gating
         for router in self.routers:
             if router.dead:
                 continue
             state = router.gating.state
             if state is PowerState.GATED:
-                if router.technique.uses_bypass:
-                    if router.bypass_overloaded():
-                        # Congestion watchdog: leave mode 0 early; the next
-                        # control step re-decides with fresh state.
-                        router.apply_mode(1, cycle)
-                        self.stats.wakeups += 1
-                    elif router.bypass_step(cycle, self._router_locals[router.id]):
-                        self.stats.bypass_traversals += 1
+                if not self._bypass_has_work(router):
+                    continue  # stays gated: the idle detector is off too
+                if router.bypass_overloaded():
+                    # Congestion watchdog: leave mode 0 early; the next
+                    # control step re-decides with fresh state.
+                    router.apply_mode(1, cycle)
+                    self.stats.wakeups += 1
+                elif router.bypass_step(cycle, self._router_locals[router.id]):
+                    self.stats.bypass_traversals += 1
             elif state is not PowerState.WAKING:
                 router.step(cycle)
-            if self.technique.power_gating:
-                # CP/CPD gate on idleness and pay a wakeup; IntelliNoC also
-                # gates on idleness (Section 1) but its bypass keeps
-                # forwarding sporadic flits without waking the router.
-                router.gating.observe_idle(
-                    router.is_idle()
-                    and all(s.is_empty() for _, s in self._router_locals[router.id]),
-                    cycle,
-                )
+            if power_gating:
+                self._observe_idle(router, cycle)
 
     def _step_routers_profiled(self, cycle: int, prof: "SimProfiler") -> None:
         """:meth:`_step_routers` splitting wall time per pipeline stage.
@@ -686,26 +749,25 @@ class Network:
         (rc_scan / vc_alloc / switch laps), bypass traversals and gating
         bookkeeping get their own buckets.
         """
+        power_gating = self.technique.power_gating
         for router in self.routers:
             if router.dead:
                 continue
             state = router.gating.state
             if state is PowerState.GATED:
-                if router.technique.uses_bypass:
-                    if router.bypass_overloaded():
-                        router.apply_mode(1, cycle)
-                        self.stats.wakeups += 1
-                    elif router.bypass_step(cycle, self._router_locals[router.id]):
-                        self.stats.bypass_traversals += 1
+                if not self._bypass_has_work(router):
+                    prof.lap("router.bypass")
+                    continue
+                if router.bypass_overloaded():
+                    router.apply_mode(1, cycle)
+                    self.stats.wakeups += 1
+                elif router.bypass_step(cycle, self._router_locals[router.id]):
+                    self.stats.bypass_traversals += 1
                 prof.lap("router.bypass")
             elif state is not PowerState.WAKING:
                 router.step_profiled(cycle, prof)
-            if self.technique.power_gating:
-                router.gating.observe_idle(
-                    router.is_idle()
-                    and all(s.is_empty() for _, s in self._router_locals[router.id]),
-                    cycle,
-                )
+            if power_gating:
+                self._observe_idle(router, cycle)
                 prof.lap("router.gating")
 
     # --- phase 4: injection ---------------------------------------------------------------
@@ -994,9 +1056,7 @@ class Network:
             return
         dropped_flits = 0
         # Channels: remove queued flits, release upstream reservations.
-        for channel in self.channels:
-            if not channel.queue:
-                continue
+        for channel in self._busy_channels_in_order():
             doomed = [e for e in channel.queue if id(e[0].packet) in victim_set]
             for entry in doomed:
                 flit = entry[0]
@@ -1024,6 +1084,10 @@ class Network:
                         if removed:
                             vc.queue = deque(kept)
                             router._flit_count -= removed
+                            if not kept:
+                                router._occupied_vcs &= ~(
+                                    router._slot_bit[port.direction] << vci
+                                )
                             dropped_flits += removed
                     entry = router.bst.lookup(port.direction, vci)
                     if entry is not None and id(entry.owner) in victim_set:
@@ -1092,13 +1156,13 @@ class Network:
         # Channel hold energy: flits parked in channel buffers burn refresh
         # energy every cycle; sampled at epoch granularity.
         hold_pj = self.config.power.channel_buffer_hold_pj
-        for channel in self.channels:
-            if channel.queue:
-                stored = channel.stored_flits(now - 1)
-                if stored:
-                    self.accountant.add_dynamic(channel.src, stored * hold_pj * epoch)
+        for channel in self._busy_channels_in_order():
+            stored = channel.stored_flits(now - 1)
+            if stored:
+                self.accountant.add_dynamic(channel.src, stored * hold_pj * epoch)
         snapshot = self.accountant.close_epoch(now)
         self.thermal.step(snapshot.total_w, dt)
+        self.invalidate_hop_rates()
         if self._tel is not None:
             self._sync_telemetry(now, snapshot)
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.channels.controller import MfacController
 from repro.channels.flow_control import CongestionControlBlock
-from repro.channels.mfac import Channel, ChannelFunction
+from repro.channels.mfac import Channel, ChannelFunction, InboundCounter
 from repro.config import ControlPolicy, EccScheme, PowerConfig, TechniqueConfig
 from repro.ecc.adaptive import AdaptiveEccUnit
 from repro.noc.adaptive_routing import select_output
@@ -81,6 +81,9 @@ class Router:
         }
         self.outgoing: dict[int, Channel] = {}
         self.incoming: dict[int, Channel] = {}
+        # Flits queued on the incoming channels, kept by the channels
+        # themselves (the network hands this counter to each of them).
+        self.inbound = InboundCounter()
         self.downstream_ports: dict[int, InputPort] = {}
         self.downstream_routers: dict[int, "Router"] = {}
 
@@ -115,6 +118,22 @@ class Router:
         self.degraded = False
         self.on_drop: Callable[[object, str], None] | None = None
         self._flit_count = 0  # flits in this router's input buffers
+        # Which input VCs hold flits, as a bit per slot of ``_vc_slots``
+        # (port order, then VC index — the order the pipeline scans in).
+        # Maintained wherever ``_flit_count`` is.
+        self._vc_slots: list[tuple[InputPort, int, VirtualChannel]] = [
+            (port, vci, vc)
+            for port in self.input_ports.values()
+            for vci, vc in enumerate(port.vcs)
+        ]
+        self._slot_bit: dict[int, int] = {
+            p: 1 << (i * noc.num_vcs) for i, p in enumerate(self.input_ports)
+        }
+        self._occupied_vcs = 0
+        # True when two incoming channels read congested even while empty
+        # (zero-capacity channels): the bypass watchdog then fires on an
+        # idle router, so such a router is never skipped.
+        self.congested_when_empty = False
         self._reserved_count = 0  # slots held by unacked wire-channel copies
         # Set by the network: samples bit errors for one traversal of an
         # incoming channel (used on bypassed hops, where no decoder runs).
@@ -134,6 +153,9 @@ class Router:
                 [c for c in self.outgoing.values() if c.is_mfac]
             )
         self.congestion = CongestionControlBlock(self.input_ports, self.incoming)
+        self.congested_when_empty = (
+            sum(1 for c in self.incoming.values() if c.capacity == 0) >= 2
+        )
         if self._adaptive:
             self.apply_mode(self.mode, cycle=0)
 
@@ -165,9 +187,9 @@ class Router:
 
     def is_idle(self) -> bool:
         """Idle for gating purposes: nothing buffered here or inbound."""
-        if self._flit_count or self.bst.open_entries():
-            return False
-        return all(not c.queue for c in self.incoming.values())
+        return not (
+            self._flit_count or self.inbound.flits or self.bst.open_entries()
+        )
 
     # --- operation modes --------------------------------------------------------
 
@@ -235,6 +257,7 @@ class Router:
             vc.state = VcState.ACTIVE
         vc.push(flit, cycle)
         self._flit_count += 1
+        self._occupied_vcs |= self._slot_bit[direction] << flit.vc
         self.counters.in_flits[int(direction)] += 1
         if flit.is_head:
             flit.packet.path.append(self.id)
@@ -291,25 +314,27 @@ class Router:
         head_delay = self._head_delay
         va_requests: dict[int, list[tuple[int, InputPort, int]]] = {}
         active: list[tuple[InputPort, int, VirtualChannel]] = []
-        for port in self.input_ports.values():
-            for vci, vc in enumerate(port.vcs):
-                if not vc.queue:
-                    continue
-                state = vc.state
-                if state is VcState.ROUTING:
-                    flit, enq = vc.queue[0]
-                    if cycle >= enq + 1:
-                        vc.route = self.compute_route(flit.packet.dst)
-                        vc.state = state = VcState.WAITING_VA
-                if state is VcState.WAITING_VA:
-                    if self.degraded and self._route_unserviceable(vc.route):
-                        if not self._reroute_or_drop(vc):
-                            continue  # dropped: the sweep excises it
-                    if cycle >= vc.queue[0][1] + head_delay:
-                        key = int(port.direction) * num_vcs + vci
-                        va_requests.setdefault(vc.route, []).append((key, port, vci))
-                elif state is VcState.ACTIVE:
-                    active.append((port, vci, vc))
+        slots = self._vc_slots
+        occupied = self._occupied_vcs
+        while occupied:
+            lowest = occupied & -occupied
+            occupied ^= lowest
+            port, vci, vc = slots[lowest.bit_length() - 1]
+            state = vc.state
+            if state is VcState.ROUTING:
+                flit, enq = vc.queue[0]
+                if cycle >= enq + 1:
+                    vc.route = self.compute_route(flit.packet.dst)
+                    vc.state = state = VcState.WAITING_VA
+            if state is VcState.WAITING_VA:
+                if self.degraded and self._route_unserviceable(vc.route):
+                    if not self._reroute_or_drop(vc):
+                        continue  # dropped: the sweep excises it
+                if cycle >= vc.queue[0][1] + head_delay:
+                    key = int(port.direction) * num_vcs + vci
+                    va_requests.setdefault(vc.route, []).append((key, port, vci))
+            elif state is VcState.ACTIVE:
+                active.append((port, vci, vc))
         return va_requests, active
 
     def _vc_allocate(
@@ -453,6 +478,8 @@ class Router:
         vc = port.vcs[vci]
         flit = vc.pop()
         self._flit_count -= 1
+        if not vc.queue:
+            self._occupied_vcs &= ~(self._slot_bit[in_dir] << vci)
         self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=False))
         self.counters.out_flits[int(route)] += 1
 
@@ -496,7 +523,10 @@ class Router:
         incoming traffic exceeds what the bypass latch can forward; we wake
         when at least two incoming MFACs are full.
         """
-        congested = sum(1 for c in self.incoming.values() if c.congested)
+        congested = 0
+        for channel in self.incoming.values():
+            if len(channel.queue) >= channel.capacity:  # Channel.congested
+                congested += 1
         return congested >= 2
 
     def bypass_step(self, cycle: int, local_sources) -> bool:
@@ -509,36 +539,34 @@ class Router:
         """
         if self.gating.state is not PowerState.GATED or not self.technique.uses_bypass:
             return False
-        lines = [False] * self.num_ports
-        candidates: dict[int, object] = {}
+        # Request lines as a bit per port: an incoming channel asks when
+        # its oldest flit is due (entries age in order, so that is the
+        # whole test), a local source when it has a flit to inject.
+        requests = 0
         for direction, channel in self.incoming.items():
-            if channel.down:
-                continue  # scenario outage: flits are held in the channel
-            ready = channel.deliverable(cycle)
-            if ready:
-                lines[int(direction)] = True
-                candidates[int(direction)] = (direction, channel, ready)
-        injectors: dict[int, tuple[int, object]] = {}
+            queue = channel.queue
+            # A channel that is down holds its flits (scenario outage).
+            if queue and queue[0][1] <= cycle and not channel.down:
+                requests |= 1 << direction
         for port, source in local_sources:
-            if source is not None and source.peek() is not None:
-                lines[int(port)] = True
-                injectors[int(port)] = (port, source)
+            if source.peek() is not None:
+                requests |= 1 << port
 
         # Try inputs in round-robin order until one flit actually moves.
-        for _ in range(self.num_ports):
-            winner = self._bypass_arbiter.grant(lines)
-            if winner is None:
-                return False
-            lines[winner] = False
-            injector = injectors.get(winner)
-            if injector is not None:
-                port, source = injector
-                if self._bypass_inject(cycle, source, port):
+        arbiter = self._bypass_arbiter
+        while requests:
+            winner = arbiter.grant_mask(requests)
+            requests &= ~(1 << winner)
+            channel = self.incoming.get(winner)
+            if channel is not None:
+                if self._bypass_forward(winner, channel, cycle):
                     return True
             else:
-                direction, channel, ready = candidates[winner]
-                if self._bypass_forward(direction, channel, ready, cycle):
-                    return True
+                for port, source in local_sources:
+                    if port == winner:
+                        if self._bypass_inject(cycle, source, port):
+                            return True
+                        break
         return False
 
     def compute_route(self, dst: int) -> int:
@@ -655,11 +683,12 @@ class Router:
         down_port.claim(out_vc)
         return out_vc
 
-    def _bypass_forward(
-        self, in_dir: int, channel: Channel, ready: list[list], cycle: int
-    ) -> bool:
+    def _bypass_forward(self, in_dir: int, channel: Channel, cycle: int) -> bool:
+        """Move the oldest due flit of *channel* that is not blocked."""
         blocked_vcs: set[int] = set()
-        for entry in ready:
+        for entry in channel.queue:
+            if entry[1] > cycle:
+                break  # later entries are younger and cannot be due
             flit: Flit = entry[0]
             if flit.vc in blocked_vcs:
                 continue  # an older same-VC flit is blocked; keep order
@@ -668,6 +697,8 @@ class Router:
                 blocked_vcs.add(flit.vc)
                 continue
             route, out_vc = routed
+            # The queue changes under the iterator here; every path below
+            # returns without advancing it.
             channel.remove(entry)
             channel.acknowledge(flit)
             pending = channel.pending_acks.pop(flit, None)

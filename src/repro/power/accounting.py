@@ -7,6 +7,11 @@ The accountant accumulates, per router:
 
 and exposes per-epoch snapshots (for the thermal model and the RL reward)
 plus whole-run totals (for Figs. 11-13).
+
+Dynamic energy is charged once or more per flit hop, so it accumulates in
+plain Python floats (the same IEEE-754 double additions a float64 array
+element performs, without the array-scalar round trip); ``dynamic_pj``
+and the epoch snapshot hand it out as arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +44,20 @@ class EnergyAccountant:
             raise ValueError("need at least one router")
         self.num_routers = num_routers
         self.power = power
-        self.dynamic_pj = np.zeros(num_routers)
+        self._dynamic_pj = [0.0] * num_routers
         self.static_pj = np.zeros(num_routers)
-        self._epoch_dynamic_pj = np.zeros(num_routers)
+        self._epoch_dynamic_pj = [0.0] * num_routers
         self._epoch_static_pj = np.zeros(num_routers)
         self._epoch_start_cycle = 0
 
+    @property
+    def dynamic_pj(self) -> np.ndarray:
+        """Whole-run dynamic energy per router (a fresh array per read)."""
+        return np.array(self._dynamic_pj)
+
     def add_dynamic(self, router: int, energy_pj: float) -> None:
         """Charge *energy_pj* of switching energy to *router*."""
-        self.dynamic_pj[router] += energy_pj
+        self._dynamic_pj[router] += energy_pj
         self._epoch_dynamic_pj[router] += energy_pj
 
     def add_static_cycle(self, router: int, leak_mw: float) -> None:
@@ -80,11 +90,11 @@ class EnergyAccountant:
             raise ValueError("epoch must span at least one cycle")
         seconds = cycles / self.power.clock_frequency_hz
         snapshot = EpochPower(
-            dynamic_w=self._epoch_dynamic_pj * 1e-12 / seconds,
+            dynamic_w=np.array(self._epoch_dynamic_pj) * 1e-12 / seconds,
             static_w=self._epoch_static_pj * 1e-12 / seconds,
             cycles=cycles,
         )
-        self._epoch_dynamic_pj = np.zeros(self.num_routers)
+        self._epoch_dynamic_pj = [0.0] * self.num_routers
         self._epoch_static_pj = np.zeros(self.num_routers)
         self._epoch_start_cycle = current_cycle
         return snapshot

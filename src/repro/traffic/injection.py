@@ -35,12 +35,13 @@ class SourceQueue:
         self.packets_enqueued += 1
 
     def requeue_front(self, packet: Packet) -> None:
-        """Put a packet at the head of the queue (end-to-end retransmission)."""
-        if self._current_packet is not None and self._current_flits:
-            # A packet is mid-injection; the retry goes right after it.
-            self._packets.appendleft(packet)
-        else:
-            self._packets.appendleft(packet)
+        """Put a packet at the head of the queue (end-to-end retransmission).
+
+        A packet that is mid-injection keeps the port — its remaining
+        flits live in ``_current_flits``, ahead of ``_packets`` — so the
+        retry goes out right after it and before everything still queued.
+        """
+        self._packets.appendleft(packet)
 
     @property
     def pending_packets(self) -> int:

@@ -128,6 +128,73 @@ class TestStateAudits:
         assert exc_info.value.check == "bst-consistency"
         assert "no BST entry" in exc_info.value.detail
 
+    def test_inbound_counter_drift_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([], sanitizer=san)
+        net.routers[1].inbound.flits += 1  # claims a flit no channel queues
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "occupancy-counters"
+        assert "router 1" in exc_info.value.detail
+
+    def test_busy_channel_set_drift_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        net._busy_channels.add(0)  # stale: channel 0 is empty
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "occupancy-counters"
+        net._busy_channels.discard(0)
+        while not net._busy_channels:
+            net.step()  # until a flit is on a link
+        net._busy_channels.clear()  # missing: that channel holds a flit
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "occupancy-counters"
+
+    def test_occupied_vc_mask_drift_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        net.run(2)  # a flit sits in router 0's LOCAL port
+        assert net.routers[0]._occupied_vcs
+        net.routers[0]._occupied_vcs = 0  # the pipeline scan would miss it
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "occupancy-counters"
+
+    @pytest.mark.parametrize("technique", [SECDED_BASELINE, INTELLINOC],
+                             ids=["secded", "intellinoc"])
+    def test_counters_hold_through_replays_kills_and_drop_sweeps(
+        self, technique, tmp_path
+    ):
+        """Audited every cycle across every queue mutator: NACK replays
+        (SECDED under a burst), a link kill, a router kill and the drop
+        sweeps they trigger, and (IntelliNoC) the gated bypass."""
+        from repro.faults.scenario import (
+            FaultScenario, LinkFailure, RouterFailure, TransientBurst,
+        )
+        from repro.traffic.parsec import generate_parsec_trace
+
+        noc = replace(technique.noc, width=4, height=4, routing="west_first")
+        scenario = FaultScenario(name="audit", events=(
+            TransientBurst(start=50, end=1000, multiplier=3000.0),
+            LinkFailure(cycle=200, src_router=5, direction=int(Direction.EAST)),
+            RouterFailure(cycle=450, router=10),
+        ))
+        san = make_sanitizer(tmp_path, interval=1, watchdog_cycles=50_000)
+        net = Network(
+            SimulationConfig(technique=replace(technique, noc=noc), seed=7),
+            generate_parsec_trace("swa", 4, 4, 1200, noc.flits_per_packet, 7),
+            scenario=scenario, sanitizer=san,
+        )
+        net.run(1500)  # raises InvariantViolation on any drift
+        assert san.checks_run == 1500 and san.violations_seen == 0
+        assert net.stats.flits_dropped > 0
+        if technique is SECDED_BASELINE:
+            assert net.stats.hop_retransmissions > 0
+        else:
+            assert net.stats.bypass_traversals > 0
+
     def test_flit_count_drift_is_caught(self, tmp_path):
         san = make_sanitizer(tmp_path)
         net = small_network([], sanitizer=san)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.channels.mfac import Channel, ChannelFunction
+from repro.channels.mfac import Channel, ChannelFunction, InboundCounter
 from repro.noc.flit import Packet
 from repro.noc.routing import Direction
 
@@ -131,6 +131,29 @@ class TestRetransmission:
         ch.acknowledge(f)
         assert not ch.copies
 
+    def test_ack_for_aged_out_copy_is_silent(self):
+        """A function switch ages out the copies; the ACK of a flit that
+        was still in flight then finds nothing to drop and says nothing —
+        whether the copy store is empty or holds other flits' copies."""
+        ch = make_channel()
+        ch.set_function(ChannelFunction.RETRANSMISSION)
+        old, new = flits(2)
+        ch.send(old, 0, keep_copy=True)
+        ch.set_function(ChannelFunction.NORMAL)  # old's copy ages out
+        ch.acknowledge(old)  # empty store: the early return
+        assert not ch.copies
+        ch.set_function(ChannelFunction.RETRANSMISSION)
+        ch.send(new, 1, keep_copy=True)
+        ch.acknowledge(old)  # store holds only new's copy
+        assert list(ch.copies) == [new]
+
+    def test_ack_outside_retransmission_mode_is_a_no_op(self):
+        ch = make_channel()
+        f = flits(1)[0]
+        ch.send(f, 0)
+        ch.acknowledge(f)
+        assert not ch.copies and ch.occupancy == 1
+
     def test_copy_buffer_backpressure(self):
         ch = make_channel()
         ch.set_function(ChannelFunction.RETRANSMISSION)
@@ -162,6 +185,49 @@ class TestRetransmission:
         ch = make_channel()
         with pytest.raises(RuntimeError):
             ch.send(flits(1)[0], 0, keep_copy=True)
+
+
+class TestOccupancyBookkeeping:
+    """`inbound.flits` and `busy` track the queue through every mutator."""
+
+    def test_send_remove_and_replay_keep_the_counters(self):
+        inbound, busy = InboundCounter(), set()
+        ch = Channel(
+            0, Direction.EAST, 1, buffer_depth=8, links=2, is_mfac=True,
+            index=5, inbound=inbound, busy=busy,
+        )
+        ch.set_function(ChannelFunction.RETRANSMISSION)
+        a, b = flits(2)
+        ch.send(a, 0, keep_copy=True)
+        assert (inbound.flits, busy) == (1, {5})
+        ch.send(b, 1, keep_copy=True)
+        assert (inbound.flits, busy) == (2, {5})
+        ch.nack_resend(ch.queue[0], 2)  # one out, one in
+        assert (inbound.flits, busy) == (2, {5})
+        ch.remove(ch.queue[1])  # out of order: not the front entry
+        assert (inbound.flits, busy) == (1, {5})
+        ch.nack_resend(ch.queue[0], 3)  # replay of the only entry
+        assert (inbound.flits, busy) == (1, {5})
+        ch.remove(ch.queue[0])
+        assert (inbound.flits, busy) == (0, set())
+
+    def test_channels_into_one_router_share_the_counter(self):
+        inbound, busy = InboundCounter(), set()
+        east = Channel(0, Direction.EAST, 1, buffer_depth=8, links=2,
+                       index=0, inbound=inbound, busy=busy)
+        west = Channel(2, Direction.WEST, 1, buffer_depth=8, links=2,
+                       index=1, inbound=inbound, busy=busy)
+        fs = flits(2)
+        east.send(fs[0], 0)
+        west.send(fs[1], 0)
+        assert (inbound.flits, busy) == (2, {0, 1})
+        east.remove(east.queue[0])
+        assert (inbound.flits, busy) == (1, {1})
+
+    def test_standalone_channel_keeps_private_counters(self):
+        ch = make_channel()
+        ch.send(flits(1)[0], 0)
+        assert ch.inbound.flits == 1 and ch.busy == {0}
 
 
 class TestStats:

@@ -79,6 +79,20 @@ class TestErrorSampler:
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(faults - n * p) < 4 * sigma
 
+    def test_memoised_fault_probability_draws_the_same_sequence(self):
+        """Passing Eq. 3's value in (the network memoises it per link)
+        changes neither the outcomes nor the number of RNG draws."""
+        re = 2e-3
+        plain = ErrorSampler(128, np.random.default_rng(5), multi_bit_fraction=0.3,
+                             burst_extra_bits_mean=1.0)
+        memo = ErrorSampler(128, np.random.default_rng(5), multi_bit_fraction=0.3,
+                            burst_extra_bits_mean=1.0)
+        p_fault = memo.flit_fault_probability(re)
+        draws = [plain.sample_bit_errors(re) for _ in range(5_000)]
+        assert [memo.sample_bit_errors(re, p_fault) for _ in range(5_000)] == draws
+        assert any(draws)
+        assert plain._rng.random() == memo._rng.random()  # streams in step
+
     def test_burst_mode_produces_multibit(self):
         sampler = ErrorSampler(
             128, np.random.default_rng(2), multi_bit_fraction=1.0, burst_extra_bits_mean=1.0

@@ -55,3 +55,27 @@ class TestFairness:
                     waits.append(wait)
                     break
         assert waits and max(waits) < 5
+
+
+class TestGrantMask:
+    """`grant_mask` is `grant` with the lines packed into an int."""
+
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=30),
+        )
+    ))
+    def test_same_winners_and_pointer_as_grant(self, case):
+        n, rounds = case
+        by_lines, by_mask = RoundRobinArbiter(n), RoundRobinArbiter(n)
+        for lines in rounds:
+            mask = sum(1 << i for i, asked in enumerate(lines) if asked)
+            assert by_mask.grant_mask(mask) == by_lines.grant(lines)
+            assert by_mask.peek() == by_lines.peek()
+
+    def test_out_of_range_lines_rejected(self):
+        with pytest.raises(ValueError):
+            RoundRobinArbiter(3).grant_mask(0b1000)
+        with pytest.raises(ValueError):
+            RoundRobinArbiter(3).grant_mask(-1)

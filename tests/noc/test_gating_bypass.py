@@ -146,6 +146,52 @@ class TestStressRelaxingBypass:
         assert net.stats.wakeups > 0
 
 
+class TestIdleRouterSkip:
+    def test_zero_capacity_channels_keep_the_watchdog_firing(self):
+        """One buffer stage shared by an MFAC's two links leaves each link
+        none: capacity 0, so the channel reads congested while empty and
+        the bypass watchdog fires on a router with nothing to do.  Such a
+        router is never skipped — the count below is the pre-skip one
+        (every router, every cycle)."""
+        from dataclasses import replace
+
+        noc = replace(INTELLINOC.noc, width=3, height=3, channel_buffer_depth=1)
+        config = SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=7)
+        net = Network(config, Trace([]))
+        assert all(c.capacity == 0 and c.congested for c in net.channels)
+        assert all(r.congested_when_empty for r in net.routers)
+        for router in net.routers:
+            router.apply_mode(0, 0)
+        net.run(30)
+        assert net.stats.wakeups == 30 * len(net.routers)
+        assert all(r.mode == 1 for r in net.routers)  # watchdog left mode 0
+        assert all(r.gating.state is PowerState.GATED for r in net.routers)
+
+    def test_skipped_visit_would_have_been_a_no_op(self):
+        """Every cycle, for every gated router the loop is about to skip:
+        the watchdog is quiet, the bypass moves nothing, and its arbiter's
+        pointer stays where it was."""
+        events = [TraceEvent(c, c % 64, (c * 7 + 9) % 64, 4) for c in range(0, 600, 3)]
+        events = [e for e in events if e.src != e.dst]
+        net = intellinoc_network(events, mode=0)
+        skipped = 0
+        for _ in range(900):
+            for router in net.routers:
+                if (
+                    router.gating.state is PowerState.GATED
+                    and not net._bypass_has_work(router)
+                ):
+                    pointer = router._bypass_arbiter.peek()
+                    assert not router.bypass_overloaded()
+                    assert not router.bypass_step(
+                        net.cycle, net._router_locals[router.id]
+                    )
+                    assert router._bypass_arbiter.peek() == pointer
+                    skipped += 1
+            net.step()
+        assert skipped > 0 and net.stats.bypass_traversals > 0
+
+
 class TestBstUnderGating:
     def test_wormhole_state_survives_power_off(self):
         """A packet whose head passes powered and body passes gated relies

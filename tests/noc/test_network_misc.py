@@ -77,3 +77,53 @@ class TestEpochMachinery:
         net.run(400)
         after = net.thermal.mean_temperature()
         assert after > before  # heated by the burst
+
+
+class TestHopRateMemo:
+    def test_memoised_rates_never_go_stale(self):
+        """The per-link (error rate, Eq. 3 probability) memo is dropped at
+        every point its inputs move — thermal step, burst edge, thermal-
+        attack tick — and keyed on relaxed timing, so each cycle it must
+        equal a from-scratch computation for every channel."""
+        from dataclasses import replace
+
+        from repro.channels.mfac import ChannelFunction
+        from repro.config import INTELLINOC, SimulationConfig
+        from repro.faults.scenario import FaultScenario, ThermalAttack, TransientBurst
+        from repro.noc.network import Network
+        from repro.traffic.parsec import generate_parsec_trace
+
+        noc = replace(INTELLINOC.noc, width=4, height=4)
+        scenario = FaultScenario(name="memo", events=(
+            TransientBurst(start=40, end=260, multiplier=500.0, routers=(1, 5, 6)),
+            TransientBurst(start=150, end=330, multiplier=20.0),
+            ThermalAttack(start=60, end=300, routers=(5, 9), delta_k=4.0,
+                          stride=35, cap_k=400.0),
+        ))
+        net = Network(
+            SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=7),
+            generate_parsec_trace("swa", 4, 4, 400, noc.flits_per_packet, 7),
+            scenario=scenario,
+        )
+        net.routers[2].apply_mode(4, 0)  # relaxed timing on one router
+        seen = set()
+        for _ in range(400):
+            net.step()
+            if net.cycle == 200:
+                net.routers[6].apply_mode(4, net.cycle)  # mid-run mode switch
+            for channel in net.channels:
+                relaxed = (
+                    net.routers[channel.src].relaxed_timing
+                    or channel.function is ChannelFunction.RELAXED
+                )
+                rate = net._scenario.scaled_rate(
+                    net.fault_model.bit_error_rate(
+                        net.thermal.temperature(channel.src), relaxed_timing=relaxed
+                    ),
+                    channel.src,
+                )
+                assert net._hop_error_rates(channel) == (
+                    rate, net.sampler.flit_fault_probability(rate)
+                )
+                seen.add(rate)
+        assert len(seen) > 20  # the rates really moved under the memo

@@ -205,6 +205,41 @@ class TestLiveness:
         assert network.stats.packets_completed > 0
 
 
+class TestOccupancyCounters:
+    @pytest.mark.parametrize("tech", [SECDED_BASELINE, INTELLINOC],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("fabric", sorted(FABRIC_OVERRIDES))
+    def test_is_idle_equals_the_scanning_definition(self, fabric, tech):
+        """`Router.is_idle()` reads counters; on every fabric, every cycle,
+        it must say what a scan of the buffers, the BST and the incoming
+        channels says."""
+        from repro.noc.network import Network
+        from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
+        from repro.utils.rng import make_rng
+
+        noc = replace(tech.noc, **FABRIC_OVERRIDES[fabric])
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, noc.num_nodes, noc.width,
+            duration=250, injection_rate=0.05, packet_size=4,
+            rng=make_rng(11, "topology-is-idle"),
+        )
+        config = SimulationConfig(technique=replace(tech, noc=noc), seed=11)
+        network = Network(config, trace)
+        busy_seen = idle_seen = 0
+        for _ in range(400):
+            network.step()
+            for router in network.routers:
+                scanned = (
+                    router._flit_count == 0
+                    and router.bst.open_entries() == 0
+                    and all(not c.queue for c in router.incoming.values())
+                )
+                assert router.is_idle() == scanned
+                idle_seen += scanned
+                busy_seen += not scanned
+        assert busy_seen and idle_seen  # both answers were exercised
+
+
 class TestSpecHashing:
     def test_fabrics_hash_distinctly(self):
         hashes = {

@@ -21,6 +21,25 @@ class TestDynamic:
         assert acct.total_dynamic_pj() == pytest.approx(8.5)
 
 
+    def test_float_accumulators_add_like_a_float64_array(self, acct):
+        """The per-flit path accumulates in Python floats; the totals and
+        the epoch snapshot must be bit-equal to float64 array arithmetic."""
+        rng = np.random.default_rng(3)
+        reference = np.zeros(4)
+        for _ in range(2_000):
+            router, energy = int(rng.integers(0, 4)), float(rng.random() * 7.3)
+            acct.add_dynamic(router, energy)
+            reference[router] += energy
+        assert isinstance(acct.dynamic_pj, np.ndarray)
+        assert np.array_equal(acct.dynamic_pj, reference)
+        assert acct.total_dynamic_pj() == float(np.sum(reference))
+        snapshot = acct.close_epoch(100)
+        seconds = 100 / acct.power.clock_frequency_hz
+        assert np.array_equal(snapshot.dynamic_w, reference * 1e-12 / seconds)
+        assert np.array_equal(acct.dynamic_pj, reference)  # totals survive
+        assert not acct.close_epoch(200).dynamic_w.any()  # epoch part reset
+
+
 class TestStatic:
     def test_single_cycle_conversion(self, acct):
         # 2 mW over one 0.5 ns cycle = 1 pJ.

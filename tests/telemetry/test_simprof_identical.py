@@ -9,12 +9,18 @@ profiled step path (``Network._step_profiled``) drifting out of sync
 with the seed path.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import INTELLINOC, SECDED_BASELINE, SimulationConfig
+from repro.faults.scenario import FaultScenario, IntermittentLink, TransientBurst
 from repro.noc.network import Network
+from repro.noc.routing import Direction
 from repro.telemetry import SimProfiler, Telemetry
 from repro.traffic.parsec import generate_parsec_trace
+from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
+from repro.utils.rng import make_rng
 
 
 def run_fingerprint(technique, simprof=None, telemetry=None, duration=800, seed=7):
@@ -73,3 +79,89 @@ def test_profiler_observes_the_whole_run():
     assert sum(prof.phase_laps().values()) > 0
     # Heat saw the full 8x8 fabric.
     assert len(prof.router_heat()) == 64
+
+
+# --- the paths the idle-router skip and the lean bypass edit twice -------------
+#
+# `_step_routers` / `_step_routers_profiled` share the skip predicate but
+# are still two loops, so both run here on the traffic that lives on those
+# paths; and both are held to fingerprints recorded *before* the skip
+# existed (parent commit a2a72f8), so "identical to each other" cannot hide
+# "both changed".
+
+
+def skip_path_fingerprint(network):
+    s = network.stats
+    return (
+        network.cycle,
+        s.packets_injected,
+        s.packets_completed,
+        s.flits_delivered,
+        s.latency_sum,
+        s.total_retransmitted_flits,
+        s.corrected_flits,
+        s.wakeups,
+        s.bypass_traversals,
+        dict(s.mode_cycles),
+        round(network.accountant.total_pj(), 6),
+    )
+
+
+def light_gated_mesh(simprof=None):
+    """Paper load on the 8x8 mesh: most routers gated, bypass is the datapath."""
+    noc = INTELLINOC.noc
+    trace = generate_parsec_trace(
+        "bod", noc.width, noc.height, 1200, noc.flits_per_packet, 7
+    )
+    network = Network(
+        SimulationConfig(technique=INTELLINOC, seed=7), trace, simprof=simprof
+    )
+    network.run_to_completion(60_000)
+    return skip_path_fingerprint(network)
+
+
+def faulted_torus(simprof=None):
+    """Dateline VCs, a link that flaps (held flits) and a x300 error burst."""
+    noc = replace(INTELLINOC.noc, width=4, height=4, topology="torus")
+    trace = generate_synthetic_trace(
+        SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 1200, 0.03,
+        noc.flits_per_packet, make_rng(7, "simprof-identical/torus"),
+    )
+    scenario = FaultScenario(name="flap+burst", events=(
+        TransientBurst(start=100, end=1000, multiplier=300.0),
+        IntermittentLink(
+            start=150, end=1100, src_router=5, direction=int(Direction.EAST),
+            period=200, downtime=60,
+        ),
+    ))
+    network = Network(
+        SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=7),
+        trace, scenario=scenario, simprof=simprof,
+    )
+    network.run_to_completion(60_000)
+    return skip_path_fingerprint(network)
+
+
+PRE_SKIP_FINGERPRINTS = {
+    light_gated_mesh: (
+        1270, 1592, 1592, 10287, 31267, 0, 0, 1, 25367,
+        {0: 0, 1: 76200, 2: 200, 3: 400, 4: 0}, 296751.59,
+    ),
+    faulted_torus: (
+        1205, 579, 579, 1093, 6522, 36, 0, 0, 5844,
+        {0: 0, 1: 19200, 2: 0, 3: 0, 4: 0}, 60977.11,
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(PRE_SKIP_FINGERPRINTS),
+                         ids=lambda run: run.__name__)
+def test_skip_paths_match_each_other_and_the_pre_skip_run(run):
+    expected = PRE_SKIP_FINGERPRINTS[run]
+    assert expected[8] > expected[3]  # bypass carries most flit moves here
+    assert run() == expected
+    dense = SimProfiler(stride=1)
+    assert run(simprof=dense) == expected
+    assert run(simprof=SimProfiler(stride=3)) == expected
+    laps = dense.phase_laps()
+    assert laps["router.bypass"] > 0 and laps["router.gating"] > 0

@@ -51,6 +51,21 @@ class TestSourceQueue:
         q.requeue_front(retry)
         assert q.pop().packet is retry
 
+    def test_requeue_mid_injection_follows_the_open_packet(self):
+        """An end-to-end retry requeued while another packet is half
+        injected must not split that packet's flit train: it goes out
+        right after it, ahead of everything still queued."""
+        q = SourceQueue(0)
+        in_flight, queued, retry = packet(dst=4), packet(dst=5), packet(dst=6)
+        q.enqueue(in_flight)
+        q.enqueue(queued)
+        assert q.pop().packet is in_flight  # head out, three flits to go
+        q.requeue_front(retry)
+        order = []
+        while not q.is_empty():
+            order.append(q.pop().packet)
+        assert order == [in_flight] * 3 + [retry] * 4 + [queued] * 4
+
     def test_pending_packet_count(self):
         q = SourceQueue(0)
         q.enqueue(packet())
