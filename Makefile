@@ -1,7 +1,7 @@
 .PHONY: install lint lint-baseline test bench bench-repo bench-test perf figures examples clean
 
 install:
-	pip install -e . || python setup.py develop
+	pip install -e .
 
 # NoCSan whole-program pass (docs/analysis.md); mypy runs too when installed.
 lint:

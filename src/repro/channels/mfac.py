@@ -142,8 +142,9 @@ class Channel:
         self.queue: deque[list] = deque()
         self.copies: deque[Flit] = deque()  # retransmission copies (MFAC upper link)
         # Baseline SECDED keeps copies in the *upstream* VC until ACK
-        # (Section 3.2); this maps each in-flight flit to the reserved VC.
-        self.pending_acks: dict[Flit, object] = {}
+        # (Section 3.2); this maps each in-flight flit to the reserved VC
+        # and the router that owns it.
+        self.pending_acks: dict[Flit, tuple] = {}
         self._accepted_this_cycle = 0
         self._cycle_of_budget = -1
         self.flits_sent = 0
@@ -317,6 +318,24 @@ class Channel:
         copies = self.copies
         if copies and flit in copies:
             copies.remove(flit)
+
+    def dequeue(self, entry: list) -> None:
+        """The flit of *entry* has left the channel for good (accepted
+        downstream, forwarded by a bypass, or excised as a drop): take it
+        out, ACK it, and free the upstream VC slot a wire channel's sender
+        reserved for its copy (baseline SECDED, Section 3.2).
+
+        The one place the hop's ACK protocol is written; a NACK goes
+        through :meth:`nack_resend` and keeps the reservation.
+        """
+        flit: Flit = entry[0]
+        self.remove(entry)
+        self.acknowledge(flit)
+        pending = self.pending_acks.pop(flit, None)
+        if pending is not None:
+            upstream_vc, owner = pending
+            upstream_vc.release()
+            owner._reserved_count -= 1
 
     def nack_resend(self, entry: list, cycle: int) -> None:
         """NACK: replay the flit from its copy (or upstream reservation).

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from collections import deque
+from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -166,9 +167,10 @@ class Network:
             self._init_telemetry()
 
         # Step-phase profiler (docs/observability.md).  Like the sanitizer
-        # and telemetry: pure observation behind one attribute check, and
-        # the profiler clock never feeds back into simulation state, so
-        # profiled runs are bit-identical to unprofiled ones
+        # and telemetry: pure observation.  Its probes sit in the one body
+        # of `step`, one `is not None` test each unless the step is
+        # sampled, and the profiler clock never feeds back into simulation
+        # state, so profiled runs are bit-identical to unprofiled ones
         # (tests/telemetry/test_simprof_identical.py).
         self._simprof = simprof
         if simprof is not None:
@@ -429,11 +431,12 @@ class Network:
     # --- one cycle ----------------------------------------------------------------
 
     def step(self) -> None:
-        prof = self._simprof
-        if prof is not None and prof.begin_step(self.cycle):
-            self._step_profiled(prof)
-            return
         cycle = self.cycle
+        # The profiler's probes live in this one body: on a sampled step
+        # `lap` attributes the wall time since the previous probe to a
+        # STEP_PHASES bucket; otherwise it is None and a probe is one test.
+        prof = self._simprof
+        lap = prof.lap if prof is not None and prof.begin_step(cycle) else None
         tel = self._tel
         if tel is not None:
             # Satellite of ROADMAP item 1: resolve the trace-stride check
@@ -441,77 +444,53 @@ class Network:
             self._tel_sampled = tel if cycle % tel.trace_stride == 0 else None
         if self._scenario is not None:
             self._scenario.tick(cycle)
+        if lap is not None:
+            lap("scenario.tick")
         if self._pending_drops:
             # Packets marked dropped after the last sweep (e.g. by a router
             # that found its committed output dead): excise their flits now,
             # before this cycle moves anything.
             self._flush_drops(cycle)
+        if lap is not None:
+            lap("drops.flush")
         self._admit_trace_events(cycle)
+        if lap is not None:
+            lap("trace.admit")
         for router in self.routers:
             state = router.gating.state
             if state is PowerState.WAKING or state is PowerState.DRAINING:
                 router.gating.tick(cycle, router.is_empty())
+        if lap is not None:
+            lap("gating.tick")
         self._deliver_channels(cycle)
-        self._step_routers(cycle)
+        if lap is not None:
+            lap("link.deliver")
+        self._step_routers(cycle, lap)
         self._inject(cycle)
+        if lap is not None:
+            lap("inject")
         next_cycle = cycle + 1
         if next_cycle % self.config.stats_epoch == 0:
             self._stats_epoch(next_cycle)
+        if lap is not None:
+            lap("stats.epoch")
         if self.policy.adapts and next_cycle % self.technique.rl.time_step == 0:
             self._control_step(next_cycle)
+        if lap is not None:
+            lap("control.rl")
         self.cycle = next_cycle
         if self.sanitizer is not None:
             self.sanitizer.observe(self, next_cycle)
-
-    def _step_profiled(self, prof: "SimProfiler") -> None:
-        """``step`` with a ``prof.lap`` probe after each sub-phase.
-
-        Mirrors :meth:`step` exactly — same phases, same order, same
-        simulation state transitions; the only additions are clock reads
-        into the profiler's own accumulators, so profiled runs stay
-        bit-identical (tests/telemetry/test_simprof_identical.py guards
-        the two paths against drifting apart).
-        """
-        cycle = self.cycle
-        tel = self._tel
-        if tel is not None:
-            self._tel_sampled = tel if cycle % tel.trace_stride == 0 else None
-        if self._scenario is not None:
-            self._scenario.tick(cycle)
-        prof.lap("scenario.tick")
-        if self._pending_drops:
-            self._flush_drops(cycle)
-        prof.lap("drops.flush")
-        self._admit_trace_events(cycle)
-        prof.lap("trace.admit")
-        for router in self.routers:
-            state = router.gating.state
-            if state is PowerState.WAKING or state is PowerState.DRAINING:
-                router.gating.tick(cycle, router.is_empty())
-        prof.lap("gating.tick")
-        self._deliver_channels(cycle)
-        prof.lap("link.deliver")
-        self._step_routers_profiled(cycle, prof)
-        self._inject(cycle)
-        prof.lap("inject")
-        next_cycle = cycle + 1
-        if next_cycle % self.config.stats_epoch == 0:
-            self._stats_epoch(next_cycle)
-        prof.lap("stats.epoch")
-        if self.policy.adapts and next_cycle % self.technique.rl.time_step == 0:
-            self._control_step(next_cycle)
-        prof.lap("control.rl")
-        self.cycle = next_cycle
-        if self.sanitizer is not None:
-            self.sanitizer.observe(self, next_cycle)
-        prof.lap("sanitizer.observe")
-        if prof.heat:
-            prof.end_step(
-                router_flits=[r._flit_count for r in self.routers],
-                channel_flits=[ch.occupancy for ch in self.channels],
-            )
-        else:
-            prof.end_step()
+        if lap is not None:
+            lap("sanitizer.observe")
+        if prof is not None and lap is not None:
+            if prof.heat:
+                prof.end_step(
+                    router_flits=[r._flit_count for r in self.routers],
+                    channel_flits=[ch.occupancy for ch in self.channels],
+                )
+            else:
+                prof.end_step()
 
     # --- phase 0: workload ----------------------------------------------------------
 
@@ -658,13 +637,7 @@ class Network:
             elif errors:
                 # No per-hop decoder: errors ride to the destination CRC.
                 flit.bit_errors += errors
-            channel.remove(entry)
-            channel.acknowledge(flit)
-            pending = channel.pending_acks.pop(flit, None)
-            if pending is not None:
-                upstream_vc, owner = pending
-                upstream_vc.release()
-                owner._reserved_count -= 1
+            channel.dequeue(entry)
             dst_router.deliver(flit, in_dir, cycle)
             self.stats.flits_delivered += 1
             delivered += 1
@@ -721,7 +694,7 @@ class Network:
                 cycle,
             )
 
-    def _step_routers(self, cycle: int) -> None:
+    def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
         for router in self.routers:
             if router.dead:
@@ -729,6 +702,8 @@ class Network:
             state = router.gating.state
             if state is PowerState.GATED:
                 if not self._bypass_has_work(router):
+                    if lap is not None:
+                        lap("router.bypass")
                     continue  # stays gated: the idle detector is off too
                 if router.bypass_overloaded():
                     # Congestion watchdog: leave mode 0 early; the next
@@ -737,38 +712,14 @@ class Network:
                     self.stats.wakeups += 1
                 elif router.bypass_step(cycle, self._router_locals[router.id]):
                     self.stats.bypass_traversals += 1
+                if lap is not None:
+                    lap("router.bypass")
             elif state is not PowerState.WAKING:
-                router.step(cycle)
+                router.step(cycle, lap)
             if power_gating:
                 self._observe_idle(router, cycle)
-
-    def _step_routers_profiled(self, cycle: int, prof: "SimProfiler") -> None:
-        """:meth:`_step_routers` splitting wall time per pipeline stage.
-
-        Same control flow; powered routers run :meth:`Router.step_profiled`
-        (rc_scan / vc_alloc / switch laps), bypass traversals and gating
-        bookkeeping get their own buckets.
-        """
-        power_gating = self.technique.power_gating
-        for router in self.routers:
-            if router.dead:
-                continue
-            state = router.gating.state
-            if state is PowerState.GATED:
-                if not self._bypass_has_work(router):
-                    prof.lap("router.bypass")
-                    continue
-                if router.bypass_overloaded():
-                    router.apply_mode(1, cycle)
-                    self.stats.wakeups += 1
-                elif router.bypass_step(cycle, self._router_locals[router.id]):
-                    self.stats.bypass_traversals += 1
-                prof.lap("router.bypass")
-            elif state is not PowerState.WAKING:
-                router.step_profiled(cycle, prof)
-            if power_gating:
-                self._observe_idle(router, cycle)
-                prof.lap("router.gating")
+                if lap is not None:
+                    lap("router.gating")
 
     # --- phase 4: injection ---------------------------------------------------------------
 
@@ -1059,15 +1010,8 @@ class Network:
         for channel in self._busy_channels_in_order():
             doomed = [e for e in channel.queue if id(e[0].packet) in victim_set]
             for entry in doomed:
-                flit = entry[0]
-                channel.remove(entry)
-                channel.acknowledge(flit)
-                pending = channel.pending_acks.pop(flit, None)
-                if pending is not None:
-                    upstream_vc, owner = pending
-                    upstream_vc.release()
-                    owner._reserved_count -= 1
-                dropped_flits += 1
+                channel.dequeue(entry)
+            dropped_flits += len(doomed)
         # Routers: remove buffered flits and close the wormhole state the
         # victims held (mirroring Router._close for each open allocation).
         for router in self.routers:

@@ -268,40 +268,28 @@ class Router:
 
     # --- pipeline ----------------------------------------------------------------
 
-    def step(self, cycle: int) -> None:
+    def step(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         """One cycle of the powered router pipeline (RC, VA, SA/ST).
 
         One scan over the occupied VCs performs route computation and
         gathers VA requests and SA candidates; allocation then proceeds
         in pipeline order (RC results feed VA; VA grants may win SA the
-        same cycle they become eligible, per the stage delays).
+        same cycle they become eligible, per the stage delays).  *lap* is
+        the network's step-profiler probe (None on un-sampled steps).
         """
         if not self.powered:
             return
         if self._flit_count == 0:
             return
         va_requests, active = self._scan_pipeline(cycle)
+        if lap is not None:
+            lap("router.rc_scan")
         self._vc_allocate(cycle, va_requests, active)
+        if lap is not None:
+            lap("router.vc_alloc")
         self._switch_allocate(cycle, active)
-
-    def step_profiled(self, cycle: int, prof) -> None:
-        """:meth:`step` with a SimProfiler lap per pipeline stage.
-
-        Same early-outs, same stage order, same state transitions — the
-        profiled network path calls this instead of :meth:`step` so wall
-        time splits into rc_scan / vc_alloc / switch buckets (the
-        bit-identity test guards the two paths against drifting apart).
-        """
-        if not self.powered:
-            return
-        if self._flit_count == 0:
-            return
-        va_requests, active = self._scan_pipeline(cycle)
-        prof.lap("router.rc_scan")
-        self._vc_allocate(cycle, va_requests, active)
-        prof.lap("router.vc_alloc")
-        self._switch_allocate(cycle, active)
-        prof.lap("router.switch")
+        if lap is not None:
+            lap("router.switch")
 
     def _scan_pipeline(
         self, cycle: int
@@ -349,35 +337,16 @@ class Router:
                 continue
             _, port, vci = granted
             vc = port.vcs[vci]
+            packet = vc.queue[0][0].packet
             if route in self._ejection_ports:
                 vc.out_vc = 0
             else:
-                down_port = self.downstream_ports.get(route)
-                if down_port is None:
-                    raise RuntimeError(f"router {self.id}: route {route} off-fabric")
-                if self._uses_vc_classes:
-                    # Dateline discipline (torus/ring): the head may only
-                    # claim a downstream VC of its class partition.
-                    packet = vc.queue[0][0].packet
-                    cls = self.topology.next_vc_class(
-                        self.id, route, packet.vc_class
-                    )
-                    out_vc = down_port.free_vc_for_head(
-                        self.topology.allowed_vcs(cls, self.noc.num_vcs)
-                    )
-                    if out_vc is None:
-                        continue  # no downstream VC free; retry next cycle
-                    packet.vc_class = cls
-                else:
-                    out_vc = down_port.free_vc_for_head()
-                    if out_vc is None:
-                        continue  # no downstream VC free; retry next cycle
-                down_port.claim(out_vc)
+                out_vc = self._claim_downstream_vc(route, packet)
+                if out_vc is None:
+                    continue  # no downstream VC free; retry next cycle
                 vc.out_vc = out_vc
             vc.state = VcState.ACTIVE
-            self.bst.record(
-                port.direction, vci, route, vc.out_vc, owner=vc.queue[0][0].packet
-            )
+            self.bst.record(port.direction, vci, route, vc.out_vc, owner=packet)
             active.append((port, vci, vc))
 
     def _grant_va(
@@ -611,27 +580,15 @@ class Router:
         surviving minimal route if the turn model offers one (west-first
         does for most turns; X-Y never does), else drop with accounting.
         Returns False when the packet was dropped."""
-        dead_route = vc.route
         packet = vc.queue[0][0].packet
-        candidates = [
-            c
-            for c in self.topology.route_candidates(self.id, packet.dst)
-            if not self._route_unserviceable(c)
-        ]
-        if candidates:
-            if len(candidates) == 1:
-                vc.route = candidates[0]
-            else:
-                vc.route = select_output(
-                    candidates,
-                    free_slots=lambda d: sum(
-                        v.free_slots for v in self.downstream_ports[d].vcs
-                    ),
-                    neighbor_failed=lambda d: self.downstream_routers[d].failed,
-                )
+        # Degraded route computation keeps to surviving outputs while one
+        # exists, so a dead answer means none does.
+        route = self.compute_route(packet.dst)
+        if not self._route_unserviceable(route):
+            vc.route = route
             return True
         if self.on_drop is not None:
-            self.on_drop(packet, self._dead_reason(dead_route))
+            self.on_drop(packet, self._dead_reason(vc.route))
         return False
 
     def _bypass_route_for(self, in_dir: int, flit: Flit, cycle: int):
@@ -644,7 +601,7 @@ class Router:
                 if self.on_drop is not None:
                     self.on_drop(flit.packet, self._dead_reason(route))
                 return None
-            out_vc = self._allocate_bypass_vc(route, flit.packet)
+            out_vc = self._claim_downstream_vc(route, flit.packet)
             if out_vc is None:
                 return None
             if not self.outgoing[route].can_accept(cycle):
@@ -664,11 +621,15 @@ class Router:
             return None
         return entry.output_port, entry.out_vc
 
-    def _allocate_bypass_vc(self, route: int, packet) -> int | None:
+    def _claim_downstream_vc(self, route: int, packet) -> int | None:
+        """Claim a free VC of the input port *route* leads to for the head
+        of *packet*; None when none is free (the caller retries)."""
         down_port = self.downstream_ports.get(route)
         if down_port is None:
-            return None
+            raise RuntimeError(f"router {self.id}: route {route} off-fabric")
         if self._uses_vc_classes:
+            # Dateline discipline (torus/ring): the head may only claim a
+            # downstream VC of its class partition.
             cls = self.topology.next_vc_class(self.id, route, packet.vc_class)
             out_vc = down_port.free_vc_for_head(
                 self.topology.allowed_vcs(cls, self.noc.num_vcs)
@@ -697,15 +658,9 @@ class Router:
                 blocked_vcs.add(flit.vc)
                 continue
             route, out_vc = routed
-            # The queue changes under the iterator here; every path below
-            # returns without advancing it.
-            channel.remove(entry)
-            channel.acknowledge(flit)
-            pending = channel.pending_acks.pop(flit, None)
-            if pending is not None:
-                upstream_vc, owner = pending
-                upstream_vc.release()
-                owner._reserved_count -= 1
+            # The queue changes under the iterator here; the walk ends
+            # below without advancing it.
+            channel.dequeue(entry)
             # The gated router's decoder is off: link errors accumulate on
             # the flit for the end-to-end CRC to catch at the destination.
             if entry[2] is None and self.sample_link_errors is not None:
@@ -715,26 +670,33 @@ class Router:
             if flit.is_head:
                 self.bst.record(in_dir, in_vc, route, out_vc, owner=flit.packet)
                 flit.packet.path.append(self.id)
-            self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=True))
             self.counters.in_flits[int(in_dir)] += 1
-            self.counters.out_flits[int(route)] += 1
-            if route in self._ejection_ports:
-                if flit.is_tail:
-                    self._bypass_close(in_dir, in_vc)
-                self.on_eject(flit, cycle)
-                return True
-            flit.vc = out_vc
-            flit.hops += 1
-            out_channel = self.outgoing[route]
-            out_channel.send(
-                flit,
-                cycle,
-                keep_copy=out_channel.function is ChannelFunction.RETRANSMISSION,
-            )
-            if flit.is_tail:
-                self._bypass_close(in_dir, in_vc)
+            self._bypass_emit(flit, in_dir, in_vc, route, out_vc, cycle)
             return True
         return False
+
+    def _bypass_emit(
+        self, flit: Flit, in_port: int, in_vc: int, route: int, out_vc: int, cycle: int
+    ) -> None:
+        """Drive *flit* out of the bypass switch: eject it or send it on
+        *route*, and close the worm's BST entry behind a tail."""
+        self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=True))
+        self.counters.out_flits[int(route)] += 1
+        if route in self._ejection_ports:
+            if flit.is_tail:
+                self._bypass_close(in_port, in_vc)
+            self.on_eject(flit, cycle)
+            return
+        flit.vc = out_vc
+        flit.hops += 1
+        out_channel = self.outgoing[route]
+        out_channel.send(
+            flit,
+            cycle,
+            keep_copy=out_channel.function is ChannelFunction.RETRANSMISSION,
+        )
+        if flit.is_tail:
+            self._bypass_close(in_port, in_vc)
 
     def _bypass_close(self, in_dir: int, in_vc: int) -> None:
         self.bst.clear(in_dir, in_vc)
@@ -764,7 +726,7 @@ class Router:
                     self.on_drop(flit.packet, "undeliverable")
                 return False
             else:
-                out_vc = self._allocate_bypass_vc(route, flit.packet)
+                out_vc = self._claim_downstream_vc(route, flit.packet)
                 if out_vc is None:
                     return False
                 if not self.outgoing[route].can_accept(cycle):
@@ -788,25 +750,9 @@ class Router:
             ].can_accept(cycle):
                 return False
         source.pop()
-        self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=True))
-        self.counters.out_flits[int(route)] += 1
-        if route in self._ejection_ports:
-            if flit.is_tail:
-                self._bypass_close(port, in_vc)
-                source.current_vc = None
-            self.on_eject(flit, cycle)
-            return True
-        flit.vc = out_vc
-        flit.hops += 1
-        out_channel = self.outgoing[route]
-        out_channel.send(
-            flit,
-            cycle,
-            keep_copy=out_channel.function is ChannelFunction.RETRANSMISSION,
-        )
         if flit.is_tail:
-            self._bypass_close(port, in_vc)
             source.current_vc = None
+        self._bypass_emit(flit, port, in_vc, route, out_vc, cycle)
         return True
 
     def __repr__(self) -> str:

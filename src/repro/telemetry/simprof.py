@@ -8,11 +8,15 @@ sampled steps, and the profiler accumulates per-phase wall totals,
 per-router / per-channel utilization heat tables, and a Chrome-trace
 export, so perf work on ROADMAP item 1 knows which phase to attack first.
 
-The contract is the same zero-overhead-when-disabled, bit-identical-runs
-contract the telemetry hub honors (``docs/observability.md``):
+The contract is the bit-identical-runs contract the telemetry hub honors
+(``docs/observability.md``), at a measured near-zero cost when off:
 
-* **No profiler, no cost.**  An unprofiled ``Network`` takes one
-  attribute check per step and runs the exact seed code path.
+* **One code path.**  The probes live in the only body of the cycle
+  loop (``Network.step`` / ``_step_routers`` / ``Router.step``); on a
+  step that is not sampled, and on a ``Network`` without a profiler,
+  ``lap`` is None and a probe is one ``is not None`` test — 134 tests a
+  cycle at the paper's load, 253 at saturation, about 2 ns each: under
+  0.1 % of the step (``docs/observability.md``).
 * **The clock never leaks.**  The profiler only *reads* a monotonic
   clock and only *writes* its own accumulators; nothing here can reach
   simulation state, so profiled runs are bit-identical to unprofiled
@@ -235,6 +239,7 @@ class SimProfiler:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe summary of everything the profiler observed."""
+        shares = self.phase_shares()
         return {
             "schema": SIMPROF_SUMMARY_SCHEMA,
             "stride": self.stride,
@@ -247,7 +252,7 @@ class SimProfiler:
             "phases": {
                 name: {
                     "seconds": round(seconds, 6),
-                    "share": round(self.phase_shares()[name], 6),
+                    "share": round(shares[name], 6),
                     "laps": self._phase_laps.get(name, 0),
                 }
                 for name, seconds in self.phase_totals().items()

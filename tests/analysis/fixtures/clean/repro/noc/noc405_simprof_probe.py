@@ -1,8 +1,11 @@
 """Clean under NOC405/NOC404: the sanctioned simprof probe pattern.
 
 The cycle domain never touches a clock — it only calls probe methods on
-an injected profiler (which owns the clock, over in repro.telemetry) —
-and the optional hooks are guarded the NOC404 way.
+an injected profiler (which owns the clock, over in repro.telemetry).
+There is one loop body: `lap` is the profiler's probe on a sampled step
+and None otherwise, and the calls on the optional hook itself are guarded
+the NOC404 way (`prof is not None and ...`, never through a derived
+boolean alone).
 """
 
 
@@ -14,12 +17,12 @@ class ProfiledLoop:
 
     def step(self, cycle: int) -> None:
         prof = self._simprof
-        if prof is not None and prof.begin_step(cycle):
-            self._advance(cycle)
-            prof.lap("phase.advance")
-            prof.end_step()
-            return
+        lap = prof.lap if prof is not None and prof.begin_step(cycle) else None
         self._advance(cycle)
+        if lap is not None:
+            lap("phase.advance")
+        if prof is not None and lap is not None:
+            prof.end_step()
 
     def _advance(self, cycle: int) -> None:
         tel = self._tel

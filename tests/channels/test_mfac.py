@@ -1,10 +1,13 @@
 """Tests for the MFAC channel datapath."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.channels.mfac import Channel, ChannelFunction, InboundCounter
 from repro.noc.flit import Packet
 from repro.noc.routing import Direction
+from repro.noc.vc import VirtualChannel
 
 
 def make_channel(depth=8, links=2, mfac=True, subnets=1):
@@ -228,6 +231,62 @@ class TestOccupancyBookkeeping:
         ch = make_channel()
         ch.send(flits(1)[0], 0)
         assert ch.inbound.flits == 1 and ch.busy == {0}
+
+
+class TestDequeue:
+    """`dequeue` is the whole ACK side of a hop in one call."""
+
+    def test_wire_channel_frees_the_upstream_reservation(self):
+        inbound, busy = InboundCounter(), set()
+        ch = Channel(
+            0, Direction.EAST, 1, buffer_depth=0, index=3,
+            inbound=inbound, busy=busy,
+        )
+        # What the upstream switch traversal does for baseline SECDED.
+        upstream_vc = VirtualChannel(depth=4)
+        owner = SimpleNamespace(_reserved_count=0)
+        for cycle, flit in enumerate(flits(3)):
+            ch.send(flit, cycle)
+            upstream_vc.reserve()
+            owner._reserved_count += 1
+            ch.pending_acks[flit] = (upstream_vc, owner)
+        front, middle, last = ch.queue
+
+        ch.dequeue(middle)  # a drop sweep excises mid-queue
+        assert [e[0] for e in ch.queue] == [front[0], last[0]]
+        assert middle[0] not in ch.pending_acks
+        assert (upstream_vc.reserved, owner._reserved_count) == (2, 2)
+        assert (inbound.flits, busy) == (2, {3})
+
+        ch.dequeue(front)  # delivery and the bypass take the oldest
+        ch.dequeue(last)
+        assert not ch.queue and not ch.pending_acks
+        assert (upstream_vc.reserved, owner._reserved_count) == (0, 0)
+        assert (inbound.flits, busy) == (0, set())
+
+    def test_mfac_drops_the_retransmission_copy(self):
+        ch = make_channel()
+        ch.set_function(ChannelFunction.RETRANSMISSION)
+        a, b = flits(2)
+        ch.send(a, 0, keep_copy=True)
+        ch.send(b, 1, keep_copy=True)
+        ch.dequeue(ch.queue[1])
+        assert list(ch.copies) == [a]
+        ch.dequeue(ch.queue[0])
+        assert not ch.copies and ch.inbound.flits == 0 and not ch.busy
+
+    def test_nack_keeps_the_reservation(self):
+        ch = Channel(0, Direction.EAST, 1, buffer_depth=0)
+        upstream_vc = VirtualChannel(depth=4)
+        owner = SimpleNamespace(_reserved_count=1)
+        (flit,) = flits(1)
+        ch.send(flit, 0)
+        upstream_vc.reserve()
+        ch.pending_acks[flit] = (upstream_vc, owner)
+        ch.nack_resend(ch.queue[0], 2)
+        assert (upstream_vc.reserved, owner._reserved_count) == (1, 1)
+        ch.dequeue(ch.queue[0])
+        assert (upstream_vc.reserved, owner._reserved_count) == (0, 0)
 
 
 class TestStats:

@@ -3,10 +3,9 @@
 Mirror of ``test_disabled_identical.py``, for :class:`SimProfiler`: a run
 with no profiler, a stride-1 profiler, and a sparse stride-3 profiler
 must produce identical simulation outcomes.  The profiler reads a wall
-clock *inside* ``Network.step``, so this is the test that proves the
-clock never leaks into simulation state — and the guard against the
-profiled step path (``Network._step_profiled``) drifting out of sync
-with the seed path.
+clock *inside* ``Network.step`` — the one cycle-loop body, whose probes
+are skipped on a step that is not sampled — so this is the test that
+proves the clock never leaks into simulation state.
 """
 
 from dataclasses import replace
@@ -18,6 +17,7 @@ from repro.faults.scenario import FaultScenario, IntermittentLink, TransientBurs
 from repro.noc.network import Network
 from repro.noc.routing import Direction
 from repro.telemetry import SimProfiler, Telemetry
+from repro.telemetry.simprof import STEP_PHASES
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.utils.rng import make_rng
@@ -81,12 +81,11 @@ def test_profiler_observes_the_whole_run():
     assert len(prof.router_heat()) == 64
 
 
-# --- the paths the idle-router skip and the lean bypass edit twice -------------
+# --- the paths of the idle-router skip and the lean bypass ---------------------
 #
-# `_step_routers` / `_step_routers_profiled` share the skip predicate but
-# are still two loops, so both run here on the traffic that lives on those
-# paths; and both are held to fingerprints recorded *before* the skip
-# existed (parent commit a2a72f8), so "identical to each other" cannot hide
+# `_step_routers` runs here, sampled and not, on the traffic that lives on
+# those paths, and is held to fingerprints recorded *before* the skip
+# existed (commit a2a72f8), so "identical to each other" cannot hide
 # "both changed".
 
 
@@ -165,3 +164,23 @@ def test_skip_paths_match_each_other_and_the_pre_skip_run(run):
     assert run(simprof=SimProfiler(stride=3)) == expected
     laps = dense.phase_laps()
     assert laps["router.bypass"] > 0 and laps["router.gating"] > 0
+
+
+@pytest.mark.parametrize("run", list(PRE_SKIP_FINGERPRINTS),
+                         ids=lambda run: run.__name__)
+def test_probes_emit_exactly_the_canonical_phases(run):
+    # bench/ turns these names into its `noc.phase.*_s` metrics.
+    dense = SimProfiler(stride=1)
+    run(simprof=dense)
+    assert set(dense.phase_laps()) == set(STEP_PHASES)
+
+
+@pytest.mark.parametrize("run", list(PRE_SKIP_FINGERPRINTS),
+                         ids=lambda run: run.__name__)
+def test_an_unsampled_step_emits_no_lap(run):
+    sparse = SimProfiler(stride=3)
+    cycles = run(simprof=sparse)[0]
+    assert sparse.steps_seen == cycles
+    assert sparse.steps_profiled == -(-cycles // 3)
+    # `inject` is lapped exactly once per sampled step.
+    assert sparse.phase_laps()["inject"] == sparse.steps_profiled
