@@ -37,7 +37,7 @@ def run(routing: str, events, dead_router: int | None = None):
 def utilization_grid(net):
     grid = np.zeros((8, 8), dtype=np.int64)
     for rid, ctr in enumerate(net.stats.routers):
-        grid[rid // 8, rid % 8] = ctr.in_flits.sum()
+        grid[rid // 8, rid % 8] = sum(ctr.in_flits)
     return grid
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     for routing in ("xy", "west_first"):
         net = run(routing, events)
         nets[routing] = net
-        used = sum(1 for c in net.stats.routers if c.in_flits.sum() > 0)
+        used = sum(1 for c in net.stats.routers if sum(c.in_flits) > 0)
         rows.append([routing, net.stats.average_latency, used,
                      net.stats.packets_completed])
     print(format_table(
@@ -66,7 +66,7 @@ def main() -> None:
                    dead_router=1)
     print(f"delivered {survivor.stats.packets_completed}/30 packets around the "
           f"failed router (router 8 carried "
-          f"{survivor.stats.routers[8].in_flits.sum()} flits)")
+          f"{sum(survivor.stats.routers[8].in_flits)} flits)")
 
 
 if __name__ == "__main__":

@@ -43,6 +43,3 @@ class MfacController:
                 self.reconfigurations += 1
             channel.set_function(function)
         return function
-
-    def functions(self) -> list[ChannelFunction]:
-        return [c.function for c in self.channels]

@@ -22,16 +22,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Callable
 
 from repro.noc.flit import Flit
 from repro.noc.routing import Direction
-
-# Delivery may look past queued-but-blocked flits of *other* VCs: the
-# unified BST's dynamic buffer allocation (Section 3.1.2).  The scan is
-# unbounded: a finite window can be saturated by blocked VCs and starve a
-# VC that has buffer space — a wormhole deadlock that per-VC buffering
-# (which this shared-FIFO channel model abstracts) would never exhibit.
-HOL_SCAN_WINDOW = None
 
 
 class ChannelFunction(enum.Enum):
@@ -77,6 +71,7 @@ class Channel:
         "src",
         "direction",
         "dst",
+        "dst_port",
         "index",
         "inbound",
         "busy",
@@ -95,10 +90,11 @@ class Channel:
         "flits_sent",
         "flits_retransmitted",
         "function_switches",
-        "held_flit_cycles",
         "capacity",
         "bandwidth",
         "traversal_latency",
+        "traversal_pj",
+        "_link_energy_pj",
         "down",
         "dead",
         "dead_reason",
@@ -118,6 +114,7 @@ class Channel:
         index: int = 0,
         inbound: InboundCounter | None = None,
         busy: set[int] | None = None,
+        link_energy_pj: Callable[[int], float] | None = None,
     ):
         if buffer_depth < 0:
             raise ValueError("buffer depth cannot be negative")
@@ -126,7 +123,11 @@ class Channel:
         self.src = src
         self.direction = direction
         self.dst = dst
+        self.dst_port = direction.opposite  # input port at the far router
         self.index = index
+        # Dynamic energy of one flit crossing a given number of link stages
+        # (the power model's; a standalone channel charges nothing).
+        self._link_energy_pj = link_energy_pj
         self.inbound = inbound if inbound is not None else InboundCounter()
         self.busy = busy if busy is not None else set()
         self.is_wire = buffer_depth == 0
@@ -150,7 +151,6 @@ class Channel:
         self.flits_sent = 0
         self.flits_retransmitted = 0
         self.function_switches = 0  # runtime reconfigurations of this MFAC
-        self.held_flit_cycles = 0
         # Fault-scenario state.  ``down`` refuses new sends (intermittent
         # outage: queued flits are *held*, not lost); ``dead`` additionally
         # marks the outage permanent — routing treats the channel as gone
@@ -187,6 +187,9 @@ class Channel:
           retransmission/relaxed functions).
         * traversal_latency — cycles from send to earliest delivery
           (doubled under relaxed timing).
+        * traversal_pj — link energy of one traversal: the wire is as long
+          whether or not its repeater stages can hold flits, and relaxed
+          timing double-drives the stages.
         """
         if self.is_wire:
             self.capacity = (self.link_latency + 4) * self.subnetworks
@@ -204,6 +207,11 @@ class Channel:
             2 * self.link_latency
             if self.function is ChannelFunction.RELAXED
             else self.link_latency
+        )
+        self.traversal_pj = (
+            self._link_energy_pj(self.traversal_latency)
+            if self._link_energy_pj is not None
+            else 0.0
         )
 
     @property
@@ -277,22 +285,26 @@ class Channel:
 
     # --- delivery ------------------------------------------------------------
 
-    def deliverable(self, cycle: int, limit: int | None = HOL_SCAN_WINDOW) -> list[list]:
+    def deliverable(self, cycle: int) -> list[list]:
         """Queue entries ready to leave the channel this cycle, in order.
 
         All ready entries are exposed so delivery can skip blocked flits
-        of other VCs — the BST-driven HoL mitigation.  Per-VC order is
-        preserved because same-VC flits stay FIFO in the queue.
+        of other VCs — the unified BST's dynamic buffer allocation
+        (Section 3.1.2).  The look-ahead is unbounded: a finite window can
+        be saturated by blocked VCs and starve a VC that has buffer space
+        — a wormhole deadlock that per-VC buffering (which this
+        shared-FIFO channel model abstracts) would never exhibit.  Per-VC
+        order is preserved because same-VC flits stay FIFO in the queue.
         Each entry is ``[flit, ready_cycle, cached_error_sample]``.
+
+        The network's delivery loop walks the queue itself, by this rule;
+        this snapshot form is what the channel tests read.
         """
         ready: list[list] = []
         for entry in self.queue:
-            if limit is not None and len(ready) >= limit:
-                break
-            if entry[1] <= cycle:
-                ready.append(entry)
-            else:
+            if entry[1] > cycle:
                 break  # later entries are younger and cannot be ready
+            ready.append(entry)
         return ready
 
     def remove(self, entry: list) -> None:
@@ -330,12 +342,14 @@ class Channel:
         """
         flit: Flit = entry[0]
         self.remove(entry)
-        self.acknowledge(flit)
-        pending = self.pending_acks.pop(flit, None)
-        if pending is not None:
-            upstream_vc, owner = pending
-            upstream_vc.release()
-            owner._reserved_count -= 1
+        if self.copies:
+            self.acknowledge(flit)
+        if self.pending_acks:
+            pending = self.pending_acks.pop(flit, None)
+            if pending is not None:
+                upstream_vc, owner = pending
+                upstream_vc.release()
+                owner._reserved_count -= 1
 
     def nack_resend(self, entry: list, cycle: int) -> None:
         """NACK: replay the flit from its copy (or upstream reservation).

@@ -28,15 +28,39 @@ class AdaptiveEccUnit:
         on_transition: Callable[[EccScheme, EccScheme], None] | None = None,
     ):
         self._power = power
-        self._scheme = initial
         self.transitions = 0  # number of runtime reconfigurations
         # Observation hook invoked as on_transition(old, new) after each
         # actual reconfiguration (telemetry attaches here; must not mutate).
         self.on_transition = on_transition
+        self._set_scheme(initial)
 
     @property
     def scheme(self) -> EccScheme:
         return self._scheme
+
+    def _set_scheme(self, scheme: EccScheme) -> None:
+        """The one place the scheme is written.  What a flit hop needs of
+        it is worked out here, once per reconfiguration, and read per flit
+        as plain attributes:
+
+        * ``per_hop`` — errors are handled hop by hop (SECDED / DECTED);
+        * ``hop_latency`` — encode + decode pipeline cycles a hop pays (one
+          each side for SECDED; DECTED's two-stage decoder adds one more);
+          eliminating it is the CRC-only mode's latency win;
+        * ``codec_pj`` — encode + decode energy of one flit hop (CRC is
+          checked once end to end, not per hop).
+        """
+        self._scheme = scheme
+        self.per_hop = scheme.per_hop
+        if scheme is EccScheme.SECDED:
+            self.hop_latency = 2
+            self.codec_pj = self._power.secded_codec_pj
+        elif scheme is EccScheme.DECTED:
+            self.hop_latency = 3
+            self.codec_pj = self._power.dected_codec_pj
+        else:
+            self.hop_latency = 0
+            self.codec_pj = 0.0
 
     def configure(self, scheme: EccScheme) -> None:
         """Switch the hardware to *scheme* (synchronized with the upstream
@@ -46,17 +70,13 @@ class AdaptiveEccUnit:
         if scheme is not self._scheme:
             old = self._scheme
             self.transitions += 1
-            self._scheme = scheme
+            self._set_scheme(scheme)
             if self.on_transition is not None:
                 self.on_transition(old, scheme)
 
     def codec_energy_pj(self) -> float:
         """Dynamic encode+decode energy for one flit hop under the current scheme."""
-        if self._scheme is EccScheme.SECDED:
-            return self._power.secded_codec_pj
-        if self._scheme is EccScheme.DECTED:
-            return self._power.dected_codec_pj
-        return 0.0  # CRC is checked once end-to-end, not per hop
+        return self.codec_pj
 
     def end_to_end_check_energy_pj(self) -> float:
         """Energy of the destination CRC check (charged once per flit)."""

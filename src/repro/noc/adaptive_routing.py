@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.noc.routing import Direction
+from repro.noc.routing import Direction, xy_route
 
 
 def west_first_candidates(current: int, dst: int, width: int) -> list[Direction]:
@@ -50,8 +50,6 @@ def west_first_candidates(current: int, dst: int, width: int) -> list[Direction]
 
 def xy_candidates(current: int, dst: int, width: int) -> list[Direction]:
     """Deterministic X-Y as a single-candidate list (the Table 1 default)."""
-    from repro.noc.routing import xy_route
-
     return [xy_route(current, dst, width)]
 
 

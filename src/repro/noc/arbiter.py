@@ -26,7 +26,12 @@ class RoundRobinArbiter:
         self._next = 0
 
     def grant(self, requests: Sequence[bool]) -> int | None:
-        """Index of the granted requester, or None if nobody requested."""
+        """Index of the granted requester, or None if nobody requested.
+
+        The definition of the arbiter, one request line per list element.
+        The simulator itself arbitrates through :meth:`grant_mask`; this
+        form stays as the oracle the tests compare it against.
+        """
         if len(requests) != self.size:
             raise ValueError(f"expected {self.size} request lines, got {len(requests)}")
         for offset in range(self.size):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from collections import deque
 from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING
@@ -208,6 +207,7 @@ class Network:
                 index=len(self.channels),
                 inbound=self.routers[dst].inbound,
                 busy=self._busy_channels,
+                link_energy_pj=self.power_model.link_energy_pj,
             )
             self.channels.append(channel)
             self.routers[src].outgoing[direction] = channel
@@ -223,10 +223,7 @@ class Network:
         return partial(self.accountant.add_dynamic, rid)
 
     def _make_ejector(self, rid: int):
-        def eject(flit: Flit, cycle: int) -> None:
-            self._handle_ejection(flit, rid, cycle)
-
-        return eject
+        return partial(self._handle_ejection, rid)
 
     # --- telemetry (enabled hubs only; see docs/observability.md) --------------
 
@@ -546,25 +543,15 @@ class Network:
 
     def _sample_channel_errors(self, channel: Channel) -> int:
         """Bit errors for one traversal (also charges the link energy)."""
+        self.accountant.add_dynamic(channel.src, channel.traversal_pj)
         if self.fault_injector is not None:
             injected = self.fault_injector.pop_matching(
                 self.cycle, channel.src, int(channel.direction)
             )
             if injected:
-                self._charge_link(channel)
                 return injected
-        self._charge_link(channel)
         rate, p_fault = self._hop_error_rates(channel)
         return self.sampler.sample_bit_errors(rate, p_fault)
-
-    def _charge_link(self, channel: Channel) -> None:
-        # The physical wire length (and so the traversal energy) is the
-        # same whether or not the repeater stages can hold flits; relaxed
-        # timing double-drives the stages.
-        stages = channel.traversal_latency
-        self.accountant.add_dynamic(
-            channel.src, self.power_model.link_energy_pj(stages)
-        )
 
     def _deliver_channels(self, cycle: int) -> None:
         for channel in self._busy_channels_in_order():
@@ -600,47 +587,69 @@ class Network:
         cycle: int,
         continuing_only: bool = False,
     ) -> None:
-        in_dir = channel.direction.opposite
-        port = dst_router.input_ports[in_dir]
-        delivered = 0
-        blocked_vcs: set[int] = set()
+        """Move the due flits of *channel* into *dst_router*, up to the
+        channel's bandwidth.
+
+        The walk may look past a due flit whose VC is blocked to flits of
+        other VCs (:meth:`Channel.deliverable` states the rule); a blocked
+        VC stays blocked for the rest of the walk, so per-VC order holds.
+        The queue shrinks under the walk, hence the index.
+        """
+        in_port = channel.dst_port
+        vcs = dst_router.input_ports[in_port].vcs
+        record_error_class = dst_router.counters.record_error_class
         upstream = self.routers[channel.src]
-        scheme = upstream.hop_scheme if upstream.powered else EccScheme.CRC
-        per_hop = scheme.per_hop
-        for entry in channel.deliverable(cycle):
-            if delivered >= channel.bandwidth:
-                break
+        ecc = upstream.ecc
+        # A gated upstream's encoder is off: its hops ride on the CRC.
+        per_hop = ecc.per_hop and upstream.gating.powered
+        queue = channel.queue
+        budget = channel.bandwidth
+        blocked_vcs = 0  # a bit per VC
+        index = 0
+        while budget and index < len(queue):
+            entry = queue[index]
+            if entry[1] > cycle:
+                break  # later entries are younger and cannot be due
             flit: Flit = entry[0]
-            if flit.vc in blocked_vcs:
+            vc_bit = 1 << flit.vc
+            if blocked_vcs & vc_bit:
+                index += 1
                 continue
-            if continuing_only and flit.is_head:
-                blocked_vcs.add(flit.vc)  # no new packets while draining
+            vc = vcs[flit.vc]
+            if (
+                # No new packets while draining; no space in the VC.
+                (continuing_only and flit.is_head)
+                or len(vc.queue) + vc.reserved >= vc.depth
+            ):
+                blocked_vcs |= vc_bit
+                index += 1
                 continue
-            if not port.vcs[flit.vc].can_accept():
-                blocked_vcs.add(flit.vc)
-                continue
-            if entry[2] is None:
-                entry[2] = self._sample_channel_errors(channel)
             errors = entry[2]
-            dst_router.counters.record_error_class(errors)
-            if per_hop:
-                outcome = decode_outcome(scheme, errors)
-                if outcome is DecodeOutcome.RETRANSMIT:
-                    self._hop_retransmit(channel, entry, cycle)
-                    blocked_vcs.add(flit.vc)  # replay preserves VC order
-                    continue
-                if outcome is DecodeOutcome.CORRECTED:
-                    self.stats.corrected_flits += 1
-                elif outcome is DecodeOutcome.SILENT:
+            if errors is None:
+                errors = entry[2] = self._sample_channel_errors(channel)
+            record_error_class(errors)
+            if errors:
+                if per_hop:
+                    outcome = decode_outcome(ecc.scheme, errors)
+                    if outcome is DecodeOutcome.RETRANSMIT:
+                        # The replay re-enters at the front, behind the
+                        # walk; it preserves VC order.
+                        self._hop_retransmit(channel, entry, cycle)
+                        blocked_vcs |= vc_bit
+                        index += 1
+                        continue
+                    if outcome is DecodeOutcome.CORRECTED:
+                        self.stats.corrected_flits += 1
+                    else:  # SILENT
+                        flit.bit_errors += errors
+                        self.stats.silent_corruptions += 1
+                else:
+                    # No per-hop decoder: errors ride to the destination CRC.
                     flit.bit_errors += errors
-                    self.stats.silent_corruptions += 1
-            elif errors:
-                # No per-hop decoder: errors ride to the destination CRC.
-                flit.bit_errors += errors
             channel.dequeue(entry)
-            dst_router.deliver(flit, in_dir, cycle)
+            dst_router.deliver(flit, in_port, cycle)
             self.stats.flits_delivered += 1
-            delivered += 1
+            budget -= 1
 
     def _hop_retransmit(self, channel: Channel, entry: list, cycle: int) -> None:
         """A detected-uncorrectable flit: NACK and replay (Section 3.2)."""
@@ -678,22 +687,6 @@ class Network:
                 return True
         return False
 
-    def _observe_idle(self, router: Router, cycle: int) -> None:
-        """Feed the idle detector of a powered-on router.
-
-        CP/CPD gate on idleness and pay a wakeup; IntelliNoC also gates on
-        idleness (Section 1) but its bypass keeps forwarding sporadic
-        flits without waking the router.  The detector only counts while
-        ON, so nothing is computed for it in any other state.
-        """
-        gating = router.gating
-        if gating.state is PowerState.ON:
-            gating.observe_idle(
-                router.is_idle()
-                and all(s.is_empty() for _, s in self._router_locals[router.id]),
-                cycle,
-            )
-
     def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
         for router in self.routers:
@@ -717,7 +710,20 @@ class Network:
             elif state is not PowerState.WAKING:
                 router.step(cycle, lap)
             if power_gating:
-                self._observe_idle(router, cycle)
+                # Idle detector.  CP/CPD gate on idleness and pay a wakeup;
+                # IntelliNoC also gates on idleness (Section 1) but its
+                # bypass keeps forwarding sporadic flits without waking the
+                # router.  The detector only counts while ON, so nothing is
+                # computed for it in any other state.
+                gating = router.gating
+                if gating.state is PowerState.ON:
+                    gating.observe_idle(
+                        router.is_idle()
+                        and all(
+                            s.is_empty() for _, s in self._router_locals[router.id]
+                        ),
+                        cycle,
+                    )
                 if lap is not None:
                     lap("router.gating")
 
@@ -783,7 +789,7 @@ class Network:
 
     # --- ejection / end-to-end CRC ------------------------------------------------------------
 
-    def _handle_ejection(self, flit: Flit, rid: int, cycle: int) -> None:
+    def _handle_ejection(self, rid: int, flit: Flit, cycle: int) -> None:
         packet = flit.packet
         src_router = self._node_router[packet.src]
         self.accountant.add_dynamic(rid, self.power_model.ejection_check_energy_pj())
@@ -1017,22 +1023,8 @@ class Network:
         for router in self.routers:
             for port in router.input_ports.values():
                 for vci, vc in enumerate(port.vcs):
-                    removed = 0
-                    if vc.queue:
-                        kept = [
-                            item
-                            for item in vc.queue
-                            if id(item[0].packet) not in victim_set
-                        ]
-                        removed = len(vc.queue) - len(kept)
-                        if removed:
-                            vc.queue = deque(kept)
-                            router._flit_count -= removed
-                            if not kept:
-                                router._occupied_vcs &= ~(
-                                    router._slot_bit[port.direction] << vci
-                                )
-                            dropped_flits += removed
+                    removed = router.drop_buffered(port, vci, victim_set)
+                    dropped_flits += removed
                     entry = router.bst.lookup(port.direction, vci)
                     if entry is not None and id(entry.owner) in victim_set:
                         if entry.output_port not in router._ejection_ports:
@@ -1081,7 +1073,7 @@ class Network:
             # while gated (GATED_NBTI_FRACTION inside the model).  Activity
             # is this epoch's delta (the counters reset on control steps,
             # not stats epochs, and never for static techniques).
-            out_total = float(ctr.out_flits.sum())
+            out_total = float(sum(ctr.out_flits))
             activity = (out_total - self._out_flits_mark[rid]) / max(1, 5 * epoch)
             self._out_flits_mark[rid] = out_total
             temperature = self.thermal.temperature(rid)

@@ -47,10 +47,6 @@ class PowerGatingController:
     def powered(self) -> bool:
         return self.state in (PowerState.ON, PowerState.DRAINING)
 
-    @property
-    def forwarding_via_bypass(self) -> bool:
-        return self.state is PowerState.GATED and self.bypass
-
     # --- idle-driven gating (CP/CPD) -----------------------------------------
 
     def observe_idle(self, idle: bool, cycle: int) -> None:

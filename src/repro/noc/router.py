@@ -16,6 +16,7 @@ same per-hop cycle counts as the stage-register formulation.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -73,6 +74,9 @@ class Router:
         self.on_eject = on_eject
 
         ports = topology.ports
+        if tuple(int(p) for p in ports) != tuple(range(self.num_ports)):
+            # Arbiter request lines and the VC-slot masks index by port id.
+            raise ValueError("port ids must count from 0 in port order")
         self._ejection_ports = topology.ejection_ports(rid)
         self._uses_vc_classes = topology.uses_vc_classes
         depth = max(1, noc.router_buffer_depth)  # EB keeps a 1-flit latch
@@ -90,6 +94,14 @@ class Router:
         self.bst = BufferStateTable(noc.num_vcs, topology.num_ports)
         self.ecc = AdaptiveEccUnit(power_cfg, technique.static_ecc)
         self.power_model = PowerModel(technique, power_cfg)
+        # A flit hop costs this plus the active scheme's ``ecc.codec_pj``
+        # (the sum is ``PowerModel.hop_energy_pj`` of that scheme).
+        self._hop_base_pj = self.power_model.hop_energy_pj(
+            EccScheme.CRC, via_bypass=False
+        )
+        self._bypass_base_pj = self.power_model.hop_energy_pj(
+            EccScheme.CRC, via_bypass=True
+        )
         self.gating = PowerGatingController(
             technique.wakeup_latency,
             technique.idle_gate_threshold,
@@ -120,7 +132,9 @@ class Router:
         self._flit_count = 0  # flits in this router's input buffers
         # Which input VCs hold flits, as a bit per slot of ``_vc_slots``
         # (port order, then VC index — the order the pipeline scans in).
-        # Maintained wherever ``_flit_count`` is.
+        # Maintained wherever ``_flit_count`` is.  Port ids count from 0
+        # in port order on every fabric, so slot ``port * num_vcs + vc`` is
+        # also that VC's request line at the VA arbiters.
         self._vc_slots: list[tuple[InputPort, int, VirtualChannel]] = [
             (port, vci, vc)
             for port in self.input_ports.values()
@@ -164,22 +178,6 @@ class Router:
     @property
     def powered(self) -> bool:
         return self.gating.powered
-
-    @property
-    def hop_scheme(self) -> EccScheme:
-        """ECC scheme this router's output encoders currently apply."""
-        return self.ecc.scheme
-
-    def ecc_latency(self) -> int:
-        """Per-hop encode+decode pipeline cost of the active scheme
-        (one cycle each side for SECDED; DECTED's two-stage decoder adds
-        one more).  Eliminating this is the CRC-only mode's latency win."""
-        scheme = self.ecc.scheme
-        if scheme is EccScheme.SECDED:
-            return 2
-        if scheme is EccScheme.DECTED:
-            return 3
-        return 0
 
     def is_empty(self) -> bool:
         """No flits buffered and no retransmission reservations pending."""
@@ -258,13 +256,9 @@ class Router:
         vc.push(flit, cycle)
         self._flit_count += 1
         self._occupied_vcs |= self._slot_bit[direction] << flit.vc
-        self.counters.in_flits[int(direction)] += 1
+        self.counters.in_flits[direction] += 1
         if flit.is_head:
             flit.packet.path.append(self.id)
-
-    def accepts(self, flit: Flit, direction: int) -> bool:
-        """Whether the input VC the flit targets has a free slot."""
-        return self.input_ports[direction].vcs[flit.vc].can_accept()
 
     # --- pipeline ----------------------------------------------------------------
 
@@ -277,14 +271,12 @@ class Router:
         same cycle they become eligible, per the stage delays).  *lap* is
         the network's step-profiler probe (None on un-sampled steps).
         """
-        if not self.powered:
-            return
-        if self._flit_count == 0:
+        if self._flit_count == 0 or not self.gating.powered:
             return
         va_requests, active = self._scan_pipeline(cycle)
         if lap is not None:
             lap("router.rc_scan")
-        self._vc_allocate(cycle, va_requests, active)
+        self._vc_allocate(va_requests, active)
         if lap is not None:
             lap("router.vc_alloc")
         self._switch_allocate(cycle, active)
@@ -293,22 +285,26 @@ class Router:
 
     def _scan_pipeline(
         self, cycle: int
-    ) -> tuple[
-        dict[int, list[tuple[int, InputPort, int]]],
-        list[tuple[InputPort, int, VirtualChannel]],
-    ]:
-        """One scan over the occupied VCs: RC plus VA/SA candidate gather."""
-        num_vcs = self.noc.num_vcs
+    ) -> tuple[dict[int, int], list[tuple[InputPort, int, VirtualChannel]]]:
+        """One scan over the occupied VCs: RC plus VA/SA candidate gather.
+
+        Returns the VA requests as a mask of ``_vc_slots`` indices per
+        requested output, and the ACTIVE slots in scan order.
+        """
         head_delay = self._head_delay
-        va_requests: dict[int, list[tuple[int, InputPort, int]]] = {}
+        va_requests: dict[int, int] = {}
         active: list[tuple[InputPort, int, VirtualChannel]] = []
         slots = self._vc_slots
         occupied = self._occupied_vcs
         while occupied:
             lowest = occupied & -occupied
             occupied ^= lowest
-            port, vci, vc = slots[lowest.bit_length() - 1]
+            slot = slots[lowest.bit_length() - 1]
+            vc = slot[2]
             state = vc.state
+            if state is VcState.ACTIVE:
+                active.append(slot)
+                continue
             if state is VcState.ROUTING:
                 flit, enq = vc.queue[0]
                 if cycle >= enq + 1:
@@ -319,24 +315,16 @@ class Router:
                     if not self._reroute_or_drop(vc):
                         continue  # dropped: the sweep excises it
                 if cycle >= vc.queue[0][1] + head_delay:
-                    key = int(port.direction) * num_vcs + vci
-                    va_requests.setdefault(vc.route, []).append((key, port, vci))
-            elif state is VcState.ACTIVE:
-                active.append((port, vci, vc))
+                    route = vc.route
+                    va_requests[route] = va_requests.get(route, 0) | lowest
         return va_requests, active
 
-    def _vc_allocate(
-        self,
-        cycle: int,
-        requests: dict[int, list[tuple[int, InputPort, int]]],
-        active: list,
-    ) -> None:
-        for route, reqs in requests.items():
-            granted = self._grant_va(route, reqs)
-            if granted is None:
-                continue
-            _, port, vci = granted
-            vc = port.vcs[vci]
+    def _vc_allocate(self, requests: dict[int, int], active: list) -> None:
+        """Grant one requesting head per output (round-robin over the
+        slot-indexed request lines) a downstream VC; winners join *active*."""
+        for route, lines in requests.items():
+            slot = self._vc_slots[self._va_arbiters[route].grant_mask(lines)]
+            port, vci, vc = slot
             packet = vc.queue[0][0].packet
             if route in self._ejection_ports:
                 vc.out_vc = 0
@@ -347,110 +335,96 @@ class Router:
                 vc.out_vc = out_vc
             vc.state = VcState.ACTIVE
             self.bst.record(port.direction, vci, route, vc.out_vc, owner=packet)
-            active.append((port, vci, vc))
-
-    def _grant_va(
-        self, route: int, reqs: list[tuple[int, InputPort, int]]
-    ) -> tuple[int, InputPort, int] | None:
-        arbiter = self._va_arbiters[route]
-        lines = [False] * arbiter.size
-        by_key = {}
-        for key, port, vci in reqs:
-            lines[key] = True
-            by_key[key] = (key, port, vci)
-        winner = arbiter.grant(lines)
-        return None if winner is None else by_key[winner]
+            active.append(slot)
 
     def _switch_allocate(self, cycle: int, active: list) -> None:
+        """Separable switch allocation over request masks.
+
+        Each input port nominates one of its ready VCs (a bit per VC),
+        each output then grants ``subnetworks`` of the ports nominating it
+        (a bit per port); both stages are round-robin.  Ports nominate in
+        the order their first ACTIVE VC appears in *active* and outputs
+        grant in the order they were first nominated: that fixes the
+        order of ejections and energy charges.
+        """
         if not active:
             return
-        by_port: dict[int, list[tuple[int, VirtualChannel]]] = {}
+        head_delay = self._head_delay
+        body_delay = self._body_delay
+        ejection = self._ejection_ports
+        outgoing = self.outgoing
+        ready: dict[int, int] = {}  # input port -> mask of its ready VCs
         for port, vci, vc in active:
-            by_port.setdefault(port.direction, []).append((vci, vc))
-        nominations: dict[int, list[tuple[int, int]]] = {}
-        for direction, cands in by_port.items():
-            choice = self._nominate(direction, cands, cycle)
-            if choice is not None:
-                vci, route = choice
-                nominations.setdefault(route, []).append((direction, vci))
-        for route, noms in nominations.items():
+            direction = port.direction
+            lines = ready.setdefault(direction, 0)
+            queue = vc.queue
+            if not queue:
+                continue
+            flit, enq = queue[0]
+            if cycle < enq + (head_delay if flit.is_head else body_delay):
+                continue
+            route = vc.route
+            if route not in ejection:
+                channel = outgoing.get(route)
+                if (
+                    channel is None
+                    or not channel.can_accept(cycle)
+                    or (channel.is_wire and not self._wire_has_slot(channel, route, vc))
+                ):
+                    if (
+                        self.degraded
+                        and self.on_drop is not None
+                        and self._route_unserviceable(route)
+                    ):
+                        # Committed worm blocked on a channel that died
+                        # between the kill sweep and now: drop, not wedge.
+                        self.on_drop(flit.packet, self._dead_reason(route))
+                    continue
+            ready[direction] = lines | (1 << vci)
+
+        slots = self._vc_slots
+        num_vcs = self.noc.num_vcs
+        nominee: dict[int, tuple] = {}  # input port -> the slot it nominated
+        requests: dict[int, int] = {}  # output -> mask of nominating ports
+        for direction, lines in ready.items():
+            if lines:
+                vci = self._port_arbiters[direction].grant_mask(lines)
+                nominee[direction] = slot = slots[direction * num_vcs + vci]
+                route = slot[2].route
+                requests[route] = requests.get(route, 0) | (1 << direction)
+        for route, lines in requests.items():
             arbiter = self._output_arbiters[route]
             for _ in range(self._grants_per_output):
-                lines = [False] * self.num_ports
-                by_dir = {}
-                for direction, vci in noms:
-                    lines[int(direction)] = True
-                    by_dir[int(direction)] = (direction, vci)
-                winner = arbiter.grant(lines)
+                winner = arbiter.grant_mask(lines)
                 if winner is None:
                     break
-                direction, vci = by_dir[winner]
-                noms = [n for n in noms if n[0] is not direction]
-                self._switch_traverse(direction, vci, route, cycle)
+                lines &= ~(1 << winner)
+                self._switch_traverse(nominee[winner], route, cycle)
 
-    def _nominate(
-        self,
-        direction: int,
-        candidates: list[tuple[int, "VirtualChannel"]],
-        cycle: int,
-    ) -> tuple[int, int] | None:
-        """Pick one ready VC of this input port (round-robin)."""
-        lines = [False] * self.noc.num_vcs
-        ready: dict[int, VirtualChannel] = {}
-        for vci, vc in candidates:
-            if not vc.queue:
-                continue
-            flit, enq = vc.queue[0]
-            delay = self._head_delay if flit.is_head else self._body_delay
-            if cycle < enq + delay:
-                continue
-            if not self._output_ready(vc.route, vc.out_vc, cycle):
-                if (
-                    self.degraded
-                    and self.on_drop is not None
-                    and self._route_unserviceable(vc.route)
-                ):
-                    # Committed worm blocked on a channel that died between
-                    # the kill sweep and now: drop instead of wedging.
-                    self.on_drop(flit.packet, self._dead_reason(vc.route))
-                continue
-            lines[vci] = True
-            ready[vci] = vc
-        if not ready:
-            return None
-        winner = self._port_arbiters[direction].grant(lines)
-        if winner is None:
-            return None
-        return winner, ready[winner].route
-
-    def _output_ready(self, route: int, out_vc: int, cycle: int) -> bool:
-        if route in self._ejection_ports:
-            return True
-        channel = self.outgoing.get(route)
-        if channel is None:
-            return False
-        if not channel.can_accept(cycle):
-            return False
-        if channel.is_wire:
-            # A wire cannot store: require a downstream slot beyond the
-            # flits already in flight toward the same VC.
-            down_vc = self.downstream_ports[route].vcs[out_vc]
-            in_flight = sum(1 for e in channel.queue if e[0].vc == out_vc)
-            if down_vc.free_slots <= in_flight:
-                return False
-        return True
+    def _wire_has_slot(self, channel: Channel, route: int, vc: VirtualChannel) -> bool:
+        """A wire cannot store: require a downstream slot beyond the
+        flits already in flight toward the same VC."""
+        out_vc = vc.out_vc
+        down_vc = self.downstream_ports[route].vcs[out_vc]
+        free = down_vc.depth - len(down_vc.queue) - down_vc.reserved
+        for entry in channel.queue:
+            if entry[0].vc == out_vc:
+                free -= 1
+        return free > 0
 
     def _switch_traverse(
-        self, in_dir: int, vci: int, route: int, cycle: int
+        self, slot: tuple[InputPort, int, VirtualChannel], route: int, cycle: int
     ) -> None:
-        port = self.input_ports[in_dir]
-        vc = port.vcs[vci]
-        flit = vc.pop()
+        """Move the front flit of input VC *slot* through the crossbar and
+        out on *route*."""
+        port, vci, vc = slot
+        flit = vc.queue.popleft()[0]
         self._flit_count -= 1
         if not vc.queue:
-            self._occupied_vcs &= ~(self._slot_bit[in_dir] << vci)
-        self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=False))
-        self.counters.out_flits[int(route)] += 1
+            self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)
+        ecc = self.ecc
+        self.charge(self._hop_base_pj + ecc.codec_pj)
+        self.counters.out_flits[route] += 1
 
         is_tail = flit.is_tail
         if route in self._ejection_ports:
@@ -462,21 +436,38 @@ class Router:
         channel = self.outgoing[route]
         flit.vc = vc.out_vc
         flit.hops += 1
-        keep_copy = channel.function is ChannelFunction.RETRANSMISSION
-        channel.send(flit, cycle, keep_copy=keep_copy, extra_latency=self.ecc_latency())
+        channel.send(
+            flit,
+            cycle,
+            channel.function is ChannelFunction.RETRANSMISSION,  # keep a copy
+            ecc.hop_latency,
+        )
         # Lookahead wakeup: power-gating designs signal the downstream
         # router as the flit leaves the switch, overlapping the wakeup
         # latency with the link traversal (no-op unless gated+bypassless).
         downstream = self.downstream_routers.get(route)
         if downstream is not None and downstream.gating.state is PowerState.GATED:
             downstream.gating.request_wakeup(cycle)
-        if channel.is_wire and self.hop_scheme.per_hop:
+        if channel.is_wire and ecc.per_hop:
             # Baseline SECDED: the copy occupies this VC until the ACK.
             vc.reserve()
             self._reserved_count += 1
             channel.pending_acks[flit] = (vc, self)
         if is_tail:
             self._close(port, vci, vc)
+
+    def drop_buffered(self, port: InputPort, vci: int, doomed: dict) -> int:
+        """Remove the buffered flits of VC *vci* of *port* whose packet is
+        in *doomed* (keyed by ``id(packet)``); returns how many went."""
+        vc = port.vcs[vci]
+        kept = [item for item in vc.queue if id(item[0].packet) not in doomed]
+        removed = len(vc.queue) - len(kept)
+        if removed:
+            vc.queue = deque(kept)
+            self._flit_count -= removed
+            if not kept:
+                self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)
+        return removed
 
     def _close(self, port: InputPort, vci: int, vc) -> None:
         vc.close_packet()
@@ -670,7 +661,7 @@ class Router:
             if flit.is_head:
                 self.bst.record(in_dir, in_vc, route, out_vc, owner=flit.packet)
                 flit.packet.path.append(self.id)
-            self.counters.in_flits[int(in_dir)] += 1
+            self.counters.in_flits[in_dir] += 1
             self._bypass_emit(flit, in_dir, in_vc, route, out_vc, cycle)
             return True
         return False
@@ -680,8 +671,8 @@ class Router:
     ) -> None:
         """Drive *flit* out of the bypass switch: eject it or send it on
         *route*, and close the worm's BST entry behind a tail."""
-        self.charge(self.power_model.hop_energy_pj(self.hop_scheme, via_bypass=True))
-        self.counters.out_flits[int(route)] += 1
+        self.charge(self._bypass_base_pj + self.ecc.codec_pj)
+        self.counters.out_flits[route] += 1
         if route in self._ejection_ports:
             if flit.is_tail:
                 self._bypass_close(in_port, in_vc)

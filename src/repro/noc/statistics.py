@@ -62,8 +62,14 @@ class ReservoirSample:
 class RouterEpochCounters:
     """Per-router activity within the current control epoch.
 
-    Arrays are sized by the router's port count — 5 on the mesh/torus,
+    Vectors are sized by the router's port count — 5 on the mesh/torus,
     3 on the ring, ``4 + c`` on a concentrated mesh.
+
+    ``in_flits``, ``out_flits`` and ``error_classes`` are bumped once per
+    flit hop, so they are lists of Python ints (an int64 array element
+    costs an array-scalar round trip per ``+= 1``); their readers — the
+    control step's observation and the stats epoch — run once per epoch
+    and convert there.  ``reset`` zeroes them in place.
     """
 
     __slots__ = (
@@ -79,27 +85,27 @@ class RouterEpochCounters:
 
     def __init__(self, num_ports: int = NUM_PORTS):
         self.num_ports = num_ports
-        self.in_flits = np.zeros(num_ports, dtype=np.int64)
-        self.out_flits = np.zeros(num_ports, dtype=np.int64)
+        self.in_flits = [0] * num_ports
+        self.out_flits = [0] * num_ports
         self.occupancy_samples = np.zeros(num_ports, dtype=np.float64)
         self.num_occupancy_samples = 0
         # Error-class histogram of flits received this epoch:
         # [clean, 1-bit, 2-bit, >=3-bit] — drives the CPD heuristic.
-        self.error_classes = np.zeros(4, dtype=np.int64)
+        self.error_classes = [0, 0, 0, 0]
         self.latency_sum = 0  # latency of packets sourced here that completed
         self.latency_count = 0
 
     def reset(self) -> None:
-        self.in_flits[:] = 0
-        self.out_flits[:] = 0
+        self.in_flits[:] = [0] * self.num_ports
+        self.out_flits[:] = [0] * self.num_ports
         self.occupancy_samples[:] = 0
         self.num_occupancy_samples = 0
-        self.error_classes[:] = 0
+        self.error_classes[:] = [0, 0, 0, 0]
         self.latency_sum = 0
         self.latency_count = 0
 
     def record_error_class(self, bit_errors: int) -> None:
-        self.error_classes[min(bit_errors, 3)] += 1
+        self.error_classes[bit_errors if bit_errors < 3 else 3] += 1
 
     def mean_buffer_utilization(self) -> np.ndarray:
         if self.num_occupancy_samples == 0:

@@ -47,22 +47,19 @@ class VirtualChannel:
 
     @property
     def free_slots(self) -> int:
-        return self.depth - self.occupancy
+        return self.depth - len(self.queue) - self.reserved
 
     def can_accept(self) -> bool:
-        return self.free_slots > 0
+        return len(self.queue) + self.reserved < self.depth
 
     def push(self, flit: Flit, cycle: int) -> None:
-        if not self.can_accept():
+        if len(self.queue) + self.reserved >= self.depth:
             raise OverflowError("VC overflow: flow control must prevent this")
         self.queue.append((flit, cycle))
         if flit.is_head:
             if self.state is not VcState.IDLE:
                 raise RuntimeError("head flit arrived at a busy VC")
             self.state = VcState.ROUTING
-
-    def front(self) -> tuple[Flit, int] | None:
-        return self.queue[0] if self.queue else None
 
     def pop(self) -> Flit:
         flit, _ = self.queue.popleft()
@@ -102,9 +99,6 @@ class InputPort:
         self.vcs = [VirtualChannel(depth) for _ in range(num_vcs)]
         self.claimed: set[int] = set()
 
-    def vc(self, index: int) -> VirtualChannel:
-        return self.vcs[index]
-
     def total_occupancy(self) -> int:
         return sum(vc.occupancy for vc in self.vcs)
 
@@ -126,8 +120,8 @@ class InputPort:
             if (
                 vc.state is VcState.IDLE
                 and i not in self.claimed
-                and vc.can_accept()
                 and vc.reserved == 0
+                and len(vc.queue) < vc.depth
             ):
                 return i
         return None

@@ -62,16 +62,20 @@ class RouterObservation:
             latency = counters.latency_sum / counters.latency_count
         else:
             latency = fallback_latency
+        # The counters are plain int lists on the write side (one bump per
+        # flit hop); policies and the state extractor see arrays.
         return cls(
             router=router,
-            in_link_utilization=counters.in_flits / epoch_cycles,
+            in_link_utilization=np.array(counters.in_flits, dtype=np.int64)
+            / epoch_cycles,
             buffer_utilization=counters.mean_buffer_utilization(),
-            out_link_utilization=counters.out_flits / epoch_cycles,
+            out_link_utilization=np.array(counters.out_flits, dtype=np.int64)
+            / epoch_cycles,
             temperature=temperature,
             epoch_power_w=epoch_power_w,
             epoch_latency=latency,
             aging_factor=aging_factor,
-            error_classes=counters.error_classes.copy(),
+            error_classes=np.array(counters.error_classes, dtype=np.int64),
         )
 
 

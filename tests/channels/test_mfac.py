@@ -62,6 +62,21 @@ class TestFunctions:
         ch.set_function(ChannelFunction.RELAXED)
         assert ch.traversal_latency == 2 * normal
 
+    def test_traversal_energy_follows_the_function(self):
+        """`traversal_pj` is the power model's link energy of the current
+        traversal length, refreshed with the geometry on a function switch
+        (a standalone channel, given no model, charges nothing)."""
+        assert make_channel().traversal_pj == pytest.approx(0.0)
+        ch = Channel(
+            0, Direction.EAST, 1, buffer_depth=8, links=2, link_latency=1,
+            is_mfac=True, link_energy_pj=lambda stages: 0.25 * stages,
+        )
+        assert ch.traversal_pj == pytest.approx(0.25)
+        ch.set_function(ChannelFunction.RELAXED)
+        assert ch.traversal_pj == pytest.approx(0.5)
+        ch.set_function(ChannelFunction.NORMAL)
+        assert ch.traversal_pj == pytest.approx(0.25)
+
     def test_non_mfac_cannot_use_extra_functions(self):
         ch = make_channel(mfac=False, links=1)
         with pytest.raises(ValueError):

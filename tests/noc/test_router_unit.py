@@ -10,6 +10,7 @@ from repro.config import (
     PowerConfig,
     SECDED_BASELINE,
 )
+from repro.noc.flit import Packet
 from repro.noc.power_gating import PowerState
 from repro.noc.router import MODE_SCHEME, Router
 from repro.noc.routing import Direction
@@ -52,16 +53,63 @@ class TestEccLatency:
     def test_crc_mode_is_free(self):
         router = bare_router(INTELLINOC)
         router.ecc.configure(EccScheme.CRC)
-        assert router.ecc_latency() == 0
+        assert router.ecc.hop_latency == 0
 
     def test_secded_costs_two_cycles(self):
         router = bare_router(SECDED_BASELINE)
-        assert router.ecc_latency() == 2
+        assert router.ecc.hop_latency == 2
 
     def test_dected_costs_three(self):
         router = bare_router(INTELLINOC)
         router.ecc.configure(EccScheme.DECTED)
-        assert router.ecc_latency() == 3
+        assert router.ecc.hop_latency == 3
+
+
+class TestPerSchemeConstants:
+    """What a flit hop reads of the ECC scheme is refreshed by
+    `AdaptiveEccUnit.configure` alone."""
+
+    @pytest.mark.parametrize(
+        "scheme", [EccScheme.CRC, EccScheme.SECDED, EccScheme.DECTED]
+    )
+    def test_hop_energy_is_the_power_models(self, scheme):
+        router = bare_router(INTELLINOC)
+        router.ecc.configure(scheme)
+        model = router.power_model
+        assert router._hop_base_pj + router.ecc.codec_pj == model.hop_energy_pj(
+            scheme, via_bypass=False
+        )
+        assert router._bypass_base_pj + router.ecc.codec_pj == model.hop_energy_pj(
+            scheme, via_bypass=True
+        )
+        assert router.ecc.per_hop == scheme.per_hop
+        assert router.ecc.codec_pj == router.ecc.codec_energy_pj()
+
+    def test_apply_mode_refreshes_them(self):
+        router = bare_router(INTELLINOC)
+        for mode, scheme in MODE_SCHEME.items():
+            router.apply_mode(mode, 0)
+            assert router.ecc.per_hop == scheme.per_hop
+            assert router.ecc.hop_latency == {"crc": 0, "secded": 2, "dected": 3}[
+                scheme.value
+            ]
+
+
+class TestDropBuffered:
+    def test_keeps_flit_count_and_occupied_mask_in_step(self):
+        router = bare_router(SECDED_BASELINE)
+        port = router.input_ports[Direction.WEST]
+        doomed, spared = Packet.create(0, 5, 2, 0), Packet.create(0, 5, 2, 0)
+        for vci, packet in ((0, doomed), (1, spared)):
+            for flit in packet.make_flits():
+                flit.vc = vci
+                router.deliver(flit, Direction.WEST, 0)
+        assert router._flit_count == 4
+        assert router.drop_buffered(port, 0, {id(doomed): doomed}) == 2
+        assert router.drop_buffered(port, 1, {id(doomed): doomed}) == 0
+        assert router._flit_count == 2
+        assert not port.vcs[0].queue and len(port.vcs[1].queue) == 2
+        assert router._occupied_vcs == router._slot_bit[Direction.WEST] << 1
 
 
 class TestPipelineDelays:
@@ -85,13 +133,13 @@ class TestModeApplication:
 
     def test_static_technique_runs_secded(self):
         router = bare_router(SECDED_BASELINE)
-        assert router.hop_scheme is EccScheme.SECDED
+        assert router.ecc.scheme is EccScheme.SECDED
 
     def test_mode4_sets_relaxed_timing(self):
         router = bare_router(INTELLINOC)
         router.apply_mode(4, 0)
         assert router.relaxed_timing
-        assert router.hop_scheme is EccScheme.SECDED
+        assert router.ecc.scheme is EccScheme.SECDED
         router.apply_mode(1, 0)
         assert not router.relaxed_timing
 

@@ -19,10 +19,13 @@ class TestRouterEpochCounters:
         c.record_error_class(1)
         c.occupancy_samples[0] = 0.5
         c.num_occupancy_samples = 1
+        in_flits, error_classes = c.in_flits, c.error_classes
         c.reset()
-        assert c.in_flits.sum() == 0
+        assert c.in_flits == [0] * c.num_ports
         assert c.latency_count == 0
-        assert c.error_classes.sum() == 0
+        assert c.error_classes == [0, 0, 0, 0]
+        # Zeroed in place: whoever holds the lists keeps seeing the counters.
+        assert c.in_flits is in_flits and c.error_classes is error_classes
         assert c.num_occupancy_samples == 0
 
     def test_mean_buffer_utilization(self):

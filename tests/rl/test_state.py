@@ -69,8 +69,8 @@ class TestDiscretization:
 class TestRouterObservation:
     def test_from_counters_normalizes_rates(self):
         counters = RouterEpochCounters()
-        counters.in_flits[:] = 50
-        counters.out_flits[:] = 100
+        counters.in_flits[:] = [50] * counters.num_ports
+        counters.out_flits[:] = [100] * counters.num_ports
         obs = RouterObservation.from_counters(
             router=3,
             counters=counters,
@@ -83,6 +83,26 @@ class TestRouterObservation:
         assert np.allclose(obs.in_link_utilization, 0.05)
         assert np.allclose(obs.out_link_utilization, 0.1)
         assert obs.epoch_latency == 25.0  # fallback: no packets completed  # noqa: NOC302 -- exact value is the determinism contract under test
+
+    def test_counter_lists_become_arrays_that_do_not_alias_them(self):
+        """The counters are int lists (bumped per flit hop); an observation
+        hands policies float64 rates and its own int64 error histogram."""
+        counters = RouterEpochCounters()
+        counters.in_flits[2] = 7
+        counters.out_flits[4] = 9
+        counters.record_error_class(2)
+        obs = RouterObservation.from_counters(
+            0, counters, 100, 320.0, 0.004, 20.0, 1.0
+        )
+        for rates in (obs.in_link_utilization, obs.out_link_utilization):
+            assert rates.dtype == np.float64 and rates.shape == (counters.num_ports,)
+        assert obs.in_link_utilization[2] == pytest.approx(0.07)
+        assert obs.out_link_utilization[4] == pytest.approx(0.09)
+        assert obs.error_classes.dtype == np.int64
+        assert obs.error_classes.tolist() == [0, 0, 1, 0]
+        counters.record_error_class(2)
+        counters.reset()
+        assert obs.error_classes.tolist() == [0, 0, 1, 0]  # a copy, not a view
 
     def test_latency_from_counters_when_available(self):
         counters = RouterEpochCounters()
