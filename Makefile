@@ -1,4 +1,4 @@
-.PHONY: install lint lint-baseline test bench bench-repo bench-test perf figures examples clean
+.PHONY: install lint lint-baseline test bench bench-repo bench-pairs bench-test perf figures examples clean
 
 install:
 	pip install -e .
@@ -39,6 +39,57 @@ perf:
 BENCH_OUT ?= bench-result.json
 bench-repo:
 	python3 bench/run.py --seed 7 --out $(BENCH_OUT)
+
+# The protocol for a claimed gain (bench/README.md, "Noise"): the driver's
+# contract command run alternately in a checkout of the parent commit and
+# in this tree, alternating which goes first.  Prints every pair, each
+# side's median and quartiles, and the win count.  About 75 s a pair.
+#   make bench-pairs PARENT=/path/to/parent-checkout [WORKLOAD=torus_faults SEED=7 PAIRS=10]
+PARENT ?=
+WORKLOAD ?= torus_faults
+SEED ?= 7
+PAIRS ?= 10
+define BENCH_PAIRS_PY
+import json, statistics, subprocess, sys
+parent, workload, seed, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+METRIC = "sim_cycles_per_ref_s"
+trees = {"parent": parent, "change": "."}
+def run(side):
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", seed,
+         "--seconds", "33", "--trace", "0"],
+        cwd=trees[side], capture_output=True, text=True,
+    )
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        sys.exit(f"{side}: no result line\n{done.stderr}")
+    if not result["correct"]:
+        sys.exit(f"{side}: {result['failed']} of {result['attempted']} operations failed")
+    return result["metrics"][METRIC]["value"]
+values = {"parent": [], "change": []}
+for pair in range(pairs):
+    order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+    for side in order:
+        values[side].append(run(side))
+    p, c = values["parent"][-1], values["change"][-1]
+    print(f"pair {pair + 1:2d} ({order[0]} first)  parent {p:9.1f}  change {c:9.1f}  x{c / p:.3f}", flush=True)
+spread = {}
+for side, v in values.items():
+    q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
+    spread[side] = (statistics.median(v), q1, q3)
+    print(f"{side:<6} median {spread[side][0]:9.1f}  q1 {q1:9.1f}  q3 {q3:9.1f}  ({METRIC}, n={len(v)})")
+wins = sum(c > p for p, c in zip(values["parent"], values["change"]))
+ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
+gap = spread["change"][0] - spread["parent"][0]
+print(f"change wins {wins} of {pairs} (ties {ties}); medians differ by {gap:+.1f} "
+      f"(x{spread['change'][0] / spread['parent'][0]:.3f}), parent's inter-quartile distance "
+      f"{spread['parent'][2] - spread['parent'][1]:.1f}")
+endef
+export BENCH_PAIRS_PY
+bench-pairs:
+	@test -f "$(PARENT)/bench/run.py" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
+	@python3 -c "$$BENCH_PAIRS_PY" "$(abspath $(PARENT))" $(WORKLOAD) $(SEED) $(PAIRS)
 
 # The benchmark's own tests (not part of tier-1 `testpaths`; about 10 s).
 bench-test:

@@ -59,10 +59,11 @@ class InboundCounter:
 class Channel:
     """A directed inter-router channel.
 
-    Occupancy bookkeeping (kept by :meth:`send` and :meth:`remove`, the
-    only two places a queue changes length): ``inbound.flits`` counts the
-    flits queued toward the destination router, and ``busy`` holds the
-    ``index`` of every channel of the fabric whose queue is non-empty.
+    Occupancy bookkeeping (kept by :meth:`send`, :meth:`remove` and the
+    front pop of :meth:`dequeue`, the only places a queue changes
+    length): ``inbound.flits`` counts the flits queued toward the
+    destination router, and ``busy`` holds the ``index`` of every
+    channel of the fabric whose queue is non-empty.
     The network passes shared objects for both; a standalone channel
     keeps private ones.
     """
@@ -264,22 +265,31 @@ class Channel:
         (SECDED +1 cycle, DECTED +2 — the per-hop ECC overhead the paper's
         CRC-only mode eliminates).
         """
-        if not self.can_accept(cycle):
+        queue = self.queue
+        queued = len(queue)
+        same_cycle = cycle == self._cycle_of_budget
+        retransmission = self.function is ChannelFunction.RETRANSMISSION
+        if (  # ``not self.can_accept(cycle)``, in line
+            self.down
+            or (same_cycle and self._accepted_this_cycle >= self.bandwidth)
+            or queued >= self.capacity
+            or (retransmission and len(self.copies) >= self.stages_per_link)
+        ):
             raise OverflowError("channel overflow: caller must check can_accept")
-        if cycle != self._cycle_of_budget:
+        if same_cycle:
+            self._accepted_this_cycle += 1
+        else:
             self._cycle_of_budget = cycle
-            self._accepted_this_cycle = 0
-        self._accepted_this_cycle += 1
+            self._accepted_this_cycle = 1
         # Entry layout: [flit, ready_cycle, cached error sample (None until
         # the delivery logic draws the traversal's bit-error count)].
-        queue = self.queue
-        if not queue:
+        if not queued:
             self.busy.add(self.index)
         queue.append([flit, cycle + self.traversal_latency + extra_latency, None])
         self.inbound.flits += 1
         self.flits_sent += 1
         if keep_copy:
-            if self.function is not ChannelFunction.RETRANSMISSION:
+            if not retransmission:
                 raise RuntimeError("copies are only kept in retransmission mode")
             self.copies.append(flit)
 
@@ -341,7 +351,14 @@ class Channel:
         through :meth:`nack_resend` and keeps the reservation.
         """
         flit: Flit = entry[0]
-        self.remove(entry)
+        queue = self.queue
+        if queue and queue[0] is entry:  # flits mostly leave in order
+            queue.popleft()
+            self.inbound.flits -= 1
+            if not queue:
+                self.busy.discard(self.index)
+        else:
+            self.remove(entry)
         if self.copies:
             self.acknowledge(flit)
         if self.pending_acks:

@@ -81,7 +81,9 @@ class ErrorSampler:
         self.flit_bits = flit_bits
         self.multi_bit_fraction = multi_bit_fraction
         self.burst_extra_bits_mean = burst_extra_bits_mean
-        self._rng = rng
+        #: The generator every draw comes from, in order (stage 1 may be
+        #: drawn by the caller: see :meth:`faulty_flit_errors`).
+        self.rng = rng
 
     def flit_fault_probability(self, bit_error_rate: float) -> float:
         """Eq. 3: P(faulty flit) = 1 - (1 - Re)^n."""
@@ -103,16 +105,24 @@ class ErrorSampler:
             return 0
         if p_fault is None:
             p_fault = self.flit_fault_probability(bit_error_rate)
-        if self._rng.random() >= p_fault:
+        if self.rng.random() >= p_fault:
             return 0
-        # Faulty flit: either a multi-bit burst or independent flips
-        # (Binomial conditioned on >= 1, by rejection; acceptance is
-        # ~certain to need one draw at tiny rates).
-        if self.multi_bit_fraction and self._rng.random() < self.multi_bit_fraction:
-            burst = 2 + int(self._rng.poisson(self.burst_extra_bits_mean))
+        return self.faulty_flit_errors(bit_error_rate)
+
+    def faulty_flit_errors(self, bit_error_rate: float) -> int:
+        """Stage 2 of :meth:`sample_bit_errors`: the (>= 1) flipped bits
+        of a flit already drawn faulty.
+
+        Either a multi-bit burst or independent flips (Binomial
+        conditioned on >= 1, by rejection; acceptance is ~certain to need
+        one draw at tiny rates).  The network draws stage 1 itself, per
+        hop, from :attr:`rng` against its memoised Eq. 3 probability.
+        """
+        if self.multi_bit_fraction and self.rng.random() < self.multi_bit_fraction:
+            burst = 2 + int(self.rng.poisson(self.burst_extra_bits_mean))
             return min(burst, self.flit_bits)
         while True:
-            count = int(self._rng.binomial(self.flit_bits, bit_error_rate))
+            count = int(self.rng.binomial(self.flit_bits, bit_error_rate))
             if count >= 1:
                 return min(count, self.flit_bits)
 

@@ -62,11 +62,12 @@ class BufferStateTable:
 
     def lookup(self, in_port: int, in_vc: int) -> BstEntry | None:
         """Allocation of the packet owning (port, VC), or None if idle."""
-        return self._entries.get((int(in_port), in_vc))
+        # A Direction member hashes and compares as its int: no int() here.
+        return self._entries.get((in_port, in_vc))
 
     def clear(self, in_port: int, in_vc: int) -> None:
         """Tail flit departed: the (port, VC) pair is idle again."""
-        self._entries.pop((int(in_port), in_vc), None)
+        self._entries.pop((in_port, in_vc), None)
 
     def open_entries(self) -> int:
         """Number of in-flight packets traversing this router."""

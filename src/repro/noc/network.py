@@ -543,15 +543,29 @@ class Network:
 
     def _sample_channel_errors(self, channel: Channel) -> int:
         """Bit errors for one traversal (also charges the link energy)."""
-        self.accountant.add_dynamic(channel.src, channel.traversal_pj)
+        src = channel.src
+        self.accountant.add_dynamic(src, channel.traversal_pj)
         if self.fault_injector is not None:
             injected = self.fault_injector.pop_matching(
-                self.cycle, channel.src, int(channel.direction)
+                self.cycle, src, int(channel.direction)
             )
             if injected:
                 return injected
-        rate, p_fault = self._hop_error_rates(channel)
-        return self.sampler.sample_bit_errors(rate, p_fault)
+        # The memo of `_hop_error_rates`, read in place (it fills a miss).
+        rates = self._hop_rates[
+            self.routers[src].relaxed_timing
+            or channel.function is ChannelFunction.RELAXED
+        ][src]
+        if rates is None:
+            rates = self._hop_error_rates(channel)
+        rate, p_fault = rates
+        # `ErrorSampler.sample_bit_errors(rate, p_fault)` with its first
+        # stage in line: one uniform per hop, the sampler only for the
+        # rare faulty flit.
+        sampler = self.sampler
+        if rate <= 0.0 or sampler.rng.random() >= p_fault:
+            return 0
+        return sampler.faulty_flit_errors(rate)
 
     def _deliver_channels(self, cycle: int) -> None:
         for channel in self._busy_channels_in_order():
@@ -667,47 +681,48 @@ class Network:
 
     # --- phase 3: routers ---------------------------------------------------------------
 
-    def _bypass_has_work(self, router: Router) -> bool:
-        """Whether a gated router can do anything this cycle (never,
-        without a bypass: it waits for its wakeup).
-
-        With nothing queued toward it and no local source holding a flit,
-        :meth:`Router.bypass_step` raises no request line, so its arbiter
-        does not move and no flit does; the watchdog cannot fire either,
-        since an empty channel is not congested (``congested_when_empty``
-        covers the zero-capacity exception).  Skipping the visit is then
-        exactly a no-op.
-        """
-        if not router.technique.uses_bypass:
-            return False
-        if router.inbound.flits or router.congested_when_empty:
-            return True
-        for _, source in self._router_locals[router.id]:
-            if not source.is_empty():
-                return True
-        return False
-
     def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
-        for router in self.routers:
+        uses_bypass = self.technique.uses_bypass
+        gated, waking, on = PowerState.GATED, PowerState.WAKING, PowerState.ON
+        for router, sources in zip(self.routers, self._router_locals):
             if router.dead:
                 continue
-            state = router.gating.state
-            if state is PowerState.GATED:
-                if not self._bypass_has_work(router):
+            gating = router.gating
+            state = gating.state
+            if state is gated:
+                # Whether the gated router can do anything this cycle
+                # (never, without a bypass: it waits for its wakeup).  With
+                # nothing queued toward it and no local source holding a
+                # flit, `Router.bypass_step` raises no request line, so its
+                # arbiter does not move and no flit does; the watchdog
+                # cannot fire either, since an empty channel is not
+                # congested (`congested_when_empty` covers the
+                # zero-capacity exception).  Skipping the visit is then
+                # exactly a no-op.
+                work = False
+                if uses_bypass:
+                    work = router.inbound.flits or router.congested_when_empty
+                    if not work:
+                        for _, source in sources:
+                            if source._packets or source._current_flits:
+                                work = True  # not source.is_empty()
+                                break
+                if not work:
                     if lap is not None:
                         lap("router.bypass")
                     continue  # stays gated: the idle detector is off too
-                if router.bypass_overloaded():
+                moved = router.bypass_step(cycle, sources)
+                if moved is None:
                     # Congestion watchdog: leave mode 0 early; the next
                     # control step re-decides with fresh state.
                     router.apply_mode(1, cycle)
                     self.stats.wakeups += 1
-                elif router.bypass_step(cycle, self._router_locals[router.id]):
+                elif moved:
                     self.stats.bypass_traversals += 1
                 if lap is not None:
                     lap("router.bypass")
-            elif state is not PowerState.WAKING:
+            elif state is not waking:
                 router.step(cycle, lap)
             if power_gating:
                 # Idle detector.  CP/CPD gate on idleness and pay a wakeup;
@@ -715,15 +730,19 @@ class Network:
                 # bypass keeps forwarding sporadic flits without waking the
                 # router.  The detector only counts while ON, so nothing is
                 # computed for it in any other state.
-                gating = router.gating
-                if gating.state is PowerState.ON:
-                    gating.observe_idle(
-                        router.is_idle()
-                        and all(
-                            s.is_empty() for _, s in self._router_locals[router.id]
-                        ),
-                        cycle,
+                if gating.state is on:
+                    # `Router.is_idle()` and every local source empty.
+                    idle = not (
+                        router._flit_count
+                        or router.inbound.flits
+                        or router.bst.open_entries()
                     )
+                    if idle:
+                        for _, source in sources:
+                            if source._packets or source._current_flits:
+                                idle = False
+                                break
+                    gating.observe_idle(idle, cycle)
                 if lap is not None:
                     lap("router.gating")
 

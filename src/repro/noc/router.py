@@ -148,6 +148,15 @@ class Router:
         # (zero-capacity channels): the bypass watchdog then fires on an
         # idle router, so such a router is never skipped.
         self.congested_when_empty = False
+        # ``incoming`` as (port, channel) pairs, fixed by ``finish_wiring``:
+        # what one visit of the gated router walks.
+        self._bypass_inputs: tuple[tuple[int, Channel], ...] = ()
+        # Head-routing memos.  The fabric is static, so neither is ever
+        # invalidated: destination -> output while the fabric offers
+        # exactly one (a degraded router does not consult it), and on
+        # dateline fabrics (route, VC class) -> (next class, VCs allowed).
+        self._route_memo: dict[int, int] = {}
+        self._vc_class_memo: dict[tuple[int, int], tuple[int, range]] = {}
         self._reserved_count = 0  # slots held by unacked wire-channel copies
         # Set by the network: samples bit errors for one traversal of an
         # incoming channel (used on bypassed hops, where no decoder runs).
@@ -170,6 +179,7 @@ class Router:
         self.congested_when_empty = (
             sum(1 for c in self.incoming.values() if c.capacity == 0) >= 2
         )
+        self._bypass_inputs = tuple(self.incoming.items())
         if self._adaptive:
             self.apply_mode(self.mode, cycle=0)
 
@@ -482,6 +492,9 @@ class Router:
         Power-gating bypass designs (EZ-pass and kin) wake the router when
         incoming traffic exceeds what the bypass latch can forward; we wake
         when at least two incoming MFACs are full.
+
+        The definition of the watchdog; :meth:`bypass_step` reaches the
+        same verdict in the walk that raises its request lines.
         """
         congested = 0
         for channel in self.incoming.values():
@@ -489,37 +502,51 @@ class Router:
                 congested += 1
         return congested >= 2
 
-    def bypass_step(self, cycle: int, local_sources) -> bool:
-        """Forward one flit through the bypass switch (gated router only).
+    def bypass_step(self, cycle: int, local_sources) -> bool | None:
+        """One visit of the gated router: the congestion watchdog, then
+        one flit through the bypass switch.
 
         *local_sources* is a list of ``(injection port, SourceQueue)``
         pairs for the nodes attached to this router, so sporadic local
-        traffic keeps flowing without a wakeup.  Returns True when a flit
-        moved.
+        traffic keeps flowing without a wakeup.  Returns None when the
+        watchdog fires (:meth:`bypass_overloaded`; nothing is arbitrated
+        and no source is touched), else True when a flit moved.
         """
         if self.gating.state is not PowerState.GATED or not self.technique.uses_bypass:
             return False
-        # Request lines as a bit per port: an incoming channel asks when
-        # its oldest flit is due (entries age in order, so that is the
-        # whole test), a local source when it has a flit to inject.
+        # One walk over the incoming channels counts the congested ones
+        # and raises the request lines, a bit per port: a channel asks
+        # when its oldest flit is due (entries age in order, so that is
+        # the whole test), a local source when it has a flit to inject.
         requests = 0
-        for direction, channel in self.incoming.items():
+        congested = 0
+        for port, channel in self._bypass_inputs:
             queue = channel.queue
-            # A channel that is down holds its flits (scenario outage).
-            if queue and queue[0][1] <= cycle and not channel.down:
-                requests |= 1 << direction
+            if queue:
+                if len(queue) >= channel.capacity:
+                    congested += 1
+                # A channel that is down holds its flits (scenario outage).
+                if queue[0][1] <= cycle and not channel.down:
+                    requests |= 1 << port
+            elif not channel.capacity:
+                congested += 1  # zero capacity: congested while empty
+        if congested >= 2:
+            return None
         for port, source in local_sources:
+            # peek(), not an emptiness test: it draws the next packet's
+            # flits, which fixes the packet's place ahead of a later
+            # end-to-end retry (SourceQueue.requeue_front).
             if source.peek() is not None:
                 requests |= 1 << port
 
         # Try inputs in round-robin order until one flit actually moves.
         arbiter = self._bypass_arbiter
+        incoming = self.incoming
         while requests:
             winner = arbiter.grant_mask(requests)
             requests &= ~(1 << winner)
-            channel = self.incoming.get(winner)
-            if channel is not None:
-                if self._bypass_forward(winner, channel, cycle):
+            if winner in incoming:
+                if self._bypass_forward(winner, incoming[winner], cycle):
                     return True
             else:
                 for port, source in local_sources:
@@ -534,14 +561,21 @@ class Router:
         deterministic (X-Y / dimension-ordered / loop-minimal per fabric)
         by default, or turn-model adaptive selection (congestion- and
         fault-aware) when configured."""
+        degraded = self.degraded
+        if not degraded:
+            route = self._route_memo.get(dst)
+            if route is not None:
+                return route
         candidates = self.topology.route_candidates(self.id, dst)
-        if self.degraded:
+        if degraded:
             alive = [c for c in candidates if not self._route_unserviceable(c)]
             if alive:
                 # Keep the original list when every option is dead: the
                 # WAITING_VA check then drops the packet with accounting.
                 candidates = alive
         if len(candidates) == 1:
+            if not degraded:
+                self._route_memo[dst] = candidates[0]
             return candidates[0]
         return select_output(
             candidates,
@@ -602,15 +636,15 @@ class Router:
         entry = self.bst.lookup(in_dir, flit.vc)
         if entry is None:
             raise RuntimeError(f"router {self.id}: bypassed body flit without BST entry")
-        if entry.output_port in self._ejection_ports:
-            return entry.output_port, entry.out_vc
-        if self.degraded and self._route_unserviceable(entry.output_port):
-            if self.on_drop is not None:
-                self.on_drop(flit.packet, self._dead_reason(entry.output_port))
-            return None
-        if not self.outgoing[entry.output_port].can_accept(cycle):
-            return None
-        return entry.output_port, entry.out_vc
+        route = entry.output_port
+        if route not in self._ejection_ports:
+            if self.degraded and self._route_unserviceable(route):
+                if self.on_drop is not None:
+                    self.on_drop(flit.packet, self._dead_reason(route))
+                return None
+            if not self.outgoing[route].can_accept(cycle):
+                return None
+        return route, entry.out_vc
 
     def _claim_downstream_vc(self, route: int, packet) -> int | None:
         """Claim a free VC of the input port *route* leads to for the head
@@ -621,10 +655,16 @@ class Router:
         if self._uses_vc_classes:
             # Dateline discipline (torus/ring): the head may only claim a
             # downstream VC of its class partition.
-            cls = self.topology.next_vc_class(self.id, route, packet.vc_class)
-            out_vc = down_port.free_vc_for_head(
-                self.topology.allowed_vcs(cls, self.noc.num_vcs)
-            )
+            key = (route, packet.vc_class)
+            memo = self._vc_class_memo.get(key)
+            if memo is None:
+                cls = self.topology.next_vc_class(self.id, route, packet.vc_class)
+                memo = self._vc_class_memo[key] = (
+                    cls,
+                    self.topology.allowed_vcs(cls, self.noc.num_vcs),
+                )
+            cls, allowed = memo
+            out_vc = down_port.free_vc_for_head(allowed)
             if out_vc is None:
                 return None
             packet.vc_class = cls
@@ -637,16 +677,17 @@ class Router:
 
     def _bypass_forward(self, in_dir: int, channel: Channel, cycle: int) -> bool:
         """Move the oldest due flit of *channel* that is not blocked."""
-        blocked_vcs: set[int] = set()
+        blocked_vcs = 0  # a bit per VC
         for entry in channel.queue:
             if entry[1] > cycle:
                 break  # later entries are younger and cannot be due
             flit: Flit = entry[0]
-            if flit.vc in blocked_vcs:
+            in_vc = flit.vc
+            if blocked_vcs >> in_vc & 1:
                 continue  # an older same-VC flit is blocked; keep order
             routed = self._bypass_route_for(in_dir, flit, cycle)
             if routed is None:
-                blocked_vcs.add(flit.vc)
+                blocked_vcs |= 1 << in_vc
                 continue
             route, out_vc = routed
             # The queue changes under the iterator here; the walk ends
@@ -657,7 +698,6 @@ class Router:
             if entry[2] is None and self.sample_link_errors is not None:
                 entry[2] = self.sample_link_errors(channel)
             flit.bit_errors += entry[2] or 0
-            in_vc = flit.vc
             if flit.is_head:
                 self.bst.record(in_dir, in_vc, route, out_vc, owner=flit.packet)
                 flit.packet.path.append(self.id)

@@ -10,6 +10,7 @@ simply miss; LRU keeps the software behavior deterministic and close).
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 
 import numpy as np
@@ -115,6 +116,19 @@ class QTable:
 
     def states(self) -> list[tuple]:
         return list(self._table.keys())
+
+    def __deepcopy__(self, memo: dict) -> "QTable":
+        """A copy that shares the state tuples (immutable) and owns its
+        rows, in the same LRU order, with every scalar field.
+
+        ``copy.deepcopy`` of a pre-trained policy (one table per router)
+        otherwise walks tens of thousands of key tuples element by element.
+        """
+        clone = copy.copy(self)
+        clone._table = OrderedDict(
+            (state, row.copy()) for state, row in self._table.items()
+        )
+        return clone
 
     def clone_into(self, other: "QTable") -> None:
         """Copy learned values into *other* (used to deploy a pre-trained

@@ -40,6 +40,8 @@ class SourceQueue:
         A packet that is mid-injection keeps the port — its remaining
         flits live in ``_current_flits``, ahead of ``_packets`` — so the
         retry goes out right after it and before everything still queued.
+        A packet :meth:`peek` has drawn counts as mid-injection even
+        before its head is out.
         """
         self._packets.appendleft(packet)
 
@@ -56,9 +58,19 @@ class SourceQueue:
             self._current_flits.extend(self._current_packet.make_flits())
 
     def peek(self) -> Flit | None:
-        """Next flit to inject, without consuming it."""
-        self._refill()
-        return self._current_flits[0] if self._current_flits else None
+        """Next flit to inject, without consuming it.
+
+        Draws the next packet's flits when none are open, which puts that
+        packet ahead of any later :meth:`requeue_front`: the bypass
+        request line (``Router.bypass_step``) relies on that, so an
+        emptiness test is not a substitute for this call.
+        """
+        flits = self._current_flits
+        if not flits:
+            if not self._packets:
+                return None
+            self._refill()
+        return flits[0]
 
     def pop(self) -> Flit:
         """Consume the next flit (caller must have peeked successfully)."""

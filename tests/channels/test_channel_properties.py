@@ -1,5 +1,7 @@
 """Property-based tests on channel flow-control invariants."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.channels.mfac import Channel, ChannelFunction
@@ -93,3 +95,68 @@ class TestChannelInvariants:
                 )
                 accepted += 1
         assert accepted <= ch.bandwidth
+
+
+class TestSendAgainstCanAccept:
+    """`send` tests its overflow conditions in line; `can_accept` is their
+    definition.  The grid is small enough to walk whole."""
+
+    GRID = dict(
+        geometry=[(0, 1), (4, 1), (8, 2), (2, 2)],  # (buffer depth, links)
+        function=list(ChannelFunction),
+        queued=range(10),
+        copies=range(6),
+        down=[False, True],
+        spent=range(4),  # flits already accepted in the budget's cycle
+        budget_is_this_cycle=[False, True],
+    )
+
+    def test_send_overflows_exactly_when_can_accept_says_no(self):
+        outcomes = set()
+        for case in itertools.product(*self.GRID.values()):
+            (depth, links), function, *_ = case
+            if links >= 2 or function is ChannelFunction.NORMAL:
+                outcomes.add(self.check(*case))
+        assert outcomes == {True, False}
+
+    def check(self, geometry, function, queued, copies, down, spent, budget_is_this_cycle):
+        ch = fresh_channel(*geometry, function)
+        cycle = 50
+        flits = iter(Packet.create(0, 1, 20, 0).make_flits())
+        # Queue contents, copy link, outage and the spent bandwidth.
+        ch.queue.extend([next(flits), cycle - 5, None] for _ in range(queued))
+        ch.inbound.flits = queued
+        if queued:
+            ch.busy.add(ch.index)
+        keep_copy = function is ChannelFunction.RETRANSMISSION
+        if keep_copy:
+            ch.copies.extend(next(flits) for _ in range(copies))
+        ch.set_down(down)
+        ch._cycle_of_budget = cycle if budget_is_this_cycle else cycle - 1
+        ch._accepted_this_cycle = spent
+
+        def state():
+            return (
+                len(ch.queue), len(ch.copies), ch.inbound.flits, set(ch.busy),
+                ch._cycle_of_budget, ch._accepted_this_cycle, ch.flits_sent,
+            )
+
+        acceptable = ch.can_accept(cycle)
+        before = state()
+        try:
+            ch.send(next(flits), cycle, keep_copy=keep_copy)
+        except OverflowError:
+            assert not acceptable
+            assert state() == before  # a refused send changes nothing
+        else:
+            assert acceptable
+            assert state() == (
+                queued + 1,
+                before[1] + keep_copy,
+                queued + 1,
+                {ch.index},
+                cycle,
+                spent + 1 if budget_is_this_cycle else 1,
+                1,
+            )
+        return acceptable

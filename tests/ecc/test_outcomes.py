@@ -91,7 +91,7 @@ class TestErrorSampler:
         draws = [plain.sample_bit_errors(re) for _ in range(5_000)]
         assert [memo.sample_bit_errors(re, p_fault) for _ in range(5_000)] == draws
         assert any(draws)
-        assert plain._rng.random() == memo._rng.random()  # streams in step
+        assert plain.rng.random() == memo.rng.random()  # streams in step
 
     def test_burst_mode_produces_multibit(self):
         sampler = ErrorSampler(

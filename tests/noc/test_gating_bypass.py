@@ -168,27 +168,42 @@ class TestIdleRouterSkip:
         assert all(r.gating.state is PowerState.GATED for r in net.routers)
 
     def test_skipped_visit_would_have_been_a_no_op(self):
-        """Every cycle, for every gated router the loop is about to skip:
-        the watchdog is quiet, the bypass moves nothing, and its arbiter's
-        pointer stays where it was."""
+        """Every cycle, for every gated router with nothing queued toward
+        it and no local flit (found by scanning, not from the counters the
+        loop reads): the watchdog is quiet, the bypass moves nothing, and
+        its arbiter's pointer stays where it was.  Those are the only
+        gated routers the loop leaves unvisited."""
         events = [TraceEvent(c, c % 64, (c * 7 + 9) % 64, 4) for c in range(0, 600, 3)]
         events = [e for e in events if e.src != e.dst]
         net = intellinoc_network(events, mode=0)
+        visited = set()
+        for router in net.routers:
+            def visit(cycle, sources, rid=router.id, step=router.bypass_step):
+                visited.add(rid)
+                return step(cycle, sources)
+
+            router.bypass_step = visit
         skipped = 0
         for _ in range(900):
-            for router in net.routers:
-                if (
-                    router.gating.state is PowerState.GATED
-                    and not net._bypass_has_work(router)
-                ):
-                    pointer = router._bypass_arbiter.peek()
-                    assert not router.bypass_overloaded()
-                    assert not router.bypass_step(
-                        net.cycle, net._router_locals[router.id]
-                    )
-                    assert router._bypass_arbiter.peek() == pointer
-                    skipped += 1
+            gated = [r for r in net.routers if r.gating.state is PowerState.GATED]
+            quiet = [
+                r
+                for r in gated
+                if not any(c.queue for c in r.incoming.values())
+                and all(s.is_empty() for _, s in net._router_locals[r.id])
+            ]
+            for router in quiet:
+                pointer = router._bypass_arbiter.peek()
+                assert not router.bypass_overloaded()
+                assert router.bypass_step(
+                    net.cycle, net._router_locals[router.id]
+                ) is False
+                assert router._bypass_arbiter.peek() == pointer
+            visited.clear()
             net.step()
+            unvisited = {r.id for r in gated} - visited
+            assert unvisited <= {r.id for r in quiet}
+            skipped += len(unvisited)
         assert skipped > 0 and net.stats.bypass_traversals > 0
 
 

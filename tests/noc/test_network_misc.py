@@ -127,3 +127,52 @@ class TestHopRateMemo:
                 )
                 seen.add(rate)
         assert len(seen) > 20  # the rates really moved under the memo
+
+    @pytest.mark.parametrize("multi_bit_fraction", [0.0, 0.35], ids=["flips", "bursts"])
+    def test_per_hop_draw_is_sample_bit_errors_draw_for_draw(self, multi_bit_fraction):
+        """The network draws stage 1 of `ErrorSampler.sample_bit_errors`
+        itself and calls `faulty_flit_errors` for a faulty flit: the same
+        5 000 outcomes as the sampler's own two-stage call from an equally
+        seeded stream, the same number of draws, the zero-rate shortcut
+        (no draw) included."""
+        from repro.channels.mfac import ChannelFunction
+        from repro.config import INTELLINOC
+        from repro.ecc.outcomes import ErrorSampler
+        from repro.utils.rng import RngFactory
+
+        faults = FaultConfig(
+            base_bit_error_rate=2e-2, multi_bit_fraction=multi_bit_fraction
+        )
+        net = make_network(INTELLINOC, seed=5, faults=faults)
+        reference = ErrorSampler(
+            net.technique.noc.flit_bits,
+            RngFactory(5).stream("faults"),
+            multi_bit_fraction=multi_bit_fraction,
+            burst_extra_bits_mean=faults.burst_extra_bits_mean,
+        )
+        hot, quiet, slow_router, slow_link = (net.channels[i] for i in (3, 40, 80, 120))
+        assert len({c.src for c in (hot, quiet, slow_router, slow_link)}) == 4
+        net._hop_rates[False][quiet.src] = (0.0, 0.0)  # a link that cannot fail
+        # Relaxed timing, by router mode and by MFAC function alone: the
+        # other half of the memo (seeded hot, or nothing would show).
+        net.routers[slow_router.src].apply_mode(4, 0)
+        slow_router.set_function(ChannelFunction.NORMAL)  # the mode alone
+        slow_link.set_function(ChannelFunction.RELAXED)
+        assert not net.routers[slow_link.src].relaxed_timing
+        for channel, rate in ((slow_router, 5e-4), (slow_link, 2e-4)):
+            net._hop_rates[True][channel.src] = (
+                rate, net.sampler.flit_fault_probability(rate)
+            )
+            net._hop_rates[False][channel.src] = (0.0, 0.0)  # decoy: wrong key
+        cast = [quiet, hot, slow_router, hot, slow_link, hot, hot]
+        drawn, expected = [], []
+        for i in range(5_000):
+            channel = cast[i % 7]
+            drawn.append(net._sample_channel_errors(channel))
+            expected.append(reference.sample_bit_errors(*net._hop_error_rates(channel)))
+        assert drawn == expected
+        assert 20 < sum(1 for errors in drawn if errors) < 1_000
+        if multi_bit_fraction:
+            assert sum(1 for errors in drawn if errors >= 2) > 20
+        assert net.sampler.rng.random() == reference.rng.random()  # streams in step
+

@@ -1,9 +1,15 @@
 """Tests for sparse tabular Q-learning."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config import INTELLINOC, RlConfig
+from repro.rl.agent import RouterAgent
 from repro.rl.qlearning import QTable
+from tests.rl.test_state import make_obs
 
 
 def table(**kwargs):
@@ -106,6 +112,79 @@ class TestClone:
         small = table(max_entries=4)
         q.clone_into(small)
         assert len(small) == 4
+
+
+class TestDeepCopy:
+    """`copy.deepcopy` of a table (what hands a campaign cell its private
+    copy of the pre-trained policy) shares the state tuples, nothing else."""
+
+    def trained(self):
+        q = table(max_entries=4, preferred_action=1)
+        for i in range(9):
+            q.update((i % 4, 7), i % 3, -1.0 - i, ((i + 1) % 4, 7))
+        q.q_values((0, 7))  # touch: LRU order differs from insertion order
+        return q
+
+    def test_same_rows_in_the_same_order_with_every_scalar(self):
+        q = self.trained()
+        clone = copy.deepcopy(q)
+        assert clone.states() == q.states()
+        for (state, row), (c_state, c_row) in zip(q._table.items(), clone._table.items()):
+            assert c_state is state
+            assert np.array_equal(c_row, row) and not np.shares_memory(c_row, row)
+        scalars = {k: v for k, v in vars(q).items() if k != "_table"}
+        assert {k: v for k, v in vars(clone).items() if k != "_table"} == scalars
+        assert q.evictions == 0 and q.updates == 9 and q._target_seen
+
+    def test_learning_and_evicting_in_the_copy_leaves_the_master(self):
+        q = self.trained()
+        before = copy.copy(vars(q))
+        rows = [(state, row.copy()) for state, row in q._table.items()]
+        clone = copy.deepcopy(q)
+        clone.update((0, 7), 2, -50.0, (9, 9))  # new row: evicts the LRU one
+        clone.q_values((8, 8))
+        assert clone.evictions == 2 and clone.states() != q.states()
+        assert [(s, list(r)) for s, r in q._table.items()] == [
+            (s, list(r)) for s, r in rows
+        ]
+        assert {k: v for k, v in vars(q).items() if k != "_table"} == {
+            k: v for k, v in before.items() if k != "_table"
+        }
+
+    def test_an_agent_copy_owns_its_table_and_its_rng(self):
+        agent = RouterAgent(3, RlConfig(epsilon=0.5), np.random.default_rng(7))
+        for util in (0.01, 0.2, 0.4):
+            agent.decide(make_obs(in_util=util))
+        rng_state = agent.policy._rng.bit_generator.state
+        ema, order = agent.qtable._target_ema, agent.qtable.states()
+        clone = copy.deepcopy(agent)
+        assert clone.qtable is not agent.qtable
+        assert clone.policy._rng.bit_generator.state == rng_state
+        for util in (0.3, 0.05, 0.6, 0.3):
+            clone.decide(make_obs(in_util=util))
+        assert agent.policy._rng.bit_generator.state == rng_state
+        assert agent.qtable._target_ema == ema and agent.qtable.states() == order
+        assert clone.qtable._target_ema != ema
+
+    def test_a_pretrained_cell_runs_the_same_from_a_generic_deep_copy(self, monkeypatch):
+        """The cell's metrics from the table's own `__deepcopy__` equal
+        those from `copy.deepcopy`'s element-by-element walk of the same
+        memoised master (so the first run did not disturb it either)."""
+        from repro.exec import worker
+        from repro.exec.spec import parsec_cell
+
+        monkeypatch.setattr(worker, "_PRETRAIN_MEMO", {})
+        technique = replace(
+            INTELLINOC.with_rl(time_step=200),  # six control steps in the run
+            noc=replace(INTELLINOC.noc, width=4, height=4),
+        )
+        spec = parsec_cell(technique, "swa", duration=1200, seed=3, pretrain_cycles=1500)
+        fast = worker.execute_cell(spec).to_dict()
+        (master,) = worker._PRETRAIN_MEMO.values()
+        trained = [(a.steps, a.qtable.updates) for a in master.agents]
+        monkeypatch.delattr(QTable, "__deepcopy__")
+        assert worker.execute_cell(spec).to_dict() == fast
+        assert [(a.steps, a.qtable.updates) for a in master.agents] == trained
 
 
 class TestValidation:

@@ -66,6 +66,24 @@ class TestSourceQueue:
             order.append(q.pop().packet)
         assert order == [in_flight] * 3 + [retry] * 4 + [queued] * 4
 
+    def test_a_peeked_packet_stays_ahead_of_a_later_retry(self):
+        """`peek` draws the next packet's flit train, and that alone fixes
+        its place: a retry requeued afterwards waits for it although none
+        of its flits has gone out.  A gated router's bypass raises its
+        local request line with `peek` every cycle and relies on this; an
+        emptiness test in its place lets the retry overtake (the contrast
+        below), which reorders injections."""
+        peeked, plain = SourceQueue(0), SourceQueue(0)
+        for q in (peeked, plain):
+            q.enqueue(packet(dst=4))
+        assert peeked.peek().is_head and peeked.flits_popped == 0
+        assert not plain.is_empty()  # looked at, not peeked
+        retry = packet(dst=6)
+        for q in (peeked, plain):
+            q.requeue_front(retry)
+        assert [peeked.pop().packet.dst for _ in range(8)] == [4] * 4 + [6] * 4
+        assert [plain.pop().packet.dst for _ in range(8)] == [6] * 4 + [4] * 4
+
     def test_pending_packet_count(self):
         q = SourceQueue(0)
         q.enqueue(packet())
