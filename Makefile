@@ -1,4 +1,4 @@
-.PHONY: install lint lint-baseline test bench bench-repo bench-pairs bench-test perf figures examples clean
+.PHONY: install lint lint-baseline test test-output bench bench-output bench-repo bench-pairs bench-test fig examples clean
 
 install:
 	pip install -e .
@@ -7,11 +7,11 @@ install:
 lint:
 	PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks \
 		--exclude tests/analysis/fixtures \
-		--baseline lint-baseline.json --cache --stats
-	@python -c "import mypy" 2>/dev/null \
-		&& python -m mypy --strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry \
-		&& python -m mypy -p repro.analysis -p repro.perf \
-		|| echo "mypy not installed; skipped type check"
+		--baseline lint-baseline.json --stats
+	@if python -c "import mypy" 2>/dev/null; then \
+		python -m mypy --strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry \
+		&& python -m mypy -p repro.analysis; \
+	else echo "mypy not installed; skipped type check"; fi
 
 # Accept the current NoCSan findings into the committed baseline.
 lint-baseline:
@@ -27,11 +27,6 @@ test-output:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Append a cycle-throughput record to BENCH_cycle_throughput.json and
-# gate it against the previous comparable record (docs/observability.md).
-perf:
-	PYTHONPATH=src python -m repro bench --check
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): all four
 # workloads, traced and untraced passes, about 4 minutes.  Compare two

@@ -7,8 +7,8 @@ v2 is a multi-pass, whole-program analyzer (see ``docs/analysis.md``):
 * a project import-graph pass (:mod:`.project`: transitive layering
   NOC203, cycles NOC204),
 * a schema-contract pass (:mod:`.contracts`: NOC401–403),
-* infrastructure: content-addressed caching (:mod:`.cache`), a violation
-  baseline (:mod:`.baseline`), JSON/SARIF emitters (:mod:`.emit`).
+* infrastructure: a violation baseline (:mod:`.baseline`) and JSON/SARIF
+  emitters (:mod:`.emit`).
 
 The v1 API (``lint_source``, ``lint_paths``, ``main``, ``RULES``,
 ``Violation``, ``LintReport``) is preserved; new callers should prefer
@@ -23,7 +23,6 @@ import os
 import sys
 
 from repro.analysis.lint.baseline import Baseline
-from repro.analysis.lint.cache import DEFAULT_CACHE_NAME, AnalysisCache
 from repro.analysis.lint.emit import report_to_json, report_to_sarif
 from repro.analysis.lint.engine import EngineReport, run_engine
 from repro.analysis.lint.filepass import analyze_source
@@ -84,18 +83,12 @@ def add_cli_arguments(
                         help="ignore the baseline: report every violation")
     parser.add_argument("--update-baseline", action="store_true",
                         help="rewrite --baseline from the current findings")
-    parser.add_argument("--cache", nargs="?", const=DEFAULT_CACHE_NAME,
-                        default=None, metavar="FILE",
-                        help="incremental analysis cache "
-                             f"(default file: {DEFAULT_CACHE_NAME})")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for cold analysis")
     parser.add_argument("--json", metavar="FILE", dest="json_out",
                         help="write a JSON report ('-' for stdout)")
     parser.add_argument("--sarif", metavar="FILE", dest="sarif_out",
                         help="write a SARIF 2.1.0 report ('-' for stdout)")
     parser.add_argument("--stats", action="store_true",
-                        help="print runtime/cache statistics to stderr")
+                        help="print runtime statistics to stderr")
     parser.set_defaults(default_excludes=list(default_excludes or []))
 
 
@@ -129,15 +122,7 @@ def run_cli(args: argparse.Namespace) -> int:
         return 2
 
     excludes = list(getattr(args, "default_excludes", [])) + args.exclude
-    cache = AnalysisCache.load(args.cache) if args.cache else None
-    report: EngineReport = run_engine(
-        args.paths or ["src"],
-        excludes=excludes,
-        cache=cache,
-        jobs=args.jobs,
-    )
-    if cache is not None:
-        cache.save()
+    report: EngineReport = run_engine(args.paths or ["src"], excludes=excludes)
 
     if args.update_baseline:
         Baseline.from_violations(report.violations).save(baseline_path)
@@ -179,8 +164,7 @@ def run_cli(args: argparse.Namespace) -> int:
     )
     if args.stats:
         summary += (
-            f" | {stats['wall_seconds']}s, {stats['files_per_second']} files/s, "
-            f"cache hit rate {stats['cache_hit_rate']:.0%}"
+            f" | {stats['wall_seconds']}s, {stats['files_per_second']} files/s"
         )
     print(summary, file=sys.stderr)
     return 1 if fresh else 0

@@ -1,34 +1,28 @@
-"""Analysis engine: discovery, caching, parallel per-file passes, and the
-whole-program passes stitched on top.
+"""Analysis engine: discovery, the per-file pass, and the whole-program
+passes stitched on top.
 
 Run shape::
 
-    discover files -> (cache hit? reuse : analyze) -> facts + file violations
+    discover files -> analyze each (facts + file violations)
     -> import-graph pass (NOC203/204) -> contract pass (NOC401-403)
     -> noqa for project violations -> baseline filter -> report
 
-Per-file analysis is embarrassingly parallel; misses fan out over a
-process pool when there are enough of them to amortize the fork cost.
-The whole-program passes run in-process over the (cheap, serializable)
-facts, so warm runs never re-parse anything.
+Every file is analyzed in process, in discovery order, on every run: the
+whole tree takes about a second, so there is no cache whose answer could
+differ from a fresh one (docs/analysis.md, "Runtime").
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.analysis.lint.cache import AnalysisCache
-from repro.analysis.lint.filepass import FileAnalysis, analyze_source
-from repro.analysis.lint.rules import Violation, apply_noqa
+from repro.analysis.lint.filepass import FileAnalysis, FileFacts, analyze_source
+from repro.analysis.lint.rules import RULES, Violation, apply_noqa
 from repro.analysis.lint import contracts, project
-
-#: Below this many cache misses a process pool costs more than it saves.
-_PARALLEL_THRESHOLD = 24
 
 
 @dataclass
@@ -37,28 +31,16 @@ class RunStats:
 
     wall_seconds: float = 0.0
     files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    workers: int = 1
 
     @property
     def files_per_second(self) -> float:
         return self.files / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "wall_seconds": round(self.wall_seconds, 4),
             "files": self.files,
             "files_per_second": round(self.files_per_second, 1),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "workers": self.workers,
         }
 
 
@@ -115,92 +97,31 @@ def discover_files(
     return unique
 
 
-def _analyze_path(path: str) -> dict[str, Any]:
-    """Worker entry point: read + analyze one file (picklable result)."""
+def _analyze_path(path: str) -> FileAnalysis:
+    """Read and analyze one file; an unreadable file is a NOC100 finding."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        failure = FileAnalysis.from_dict(
-            {
-                "facts": {"path": path, "module": ""},
-                "violations": [
-                    {
-                        "rule": "NOC100",
-                        "path": path,
-                        "line": 1,
-                        "col": 0,
-                        "message": f"file does not parse (unreadable: {exc})",
-                        "context": "",
-                    }
-                ],
-                "suppressed": 0,
-            }
+        return FileAnalysis(
+            facts=FileFacts(path=path, module=""),
+            violations=[Violation(
+                "NOC100", path, 1, 0,
+                RULES["NOC100"] + f" (unreadable: {exc})",
+            )],
         )
-        return failure.to_dict()
-    source = data.decode("utf-8", errors="replace")
-    return analyze_source(source, path).to_dict()
-
-
-def _analyze_misses(
-    misses: list[str], jobs: int | None
-) -> tuple[dict[str, FileAnalysis], int]:
-    """Analyze cache misses, in parallel when worth it."""
-    workers = jobs if jobs and jobs > 0 else min(os.cpu_count() or 1, 8)
-    results: dict[str, FileAnalysis] = {}
-    if workers > 1 and len(misses) >= _PARALLEL_THRESHOLD:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for path, raw in zip(misses, pool.map(_analyze_path, misses)):
-                    results[path] = FileAnalysis.from_dict(raw)
-            return results, workers
-        except (OSError, ValueError):
-            results.clear()  # sandboxed environments: fall back to serial
-    for path in misses:
-        results[path] = FileAnalysis.from_dict(_analyze_path(path))
-    return results, 1
+    return analyze_source(data.decode("utf-8", errors="replace"), path)
 
 
 def run_engine(
-    paths: Sequence[str],
-    *,
-    excludes: Sequence[str] = (),
-    cache: AnalysisCache | None = None,
-    jobs: int | None = None,
+    paths: Sequence[str], *, excludes: Sequence[str] = ()
 ) -> EngineReport:
     """Analyze *paths* end to end (no baseline filtering; caller's job)."""
     started = time.perf_counter()
     files = discover_files(paths, excludes)
     report = EngineReport(files=len(files))
     report.stats.files = len(files)
-
-    analyses: dict[str, FileAnalysis] = {}
-    misses: list[str] = []
-    if cache is not None:
-        for path in files:
-            hit = cache.lookup(path)
-            if hit is not None:
-                analyses[path] = hit
-            else:
-                misses.append(path)
-        report.stats.cache_hits = cache.stats.hits
-    else:
-        misses = list(files)
-    report.stats.cache_misses = len(misses)
-
-    fresh, workers = _analyze_misses(misses, jobs)
-    report.stats.workers = workers
-    analyses.update(fresh)
-    if cache is not None:
-        for path, analysis in fresh.items():
-            try:
-                with open(path, "rb") as handle:
-                    cache.store(path, handle.read(), analysis)
-            except OSError:
-                pass
-        cache.prune(set(files))
-
-    ordered = [analyses[path] for path in files if path in analyses]
+    ordered = [_analyze_path(path) for path in files]
     report.analyses = ordered
 
     violations: list[Violation] = []
@@ -220,8 +141,7 @@ def run_engine(
             violations.append(violation)
             continue
         kept, dropped = apply_noqa(
-            [violation], anchor.directives(), violation.path,
-            scopes=anchor.scope_ranges(),
+            [violation], anchor.noqa, violation.path, scopes=anchor.scopes
         )
         violations.extend(kept)
         suppressed += dropped

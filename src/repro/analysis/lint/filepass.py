@@ -9,14 +9,13 @@ One parse per file feeds three consumers:
   registry literal, consumed by the whole-program passes
   (:mod:`repro.analysis.lint.project`, :mod:`repro.analysis.lint.contracts`).
 
-Facts are plain JSON-serializable data so the incremental cache can store
-them and warm runs can skip parsing entirely.
+Facts are plain data: the whole-program passes never see an AST.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -162,43 +161,9 @@ class FileFacts:
     dataclasses: list[DataclassFact] = field(default_factory=list)
     registry: list[RegistryEntryFact] = field(default_factory=list)
     has_registry: bool = False
-    noqa: dict[str, list[Any]] = field(default_factory=dict)
-    scopes: dict[str, list[int]] = field(default_factory=dict)
-
-    def directives(self) -> Directives:
-        return {
-            int(line): (list(entry[0]), entry[1], int(entry[2]))
-            for line, entry in self.noqa.items()
-        }
-
-    def scope_ranges(self) -> dict[int, range]:
-        return {
-            int(line): range(span[0], span[1] + 1)
-            for line, span in self.scopes.items()
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FileFacts":
-        facts = cls(path=str(data["path"]), module=str(data["module"]))
-        facts.imports = [ImportFact(**i) for i in data.get("imports", [])]
-        facts.dataclasses = [
-            DataclassFact(
-                name=d["name"], lineno=d["lineno"], col=d["col"],
-                frozen=d["frozen"],
-                fields=[FieldFact(**f) for f in d.get("fields", [])],
-            )
-            for d in data.get("dataclasses", [])
-        ]
-        facts.registry = [
-            RegistryEntryFact(**r) for r in data.get("registry", [])
-        ]
-        facts.has_registry = bool(data.get("has_registry", False))
-        facts.noqa = dict(data.get("noqa", {}))
-        facts.scopes = dict(data.get("scopes", {}))
-        return facts
+    noqa: Directives = field(default_factory=dict)
+    #: ``def``/``class`` header line -> the lines of its body
+    scopes: dict[int, range] = field(default_factory=dict)
 
 
 @dataclass
@@ -208,21 +173,6 @@ class FileAnalysis:
     facts: FileFacts
     violations: list[Violation] = field(default_factory=list)
     suppressed: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "facts": self.facts.to_dict(),
-            "violations": [v.to_dict() for v in self.violations],
-            "suppressed": self.suppressed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FileAnalysis":
-        return cls(
-            facts=FileFacts.from_dict(data["facts"]),
-            violations=[Violation.from_dict(v) for v in data["violations"]],
-            suppressed=int(data["suppressed"]),
-        )
 
 
 # --- AST helpers -------------------------------------------------------------
@@ -541,7 +491,7 @@ class FileLinter(ast.NodeVisitor):
     ) -> None:
         end = getattr(node, "end_lineno", None)
         if end is not None and end > node.lineno:
-            self.facts.scopes[str(node.lineno)] = [node.lineno + 1, end]
+            self.facts.scopes[node.lineno] = range(node.lineno + 1, end + 1)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         collector = _SetAttributeCollector()
@@ -699,13 +649,10 @@ def analyze_source(source: str, path: str) -> FileAnalysis:
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        analysis = FileAnalysis(facts=FileFacts(path=path, module=module))
-        analysis.facts.noqa = {
-            str(line): [entry[0], entry[1], entry[2]]
-            for line, entry in directives.items()
-        }
-        analysis.violations = [parse_failure(path, exc)]
-        return analysis
+        return FileAnalysis(
+            facts=FileFacts(path=path, module=module, noqa=directives),
+            violations=[parse_failure(path, exc)],
+        )
 
     linter = FileLinter(path, module, lines)
     linter.visit(tree)
@@ -714,12 +661,9 @@ def analyze_source(source: str, path: str) -> FileAnalysis:
     violations.extend(dataflow.check_telemetry_guards(tree, path, module, lines))
 
     facts = linter.facts
-    facts.noqa = {
-        str(line): [entry[0], entry[1], entry[2]]
-        for line, entry in directives.items()
-    }
+    facts.noqa = directives
     kept, suppressed = apply_noqa(
-        violations, directives, path, scopes=facts.scope_ranges()
+        violations, directives, path, scopes=facts.scopes
     )
     kept.sort(key=lambda v: (v.line, v.col, v.rule))
     return FileAnalysis(facts=facts, violations=kept, suppressed=suppressed)

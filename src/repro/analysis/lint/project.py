@@ -1,8 +1,7 @@
 """Whole-program import-graph pass: transitive layering and cycles.
 
 Built from the :class:`~repro.analysis.lint.filepass.ImportFact` records of
-every analyzed file, so warm cache runs can re-run this pass without
-re-parsing anything.
+every analyzed file.
 
 * **NOC203** — a sim package reaching an orchestration package through an
   import *chain* (NOC201 only sees direct edges).  The violation anchors

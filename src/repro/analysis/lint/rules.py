@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-#: Engine version; embedded in the cache signature and SARIF output.
+#: Engine version; embedded in the JSON and SARIF reports.
 LINT_VERSION = "2.1.0"
 
 RULES: dict[str, str] = {
@@ -112,7 +112,7 @@ SIM_PACKAGES = (
     "repro.telemetry",
     "repro.faults",
 )
-ORCHESTRATION_PACKAGES = ("repro.exec", "repro.cli", "repro.report", "repro.perf")
+ORCHESTRATION_PACKAGES = ("repro.exec", "repro.cli", "repro.report")
 
 #: The cycle domain proper (NOC405): the packages whose wall time the
 #: simprof probes attribute.  Any *reference* to a clock function here —

@@ -13,8 +13,6 @@ Usage::
     python -m repro campaign --resume c.jsonl
     python -m repro sweep --knob epsilon --values 0 0.05 0.5
     python -m repro run --benchmark swa --simprof step-profile.json
-    python -m repro bench --quick --check --warn-only
-    python -m repro bench --report
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
     python -m repro area
@@ -352,6 +350,19 @@ def _report_interrupted(exc: CampaignInterrupted) -> int:
     return EXIT_INTERRUPTED
 
 
+#: ``campaign --figures`` name -> the runner method that renders it.
+_CAMPAIGN_FIGURES = {
+    "speedup": ExperimentRunner.figure9_speedup,
+    "latency": ExperimentRunner.figure10_latency,
+    "static": ExperimentRunner.figure11_static_power,
+    "dynamic": ExperimentRunner.figure12_dynamic_power,
+    "efficiency": ExperimentRunner.figure13_energy_efficiency,
+    "modes": ExperimentRunner.figure14_mode_breakdown,
+    "retx": ExperimentRunner.figure15_retransmissions,
+    "mttf": ExperimentRunner.figure16_mttf,
+}
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     _apply_sanitize(args)
     profiler = PhaseProfiler() if args.profile else None
@@ -370,23 +381,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         with graceful_shutdown(flag):
             runner.run_campaign()
-        figures = {
-            "speedup": runner.figure9_speedup,
-            "latency": runner.figure10_latency,
-            "static": runner.figure11_static_power,
-            "dynamic": runner.figure12_dynamic_power,
-            "efficiency": runner.figure13_energy_efficiency,
-            "modes": runner.figure14_mode_breakdown,
-            "retx": runner.figure15_retransmissions,
-            "mttf": runner.figure16_mttf,
-        }
-        wanted = args.figures or list(figures)
-        for name in wanted:
-            if name not in figures:
-                _LOG.error("unknown figure %r; choose from %s",
-                           name, sorted(figures))
-                return 2
-            table, _ = figures[name]()
+        for name in args.figures or _CAMPAIGN_FIGURES:
+            table, _ = _CAMPAIGN_FIGURES[name](runner)
             print()
             print(table)
         if args.scenario:
@@ -489,12 +485,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint.run_cli(args)
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import options_from_args, run_bench_cli
-
-    return run_bench_cli(options_from_args(args))
-
-
 def _cmd_area(args: argparse.Namespace) -> int:
     from repro.power.area import AreaModel
 
@@ -547,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmarks", nargs="+", default=["swa", "bod", "can"],
                    choices=sorted(PARSEC_PROFILES))
     p.add_argument("--figures", nargs="*", default=None,
-                   help="subset of figures to print")
+                   choices=list(_CAMPAIGN_FIGURES),
+                   help="subset of figures to print (default: all)")
     p.add_argument("--pretrain", type=int, default=20_000)
     _add_fabric_options(p)
     _add_common(p)
@@ -592,17 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_logging_options(p)
     p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser(
-        "bench",
-        help="cycle-throughput bench matrix with tracked history and "
-             "regression gate (docs/observability.md)",
-    )
-    from repro.perf.bench import add_cli_arguments as add_bench_arguments
-
-    add_bench_arguments(p)
-    _add_logging_options(p)
-    p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("area", help="print the Table 2 area model")
     _add_logging_options(p)

@@ -1,24 +1,13 @@
-"""Engine tests: discovery, the incremental cache, and warm-run speedups."""
+"""Engine tests: discovery and run-to-run determinism."""
 
-import json
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint.cache import AnalysisCache, rules_signature
 from repro.analysis.lint.engine import discover_files, run_engine
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[2] / "src"
-
-CLEAN = (
-    "import numpy as np\n"
-    "def draw(seed):\n"
-    "    rng = np.random.default_rng(np.random.SeedSequence([seed]))\n"
-    "    return rng.integers(0, 10)\n"
-)
-DIRTY = "def f(x):\n    return x == 0.25\n"  # NOC302
 
 
 class TestDiscovery:
@@ -61,141 +50,20 @@ class TestDiscovery:
         assert found == [str(target)]
 
 
-class TestCache:
-    def test_warm_run_hits_and_agrees_with_cold(self, tmp_path):
-        cache_file = str(tmp_path / "cache.json")
-        cold_cache = AnalysisCache.load(cache_file)
-        cold = run_engine([str(FIXTURES / "noc302_float_eq.py")],
-                          cache=cold_cache)
-        cold_cache.save()
-        assert cold.stats.cache_misses == 1
-
-        warm_cache = AnalysisCache.load(cache_file)
-        warm = run_engine([str(FIXTURES / "noc302_float_eq.py")],
-                          cache=warm_cache)
-        assert warm.stats.cache_hits == 1
-        assert warm.stats.cache_misses == 0
-        assert warm.violations == cold.violations
-        assert warm.suppressed == cold.suppressed
-
-    def test_edit_invalidates_entry(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(CLEAN)
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        assert run_engine([str(target)], cache=cache).ok
-        cache.save()
-
-        target.write_text(DIRTY)
-        cache = AnalysisCache.load(cache_file)
-        report = run_engine([str(target)], cache=cache)
-        assert report.stats.cache_misses == 1
-        assert [v.rule for v in report.violations] == ["NOC302"]
-
-    def test_touch_without_edit_still_hits_via_content_hash(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(CLEAN)
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        run_engine([str(target)], cache=cache)
-        cache.save()
-
-        stat = target.stat()
-        # new mtime, same bytes: the sha256 slow path must still hit
-        import os
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
-        cache = AnalysisCache.load(cache_file)
-        report = run_engine([str(target)], cache=cache)
-        assert report.stats.cache_hits == 1
-
-    def test_rules_signature_change_invalidates_whole_cache(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(CLEAN)
-        cache_file = tmp_path / "cache.json"
-
-        cache = AnalysisCache.load(str(cache_file))
-        run_engine([str(target)], cache=cache)
-        cache.save()
-
-        raw = json.loads(cache_file.read_text())
-        assert raw["rules_sig"] == rules_signature()
-        raw["rules_sig"] = "stale"
-        cache_file.write_text(json.dumps(raw))
-        cache = AnalysisCache.load(str(cache_file))
-        assert run_engine([str(target)], cache=cache).stats.cache_misses == 1
-
-    def test_prune_drops_deleted_files(self, tmp_path):
-        a, b = tmp_path / "a.py", tmp_path / "b.py"
-        a.write_text("A = 1\n")
-        b.write_text("B = 2\n")
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        run_engine([str(tmp_path)], cache=cache)
-        cache.save()
-
-        b.unlink()
-        cache = AnalysisCache.load(cache_file)
-        run_engine([str(tmp_path)], cache=cache)
-        cache.save()
-        cached_paths = set(json.loads(Path(cache_file).read_text())["files"])
-        assert cached_paths == {str(a)}
-
-
-class TestWholeProgramOnWarmRuns:
-    def test_project_rules_fire_from_cached_facts(self, tmp_path):
-        """NOC204 needs the import graph; a fully-warm run must still
-        rebuild it from cached facts without re-parsing anything."""
-        tree = str(FIXTURES / "project_noc204")
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        cold = run_engine([tree], cache=cache)
-        cache.save()
-        assert [v.rule for v in cold.violations] == ["NOC204"]
-
-        cache = AnalysisCache.load(cache_file)
-        warm = run_engine([tree], cache=cache)
-        assert warm.stats.cache_hit_rate == 1.0  # noqa: NOC302 -- exact ratio of integer counters
-        assert warm.violations == cold.violations
-
-    def test_contract_rules_fire_from_cached_facts(self, tmp_path):
-        tree = str(FIXTURES / "contract_noc401")
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        run_engine([tree], cache=cache)
-        cache.save()
-
-        cache = AnalysisCache.load(cache_file)
-        warm = run_engine([tree], cache=cache)
-        assert warm.stats.cache_hit_rate == 1.0  # noqa: NOC302 -- exact ratio of integer counters
-        assert [v.rule for v in warm.violations] == ["NOC401"]
-
-
-class TestWarmSpeedup:
-    def test_warm_run_is_at_least_3x_faster_than_cold(self, tmp_path):
-        """The acceptance criterion: on the real source tree a warm cache
-        must cut lint time by >=3x.  Observed margin is ~50-80x, so the
-        3x bar leaves ample headroom for CI noise."""
-        cache_file = str(tmp_path / "cache.json")
-
-        cache = AnalysisCache.load(cache_file)
-        started = time.perf_counter()
-        cold = run_engine([str(SRC)], cache=cache, jobs=1)
-        cold_seconds = time.perf_counter() - started
-        cache.save()
-        assert cold.stats.cache_hits == 0
-        assert cold.files > 50
-
-        cache = AnalysisCache.load(cache_file)
-        started = time.perf_counter()
-        warm = run_engine([str(SRC)], cache=cache, jobs=1)
-        warm_seconds = time.perf_counter() - started
-        assert warm.stats.cache_hit_rate == 1.0  # noqa: NOC302 -- exact ratio of integer counters
-        assert warm.violations == cold.violations
-        assert warm_seconds * 3 <= cold_seconds, (
-            f"warm {warm_seconds:.3f}s vs cold {cold_seconds:.3f}s"
+class TestDeterminism:
+    @pytest.mark.parametrize("tree", [SRC, FIXTURES], ids=["src", "fixtures"])
+    def test_two_runs_agree(self, tree):
+        """No cache, no pool: every run analyzes every discovered file, in
+        discovery order, and reports the same sorted findings (none in
+        ``src``, one or more per rule in the fixture tree)."""
+        files = discover_files([str(tree)])
+        first = run_engine([str(tree)])
+        second = run_engine([str(tree)])
+        assert first.files == second.files == len(files) > 30
+        assert [a.facts.path for a in first.analyses] == files
+        assert first.violations == second.violations
+        assert first.violations == sorted(
+            first.violations, key=lambda v: (v.path, v.line, v.col, v.rule)
         )
+        assert first.suppressed == second.suppressed
+        assert first.ok == (tree == SRC)

@@ -19,6 +19,19 @@ from repro.noc.network import Network
 from repro.traffic.trace import Trace, TraceEvent
 
 
+@pytest.fixture(autouse=True)
+def isolated_result_cache(tmp_path_factory, monkeypatch):
+    """Keep the suite out of the user's real result cache.
+
+    Results are keyed by spec hash, not by code, so a home cache filled by
+    an older simulator would be served to any test that reaches
+    ``default_cache_dir()``; one directory per session is enough.
+    """
+    monkeypatch.setenv(
+        "REPRO_CACHE_DIR", str(tmp_path_factory.getbasetemp() / "repro-cache")
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import logging
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -22,6 +24,14 @@ class TestParser:
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--benchmark", "doom3"])
+
+    def test_retired_surface_stays_retired(self):
+        """``repro bench`` and the lint cache / process pool are gone
+        (the yardstick is ``bench/``; every lint run is cold and serial)."""
+        for argv in (["bench"], ["lint", "--cache"], ["lint", "--jobs", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestCommands:
@@ -69,10 +79,24 @@ class TestCommands:
         assert rc == 0
         assert "Fig. 10" in out
 
-    def test_campaign_unknown_figure(self, capsys):
-        rc = main(["campaign", "--benchmarks", "swa", "--duration", "800",
-                   "--figures", "pie-chart"])
-        assert rc == 2
+    def test_campaign_unknown_figure(self, tmp_path, caplog):
+        """A misspelt figure is rejected before any cell runs, not after
+        the whole campaign has."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        caplog.set_level(logging.INFO, logger="repro")
+        logger = logging.getLogger("repro")
+        logger.addHandler(caplog.handler)
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["campaign", "--benchmarks", "swa", "--duration", "800",
+                      "--pretrain", "500", "--figures", "latency", "pie-chart",
+                      "--cache-dir", str(cache)])
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert exit_info.value.code == 2
+        assert list(cache.iterdir()) == []
+        assert "[1/" not in caplog.text
 
 
 class TestEngineOptions:

@@ -1,6 +1,6 @@
 """Fixtures for the chaos drills.
 
-When ``REPRO_CHAOS_ARTIFACTS`` is set (the CI chaos job points it at a
+When ``REPRO_CHAOS_ARTIFACTS`` is set (CI's test job points it at a
 directory it uploads on failure), every drill keeps its cache, journal and
 chaos ledger under that directory instead of pytest's tmp_path, so a red
 run leaves the full post-mortem behind.

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import FaultConfig, SECDED_BASELINE
 from repro.exec.spec import parsec_cell
-from repro.exec.store import STORE_SCHEMA_VERSION, ResultStore
+from repro.exec.store import STORE_SCHEMA_VERSION, ResultStore, default_cache_dir
 from repro.metrics.latency import LatencySummary
 from repro.metrics.reliability import ReliabilitySummary
 from repro.metrics.summary import RunMetrics
@@ -36,6 +36,11 @@ def make_metrics(**overrides) -> RunMetrics:
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "cache")
+
+
+def test_default_cache_dir_is_redirected_during_the_suite(tmp_path_factory):
+    """``tests/conftest.py`` keeps tier-1 out of ``~/.cache/intellinoc-repro``."""
+    assert default_cache_dir().is_relative_to(tmp_path_factory.getbasetemp())
 
 
 @pytest.fixture
