@@ -42,6 +42,12 @@ class ChannelFunction(enum.Enum):
     RELAXED = "relaxed"  # doubled traversal time, near-zero timing errors
 
 
+# The members, bound once (see the note in `repro.noc.power_gating`).
+CHANNEL_NORMAL = ChannelFunction.NORMAL
+CHANNEL_RETRANSMISSION = ChannelFunction.RETRANSMISSION
+CHANNEL_RELAXED = ChannelFunction.RELAXED
+
+
 class InboundCounter:
     """Flits queued on every channel into one router.
 
@@ -139,7 +145,7 @@ class Channel:
             buffer_depth // self.links if buffer_depth else 0
         )
         self.link_latency = link_latency
-        self.function = ChannelFunction.NORMAL
+        self.function = CHANNEL_NORMAL
         # queue entries: [flit, ready_cycle]
         self.queue: deque[list] = deque()
         self.copies: deque[Flit] = deque()  # retransmission copies (MFAC upper link)
@@ -192,22 +198,21 @@ class Channel:
           whether or not its repeater stages can hold flits, and relaxed
           timing double-drives the stages.
         """
+        function = self.function
         if self.is_wire:
             self.capacity = (self.link_latency + 4) * self.subnetworks
-        elif self.function is ChannelFunction.RETRANSMISSION:
+        elif function is CHANNEL_RETRANSMISSION:
             self.capacity = self.stages_per_link
         else:
             self.capacity = self.stages_per_link * self.links * self.subnetworks
-        if self.function in (ChannelFunction.RETRANSMISSION, ChannelFunction.RELAXED):
+        if function is CHANNEL_RETRANSMISSION or function is CHANNEL_RELAXED:
             self.bandwidth = self.subnetworks
         else:
             self.bandwidth = (
                 self.links * self.subnetworks if not self.is_wire else self.subnetworks
             )
         self.traversal_latency = (
-            2 * self.link_latency
-            if self.function is ChannelFunction.RELAXED
-            else self.link_latency
+            2 * self.link_latency if function is CHANNEL_RELAXED else self.link_latency
         )
         self.traversal_pj = (
             self._link_energy_pj(self.traversal_latency)
@@ -227,12 +232,12 @@ class Channel:
     def set_function(self, function: ChannelFunction) -> None:
         """Reconfigure the MFAC (no-op states for non-MFAC channels are
         rejected — only MFACs have the extra circuits of Fig. 3(c)/(d))."""
-        if function is not ChannelFunction.NORMAL and not self.is_mfac:
+        if function is not CHANNEL_NORMAL and not self.is_mfac:
             raise ValueError(f"{function} requires MFAC hardware")
         if function is not self.function:
             # Copies from a previous retransmission phase age out; any
             # still-unacked flit has already been delivered or replayed.
-            if function is not ChannelFunction.RETRANSMISSION:
+            if function is not CHANNEL_RETRANSMISSION:
                 self.copies.clear()
             self.function = function
             self.function_switches += 1
@@ -251,7 +256,7 @@ class Channel:
             return False  # this cycle's bandwidth is spent
         if len(self.queue) >= self.capacity:
             return False
-        if self.function is ChannelFunction.RETRANSMISSION:
+        if self.function is CHANNEL_RETRANSMISSION:
             if len(self.copies) >= self.stages_per_link:
                 return False  # copy link full until ACKs drain
         return True
@@ -268,7 +273,7 @@ class Channel:
         queue = self.queue
         queued = len(queue)
         same_cycle = cycle == self._cycle_of_budget
-        retransmission = self.function is ChannelFunction.RETRANSMISSION
+        retransmission = self.function is CHANNEL_RETRANSMISSION
         if (  # ``not self.can_accept(cycle)``, in line
             self.down
             or (same_cycle and self._accepted_this_cycle >= self.bandwidth)

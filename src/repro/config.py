@@ -100,6 +100,15 @@ class EccScheme(enum.Enum):
         return self in (EccScheme.SECDED, EccScheme.DECTED)
 
 
+# The members, bound once for the simulator's functions: a module-level
+# name costs a global load where ``EccScheme.CRC`` costs that plus a lookup
+# through ``EnumType`` (see the note in `repro.noc.power_gating`).
+ECC_NONE = EccScheme.NONE
+ECC_CRC = EccScheme.CRC
+ECC_SECDED = EccScheme.SECDED
+ECC_DECTED = EccScheme.DECTED
+
+
 class ControlPolicy(enum.Enum):
     """How a technique picks router operation modes at runtime."""
 
@@ -107,6 +116,11 @@ class ControlPolicy(enum.Enum):
     IDLE_GATING = "idle_gating"  # power-gate on idle detection (CP)
     HEURISTIC = "heuristic"  # ECC follows previous-epoch error level (CPD)
     RL = "rl"  # per-router Q-learning (IntelliNoC)
+
+
+# The two members a simulator function names (`Router._adaptive`).
+POLICY_HEURISTIC = ControlPolicy.HEURISTIC
+POLICY_RL = ControlPolicy.RL
 
 
 @dataclass(frozen=True)

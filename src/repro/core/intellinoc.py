@@ -76,11 +76,13 @@ def pretrain_agents(
     segment = max(1000, duration // len(multipliers))
     events = []
     for i, mult in enumerate(multipliers):
+        offset = i * segment
+        if offset >= duration:
+            break  # the run ends before this segment's first event is due
         scaled = replace(profile, injection_rate=min(0.45, profile.injection_rate * mult))
         seg_trace = generate_parsec_trace(
             scaled, noc.width, noc.height, segment, noc.flits_per_packet, seed + i
         )
-        offset = i * segment
         events.extend(
             TraceEvent(e.cycle + offset, e.src, e.dst, e.size, e.reply)
             for e in seg_trace.events

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.config import EccScheme, PowerConfig
+from repro.config import ECC_DECTED, ECC_NONE, ECC_SECDED, EccScheme, PowerConfig
 
 
 class AdaptiveEccUnit:
@@ -24,7 +24,7 @@ class AdaptiveEccUnit:
     def __init__(
         self,
         power: PowerConfig,
-        initial: EccScheme = EccScheme.SECDED,
+        initial: EccScheme = ECC_SECDED,
         on_transition: Callable[[EccScheme, EccScheme], None] | None = None,
     ):
         self._power = power
@@ -52,10 +52,10 @@ class AdaptiveEccUnit:
         """
         self._scheme = scheme
         self.per_hop = scheme.per_hop
-        if scheme is EccScheme.SECDED:
+        if scheme is ECC_SECDED:
             self.hop_latency = 2
             self.codec_pj = self._power.secded_codec_pj
-        elif scheme is EccScheme.DECTED:
+        elif scheme is ECC_DECTED:
             self.hop_latency = 3
             self.codec_pj = self._power.dected_codec_pj
         else:
@@ -65,7 +65,7 @@ class AdaptiveEccUnit:
     def configure(self, scheme: EccScheme) -> None:
         """Switch the hardware to *scheme* (synchronized with the upstream
         encoder by the mode-exchange protocol of Section 4)."""
-        if scheme is EccScheme.NONE:
+        if scheme is ECC_NONE:
             raise ValueError("the adaptive unit always retains at least CRC")
         if scheme is not self._scheme:
             old = self._scheme
@@ -85,9 +85,9 @@ class AdaptiveEccUnit:
     def leakage_mw(self) -> float:
         """Leakage of the currently-powered ECC circuitry (per router)."""
         leak = self._power.crc_leak_mw  # CRC at the injection port, always on
-        if self._scheme is EccScheme.SECDED:
+        if self._scheme is ECC_SECDED:
             leak += self._power.secded_leak_mw
-        elif self._scheme is EccScheme.DECTED:
+        elif self._scheme is ECC_DECTED:
             leak += self._power.secded_leak_mw + self._power.dected_extra_leak_mw
         return leak
 

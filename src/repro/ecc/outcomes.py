@@ -32,6 +32,13 @@ class DecodeOutcome(enum.Enum):
     SILENT = "silent"  # errors beyond the detection envelope
 
 
+# The members, bound once (see the note in `repro.noc.power_gating`).
+OUTCOME_CLEAN = DecodeOutcome.CLEAN
+OUTCOME_CORRECTED = DecodeOutcome.CORRECTED
+OUTCOME_RETRANSMIT = DecodeOutcome.RETRANSMIT
+OUTCOME_SILENT = DecodeOutcome.SILENT
+
+
 def decode_outcome(scheme: EccScheme, num_bit_errors: int) -> DecodeOutcome:
     """Classify a flit with *num_bit_errors* flipped bits under *scheme*.
 
@@ -41,12 +48,18 @@ def decode_outcome(scheme: EccScheme, num_bit_errors: int) -> DecodeOutcome:
     if num_bit_errors < 0:
         raise ValueError("bit error count cannot be negative")
     if num_bit_errors == 0:
-        return DecodeOutcome.CLEAN
+        return OUTCOME_CLEAN
     if num_bit_errors <= scheme.correct_bits:
-        return DecodeOutcome.CORRECTED
+        return OUTCOME_CORRECTED
     if num_bit_errors <= scheme.detect_bits:
-        return DecodeOutcome.RETRANSMIT
-    return DecodeOutcome.SILENT
+        return OUTCOME_RETRANSMIT
+    return OUTCOME_SILENT
+
+
+#: Stage-1 uniforms :meth:`ErrorSampler.uniform` draws per refill, in one
+#: ``Generator.random(n)`` call — float for float the stream n scalar
+#: ``random()`` calls produce, at a sixteenth of the cost per float.
+UNIFORM_BLOCK = 256
 
 
 class ErrorSampler:
@@ -63,6 +76,11 @@ class ErrorSampler:
     (crosstalk, droop — the motivation for DECTED and the 2D fault-coding
     work the paper cites); with probability *multi_bit_fraction* a faulty
     flit carries a burst of ``2 + Poisson(burst_extra_bits_mean)`` flips.
+
+    Stage 1's uniforms are drawn :data:`UNIFORM_BLOCK` at a time
+    (:meth:`uniform`), yet every draw — by this class or by whoever asks
+    for :attr:`rng` — lands exactly where it would if each uniform were a
+    scalar ``rng.random()``: same generator, same draws, same order.
     """
 
     def __init__(
@@ -81,9 +99,41 @@ class ErrorSampler:
         self.flit_bits = flit_bits
         self.multi_bit_fraction = multi_bit_fraction
         self.burst_extra_bits_mean = burst_extra_bits_mean
-        #: The generator every draw comes from, in order (stage 1 may be
-        #: drawn by the caller: see :meth:`faulty_flit_errors`).
-        self.rng = rng
+        self._rng = rng
+        # Uniforms drawn ahead by `uniform`, the next one last, and the
+        # bit generator's state from just before they were drawn.
+        self._block: list[float] = []
+        self._state_at_fill: dict | None = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator every draw comes from, positioned as if each
+        :meth:`uniform` so far had been one scalar ``random()``.
+
+        Uniforms drawn ahead but not yet handed out are undrawn first:
+        the state saved at the fill is restored, the ones that *were*
+        handed out are drawn again, and the block is dropped (the next
+        :meth:`uniform` fills a fresh one from wherever the caller leaves
+        the generator).  Works for any bit generator.
+        """
+        rng = self._rng
+        if self._block:
+            rng.bit_generator.state = self._state_at_fill
+            rng.random(UNIFORM_BLOCK - len(self._block))
+            self._block = []
+        return rng
+
+    def uniform(self) -> float:
+        """The next uniform of the stream: the value ``rng.random()`` would
+        return here, read from a block drawn :data:`UNIFORM_BLOCK` ahead."""
+        try:
+            return self._block.pop()
+        except IndexError:  # spent (or dropped by `rng`): draw the next block
+            rng = self._rng
+            self._state_at_fill = rng.bit_generator.state
+            block = self._block = rng.random(UNIFORM_BLOCK).tolist()
+            block.reverse()
+            return block.pop()
 
     def flit_fault_probability(self, bit_error_rate: float) -> float:
         """Eq. 3: P(faulty flit) = 1 - (1 - Re)^n."""
@@ -105,7 +155,7 @@ class ErrorSampler:
             return 0
         if p_fault is None:
             p_fault = self.flit_fault_probability(bit_error_rate)
-        if self.rng.random() >= p_fault:
+        if self.uniform() >= p_fault:
             return 0
         return self.faulty_flit_errors(bit_error_rate)
 
@@ -115,14 +165,15 @@ class ErrorSampler:
 
         Either a multi-bit burst or independent flips (Binomial
         conditioned on >= 1, by rejection; acceptance is ~certain to need
-        one draw at tiny rates).  The network draws stage 1 itself, per
-        hop, from :attr:`rng` against its memoised Eq. 3 probability.
+        one draw at tiny rates).  The network takes stage 1 itself, per
+        hop, from :meth:`uniform` against its memoised Eq. 3 probability.
         """
-        if self.multi_bit_fraction and self.rng.random() < self.multi_bit_fraction:
-            burst = 2 + int(self.rng.poisson(self.burst_extra_bits_mean))
+        rng = self.rng  # re-positioned: these draws follow stage 1's
+        if self.multi_bit_fraction and rng.random() < self.multi_bit_fraction:
+            burst = 2 + int(rng.poisson(self.burst_extra_bits_mean))
             return min(burst, self.flit_bits)
         while True:
-            count = int(self.rng.binomial(self.flit_bits, bit_error_rate))
+            count = int(rng.binomial(self.flit_bits, bit_error_rate))
             if count >= 1:
                 return min(count, self.flit_bits)
 

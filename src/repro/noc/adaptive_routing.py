@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.noc.routing import Direction, xy_route
+from repro.noc.routing import EAST, LOCAL, NORTH, SOUTH, WEST, Direction, xy_route
 
 
 def west_first_candidates(current: int, dst: int, width: int) -> list[Direction]:
@@ -33,18 +33,18 @@ def west_first_candidates(current: int, dst: int, width: int) -> list[Direction]
     ['EAST', 'NORTH']
     """
     if current == dst:
-        return [Direction.LOCAL]
+        return [LOCAL]
     cx, cy = current % width, current // width
     dx, dy = dst % width, dst // width
     if dx < cx:
-        return [Direction.WEST]
+        return [WEST]
     candidates = []
     if dx > cx:
-        candidates.append(Direction.EAST)
+        candidates.append(EAST)
     if dy > cy:
-        candidates.append(Direction.NORTH)
+        candidates.append(NORTH)
     elif dy < cy:
-        candidates.append(Direction.SOUTH)
+        candidates.append(SOUTH)
     return candidates
 
 
@@ -78,7 +78,7 @@ def select_output(
     best = None
     best_key = None
     for direction in candidates:
-        if direction is Direction.LOCAL:
+        if direction is LOCAL:
             return direction
         key = (not neighbor_failed(direction), free_slots(direction))
         if best_key is None or key > best_key:

@@ -15,7 +15,15 @@ exactly the mesh's turn rules, so deadlock freedom carries over unchanged.
 from __future__ import annotations
 
 from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS
-from repro.noc.routing import MESH_DIRECTIONS, Direction
+from repro.noc.routing import (
+    EAST,
+    LOCAL,
+    MESH_DIRECTIONS,
+    NORTH,
+    SOUTH,
+    WEST,
+    Direction,
+)
 from repro.noc.topology import Topology, register_topology
 
 #: concentration -> (tile width, tile height) in nodes.
@@ -51,7 +59,7 @@ class CMeshTopology(Topology):
         self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
         # Slot 0 ejects via LOCAL; slot s >= 1 via port 4 + s.
         self._slot_ports = tuple(
-            Direction.LOCAL if s == 0 else 4 + s for s in range(concentration)
+            LOCAL if s == 0 else 4 + s for s in range(concentration)
         )
         self._ejection = frozenset(self._slot_ports)
 
@@ -76,13 +84,13 @@ class CMeshTopology(Topology):
     def neighbor(self, router: int, direction: Direction) -> int | None:
         """Neighbor on the router grid, or None at an edge."""
         x, y = self.router_coordinates(router)
-        if direction is Direction.EAST:
+        if direction is EAST:
             return router + 1 if x < self.router_width - 1 else None
-        if direction is Direction.WEST:
+        if direction is WEST:
             return router - 1 if x > 0 else None
-        if direction is Direction.NORTH:
+        if direction is NORTH:
             return router + self.router_width if y < self.router_height - 1 else None
-        if direction is Direction.SOUTH:
+        if direction is SOUTH:
             return router - self.router_width if y > 0 else None
         raise ValueError("local ports have no neighbor")
 

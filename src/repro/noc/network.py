@@ -24,9 +24,14 @@ from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.channels.mfac import Channel, ChannelFunction
-from repro.config import ControlPolicy, EccScheme, SimulationConfig
-from repro.ecc.outcomes import DecodeOutcome, ErrorSampler, decode_outcome
+from repro.channels.mfac import CHANNEL_RELAXED, Channel
+from repro.config import ECC_CRC, EccScheme, SimulationConfig
+from repro.ecc.outcomes import (
+    OUTCOME_CORRECTED,
+    OUTCOME_RETRANSMIT,
+    ErrorSampler,
+    decode_outcome,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.control.policies import ModePolicy
@@ -45,11 +50,16 @@ from repro.faults.scenario import (
 from repro.faults.thermal import ThermalModel
 from repro.faults.transient import TransientFaultModel
 from repro.noc.flit import Flit, Packet
-from repro.noc.power_gating import PowerState
+from repro.noc.power_gating import (
+    POWER_DRAINING,
+    POWER_GATED,
+    POWER_ON,
+    POWER_WAKING,
+)
 from repro.noc.router import Router
 from repro.noc.statistics import NetworkStatistics
 from repro.noc.topology import build_topology
-from repro.noc.vc import VcState
+from repro.noc.vc import VC_IDLE
 from repro.power.accounting import EnergyAccountant
 from repro.power.model import PowerModel
 from repro.traffic.injection import SourceQueue
@@ -455,7 +465,7 @@ class Network:
             lap("trace.admit")
         for router in self.routers:
             state = router.gating.state
-            if state is PowerState.WAKING or state is PowerState.DRAINING:
+            if state is POWER_WAKING or state is POWER_DRAINING:
                 router.gating.tick(cycle, router.is_empty())
         if lap is not None:
             lap("gating.tick")
@@ -518,7 +528,7 @@ class Network:
         src = channel.src
         relaxed = (
             self.routers[src].relaxed_timing
-            or channel.function is ChannelFunction.RELAXED
+            or channel.function is CHANNEL_RELAXED
         )
         memo = self._hop_rates[relaxed]
         rates = memo[src]
@@ -554,16 +564,16 @@ class Network:
         # The memo of `_hop_error_rates`, read in place (it fills a miss).
         rates = self._hop_rates[
             self.routers[src].relaxed_timing
-            or channel.function is ChannelFunction.RELAXED
+            or channel.function is CHANNEL_RELAXED
         ][src]
         if rates is None:
             rates = self._hop_error_rates(channel)
         rate, p_fault = rates
         # `ErrorSampler.sample_bit_errors(rate, p_fault)` with its first
-        # stage in line: one uniform per hop, the sampler only for the
-        # rare faulty flit.
+        # stage in line: one uniform per hop (the next of the sampler's
+        # pre-drawn block), stage 2 only for the rare faulty flit.
         sampler = self.sampler
-        if rate <= 0.0 or sampler.rng.random() >= p_fault:
+        if rate <= 0.0 or sampler.uniform() >= p_fault:
             return 0
         return sampler.faulty_flit_errors(rate)
 
@@ -575,12 +585,12 @@ class Network:
                 continue  # scenario outage: flits are held, not lost
             dst_router = self.routers[channel.dst]
             state = dst_router.gating.state
-            if state is PowerState.GATED:
+            if state is POWER_GATED:
                 if dst_router.technique.uses_bypass:
                     continue  # the bypass switch pulls from the channel itself
                 dst_router.gating.request_wakeup(cycle)
                 continue
-            if state is PowerState.WAKING:
+            if state is POWER_WAKING:
                 continue
             # A DRAINING router must keep accepting flits of packets it is
             # already carrying: refusing them deadlocks the drain (those
@@ -591,7 +601,7 @@ class Network:
                 channel,
                 dst_router,
                 cycle,
-                continuing_only=state is PowerState.DRAINING,
+                continuing_only=state is POWER_DRAINING,
             )
 
     def _deliver_into(
@@ -614,8 +624,10 @@ class Network:
         record_error_class = dst_router.counters.record_error_class
         upstream = self.routers[channel.src]
         ecc = upstream.ecc
-        # A gated upstream's encoder is off: its hops ride on the CRC.
-        per_hop = ecc.per_hop and upstream.gating.powered
+        # A gated upstream's encoder is off: its hops ride on the CRC
+        # (``ecc.per_hop and upstream.gating.powered``).
+        state = upstream.gating.state
+        per_hop = ecc.per_hop and (state is POWER_ON or state is POWER_DRAINING)
         queue = channel.queue
         budget = channel.bandwidth
         blocked_vcs = 0  # a bit per VC
@@ -645,14 +657,14 @@ class Network:
             if errors:
                 if per_hop:
                     outcome = decode_outcome(ecc.scheme, errors)
-                    if outcome is DecodeOutcome.RETRANSMIT:
+                    if outcome is OUTCOME_RETRANSMIT:
                         # The replay re-enters at the front, behind the
                         # walk; it preserves VC order.
                         self._hop_retransmit(channel, entry, cycle)
                         blocked_vcs |= vc_bit
                         index += 1
                         continue
-                    if outcome is DecodeOutcome.CORRECTED:
+                    if outcome is OUTCOME_CORRECTED:
                         self.stats.corrected_flits += 1
                     else:  # SILENT
                         flit.bit_errors += errors
@@ -684,13 +696,12 @@ class Network:
     def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
         uses_bypass = self.technique.uses_bypass
-        gated, waking, on = PowerState.GATED, PowerState.WAKING, PowerState.ON
         for router, sources in zip(self.routers, self._router_locals):
             if router.dead:
                 continue
             gating = router.gating
             state = gating.state
-            if state is gated:
+            if state is POWER_GATED:
                 # Whether the gated router can do anything this cycle
                 # (never, without a bypass: it waits for its wakeup).  With
                 # nothing queued toward it and no local source holding a
@@ -722,7 +733,7 @@ class Network:
                     self.stats.bypass_traversals += 1
                 if lap is not None:
                     lap("router.bypass")
-            elif state is not waking:
+            elif state is not POWER_WAKING:
                 router.step(cycle, lap)
             if power_gating:
                 # Idle detector.  CP/CPD gate on idleness and pay a wakeup;
@@ -730,7 +741,7 @@ class Network:
                 # bypass keeps forwarding sporadic flits without waking the
                 # router.  The detector only counts while ON, so nothing is
                 # computed for it in any other state.
-                if gating.state is on:
+                if gating.state is POWER_ON:
                     # `Router.is_idle()` and every local source empty.
                     idle = not (
                         router._flit_count
@@ -761,11 +772,11 @@ class Network:
             router = self.routers[self._node_router[node]]
             in_port = self._node_port[node]
             state = router.gating.state
-            if state is PowerState.GATED:
+            if state is POWER_GATED:
                 if not router.technique.uses_bypass:
                     router.gating.request_wakeup(cycle)
                 continue  # bypass injection happened in phase 3
-            if state in (PowerState.DRAINING, PowerState.WAKING):
+            if state is POWER_DRAINING or state is POWER_WAKING:
                 continue
             flit = source.peek()
             if flit is None:
@@ -815,8 +826,8 @@ class Network:
         packet.flits_ejected += 1
         self.stats.flits_ejected_total += 1
         if flit.bit_errors:
-            outcome = decode_outcome(EccScheme.CRC, flit.bit_errors)
-            if outcome is DecodeOutcome.RETRANSMIT:
+            outcome = decode_outcome(ECC_CRC, flit.bit_errors)
+            if outcome is OUTCOME_RETRANSMIT:
                 packet.needs_retry = True
             else:  # beyond the CRC's guaranteed detection: silent corruption
                 packet.corrupted = True
@@ -1053,7 +1064,7 @@ class Network:
                         router.bst.clear(port.direction, vci)
                         vc.close_packet()
                         port.unclaim(vci)
-                    elif removed and not vc.queue and vc.state is not VcState.IDLE:
+                    elif removed and not vc.queue and vc.state is not VC_IDLE:
                         # Head never reached VC allocation: no BST entry,
                         # no downstream claim — just reset the VC.
                         vc.close_packet()
@@ -1072,20 +1083,23 @@ class Network:
         dt = epoch / freq
         for rid, router in enumerate(self.routers):
             powered, gated = router.gating.close_epoch(now)
-            leak_on = self.power_model.router_leakage_mw(True, router.ecc.scheme)
-            leak_off = self.power_model.router_leakage_mw(False, router.ecc.scheme)
+            scheme = router.ecc.scheme
             if powered:
+                leak_on = self.power_model.router_leakage_mw(True, scheme)
                 self.accountant.add_static(rid, leak_on, powered)
             if gated:
+                leak_off = self.power_model.router_leakage_mw(False, scheme)
                 self.accountant.add_static(rid, leak_off, gated)
-            # Occupancy sample for the RL buffer-utilization features.
+            # Occupancy sample for the RL buffer-utilization features.  A
+            # router holding nothing would add 0.0 to every port's sum.
             ctr = self.stats.routers[rid]
-            for p in self.topology.ports:
-                port = router.input_ports[p]
-                cap = port.total_capacity()
-                ctr.occupancy_samples[int(p)] += (
-                    port.total_occupancy() / cap if cap else 0.0
-                )
+            if not router.is_empty():
+                for p in self.topology.ports:
+                    port = router.input_ports[p]
+                    cap = port.total_capacity()
+                    ctr.occupancy_samples[int(p)] += (
+                        port.total_occupancy() / cap if cap else 0.0
+                    )
             ctr.num_occupancy_samples += 1
             self.stats.record_mode_cycles(router.mode, epoch)
             # Aging: full stress while powered, residual calendar wear

@@ -19,12 +19,12 @@ as a whole is deadlock-free with ``num_vcs >= 2``.
 
 from __future__ import annotations
 
-from repro.noc.routing import Direction
+from repro.noc.routing import EAST, LOCAL, WEST, Direction
 from repro.noc.topology import Topology, register_topology
 
 #: The two loop directions: EAST is the clockwise loop, WEST the
 #: counter-clockwise one.
-RING_DIRECTIONS = (Direction.EAST, Direction.WEST)
+RING_DIRECTIONS = (EAST, WEST)
 
 
 class RingTopology(Topology):
@@ -39,7 +39,7 @@ class RingTopology(Topology):
         self.width = width
         self.height = height
         self.routing = "xy"
-        self._ejection = frozenset({Direction.LOCAL})
+        self._ejection = frozenset({LOCAL})
 
     @property
     def num_routers(self) -> int:
@@ -51,14 +51,14 @@ class RingTopology(Topology):
 
     @property
     def ports(self) -> tuple[int, ...]:
-        return (Direction.LOCAL, Direction.EAST, Direction.WEST)
+        return (LOCAL, EAST, WEST)
 
     def neighbor(self, router: int, direction: Direction) -> int:
         self._check(router)
         n = self.num_routers
-        if direction is Direction.EAST:
+        if direction is EAST:
             return (router + 1) % n
-        if direction is Direction.WEST:
+        if direction is WEST:
             return (router - 1) % n
         raise ValueError(f"ring has no {Direction(direction).name} port")
 
@@ -79,18 +79,18 @@ class RingTopology(Topology):
 
     def injection_port(self, node: int) -> int:
         self._check_node(node)
-        return Direction.LOCAL
+        return LOCAL
 
     def ejection_ports(self, router: int) -> frozenset[int]:
         return self._ejection
 
     def route_candidates(self, current: int, dst_node: int) -> list[int]:
         if current == dst_node:
-            return [Direction.LOCAL]
+            return [LOCAL]
         n = self.num_routers
         clockwise = (dst_node - current) % n
         counter = (current - dst_node) % n
-        return [Direction.EAST if clockwise <= counter else Direction.WEST]
+        return [EAST if clockwise <= counter else WEST]
 
     def distance(self, src_node: int, dst_node: int) -> int:
         n = self.num_routers
@@ -100,9 +100,9 @@ class RingTopology(Topology):
     def next_vc_class(self, router: int, out_port: int, current: int) -> int:
         crossed = current % 2
         n = self.num_routers
-        if out_port == Direction.EAST and router == n - 1:
+        if out_port == EAST and router == n - 1:
             crossed = 1
-        elif out_port == Direction.WEST and router == 0:
+        elif out_port == WEST and router == 0:
             crossed = 1
         return crossed
 

@@ -22,18 +22,38 @@ from typing import TYPE_CHECKING
 
 from repro.channels.controller import MfacController
 from repro.channels.flow_control import CongestionControlBlock
-from repro.channels.mfac import Channel, ChannelFunction, InboundCounter
-from repro.config import ControlPolicy, EccScheme, PowerConfig, TechniqueConfig
+from repro.channels.mfac import CHANNEL_RETRANSMISSION, Channel, InboundCounter
+from repro.config import (
+    ECC_CRC,
+    ECC_DECTED,
+    ECC_SECDED,
+    POLICY_HEURISTIC,
+    POLICY_RL,
+    PowerConfig,
+    TechniqueConfig,
+)
 from repro.ecc.adaptive import AdaptiveEccUnit
 from repro.noc.adaptive_routing import select_output
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.bst import BufferStateTable
 from repro.noc.flit import Flit
-from repro.noc.power_gating import PowerGatingController, PowerState
-from repro.noc.routing import Direction
+from repro.noc.power_gating import (
+    POWER_DRAINING,
+    POWER_GATED,
+    POWER_ON,
+    PowerGatingController,
+)
+from repro.noc.routing import LOCAL
 from repro.noc.statistics import RouterEpochCounters
 from repro.noc.topology import Topology
-from repro.noc.vc import InputPort, VcState, VirtualChannel
+from repro.noc.vc import (
+    VC_ACTIVE,
+    VC_IDLE,
+    VC_ROUTING,
+    VC_WAITING_VA,
+    InputPort,
+    VirtualChannel,
+)
 from repro.power.model import PowerModel
 
 if TYPE_CHECKING:
@@ -42,11 +62,11 @@ if TYPE_CHECKING:
 # Operation-mode -> per-hop ECC scheme (Section 4). Mode 0/1 leave only the
 # end-to-end CRC; mode 4 keeps SECDED active under relaxed timing.
 MODE_SCHEME = {
-    0: EccScheme.CRC,
-    1: EccScheme.CRC,
-    2: EccScheme.SECDED,
-    3: EccScheme.DECTED,
-    4: EccScheme.SECDED,
+    0: ECC_CRC,
+    1: ECC_CRC,
+    2: ECC_SECDED,
+    3: ECC_DECTED,
+    4: ECC_SECDED,
 }
 
 
@@ -97,10 +117,10 @@ class Router:
         # A flit hop costs this plus the active scheme's ``ecc.codec_pj``
         # (the sum is ``PowerModel.hop_energy_pj`` of that scheme).
         self._hop_base_pj = self.power_model.hop_energy_pj(
-            EccScheme.CRC, via_bypass=False
+            ECC_CRC, via_bypass=False
         )
         self._bypass_base_pj = self.power_model.hop_energy_pj(
-            EccScheme.CRC, via_bypass=True
+            ECC_CRC, via_bypass=True
         )
         self.gating = PowerGatingController(
             technique.wakeup_latency,
@@ -167,7 +187,8 @@ class Router:
 
     @property
     def _adaptive(self) -> bool:
-        return self.technique.policy in (ControlPolicy.HEURISTIC, ControlPolicy.RL)
+        policy = self.technique.policy
+        return policy is POLICY_HEURISTIC or policy is POLICY_RL
 
     def finish_wiring(self) -> None:
         """Called by the network once channels and neighbors are attached."""
@@ -215,7 +236,7 @@ class Router:
         if mode == 0:
             self.gating.request_gate(cycle, self.is_empty())
         elif (
-            self.gating.state is PowerState.GATED
+            self.gating.state is POWER_GATED
             and self.technique.uses_bypass
             and self.is_idle()
         ):
@@ -246,12 +267,12 @@ class Router:
         port = self.input_ports[direction]
         vc = port.vcs[flit.vc]
         if flit.is_head:
-            if vc.state is not VcState.IDLE:
+            if vc.state is not VC_IDLE:
                 raise RuntimeError(
                     f"router {self.id}: head arrived at busy VC "
                     f"{self.topology.port_name(direction)}/{flit.vc}"
                 )
-        elif vc.state is VcState.IDLE:
+        elif vc.state is VC_IDLE:
             # Body flit whose head traversed while this router was gated:
             # restore wormhole state from the always-on BST.
             entry = self.bst.lookup(direction, flit.vc)
@@ -262,7 +283,7 @@ class Router:
                 )
             vc.route = entry.output_port
             vc.out_vc = entry.out_vc
-            vc.state = VcState.ACTIVE
+            vc.state = VC_ACTIVE
         vc.push(flit, cycle)
         self._flit_count += 1
         self._occupied_vcs |= self._slot_bit[direction] << flit.vc
@@ -281,8 +302,11 @@ class Router:
         same cycle they become eligible, per the stage delays).  *lap* is
         the network's step-profiler probe (None on un-sampled steps).
         """
-        if self._flit_count == 0 or not self.gating.powered:
+        if self._flit_count == 0:
             return
+        state = self.gating.state
+        if state is not POWER_ON and state is not POWER_DRAINING:
+            return  # not ``gating.powered``
         va_requests, active = self._scan_pipeline(cycle)
         if lap is not None:
             lap("router.rc_scan")
@@ -312,15 +336,15 @@ class Router:
             slot = slots[lowest.bit_length() - 1]
             vc = slot[2]
             state = vc.state
-            if state is VcState.ACTIVE:
+            if state is VC_ACTIVE:
                 active.append(slot)
                 continue
-            if state is VcState.ROUTING:
+            if state is VC_ROUTING:
                 flit, enq = vc.queue[0]
                 if cycle >= enq + 1:
                     vc.route = self.compute_route(flit.packet.dst)
-                    vc.state = state = VcState.WAITING_VA
-            if state is VcState.WAITING_VA:
+                    vc.state = state = VC_WAITING_VA
+            if state is VC_WAITING_VA:
                 if self.degraded and self._route_unserviceable(vc.route):
                     if not self._reroute_or_drop(vc):
                         continue  # dropped: the sweep excises it
@@ -343,7 +367,7 @@ class Router:
                 if out_vc is None:
                     continue  # no downstream VC free; retry next cycle
                 vc.out_vc = out_vc
-            vc.state = VcState.ACTIVE
+            vc.state = VC_ACTIVE
             self.bst.record(port.direction, vci, route, vc.out_vc, owner=packet)
             active.append(slot)
 
@@ -449,14 +473,14 @@ class Router:
         channel.send(
             flit,
             cycle,
-            channel.function is ChannelFunction.RETRANSMISSION,  # keep a copy
+            channel.function is CHANNEL_RETRANSMISSION,  # keep a copy
             ecc.hop_latency,
         )
         # Lookahead wakeup: power-gating designs signal the downstream
         # router as the flit leaves the switch, overlapping the wakeup
         # latency with the link traversal (no-op unless gated+bypassless).
         downstream = self.downstream_routers.get(route)
-        if downstream is not None and downstream.gating.state is PowerState.GATED:
+        if downstream is not None and downstream.gating.state is POWER_GATED:
             downstream.gating.request_wakeup(cycle)
         if channel.is_wire and ecc.per_hop:
             # Baseline SECDED: the copy occupies this VC until the ACK.
@@ -512,7 +536,7 @@ class Router:
         watchdog fires (:meth:`bypass_overloaded`; nothing is arbitrated
         and no source is touched), else True when a flit moved.
         """
-        if self.gating.state is not PowerState.GATED or not self.technique.uses_bypass:
+        if self.gating.state is not POWER_GATED or not self.technique.uses_bypass:
             return False
         # One walk over the incoming channels counts the congested ones
         # and raises the request lines, a bit per port: a channel asks
@@ -724,7 +748,7 @@ class Router:
         out_channel.send(
             flit,
             cycle,
-            keep_copy=out_channel.function is ChannelFunction.RETRANSMISSION,
+            keep_copy=out_channel.function is CHANNEL_RETRANSMISSION,
         )
         if flit.is_tail:
             self._bypass_close(in_port, in_vc)
@@ -733,11 +757,11 @@ class Router:
         self.bst.clear(in_dir, in_vc)
         port = self.input_ports[in_dir]
         vc = port.vcs[in_vc]
-        if vc.state is not VcState.IDLE and not vc.queue:
+        if vc.state is not VC_IDLE and not vc.queue:
             vc.close_packet()
         port.unclaim(in_vc)
 
-    def _bypass_inject(self, cycle: int, source, port: int = Direction.LOCAL) -> bool:
+    def _bypass_inject(self, cycle: int, source, port: int = LOCAL) -> bool:
         flit = source.peek()
         if flit is None:
             return False

@@ -30,8 +30,17 @@ _OPPOSITE = {
     Direction.SOUTH: Direction.NORTH,
 }
 
+# The members, bound once: route functions run per head flit, and a
+# module-level name is a fraction of the cost of ``Direction.EAST`` (see
+# the note in `repro.noc.power_gating`).
+LOCAL = Direction.LOCAL
+EAST = Direction.EAST
+WEST = Direction.WEST
+NORTH = Direction.NORTH
+SOUTH = Direction.SOUTH
+
 NUM_PORTS = 5
-MESH_DIRECTIONS = (Direction.EAST, Direction.WEST, Direction.NORTH, Direction.SOUTH)
+MESH_DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
 
 
 def xy_route(current: int, dst: int, width: int) -> Direction:
@@ -45,16 +54,16 @@ def xy_route(current: int, dst: int, width: int) -> Direction:
     <Direction.NORTH: 3>
     """
     if current == dst:
-        return Direction.LOCAL
+        return LOCAL
     cx, cy = current % width, current // width
     dx, dy = dst % width, dst // width
     if cx < dx:
-        return Direction.EAST
+        return EAST
     if cx > dx:
-        return Direction.WEST
+        return WEST
     if cy < dy:
-        return Direction.NORTH
-    return Direction.SOUTH
+        return NORTH
+    return SOUTH
 
 
 def hop_count(src: int, dst: int, width: int) -> int:

@@ -29,7 +29,16 @@ import abc
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS
-from repro.noc.routing import MESH_DIRECTIONS, Direction, hop_count
+from repro.noc.routing import (
+    EAST,
+    LOCAL,
+    MESH_DIRECTIONS,
+    NORTH,
+    SOUTH,
+    WEST,
+    Direction,
+    hop_count,
+)
 
 if TYPE_CHECKING:
     from repro.config import NocConfig
@@ -166,7 +175,7 @@ class MeshTopology(Topology):
         self.height = height
         self.routing = routing
         self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
-        self._ejection = frozenset({Direction.LOCAL})
+        self._ejection = frozenset({LOCAL})
 
     @property
     def num_routers(self) -> int:
@@ -193,13 +202,13 @@ class MeshTopology(Topology):
         """Neighbor id in *direction*, or None at a mesh edge."""
         self._check(router)
         x, y = self.coordinates(router)
-        if direction is Direction.EAST:
+        if direction is EAST:
             return router + 1 if x < self.width - 1 else None
-        if direction is Direction.WEST:
+        if direction is WEST:
             return router - 1 if x > 0 else None
-        if direction is Direction.NORTH:
+        if direction is NORTH:
             return router + self.width if y < self.height - 1 else None
-        if direction is Direction.SOUTH:
+        if direction is SOUTH:
             return router - self.width if y > 0 else None
         raise ValueError("LOCAL has no neighbor")
 
@@ -223,7 +232,7 @@ class MeshTopology(Topology):
 
     def injection_port(self, node: int) -> int:
         self._check_node(node)
-        return Direction.LOCAL
+        return LOCAL
 
     def ejection_ports(self, router: int) -> frozenset[int]:
         return self._ejection

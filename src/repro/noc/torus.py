@@ -15,7 +15,15 @@ deadlock-free; this is why ``NocConfig`` requires ``num_vcs >= 2`` here.
 
 from __future__ import annotations
 
-from repro.noc.routing import MESH_DIRECTIONS, Direction
+from repro.noc.routing import (
+    EAST,
+    LOCAL,
+    MESH_DIRECTIONS,
+    NORTH,
+    SOUTH,
+    WEST,
+    Direction,
+)
 from repro.noc.topology import Topology, register_topology
 
 
@@ -31,7 +39,7 @@ class TorusTopology(Topology):
         self.width = width
         self.height = height
         self.routing = "xy"
-        self._ejection = frozenset({Direction.LOCAL})
+        self._ejection = frozenset({LOCAL})
 
     @property
     def num_routers(self) -> int:
@@ -52,13 +60,13 @@ class TorusTopology(Topology):
     def neighbor(self, router: int, direction: Direction) -> int:
         """Neighbor id in *direction* — always defined on a torus."""
         x, y = self.coordinates(router)
-        if direction is Direction.EAST:
+        if direction is EAST:
             return y * self.width + (x + 1) % self.width
-        if direction is Direction.WEST:
+        if direction is WEST:
             return y * self.width + (x - 1) % self.width
-        if direction is Direction.NORTH:
+        if direction is NORTH:
             return ((y + 1) % self.height) * self.width + x
-        if direction is Direction.SOUTH:
+        if direction is SOUTH:
             return ((y - 1) % self.height) * self.width + x
         raise ValueError("LOCAL has no neighbor")
 
@@ -79,23 +87,23 @@ class TorusTopology(Topology):
 
     def injection_port(self, node: int) -> int:
         self._check_node(node)
-        return Direction.LOCAL
+        return LOCAL
 
     def ejection_ports(self, router: int) -> frozenset[int]:
         return self._ejection
 
     def route_candidates(self, current: int, dst_node: int) -> list[int]:
         if current == dst_node:
-            return [Direction.LOCAL]
+            return [LOCAL]
         cx, cy = self.coordinates(current)
         dx, dy = self.coordinates(dst_node)
         if cx != dx:
             east = (dx - cx) % self.width
             west = (cx - dx) % self.width
-            return [Direction.EAST if east <= west else Direction.WEST]
+            return [EAST if east <= west else WEST]
         north = (dy - cy) % self.height
         south = (cy - dy) % self.height
-        return [Direction.NORTH if north <= south else Direction.SOUTH]
+        return [NORTH if north <= south else SOUTH]
 
     def distance(self, src_node: int, dst_node: int) -> int:
         sx, sy = self.coordinates(src_node)
@@ -105,17 +113,17 @@ class TorusTopology(Topology):
         return min(ax, self.width - ax) + min(ay, self.height - ay)
 
     def next_vc_class(self, router: int, out_port: int, current: int) -> int:
-        dim = 0 if out_port in (Direction.EAST, Direction.WEST) else 1
+        dim = 0 if out_port == EAST or out_port == WEST else 1
         crossed = current % 2 if current // 2 == dim else 0
         x, y = self.coordinates(router)
         # The dateline is the wrap link of each dimension's ring.
-        if out_port == Direction.EAST and x == self.width - 1:
+        if out_port == EAST and x == self.width - 1:
             crossed = 1
-        elif out_port == Direction.WEST and x == 0:
+        elif out_port == WEST and x == 0:
             crossed = 1
-        elif out_port == Direction.NORTH and y == self.height - 1:
+        elif out_port == NORTH and y == self.height - 1:
             crossed = 1
-        elif out_port == Direction.SOUTH and y == 0:
+        elif out_port == SOUTH and y == 0:
             crossed = 1
         return dim * 2 + crossed
 

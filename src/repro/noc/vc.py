@@ -26,6 +26,13 @@ class VcState(enum.Enum):
     ACTIVE = "active"  # output VC allocated, flits may traverse
 
 
+# The members, bound once (see the note in `repro.noc.power_gating`).
+VC_IDLE = VcState.IDLE
+VC_ROUTING = VcState.ROUTING
+VC_WAITING_VA = VcState.WAITING_VA
+VC_ACTIVE = VcState.ACTIVE
+
+
 class VirtualChannel:
     """One VC FIFO plus its wormhole state."""
 
@@ -36,7 +43,7 @@ class VirtualChannel:
             raise ValueError("VC depth must be at least one flit")
         self.depth = depth
         self.queue: deque[tuple[Flit, int]] = deque()
-        self.state = VcState.IDLE
+        self.state = VC_IDLE
         self.route: Direction | None = None
         self.out_vc: int | None = None
         self.reserved = 0  # slots held by unacked retransmission copies
@@ -57,9 +64,9 @@ class VirtualChannel:
             raise OverflowError("VC overflow: flow control must prevent this")
         self.queue.append((flit, cycle))
         if flit.is_head:
-            if self.state is not VcState.IDLE:
+            if self.state is not VC_IDLE:
                 raise RuntimeError("head flit arrived at a busy VC")
-            self.state = VcState.ROUTING
+            self.state = VC_ROUTING
 
     def pop(self) -> Flit:
         flit, _ = self.queue.popleft()
@@ -77,7 +84,7 @@ class VirtualChannel:
 
     def close_packet(self) -> None:
         """Tail departed: return to IDLE for the next packet."""
-        self.state = VcState.IDLE
+        self.state = VC_IDLE
         self.route = None
         self.out_vc = None
 
@@ -118,7 +125,7 @@ class InputPort:
         for i in indices:
             vc = self.vcs[i]
             if (
-                vc.state is VcState.IDLE
+                vc.state is VC_IDLE
                 and i not in self.claimed
                 and vc.reserved == 0
                 and len(vc.queue) < vc.depth

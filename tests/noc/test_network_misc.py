@@ -78,6 +78,96 @@ class TestEpochMachinery:
         after = net.thermal.mean_temperature()
         assert after > before  # heated by the burst
 
+    def test_stats_epoch_charges_what_the_full_formula_charges(self):
+        """`_stats_epoch` computes a leakage figure only for a non-zero
+        cycle count and walks the ports only of a router that holds
+        something.  Over three epochs of a half-loaded mesh, the static
+        energy, the occupancy sums and the epoch snapshot must be exactly
+        what the formula that computes everything (both leakage figures
+        and ten port sums per router) arrives at."""
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.config import INTELLINOC, SimulationConfig
+        from repro.noc.network import Network
+        from repro.traffic.trace import Trace
+
+        noc = replace(INTELLINOC.noc, width=4, height=4)
+        left = [node for node in range(16) if node % 4 < 2]  # the busy half
+        events = [
+            TraceEvent(cycle, src, left[(i + 3) % 8], 4)
+            for cycle in range(0, 300, 3)
+            for i, src in enumerate(left)
+        ]
+        config = SimulationConfig(
+            technique=replace(INTELLINOC, noc=noc), seed=3, faults=NO_FAULTS
+        )
+        net = Network(config, Trace(events))
+        per_cycle_pj = 1e-3 / config.power.clock_frequency_hz * 1e12
+        closed: dict[int, tuple[int, int]] = {}
+        snapshots = []
+        seen = {"walked": 0, "skipped": 0, "only_on": 0, "only_off": 0}
+
+        def recording_close(rid, real):
+            def close_epoch(cycle):
+                closed[rid] = real(cycle)
+                return closed[rid]
+            return close_epoch
+
+        for rid, router in enumerate(net.routers):
+            router.gating.close_epoch = recording_close(rid, router.gating.close_epoch)
+        close_accounts = net.accountant.close_epoch
+
+        def recording_snapshot(now):
+            snapshots.append(close_accounts(now))
+            return snapshots[-1]
+
+        net.accountant.close_epoch = recording_snapshot
+        stats_epoch = net._stats_epoch
+
+        def checked_epoch(now):
+            ports = net.topology.ports
+            static_before = net.accountant.static_pj.copy()
+            sums_before = [c.occupancy_samples.copy() for c in net.stats.routers]
+            shares = [
+                [
+                    router.input_ports[p].total_occupancy()
+                    / router.input_ports[p].total_capacity()
+                    for p in ports
+                ]
+                for router in net.routers
+            ]
+            schemes = [router.ecc.scheme for router in net.routers]
+            for router in net.routers:
+                seen["skipped" if router.is_empty() else "walked"] += 1
+            stats_epoch(now)
+            epoch_static = np.zeros(len(net.routers))
+            for rid in range(len(net.routers)):
+                powered, gated = closed[rid]
+                leak_on = net.power_model.router_leakage_mw(True, schemes[rid])
+                leak_off = net.power_model.router_leakage_mw(False, schemes[rid])
+                total = static_before[rid]
+                if powered:
+                    total += leak_on * (per_cycle_pj * powered)
+                    epoch_static[rid] += leak_on * (per_cycle_pj * powered)
+                if gated:
+                    total += leak_off * (per_cycle_pj * gated)
+                    epoch_static[rid] += leak_off * (per_cycle_pj * gated)
+                seen["only_on"] += not gated
+                seen["only_off"] += not powered
+                assert net.accountant.static_pj[rid] == total
+                sums = net.stats.routers[rid].occupancy_samples
+                for p in ports:
+                    assert sums[int(p)] == sums_before[rid][int(p)] + shares[rid][int(p)]
+            seconds = config.stats_epoch / config.power.clock_frequency_hz
+            assert np.array_equal(snapshots[-1].static_w, epoch_static * 1e-12 / seconds)
+
+        net._stats_epoch = checked_epoch
+        net.run(3 * config.stats_epoch)
+        assert len(snapshots) == 3
+        assert all(count >= 3 for count in seen.values()), seen
+
 
 class TestHopRateMemo:
     def test_memoised_rates_never_go_stale(self):
@@ -130,29 +220,40 @@ class TestHopRateMemo:
 
     @pytest.mark.parametrize("multi_bit_fraction", [0.0, 0.35], ids=["flips", "bursts"])
     def test_per_hop_draw_is_sample_bit_errors_draw_for_draw(self, multi_bit_fraction):
-        """The network draws stage 1 of `ErrorSampler.sample_bit_errors`
-        itself and calls `faulty_flit_errors` for a faulty flit: the same
-        5 000 outcomes as the sampler's own two-stage call from an equally
-        seeded stream, the same number of draws, the zero-rate shortcut
-        (no draw) included."""
+        """The network takes stage 1 of `ErrorSampler.sample_bit_errors`
+        from `uniform()` itself and calls `faulty_flit_errors` for a
+        faulty flit: the same 5 000 outcomes as the sampler's own two-stage
+        call from an equally seeded stream, the same number of draws, the
+        zero-rate shortcut (no draw) included — across many refills of the
+        uniform block, with faulty flits handing the generator back
+        mid-block."""
         from repro.channels.mfac import ChannelFunction
         from repro.config import INTELLINOC
-        from repro.ecc.outcomes import ErrorSampler
+        from repro.ecc.outcomes import UNIFORM_BLOCK, ErrorSampler
         from repro.utils.rng import RngFactory
+        from tests.ecc.test_uniform_block import ScalarTwin
 
         faults = FaultConfig(
             base_bit_error_rate=2e-2, multi_bit_fraction=multi_bit_fraction
         )
         net = make_network(INTELLINOC, seed=5, faults=faults)
-        reference = ErrorSampler(
-            net.technique.noc.flit_bits,
-            RngFactory(5).stream("faults"),
-            multi_bit_fraction=multi_bit_fraction,
-            burst_extra_bits_mean=faults.burst_extra_bits_mean,
+        # The definition, and the same draws written out scalar by scalar.
+        reference, scalar = (
+            sampler(
+                net.technique.noc.flit_bits,
+                RngFactory(5).stream("faults"),
+                multi_bit_fraction,
+                faults.burst_extra_bits_mean,
+            )
+            for sampler in (ErrorSampler, ScalarTwin)
         )
-        hot, quiet, slow_router, slow_link = (net.channels[i] for i in (3, 40, 80, 120))
-        assert len({c.src for c in (hot, quiet, slow_router, slow_link)}) == 4
+        hot, quiet, slow_router, slow_link, calm = (
+            net.channels[i] for i in (3, 40, 80, 120, 160)
+        )
+        assert len({c.src for c in (hot, quiet, slow_router, slow_link, calm)}) == 5
         net._hop_rates[False][quiet.src] = (0.0, 0.0)  # a link that cannot fail
+        # One that almost never does: a stretch of it reads whole blocks.
+        net._hop_rates[False][calm.src] = (1e-7, net.sampler.flit_fault_probability(1e-7))
         # Relaxed timing, by router mode and by MFAC function alone: the
         # other half of the memo (seeded hot, or nothing would show).
         net.routers[slow_router.src].apply_mode(4, 0)
@@ -165,14 +266,28 @@ class TestHopRateMemo:
             )
             net._hop_rates[False][channel.src] = (0.0, 0.0)  # decoy: wrong key
         cast = [quiet, hot, slow_router, hot, slow_link, hot, hot]
-        drawn, expected = [], []
+        drawn, expected, spelled_out = [], [], []
+        clean_run = longest_clean_run = 0  # stage-1 draws between faults
         for i in range(5_000):
-            channel = cast[i % 7]
+            channel = calm if 1_500 <= i < 2_500 else cast[i % 7]
             drawn.append(net._sample_channel_errors(channel))
-            expected.append(reference.sample_bit_errors(*net._hop_error_rates(channel)))
-        assert drawn == expected
-        assert 20 < sum(1 for errors in drawn if errors) < 1_000
+            rate, p_fault = net._hop_error_rates(channel)
+            expected.append(reference.sample_bit_errors(rate, p_fault))
+            spelled_out.append(scalar.sample_bit_errors(rate, p_fault))
+            if rate > 0.0:
+                clean_run = 0 if drawn[-1] else clean_run + 1
+                longest_clean_run = max(longest_clean_run, clean_run)
+        assert drawn == expected == spelled_out
+        faulty = sum(1 for errors in drawn if errors)
+        assert 20 < faulty < 1_000
         if multi_bit_fraction:
             assert sum(1 for errors in drawn if errors >= 2) > 20
-        assert net.sampler.rng.random() == reference.rng.random()  # streams in step
+        # Faults fall mid-block (each hands the generator back and drops
+        # the block), and the calm stretch reads three blocks and more to
+        # their ends, refilling with no fault between; the hops after it
+        # would show a stream that came out of those fills out of step.
+        assert longest_clean_run > 3 * UNIFORM_BLOCK
+        assert any(drawn[2_500:])
+        # Streams in step.
+        assert net.sampler.rng.random() == reference.rng.random() == scalar.rng.random()
 

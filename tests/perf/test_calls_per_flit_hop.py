@@ -13,8 +13,6 @@ move through bypass switches.
 import sys
 from dataclasses import replace
 
-import pytest
-
 from repro.config import INTELLINOC, SimulationConfig
 from repro.faults.scenario import FaultScenario, IntermittentLink, TransientBurst
 from repro.metrics.summary import RunMetrics
@@ -36,13 +34,6 @@ CYCLES = 300
 CALLS_PER_GATED_FLIT_MOVE_BUDGET = 45.5
 
 GATED_CYCLES = 1500
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_sanitizer(monkeypatch):
-    """REPRO_SANITIZE=1 attaches a checker to every Network; its calls are
-    not the loop's."""
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
 
 def small_busy_mesh() -> Network:
