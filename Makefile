@@ -3,11 +3,12 @@
 install:
 	pip install -e .
 
-# NoCSan whole-program pass (docs/analysis.md); mypy runs too when installed.
+# NoCSan whole-program pass (docs/analysis.md), by the command line CI's
+# `lint` job runs; mypy runs too when installed.
 lint:
 	PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks \
 		--exclude tests/analysis/fixtures \
-		--baseline lint-baseline.json --stats
+		--baseline lint-baseline.json --json nocsan.json --stats
 	@if python -c "import mypy" 2>/dev/null; then \
 		python -m mypy --strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry \
 		&& python -m mypy -p repro.analysis; \
@@ -103,5 +104,5 @@ examples:
 	python examples/fault_injection_study.py
 
 clean:
-	rm -rf results/*.txt .pytest_cache .benchmarks
+	rm -rf results/*.txt .pytest_cache .benchmarks nocsan.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

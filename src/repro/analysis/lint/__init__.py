@@ -6,9 +6,8 @@ v2 is a multi-pass, whole-program analyzer (see ``docs/analysis.md``):
   (:mod:`.dataflow`: RNG provenance NOC110/111, telemetry guards NOC404),
 * a project import-graph pass (:mod:`.project`: transitive layering
   NOC203, cycles NOC204),
-* a schema-contract pass (:mod:`.contracts`: NOC401–403),
-* infrastructure: a violation baseline (:mod:`.baseline`) and JSON/SARIF
-  emitters (:mod:`.emit`).
+* infrastructure: a violation baseline (:mod:`.baseline`) and the JSON
+  report (:mod:`.emit`).
 
 The v1 API (``lint_source``, ``lint_paths``, ``main``, ``RULES``,
 ``Violation``, ``LintReport``) is preserved; new callers should prefer
@@ -23,7 +22,7 @@ import os
 import sys
 
 from repro.analysis.lint.baseline import Baseline
-from repro.analysis.lint.emit import report_to_json, report_to_sarif
+from repro.analysis.lint.emit import report_to_json
 from repro.analysis.lint.engine import EngineReport, run_engine
 from repro.analysis.lint.filepass import analyze_source
 from repro.analysis.lint.rules import (
@@ -85,8 +84,6 @@ def add_cli_arguments(
                         help="rewrite --baseline from the current findings")
     parser.add_argument("--json", metavar="FILE", dest="json_out",
                         help="write a JSON report ('-' for stdout)")
-    parser.add_argument("--sarif", metavar="FILE", dest="sarif_out",
-                        help="write a SARIF 2.1.0 report ('-' for stdout)")
     parser.add_argument("--stats", action="store_true",
                         help="print runtime statistics to stderr")
     parser.set_defaults(default_excludes=list(default_excludes or []))
@@ -152,9 +149,6 @@ def run_cli(args: argparse.Namespace) -> int:
             baselined=baselined, stats=stats,
         )
         _write_report(json.dumps(payload, indent=2, sort_keys=True), args.json_out)
-    if args.sarif_out:
-        sarif = report_to_sarif(fresh, stats=stats)
-        _write_report(json.dumps(sarif, indent=2, sort_keys=True), args.sarif_out)
 
     for violation in fresh:
         print(violation.render())

@@ -1,26 +1,10 @@
-"""Report emitters: machine-readable JSON and SARIF 2.1.0.
-
-SARIF output targets the static-analysis interchange schema so CI can
-upload it as an artifact (or feed code-scanning UIs) without a custom
-adapter.  Only the required subset of the spec is emitted; a golden test
-validates it against the published 2.1.0 schema.
-"""
+"""Report emitter: the machine-readable JSON report behind ``--json``."""
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.lint.rules import LINT_VERSION, RULES, Violation
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-#: Rules whose hits are advisory in spirit (suppression hygiene); all
-#: others are correctness errors.
-_WARNING_RULES = frozenset({"NOC000"})
+from repro.analysis.lint.rules import LINT_VERSION, Violation
 
 
 def report_to_json(
@@ -46,64 +30,3 @@ def report_to_json(
     if stats is not None:
         payload["stats"] = stats
     return payload
-
-
-def report_to_sarif(
-    violations: list[Violation],
-    *,
-    stats: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """SARIF 2.1.0 log with one run and the full rule catalogue."""
-    rules = [
-        {
-            "id": rule,
-            "name": rule,
-            "shortDescription": {"text": text},
-            "defaultConfiguration": {
-                "level": "warning" if rule in _WARNING_RULES else "error",
-            },
-        }
-        for rule, text in sorted(RULES.items())
-    ]
-    rule_index = {rule["id"]: i for i, rule in enumerate(rules)}
-    results = [
-        {
-            "ruleId": violation.rule,
-            "ruleIndex": rule_index[violation.rule],
-            "level": "warning" if violation.rule in _WARNING_RULES else "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": violation.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": max(violation.line, 1),
-                            "startColumn": violation.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for violation in violations
-    ]
-    run: dict[str, Any] = {
-        "tool": {
-            "driver": {
-                "name": "NoCSan",
-                "version": LINT_VERSION,
-                "informationUri": "https://example.invalid/nocsan",
-                "rules": rules,
-            }
-        },
-        "results": results,
-        "columnKind": "utf16CodeUnits",
-    }
-    if stats is not None:
-        run["properties"] = {"stats": stats}
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [run],
-    }

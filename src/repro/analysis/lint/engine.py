@@ -4,7 +4,7 @@ passes stitched on top.
 Run shape::
 
     discover files -> analyze each (facts + file violations)
-    -> import-graph pass (NOC203/204) -> contract pass (NOC401-403)
+    -> import-graph pass (NOC203/204)
     -> noqa for project violations -> baseline filter -> report
 
 Every file is analyzed in process, in discovery order, on every run: the
@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 from repro.analysis.lint.filepass import FileAnalysis, FileFacts, analyze_source
 from repro.analysis.lint.rules import RULES, Violation, apply_noqa
-from repro.analysis.lint import contracts, project
+from repro.analysis.lint import project
 
 
 @dataclass
@@ -134,8 +134,7 @@ def run_engine(
     # findings (directives live in the file each violation anchors to).
     facts = [a.facts for a in ordered]
     by_path = {a.facts.path: a.facts for a in ordered}
-    program = project.check_project(facts) + contracts.check_contracts(facts)
-    for violation in program:
+    for violation in project.check_project(facts):
         anchor = by_path.get(violation.path)
         if anchor is None:
             violations.append(violation)

@@ -1,15 +1,14 @@
-"""Per-file pass: AST rules plus fact extraction for the project passes.
+"""Per-file pass: AST rules plus fact extraction for the project pass.
 
 One parse per file feeds three consumers:
 
 * the classic rule visitor (:class:`FileLinter`) — NOC10x/20x/30x,
 * the intra-file dataflow passes (:mod:`repro.analysis.lint.dataflow`) —
   RNG-stream provenance (NOC110/111) and telemetry guards (NOC404),
-* :class:`FileFacts` — imports, dataclass shapes, and the schema-evolution
-  registry literal, consumed by the whole-program passes
-  (:mod:`repro.analysis.lint.project`, :mod:`repro.analysis.lint.contracts`).
+* :class:`FileFacts` — the import edges the whole-program pass
+  (:mod:`repro.analysis.lint.project`) builds its graph from.
 
-Facts are plain data: the whole-program passes never see an AST.
+Facts are plain data: the whole-program pass never sees an AST.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from repro.analysis.lint import dataflow
 from repro.analysis.lint.rules import (
@@ -94,12 +92,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
      "Counter", "OrderedDict"}
 )
 
-#: Name of the schema-evolution registry in ``repro.config``.
-SCHEMA_REGISTRY_NAME = "_SCHEMA_EVOLUTION_DEFAULTS"
-
-#: Sentinel for defaults the checker cannot reduce to a literal.
-NON_LITERAL = "\x00non-literal"
-
 
 # --- facts -------------------------------------------------------------------
 
@@ -117,50 +109,12 @@ class ImportFact:
 
 
 @dataclass
-class FieldFact:
-    """One dataclass field declaration."""
-
-    name: str
-    lineno: int
-    col: int
-    has_default: bool
-    default: Any = NON_LITERAL  # literal value when statically evaluable
-    context: str = ""
-
-
-@dataclass
-class DataclassFact:
-    """One ``@dataclass`` declaration and its field shape."""
-
-    name: str
-    lineno: int
-    col: int
-    frozen: bool
-    fields: list[FieldFact] = field(default_factory=list)
-
-
-@dataclass
-class RegistryEntryFact:
-    """One ``_SCHEMA_EVOLUTION_DEFAULTS[cls][field]`` entry."""
-
-    cls: str
-    field_name: str
-    lineno: int
-    col: int
-    value: Any = NON_LITERAL
-    context: str = ""
-
-
-@dataclass
 class FileFacts:
-    """Everything the whole-program passes need to know about one file."""
+    """Everything the whole-program pass needs to know about one file."""
 
     path: str
     module: str
     imports: list[ImportFact] = field(default_factory=list)
-    dataclasses: list[DataclassFact] = field(default_factory=list)
-    registry: list[RegistryEntryFact] = field(default_factory=list)
-    has_registry: bool = False
     noqa: Directives = field(default_factory=dict)
     #: ``def``/``class`` header line -> the lines of its body
     scopes: dict[int, range] = field(default_factory=dict)
@@ -220,19 +174,6 @@ def _is_type_checking_test(node: ast.expr) -> bool:
     if isinstance(node, ast.Attribute):
         return node.attr == "TYPE_CHECKING"
     return False
-
-
-def _literal(node: ast.expr) -> Any:
-    """Evaluate *node* as a literal, or the NON_LITERAL sentinel."""
-    try:
-        value = ast.literal_eval(node)
-    except (ValueError, SyntaxError, TypeError, MemoryError):
-        return NON_LITERAL
-    if isinstance(value, (list, tuple, set, frozenset)):
-        value = list(value)
-    if isinstance(value, (str, int, float, bool, list, dict)) or value is None:
-        return value
-    return NON_LITERAL
 
 
 class _SetAttributeCollector(ast.NodeVisitor):
@@ -458,7 +399,6 @@ class FileLinter(ast.NodeVisitor):
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self.local_sets[-1][target.id] = True
-        self._check_registry(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -468,8 +408,6 @@ class FileLinter(ast.NodeVisitor):
                  or (node.value is not None and _is_set_expr(node.value)))
         ):
             self.local_sets[-1][node.target.id] = True
-        if node.value is not None:
-            self._check_registry([node.target], node.value)
         self.generic_visit(node)
 
     # --- scopes ----------------------------------------------------------------
@@ -500,7 +438,6 @@ class FileLinter(ast.NodeVisitor):
         self.class_set_attrs.append(dict.fromkeys(collector.set_attrs, True))
         self._record_scope(node)
         self._check_spec_frozen(node)
-        self._collect_dataclass(node)
         self.generic_visit(node)
         self.class_set_attrs.pop()
 
@@ -547,73 +484,6 @@ class FileLinter(ast.NodeVisitor):
         is_dc, frozen = self._dataclass_decorator(node)
         if is_dc and not frozen:
             self.report("NOC202", node, f"@dataclass(frozen=True) on {node.name}")
-
-    # --- dataclass + registry facts (for the contract pass) --------------------
-
-    def _collect_dataclass(self, node: ast.ClassDef) -> None:
-        is_dc, frozen = self._dataclass_decorator(node)
-        if not is_dc:
-            return
-        fact = DataclassFact(
-            name=node.name, lineno=node.lineno, col=node.col_offset,
-            frozen=frozen,
-        )
-        for stmt in node.body:
-            if not isinstance(stmt, ast.AnnAssign):
-                continue
-            if not isinstance(stmt.target, ast.Name):
-                continue
-            annotation = dotted(stmt.annotation) or ""
-            base = annotation
-            if isinstance(stmt.annotation, ast.Subscript):
-                base = dotted(stmt.annotation.value) or ""
-            if base.rsplit(".", 1)[-1] == "ClassVar":
-                continue
-            has_default = stmt.value is not None
-            default: Any = NON_LITERAL
-            if has_default and stmt.value is not None:
-                default = _literal(stmt.value)
-            fact.fields.append(FieldFact(
-                name=stmt.target.id,
-                lineno=stmt.lineno,
-                col=stmt.col_offset,
-                has_default=has_default,
-                default=default,
-                context=self._context(stmt),
-            ))
-        self.facts.dataclasses.append(fact)
-
-    def _check_registry(
-        self, targets: list[ast.expr], value: ast.expr
-    ) -> None:
-        """Collect ``_SCHEMA_EVOLUTION_DEFAULTS`` entries as facts."""
-        if self._func_depth:
-            return
-        named = any(
-            isinstance(t, ast.Name) and t.id == SCHEMA_REGISTRY_NAME
-            for t in targets
-        )
-        if not named or not isinstance(value, ast.Dict):
-            return
-        self.facts.has_registry = True
-        for cls_key, cls_value in zip(value.keys, value.values):
-            if not (isinstance(cls_key, ast.Constant)
-                    and isinstance(cls_key.value, str)):
-                continue
-            if not isinstance(cls_value, ast.Dict):
-                continue
-            for f_key, f_value in zip(cls_value.keys, cls_value.values):
-                if not (isinstance(f_key, ast.Constant)
-                        and isinstance(f_key.value, str)):
-                    continue
-                self.facts.registry.append(RegistryEntryFact(
-                    cls=cls_key.value,
-                    field_name=f_key.value,
-                    lineno=f_key.lineno,
-                    col=f_key.col_offset,
-                    value=_literal(f_value),
-                    context=self._context(f_key),
-                ))
 
     # --- safety (NOC301 + NOC302) ----------------------------------------------
 

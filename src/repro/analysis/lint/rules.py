@@ -7,8 +7,8 @@ The catalogue spans four families (full rationale in ``docs/analysis.md``):
 * **L — layering (NOC2xx)**: direct import rules plus the v2 project
   import-graph pass (NOC203 transitive layering, NOC204 cycles).
 * **S — safety (NOC3xx)**: bare except, float equality.
-* **C — contracts (NOC4xx)**: the v2 whole-program schema/telemetry
-  contract checkers.
+* **C — contracts (NOC4xx)**: the telemetry-guard and cycle-domain
+  clock checkers.
 
 Any rule is suppressible per line with ``# noqa: NOC### -- <reason>``;
 the reason is mandatory (a reasonless ``noqa`` is itself a violation,
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-#: Engine version; embedded in the JSON and SARIF reports.
+#: Engine version; embedded in the JSON report.
 LINT_VERSION = "2.1.0"
 
 RULES: dict[str, str] = {
@@ -42,9 +42,6 @@ RULES: dict[str, str] = {
     "NOC204": "top-level import cycle between repro modules",
     "NOC301": "bare `except:` clause",
     "NOC302": "float equality comparison in simulation logic",
-    "NOC401": "config field is not covered by the schema-evolution contract",
-    "NOC402": "_SCHEMA_EVOLUTION_DEFAULTS disagrees with the dataclass default",
-    "NOC403": "_SCHEMA_EVOLUTION_DEFAULTS references an unknown class or field",
     "NOC404": "unguarded telemetry instrument call in the simulator cycle domain",
     "NOC405": "clock reference in the cycle domain: route timing through "
               "repro.telemetry.simprof",

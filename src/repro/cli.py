@@ -39,9 +39,11 @@ import argparse
 import logging
 import os
 import sys
+from collections.abc import Callable
 from contextlib import nullcontext
-
 from dataclasses import replace
+from functools import partial
+from typing import Any
 
 from repro.config import TechniqueConfig, all_techniques, technique
 from repro.faults.scenario import scenario_names
@@ -49,6 +51,7 @@ from repro.noc.topology import registered_topologies
 from repro.core.experiment import ExperimentRunner
 from repro.core.intellinoc import IntelliNoCSystem
 from repro.core.sweep import SensitivitySweep
+from repro.exec.engine import EngineOptions
 from repro.exec.resilience import (
     EXIT_INTERRUPTED,
     EXIT_PARTIAL,
@@ -212,22 +215,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_kwargs(
-    args: argparse.Namespace, sink=None, cancel: ShutdownFlag | None = None
-) -> dict:
-    return {
-        "jobs": args.jobs,
-        "cache_dir": None if args.no_cache else args.cache_dir,
-        "use_cache": not args.no_cache,
-        "timeout_s": args.timeout,
-        "failure_policy": args.failure_policy,
-        "journal_path": args.journal,
-        "resume_from": args.resume,
-        "cancel": cancel,
-        "progress": chain_progress(_print_progress, sink),
-    }
-
-
 def _print_progress(event) -> None:
     """One stderr line per cell start/finish so long campaigns show life."""
     if event.kind == "done":
@@ -363,33 +350,43 @@ _CAMPAIGN_FIGURES = {
 }
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
+def _engine_session(
+    args: argparse.Namespace,
+    build: Callable[..., EngineOptions],
+    run: Callable[[Any], Any],
+    render: Callable[[Any, Any], None],
+) -> int:
+    """Everything ``campaign`` and ``sweep`` do around their driver.
+
+    *build* takes the engine options and returns the driver, *run* executes
+    it under the graceful-shutdown handlers and *render* prints what came
+    back.  The session owns the profiler, the campaign log, the shutdown
+    flag, the partial / interrupted exit codes and the closing and
+    reporting of the artefacts.
+    """
     _apply_sanitize(args)
     profiler = PhaseProfiler() if args.profile else None
     sink = CampaignTraceSink(args.campaign_log) if args.campaign_log else None
     flag = ShutdownFlag()
     exit_code = 0
     try:
-        runner = ExperimentRunner(
-            duration=args.duration,
-            seed=args.seed,
-            benchmarks=args.benchmarks,
-            techniques=[_fabric_technique(t, args) for t in all_techniques()],
-            pretrain_cycles=args.pretrain,
+        driver = build(
+            jobs=args.jobs,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            use_cache=not args.no_cache,
+            timeout_s=args.timeout,
+            failure_policy=args.failure_policy,
+            journal_path=args.journal,
+            resume_from=args.resume,
+            cancel=flag,
+            progress=chain_progress(_print_progress, sink),
             profiler=profiler,
-            **_engine_kwargs(args, sink, cancel=flag),
         )
         with graceful_shutdown(flag):
-            runner.run_campaign()
-        for name in args.figures or _CAMPAIGN_FIGURES:
-            table, _ = _CAMPAIGN_FIGURES[name](runner)
-            print()
-            print(table)
-        if args.scenario:
-            print()
-            print(runner.reliability_table())
-        if runner.engine.quarantined:
-            exit_code = _report_quarantined(runner.engine.quarantined)
+            results = run(driver)
+        render(driver, results)
+        if driver.engine.quarantined:
+            exit_code = _report_quarantined(driver.engine.quarantined)
     except CampaignInterrupted as exc:
         exit_code = _report_interrupted(exc)
     finally:
@@ -401,30 +398,43 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    def render(runner: ExperimentRunner, _results: object) -> None:
+        for name in args.figures or _CAMPAIGN_FIGURES:
+            table, _ = _CAMPAIGN_FIGURES[name](runner)
+            print()
+            print(table)
+        if args.scenario:
+            print()
+            print(runner.reliability_table())
+
+    build = partial(
+        ExperimentRunner,
+        duration=args.duration,
+        seed=args.seed,
+        benchmarks=args.benchmarks,
+        techniques=[_fabric_technique(t, args) for t in all_techniques()],
+        pretrain_cycles=args.pretrain,
+    )
+    return _engine_session(args, build, ExperimentRunner.run_campaign, render)
+
+
+#: ``sweep --knob`` name -> the sweep method and the type of its values.
+_SWEEP_KNOBS = {
+    "time-step": (SensitivitySweep.sweep_time_step, int),
+    "error-rate": (SensitivitySweep.sweep_error_rate, float),
+    "gamma": (SensitivitySweep.sweep_gamma, float),
+    "epsilon": (SensitivitySweep.sweep_epsilon, float),
+}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_sanitize(args)
-    profiler = PhaseProfiler() if args.profile else None
-    sink = CampaignTraceSink(args.campaign_log) if args.campaign_log else None
-    flag = ShutdownFlag()
-    exit_code = 0
-    try:
-        sweep = SensitivitySweep(
-            duration=args.duration, seed=args.seed, profiler=profiler,
-            **_engine_kwargs(args, sink, cancel=flag),
-        )
-        dispatch = {
-            "time-step": (sweep.sweep_time_step, int),
-            "error-rate": (sweep.sweep_error_rate, float),
-            "gamma": (sweep.sweep_gamma, float),
-            "epsilon": (sweep.sweep_epsilon, float),
-        }
-        if args.knob not in dispatch:
-            _LOG.error("unknown knob %r; choose from %s",
-                       args.knob, sorted(dispatch))
-            return 2
-        fn, cast = dispatch[args.knob]
-        with graceful_shutdown(flag):
-            points = fn([cast(v) for v in args.values])
+    method, cast = _SWEEP_KNOBS[args.knob]
+
+    def run(sweep: SensitivitySweep) -> list:
+        return method(sweep, [cast(v) for v in args.values])
+
+    def render(_sweep: SensitivitySweep, points: list) -> None:
         rows = [
             [p.value, p.metrics.latency.mean, p.edp, p.retransmission_rate]
             for p in points
@@ -435,17 +445,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             title=f"Sensitivity sweep: {args.knob}",
             float_fmt="{:.4g}",
         ))
-        if sweep.engine.quarantined:
-            exit_code = _report_quarantined(sweep.engine.quarantined)
-    except CampaignInterrupted as exc:
-        exit_code = _report_interrupted(exc)
-    finally:
-        if sink is not None:
-            sink.close()
-    if sink is not None:
-        _LOG.info("wrote %d campaign events to %s", sink.events_written, sink.path)
-    _write_profile(profiler, args.profile)
-    return exit_code
+
+    build = partial(SensitivitySweep, duration=args.duration, seed=args.seed)
+    return _engine_session(args, build, run, render)
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -459,13 +461,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                          entry.kind, entry.path, entry.problem)
         for entry in audit.stale_failures:
             _LOG.info("stale failure post-mortem: %s", entry.path)
+        for entry in audit.unreachable:
+            _LOG.info("%s: %s", entry.problem, entry.path)
         print(f"checked {audit.checked} artifact(s) in {store.cache_dir}: "
               f"{audit.healthy} healthy, {len(audit.corrupt)} corrupt, "
-              f"{len(audit.stale_failures)} stale failure post-mortem(s)")
+              f"{len(audit.stale_failures)} stale failure post-mortem(s), "
+              f"{len(audit.unreachable)} unreachable")
         return 0 if audit.ok else 1
-    corrupt, stale = store.prune()
-    print(f"pruned {corrupt} corrupt artifact(s) and {stale} stale "
-          f"failure post-mortem(s) from {store.cache_dir}")
+    corrupt, stale, unreachable = store.prune()
+    print(f"pruned {corrupt} corrupt artifact(s), {stale} stale failure "
+          f"post-mortem(s) and {unreachable} unreachable result(s) "
+          f"from {store.cache_dir}")
     return 0
 
 
@@ -546,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("sweep", help="sensitivity sweep (Figs. 17-18)")
-    p.add_argument("--knob", required=True,
-                   help="time-step | error-rate | gamma | epsilon")
+    p.add_argument("--knob", required=True, choices=list(_SWEEP_KNOBS),
+                   help="the IntelliNoC parameter to vary")
     p.add_argument("--values", nargs="+", required=True)
     _add_common(p)
     _add_engine_options(p)
@@ -557,7 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["verify", "prune"],
                    help="verify: re-hash every artifact and report damage "
                         "(exit 1 on corruption); prune: drop corrupt "
-                        "artifacts and stale failure post-mortems")
+                        "artifacts, stale failure post-mortems and results "
+                        "keyed under another spec schema")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result-cache directory "
                         "(default: ~/.cache/intellinoc-repro)")

@@ -24,15 +24,10 @@ from typing import Any
 # content hash of everything that determines a run's outcome: technique,
 # workload parameters, seed, fault model.  Canonicalization must therefore
 # be *stable*: dict keys sorted, enums reduced to their values, tuples and
-# lists unified, floats serialized by repr (shortest round-trip).
-
-# Fields added after a schema was first hashed, keyed by dataclass name.
-# When such a field still holds its original default, it is omitted from the
-# canonical form so pre-existing content hashes (and the on-disk ResultStore
-# entries they key) remain valid.  Non-default values are hashed normally.
-_SCHEMA_EVOLUTION_DEFAULTS: dict[str, dict[str, Any]] = {
-    "NocConfig": {"topology": "mesh", "concentration": 1, "fault_scenario": ""},
-}
+# lists unified, floats serialized by repr (shortest round-trip).  Every
+# dataclass field is hashed, at its default or not, so a new field or a
+# moved default changes the key instead of serving a result computed under
+# the old one (`tests/exec/test_spec.py` holds that law field by field).
 
 
 def canonical_value(obj: object) -> Any:
@@ -43,14 +38,7 @@ def canonical_value(obj: object) -> Any:
     construction order.
     """
     if is_dataclass(obj) and not isinstance(obj, type):
-        evolved = _SCHEMA_EVOLUTION_DEFAULTS.get(type(obj).__name__, {})
-        out = {
-            f.name: canonical_value(getattr(obj, f.name))
-            for f in fields(obj)
-            if not (
-                f.name in evolved and getattr(obj, f.name) == evolved[f.name]
-            )
-        }
+        out = {f.name: canonical_value(getattr(obj, f.name)) for f in fields(obj)}
         out["__type__"] = type(obj).__name__
         return out
     if isinstance(obj, enum.Enum):

@@ -3,9 +3,10 @@
 Every figure of the paper's evaluation compares the five techniques over
 the PARSEC suite, normalized to the SECDED baseline.  The runner builds
 one :class:`~repro.exec.spec.CellSpec` per campaign cell and hands the
-grid to the :class:`~repro.exec.engine.CampaignEngine`, which executes
-cells serially or across worker processes (``jobs``) and memoizes results
-in an on-disk content-addressed store (``cache_dir``/``use_cache``).
+grid to the :class:`~repro.exec.engine.CampaignEngine` its inherited
+:class:`~repro.exec.engine.EngineOptions` build, which executes cells
+serially or across worker processes (``jobs``) and memoizes results in an
+on-disk content-addressed store (``cache_dir``/``use_cache``).
 Figure rendering is delegated to the pure functions of
 :mod:`repro.core.figures`, which read only stored results.
 """
@@ -13,7 +14,6 @@ Figure rendering is delegated to the pure functions of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.config import (
     ControlPolicy,
@@ -24,24 +24,11 @@ from repro.config import (
 )
 from repro.control.policies import ModePolicy
 from repro.core import figures
-from repro.exec.engine import CampaignEngine
-from repro.exec.executors import ParallelExecutor, ProgressCallback, SerialExecutor
-from repro.exec.resilience import (
-    CampaignJournal,
-    FailurePolicy,
-    ShutdownFlag,
-    load_journal,
-)
+from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, parsec_cell
-from repro.exec.store import ResultStore
-from repro.metrics.summary import RunMetrics
+from repro.metrics.summary import RunMetrics, run_to_metrics
 from repro.noc.network import Network
-from repro.telemetry import (
-    PhaseProfiler,
-    Telemetry,
-    cell_span_recorder,
-    chain_progress,
-)
+from repro.telemetry import Telemetry
 from repro.traffic.parsec import PARSEC_BENCHMARKS, generate_parsec_trace
 from repro.traffic.trace import Trace
 
@@ -78,20 +65,15 @@ def run_technique(
         faults=faults if faults is not None else FaultConfig(),
     )
     network = Network(config, trace, policy=policy, telemetry=telemetry)
-    cap = max_cycles if max_cycles is not None else trace.duration * 4 + 50_000
-    network.run_to_completion(cap)
-    network.finalize_telemetry()
-    return RunMetrics.from_network(network, workload_name=trace.name)
+    return run_to_metrics(network, max_cycles)
 
 
 @dataclass
-class ExperimentRunner:
+class ExperimentRunner(EngineOptions):
     """Runs full campaigns and renders the paper's figures as tables.
 
-    ``jobs > 1`` executes cells in worker processes; ``use_cache=True`` (or
-    an explicit ``cache_dir``) persists every cell result so repeated
-    campaigns are pure cache reads.  Results are bit-identical across all
-    of these modes: every cell is a pure function of its spec.
+    How cells execute (``jobs``, ``cache_dir``, ``failure_policy``,
+    ``journal_path`` ...) is :class:`~repro.exec.engine.EngineOptions`.
     """
 
     duration: int = 8_000
@@ -100,78 +82,8 @@ class ExperimentRunner:
     benchmarks: list[str] = field(default_factory=lambda: list(PARSEC_BENCHMARKS))
     techniques: list[TechniqueConfig] = field(default_factory=all_techniques)
     pretrain_cycles: int = 16_000
-    jobs: int = 1
-    cache_dir: str | Path | None = None
-    use_cache: bool = False
-    timeout_s: float | None = None
-    #: What a permanently failing cell does: abort (raise), skip, quarantine.
-    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
-    #: Crash-safe campaign journal location (enables resume after a crash).
-    journal_path: str | Path | None = None
-    #: Journal of an interrupted earlier run to replay before executing.
-    resume_from: str | Path | None = None
-    #: Cooperative shutdown token (see repro.exec.resilience.graceful_shutdown).
-    cancel: ShutdownFlag | None = None
-    progress: ProgressCallback | None = None
-    # Optional phase profiler: engine runs become "engine.run" phases and
-    # every finished cell a span, exportable as Chrome trace-event JSON.
-    profiler: PhaseProfiler | None = None
     _cache: dict[tuple[str, str], RunMetrics] = field(default_factory=dict, repr=False)
     _trace_cache: dict[tuple, Trace] = field(default_factory=dict, repr=False)
-    _engine: CampaignEngine | None = field(default=None, repr=False)
-
-    # --- engine plumbing ------------------------------------------------------
-
-    @property
-    def engine(self) -> CampaignEngine:
-        if self._engine is None:
-            if self.jobs > 1:
-                executor = ParallelExecutor(
-                    jobs=self.jobs, timeout_s=self.timeout_s
-                )
-            else:
-                executor = SerialExecutor(timeout_s=self.timeout_s)
-            store = (
-                ResultStore(self.cache_dir)
-                if (self.use_cache or self.cache_dir is not None)
-                else None
-            )
-            spans = (
-                cell_span_recorder(self.profiler)
-                if self.profiler is not None
-                else None
-            )
-            resume = (
-                load_journal(self.resume_from)
-                if self.resume_from is not None
-                else None
-            )
-            journal_path = (
-                self.journal_path
-                if self.journal_path is not None
-                else self.resume_from
-            )
-            self._engine = CampaignEngine(
-                executor=executor,
-                store=store,
-                progress=chain_progress(self.progress, spans),
-                failure_policy=self.failure_policy,
-                journal=(
-                    CampaignJournal(journal_path)
-                    if journal_path is not None
-                    else None
-                ),
-                resume=resume,
-                cancel=self.cancel,
-            )
-        return self._engine
-
-    def _run_specs(self, specs: list[CellSpec]):
-        """Run *specs* through the engine, profiled when a profiler is set."""
-        if self.profiler is None:
-            return self.engine.run(specs)
-        with self.profiler.phase("engine.run", cells=len(specs)):
-            return self.engine.run(specs)
 
     def spec_for(self, technique: TechniqueConfig, benchmark: str) -> CellSpec:
         """The content-addressed job description of one campaign cell."""
@@ -216,7 +128,7 @@ class ExperimentRunner:
         """One cell's metrics — None when the cell was skipped/quarantined."""
         key = (technique.name, benchmark)
         if key not in self._cache:
-            report = self._run_specs([self.spec_for(technique, benchmark)])
+            report = self.run_specs([self.spec_for(technique, benchmark)])
             if report.metrics[0] is None:
                 return None  # not memoized: a later run may retry it
             self._cache[key] = report.metrics[0]
@@ -237,7 +149,7 @@ class ExperimentRunner:
         ]
         if missing:
             specs = [self.spec_for(t, b) for t, b in missing]
-            report = self._run_specs(specs)
+            report = self.run_specs(specs)
             for (technique, benchmark), metrics in zip(missing, report.metrics):
                 if metrics is not None:
                     self._cache[(technique.name, benchmark)] = metrics
@@ -293,8 +205,3 @@ class ExperimentRunner:
         return figures.reliability_table(
             self.run_campaign(), self._technique_names, self.benchmarks
         )
-
-
-def quick_runner(duration: int = 4_000, seed: int = 1, **kwargs) -> ExperimentRunner:
-    """A runner sized for tests and smoke benches."""
-    return ExperimentRunner(duration=duration, seed=seed, **kwargs)

@@ -26,7 +26,7 @@ from repro.config import (
 )
 from repro.control.policies import ModePolicy, RlPolicy, make_policy
 from repro.faults.injection import FaultInjector
-from repro.metrics.summary import RunMetrics
+from repro.metrics.summary import RunMetrics, run_to_metrics
 from repro.noc.network import Network
 from repro.rl.qlearning import QTable
 from repro.telemetry import SimProfiler, Telemetry
@@ -182,11 +182,9 @@ class IntelliNoCSystem:
     def run_trace(self, trace: Trace, max_cycles: int | None = None) -> RunMetrics:
         """Run *trace* to completion and summarize."""
         network = self.build_network(trace)
-        cap = max_cycles if max_cycles is not None else trace.duration * 4 + 50_000
-        network.run_to_completion(cap)
-        network.finalize_telemetry()
+        metrics = run_to_metrics(network, max_cycles)
         self.last_network = network
-        return RunMetrics.from_network(network, workload_name=trace.name)
+        return metrics
 
     def run_benchmark(
         self, benchmark: str, duration: int = 10_000, max_cycles: int | None = None

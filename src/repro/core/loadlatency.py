@@ -15,14 +15,10 @@ an operating point it has already measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.config import FaultConfig, TechniqueConfig
-from repro.exec.engine import CampaignEngine
-from repro.exec.executors import ParallelExecutor, SerialExecutor
-from repro.exec.resilience import FailurePolicy
+from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, synthetic_cell
-from repro.exec.store import ResultStore
 from repro.metrics.summary import RunMetrics
 from repro.traffic.patterns import SyntheticPattern
 
@@ -42,7 +38,7 @@ class LoadPoint:
 
 
 @dataclass
-class LoadLatencySweep:
+class LoadLatencySweep(EngineOptions):
     """Drives one technique through an injection-rate sweep."""
 
     technique: TechniqueConfig
@@ -55,31 +51,6 @@ class LoadLatencySweep:
         default_factory=lambda: FaultConfig(base_bit_error_rate=1e-7)
     )
     drain_budget: int = 10_000
-    jobs: int = 1
-    cache_dir: str | Path | None = None
-    use_cache: bool = False
-    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
-    _engine: CampaignEngine | None = field(default=None, repr=False)
-
-    @property
-    def engine(self) -> CampaignEngine:
-        if self._engine is None:
-            executor = (
-                ParallelExecutor(jobs=self.jobs)
-                if self.jobs > 1
-                else SerialExecutor()
-            )
-            store = (
-                ResultStore(self.cache_dir)
-                if (self.use_cache or self.cache_dir is not None)
-                else None
-            )
-            self._engine = CampaignEngine(
-                executor=executor,
-                store=store,
-                failure_policy=self.failure_policy,
-            )
-        return self._engine
 
     def spec_for(self, injection_rate: float) -> CellSpec:
         return synthetic_cell(
@@ -114,14 +85,14 @@ class LoadLatencySweep:
 
     def measure(self, injection_rate: float) -> LoadPoint:
         """Run one operating point (a cache hit if already measured)."""
-        metrics = self.engine.run([self.spec_for(injection_rate)]).metrics[0]
+        metrics = self.run_specs([self.spec_for(injection_rate)]).metrics[0]
         return self._point(injection_rate, metrics)
 
     def sweep(self, rates: list[float]) -> list[LoadPoint]:
         if not rates:
             raise ValueError("sweep needs at least one rate")
         rates = sorted(rates)
-        metrics = self.engine.run([self.spec_for(r) for r in rates]).metrics
+        metrics = self.run_specs([self.spec_for(r) for r in rates]).metrics
         return [self._point(r, m) for r, m in zip(rates, metrics)]
 
     def saturation_rate(

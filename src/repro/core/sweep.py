@@ -11,21 +11,11 @@ parallel and a result store memoizes them across invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from repro.config import FaultConfig, INTELLINOC, TechniqueConfig
-from repro.exec.engine import CampaignEngine
-from repro.exec.executors import ParallelExecutor, ProgressCallback, SerialExecutor
-from repro.exec.resilience import (
-    CampaignJournal,
-    FailurePolicy,
-    ShutdownFlag,
-    load_journal,
-)
+from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, parsec_cell
-from repro.exec.store import ResultStore
 from repro.metrics.summary import RunMetrics
-from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
 
 
 @dataclass(frozen=True)
@@ -45,7 +35,7 @@ class SweepPoint:
 
 
 @dataclass
-class SensitivitySweep:
+class SensitivitySweep(EngineOptions):
     """Sweep driver over the blackscholes tuning benchmark."""
 
     technique: TechniqueConfig = field(default_factory=lambda: INTELLINOC)
@@ -53,59 +43,6 @@ class SensitivitySweep:
     duration: int = 8_000
     seed: int = 1
     faults: FaultConfig = field(default_factory=FaultConfig)
-    jobs: int = 1
-    cache_dir: str | Path | None = None
-    use_cache: bool = False
-    timeout_s: float | None = None
-    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
-    journal_path: str | Path | None = None
-    resume_from: str | Path | None = None
-    cancel: ShutdownFlag | None = None
-    progress: ProgressCallback | None = None
-    profiler: PhaseProfiler | None = None
-    _engine: CampaignEngine | None = field(default=None, repr=False)
-
-    @property
-    def engine(self) -> CampaignEngine:
-        if self._engine is None:
-            executor = (
-                ParallelExecutor(jobs=self.jobs, timeout_s=self.timeout_s)
-                if self.jobs > 1
-                else SerialExecutor(timeout_s=self.timeout_s)
-            )
-            store = (
-                ResultStore(self.cache_dir)
-                if (self.use_cache or self.cache_dir is not None)
-                else None
-            )
-            spans = (
-                cell_span_recorder(self.profiler)
-                if self.profiler is not None
-                else None
-            )
-            journal_path = (
-                self.journal_path
-                if self.journal_path is not None
-                else self.resume_from
-            )
-            self._engine = CampaignEngine(
-                executor=executor,
-                store=store,
-                progress=chain_progress(self.progress, spans),
-                failure_policy=self.failure_policy,
-                journal=(
-                    CampaignJournal(journal_path)
-                    if journal_path is not None
-                    else None
-                ),
-                resume=(
-                    load_journal(self.resume_from)
-                    if self.resume_from is not None
-                    else None
-                ),
-                cancel=self.cancel,
-            )
-        return self._engine
 
     def _spec(self, technique: TechniqueConfig, faults: FaultConfig) -> CellSpec:
         return parsec_cell(
@@ -119,13 +56,9 @@ class SensitivitySweep:
     def _run_points(
         self, values: list[float], specs: list[CellSpec]
     ) -> list[SweepPoint]:
-        if self.profiler is None:
-            metrics = self.engine.run(specs).metrics
-        else:
-            with self.profiler.phase("sweep.run", points=len(specs)):
-                metrics = self.engine.run(specs).metrics
         # Quarantined/skipped points drop out of the curve instead of
         # killing the sweep; the engine's report still names them.
+        metrics = self.run_specs(specs, "sweep.run", "points").metrics
         return [
             SweepPoint(v, m) for v, m in zip(values, metrics) if m is not None
         ]

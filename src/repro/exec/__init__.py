@@ -15,10 +15,17 @@ that grid.  This package factors campaign execution into three layers:
   hash, so repeated campaigns skip simulation entirely.
 
 :mod:`repro.exec.engine` ties the layers together: dedupe, cache lookup,
-execution of the misses, artifact write-back.
+execution of the misses, artifact write-back — and holds
+:class:`EngineOptions`, the options and engine recipe the campaign
+drivers in :mod:`repro.core` inherit.
 """
 
-from repro.exec.engine import CampaignEngine, CampaignReport, run_cells
+from repro.exec.engine import (
+    CampaignEngine,
+    CampaignReport,
+    EngineOptions,
+    run_cells,
+)
 from repro.exec.executors import (
     CellExecutionError,
     ParallelExecutor,
@@ -34,6 +41,7 @@ __all__ = [
     "CampaignReport",
     "CellExecutionError",
     "CellSpec",
+    "EngineOptions",
     "ParallelExecutor",
     "ProgressEvent",
     "ResultStore",

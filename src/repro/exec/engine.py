@@ -2,7 +2,8 @@
 
 The engine is the single entry point every campaign driver uses
 (:class:`~repro.core.experiment.ExperimentRunner`, the sensitivity sweeps,
-the load-latency harness, the CLI).  Given a list of cell specs it
+the load-latency harness, the CLI), each through the :class:`EngineOptions`
+it inherits.  Given a list of cell specs it
 
 1. deduplicates them by content hash (a grid or bisection often asks for
    the same cell twice),
@@ -31,11 +32,13 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from repro.exec.executors import (
     CellExecutionError,
     Executor,
+    ParallelExecutor,
     ProgressCallback,
     ProgressEvent,
     SerialExecutor,
@@ -51,11 +54,13 @@ from repro.exec.resilience import (
     JournalState,
     QuarantinedCell,
     ShutdownFlag,
+    load_journal,
     manifest_hash,
 )
 from repro.exec.spec import CellSpec
 from repro.exec.store import ResultStore
 from repro.metrics.summary import RunMetrics
+from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
 
 _LOG = logging.getLogger("repro")
 
@@ -337,6 +342,96 @@ class CampaignEngine:
         except OSError as exc:
             _LOG.warning("failure-artifact write failed for %s: %s",
                          spec.label, exc)
+
+
+@dataclass(kw_only=True)
+class EngineOptions:
+    """The engine options every campaign driver takes, and the one recipe
+    that turns them into a :class:`CampaignEngine`.
+
+    :class:`~repro.core.experiment.ExperimentRunner`,
+    :class:`~repro.core.sweep.SensitivitySweep` and
+    :class:`~repro.core.loadlatency.LoadLatencySweep` inherit this, so the
+    same options build the same executor, store, journal and progress
+    chain whichever driver holds them.  ``jobs > 1`` executes cells in
+    worker processes; ``use_cache=True`` (or an explicit ``cache_dir``)
+    persists every cell result so repeated runs are pure cache reads.
+    Results are bit-identical across all of these modes: every cell is a
+    pure function of its spec.
+    """
+
+    jobs: int = 1
+    cache_dir: str | Path | None = None
+    use_cache: bool = False
+    timeout_s: float | None = None
+    #: What a permanently failing cell does: abort (raise), skip, quarantine.
+    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
+    #: Crash-safe campaign journal location (enables resume after a crash).
+    journal_path: str | Path | None = None
+    #: Journal of an interrupted earlier run to replay before executing;
+    #: journaling continues to it unless ``journal_path`` says otherwise.
+    resume_from: str | Path | None = None
+    #: Cooperative shutdown token (see repro.exec.resilience.graceful_shutdown).
+    cancel: ShutdownFlag | None = None
+    progress: ProgressCallback | None = None
+    #: Optional phase profiler: every engine run becomes a phase and every
+    #: finished cell a span, exportable as Chrome trace-event JSON.
+    profiler: PhaseProfiler | None = None
+    _engine: CampaignEngine | None = field(default=None, init=False, repr=False)
+
+    @property
+    def engine(self) -> CampaignEngine:
+        """The driver's engine, built on first use."""
+        if self._engine is None:
+            journal_path = (
+                self.journal_path
+                if self.journal_path is not None
+                else self.resume_from
+            )
+            self._engine = CampaignEngine(
+                executor=(
+                    ParallelExecutor(jobs=self.jobs, timeout_s=self.timeout_s)
+                    if self.jobs > 1
+                    else SerialExecutor(timeout_s=self.timeout_s)
+                ),
+                store=(
+                    ResultStore(self.cache_dir)
+                    if self.use_cache or self.cache_dir is not None
+                    else None
+                ),
+                progress=chain_progress(
+                    self.progress,
+                    cell_span_recorder(self.profiler)
+                    if self.profiler is not None
+                    else None,
+                ),
+                failure_policy=self.failure_policy,
+                journal=(
+                    CampaignJournal(journal_path)
+                    if journal_path is not None
+                    else None
+                ),
+                resume=(
+                    load_journal(self.resume_from)
+                    if self.resume_from is not None
+                    else None
+                ),
+                cancel=self.cancel,
+            )
+        return self._engine
+
+    def run_specs(
+        self,
+        specs: Sequence[CellSpec],
+        phase: str = "engine.run",
+        count: str = "cells",
+    ) -> CampaignReport:
+        """Run *specs* through the engine — when profiled, as a *phase*
+        whose *count* attribute is the number of cells."""
+        if self.profiler is None:
+            return self.engine.run(specs)
+        with self.profiler.phase(phase, **{count: len(specs)}):
+            return self.engine.run(specs)
 
 
 def run_cells(

@@ -23,9 +23,10 @@ from repro.config import (
     canonical_value,
 )
 
-#: Bumped whenever simulation semantics change in a way that invalidates
-#: previously stored results (also embedded in stored artifacts).
-SPEC_SCHEMA_VERSION = 1
+#: Bumped whenever simulation semantics, or the canonical form itself,
+#: change in a way that invalidates previously stored results (also
+#: embedded in stored artifacts).  2: every dataclass field is hashed.
+SPEC_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)

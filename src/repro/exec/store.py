@@ -22,10 +22,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.config import canonical_json
-from repro.exec.spec import CellSpec
+from repro.exec.spec import SPEC_SCHEMA_VERSION, CellSpec
 
 #: Artifact schema; bump on incompatible layout changes.
 STORE_SCHEMA_VERSION = 1
+
+#: How :attr:`AuditEntry.problem` starts for an intact result keyed under
+#: another ``SPEC_SCHEMA_VERSION``.
+UNREACHABLE = "unreachable"
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,10 @@ class StoreAudit:
     #: Failure post-mortems whose cell has since succeeded (a healthy
     #: result artifact exists for the same hash) — history, prunable.
     stale_failures: list[AuditEntry] = field(default_factory=list)
+    #: Intact results keyed under another ``SPEC_SCHEMA_VERSION``: no spec
+    #: this code builds hashes to them, so they can never be hit again —
+    #: not damage (``ok`` ignores them), prunable.
+    unreachable: list[AuditEntry] = field(default_factory=list)
     failures: int = 0  # failure artifacts seen (stale or not)
 
     @property
@@ -190,6 +198,11 @@ class ResultStore:
         payload = artifact.get("payload")
         if not isinstance(payload, dict) or "metrics" not in payload:
             return "payload missing metrics"
+        if spec.get("schema") != SPEC_SCHEMA_VERSION:
+            return (
+                f"{UNREACHABLE}: spec schema {spec.get('schema')!r} "
+                f"!= {SPEC_SCHEMA_VERSION}"
+            )
         return ""
 
     def _check_failure_artifact(self, path: Path) -> str:
@@ -229,30 +242,33 @@ class ResultStore:
             audit.checked += 1
             if entry.healthy:
                 audit.healthy += 1
+            elif entry.problem.startswith(UNREACHABLE):
+                audit.unreachable.append(entry)
             else:
                 audit.corrupt.append(entry)
         return audit
 
-    def prune(self) -> tuple[int, int]:
-        """Drop corrupt entries and stale failure post-mortems.
+    def prune(self) -> tuple[int, int, int]:
+        """Drop corrupt entries, stale failure post-mortems and unreachable
+        results.
 
-        Returns ``(corrupt_removed, stale_failures_removed)``.  Corrupt
-        results would be treated as misses anyway; pruning just reclaims
-        the disk and silences ``verify``.
+        Returns ``(corrupt_removed, stale_failures_removed,
+        unreachable_removed)``.  None of them could be served anyway;
+        pruning just reclaims the disk and silences ``verify``.
         """
+        def unlink_all(entries: list[AuditEntry]) -> int:
+            removed = 0
+            for entry in entries:
+                try:
+                    entry.path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+            return removed
+
         audit = self.audit()
-        removed_corrupt = 0
-        removed_stale = 0
-        for entry in audit.corrupt:
-            try:
-                entry.path.unlink()
-                removed_corrupt += 1
-            except OSError:
-                pass
-        for entry in audit.stale_failures:
-            try:
-                entry.path.unlink()
-                removed_stale += 1
-            except OSError:
-                pass
-        return removed_corrupt, removed_stale
+        return (
+            unlink_all(audit.corrupt),
+            unlink_all(audit.stale_failures),
+            unlink_all(audit.unreachable),
+        )

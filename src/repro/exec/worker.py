@@ -23,7 +23,7 @@ from typing import Any
 
 from repro.config import ControlPolicy, SimulationConfig, fingerprint
 from repro.exec.spec import CellSpec
-from repro.metrics.summary import RunMetrics
+from repro.metrics.summary import RunMetrics, run_to_metrics
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.traffic.trace import Trace
@@ -90,13 +90,7 @@ def execute_cell(spec: CellSpec) -> RunMetrics:
         technique=spec.technique, seed=spec.seed, faults=spec.faults
     )
     network = Network(config, trace, policy=_policy_for(spec))
-    cap = (
-        spec.max_cycles
-        if spec.max_cycles is not None
-        else trace.duration * 4 + 50_000
-    )
-    network.run_to_completion(cap)
-    return RunMetrics.from_network(network, workload_name=trace.name)
+    return run_to_metrics(network, spec.max_cycles)
 
 
 def execute_cell_payload(spec: CellSpec) -> dict[str, Any]:

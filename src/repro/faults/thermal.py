@@ -39,28 +39,13 @@ class ThermalModel:
         # Highest temperature any node has reached since construction
         # (kelvin) — a telemetry observable, never read by the dynamics.
         self.peak_temperature_k = float(config.ambient_temperature)
-        if topology is not None:
-            self._neighbors: list[list[int]] = [
-                list(topology.thermal_neighbors(i))
-                for i in range(topology.num_routers)
-            ]
-        else:  # standalone construction: the classic mesh layout
-            self._neighbors = [
-                self._mesh_neighbors(i) for i in range(noc.num_routers)
-            ]
+        if topology is None:  # standalone construction: the classic mesh layout
+            from repro.noc.topology import MeshTopology  # avoid import cycle
 
-    def _mesh_neighbors(self, router: int) -> list[int]:
-        x, y = router % self.noc.width, router // self.noc.width
-        out = []
-        if x > 0:
-            out.append(router - 1)
-        if x < self.noc.width - 1:
-            out.append(router + 1)
-        if y > 0:
-            out.append(router - self.noc.width)
-        if y < self.noc.height - 1:
-            out.append(router + self.noc.width)
-        return out
+            topology = MeshTopology(noc.width, noc.height)
+        self._neighbors: list[list[int]] = [
+            topology.thermal_neighbors(i) for i in range(noc.num_routers)
+        ]
 
     def temperature(self, router: int) -> float:
         """Current temperature of *router* in kelvin."""

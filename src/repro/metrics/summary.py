@@ -166,3 +166,20 @@ class RunMetrics:
             max_temperature_k=network.thermal.hottest()[1],
             qtable_entries_max=qtable_max,
         )
+
+
+def run_to_metrics(network: Any, max_cycles: int | None = None) -> RunMetrics:
+    """Run *network* until its trace completes, then summarize the run.
+
+    The one home of the default cycle cap: four times the trace's length
+    plus a 50 000-cycle drain allowance, beyond which a run that has not
+    resolved every packet is summarized as it stands.
+    """
+    cap = (
+        max_cycles
+        if max_cycles is not None
+        else network.trace.duration * 4 + 50_000
+    )
+    network.run_to_completion(cap)
+    network.finalize_telemetry()
+    return RunMetrics.from_network(network)

@@ -10,21 +10,15 @@ ports in total.  The extra local ports are pure injection/ejection
 endpoints: inter-router channels still use only the four ``Direction``
 ports, and routing on the router grid is plain X-Y (or west-first) —
 exactly the mesh's turn rules, so deadlock freedom carries over unchanged.
+The router grid *is* a :class:`~repro.noc.topology.MeshTopology`, which
+answers every question about neighbours and distances.
 """
 
 from __future__ import annotations
 
 from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS
-from repro.noc.routing import (
-    EAST,
-    LOCAL,
-    MESH_DIRECTIONS,
-    NORTH,
-    SOUTH,
-    WEST,
-    Direction,
-)
-from repro.noc.topology import Topology, register_topology
+from repro.noc.routing import LOCAL, Direction
+from repro.noc.topology import MeshTopology, Topology, register_topology
 
 #: concentration -> (tile width, tile height) in nodes.
 TILE_SHAPES = {2: (2, 1), 4: (2, 2)}
@@ -56,6 +50,7 @@ class CMeshTopology(Topology):
         self.router_height = height // tile_h
         if self.router_width < 2 or self.router_height < 2:
             raise ValueError("cmesh router grid must be at least 2x2")
+        self._grid = MeshTopology(self.router_width, self.router_height, routing)
         self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
         # Slot 0 ejects via LOCAL; slot s >= 1 via port 4 + s.
         self._slot_ports = tuple(
@@ -68,40 +63,17 @@ class CMeshTopology(Topology):
         return self.router_width * self.router_height
 
     @property
-    def num_ports(self) -> int:
-        return 4 + self.concentration
-
-    @property
     def ports(self) -> tuple[int, ...]:
         return tuple(Direction) + tuple(
             4 + s for s in range(1, self.concentration)
         )
 
     def router_coordinates(self, router: int) -> tuple[int, int]:
-        self._check(router)
-        return router % self.router_width, router // self.router_width
+        return self._grid.coordinates(router)
 
     def neighbor(self, router: int, direction: Direction) -> int | None:
         """Neighbor on the router grid, or None at an edge."""
-        x, y = self.router_coordinates(router)
-        if direction is EAST:
-            return router + 1 if x < self.router_width - 1 else None
-        if direction is WEST:
-            return router - 1 if x > 0 else None
-        if direction is NORTH:
-            return router + self.router_width if y < self.router_height - 1 else None
-        if direction is SOUTH:
-            return router - self.router_width if y > 0 else None
-        raise ValueError("local ports have no neighbor")
-
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        out = []
-        for router in range(self.num_routers):
-            for direction in MESH_DIRECTIONS:
-                neighbor = self.neighbor(router, direction)
-                if neighbor is not None:
-                    out.append((router, direction, neighbor))
-        return out
+        return self._grid.neighbor(router, direction)
 
     def _node_xy(self, node: int) -> tuple[int, int]:
         self._check_node(node)
@@ -139,22 +111,9 @@ class CMeshTopology(Topology):
         )
 
     def distance(self, src_node: int, dst_node: int) -> int:
-        sx, sy = self.router_coordinates(self.router_of_node(src_node))
-        dx, dy = self.router_coordinates(self.router_of_node(dst_node))
-        return abs(sx - dx) + abs(sy - dy)
-
-    def thermal_neighbors(self, router: int) -> list[int]:
-        x, y = self.router_coordinates(router)
-        out = []
-        if x > 0:
-            out.append(router - 1)
-        if x < self.router_width - 1:
-            out.append(router + 1)
-        if y > 0:
-            out.append(router - self.router_width)
-        if y < self.router_height - 1:
-            out.append(router + self.router_width)
-        return out
+        return self._grid.distance(
+            self.router_of_node(src_node), self.router_of_node(dst_node)
+        )
 
 
 register_topology(

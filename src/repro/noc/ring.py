@@ -32,6 +32,7 @@ class RingTopology(Topology):
 
     name = "ring"
     uses_vc_classes = True
+    directions = RING_DIRECTIONS
 
     def __init__(self, width: int, height: int):
         if width * height < 3:
@@ -39,19 +40,6 @@ class RingTopology(Topology):
         self.width = width
         self.height = height
         self.routing = "xy"
-        self._ejection = frozenset({LOCAL})
-
-    @property
-    def num_routers(self) -> int:
-        return self.width * self.height
-
-    @property
-    def num_ports(self) -> int:
-        return 3
-
-    @property
-    def ports(self) -> tuple[int, ...]:
-        return (LOCAL, EAST, WEST)
 
     def neighbor(self, router: int, direction: Direction) -> int:
         self._check(router)
@@ -61,28 +49,6 @@ class RingTopology(Topology):
         if direction is WEST:
             return (router - 1) % n
         raise ValueError(f"ring has no {Direction(direction).name} port")
-
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        return [
-            (router, direction, self.neighbor(router, direction))
-            for router in range(self.num_routers)
-            for direction in RING_DIRECTIONS
-        ]
-
-    def router_of_node(self, node: int) -> int:
-        self._check_node(node)
-        return node
-
-    def local_nodes(self, router: int) -> tuple[int, ...]:
-        self._check(router)
-        return (router,)
-
-    def injection_port(self, node: int) -> int:
-        self._check_node(node)
-        return LOCAL
-
-    def ejection_ports(self, router: int) -> frozenset[int]:
-        return self._ejection
 
     def route_candidates(self, current: int, dst_node: int) -> list[int]:
         if current == dst_node:
@@ -105,16 +71,6 @@ class RingTopology(Topology):
         elif out_port == WEST and router == 0:
             crossed = 1
         return crossed
-
-    def allowed_vcs(self, vc_class: int, num_vcs: int) -> range:
-        half = num_vcs // 2
-        if vc_class % 2 == 0:
-            return range(0, half)
-        return range(half, num_vcs)
-
-    def thermal_neighbors(self, router: int) -> list[int]:
-        n = self.num_routers
-        return [(router - 1) % n, (router + 1) % n]
 
 
 register_topology("ring", lambda noc: RingTopology(noc.width, noc.height))

@@ -44,17 +44,31 @@ if TYPE_CHECKING:
     from repro.config import NocConfig
 
 
+#: The order the lumped thermal model sums a router's neighbours in (the
+#: coupling term is a float sum over that list, so the order is part of
+#: every digest).
+THERMAL_ORDER = (WEST, EAST, SOUTH, NORTH)
+_LOCAL_ONLY = frozenset({LOCAL})
+
+
 class Topology(abc.ABC):
     """Abstract interconnect graph.
 
     Subclasses fix the router/channel structure at construction; all
     methods are pure functions of that structure (no simulation state).
+    A fabric must define :meth:`neighbor`, :meth:`route_candidates` and
+    :meth:`distance`; everything else has a default — one router per
+    node with a single LOCAL port, channels and thermal neighbours read
+    off :meth:`neighbor` — that a fabric overrides where it differs.
     """
 
     #: Registry key; also the value of ``NocConfig.topology``.
     name: ClassVar[str] = ""
     #: Whether routing partitions VCs into dateline classes (torus/ring).
     uses_vc_classes: ClassVar[bool] = False
+    #: Output directions that carry inter-router channels, in the order
+    #: :meth:`channels` enumerates them.
+    directions: ClassVar[tuple[Direction, ...]] = MESH_DIRECTIONS
 
     width: int
     height: int
@@ -68,45 +82,60 @@ class Topology(abc.ABC):
         return self.width * self.height
 
     @property
-    @abc.abstractmethod
     def num_routers(self) -> int:
         """Number of switch instances."""
+        return self.num_nodes
 
     @property
-    @abc.abstractmethod
     def num_ports(self) -> int:
         """Uniform per-router port count (input and output)."""
+        return len(self.ports)
 
     @property
-    @abc.abstractmethod
     def ports(self) -> tuple[int, ...]:
         """Port ids of every router, in canonical (index) order."""
+        return (LOCAL, *self.directions)
 
     @abc.abstractmethod
+    def neighbor(self, router: int, direction: Direction) -> int | None:
+        """Router reached from *router* through *direction*, or None where
+        the fabric has no link there."""
+
     def channels(self) -> list[tuple[int, Direction, int]]:
         """All directed inter-router channels as (src, out direction, dst).
 
         Enumeration order is part of the determinism contract: channels
-        are delivered in this order every cycle.
+        are delivered in this order every cycle (router-major, each
+        router's in :attr:`directions` order).
         """
+        out = []
+        for router in range(self.num_routers):
+            for direction in self.directions:
+                neighbor = self.neighbor(router, direction)
+                if neighbor is not None:
+                    out.append((router, direction, neighbor))
+        return out
 
     # --- node/router mapping ---------------------------------------------------
 
-    @abc.abstractmethod
     def router_of_node(self, node: int) -> int:
         """The router a node's NI is attached to."""
+        self._check_node(node)
+        return node
 
-    @abc.abstractmethod
     def local_nodes(self, router: int) -> tuple[int, ...]:
         """Nodes attached to *router*, in local-slot order."""
+        self._check(router)
+        return (router,)
 
-    @abc.abstractmethod
     def injection_port(self, node: int) -> int:
         """Port on ``router_of_node(node)`` where *node* injects/ejects."""
+        self._check_node(node)
+        return LOCAL
 
-    @abc.abstractmethod
     def ejection_ports(self, router: int) -> frozenset[int]:
         """All ports of *router* that eject to a local NI."""
+        return _LOCAL_ONLY
 
     # --- routing ---------------------------------------------------------------
 
@@ -132,14 +161,25 @@ class Topology(abc.ABC):
         return 0
 
     def allowed_vcs(self, vc_class: int, num_vcs: int) -> range:
-        """Downstream VC indices a packet of *vc_class* may claim."""
-        return range(num_vcs)
+        """Downstream VC indices a packet of *vc_class* may claim: all of
+        them, or under dateline classes the lower half before the dateline
+        (even classes) and the upper half after it."""
+        if not self.uses_vc_classes:
+            return range(num_vcs)
+        half = num_vcs // 2
+        return range(0, half) if vc_class % 2 == 0 else range(half, num_vcs)
 
     # --- physical layout / labels ----------------------------------------------
 
-    @abc.abstractmethod
     def thermal_neighbors(self, router: int) -> list[int]:
         """Laterally coupled routers for the lumped thermal model."""
+        out = []
+        for direction in THERMAL_ORDER:
+            if direction in self.directions:
+                neighbor = self.neighbor(router, direction)
+                if neighbor is not None:
+                    out.append(neighbor)
+        return out
 
     def port_name(self, port: int) -> str:
         """Human-readable label for snapshots and telemetry."""
@@ -175,19 +215,6 @@ class MeshTopology(Topology):
         self.height = height
         self.routing = routing
         self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
-        self._ejection = frozenset({LOCAL})
-
-    @property
-    def num_routers(self) -> int:
-        return self.width * self.height
-
-    @property
-    def num_ports(self) -> int:
-        return 5
-
-    @property
-    def ports(self) -> tuple[int, ...]:
-        return tuple(Direction)
 
     def coordinates(self, router: int) -> tuple[int, int]:
         self._check(router)
@@ -200,7 +227,6 @@ class MeshTopology(Topology):
 
     def neighbor(self, router: int, direction: Direction) -> int | None:
         """Neighbor id in *direction*, or None at a mesh edge."""
-        self._check(router)
         x, y = self.coordinates(router)
         if direction is EAST:
             return router + 1 if x < self.width - 1 else None
@@ -212,49 +238,11 @@ class MeshTopology(Topology):
             return router - self.width if y > 0 else None
         raise ValueError("LOCAL has no neighbor")
 
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        """All directed channels as (src router, output direction, dst router)."""
-        out = []
-        for router in range(self.num_routers):
-            for direction in MESH_DIRECTIONS:
-                neighbor = self.neighbor(router, direction)
-                if neighbor is not None:
-                    out.append((router, direction, neighbor))
-        return out
-
-    def router_of_node(self, node: int) -> int:
-        self._check_node(node)
-        return node
-
-    def local_nodes(self, router: int) -> tuple[int, ...]:
-        self._check(router)
-        return (router,)
-
-    def injection_port(self, node: int) -> int:
-        self._check_node(node)
-        return LOCAL
-
-    def ejection_ports(self, router: int) -> frozenset[int]:
-        return self._ejection
-
     def route_candidates(self, current: int, dst_node: int) -> list[int]:
         return list(self._candidate_fn(current, dst_node, self.width))
 
     def distance(self, src_node: int, dst_node: int) -> int:
         return hop_count(src_node, dst_node, self.width)
-
-    def thermal_neighbors(self, router: int) -> list[int]:
-        x, y = self.coordinates(router)
-        out = []
-        if x > 0:
-            out.append(router - 1)
-        if x < self.width - 1:
-            out.append(router + 1)
-        if y > 0:
-            out.append(router - self.width)
-        if y < self.height - 1:
-            out.append(router + self.width)
-        return out
 
 
 # --- registry -----------------------------------------------------------------

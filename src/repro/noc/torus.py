@@ -15,15 +15,7 @@ deadlock-free; this is why ``NocConfig`` requires ``num_vcs >= 2`` here.
 
 from __future__ import annotations
 
-from repro.noc.routing import (
-    EAST,
-    LOCAL,
-    MESH_DIRECTIONS,
-    NORTH,
-    SOUTH,
-    WEST,
-    Direction,
-)
+from repro.noc.routing import EAST, LOCAL, NORTH, SOUTH, WEST, Direction
 from repro.noc.topology import Topology, register_topology
 
 
@@ -39,19 +31,6 @@ class TorusTopology(Topology):
         self.width = width
         self.height = height
         self.routing = "xy"
-        self._ejection = frozenset({LOCAL})
-
-    @property
-    def num_routers(self) -> int:
-        return self.width * self.height
-
-    @property
-    def num_ports(self) -> int:
-        return 5
-
-    @property
-    def ports(self) -> tuple[int, ...]:
-        return tuple(Direction)
 
     def coordinates(self, router: int) -> tuple[int, int]:
         self._check(router)
@@ -69,28 +48,6 @@ class TorusTopology(Topology):
         if direction is SOUTH:
             return ((y - 1) % self.height) * self.width + x
         raise ValueError("LOCAL has no neighbor")
-
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        return [
-            (router, direction, self.neighbor(router, direction))
-            for router in range(self.num_routers)
-            for direction in MESH_DIRECTIONS
-        ]
-
-    def router_of_node(self, node: int) -> int:
-        self._check_node(node)
-        return node
-
-    def local_nodes(self, router: int) -> tuple[int, ...]:
-        self._check(router)
-        return (router,)
-
-    def injection_port(self, node: int) -> int:
-        self._check_node(node)
-        return LOCAL
-
-    def ejection_ports(self, router: int) -> frozenset[int]:
-        return self._ejection
 
     def route_candidates(self, current: int, dst_node: int) -> list[int]:
         if current == dst_node:
@@ -126,21 +83,6 @@ class TorusTopology(Topology):
         elif out_port == SOUTH and y == 0:
             crossed = 1
         return dim * 2 + crossed
-
-    def allowed_vcs(self, vc_class: int, num_vcs: int) -> range:
-        half = num_vcs // 2
-        if vc_class % 2 == 0:
-            return range(0, half)
-        return range(half, num_vcs)
-
-    def thermal_neighbors(self, router: int) -> list[int]:
-        x, y = self.coordinates(router)
-        return [
-            y * self.width + (x - 1) % self.width,
-            y * self.width + (x + 1) % self.width,
-            ((y - 1) % self.height) * self.width + x,
-            ((y + 1) % self.height) * self.width + x,
-        ]
 
 
 register_topology("torus", lambda noc: TorusTopology(noc.width, noc.height))

@@ -30,9 +30,6 @@ FIXTURE_RULES = {
     "project_noc204": "NOC204",
     "noc301_bare_except.py": "NOC301",
     "noc302_float_eq.py": "NOC302",
-    "contract_noc401/repro/config.py": "NOC401",
-    "contract_noc402/repro/config.py": "NOC402",
-    "contract_noc403/repro/config.py": "NOC403",
     "repro/noc/noc404_unguarded_tel.py": "NOC404",
     "repro/noc/noc405_clock_reference.py": "NOC405",
     "noc000_reasonless_noqa.py": "NOC000",
@@ -46,7 +43,6 @@ CLEAN_FIXTURES = [
     "clean/repro/noc/noc405_simprof_probe.py",
     "project_noc203_clean",
     "project_noc204_clean",
-    "contract_clean/repro/config.py",
 ]
 
 
@@ -86,9 +82,6 @@ class TestFixtures:
             "noc111_unseeded.py": 3,  # no-arg, None seed, unseeded SeedSequence
             "project_noc203": 1,  # one chain, anchored at the sim import
             "project_noc204": 1,  # one cycle, reported once
-            "contract_noc401/repro/config.py": 1,
-            "contract_noc402/repro/config.py": 1,
-            "contract_noc403/repro/config.py": 2,  # dead field + dead class
             "repro/noc/noc404_unguarded_tel.py": 2,  # attribute + local alias
             # stored bound reference + default-arg reference; the call through
             # the local alias stays clean

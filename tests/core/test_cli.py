@@ -26,9 +26,13 @@ class TestParser:
             build_parser().parse_args(["run", "--benchmark", "doom3"])
 
     def test_retired_surface_stays_retired(self):
-        """``repro bench`` and the lint cache / process pool are gone
-        (the yardstick is ``bench/``; every lint run is cold and serial)."""
-        for argv in (["bench"], ["lint", "--cache"], ["lint", "--jobs", "2"]):
+        """``repro bench``, the lint cache / process pool and the SARIF
+        report are gone (the yardstick is ``bench/``; every lint run is
+        cold and serial; CI reads the JSON report)."""
+        for argv in (
+            ["bench"], ["lint", "--cache"], ["lint", "--jobs", "2"],
+            ["lint", "--sarif", "x"],
+        ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2, argv
@@ -61,9 +65,14 @@ class TestCommands:
         assert len(trace) > 0
         assert "wrote" in capsys.readouterr().out
 
-    def test_sweep_unknown_knob_fails(self, capsys):
-        rc = main(["sweep", "--knob", "nonsense", "--values", "1"])
-        assert rc == 2
+    def test_sweep_unknown_knob_fails(self, tmp_path):
+        """A misspelt knob is rejected before the session opens anything."""
+        log = tmp_path / "events.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--knob", "nonsense", "--values", "1",
+                  "--campaign-log", str(log)])
+        assert exit_info.value.code == 2
+        assert not log.exists()
 
     def test_sweep_gamma_small(self, capsys):
         rc = main(["sweep", "--knob", "gamma", "--values", "0.9",
@@ -189,6 +198,53 @@ class TestResilienceOptions:
                    "--cache-dir", str(tmp_path / "cache"),
                    "--resume", str(journal)])
         assert rc == 2
+
+
+class TestEngineSession:
+    """What ``campaign`` and ``sweep`` share around their driver."""
+
+    def _session(self, tmp_path, run):
+        from repro.cli import _engine_session
+        from repro.exec.engine import EngineOptions
+
+        args = build_parser().parse_args(
+            ["sweep", "--knob", "gamma", "--values", "1", "--no-cache",
+             "--profile", str(tmp_path / "p.json"),
+             "--campaign-log", str(tmp_path / "log.jsonl")]
+        )
+        rendered = []
+        rc = _engine_session(
+            args, EngineOptions, run, lambda driver, out: rendered.append(out)
+        )
+        # Whatever the outcome, the artefacts are closed and written.
+        assert (tmp_path / "log.jsonl").exists()
+        assert (tmp_path / "p.json").exists()
+        return rc, rendered
+
+    def test_clean_run_renders_and_exits_zero(self, tmp_path):
+        assert self._session(tmp_path, lambda d: "out") == (0, ["out"])
+
+    def test_quarantined_cells_exit_partial(self, tmp_path):
+        from repro.config import SECDED_BASELINE
+        from repro.exec.resilience import EXIT_PARTIAL, QuarantinedCell
+        from repro.exec.spec import parsec_cell
+
+        cell = QuarantinedCell(parsec_cell(SECDED_BASELINE, "swa", 100), "boom")
+        rc, rendered = self._session(
+            tmp_path, lambda d: d.engine.quarantined.append(cell)
+        )
+        assert rc == EXIT_PARTIAL == 3
+        assert rendered == [None]  # partial results are still rendered
+
+    def test_interrupt_exits_resumable_without_rendering(self, tmp_path):
+        from repro.exec.resilience import EXIT_INTERRUPTED, CampaignInterrupted
+
+        def run(driver):
+            assert driver.cancel is not None and not driver.cancel.is_set()
+            raise CampaignInterrupted("SIGINT", completed=1, total=2)
+
+        assert self._session(tmp_path, run) == (EXIT_INTERRUPTED, [])
+        assert EXIT_INTERRUPTED == 75
 
 
 class TestCacheCommand:

@@ -7,16 +7,22 @@ from repro.core.loadlatency import LoadLatencySweep, LoadPoint
 from repro.traffic.patterns import SyntheticPattern
 
 
+#: The operating points every sweep here measures.  ``use_cache`` puts them
+#: in the suite's `isolated_result_cache` directory, so a point one test
+#: simulated is a cache hit for the next sweep that asks for it.
+COMMON = dict(
+    technique=SECDED_BASELINE,
+    duration=1200,
+    seed=6,
+    faults=FaultConfig(base_bit_error_rate=0.0),
+    drain_budget=6000,
+    use_cache=True,
+)
+
+
 @pytest.fixture(scope="module")
 def sweep():
-    return LoadLatencySweep(
-        technique=SECDED_BASELINE,
-        pattern=SyntheticPattern.UNIFORM,
-        duration=1200,
-        seed=6,
-        faults=FaultConfig(base_bit_error_rate=0.0),
-        drain_budget=6000,
-    )
+    return LoadLatencySweep(pattern=SyntheticPattern.UNIFORM, **COMMON)
 
 
 class TestMeasure:
@@ -46,19 +52,17 @@ class TestSaturation:
         rate = sweep.saturation_rate(low=0.004, high=0.3, iterations=3)
         assert 0.004 < rate <= 0.3
 
-    def test_hotspot_saturates_earlier_than_uniform(self):
-        common = dict(
-            technique=SECDED_BASELINE,
-            duration=1200,
-            seed=6,
-            faults=FaultConfig(base_bit_error_rate=0.0),
-            drain_budget=6000,
-        )
-        uniform = LoadLatencySweep(pattern=SyntheticPattern.UNIFORM, **common)
-        hotspot = LoadLatencySweep(pattern=SyntheticPattern.HOTSPOT, **common)
-        u = uniform.saturation_rate(low=0.004, high=0.3, iterations=3)
+    def test_hotspot_saturates_earlier_than_uniform(self, sweep):
+        hotspot = LoadLatencySweep(pattern=SyntheticPattern.HOTSPOT, **COMMON)
+        u = sweep.saturation_rate(low=0.004, high=0.3, iterations=3)
         h = hotspot.saturation_rate(low=0.004, high=0.3, iterations=3)
         assert h < u
+        # The bisection's documented cache reuse: a second sweep over the
+        # same five uniform operating points simulates nothing.
+        replay = LoadLatencySweep(pattern=SyntheticPattern.UNIFORM, **COMMON)
+        assert replay.saturation_rate(low=0.004, high=0.3, iterations=3) == u
+        assert replay.engine.total_executed == 0
+        assert replay.engine.total_cache_hits >= 5
 
 
 class TestLoadPoint:

@@ -4,10 +4,14 @@ failure policies, journaling and resume."""
 import pytest
 
 from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
+from repro.core.experiment import ExperimentRunner
+from repro.core.loadlatency import LoadLatencySweep
+from repro.core.sweep import SensitivitySweep
 from repro.exec.engine import CampaignEngine, run_cells
 from repro.exec.executors import (
     CellExecutionError,
     ParallelExecutor,
+    ProgressEvent,
     SerialExecutor,
 )
 from repro.exec.resilience import (
@@ -20,6 +24,7 @@ from repro.exec.resilience import (
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_cell_payload
+from repro.telemetry import PhaseProfiler
 
 
 def _fail_seed10_cell(spec):
@@ -42,6 +47,60 @@ def campaign_specs():
         parsec_cell(SECDED_BASELINE, "bod", 800, seed=5),
         parsec_cell(INTELLINOC, "swa", 800, seed=5, pretrain_cycles=800),
     ]
+
+
+#: The three campaign drivers, each built from engine options alone.
+DRIVERS = {
+    "runner": ExperimentRunner,
+    "sensitivity": SensitivitySweep,
+    "load-latency": lambda **options: LoadLatencySweep(
+        technique=SECDED_BASELINE, **options
+    ),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+class TestEngineOptions:
+    """One recipe (`EngineOptions.engine`) behind all three drivers."""
+
+    def test_defaults_build_a_bare_serial_engine(self, driver):
+        built = DRIVERS[driver]()
+        assert built._engine is None  # lazy: nothing opened at construction
+        engine = built.engine
+        assert built.engine is engine
+        assert type(engine.executor) is SerialExecutor
+        assert engine.store is None and engine.journal is None
+        assert engine.resume is None and engine.progress is None
+
+    def test_the_same_options_build_the_same_engine(self, driver, tmp_path):
+        seen = []
+        profiler = PhaseProfiler()
+        flag = ShutdownFlag()
+        journal = tmp_path / "campaign.jsonl"
+        CampaignJournal(journal).begin("m", 1)
+        engine = DRIVERS[driver](
+            jobs=2, cache_dir=tmp_path / "cache", timeout_s=9.0,
+            failure_policy="quarantine", resume_from=journal, cancel=flag,
+            progress=seen.append, profiler=profiler,
+        ).engine
+        assert type(engine.executor) is ParallelExecutor
+        assert (engine.executor.jobs, engine.executor.timeout_s) == (2, 9.0)
+        assert engine.store.cache_dir == tmp_path / "cache"
+        # Resuming keeps journaling to the file it resumed from.
+        assert engine.journal.path == journal
+        assert engine.resume.manifest == "m"
+        assert engine.failure_policy == "quarantine" and engine.cancel is flag
+        # Chained progress: the caller's callback, then the profiler's spans.
+        spec = small_specs(1)[0]
+        engine.progress(ProgressEvent("done", spec, 1, 1, duration_s=0.5))
+        assert [e.kind for e in seen] == ["done"]
+        assert [span.name for span in profiler.spans] == [spec.label]
+
+    def test_use_cache_alone_opens_the_default_store(self, driver):
+        from repro.exec.store import default_cache_dir
+
+        engine = DRIVERS[driver](use_cache=True).engine
+        assert engine.store.cache_dir == default_cache_dir()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 """Job layer: canonicalization and content hashing of cell specs."""
 
+import copy
+import dataclasses
+import enum
 import json
 from dataclasses import replace
 
@@ -8,8 +11,12 @@ import pytest
 from repro.config import (
     FaultConfig,
     INTELLINOC,
+    NocConfig,
+    RlConfig,
     SECDED_BASELINE,
+    TechniqueConfig,
     canonical_json,
+    canonical_value,
     fingerprint,
 )
 from repro.exec.spec import CellSpec, WorkloadSpec, parsec_cell, synthetic_cell
@@ -96,6 +103,80 @@ class TestCellSpecHash:
         with pytest.raises(Exception):
             s.seed = 9
         assert s in {s}
+
+
+def with_field(obj, name, value):
+    """A copy of a frozen dataclass with one field set, validation bypassed
+    (the law below is about the hash, not about which values are legal)."""
+    clone = copy.copy(obj)
+    object.__setattr__(clone, name, value)
+    return clone
+
+
+def different(value):
+    """A value of the same kind as *value* that is not equal to it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value + (99,)
+    if value is None:
+        return 0
+    first = dataclasses.fields(value)[0].name
+    return with_field(value, first, different(getattr(value, first)))
+
+
+#: One instance of every dataclass that reaches the cache key.
+HASHED = {
+    cls.__name__: instance
+    for cls, instance in [
+        (NocConfig, NocConfig()),
+        (FaultConfig, FaultConfig()),
+        (RlConfig, RlConfig()),
+        (TechniqueConfig, SECDED_BASELINE),
+        (WorkloadSpec, WorkloadSpec(kind="parsec", name="swa", duration=1000)),
+        (CellSpec, parsec_cell(SECDED_BASELINE, "swa", 1000)),
+    ]
+}
+
+
+def _key(obj) -> str:
+    return obj.content_hash() if isinstance(obj, CellSpec) else fingerprint(obj)
+
+
+class TestEveryFieldIsHashed:
+    """The law that keeps the result cache sound: a spec field that did not
+    reach the key would let one stored result answer for two different
+    cells.  Fields are enumerated from the dataclasses themselves, so a new
+    one is covered the day it is added."""
+
+    @pytest.mark.parametrize(
+        "cls,field",
+        [
+            (name, f.name)
+            for name, instance in HASHED.items()
+            for f in dataclasses.fields(instance)
+        ],
+    )
+    def test_changing_one_field_changes_the_key(self, cls, field):
+        base = HASHED[cls]
+        changed = with_field(base, field, different(getattr(base, field)))
+        assert _key(changed) != _key(base)
+
+    @pytest.mark.parametrize("cls", sorted(HASHED))
+    def test_a_field_at_its_default_is_still_in_the_canonical_form(self, cls):
+        """No omit-at-default rule: "absent means the current default" hands
+        back a result computed under the old default the day one moves."""
+        names = {f.name for f in dataclasses.fields(HASHED[cls])}
+        assert set(canonical_value(HASHED[cls])) == names | {"__type__"}
+
+    def test_default_and_explicit_default_hash_alike(self):
+        assert fingerprint(NocConfig()) == fingerprint(NocConfig(topology="mesh"))
 
 
 class TestWorkloadSpec:

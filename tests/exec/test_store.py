@@ -1,11 +1,12 @@
 """Store layer: content-addressed artifacts and defensive reads."""
 
+import hashlib
 import json
 
 import pytest
 
-from repro.config import FaultConfig, SECDED_BASELINE
-from repro.exec.spec import parsec_cell
+from repro.config import FaultConfig, SECDED_BASELINE, canonical_json
+from repro.exec.spec import SPEC_SCHEMA_VERSION, parsec_cell
 from repro.exec.store import STORE_SCHEMA_VERSION, ResultStore, default_cache_dir
 from repro.metrics.latency import LatencySummary
 from repro.metrics.reliability import ReliabilitySummary
@@ -178,13 +179,38 @@ class TestAuditAndPrune:
         store.path_for(specs[0]).write_text("{broken")
         store.put_failure(spec, "RuntimeError: flaky", "tb")
         store.put(spec, {"metrics": make_metrics().to_dict()})
-        corrupt, stale = store.prune()
-        assert (corrupt, stale) == (1, 1)
+        assert store.prune() == (1, 1, 0)
         assert store.audit().ok
         assert not store.path_for(specs[0]).exists()
         assert not store.failure_path_for(spec).exists()
         # Healthy artifacts survive pruning.
         assert store.get(specs[1]) is not None
+        assert store.get(spec) is not None
+
+    def test_result_under_another_spec_schema_is_unreachable(self, store, spec):
+        """An intact artifact written when SPEC_SCHEMA_VERSION was 1: no
+        spec built today hashes to it, so it is not healthy (it can never
+        be hit), not corrupt (nothing is damaged), and prune reclaims it."""
+        embedded = {"schema": 1, "spec": {"__type__": "CellSpec", "seed": 7}}
+        h = hashlib.sha256(canonical_json(embedded).encode("utf-8")).hexdigest()
+        path = store.cache_dir / h[:2] / f"{h}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": STORE_SCHEMA_VERSION,
+            "spec_hash": h,
+            "spec": embedded,
+            "payload": {"metrics": make_metrics().to_dict()},
+        }))
+        store.put(spec, {"metrics": make_metrics().to_dict()})
+        audit = store.audit()
+        assert audit.ok
+        assert (audit.checked, audit.healthy) == (2, 1)
+        assert [e.path for e in audit.unreachable] == [path]
+        assert audit.unreachable[0].problem == (
+            f"unreachable: spec schema 1 != {SPEC_SCHEMA_VERSION}"
+        )
+        assert store.prune() == (0, 0, 1)
+        assert not path.exists()
         assert store.get(spec) is not None
 
     def test_journal_and_tmp_files_ignored(self, store, spec):

@@ -69,6 +69,7 @@ class TestValidation:
 
     def test_mesh_neighbor_structure(self, model):
         # Corner node 0 has exactly 2 neighbors in a 4x4 mesh.
-        assert sorted(model._mesh_neighbors(0)) == [1, 4]
-        # Center node 5 has 4.
-        assert sorted(model._mesh_neighbors(5)) == [1, 4, 6, 9]
+        assert model._neighbors[0] == [1, 4]
+        # Center node 5 has 4, summed west, east, south, north (the order
+        # of that float sum is part of every digest).
+        assert model._neighbors[5] == [4, 6, 1, 9]

@@ -9,8 +9,8 @@ These tests run against *every* fabric in the registry (parameterized by
   destination in exactly ``distance()`` hops;
 * liveness — a short saturated run under the NoCSan deadlock watchdog
   completes without invariant violations;
-* spec hashing — each fabric produces a distinct CellSpec hash while the
-  legacy mesh hash stays free of the new config fields.
+* spec hashing — each fabric produces a distinct CellSpec hash (that every
+  config field is hashed is ``tests/exec/test_spec.py``'s law).
 """
 
 from dataclasses import replace
@@ -22,7 +22,6 @@ from repro.config import (
     NocConfig,
     SECDED_BASELINE,
     SimulationConfig,
-    canonical_value,
     fingerprint,
 )
 from repro.noc.routing import Direction
@@ -249,14 +248,3 @@ class TestSpecHashing:
             for name, cfg in FABRIC_CONFIGS.items()
         }
         assert len(set(hashes.values())) == len(hashes)
-
-    def test_legacy_mesh_payload_has_no_new_fields(self):
-        """Default-valued topology fields must stay out of the canonical
-        form, preserving every pre-refactor cache key and spec hash."""
-        import json
-
-        payload = json.dumps(canonical_value(NocConfig()))
-        assert "topology" not in payload
-        assert "concentration" not in payload
-        torus = json.dumps(canonical_value(NocConfig(topology="torus")))
-        assert "torus" in torus
