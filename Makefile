@@ -1,4 +1,4 @@
-.PHONY: install lint lint-baseline test test-output bench bench-output bench-repo bench-pairs bench-test fig examples clean
+.PHONY: install lint lint-baseline test test-output verify-paper bench-repo bench-pairs bench-test examples clean
 
 install:
 	pip install -e .
@@ -6,7 +6,7 @@ install:
 # NoCSan whole-program pass (docs/analysis.md), by the command line CI's
 # `lint` job runs; mypy runs too when installed.
 lint:
-	PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks \
+	PYTHONPATH=src python -m repro.analysis.lint src tests \
 		--exclude tests/analysis/fixtures \
 		--baseline lint-baseline.json --json nocsan.json --stats
 	@if python -c "import mypy" 2>/dev/null; then \
@@ -16,7 +16,7 @@ lint:
 
 # Accept the current NoCSan findings into the committed baseline.
 lint-baseline:
-	PYTHONPATH=src python -m repro.analysis.lint src tests benchmarks \
+	PYTHONPATH=src python -m repro.analysis.lint src tests \
 		--exclude tests/analysis/fixtures \
 		--baseline lint-baseline.json --update-baseline
 
@@ -26,8 +26,11 @@ test:
 test-output:
 	pytest tests/ 2>&1 | tee test_output.txt
 
-bench:
-	pytest benchmarks/ --benchmark-only
+# Measure every figure of the paper on the full grid, check the table of
+# repro.report.paper_table, rewrite results/ and EXPERIMENTS.md (minutes
+# cold, seconds on a warm cache; EXPERIMENTS.md, "Regenerating").
+verify-paper:
+	PYTHONPATH=src python -m repro verify-paper
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): all four
 # workloads, traced and untraced passes, about 4 minutes.  Compare two
@@ -91,18 +94,13 @@ bench-pairs:
 bench-test:
 	python3 -m pytest bench/tests -q
 
-bench-output:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
-
-# Regenerate one paper figure, e.g. `make fig FIG=13`
-fig:
-	pytest benchmarks/bench_fig$(FIG)*.py --benchmark-only
-
 examples:
 	python examples/quickstart.py
 	python examples/adaptive_ecc_demo.py
 	python examples/fault_injection_study.py
 
+# results/ is generated *and committed* (`make verify-paper` writes it):
+# clean leaves it alone.
 clean:
-	rm -rf results/*.txt .pytest_cache .benchmarks nocsan.json
+	rm -rf .pytest_cache nocsan.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -2,9 +2,9 @@
 
 Reproduces the structure of the paper's Figs. 9-16 at laptop scale and
 prints the normalized tables.  For the full-scale regeneration of every
-figure, run the benchmark harness instead::
+figure, checked against the paper table, run::
 
-    pytest benchmarks/ --benchmark-only
+    python -m repro verify-paper
 
 Usage::
 

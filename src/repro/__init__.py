@@ -31,7 +31,7 @@ from repro.config import (
     all_techniques,
     technique,
 )
-from repro.core.experiment import ExperimentResult, ExperimentRunner, run_technique
+from repro.core.experiment import ExperimentRunner, run_technique
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
 from repro.core.sweep import SensitivitySweep, SweepPoint
 from repro.exec import (
@@ -65,7 +65,6 @@ __all__ = [
     "SECDED_BASELINE",
     "ControlPolicy",
     "EccScheme",
-    "ExperimentResult",
     "ExperimentRunner",
     "ParallelExecutor",
     "ResultStore",

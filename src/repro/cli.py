@@ -16,6 +16,7 @@ Usage::
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
     python -m repro area
+    python -m repro verify-paper --jobs 2
 
 Exit codes: 0 success, 2 usage/config error, 3 partial results (cells
 quarantined or skipped), 75 interrupted after a graceful drain (resume
@@ -492,21 +493,30 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_area(args: argparse.Namespace) -> int:
-    from repro.power.area import AreaModel
+    from repro.power.area import area_table
 
-    model = AreaModel()
-    rows = []
-    for tech in all_techniques():
-        b = model.breakdown(tech)
-        rows.append([tech.name, b.router_buffer, b.crossbar, b.channel, b.ecc,
-                     b.total, model.percent_change_vs_baseline(tech)])
-    print(format_table(
-        ["technique", "buffers", "crossbar", "channel", "ECC", "total", "%change"],
-        rows,
-        title="Table 2 - area overhead (um^2)",
-        float_fmt="{:.1f}",
-    ))
+    print(area_table()[0])
     return 0
+
+
+def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    """Measure the full grid, check every row of the paper table, rewrite
+    ``results/`` and EXPERIMENTS.md in the working directory."""
+    from repro.report import paper
+
+    failed = []
+
+    def render(_evaluator: object, measured: dict) -> None:
+        verdicts = paper.evaluate(paper.publish(measured))
+        print(paper.verdict_table(verdicts))
+        failed.extend(v for v in verdicts if not v.ok)
+
+    code = _engine_session(
+        args, paper.PaperEvaluator, paper.PaperEvaluator.measure, render
+    )
+    if failed:
+        _LOG.error("%d row(s) of the paper table FAILED", len(failed))
+    return code or (1 if failed else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -584,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_cli_arguments(
         p,
-        default_paths=["src", "tests", "benchmarks"],
+        default_paths=["src", "tests"],
         default_baseline="lint-baseline.json",
         default_excludes=["tests/analysis/fixtures"],
     )
@@ -594,6 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="print the Table 2 area model")
     _add_logging_options(p)
     p.set_defaults(fn=_cmd_area)
+
+    p = sub.add_parser(
+        "verify-paper",
+        help="measure every figure on the full grid (minutes), check every row "
+             "of the paper table, rewrite results/ and EXPERIMENTS.md",
+    )
+    _add_engine_options(p)
+    _add_logging_options(p)
+    p.set_defaults(fn=_cmd_verify_paper)
 
     return parser
 

@@ -18,13 +18,12 @@ from repro.control.policies import (
     StaticPolicy,
     make_policy,
 )
-from repro.core.experiment import ExperimentResult, ExperimentRunner, run_technique
+from repro.core.experiment import ExperimentRunner, run_technique
 from repro.core.loadlatency import LoadLatencySweep, LoadPoint
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
 from repro.core.sweep import SensitivitySweep, SweepPoint
 
 __all__ = [
-    "ExperimentResult",
     "ExperimentRunner",
     "LoadLatencySweep",
     "LoadPoint",

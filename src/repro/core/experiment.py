@@ -33,15 +33,6 @@ from repro.traffic.parsec import PARSEC_BENCHMARKS, generate_parsec_trace
 from repro.traffic.trace import Trace
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """One (technique, workload) cell of a campaign."""
-
-    technique: str
-    workload: str
-    metrics: RunMetrics
-
-
 def run_technique(
     technique: TechniqueConfig,
     trace: Trace,
@@ -66,6 +57,17 @@ def run_technique(
     )
     network = Network(config, trace, policy=policy, telemetry=telemetry)
     return run_to_metrics(network, max_cycles)
+
+
+def _over_campaign(render):
+    """The runner method that renders one figure of :mod:`repro.core.figures`
+    over the runner's (cached) campaign."""
+
+    def method(self: "ExperimentRunner"):
+        return render(self.run_campaign(), self._technique_names, self.benchmarks)
+
+    method.__doc__ = render.__doc__
+    return method
 
 
 @dataclass
@@ -161,47 +163,16 @@ class ExperimentRunner(EngineOptions):
     def _technique_names(self) -> list[str]:
         return [t.name for t in self.techniques]
 
-    def figure9_speedup(self):
-        return figures.figure9_speedup(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def figure10_latency(self):
-        return figures.figure10_latency(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def figure11_static_power(self):
-        return figures.figure11_static_power(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def figure12_dynamic_power(self):
-        return figures.figure12_dynamic_power(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def figure13_energy_efficiency(self):
-        return figures.figure13_energy_efficiency(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
+    figure9_speedup = _over_campaign(figures.figure9_speedup)
+    figure10_latency = _over_campaign(figures.figure10_latency)
+    figure11_static_power = _over_campaign(figures.figure11_static_power)
+    figure12_dynamic_power = _over_campaign(figures.figure12_dynamic_power)
+    figure13_energy_efficiency = _over_campaign(figures.figure13_energy_efficiency)
+    figure15_retransmissions = _over_campaign(figures.figure15_retransmissions)
+    figure16_mttf = _over_campaign(figures.figure16_mttf)
+    reliability_table = _over_campaign(figures.reliability_table)
 
     def figure14_mode_breakdown(self):
         return figures.figure14_mode_breakdown(
             self.run_campaign(), self.benchmarks
-        )
-
-    def figure15_retransmissions(self):
-        return figures.figure15_retransmissions(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def figure16_mttf(self):
-        return figures.figure16_mttf(
-            self.run_campaign(), self._technique_names, self.benchmarks
-        )
-
-    def reliability_table(self):
-        return figures.reliability_table(
-            self.run_campaign(), self._technique_names, self.benchmarks
         )

@@ -204,3 +204,16 @@ def figure16_mttf(results, technique_names, benchmarks):
         "Fig. 16 - Mean-time-to-failure (normalized, higher is better)",
         lambda m: m.reliability.mttf_seconds,
     )
+
+
+#: The figures that are one metric normalised to the baseline, under the
+#: names :mod:`repro.report.paper_table` gives them.
+NORMALIZED_FIGURES = {
+    "fig09_speedup": figure9_speedup,
+    "fig10_latency": figure10_latency,
+    "fig11_static_power": figure11_static_power,
+    "fig12_dynamic_power": figure12_dynamic_power,
+    "fig13_energy_efficiency": figure13_energy_efficiency,
+    "fig15_retransmissions": figure15_retransmissions,
+    "fig16_mttf": figure16_mttf,
+}

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import TechniqueConfig
+from repro.config import TechniqueConfig, all_techniques
+from repro.utils.tables import format_table
 
 # Published Table 2, verbatim (µm^2). CPD shares the CP row set in the paper.
 PAPER_TABLE2: dict[str, dict[str, float]] = {
@@ -158,3 +159,24 @@ class AreaModel:
         """Table 2's "%Change" row: area delta vs the SECDED baseline."""
         base = PAPER_TABLE2["SECDED"]["total"]
         return (self.total(technique) - base) / base * 100.0
+
+
+def area_table() -> tuple[str, dict[str, float]]:
+    """Table 2 as text, and each technique's %change vs the baseline."""
+    model = AreaModel()
+    rows = []
+    for technique in all_techniques():
+        b = model.breakdown(technique)
+        rows.append([
+            technique.name, b.router_buffer, b.crossbar, b.channel, b.ecc,
+            b.control_other, b.total,
+            model.percent_change_vs_baseline(technique),
+        ])
+    table = format_table(
+        ["technique", "router buffer", "crossbar", "channel", "ECC",
+         "control/other", "total", "%change"],
+        rows,
+        title="Table 2 - Area overhead comparison (um^2)",
+        float_fmt="{:.1f}",
+    )
+    return table, {row[0]: row[-1] for row in rows}

@@ -11,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core import figures
 from repro.core.experiment import ExperimentRunner
 from repro.report.charts import bar_chart
-
-# The paper's published suite averages (normalized to the SECDED baseline).
-PAPER_HEADLINES = {
-    "speed-up": {"EB": 1.06, "CP": 0.97, "CPD": 1.08, "IntelliNoC": 1.16},
-    "latency": {"EB": 0.83, "IntelliNoC": 0.68},
-    "energy-efficiency": {"CPD": 1.36, "IntelliNoC": 1.67},
-    "mttf": {"IntelliNoC": 1.77},
-}
+from repro.report.paper_table import PAPER
 
 
 @dataclass
@@ -34,25 +28,14 @@ class CampaignReport:
     def build(self) -> str:
         """Assemble the full Markdown document."""
         self._sections = [self._header()]
-        figures = [
-            ("Fig. 9 — execution-time speed-up", self.runner.figure9_speedup,
-             "speed-up", True),
-            ("Fig. 10 — average end-to-end latency", self.runner.figure10_latency,
-             "latency", False),
-            ("Fig. 11 — static power", self.runner.figure11_static_power, None, False),
-            ("Fig. 12 — dynamic power", self.runner.figure12_dynamic_power, None, False),
-            ("Fig. 13 — energy-efficiency", self.runner.figure13_energy_efficiency,
-             "energy-efficiency", True),
-            ("Fig. 15 — re-transmission flits", self.runner.figure15_retransmissions,
-             None, False),
-            ("Fig. 16 — MTTF", self.runner.figure16_mttf, "mttf", True),
-        ]
-        for heading, figure, headline_key, higher_better in figures:
-            table, averages = figure()
-            self._sections.append(
-                self._figure_section(heading, table, averages, headline_key,
-                                     higher_better)
-            )
+        r = self.runner
+        results = r.run_campaign()
+        names = [t.name for t in r.techniques]
+        for key, render in figures.NORMALIZED_FIGURES.items():
+            table, averages = render(results, names, r.benchmarks)
+            self._sections.append(self._figure_section(
+                table.splitlines()[0], table, averages, PAPER[key]
+            ))
         self._sections.append(self._mode_section())
         self._sections.append(self._reliability_section())
         return "\n\n".join(self._sections) + "\n"
@@ -74,24 +57,23 @@ class CampaignReport:
         heading: str,
         table: str,
         averages: dict[str, float],
-        headline_key: str | None,
-        higher_better: bool,
+        paper: dict[str, float],
     ) -> str:
         chart = bar_chart(averages, reference="SECDED")
-        parts = [f"## {heading}", "```", table, "", chart, "```"]
-        if headline_key and headline_key in PAPER_HEADLINES:
-            parts.append(self._verdicts(averages, PAPER_HEADLINES[headline_key],
-                                        higher_better))
+        parts = [
+            f"## {heading}", "```", table, "", chart, "```",
+            self._verdicts(averages, paper),
+        ]
         return "\n".join(parts)
 
     @staticmethod
-    def _verdicts(
-        averages: dict[str, float], paper: dict[str, float], higher_better: bool
-    ) -> str:
+    def _verdicts(averages: dict[str, float], paper: dict[str, float]) -> str:
+        """One line per technique the paper (`repro.report.paper_table`)
+        puts on one side of the baseline: is the measured value on it too?"""
         lines = []
         for name, published in paper.items():
             measured = averages.get(name)
-            if measured is None:
+            if measured is None or published == 1.0:  # noqa: NOC302 -- a literal of the paper table: the baseline itself, or no stated direction
                 continue
             direction_ok = (measured > 1.0) == (published > 1.0)
             marker = "shape reproduced" if direction_ok else "SHAPE MISMATCH"

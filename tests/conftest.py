@@ -19,17 +19,21 @@ from repro.noc.network import Network
 from repro.traffic.trace import Trace, TraceEvent
 
 
-@pytest.fixture(autouse=True)
-def isolated_result_cache(tmp_path_factory, monkeypatch):
+@pytest.fixture(autouse=True, scope="session")
+def isolated_result_cache(tmp_path_factory):
     """Keep the suite out of the user's real result cache.
 
     Results are keyed by spec hash, not by code, so a home cache filled by
     an older simulator would be served to any test that reaches
-    ``default_cache_dir()``; one directory per session is enough.
+    ``default_cache_dir()``; one directory per session is enough.  Session
+    scope, so that module- and class-scoped fixtures that simulate with
+    ``use_cache=True`` are redirected too.
     """
-    monkeypatch.setenv(
-        "REPRO_CACHE_DIR", str(tmp_path_factory.getbasetemp() / "repro-cache")
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.getbasetemp() / "repro-cache")
+        )
+        yield
 
 
 @pytest.fixture

@@ -1,33 +1,26 @@
-"""Chaos harness: deterministic, seeded fault injection for the exec layer.
+"""Chaos harness: deterministic, seeded fault injection for the executors.
 
 The resilience machinery (failure policies, backoff, journal/resume, the
-``BrokenProcessPool`` rebuild, the store's treat-corruption-as-miss
-contract) is only trustworthy if every recovery path is *driven*, not just
-written.  This module wraps the two injection surfaces a campaign has —
-the executor's cell function and the result store — with policy-driven
-faults:
-
-* worker crashes (``os._exit``) — breaks the process pool mid-cell,
-* hangs (a sleep long enough to trip ``timeout_s``),
-* transient exceptions (charged against the retry budget),
-* permanently doomed cells (every attempt fails),
-* corrupt/truncated cache artifacts (the store must treat them as misses),
-* ``ENOSPC``-style write failures (the engine must degrade to a warning).
+``BrokenProcessPool`` rebuild) is only trustworthy if every recovery path
+is *driven*.  ``ChaosCellFn`` wraps the executor's cell function with
+policy-driven worker crashes (``os._exit``), hangs (a sleep past
+``timeout_s``), transient exceptions and permanently doomed cells.  Store
+faults need no harness: ``tests/exec/test_engine.py`` and ``test_store.py``
+damage the artifact or the ``put`` directly.
 
 Every decision is a pure function of ``(policy.seed, spec hash, attempt)``
-via the same blake2b construction the backoff jitter uses, so a chaos run
-is exactly reproducible.  Attempt counting crosses process boundaries
-through a ledger of files under ``state_dir`` (a crashed worker cannot
-report back any other way), and ``max_faults_per_cell`` caps the injected
-faults per cell so that a retry budget of one always suffices for the
-non-doomed cells — chaos stays survivable by construction.
+via the blake2b construction the backoff jitter uses, so a drill is exactly
+reproducible.  Attempt counting crosses process boundaries through a ledger
+of files under ``state_dir`` (a crashed worker cannot report back any other
+way), and ``max_faults_per_cell`` caps the injected faults per cell so a
+retry budget of one always suffices for the non-doomed cells.
 
-Used by ``tests/exec/chaos``; see docs/resilience.md for drill recipes.
+Test code, beside its only user ``test_chaos.py``; docs/resilience.md has
+the drill recipes.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import time
@@ -37,7 +30,6 @@ from typing import Any, Callable
 
 from repro.exec.resilience import _unit_uniform
 from repro.exec.spec import CellSpec
-from repro.exec.store import ResultStore
 from repro.exec.worker import execute_cell_payload
 
 #: Exit status of a chaos-crashed worker (distinctive in core-dump triage).
@@ -62,8 +54,6 @@ class ChaosPolicy:
     hang_s: float = 5.0
     transient_rate: float = 0.0  # plain retryable exception
     doomed: tuple[str, ...] = ()  # spec hashes that always fail
-    corrupt_rate: float = 0.0  # store puts whose artifact gets truncated
-    write_failure_rate: float = 0.0  # store puts that raise ENOSPC
     #: Injected-fault budget per cell (doomed cells exempt): once spent,
     #: the cell runs clean, so ``retries >= max_faults_per_cell`` always
     #: recovers.
@@ -105,15 +95,6 @@ class ChaosPolicy:
         entry = self._ledger_read(spec_hash)
         entry["faults"] += 1
         self._ledger_write(spec_hash, entry)
-
-    def once(self, kind: str, spec_hash: str) -> bool:
-        """True exactly once per (kind, cell) — for store-level faults."""
-        marker = Path(self.state_dir) / f"chaos-{kind}-{spec_hash}.marker"
-        if marker.exists():
-            return False
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        marker.write_text("fired")
-        return True
 
     def pick_fault(self, spec_hash: str, attempt: int) -> str | None:
         """Deterministically choose this attempt's fault, if any."""
@@ -167,37 +148,3 @@ class ChaosCellFn:
                 raise ChaosError(f"chaos: cell {spec.label} hung {policy.hang_s}s")
             raise ChaosError(f"chaos: transient fault on {spec.label}")
         return self.fn(spec)
-
-
-class ChaosStore(ResultStore):
-    """Result store whose writes fail or corrupt deterministically.
-
-    * ``write_failure_rate`` — ``put`` raises ``OSError(ENOSPC)`` (once
-      per cell), proving the engine degrades cache writes to warnings.
-    * ``corrupt_rate`` — ``put`` succeeds, then the artifact is truncated
-      (once per cell), proving ``get``'s treat-corruption-as-miss contract
-      end-to-end: the next run re-simulates and heals the entry.
-
-    Reads are untouched — corruption is only interesting when the pristine
-    read path has to survive it.
-    """
-
-    def __init__(self, cache_dir: str | Path, policy: ChaosPolicy):
-        super().__init__(cache_dir)
-        self.policy = policy
-
-    def put(self, spec: CellSpec, payload: dict[str, Any]) -> Path:
-        h = spec.content_hash()
-        if (
-            self.policy.uniform("enospc", h) < self.policy.write_failure_rate
-            and self.policy.once("enospc", h)
-        ):
-            raise OSError(errno.ENOSPC, f"chaos: disk full writing {spec.label}")
-        path = super().put(spec, payload)
-        if (
-            self.policy.uniform("corrupt", h) < self.policy.corrupt_rate
-            and self.policy.once("corrupt", h)
-        ):
-            data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)])
-        return path

@@ -2,12 +2,11 @@
 deterministic, seeded fault injection.
 
 Each drill wires a ``ChaosPolicy`` into the executor's cell function
-(``ChaosCellFn``) and/or the result store (``ChaosStore``) and asserts the
+(``ChaosCellFn``, ``harness.py`` beside this file) and asserts the
 campaign machinery recovers exactly as documented in docs/resilience.md:
 quarantine isolates only the doomed cell, survivors stay bit-identical to
 a chaos-free run, a killed campaign resumes with zero re-simulation of
-finished cells, a broken process pool is rebuilt, corrupt artifacts heal
-as cache misses, and full-disk writes degrade to warnings.
+finished cells, and a broken process pool is rebuilt.
 
 The ``max_faults_per_cell=1`` cap plus the pre-fault on-disk ledger make
 every non-doomed cell survivable by construction, so these drills are
@@ -20,7 +19,6 @@ import signal
 import pytest
 
 from repro.config import SECDED_BASELINE
-from repro.exec.chaos import ChaosCellFn, ChaosError, ChaosPolicy, ChaosStore
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import ParallelExecutor, SerialExecutor
 from repro.exec.resilience import (
@@ -32,6 +30,7 @@ from repro.exec.resilience import (
 )
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
+from tests.exec.chaos.harness import ChaosCellFn, ChaosError, ChaosPolicy
 
 
 def drill_specs(n=4, duration=400):
@@ -42,16 +41,16 @@ def drill_specs(n=4, duration=400):
 
 
 class TestChaosPolicy:
-    def test_decisions_are_deterministic(self, drill_dir):
-        a = ChaosPolicy(state_dir=str(drill_dir / "a"), seed=3, crash_rate=0.5)
-        b = ChaosPolicy(state_dir=str(drill_dir / "b"), seed=3, crash_rate=0.5)
+    def test_decisions_are_deterministic(self, tmp_path):
+        a = ChaosPolicy(state_dir=str(tmp_path / "a"), seed=3, crash_rate=0.5)
+        b = ChaosPolicy(state_dir=str(tmp_path / "b"), seed=3, crash_rate=0.5)
         h = "c" * 64
         assert a.pick_fault(h, 1) == b.pick_fault(h, 1)
         assert a.uniform("fault", h, 1) == b.uniform("fault", h, 1)
 
-    def test_ledger_caps_the_fault_budget(self, drill_dir):
+    def test_ledger_caps_the_fault_budget(self, tmp_path):
         policy = ChaosPolicy(
-            state_dir=str(drill_dir), seed=0, transient_rate=1.0
+            state_dir=str(tmp_path), seed=0, transient_rate=1.0
         )
         h = "d" * 64
         attempt, budget_left = policy.next_attempt(h)
@@ -60,15 +59,10 @@ class TestChaosPolicy:
         attempt, budget_left = policy.next_attempt(h)
         assert (attempt, budget_left) == (2, False)
 
-    def test_once_markers_fire_exactly_once(self, drill_dir):
-        policy = ChaosPolicy(state_dir=str(drill_dir))
-        assert policy.once("enospc", "e" * 64)
-        assert not policy.once("enospc", "e" * 64)
-
-    def test_doomed_cell_fails_every_attempt(self, drill_dir):
+    def test_doomed_cell_fails_every_attempt(self, tmp_path):
         spec = drill_specs(1)[0]
         policy = ChaosPolicy(
-            state_dir=str(drill_dir), doomed=(spec.content_hash(),)
+            state_dir=str(tmp_path), doomed=(spec.content_hash(),)
         )
         fn = ChaosCellFn(policy)
         for _ in range(3):
@@ -77,24 +71,22 @@ class TestChaosPolicy:
 
 
 class TestChaosEndToEnd:
-    def test_quarantine_campaign_survives_mixed_chaos(self, drill_dir):
-        """The acceptance drill: crashes, transients, corrupt artifacts and
-        full-disk writes under a parallel quarantine campaign.  Exactly the
-        doomed cell is quarantined (with a persisted post-mortem) and every
-        survivor's metrics are bit-identical to a chaos-free run."""
+    def test_quarantine_campaign_survives_mixed_chaos(self, tmp_path):
+        """The acceptance drill: crashes and transients under a parallel
+        quarantine campaign.  Exactly the doomed cell is quarantined (with
+        a persisted post-mortem) and every survivor's metrics are
+        bit-identical to a chaos-free run."""
         specs = drill_specs(4)
         doomed = specs[0]
         policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"),
+            state_dir=str(tmp_path / "chaos"),
             seed=5,
             crash_rate=0.35,
             transient_rate=0.35,
             doomed=(doomed.content_hash(),),
-            corrupt_rate=0.5,
-            write_failure_rate=0.5,
         )
-        store = ChaosStore(drill_dir / "cache", policy)
-        journal = CampaignJournal(drill_dir / "campaign.journal.jsonl")
+        store = ResultStore(tmp_path / "cache")
+        journal = CampaignJournal(tmp_path / "campaign.journal.jsonl")
         # Generous retry budget: each cell injects at most one fault, but a
         # pool break also charges the innocent in-flight cells one attempt.
         engine = CampaignEngine(
@@ -117,21 +109,21 @@ class TestChaosEndToEnd:
         clean = CampaignEngine(executor=SerialExecutor()).run(specs)
         assert report.metrics[1:] == clean.metrics[1:]
 
-        state = load_journal(drill_dir / "campaign.journal.jsonl")
+        state = load_journal(tmp_path / "campaign.journal.jsonl")
         assert state.done == {s.content_hash() for s in specs[1:]}
         assert set(state.failed) == {doomed.content_hash()}
 
     def test_kill_mid_flight_then_resume_runs_only_the_remainder(
-        self, drill_dir
+        self, tmp_path
     ):
         """SIGTERM lands after two cells finish; ``--resume`` semantics
         replay the journal so only the unfinished cells re-execute."""
         specs = drill_specs(4)
         policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"), seed=9, transient_rate=1.0
+            state_dir=str(tmp_path / "chaos"), seed=9, transient_rate=1.0
         )
-        store = ResultStore(drill_dir / "cache")
-        path = drill_dir / "campaign.journal.jsonl"
+        store = ResultStore(tmp_path / "cache")
+        path = tmp_path / "campaign.journal.jsonl"
         flag = ShutdownFlag()
         done = []
 
@@ -176,13 +168,13 @@ class TestChaosEndToEnd:
 
 class TestProcessPoolChaos:
     def test_broken_pool_is_rebuilt_and_the_campaign_completes(
-        self, drill_dir
+        self, tmp_path
     ):
         """Every cell hard-crashes its worker once (``os._exit``); the
         executor must rebuild the pool and the retries must land clean."""
         specs = drill_specs(3)
         policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"), seed=2, crash_rate=1.0
+            state_dir=str(tmp_path / "chaos"), seed=2, crash_rate=1.0
         )
         # jobs=1 keeps the drill deterministic: no innocent in-flight cell
         # gets charged a collateral attempt when the pool breaks.
@@ -192,12 +184,12 @@ class TestProcessPoolChaos:
         assert report.executed == 3
         assert all(m is not None for m in report.metrics)
 
-    def test_hang_is_abandoned_by_timeout_and_retried(self, drill_dir):
+    def test_hang_is_abandoned_by_timeout_and_retried(self, tmp_path):
         """A hung attempt trips ``timeout_s``; the executor abandons the
         still-running future and the retry (fault budget spent) lands."""
         spec = drill_specs(1)[0]
         policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"),
+            state_dir=str(tmp_path / "chaos"),
             seed=0,
             hang_rate=1.0,
             hang_s=1.5,
@@ -210,13 +202,13 @@ class TestProcessPoolChaos:
         assert report.executed == 1
         assert report.metrics[0] is not None
 
-    def test_serial_hang_degrades_to_a_slow_failed_attempt(self, drill_dir):
+    def test_serial_hang_degrades_to_a_slow_failed_attempt(self, tmp_path):
         """The serial executor cannot preempt a hung attempt (documented
         limitation): the hang blocks for ``hang_s``, surfaces as a failed
         attempt, and the retry recovers."""
         spec = drill_specs(1)[0]
         policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"),
+            state_dir=str(tmp_path / "chaos"),
             seed=0,
             hang_rate=1.0,
             hang_s=0.3,
@@ -230,58 +222,3 @@ class TestProcessPoolChaos:
         assert any(
             e.kind == "retry" and "hung" in e.error for e in events
         )
-
-
-class TestStoreChaos:
-    def test_corrupt_artifacts_heal_as_cache_misses(self, drill_dir):
-        """Every artifact is truncated right after the write; the next run
-        must treat the corruption as a miss, re-simulate, and heal."""
-        specs = drill_specs(2)
-        policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"), seed=1, corrupt_rate=1.0
-        )
-        cache_dir = drill_dir / "cache"
-        first = CampaignEngine(
-            executor=SerialExecutor(), store=ChaosStore(cache_dir, policy)
-        ).run(specs)
-        assert first.executed == 2
-
-        store = ResultStore(cache_dir)
-        assert all(store.get(s) is None for s in specs)  # corruption = miss
-        second = CampaignEngine(executor=SerialExecutor(), store=store).run(
-            specs
-        )
-        assert second.executed == 2  # nothing usable was cached
-        assert second.metrics == first.metrics
-        audit = store.audit()
-        assert audit.ok
-        assert audit.healthy == 2  # the rewrite healed both artifacts
-
-    def test_enospc_writes_degrade_to_warnings_and_later_heal(
-        self, drill_dir
-    ):
-        """``put`` raises ENOSPC once per cell: the first run still reports
-        full metrics (cache writes are best-effort), and the next run —
-        the marker spent — re-executes and caches normally."""
-        specs = drill_specs(2)
-        policy = ChaosPolicy(
-            state_dir=str(drill_dir / "chaos"), seed=4, write_failure_rate=1.0
-        )
-        store = ChaosStore(drill_dir / "cache", policy)
-        first = CampaignEngine(executor=SerialExecutor(), store=store).run(
-            specs
-        )
-        assert first.executed == 2
-        assert all(m is not None for m in first.metrics)
-        assert all(store.get(s) is None for s in specs)  # nothing landed
-
-        second = CampaignEngine(executor=SerialExecutor(), store=store).run(
-            specs
-        )
-        assert second.executed == 2
-        assert all(store.get(s) is not None for s in specs)
-
-        third = CampaignEngine(executor=SerialExecutor(), store=store).run(
-            specs
-        )
-        assert third.cache_hits == 2

@@ -6,6 +6,7 @@ from repro.config import INTELLINOC, SECDED_BASELINE
 from repro.core.experiment import ExperimentRunner
 from repro.report.charts import bar_chart, horizontal_bar
 from repro.report.markdown import CampaignReport, write_report
+from repro.report.paper import REDUCED_GRID
 
 
 class TestCharts:
@@ -42,12 +43,15 @@ class TestCharts:
 class TestCampaignReport:
     @pytest.fixture(scope="class")
     def runner(self):
+        # Two cells of the paper table's reduced grid (test_paper.py),
+        # shared with it through the suite's result cache.
         runner = ExperimentRunner(
-            duration=1000,
-            seed=5,
+            duration=REDUCED_GRID.duration,
+            seed=REDUCED_GRID.seed,
             benchmarks=["swa"],
             techniques=[SECDED_BASELINE, INTELLINOC],
-            pretrain_cycles=1500,
+            pretrain_cycles=REDUCED_GRID.pretrain,
+            use_cache=True,
         )
         runner.run_campaign()
         return runner
