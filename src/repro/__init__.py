@@ -37,13 +37,11 @@ from repro.core.sweep import SensitivitySweep, SweepPoint
 from repro.exec import (
     CampaignEngine,
     CampaignReport,
+    CellExecutor,
     CellSpec,
-    ParallelExecutor,
     ResultStore,
-    SerialExecutor,
     WorkloadSpec,
     parsec_cell,
-    run_cells,
     synthetic_cell,
 )
 from repro.metrics.summary import RunMetrics
@@ -59,6 +57,7 @@ __all__ = [
     "CPD",
     "CampaignEngine",
     "CampaignReport",
+    "CellExecutor",
     "CellSpec",
     "EB",
     "INTELLINOC",
@@ -66,9 +65,7 @@ __all__ = [
     "ControlPolicy",
     "EccScheme",
     "ExperimentRunner",
-    "ParallelExecutor",
     "ResultStore",
-    "SerialExecutor",
     "WorkloadSpec",
     "FaultConfig",
     "IntelliNoCSystem",
@@ -91,7 +88,6 @@ __all__ = [
     "generate_synthetic_trace",
     "parsec_cell",
     "pretrain_agents",
-    "run_cells",
     "run_technique",
     "synthetic_cell",
     "technique",

@@ -59,7 +59,7 @@ _CLOCK_ENTROPY = frozenset(
 #: Wall-clock stalls and timer reads banned *inside the simulator*
 #: (NOC105): simulated time is cycle-driven, so sleeping can only hide an
 #: orchestration concern, and even monotonic reads belong to the
-#: harness/backoff layer (diagnostic uses carry a reasoned noqa).
+#: campaign harness (diagnostic uses carry a reasoned noqa).
 _SIM_TIMER_CALLS = frozenset(
     {
         "time.sleep",

@@ -228,9 +228,6 @@ def _print_progress(event) -> None:
     elif event.kind == "resumed":
         _LOG.info("[%d/%d] %s (resumed from journal)",
                   event.completed, event.total, event.spec.label)
-    elif event.kind == "backoff":
-        _LOG.info("%s: backing off %.2fs after attempt %d",
-                  event.spec.label, event.seconds, event.attempt)
     elif event.kind == "quarantined":
         _LOG.warning("%s quarantined: %s", event.spec.label, event.error)
     elif event.kind in ("retry", "failed"):

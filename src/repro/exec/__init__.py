@@ -7,8 +7,9 @@ that grid.  This package factors campaign execution into three layers:
 * **job** (:mod:`repro.exec.spec`) — :class:`CellSpec`, a frozen, hashable
   description of one simulation cell with a canonical JSON form and a
   stable content hash.
-* **executor** (:mod:`repro.exec.executors`) — :class:`SerialExecutor`
-  and the process-pool :class:`ParallelExecutor`, with per-cell timeout,
+* **executor** (:mod:`repro.exec.executors`) — :class:`CellExecutor`,
+  one scheduler running ``jobs`` cells at a time (in the calling process
+  at ``jobs == 1``, in a process pool above that), with per-cell timeout,
   retry-once-on-crash and progress callbacks.
 * **store** (:mod:`repro.exec.store`) — :class:`ResultStore`, an on-disk
   content-addressed cache of structured run artifacts keyed by the spec
@@ -24,13 +25,11 @@ from repro.exec.engine import (
     CampaignEngine,
     CampaignReport,
     EngineOptions,
-    run_cells,
 )
 from repro.exec.executors import (
     CellExecutionError,
-    ParallelExecutor,
+    CellExecutor,
     ProgressEvent,
-    SerialExecutor,
 )
 from repro.exec.spec import CellSpec, WorkloadSpec, parsec_cell, synthetic_cell
 from repro.exec.store import ResultStore, default_cache_dir
@@ -40,18 +39,16 @@ __all__ = [
     "CampaignEngine",
     "CampaignReport",
     "CellExecutionError",
+    "CellExecutor",
     "CellSpec",
     "EngineOptions",
-    "ParallelExecutor",
     "ProgressEvent",
     "ResultStore",
-    "SerialExecutor",
     "WorkloadSpec",
     "build_trace",
     "default_cache_dir",
     "execute_cell",
     "execute_cell_payload",
     "parsec_cell",
-    "run_cells",
     "synthetic_cell",
 ]

@@ -37,11 +37,9 @@ from typing import Any
 
 from repro.exec.executors import (
     CellExecutionError,
-    Executor,
-    ParallelExecutor,
+    CellExecutor,
     ProgressCallback,
     ProgressEvent,
-    SerialExecutor,
     _emit,
 )
 from repro.exec.resilience import (
@@ -52,7 +50,6 @@ from repro.exec.resilience import (
     FailurePolicy,
     JournalMismatch,
     JournalState,
-    QuarantinedCell,
     ShutdownFlag,
     load_journal,
     manifest_hash,
@@ -64,13 +61,6 @@ from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
 
 _LOG = logging.getLogger("repro")
 
-#: Per-spec status values in :attr:`CampaignReport.statuses`.
-STATUS_OK = "ok"
-STATUS_CACHED = "cached"
-STATUS_RESUMED = "resumed"
-STATUS_SKIPPED = "skipped"
-STATUS_QUARANTINED = "quarantined"
-
 
 @dataclass
 class CampaignReport:
@@ -78,7 +68,7 @@ class CampaignReport:
 
     ``metrics`` is aligned with ``specs``; under the non-aborting failure
     policies a failed cell's slot is ``None`` and the cell appears in
-    ``failed``.  ``statuses`` names how each spec was satisfied.
+    ``failed``.
     """
 
     specs: list[CellSpec]
@@ -87,29 +77,19 @@ class CampaignReport:
     cache_hits: int = 0  # cells served from the result store
     deduplicated: int = 0  # duplicate specs folded into one execution
     resumed: int = 0  # cache hits that were journaled by an earlier run
-    failed: list[QuarantinedCell] = field(default_factory=list)
-    statuses: list[str] = field(default_factory=list)
+    failed: list[CellFailure] = field(default_factory=list)
     manifest: str = ""  # campaign identity (journal manifest hash)
 
     @property
     def ok(self) -> bool:
         return not self.failed
 
-    def by_label(self) -> dict[str, RunMetrics]:
-        """Label -> metrics for every *surviving* cell."""
-        return {
-            s.label: m for s, m in zip(self.specs, self.metrics) if m is not None
-        }
-
-    def completed_metrics(self) -> list[RunMetrics]:
-        return [m for m in self.metrics if m is not None]
-
 
 @dataclass
 class CampaignEngine:
     """Executor + optional store, reusable across campaign invocations."""
 
-    executor: Executor = field(default_factory=SerialExecutor)
+    executor: CellExecutor = field(default_factory=CellExecutor)
     store: ResultStore | None = None
     progress: ProgressCallback | None = None
     failure_policy: FailurePolicy | str = FailurePolicy.ABORT
@@ -124,7 +104,7 @@ class CampaignEngine:
     total_executed: int = 0
     total_cache_hits: int = 0
     #: Every cell quarantined or skipped across invocations.
-    quarantined: list[QuarantinedCell] = field(default_factory=list)
+    quarantined: list[CellFailure] = field(default_factory=list)
 
     def run(self, specs: Sequence[CellSpec]) -> CampaignReport:
         policy = FailurePolicy.coerce(self.failure_policy)
@@ -148,14 +128,11 @@ class CampaignEngine:
             self.journal.begin(report.manifest, len(unique))
 
         payloads: dict[str, dict[str, Any]] = {}
-        failed: dict[str, QuarantinedCell] = {}
-        cached_hashes: set[str] = set()
-        resumed_hashes: set[str] = set()
         misses: list[tuple[str, CellSpec]] = []
         for h, spec in unique.items():
             if h in resume.failed:
                 self._quarantine_from_journal(
-                    policy, spec, h, resume.failed[h], report, failed,
+                    policy, spec, resume.failed[h], report,
                     len(payloads), len(unique),
                 )
                 continue
@@ -165,11 +142,8 @@ class CampaignEngine:
                 report.cache_hits += 1
                 if h in resume.done:
                     report.resumed += 1
-                    resumed_hashes.add(h)
-                else:
-                    cached_hashes.add(h)
                 _emit(self.progress, ProgressEvent(
-                    "resumed" if h in resumed_hashes else "cached",
+                    "resumed" if h in resume.done else "cached",
                     spec, len(payloads), len(unique),
                 ))
             else:
@@ -181,9 +155,7 @@ class CampaignEngine:
                 misses.append((h, spec))
 
         if misses:
-            self._execute_misses(
-                policy, misses, payloads, failed, report, len(unique)
-            )
+            self._execute_misses(policy, misses, payloads, report, len(unique))
             report.executed = len(misses)
 
         self.total_executed += report.executed
@@ -193,19 +165,6 @@ class CampaignEngine:
         # matter how a cell was obtained.
         decoded = {h: RunMetrics.from_dict(p["metrics"]) for h, p in payloads.items()}
         report.metrics = [decoded.get(h) for h in order]
-        failed_status = (
-            STATUS_QUARANTINED if policy is FailurePolicy.QUARANTINE
-            else STATUS_SKIPPED
-        )
-        for h in order:
-            if h in failed:
-                report.statuses.append(failed_status)
-            elif h in resumed_hashes:
-                report.statuses.append(STATUS_RESUMED)
-            elif h in cached_hashes:
-                report.statuses.append(STATUS_CACHED)
-            else:
-                report.statuses.append(STATUS_OK)
         return report
 
     # --- resume ---------------------------------------------------------------
@@ -224,18 +183,15 @@ class CampaignEngine:
         self,
         policy: FailurePolicy,
         spec: CellSpec,
-        h: str,
         cause: str,
         report: CampaignReport,
-        failed: dict[str, QuarantinedCell],
         completed: int,
         total: int,
     ) -> None:
         """A journaled permanent failure: report it without re-executing."""
         if policy is FailurePolicy.ABORT:
             raise CellExecutionError(spec, f"quarantined by resumed journal: {cause}")
-        cell = QuarantinedCell(spec, cause, attempts=0, from_journal=True)
-        failed[h] = cell
+        cell = CellFailure(spec, cause, from_journal=True)
         report.failed.append(cell)
         self.quarantined.append(cell)
         _emit(self.progress, ProgressEvent(
@@ -249,7 +205,6 @@ class CampaignEngine:
         policy: FailurePolicy,
         misses: list[tuple[str, CellSpec]],
         payloads: dict[str, dict[str, Any]],
-        failed: dict[str, QuarantinedCell],
         report: CampaignReport,
         total: int,
     ) -> None:
@@ -261,27 +216,27 @@ class CampaignEngine:
             self._store_put(spec, payload)
             if self.journal is not None:
                 self.journal.record_done(miss_hashes[index], spec.label)
+            payloads[miss_hashes[index]] = payload
 
         def on_failure(index: int, spec: CellSpec, failure: CellFailure) -> None:
-            cell = QuarantinedCell(
-                spec, failure.cause, failure.traceback_text, failure.attempts
-            )
-            failed[miss_hashes[index]] = cell
-            report.failed.append(cell)
-            self.quarantined.append(cell)
-            if policy is FailurePolicy.QUARANTINE:
-                self._store_put_failure(spec, failure)
-                if self.journal is not None:
-                    self.journal.record_failed(
-                        miss_hashes[index], failure.cause, spec.label
-                    )
+            # The executor already reported the cell ``failed``.
+            report.failed.append(failure)
+            self.quarantined.append(failure)
+            if policy is not FailurePolicy.QUARANTINE:
+                return
+            self._store_put_failure(spec, failure)
+            if self.journal is not None:
+                self.journal.record_failed(
+                    miss_hashes[index], failure.cause, spec.label
+                )
+            # ``payloads`` holds the cache hits plus every cell landed so
+            # far: the executor's own running count.
             _emit(self.progress, ProgressEvent(
-                "quarantined" if policy is FailurePolicy.QUARANTINE else "failed",
-                spec, report.cache_hits, total, error=failure.cause,
+                "quarantined", spec, len(payloads), total, error=failure.cause,
             ))
 
         try:
-            outcomes = self.executor.run(
+            self.executor.run(
                 [s for _, s in misses],
                 self.progress,
                 failure_mode=(
@@ -316,10 +271,6 @@ class CampaignEngine:
                     self.journal.path if self.journal is not None else None
                 ),
             ) from exc
-        for (h, _spec), outcome in zip(misses, outcomes):
-            if isinstance(outcome, CellFailure):
-                continue  # already recorded through on_failure
-            payloads[h] = outcome
 
     # --- guarded persistence --------------------------------------------------
 
@@ -388,17 +339,19 @@ class EngineOptions:
                 if self.journal_path is not None
                 else self.resume_from
             )
+            store = (
+                ResultStore(self.cache_dir)
+                if self.use_cache or self.cache_dir is not None
+                else None
+            )
+            if self.resume_from is not None and store is None:
+                raise ValueError(
+                    "resuming needs the result cache: the journal records "
+                    "which cells finished, the store holds what they produced"
+                )
             self._engine = CampaignEngine(
-                executor=(
-                    ParallelExecutor(jobs=self.jobs, timeout_s=self.timeout_s)
-                    if self.jobs > 1
-                    else SerialExecutor(timeout_s=self.timeout_s)
-                ),
-                store=(
-                    ResultStore(self.cache_dir)
-                    if self.use_cache or self.cache_dir is not None
-                    else None
-                ),
+                executor=CellExecutor(jobs=self.jobs, timeout_s=self.timeout_s),
+                store=store,
                 progress=chain_progress(
                     self.progress,
                     cell_span_recorder(self.profiler)
@@ -432,19 +385,3 @@ class EngineOptions:
             return self.engine.run(specs)
         with self.profiler.phase(phase, **{count: len(specs)}):
             return self.engine.run(specs)
-
-
-def run_cells(
-    specs: Sequence[CellSpec],
-    executor: Executor | None = None,
-    store: ResultStore | None = None,
-    progress: ProgressCallback | None = None,
-) -> list[RunMetrics]:
-    """One-shot convenience wrapper over :class:`CampaignEngine`."""
-    engine = CampaignEngine(
-        executor=executor if executor is not None else SerialExecutor(),
-        store=store,
-        progress=progress,
-    )
-    metrics = engine.run(specs).metrics
-    return [m for m in metrics if m is not None]

@@ -1,26 +1,29 @@
-"""Executor layer: run cell specs serially or across worker processes.
+"""Executor layer: one cell scheduler for ``--jobs 1`` and ``--jobs N``.
 
-Both executors share one contract: ``run(specs, progress=None)`` returns a
-list of JSON-safe artifact payloads (``execute_cell_payload`` outputs)
-aligned with *specs*.  Cells are independent pure functions of their spec,
-so the executor choice can never change results — only wall-clock time.
+:class:`CellExecutor` runs cell specs and returns a list of JSON-safe
+artifact payloads (``execute_cell_payload`` outputs) aligned with them.
+Cells are independent pure functions of their spec, so ``jobs`` can never
+change results — only wall-clock time.  At ``jobs == 1`` each cell runs in
+the calling process; above that, in a process pool.  Everything else is
+written once for both:
 
-Failure policy: a cell that raises or crashes its worker is retried
-(``retries`` times, default once) with deterministic exponential backoff
-(:class:`~repro.exec.resilience.BackoffPolicy`); a cell that still fails
-either raises :class:`CellExecutionError` (``failure_mode="raise"``, the
-default) or — under ``failure_mode="collect"`` — fills its result slot
-with a :class:`~repro.exec.resilience.CellFailure` so the surviving cells
-complete.  Both executors enforce a per-cell wall-clock ``timeout_s``: the
-parallel executor abandons an overdue cell (its late result, if any, is
-discarded); the serial executor, which cannot preempt a running cell,
-checks the deadline *between* attempts, so a hung cell's retry loop still
-fails consistently (the remaining limitation — a single hung attempt
-blocks until it returns — is documented in docs/resilience.md).
+Failure policy: a cell that raises or crashes its worker is re-dispatched
+at once (``retries`` times, default once); a cell that still fails either
+raises :class:`CellExecutionError` (``failure_mode="raise"``, the default)
+or — under ``failure_mode="collect"`` — fills its result slot with a
+:class:`~repro.exec.resilience.CellFailure` so the surviving cells
+complete.
+
+Deadline: with ``timeout_s`` set, an attempt whose result is not in hand
+by ``submitted + timeout_s`` fails as ``timed out after …s`` and its
+result, whenever it arrives, is discarded.  A pool worker is abandoned at
+the deadline; an in-process attempt cannot be pre-empted, so the same
+comparison runs when it returns (a single hung attempt blocks until it
+yields — docs/resilience.md).
 
 Graceful shutdown: when a :class:`~repro.exec.resilience.ShutdownFlag` is
-set (usually by the SIGINT/SIGTERM handlers), the executors stop
-dispatching, drain in-flight cells, and raise
+set (usually by the SIGINT/SIGTERM handlers), the executor stops
+dispatching, drains in-flight cells, and raises
 :class:`~repro.exec.resilience.ExecutorInterrupted`.  Every completed
 cell was already reported through ``on_result``, so nothing finished is
 lost.
@@ -34,23 +37,16 @@ campaign, never a shrinking one.
 
 from __future__ import annotations
 
-import heapq
-import os
 import time
 import traceback
+from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Protocol, Union
+from dataclasses import dataclass
+from typing import Any, Union
 
-from repro.exec.resilience import (
-    BackoffPolicy,
-    CellFailure,
-    ExecutorInterrupted,
-    NO_BACKOFF,
-    ShutdownFlag,
-)
+from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import CellSpec
 from repro.exec.worker import execute_cell_payload
 
@@ -73,6 +69,8 @@ CELL_FAILURE_TYPES = (
 #: One result slot: the artifact payload, or (collect mode) the failure.
 CellOutcome = Union[dict[str, Any], CellFailure]
 
+CellFn = Callable[[CellSpec], dict[str, Any]]
+
 #: Hooks the engine uses to persist work the moment it lands: called with
 #: ``(index, spec, payload | CellFailure)`` as each cell resolves, in the
 #: executor's own process — this is what makes the journal crash-safe.
@@ -80,23 +78,17 @@ ResultHook = Callable[[int, CellSpec, dict[str, Any]], None]
 FailureHook = Callable[[int, CellSpec, CellFailure], None]
 
 
-def _format_traceback(exc: BaseException) -> str:
-    """Full traceback text, including chained causes — for a cell that
-    failed in a worker process this contains the remote traceback too."""
-    return "".join(traceback.format_exception(exc))
-
-
 @dataclass(frozen=True)
 class ProgressEvent:
     """One progress callback: a cell started, finished, retried or failed."""
 
-    # "start" | "done" | "retry" | "backoff" | "failed" | "cached"
-    # | "resumed" | "quarantined"
+    # "start" | "done" | "retry" | "failed" | "cached" | "resumed"
+    # | "quarantined"
     kind: str
     spec: CellSpec
     completed: int  # campaign-wide cells finished so far (cache hits included)
     total: int  # campaign-wide denominator; stable for the whole run
-    seconds: float = 0.0  # cell runtime ("done") or planned delay ("backoff")
+    seconds: float = 0.0  # the worker's self-reported cell runtime ("done")
     error: str = ""  # failure description, for "retry"/"failed" events
     traceback: str = ""  # full traceback text, for "retry"/"failed" events
     # Monotonic wall-clock seconds from the attempt's dispatch to this
@@ -104,7 +96,7 @@ class ProgressEvent:
     # Unlike ``seconds`` (the worker's self-reported payload runtime) this
     # includes dispatch/pickling overhead and is present for failures.
     duration_s: float = 0.0
-    # 1-based attempt number for "retry"/"backoff"/"failed" events.
+    # 1-based attempt number for "retry"/"failed" events.
     attempt: int = 0
 
 
@@ -121,153 +113,34 @@ class CellExecutionError(RuntimeError):
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
-class Executor(Protocol):
-    """Structural contract of both executors (what the engine relies on)."""
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        progress: ProgressCallback | None = None,
-        fn: Callable[[CellSpec], dict[str, Any]] | None = None,
-        *,
-        failure_mode: str = "raise",
-        cancel: ShutdownFlag | None = None,
-        completed_offset: int = 0,
-        campaign_total: int | None = None,
-        on_result: ResultHook | None = None,
-        on_failure: FailureHook | None = None,
-    ) -> list[CellOutcome]: ...
-
-
 def _emit(progress: ProgressCallback | None, event: ProgressEvent) -> None:
     if progress is not None:
         progress(event)
 
 
-def _check_cancel(cancel: ShutdownFlag | None, completed: int) -> None:
-    if cancel is not None and cancel.is_set():
-        raise ExecutorInterrupted(cancel.reason, completed=completed)
+class _InProcessPool:
+    """``ProcessPoolExecutor`` stand-in for ``jobs == 1``: ``submit`` runs
+    the cell in the calling process (no pickling, and the worker module's
+    per-process memos are the caller's) and returns a resolved future."""
+
+    def submit(self, fn: CellFn, spec: CellSpec) -> Future[dict[str, Any]]:
+        future: Future[dict[str, Any]] = Future()
+        try:
+            future.set_result(fn(spec))
+        except CELL_FAILURE_TYPES as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing outlives ``submit``."""
 
 
 @dataclass
-class SerialExecutor:
-    """Runs cells one after another in the calling process."""
+class CellExecutor:
+    """Runs cells ``jobs`` at a time: in the calling process at ``jobs ==
+    1``, in a process pool above that.
 
-    retries: int = 1
-    #: Post-hoc wall-clock budget per attempt.  The serial executor cannot
-    #: preempt a running cell; an attempt that returns (or raises) after
-    #: the deadline is charged as a timeout and its result discarded, so a
-    #: hung cell fails consistently with the parallel executor once it
-    #: yields control.
-    timeout_s: float | None = None
-    backoff: BackoffPolicy = field(default_factory=lambda: NO_BACKOFF)
-    fn: Callable[[CellSpec], dict[str, Any]] = execute_cell_payload
-    sleep: Callable[[float], None] = time.sleep
-
-    def run(
-        self,
-        specs: Sequence[CellSpec],
-        progress: ProgressCallback | None = None,
-        fn: Callable[[CellSpec], dict[str, Any]] | None = None,
-        *,
-        failure_mode: str = "raise",
-        cancel: ShutdownFlag | None = None,
-        completed_offset: int = 0,
-        campaign_total: int | None = None,
-        on_result: ResultHook | None = None,
-        on_failure: FailureHook | None = None,
-    ) -> list[CellOutcome]:
-        fn = fn if fn is not None else self.fn
-        results: list[CellOutcome] = []
-        total = campaign_total if campaign_total is not None else len(specs)
-        completed = completed_offset
-        for i, spec in enumerate(specs):
-            # ExecutorInterrupted.completed counts this batch only; the
-            # engine adds the cache hits back (parallel parity).
-            _check_cancel(cancel, completed - completed_offset)
-            _emit(progress, ProgressEvent("start", spec, completed, total))
-            outcome, elapsed = self._run_one(
-                i, spec, fn, progress, completed, total,
-                failure_mode, cancel, completed_offset, on_result, on_failure,
-            )
-            if isinstance(outcome, dict):
-                completed += 1
-                _emit(progress, ProgressEvent(
-                    "done", spec, completed, total,
-                    seconds=float(outcome.get("runtime_seconds", 0.0)),
-                    duration_s=elapsed,
-                ))
-            results.append(outcome)
-        return results
-
-    def _run_one(
-        self,
-        index: int,
-        spec: CellSpec,
-        fn: Callable[[CellSpec], dict[str, Any]],
-        progress: ProgressCallback | None,
-        completed: int,
-        total: int,
-        failure_mode: str,
-        cancel: ShutdownFlag | None,
-        completed_offset: int,
-        on_result: ResultHook | None,
-        on_failure: FailureHook | None,
-    ) -> tuple[CellOutcome, float]:
-        spec_hash = spec.content_hash()
-        last_error = ""
-        last_tb = ""
-        for attempt in range(1, self.retries + 2):
-            began = time.monotonic()
-            payload: dict[str, Any] | None = None
-            try:
-                payload = fn(spec)
-            except CELL_FAILURE_TYPES as exc:
-                elapsed = time.monotonic() - began
-                last_error = f"{type(exc).__name__}: {exc}"
-                last_tb = _format_traceback(exc)
-            else:
-                elapsed = time.monotonic() - began
-                if self.timeout_s is not None and elapsed >= self.timeout_s:
-                    # Post-hoc deadline: parity with the parallel executor's
-                    # abandonment — the overdue result is discarded.
-                    payload = None
-                    last_error = f"timed out after {self.timeout_s:.1f}s"
-                    last_tb = ""
-            if payload is not None:
-                if on_result is not None:
-                    on_result(index, spec, payload)
-                return payload, elapsed
-            if attempt > self.retries:
-                _emit(progress, ProgressEvent(
-                    "failed", spec, completed, total, error=last_error,
-                    traceback=last_tb, duration_s=elapsed, attempt=attempt,
-                ))
-                failure = CellFailure(spec, last_error, last_tb, attempts=attempt)
-                if failure_mode == "collect":
-                    if on_failure is not None:
-                        on_failure(index, spec, failure)
-                    return failure, elapsed
-                raise CellExecutionError(spec, last_error, last_tb)
-            _emit(progress, ProgressEvent(
-                "retry", spec, completed, total, error=last_error,
-                traceback=last_tb, duration_s=elapsed, attempt=attempt,
-            ))
-            _check_cancel(cancel, completed - completed_offset)
-            delay = self.backoff.delay_s(spec_hash, attempt)
-            if delay > 0.0:
-                _emit(progress, ProgressEvent(
-                    "backoff", spec, completed, total,
-                    seconds=delay, attempt=attempt,
-                ))
-                self.sleep(delay)
-        raise AssertionError("unreachable: retry loop always resolves")
-
-
-class ParallelExecutor:
-    """Process-pool executor: ``--jobs N`` campaign cells at a time.
-
-    Workers import :func:`repro.exec.worker.execute_cell_payload` by
+    Pool workers import :func:`repro.exec.worker.execute_cell_payload` by
     reference and receive only the (picklable) spec, so no simulator state
     ever crosses process boundaries except the JSON-safe result payload.
 
@@ -277,27 +150,25 @@ class ParallelExecutor:
     surfaces as a failure, innocents get re-run.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        timeout_s: float | None = None,
-        retries: int = 1,
-        backoff: BackoffPolicy | None = None,
-        fn: Callable[[CellSpec], dict[str, Any]] = execute_cell_payload,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff = backoff if backoff is not None else NO_BACKOFF
-        self.fn = fn
-        self.sleep = sleep  # unused; dispatch delays ride the wait timeout
+    jobs: int = 1
+    #: Wall-clock budget per attempt, measured from its submission (see
+    #: the module docstring for the one deadline rule).
+    timeout_s: float | None = None
+    retries: int = 1
+    fn: CellFn = execute_cell_payload
+
+    def __post_init__(self) -> None:
+        self.jobs = max(1, self.jobs)  # ``--jobs 0`` means in-process
+
+    def _pool(self) -> ProcessPoolExecutor | _InProcessPool:
+        if self.jobs > 1:
+            return ProcessPoolExecutor(max_workers=self.jobs)
+        return _InProcessPool()
 
     def run(
         self,
         specs: Sequence[CellSpec],
         progress: ProgressCallback | None = None,
-        fn: Callable[[CellSpec], dict[str, Any]] | None = None,
         *,
         failure_mode: str = "raise",
         cancel: ShutdownFlag | None = None,
@@ -306,102 +177,73 @@ class ParallelExecutor:
         on_result: ResultHook | None = None,
         on_failure: FailureHook | None = None,
     ) -> list[CellOutcome]:
-        fn = fn if fn is not None else self.fn
         total = campaign_total if campaign_total is not None else len(specs)
         results: list[CellOutcome | None] = [None] * len(specs)
         attempts = [0] * len(specs)
-        hashes = [s.content_hash() for s in specs]
-        # Min-heap of (ready_at, idx): backoff delays re-dispatch without
-        # blocking the event loop.
-        pending: list[tuple[float, int]] = [(0.0, i) for i in range(len(specs))]
-        heapq.heapify(pending)
-        # future -> (index, deadline or None, monotonic submit time)
-        inflight: dict[Future[dict[str, Any]], tuple[int, float | None, float]] = {}
+        # Cells awaiting dispatch; a retry goes to the front.
+        pending = deque(range(len(specs)))
+        # future -> (index, monotonic submit time)
+        inflight: dict[Future[dict[str, Any]], tuple[int, float]] = {}
         # timed-out futures whose results we discard
         abandoned: set[Future[dict[str, Any]]] = set()
         completed = completed_offset
         draining = False
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        timeout_s = self.timeout_s
+        timed_out = "" if timeout_s is None else f"timed out after {timeout_s:.1f}s"
+        pool = self._pool()
 
         def fail(idx: int, cause: str, tb: str = "", duration_s: float = 0.0) -> None:
             if draining:
                 # Shutdown drain: the cell stays unfinished (the journal has
                 # no record for it), so a resumed run re-executes it.
                 return
-            if attempts[idx] <= self.retries:
+            spec, attempt = specs[idx], attempts[idx]
+            if attempt <= self.retries:
                 _emit(progress, ProgressEvent(
-                    "retry", specs[idx], completed, total, error=cause,
-                    traceback=tb, duration_s=duration_s, attempt=attempts[idx],
+                    "retry", spec, completed, total, error=cause,
+                    traceback=tb, duration_s=duration_s, attempt=attempt,
                 ))
-                delay = self.backoff.delay_s(hashes[idx], attempts[idx])
-                if delay > 0.0:
-                    _emit(progress, ProgressEvent(
-                        "backoff", specs[idx], completed, total,
-                        seconds=delay, attempt=attempts[idx],
-                    ))
-                heapq.heappush(pending, (time.monotonic() + delay, idx))
-            else:
-                _emit(progress, ProgressEvent(
-                    "failed", specs[idx], completed, total, error=cause,
-                    traceback=tb, duration_s=duration_s, attempt=attempts[idx],
-                ))
-                failure = CellFailure(
-                    specs[idx], cause, tb, attempts=attempts[idx]
-                )
-                if failure_mode == "collect":
-                    results[idx] = failure
-                    if on_failure is not None:
-                        on_failure(idx, specs[idx], failure)
-                    return
-                raise CellExecutionError(specs[idx], cause, tb)
+                pending.appendleft(idx)
+                return
+            _emit(progress, ProgressEvent(
+                "failed", spec, completed, total, error=cause,
+                traceback=tb, duration_s=duration_s, attempt=attempt,
+            ))
+            if failure_mode != "collect":
+                raise CellExecutionError(spec, cause, tb)
+            failure = CellFailure(spec, cause, tb, attempts=attempt)
+            results[idx] = failure
+            if on_failure is not None:
+                on_failure(idx, spec, failure)
 
         try:
             while pending or inflight:
                 if cancel is not None and cancel.is_set() and not draining:
                     draining = True
                     pending.clear()  # undispatched cells stay unfinished
-                    if not inflight:
-                        break
-                now = time.monotonic()
-                while (
-                    pending
-                    and len(inflight) < self.jobs
-                    and pending[0][0] <= now
-                ):
-                    _, idx = heapq.heappop(pending)
+                    continue
+                while pending and len(inflight) < self.jobs:
+                    idx = pending.popleft()
                     if attempts[idx] == 0:
                         _emit(progress, ProgressEvent(
                             "start", specs[idx], completed, total
                         ))
                     attempts[idx] += 1
                     submitted = time.monotonic()
-                    deadline = (
-                        None if self.timeout_s is None
-                        else submitted + self.timeout_s
-                    )
-                    inflight[pool.submit(fn, specs[idx])] = (idx, deadline, submitted)
+                    inflight[pool.submit(self.fn, specs[idx])] = (idx, submitted)
 
-                if not pending and not inflight:
-                    break
                 waits: list[float] = []
-                if self.timeout_s is not None:
+                if timeout_s is not None:
+                    now = time.monotonic()
                     waits.extend(
-                        d - time.monotonic()
-                        for _, d, _ in inflight.values() if d is not None
+                        submitted + timeout_s - now
+                        for _, submitted in inflight.values()
                     )
-                if pending and len(inflight) < self.jobs:
-                    waits.append(pending[0][0] - time.monotonic())
                 if cancel is not None:
                     waits.append(0.2)  # poll the shutdown flag
-                wait_timeout = max(0.0, min(waits)) if waits else None
-                if not inflight and not abandoned:
-                    # Nothing to wait on — only a future dispatch time.
-                    if wait_timeout:
-                        time.sleep(wait_timeout)
-                    continue
                 done, _ = wait(
                     set(inflight) | abandoned,
-                    timeout=wait_timeout,
+                    timeout=max(0.0, min(waits)) if waits else None,
                     return_when=FIRST_COMPLETED,
                 )
 
@@ -410,7 +252,7 @@ class ParallelExecutor:
                     if fut in abandoned:
                         abandoned.discard(fut)  # late result of a timed-out cell
                         continue
-                    idx, _, submitted = inflight.pop(fut)
+                    idx, submitted = inflight.pop(fut)
                     elapsed = time.monotonic() - submitted
                     try:
                         payload = fut.result()
@@ -422,8 +264,14 @@ class ParallelExecutor:
                         # worker-side traceback, so the formatted text names
                         # the real failing simulator line, not fut.result().
                         fail(idx, f"{type(exc).__name__}: {exc}",
-                             _format_traceback(exc), duration_s=elapsed)
+                             "".join(traceback.format_exception(exc)),
+                             duration_s=elapsed)
                     else:
+                        if timeout_s is not None and elapsed >= timeout_s:
+                            # In hand, but late: discarded like a result that
+                            # lands after its worker was abandoned.
+                            fail(idx, timed_out, duration_s=elapsed)
+                            continue
                         results[idx] = payload
                         completed += 1
                         if on_result is not None:
@@ -438,24 +286,21 @@ class ParallelExecutor:
                     # The pool is unusable; every other in-flight cell is
                     # doomed with it.  Charge each one attempt and rebuild.
                     now = time.monotonic()
-                    for fut, (idx, _, submitted) in list(inflight.items()):
+                    for idx, submitted in inflight.values():
                         fail(idx, "worker pool broke while cell was in flight",
                              duration_s=now - submitted)
                     inflight.clear()
                     abandoned.clear()
                     pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    continue
-
-                if self.timeout_s is not None:
+                    pool = self._pool()
+                elif timeout_s is not None:
                     now = time.monotonic()
-                    for fut, (idx, deadline, submitted) in list(inflight.items()):
-                        if deadline is not None and now >= deadline:
+                    for fut, (idx, submitted) in list(inflight.items()):
+                        if now - submitted >= timeout_s:
                             del inflight[fut]
                             if not fut.cancel():
                                 abandoned.add(fut)  # running; discard later
-                            fail(idx, f"timed out after {self.timeout_s:.1f}s",
-                                 duration_s=now - submitted)
+                            fail(idx, timed_out, duration_s=now - submitted)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         if draining:

@@ -1,26 +1,23 @@
-"""Resilience layer: failure policies, retry backoff, journal, shutdown.
+"""Resilience layer: failure policies, journal, shutdown.
 
 The campaign infrastructure promises the same graceful degradation the
 paper's NoC gets: one permanently failing cell must never throw away the
 rest of a multi-hour sweep, and an interrupted campaign must resume from
 durable state instead of re-simulating finished work.  This module holds
-the policy vocabulary shared by the executors, the engine and the CLI:
+the policy vocabulary shared by the executor, the engine and the CLI:
 
 * :class:`FailurePolicy` — what a permanently failing cell does to the
   campaign (``abort`` | ``skip`` | ``quarantine``).
-* :class:`BackoffPolicy` — deterministic exponential backoff with seeded
-  jitter between retry attempts (jitter is a pure function of
-  ``(seed, spec hash, attempt)``, so a rerun backs off identically).
 * :class:`CampaignJournal` / :func:`load_journal` — a crash-safe,
   append-only JSONL record of cell completions and failures, keyed by
   spec content hash under a campaign-level manifest hash; the substrate
   of ``--resume``.
 * :class:`ShutdownFlag` / :func:`graceful_shutdown` — cooperative
-  SIGINT/SIGTERM handling: executors drain in-flight cells, the engine
+  SIGINT/SIGTERM handling: the executor drains in-flight cells, the engine
   flushes the journal and store, and the CLI exits with
   :data:`EXIT_INTERRUPTED`.
 
-Nothing here imports the executors or the engine — this is the leaf the
+Nothing here imports the executor or the engine — this is the leaf the
 rest of ``repro.exec`` builds on.
 """
 
@@ -92,18 +89,9 @@ class CellFailure:
 
     Under the collecting failure modes the executor returns this in the
     failed cell's result slot instead of raising, so surviving cells keep
-    their payloads.
+    their payloads; the engine reports the same record in
+    ``CampaignReport.failed`` and ``CampaignEngine.quarantined``.
     """
-
-    spec: CellSpec
-    cause: str
-    traceback_text: str = ""
-    attempts: int = 0
-
-
-@dataclass(frozen=True)
-class QuarantinedCell:
-    """One failed cell as reported by the engine (``CampaignReport.failed``)."""
 
     spec: CellSpec
     cause: str
@@ -112,59 +100,6 @@ class QuarantinedCell:
     #: True when the verdict was replayed from a resumed journal rather
     #: than earned by executing the cell in this run.
     from_journal: bool = False
-
-
-def _unit_uniform(*parts: object) -> float:
-    """Deterministic uniform in [0, 1) from the hashed *parts*.
-
-    blake2b, not ``hash()``: Python's builtin hash is salted per process
-    and would make jitter (and chaos decisions) irreproducible.
-    """
-    text = "/".join(str(p) for p in parts)
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Deterministic exponential backoff with seeded jitter.
-
-    The delay before retry *n* (n >= 1 failures so far) is::
-
-        min(max_s, base_s * factor**(n - 1)) * (1 - jitter * u)
-
-    where ``u`` in [0, 1) is a pure function of ``(seed, spec_hash, n)``.
-    Jitter therefore de-synchronizes a fleet of retrying cells without
-    introducing any ambient randomness: the same campaign always waits
-    the exact same spans.
-    """
-
-    base_s: float = 0.05
-    factor: float = 2.0
-    max_s: float = 30.0
-    jitter: float = 0.5  # fraction of the raw delay shaved off by u
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.base_s < 0 or self.factor < 1.0 or self.max_s < 0:
-            raise ValueError("backoff base/factor/max must be non-negative sane")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay_s(self, spec_hash: str, failures: int) -> float:
-        """Seconds to wait after the *failures*-th failed attempt (1-based)."""
-        if failures < 1:
-            return 0.0
-        raw = min(self.max_s, self.base_s * self.factor ** (failures - 1))
-        if raw <= 0.0 or self.jitter == 0.0:  # noqa: NOC302 -- exact config sentinel, not simulated state
-            return raw
-        return raw * (1.0 - self.jitter * _unit_uniform(
-            self.seed, spec_hash, failures
-        ))
-
-
-#: Backoff disabled — retries re-dispatch immediately (unit-test friendly).
-NO_BACKOFF = BackoffPolicy(base_s=0.0, jitter=0.0)
 
 
 def manifest_hash(spec_hashes: Iterable[str]) -> str:
@@ -304,11 +239,11 @@ class CampaignJournal:
 
 
 class ShutdownFlag:
-    """Cooperative cancellation token polled by the executors.
+    """Cooperative cancellation token polled by the executor.
 
     Signal handlers (or tests, or a progress callback) call :meth:`set`;
-    the executors stop dispatching new cells, drain what is in flight and
-    raise :class:`ExecutorInterrupted`.
+    the executor stops dispatching new cells, drains what is in flight and
+    raises :class:`ExecutorInterrupted`.
     """
 
     def __init__(self) -> None:
@@ -329,7 +264,7 @@ class ShutdownFlag:
 
 
 class ExecutorInterrupted(RuntimeError):
-    """Raised by an executor after a drain triggered by a :class:`ShutdownFlag`."""
+    """Raised by the executor after a drain triggered by a :class:`ShutdownFlag`."""
 
     def __init__(self, reason: str = "", completed: int = 0):
         super().__init__(f"execution interrupted ({reason or 'shutdown'})")
@@ -364,8 +299,8 @@ def graceful_shutdown(
 ) -> Iterator[ShutdownFlag]:
     """Install drain-don't-die handlers for *signals* while the body runs.
 
-    The handler only sets *flag*; the executors notice between dispatches,
-    finish in-flight cells, and the engine flushes journal and store
+    The handler only sets *flag*; the executor notices between dispatches,
+    finishes in-flight cells, and the engine flushes journal and store
     before raising :class:`CampaignInterrupted`.  Previous handlers are
     restored on exit.  Outside the main thread (where Python forbids
     ``signal.signal``) this degrades to a no-op context.

@@ -896,7 +896,7 @@ class Network:
         self._tel.counter(
             "noc_scenario_events_total", "Fault-scenario timeline events fired"
         ).inc()
-        self._tel.record("scenario", cycle, kind=kind, **fields)
+        self._tel.record("scenario", cycle, event=kind, **fields)
 
     def _endpoint_dead(self, src_node: int, dst_node: int) -> bool:
         return (

@@ -1,11 +1,11 @@
 """Campaign-level structured logging: the executor progress-event sink.
 
 The execution engine reports cell lifecycle through ``ProgressEvent``
-callbacks (start / done / cached / resumed / retry / backoff / failed /
+callbacks (start / done / cached / resumed / retry / failed /
 quarantined).  The sink here turns that stream into an append-only JSONL
 log persisted next to the result store's artifacts, so a campaign leaves
 a durable, machine-readable record of what ran, how long each cell took,
-what backed off, what was replayed from a resumed journal, and what was
+what was retried, what was replayed from a resumed journal, and what was
 quarantined — without the CLI having to re-clock anything.  (The campaign
 *journal* is separate: it is the minimal crash-safe resume substrate,
 while this log is the full observability stream; see docs/resilience.md.)

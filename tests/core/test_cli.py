@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import logging
 
 import pytest
@@ -200,6 +201,79 @@ class TestResilienceOptions:
         assert rc == 2
 
 
+    def test_resume_without_a_store_is_a_config_error(self, tmp_path, capsys):
+        """The journal holds hashes, the store payloads: without a store a
+        resume could serve nothing, only re-simulate the whole grid."""
+        journal = tmp_path / "c.jsonl"
+        base = ["campaign", "--benchmarks", "swa", "--duration", "600",
+                "--pretrain", "0", "--figures", "speedup", "--seed", "2"]
+        assert main(base + ["--cache-dir", str(tmp_path / "cache"),
+                            "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        written = journal.read_text()
+        rc = main(base + ["--no-cache", "--resume", str(journal)])
+        assert rc == 2
+        assert capsys.readouterr().out == ""  # nothing ran, nothing rendered
+        assert journal.read_text() == written
+
+
+class TestSmokes:
+    """What CI's retired smoke jobs ran that nothing else in tier-1 does,
+    through ``main``: the non-mesh fabrics and the scenario packs under
+    ``--sanitize``, every artefact flag of ``run`` written and read back,
+    and a campaign's ``--campaign-log`` and reliability table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--topology", "torus"],
+        ["run", "--topology", "cmesh"],
+        ["run", "--scenario", "aging-cliff"],
+        ["run", "--scenario", "link-rot"],
+        ["campaign", "--scenario", "link-rot"],
+    ], ids=" ".join)
+    def test_sanitized_run_writes_its_artefacts(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro.telemetry.sinks import read_events_jsonl
+
+        # --sanitize exports REPRO_SANITIZE into os.environ; setting it
+        # first is what makes monkeypatch restore it (delenv on an unset
+        # name records nothing), so it cannot leak into later tests.
+        monkeypatch.setenv("REPRO_SANITIZE", "0")
+        monkeypatch.setenv("REPRO_SANITIZE_DIR", str(tmp_path / "sanitizer"))
+        profile = tmp_path / "profile.json"
+        if argv[0] == "run":
+            jsonl, prom = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
+            simprof = tmp_path / "simprof.json"
+            argv = argv + [
+                "--technique", "intellinoc", "--benchmark", "swa",
+                "--duration", "800", "--seed", "2",
+                "--trace", str(jsonl), "--trace-stride", "50",
+                "--metrics-out", str(prom),
+                "--simprof", str(simprof), "--simprof-stride", "10",
+            ]
+        else:
+            jsonl = tmp_path / "campaign-events.jsonl"
+            argv = argv + [
+                "--benchmarks", "swa", "--duration", "600", "--pretrain", "0",
+                "--figures", "latency", "--no-cache",
+                "--campaign-log", str(jsonl),
+            ]
+        rc = main(argv + ["--sanitize", "--profile", str(profile)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert not (tmp_path / "sanitizer").exists()  # no violation snapshot
+        events = read_events_jsonl(jsonl)
+        assert events and all("kind" in e for e in events)
+        assert json.loads(profile.read_text())["traceEvents"]
+        if argv[0] == "run":
+            assert json.loads(simprof.read_text())["traceEvents"]
+            assert "# TYPE" in prom.read_text()
+            assert ("delivery ratio" in out) == ("--scenario" in argv)
+        else:
+            assert [e["kind"] for e in events].count("done") == 5
+            assert "Delivery accounting under fault scenarios" in out
+
+
 class TestEngineSession:
     """What ``campaign`` and ``sweep`` share around their driver."""
 
@@ -226,10 +300,10 @@ class TestEngineSession:
 
     def test_quarantined_cells_exit_partial(self, tmp_path):
         from repro.config import SECDED_BASELINE
-        from repro.exec.resilience import EXIT_PARTIAL, QuarantinedCell
+        from repro.exec.resilience import EXIT_PARTIAL, CellFailure
         from repro.exec.spec import parsec_cell
 
-        cell = QuarantinedCell(parsec_cell(SECDED_BASELINE, "swa", 100), "boom")
+        cell = CellFailure(parsec_cell(SECDED_BASELINE, "swa", 100), "boom")
         rc, rendered = self._session(
             tmp_path, lambda d: d.engine.quarantined.append(cell)
         )

@@ -1,6 +1,6 @@
 """Chaos harness: deterministic, seeded fault injection for the executors.
 
-The resilience machinery (failure policies, backoff, journal/resume, the
+The resilience machinery (failure policies, retries, journal/resume, the
 ``BrokenProcessPool`` rebuild) is only trustworthy if every recovery path
 is *driven*.  ``ChaosCellFn`` wraps the executor's cell function with
 policy-driven worker crashes (``os._exit``), hangs (a sleep past
@@ -9,7 +9,7 @@ faults need no harness: ``tests/exec/test_engine.py`` and ``test_store.py``
 damage the artifact or the ``put`` directly.
 
 Every decision is a pure function of ``(policy.seed, spec hash, attempt)``
-via the blake2b construction the backoff jitter uses, so a drill is exactly
+(a blake2b hash, :func:`_unit_uniform`), so a drill is exactly
 reproducible.  Attempt counting crosses process boundaries through a ledger
 of files under ``state_dir`` (a crashed worker cannot report back any other
 way), and ``max_faults_per_cell`` caps the injected faults per cell so a
@@ -21,6 +21,7 @@ the drill recipes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -28,12 +29,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.exec.resilience import _unit_uniform
 from repro.exec.spec import CellSpec
 from repro.exec.worker import execute_cell_payload
 
 #: Exit status of a chaos-crashed worker (distinctive in core-dump triage).
 CHAOS_EXIT_CODE = 23
+
+
+def _unit_uniform(*parts: object) -> float:
+    """Deterministic uniform in [0, 1) from the hashed *parts*.
+
+    blake2b, not ``hash()``: Python's builtin hash is salted per process
+    and would make chaos decisions irreproducible.
+    """
+    text = "/".join(str(p) for p in parts)
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ class ChaosError(RuntimeError):
 class ChaosCellFn:
     """Picklable cell function injecting faults ahead of the real one.
 
-    Instances cross process boundaries (the parallel executor pickles the
+    Instances cross process boundaries (the executor's pool pickles the
     callable), so all mutable state lives in the policy's ``state_dir``.
     """
 

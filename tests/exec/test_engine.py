@@ -7,13 +7,8 @@ from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
 from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep
 from repro.core.sweep import SensitivitySweep
-from repro.exec.engine import CampaignEngine, run_cells
-from repro.exec.executors import (
-    CellExecutionError,
-    ParallelExecutor,
-    ProgressEvent,
-    SerialExecutor,
-)
+from repro.exec.engine import CampaignEngine
+from repro.exec.executors import CellExecutionError, CellExecutor, ProgressEvent
 from repro.exec.resilience import (
     CampaignInterrupted,
     CampaignJournal,
@@ -24,7 +19,7 @@ from repro.exec.resilience import (
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_cell_payload
-from repro.telemetry import PhaseProfiler
+from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
 
 
 def _fail_seed10_cell(spec):
@@ -68,7 +63,7 @@ class TestEngineOptions:
         assert built._engine is None  # lazy: nothing opened at construction
         engine = built.engine
         assert built.engine is engine
-        assert type(engine.executor) is SerialExecutor
+        assert (engine.executor.jobs, engine.executor.timeout_s) == (1, None)
         assert engine.store is None and engine.journal is None
         assert engine.resume is None and engine.progress is None
 
@@ -83,7 +78,6 @@ class TestEngineOptions:
             failure_policy="quarantine", resume_from=journal, cancel=flag,
             progress=seen.append, profiler=profiler,
         ).engine
-        assert type(engine.executor) is ParallelExecutor
         assert (engine.executor.jobs, engine.executor.timeout_s) == (2, 9.0)
         assert engine.store.cache_dir == tmp_path / "cache"
         # Resuming keeps journaling to the file it resumed from.
@@ -105,13 +99,15 @@ class TestEngineOptions:
 
 @pytest.fixture(scope="module")
 def serial_metrics():
-    return run_cells(campaign_specs())
+    return CampaignEngine().run(campaign_specs()).metrics
 
 
 class TestSerialParallelEquivalence:
     def test_parallel_campaign_is_bit_identical(self, serial_metrics):
-        parallel = run_cells(campaign_specs(), executor=ParallelExecutor(jobs=2))
-        assert parallel == serial_metrics
+        parallel = CampaignEngine(executor=CellExecutor(jobs=2)).run(
+            campaign_specs()
+        )
+        assert parallel.metrics == serial_metrics
 
     def test_metrics_fields_fully_populated(self, serial_metrics):
         for m in serial_metrics:
@@ -126,13 +122,13 @@ class TestCaching:
         self, tmp_path, serial_metrics
     ):
         store = ResultStore(tmp_path / "cache")
-        first = CampaignEngine(executor=SerialExecutor(), store=store).run(
+        first = CampaignEngine(executor=CellExecutor(), store=store).run(
             campaign_specs()
         )
         assert first.executed == len(campaign_specs())
         assert first.cache_hits == 0
 
-        second = CampaignEngine(executor=SerialExecutor(), store=store).run(
+        second = CampaignEngine(executor=CellExecutor(), store=store).run(
             campaign_specs()
         )
         assert second.executed == 0
@@ -146,8 +142,8 @@ class TestCaching:
             SECDED_BASELINE, "swa", 700, seed=6,
             faults=FaultConfig(base_bit_error_rate=1e-9),
         )
-        CampaignEngine(executor=SerialExecutor(), store=store).run([spec])
-        report = CampaignEngine(executor=SerialExecutor(), store=store).run(
+        CampaignEngine(executor=CellExecutor(), store=store).run([spec])
+        report = CampaignEngine(executor=CellExecutor(), store=store).run(
             [changed]
         )
         assert report.executed == 1  # different content hash, not a hit
@@ -156,10 +152,10 @@ class TestCaching:
     def test_corrupted_cache_file_falls_back_to_simulation(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         spec = parsec_cell(SECDED_BASELINE, "swa", 700, seed=6)
-        first = CampaignEngine(executor=SerialExecutor(), store=store).run([spec])
+        first = CampaignEngine(executor=CellExecutor(), store=store).run([spec])
         store.path_for(spec).write_text('{"schema": "garbage"')
 
-        engine = CampaignEngine(executor=SerialExecutor(), store=store)
+        engine = CampaignEngine(executor=CellExecutor(), store=store)
         report = engine.run([spec])
         assert report.executed == 1
         assert report.metrics == first.metrics
@@ -169,10 +165,10 @@ class TestCaching:
     def test_cached_events_reported(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         spec = parsec_cell(SECDED_BASELINE, "swa", 700, seed=6)
-        CampaignEngine(executor=SerialExecutor(), store=store).run([spec])
+        CampaignEngine(executor=CellExecutor(), store=store).run([spec])
         events = []
         CampaignEngine(
-            executor=SerialExecutor(), store=store, progress=events.append
+            executor=CellExecutor(), store=store, progress=events.append
         ).run([spec])
         assert [e.kind for e in events] == ["cached"]
 
@@ -180,7 +176,7 @@ class TestCaching:
 class TestDedup:
     def test_duplicate_specs_execute_once(self):
         spec = parsec_cell(SECDED_BASELINE, "swa", 700, seed=6)
-        report = CampaignEngine(executor=SerialExecutor()).run([spec, spec, spec])
+        report = CampaignEngine(executor=CellExecutor()).run([spec, spec, spec])
         assert report.executed == 1
         assert report.deduplicated == 2
         assert report.metrics[0] == report.metrics[1] == report.metrics[2]
@@ -189,7 +185,7 @@ class TestDedup:
 class TestFailurePolicies:
     def _engine(self, policy, store=None, **kwargs):
         return CampaignEngine(
-            executor=SerialExecutor(retries=0, fn=_fail_seed10_cell),
+            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
             store=store,
             failure_policy=policy,
             **kwargs,
@@ -208,23 +204,45 @@ class TestFailurePolicies:
         assert not report.ok
         assert len(report.failed) == 1
         assert report.failed[0].cause == "RuntimeError: doomed cell"
-        assert report.statuses == ["quarantined", "ok"]
+        assert report.failed[0].attempts == 1
+        assert (report.executed, report.cache_hits) == (2, 0)
         # The failure is a persisted post-mortem; the survivor is cached.
         assert store.failure_path_for(specs[0]).exists()
         assert store.get(specs[1]) is not None
-        assert report.by_label() == {specs[1].label: report.metrics[1]}
-        assert report.completed_metrics() == [report.metrics[1]]
 
     def test_skip_persists_nothing_for_the_failed_cell(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         specs = small_specs()
         report = self._engine("skip", store).run(specs)
-        assert report.statuses == ["skipped", "ok"]
+        assert report.metrics[0] is None and report.metrics[1] is not None
+        assert [f.spec for f in report.failed] == [specs[0]]
         assert not store.failure_path_for(specs[0]).exists()
         # A later run retries the skipped cell from scratch.
         rerun = self._engine("skip", store).run(specs)
         assert rerun.executed == 1
         assert rerun.cache_hits == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
+    def test_a_failed_cell_is_reported_once(self, policy, jobs):
+        events = []
+        profiler = PhaseProfiler()
+        engine = CampaignEngine(
+            executor=CellExecutor(jobs=jobs, retries=0, fn=_fail_seed10_cell),
+            failure_policy=policy,
+            progress=chain_progress(events.append, cell_span_recorder(profiler)),
+        )
+        engine.run(small_specs(3)[::-1])  # the doomed cell goes last
+        kinds = [e.kind for e in events]
+        assert kinds.count("failed") == 1
+        assert kinds.count("quarantined") == (policy == "quarantine")
+        # The campaign-wide counter never runs backwards.
+        counts = [e.completed for e in events]
+        assert counts == sorted(counts)
+        assert all(e.total == 3 for e in events)
+        # One span per cell, the failed one included once.
+        categories = sorted(span.category for span in profiler.spans)
+        assert categories == ["cell", "cell", "cell-failed"]
 
     def test_quarantined_accumulates_across_runs(self, tmp_path):
         engine = self._engine("quarantine")
@@ -248,7 +266,7 @@ class TestStoreWriteFailure:
 
         store = ENOSPCStore(tmp_path / "cache")
         spec = small_specs(1)[0]
-        report = CampaignEngine(executor=SerialExecutor(), store=store).run(
+        report = CampaignEngine(executor=CellExecutor(), store=store).run(
             [spec]
         )
         # The result still reaches the report; only the cache missed out.
@@ -262,7 +280,7 @@ class TestJournalAndResume:
         path = tmp_path / "c.jsonl"
         specs = small_specs()
         with CampaignJournal(path) as journal:
-            CampaignEngine(executor=SerialExecutor(), journal=journal).run(
+            CampaignEngine(executor=CellExecutor(), journal=journal).run(
                 specs
             )
         state = load_journal(path)
@@ -281,7 +299,7 @@ class TestJournalAndResume:
 
         journal = CampaignJournal(path)
         engine = CampaignEngine(
-            executor=SerialExecutor(), store=store, journal=journal,
+            executor=CellExecutor(), store=store, journal=journal,
             cancel=flag, progress=stop_after_first,
         )
         with pytest.raises(CampaignInterrupted) as exc_info:
@@ -296,7 +314,7 @@ class TestJournalAndResume:
         assert state.interrupted
 
         resumed = CampaignEngine(
-            executor=SerialExecutor(), store=store,
+            executor=CellExecutor(), store=store,
             journal=CampaignJournal(path), resume=state,
         )
         report = resumed.run(specs)
@@ -305,16 +323,15 @@ class TestJournalAndResume:
         assert report.cache_hits == 1
         assert report.resumed == 1
         assert all(m is not None for m in report.metrics)
-        assert sorted(report.statuses) == ["ok", "ok", "resumed"]
 
     def test_resume_rejects_a_foreign_journal(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with CampaignJournal(path) as journal:
-            CampaignEngine(executor=SerialExecutor(), journal=journal).run(
+            CampaignEngine(executor=CellExecutor(), journal=journal).run(
                 small_specs(1)
             )
         state = load_journal(path)
-        other = CampaignEngine(executor=SerialExecutor(), resume=state)
+        other = CampaignEngine(executor=CellExecutor(), resume=state)
         with pytest.raises(JournalMismatch, match="different campaign"):
             other.run(small_specs(2, duration=502))
 
@@ -324,7 +341,7 @@ class TestJournalAndResume:
         path = tmp_path / "c.jsonl"
         with CampaignJournal(path) as journal:
             first = CampaignEngine(
-                executor=SerialExecutor(retries=0, fn=_fail_seed10_cell),
+                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
                 store=store, journal=journal, failure_policy="quarantine",
             )
             first.run(specs)
@@ -338,25 +355,26 @@ class TestJournalAndResume:
             return execute_cell_payload(spec)
 
         resumed = CampaignEngine(
-            executor=SerialExecutor(retries=0, fn=must_not_run),
+            executor=CellExecutor(retries=0, fn=must_not_run),
             store=store, resume=state, failure_policy="quarantine",
         )
         report = resumed.run(specs)
         assert executed == []  # survivor cached, failure replayed
         assert report.executed == 0
         assert report.failed[0].from_journal
-        assert report.statuses == ["quarantined", "resumed"]
+        assert report.metrics[0] is None and report.metrics[1] is not None
+        assert (report.resumed, report.cache_hits) == (1, 1)
 
     def test_abort_policy_refuses_a_journaled_failure(self, tmp_path):
         specs = small_specs()
         path = tmp_path / "c.jsonl"
         with CampaignJournal(path) as journal:
             CampaignEngine(
-                executor=SerialExecutor(retries=0, fn=_fail_seed10_cell),
+                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
                 journal=journal, failure_policy="quarantine",
             ).run(specs)
         resumed = CampaignEngine(
-            executor=SerialExecutor(), resume=load_journal(path),
+            executor=CellExecutor(), resume=load_journal(path),
             failure_policy="abort",
         )
         with pytest.raises(CellExecutionError, match="quarantined"):
@@ -367,12 +385,12 @@ class TestProgressAccounting:
     def test_denominator_stays_stable_with_cache_hits(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         old = small_specs(1)[0]
-        CampaignEngine(executor=SerialExecutor(), store=store).run([old])
+        CampaignEngine(executor=CellExecutor(), store=store).run([old])
         new = small_specs(2)[1]
 
         events = []
         CampaignEngine(
-            executor=SerialExecutor(), store=store, progress=events.append
+            executor=CellExecutor(), store=store, progress=events.append
         ).run([old, new])
         assert [(e.kind, e.completed, e.total) for e in events] == [
             ("cached", 1, 2), ("start", 1, 2), ("done", 2, 2),

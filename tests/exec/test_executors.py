@@ -1,4 +1,9 @@
-"""Executor layer: retries, crash recovery, timeouts, progress events."""
+"""Executor layer: retries, crash recovery, timeouts, progress events.
+
+One scheduler serves ``jobs == 1`` (in process) and ``jobs > 1`` (process
+pool), so every law here runs at both; only what needs a worker process to
+exist — a crash, a pre-emptive abandonment — is pinned to ``jobs=2``.
+"""
 
 import os
 import time
@@ -6,18 +11,11 @@ import time
 import pytest
 
 from repro.config import SECDED_BASELINE
-from repro.exec.executors import (
-    CellExecutionError,
-    ParallelExecutor,
-    SerialExecutor,
-)
-from repro.exec.resilience import (
-    BackoffPolicy,
-    CellFailure,
-    ExecutorInterrupted,
-    ShutdownFlag,
-)
+from repro.exec.executors import CellExecutionError, CellExecutor
+from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import parsec_cell
+
+both_jobs = pytest.mark.parametrize("jobs", [1, 2])
 
 
 def make_specs(n=3, duration=900):
@@ -27,39 +25,63 @@ def make_specs(n=3, duration=900):
     ]
 
 
+@pytest.fixture
+def sentinels(tmp_path, monkeypatch):
+    """Directory where the ``*_once`` cells leave one file per spec seen."""
+    monkeypatch.setenv("REPRO_TEST_SENTINEL_DIR", str(tmp_path))
+    return tmp_path
+
+
 # Module-level so worker processes can unpickle them by reference.
 
 def _ok_cell(spec):
     return {"runtime_seconds": 0.0, "metrics": {"seed": spec.seed}}
 
 
-def _crash_once_cell(spec):
-    """Hard-crash the worker on first sight of each spec (sentinel file)."""
+def _first_sight(spec):
+    """True the first time any process sees *spec* (sentinel file)."""
     sentinel = os.path.join(
         os.environ["REPRO_TEST_SENTINEL_DIR"], spec.content_hash()
     )
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("crashed")
+    if os.path.exists(sentinel):
+        return False
+    with open(sentinel, "w") as fh:
+        fh.write("seen")
+    return True
+
+
+def _fail_once_cell(spec):
+    if _first_sight(spec):
+        raise RuntimeError("transient")
+    return _ok_cell(spec)
+
+
+def _crash_once_cell(spec):
+    """Hard-crash the worker on first sight of each spec."""
+    if _first_sight(spec):
         os._exit(17)
     return _ok_cell(spec)
 
 
-def _slow_cell(spec):
-    time.sleep(3.0)
-    return _ok_cell(spec)
-
-
 def _slow_once_cell(spec):
-    """Sleep past the timeout on first sight of each spec (sentinel file)."""
-    sentinel = os.path.join(
-        os.environ["REPRO_TEST_SENTINEL_DIR"], spec.content_hash()
-    )
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("slow")
+    """Sleep past the timeout on first sight of each spec."""
+    if _first_sight(spec):
         time.sleep(0.75)
     return _ok_cell(spec)
+
+
+def _always_slow_cell(spec):
+    time.sleep(0.3)
+    return _ok_cell(spec)
+
+
+def _slowish_cell(spec):
+    time.sleep(0.01)
+    return _ok_cell(spec)
+
+
+def _always_broken_cell(spec):
+    raise RuntimeError("doomed")
 
 
 def _doomed_seed10_cell(spec):
@@ -68,310 +90,210 @@ def _doomed_seed10_cell(spec):
     return _ok_cell(spec)
 
 
-class TestSerialExecutor:
-    def test_results_align_with_specs(self):
-        specs = make_specs()
-        results = SerialExecutor().run(specs, fn=_ok_cell)
-        assert [r["metrics"]["seed"] for r in results] == [10, 11, 12]
+@both_jobs
+class TestCellExecutor:
+    def test_results_align_with_specs(self, jobs):
+        results = CellExecutor(jobs=jobs, fn=_ok_cell).run(make_specs(4))
+        assert [r["metrics"]["seed"] for r in results] == [10, 11, 12, 13]
 
-    def test_retries_once_then_succeeds(self):
-        calls = []
-
-        def flaky(spec):
-            calls.append(spec)
-            if len(calls) == 1:
-                raise RuntimeError("transient")
-            return _ok_cell(spec)
-
-        specs = make_specs(1)
-        results = SerialExecutor().run(specs, fn=flaky)
-        assert len(calls) == 2
+    def test_retries_once_then_succeeds(self, jobs, sentinels):
+        events = []
+        results = CellExecutor(jobs=jobs, fn=_fail_once_cell).run(
+            make_specs(1), progress=events.append
+        )
+        assert [e.kind for e in events] == ["start", "retry", "done"]
+        assert events[1].attempt == 1
         assert results[0]["metrics"]["seed"] == 10
 
-    def test_persistent_failure_raises(self):
-        def always_broken(spec):
-            raise RuntimeError("doomed")
-
+    def test_persistent_failure_raises(self, jobs):
         with pytest.raises(CellExecutionError, match="doomed"):
-            SerialExecutor().run(make_specs(1), fn=always_broken)
+            CellExecutor(jobs=jobs, fn=_always_broken_cell).run(make_specs(1))
 
-    def test_progress_event_sequence(self):
+    def test_progress_event_sequence(self, jobs):
         events = []
-        SerialExecutor().run(
-            make_specs(2), progress=events.append, fn=_ok_cell
+        specs = make_specs(3)
+        CellExecutor(jobs=jobs, fn=_ok_cell).run(specs, progress=events.append)
+        for spec in specs:
+            mine = [e.kind for e in events if e.spec == spec]
+            assert mine == ["start", "done"]
+        done = [e for e in events if e.kind == "done"]
+        assert [e.completed for e in done] == [1, 2, 3]
+        assert all(e.total == 3 for e in events)
+        assert all(e.duration_s > 0.0 for e in done)
+        if jobs == 1:  # in process: one cell at a time, in spec order
+            assert [e.kind for e in events] == ["start", "done"] * 3
+
+    def test_done_events_carry_monotonic_duration(self, jobs):
+        events = []
+        CellExecutor(jobs=jobs, fn=_slowish_cell).run(
+            make_specs(1), progress=events.append
         )
-        assert [e.kind for e in events] == ["start", "done", "start", "done"]
-        assert events[-1].completed == 2
-        assert events[-1].total == 2
-
-    def test_done_events_carry_monotonic_duration(self):
-        events = []
-
-        def slowish(spec):
-            time.sleep(0.01)
-            return _ok_cell(spec)
-
-        SerialExecutor().run(make_specs(1), progress=events.append, fn=slowish)
         done = [e for e in events if e.kind == "done"][0]
         assert done.duration_s >= 0.01
 
-    def test_failure_events_carry_duration(self):
+    def test_failure_events_carry_duration(self, jobs):
         events = []
-
-        def always_broken(spec):
-            raise RuntimeError("doomed")
-
         with pytest.raises(CellExecutionError):
-            SerialExecutor().run(
-                make_specs(1), progress=events.append, fn=always_broken
+            CellExecutor(jobs=jobs, fn=_always_broken_cell).run(
+                make_specs(1), progress=events.append
             )
         kinds = {e.kind: e for e in events}
         assert kinds["retry"].duration_s >= 0.0
         assert kinds["failed"].duration_s >= 0.0
+        assert (kinds["retry"].attempt, kinds["failed"].attempt) == (1, 2)
 
 
-class TestSerialTimeout:
-    def test_overdue_result_is_discarded_and_retried(self):
-        calls = []
+@both_jobs
+class TestDeadline:
+    """One rule: a result not in hand by ``submitted + timeout_s`` is a
+    timed-out attempt, and is discarded whenever it does arrive."""
 
-        def slow_then_fast(spec):
-            calls.append(spec)
-            if len(calls) == 1:
-                time.sleep(0.1)
-            return _ok_cell(spec)
-
-        executor = SerialExecutor(timeout_s=0.05, retries=1)
-        results = executor.run(make_specs(1), fn=slow_then_fast)
-        # Attempt 1 finished but past the deadline: its result must be
-        # discarded (parity with the parallel executor's abandonment), and
-        # the retry's fresh result returned.
-        assert len(calls) == 2
+    def test_overdue_result_is_discarded_and_retried(self, jobs, sentinels):
+        events, landed = [], []
+        executor = CellExecutor(
+            jobs=jobs, timeout_s=0.5, retries=1, fn=_slow_once_cell
+        )
+        results = executor.run(
+            make_specs(1), progress=events.append,
+            on_result=lambda i, spec, payload: landed.append(i),
+        )
+        # Attempt 1 finished (in process) or was abandoned (pool) past the
+        # deadline; either way only the retry's fresh result is reported.
+        assert [e.kind for e in events] == ["start", "retry", "done"]
+        assert events[1].error == "timed out after 0.5s"
         assert results[0]["metrics"]["seed"] == 10
+        assert landed == [0]
+        assert len(list(sentinels.iterdir())) == 1  # the slow attempt ran
 
-    def test_persistent_overrun_exhausts_retries(self):
-        def always_slow(spec):
-            time.sleep(0.08)
-            return _ok_cell(spec)
-
-        executor = SerialExecutor(timeout_s=0.02, retries=1)
+    def test_persistent_overrun_exhausts_retries(self, jobs):
+        landed = []
+        executor = CellExecutor(
+            jobs=jobs, timeout_s=0.1, retries=1, fn=_always_slow_cell
+        )
         with pytest.raises(CellExecutionError, match="timed out"):
-            executor.run(make_specs(1), fn=always_slow)
+            executor.run(
+                make_specs(1),
+                on_result=lambda i, spec, payload: landed.append(i),
+            )
+        assert landed == []
 
 
+@both_jobs
 class TestCollectMode:
-    def test_serial_failure_fills_its_slot(self):
-        results = SerialExecutor(retries=0).run(
-            make_specs(2), fn=_doomed_seed10_cell, failure_mode="collect"
+    def test_failure_fills_its_slot(self, jobs):
+        results = CellExecutor(jobs=jobs, retries=0, fn=_doomed_seed10_cell).run(
+            make_specs(3), failure_mode="collect"
         )
         assert isinstance(results[0], CellFailure)
         assert results[0].cause == "RuntimeError: doomed"
         assert results[0].attempts == 1
-        assert results[1]["metrics"]["seed"] == 11  # survivor completed
-
-    def test_parallel_failure_fills_its_slot(self):
-        results = ParallelExecutor(jobs=2, retries=0).run(
-            make_specs(3), fn=_doomed_seed10_cell, failure_mode="collect"
-        )
-        assert isinstance(results[0], CellFailure)
+        # The survivors completed.
         assert [r["metrics"]["seed"] for r in results[1:]] == [11, 12]
 
-    def test_failure_hook_fires_once_per_failed_cell(self):
+    def test_failure_hook_fires_once_per_failed_cell(self, jobs):
         seen = []
-        SerialExecutor(retries=0).run(
-            make_specs(2), fn=_doomed_seed10_cell, failure_mode="collect",
+        CellExecutor(jobs=jobs, retries=0, fn=_doomed_seed10_cell).run(
+            make_specs(2), failure_mode="collect",
             on_failure=lambda i, spec, f: seen.append((i, f.cause)),
         )
         assert seen == [(0, "RuntimeError: doomed")]
 
 
-class TestBackoff:
-    def test_serial_delays_follow_the_policy(self):
-        delays = []
-        policy = BackoffPolicy(
-            base_s=0.01, factor=2.0, max_s=1.0, jitter=0.5, seed=3
-        )
-        executor = SerialExecutor(
-            retries=2, backoff=policy, sleep=delays.append
-        )
-        calls = []
-
-        def flaky(spec):
-            calls.append(spec)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return _ok_cell(spec)
-
-        specs = make_specs(1)
-        executor.run(specs, fn=flaky)
-        h = specs[0].content_hash()
-        assert delays == [policy.delay_s(h, 1), policy.delay_s(h, 2)]
-
-    def test_backoff_events_announce_the_delay(self):
-        events = []
-        policy = BackoffPolicy(base_s=0.01, jitter=0.0)
-        executor = SerialExecutor(
-            retries=1, backoff=policy, sleep=lambda s: None
-        )
-        calls = []
-
-        def flaky(spec):
-            calls.append(spec)
-            if len(calls) == 1:
-                raise RuntimeError("transient")
-            return _ok_cell(spec)
-
-        executor.run(make_specs(1), progress=events.append, fn=flaky)
-        backoffs = [e for e in events if e.kind == "backoff"]
-        assert len(backoffs) == 1
-        assert backoffs[0].seconds == pytest.approx(0.01)
-        assert backoffs[0].attempt == 1
-
-    def test_no_backoff_never_sleeps(self):
-        delays = []
-        executor = SerialExecutor(retries=1, sleep=delays.append)
-        calls = []
-
-        def flaky(spec):
-            calls.append(spec)
-            if len(calls) == 1:
-                raise RuntimeError("transient")
-            return _ok_cell(spec)
-
-        executor.run(make_specs(1), fn=flaky)
-        assert delays == []
-
-
+@both_jobs
 class TestCampaignWideAccounting:
-    def test_serial_offsets_shift_the_counters(self):
+    def test_offsets_shift_the_counters(self, jobs):
         events = []
-        SerialExecutor().run(
-            make_specs(2), progress=events.append, fn=_ok_cell,
-            completed_offset=3, campaign_total=5,
-        )
-        assert [(e.kind, e.completed, e.total) for e in events] == [
-            ("start", 3, 5), ("done", 4, 5), ("start", 4, 5), ("done", 5, 5),
-        ]
-
-    def test_parallel_denominator_never_shrinks(self):
-        events = []
-        ParallelExecutor(jobs=2).run(
-            make_specs(3), progress=events.append, fn=_ok_cell,
+        CellExecutor(jobs=jobs, fn=_ok_cell).run(
+            make_specs(3), progress=events.append,
             completed_offset=2, campaign_total=5,
         )
-        assert all(e.total == 5 for e in events)
-        done = [e for e in events if e.kind == "done"]
-        assert sorted(e.completed for e in done) == [3, 4, 5]
+        assert all(e.total == 5 for e in events)  # never shrinks
+        counts = [e.completed for e in events]
+        assert counts == sorted(counts) and counts[0] == 2
+        assert [e.completed for e in events if e.kind == "done"] == [3, 4, 5]
+        if jobs == 1:
+            assert [(e.kind, e.completed) for e in events] == [
+                ("start", 2), ("done", 3), ("start", 3), ("done", 4),
+                ("start", 4), ("done", 5),
+            ]
 
-    def test_on_result_reports_index_and_payload(self):
+    def test_on_result_reports_index_and_payload(self, jobs):
         landed = []
-        SerialExecutor().run(
-            make_specs(2), fn=_ok_cell,
+        CellExecutor(jobs=jobs, fn=_ok_cell).run(
+            make_specs(2),
             on_result=lambda i, spec, p: landed.append(
                 (i, p["metrics"]["seed"])
             ),
         )
-        assert landed == [(0, 10), (1, 11)]
+        assert sorted(landed) == [(0, 10), (1, 11)]
 
 
+@both_jobs
 class TestGracefulCancel:
-    def test_serial_stops_between_cells(self):
-        flag = ShutdownFlag()
-
-        def stop_after_first(event):
+    def _stop_after_first(self, flag):
+        def observe(event):
             if event.kind == "done":
                 flag.set("test-shutdown")
 
-        with pytest.raises(ExecutorInterrupted) as exc_info:
-            SerialExecutor().run(
-                make_specs(3), progress=stop_after_first, fn=_ok_cell,
-                cancel=flag,
-            )
-        assert exc_info.value.completed == 1
-        assert exc_info.value.reason == "test-shutdown"
+        return observe
 
-    def test_serial_completed_count_excludes_the_offset(self):
-        flag = ShutdownFlag()
-
-        def stop_after_first(event):
-            if event.kind == "done":
-                flag.set("test-shutdown")
-
-        with pytest.raises(ExecutorInterrupted) as exc_info:
-            SerialExecutor().run(
-                make_specs(3), progress=stop_after_first, fn=_ok_cell,
-                cancel=flag, completed_offset=4, campaign_total=7,
-            )
-        assert exc_info.value.completed == 1  # batch-relative, not 5
-
-    def test_parallel_drains_in_flight_and_drops_pending(self):
+    def test_drains_in_flight_and_drops_pending(self, jobs):
         flag = ShutdownFlag()
         landed = []
-
-        def stop_after_first(event):
-            if event.kind == "done":
-                flag.set("test-shutdown")
-
         with pytest.raises(ExecutorInterrupted) as exc_info:
-            ParallelExecutor(jobs=1).run(
-                make_specs(3), progress=stop_after_first, fn=_ok_cell,
+            CellExecutor(jobs=jobs, fn=_ok_cell).run(
+                make_specs(4), progress=self._stop_after_first(flag),
                 cancel=flag,
                 on_result=lambda i, spec, p: landed.append(i),
             )
-        # The finished cell was reported through on_result before the
-        # drain; the undispatched cells stay unfinished for resume.
-        assert exc_info.value.completed == 1
-        assert landed == [0]
+        # Every dispatched cell (``jobs`` of them) was drained and reported
+        # through on_result; the undispatched ones stay unfinished for
+        # resume.
+        assert exc_info.value.completed == jobs
+        assert exc_info.value.reason == "test-shutdown"
+        assert sorted(landed) == list(range(jobs))
+
+    def test_completed_count_excludes_the_offset(self, jobs):
+        flag = ShutdownFlag()
+        with pytest.raises(ExecutorInterrupted) as exc_info:
+            CellExecutor(jobs=jobs, fn=_ok_cell).run(
+                make_specs(4), progress=self._stop_after_first(flag),
+                cancel=flag, completed_offset=4, campaign_total=8,
+            )
+        assert exc_info.value.completed == jobs  # batch-relative, not 4 + jobs
 
 
-class TestParallelExecutor:
-    def test_results_align_with_specs(self):
-        specs = make_specs(4)
-        results = ParallelExecutor(jobs=2).run(specs, fn=_ok_cell)
-        assert [r["metrics"]["seed"] for r in results] == [10, 11, 12, 13]
+class TestProcessPool:
+    """What only a worker process can do: die, and be abandoned."""
 
-    def test_worker_crash_is_retried_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_SENTINEL_DIR", str(tmp_path))
+    def test_worker_crash_is_retried_once(self, sentinels):
         specs = make_specs(2)
-        results = ParallelExecutor(jobs=1).run(specs, fn=_crash_once_cell)
+        # Two retries: a cell is charged for its own crash and once more
+        # when its neighbour's crash breaks the pool under it.
+        results = CellExecutor(jobs=2, retries=2, fn=_crash_once_cell).run(specs)
         assert [r["metrics"]["seed"] for r in results] == [10, 11]
         # Each cell crashed its worker exactly once before succeeding.
-        assert len(list(tmp_path.iterdir())) == 2
+        assert len(list(sentinels.iterdir())) == 2
 
-    def test_timeout_fails_the_cell(self):
-        executor = ParallelExecutor(jobs=1, timeout_s=0.2, retries=0)
-        with pytest.raises(CellExecutionError, match="timed out"):
-            executor.run(make_specs(1), fn=_slow_cell)
-
-    def test_progress_reports_all_cells(self):
-        events = []
-        ParallelExecutor(jobs=2).run(
-            make_specs(3), progress=events.append, fn=_ok_cell
-        )
-        kinds = [e.kind for e in events]
-        assert kinds.count("start") == 3
-        assert kinds.count("done") == 3
-        assert all(e.duration_s > 0.0 for e in events if e.kind == "done")
-
-    def test_abandoned_future_result_is_discarded(self, tmp_path, monkeypatch):
+    def test_abandoned_future_result_is_discarded(self, sentinels):
         """A timed-out attempt that later completes must not double-count.
 
-        jobs=1 serializes the pool: attempt 1 sleeps past the timeout and
-        is abandoned (still running, so it cannot be cancelled); attempt 2
-        queues behind it in the same worker and only starts once the late
-        attempt finishes.  When attempt 1's result finally lands it must
-        be dropped on the floor — the cell's payload comes from attempt 2,
-        and exactly one "done" event fires.  (The sleep/timeout margins
-        leave attempt 2 enough deadline to absorb its queueing delay.)
+        Both workers sleep past the timeout on their first cell and are
+        abandoned (still running, so they cannot be cancelled); the two
+        retries queue behind them and only start once the late attempts
+        finish.  When those results finally land they must be dropped on
+        the floor — each cell's payload comes from its retry, and exactly
+        one "done" event fires per cell.  (The sleep/timeout margins leave
+        the retries enough deadline to absorb their queueing delay.)
         """
-        monkeypatch.setenv("REPRO_TEST_SENTINEL_DIR", str(tmp_path))
         events = []
-        executor = ParallelExecutor(jobs=1, timeout_s=0.5, retries=1)
-        results = executor.run(
-            make_specs(1), progress=events.append, fn=_slow_once_cell
+        executor = CellExecutor(
+            jobs=2, timeout_s=0.5, retries=1, fn=_slow_once_cell
         )
-        assert results[0]["metrics"]["seed"] == 10
+        results = executor.run(make_specs(2), progress=events.append)
+        assert [r["metrics"]["seed"] for r in results] == [10, 11]
         kinds = [e.kind for e in events]
-        assert kinds.count("done") == 1
-        assert kinds.count("retry") == 1  # the timeout charged one attempt
-        # The sentinel proves the slow first attempt really ran.
-        assert len(list(tmp_path.iterdir())) == 1
+        assert kinds.count("done") == 2
+        assert kinds.count("retry") == 2  # each timeout charged one attempt
+        # The sentinels prove the slow first attempts really ran.
+        assert len(list(sentinels.iterdir())) == 2

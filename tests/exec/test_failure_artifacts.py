@@ -6,13 +6,11 @@ import pytest
 
 from repro.config import SECDED_BASELINE
 from repro.exec.engine import CampaignEngine
-from repro.exec.executors import (
-    CellExecutionError,
-    ParallelExecutor,
-    SerialExecutor,
-)
+from repro.exec.executors import CellExecutionError, CellExecutor
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
+
+both_jobs = pytest.mark.parametrize("jobs", [1, 2])
 
 
 def make_spec(seed=5):
@@ -38,43 +36,44 @@ def _weird_cell(spec):
 
 
 class TestTracebackCapture:
-    def test_serial_error_carries_traceback(self):
+    @both_jobs
+    def test_error_carries_traceback(self, jobs):
         with pytest.raises(CellExecutionError) as exc_info:
-            SerialExecutor(retries=0).run([make_spec()], fn=_doomed_cell)
+            CellExecutor(jobs=jobs, retries=0, fn=_doomed_cell).run([make_spec()])
         err = exc_info.value
         assert err.cause == "RuntimeError: doomed in the simulator core"
         assert "_doomed_cell" in err.traceback_text
         assert "RuntimeError: doomed in the simulator core" in err.traceback_text
 
-    def test_parallel_error_carries_remote_traceback(self):
-        executor = ParallelExecutor(jobs=2, retries=0)
+    def test_pool_error_carries_remote_traceback(self):
+        executor = CellExecutor(jobs=2, retries=0, fn=_zero_div_cell)
         with pytest.raises(CellExecutionError) as exc_info:
-            executor.run([make_spec()], fn=_zero_div_cell)
+            executor.run([make_spec()])
         # The worker-side frames survive the process boundary.
         assert "_zero_div_cell" in exc_info.value.traceback_text
         assert "ZeroDivisionError" in exc_info.value.traceback_text
 
-    def test_progress_events_include_traceback(self):
+    @both_jobs
+    def test_progress_events_include_traceback(self, jobs):
         events = []
         with pytest.raises(CellExecutionError):
-            SerialExecutor(retries=1).run(
-                [make_spec()], progress=events.append, fn=_doomed_cell
+            CellExecutor(jobs=jobs, retries=1, fn=_doomed_cell).run(
+                [make_spec()], progress=events.append
             )
         kinds = [e.kind for e in events]
         assert kinds == ["start", "retry", "failed"]
         for event in events[1:]:
             assert "_doomed_cell" in event.traceback
 
-    def test_unrecognized_exception_propagates_immediately(self):
-        calls = []
-
-        def weird(spec):
-            calls.append(spec)
-            raise WeirdError("harness bug")
-
+    @both_jobs
+    def test_unrecognized_exception_propagates_immediately(self, jobs):
+        events = []
         with pytest.raises(WeirdError):
-            SerialExecutor(retries=2).run([make_spec()], fn=weird)
-        assert len(calls) == 1  # never retried: it is not a cell failure
+            CellExecutor(jobs=jobs, retries=2, fn=_weird_cell).run(
+                [make_spec()], progress=events.append
+            )
+        # Never retried: it is not a cell failure.
+        assert [e.kind for e in events] == ["start"]
 
 
 class TestFailureArtifacts:
@@ -82,13 +81,9 @@ class TestFailureArtifacts:
         store = ResultStore(tmp_path / "cache")
         spec = make_spec()
 
-        class DoomedExecutor:
-            def run(self, specs, progress=None, fn=None, **kwargs):
-                return SerialExecutor(retries=0).run(
-                    specs, progress, _doomed_cell, **kwargs
-                )
-
-        engine = CampaignEngine(executor=DoomedExecutor(), store=store)
+        engine = CampaignEngine(
+            executor=CellExecutor(retries=0, fn=_doomed_cell), store=store
+        )
         with pytest.raises(CellExecutionError):
             engine.run([spec])
         failure_path = store.failure_path_for(spec)

@@ -1,4 +1,4 @@
-"""Resilience primitives: backoff, journal, manifest, shutdown plumbing."""
+"""Resilience primitives: journal, manifest, shutdown plumbing."""
 
 import json
 import os
@@ -7,13 +7,11 @@ import signal
 import pytest
 
 from repro.exec.resilience import (
-    BackoffPolicy,
     CampaignJournal,
     ExecutorInterrupted,
     FailurePolicy,
     JOURNAL_SCHEMA_VERSION,
     JournalState,
-    NO_BACKOFF,
     ShutdownFlag,
     graceful_shutdown,
     load_journal,
@@ -33,45 +31,6 @@ class TestFailurePolicy:
     def test_coerce_rejects_unknown(self):
         with pytest.raises(ValueError, match="choose from"):
             FailurePolicy.coerce("explode")
-
-
-class TestBackoffPolicy:
-    def test_deterministic(self):
-        a = BackoffPolicy(seed=7)
-        b = BackoffPolicy(seed=7)
-        assert a.delay_s(H1, 3) == b.delay_s(H1, 3)
-
-    def test_seed_and_hash_vary_the_jitter(self):
-        p = BackoffPolicy(seed=1)
-        assert p.delay_s(H1, 2) != p.delay_s(H2, 2)
-        assert p.delay_s(H1, 2) != BackoffPolicy(seed=2).delay_s(H1, 2)
-
-    def test_exponential_growth_within_bounds(self):
-        p = BackoffPolicy(base_s=0.1, factor=2.0, max_s=1.0, jitter=0.0)
-        assert p.delay_s(H1, 1) == pytest.approx(0.1)
-        assert p.delay_s(H1, 2) == pytest.approx(0.2)
-        assert p.delay_s(H1, 5) == pytest.approx(1.0)  # capped at max_s
-        assert p.delay_s(H1, 50) == pytest.approx(1.0)  # no overflow blow-up
-
-    def test_jitter_only_shrinks_the_delay(self):
-        p = BackoffPolicy(base_s=0.5, factor=1.0, max_s=10.0, jitter=0.5)
-        for n in range(1, 6):
-            delay = p.delay_s(H1, n)
-            assert 0.25 <= delay <= 0.5
-
-    def test_zero_failures_means_zero_delay(self):
-        assert BackoffPolicy().delay_s(H1, 0) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
-
-    def test_no_backoff_sentinel(self):
-        assert NO_BACKOFF.delay_s(H1, 5) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            BackoffPolicy(base_s=-1.0)
-        with pytest.raises(ValueError):
-            BackoffPolicy(factor=0.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy(jitter=1.5)
 
 
 class TestManifestHash:

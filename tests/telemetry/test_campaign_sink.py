@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import SECDED_BASELINE
-from repro.exec.executors import ProgressEvent, SerialExecutor
+from repro.exec.executors import CellExecutor, ProgressEvent
 from repro.exec.spec import parsec_cell
 from repro.telemetry import (
     CampaignTraceSink,
@@ -71,7 +71,7 @@ class TestSink:
 
         path = tmp_path / "log.jsonl"
         with CampaignTraceSink(path) as sink:
-            SerialExecutor().run([spec()], progress=sink, fn=ok)
+            CellExecutor(fn=ok).run([spec()], progress=sink)
         kinds = [r["kind"] for r in read_events_jsonl(path)]
         assert kinds == ["start", "done"]
 
