@@ -4,11 +4,10 @@ install:
 	pip install -e .
 
 # NoCSan whole-program pass (docs/analysis.md), by the command line CI's
-# `lint` job runs; mypy runs too when installed.
+# `lint` job runs (paths, fixture exclude and baseline are `repro lint`'s
+# defaults, spelled once in cli.py); mypy runs too when installed.
 lint:
-	PYTHONPATH=src python -m repro.analysis.lint src tests \
-		--exclude tests/analysis/fixtures \
-		--baseline lint-baseline.json --json nocsan.json --stats
+	PYTHONPATH=src python -m repro lint --json nocsan.json
 	@if python -c "import mypy" 2>/dev/null; then \
 		python -m mypy --strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry \
 		&& python -m mypy -p repro.analysis; \
@@ -16,9 +15,7 @@ lint:
 
 # Accept the current NoCSan findings into the committed baseline.
 lint-baseline:
-	PYTHONPATH=src python -m repro.analysis.lint src tests \
-		--exclude tests/analysis/fixtures \
-		--baseline lint-baseline.json --update-baseline
+	PYTHONPATH=src python -m repro lint --update-baseline
 
 test:
 	pytest tests/

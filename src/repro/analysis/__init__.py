@@ -10,10 +10,10 @@ halves of the tooling that proves both properties:
   project-specific rule families: ``NOC1xx`` determinism rules (no
   ambient randomness or wall-clock reads inside the simulator, no
   iteration over unordered sets on hot paths, no mutable default
-  arguments), ``NOC2xx`` layering rules (simulation packages never import
-  the campaign/CLI/report layers; cell specs stay frozen), and ``NOC3xx``
+  arguments), ``NOC2xx`` layering rules (simulation packages never reach
+  the campaign/CLI/report layers, no import cycles), and ``NOC3xx``
   safety rules (no bare ``except``, no float equality in simulation
-  logic).  Run it with ``python -m repro.analysis.lint src``.
+  logic).  Run it with ``python -m repro lint``.
 * **runtime** (:mod:`repro.analysis.sanitizer`) — :class:`NocSanitizer`,
   cheap opt-in invariant checks threaded through ``Network.step()``
   behind ``REPRO_SANITIZE=1`` / ``--sanitize``: flit conservation,

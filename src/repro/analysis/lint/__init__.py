@@ -1,11 +1,12 @@
 """NoCSan: project-specific determinism/layering/safety/contract lint.
 
-v2 is a multi-pass, whole-program analyzer (see ``docs/analysis.md``):
+A two-pass, whole-program analyzer (see ``docs/analysis.md``, which gives
+every rule the one-line mutant only it catches):
 
-* per-file AST rules (NOC10x/20x/30x) + intra-file dataflow
-  (:mod:`.dataflow`: RNG provenance NOC110/111, telemetry guards NOC404),
-* a project import-graph pass (:mod:`.project`: transitive layering
-  NOC203, cycles NOC204),
+* per-file AST rules (:mod:`.filepass`: NOC101–105, NOC111, NOC301/302,
+  NOC405),
+* a project import-graph pass (:mod:`.project`: layering NOC201, cycles
+  NOC204),
 * infrastructure: a violation baseline (:mod:`.baseline`) and the JSON
   report (:mod:`.emit`).
 
@@ -23,7 +24,7 @@ import sys
 
 from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.emit import report_to_json
-from repro.analysis.lint.engine import EngineReport, run_engine
+from repro.analysis.lint.engine import EngineReport, report_on, run_engine
 from repro.analysis.lint.filepass import analyze_source
 from repro.analysis.lint.rules import (
     LINT_VERSION,
@@ -46,7 +47,7 @@ __all__ = [
 
 def lint_source(source: str, path: str = "<string>") -> list[Violation]:
     """Lint one file's text; returns unsuppressed violations."""
-    return analyze_source(source, path).violations
+    return report_on([analyze_source(source, path)]).violations
 
 
 def lint_paths(paths: list[str]) -> LintReport:
@@ -84,8 +85,6 @@ def add_cli_arguments(
                         help="rewrite --baseline from the current findings")
     parser.add_argument("--json", metavar="FILE", dest="json_out",
                         help="write a JSON report ('-' for stdout)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print runtime statistics to stderr")
     parser.set_defaults(default_excludes=list(default_excludes or []))
 
 
@@ -142,25 +141,20 @@ def run_cli(args: argparse.Namespace) -> int:
             return 2
         fresh, baselined = Baseline.load(baseline_path).filter(report.violations)
 
-    stats = report.stats.to_dict()
     if args.json_out:
         payload = report_to_json(
             fresh, files=report.files, suppressed=report.suppressed,
-            baselined=baselined, stats=stats,
+            baselined=baselined,
         )
         _write_report(json.dumps(payload, indent=2, sort_keys=True), args.json_out)
 
     for violation in fresh:
         print(violation.render())
-    summary = (
+    print(
         f"{report.files} files, {len(fresh)} violations, "
-        f"{report.suppressed} suppressed, {baselined} baselined"
+        f"{report.suppressed} suppressed, {baselined} baselined",
+        file=sys.stderr,
     )
-    if args.stats:
-        summary += (
-            f" | {stats['wall_seconds']}s, {stats['files_per_second']} files/s"
-        )
-    print(summary, file=sys.stderr)
     return 1 if fresh else 0
 
 

@@ -13,10 +13,9 @@ def report_to_json(
     files: int,
     suppressed: int,
     baselined: int,
-    stats: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Stable JSON structure for ``--json`` output and snapshot tests."""
-    payload: dict[str, Any] = {
+    return {
         "tool": "nocsan",
         "version": LINT_VERSION,
         "files": files,
@@ -27,6 +26,3 @@ def report_to_json(
             "baselined": baselined,
         },
     }
-    if stats is not None:
-        payload["stats"] = stats
-    return payload

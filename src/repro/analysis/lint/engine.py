@@ -4,7 +4,7 @@ passes stitched on top.
 Run shape::
 
     discover files -> analyze each (facts + file violations)
-    -> import-graph pass (NOC203/204)
+    -> import-graph pass (NOC201/204)
     -> noqa for project violations -> baseline filter -> report
 
 Every file is analyzed in process, in discovery order, on every run: the
@@ -15,10 +15,9 @@ differ from a fresh one (docs/analysis.md, "Runtime").
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.analysis.lint.filepass import FileAnalysis, FileFacts, analyze_source
 from repro.analysis.lint.rules import RULES, Violation, apply_noqa
@@ -26,33 +25,12 @@ from repro.analysis.lint import project
 
 
 @dataclass
-class RunStats:
-    """Operational numbers for the CI job summary."""
-
-    wall_seconds: float = 0.0
-    files: int = 0
-
-    @property
-    def files_per_second(self) -> float:
-        return self.files / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "wall_seconds": round(self.wall_seconds, 4),
-            "files": self.files,
-            "files_per_second": round(self.files_per_second, 1),
-        }
-
-
-@dataclass
 class EngineReport:
-    """Everything a caller needs: violations plus operational stats."""
+    """Everything a caller needs: the findings and the files behind them."""
 
     violations: list[Violation] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files: int = 0
-    stats: RunStats = field(default_factory=RunStats)
     analyses: list[FileAnalysis] = field(default_factory=list)
 
     @property
@@ -117,36 +95,30 @@ def run_engine(
     paths: Sequence[str], *, excludes: Sequence[str] = ()
 ) -> EngineReport:
     """Analyze *paths* end to end (no baseline filtering; caller's job)."""
-    started = time.perf_counter()
-    files = discover_files(paths, excludes)
-    report = EngineReport(files=len(files))
-    report.stats.files = len(files)
-    ordered = [_analyze_path(path) for path in files]
-    report.analyses = ordered
+    return report_on([_analyze_path(p) for p in discover_files(paths, excludes)])
 
+
+def report_on(analyses: list[FileAnalysis]) -> EngineReport:
+    """The per-file findings of *analyses* plus the whole-program passes
+    over their facts, sorted."""
     violations: list[Violation] = []
     suppressed = 0
-    for analysis in ordered:
+    for analysis in analyses:
         violations.extend(analysis.violations)
         suppressed += analysis.suppressed
 
-    # Whole-program passes over the facts, then per-file noqa for their
-    # findings (directives live in the file each violation anchors to).
-    facts = [a.facts for a in ordered]
-    by_path = {a.facts.path: a.facts for a in ordered}
-    for violation in project.check_project(facts):
-        anchor = by_path.get(violation.path)
-        if anchor is None:
-            violations.append(violation)
-            continue
+    # Per-file noqa for the project findings (directives live in the file
+    # each violation anchors to).
+    by_path = {a.facts.path: a.facts for a in analyses}
+    for violation in project.check_project([a.facts for a in analyses]):
         kept, dropped = apply_noqa(
-            [violation], anchor.noqa, violation.path, scopes=anchor.scopes
+            [violation], by_path[violation.path].noqa, violation.path
         )
         violations.extend(kept)
         suppressed += dropped
 
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    report.violations = violations
-    report.suppressed = suppressed
-    report.stats.wall_seconds = time.perf_counter() - started
-    return report
+    return EngineReport(
+        violations=violations, suppressed=suppressed,
+        files=len(analyses), analyses=analyses,
+    )

@@ -1,10 +1,8 @@
 """Per-file pass: AST rules plus fact extraction for the project pass.
 
-One parse per file feeds three consumers:
+One parse per file feeds two consumers:
 
-* the classic rule visitor (:class:`FileLinter`) — NOC10x/20x/30x,
-* the intra-file dataflow passes (:mod:`repro.analysis.lint.dataflow`) —
-  RNG-stream provenance (NOC110/111) and telemetry guards (NOC404),
+* the rule visitor (:class:`FileLinter`) — NOC10x/30x/405,
 * :class:`FileFacts` — the import edges the whole-program pass
   (:mod:`repro.analysis.lint.project`) builds its graph from.
 
@@ -17,10 +15,8 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.lint import dataflow
 from repro.analysis.lint.rules import (
     CYCLE_DOMAIN_PACKAGES,
-    ORCHESTRATION_PACKAGES,
     RULES,
     SIM_PACKAGES,
     Directives,
@@ -37,6 +33,13 @@ from repro.analysis.lint.rules import (
 _RNG_CONSTRUCTORS = frozenset(
     {"default_rng", "SeedSequence", "Generator", "BitGenerator",
      "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+)
+
+#: Constructors that fall back to OS entropy when given no seed material
+#: (NOC111); ``Generator``/``BitGenerator`` wrap an existing bit source.
+_ENTROPY_IF_UNSEEDED = frozenset(
+    f"numpy.random.{name}"
+    for name in _RNG_CONSTRUCTORS - {"Generator", "BitGenerator"}
 )
 
 #: Calls that read the wall clock or the OS entropy pool.  Monotonic
@@ -116,8 +119,6 @@ class FileFacts:
     module: str
     imports: list[ImportFact] = field(default_factory=list)
     noqa: Directives = field(default_factory=dict)
-    #: ``def``/``class`` header line -> the lines of its body
-    scopes: dict[int, range] = field(default_factory=dict)
 
 
 @dataclass
@@ -148,6 +149,16 @@ def _is_float_const(node: ast.expr) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         node = node.operand
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def _is_unseeded(node: ast.Call) -> bool:
+    """Whether a generator constructor call passes no seed, or a literal None."""
+    if node.keywords or len(node.args) > 1:
+        return False
+    if not node.args:
+        return True
+    seed = node.args[0]
+    return isinstance(seed, ast.Constant) and seed.value is None
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -221,12 +232,12 @@ class FileLinter(ast.NodeVisitor):
         # alias -> canonical dotted module ("np" -> "numpy"); from-imports
         # map the bound name to its fully qualified origin.
         self.aliases: dict[str, str] = {}
+        self.in_repro = in_packages(module, ("repro",))
         self.in_sim_package = in_packages(module, SIM_PACKAGES)
         self.in_cycle_domain = in_packages(module, CYCLE_DOMAIN_PACKAGES)
         # Call func nodes already reported as NOC102/NOC105: the NOC405
         # reference check skips them so one call is one violation.
         self._reported_call_funcs: set[int] = set()
-        self.is_spec_module = module == "repro.exec.spec"
         self.class_set_attrs: list[dict[str, bool]] = []
         # Module scope is a real scope: module-level set bindings must be
         # visible to comprehensions and class bodies (NOC103 blind spot).
@@ -255,7 +266,7 @@ class FileLinter(ast.NodeVisitor):
     def _context(self, node: ast.AST) -> str:
         return source_line(self.lines, getattr(node, "lineno", 1))
 
-    # --- imports (alias tracking + NOC201 + import facts) ---------------------
+    # --- imports (alias tracking + import facts) -------------------------------
 
     def _record_import(self, imported: str, node: ast.AST) -> None:
         self.facts.imports.append(ImportFact(
@@ -273,7 +284,6 @@ class FileLinter(ast.NodeVisitor):
                 alias.name if alias.asname else alias.name.partition(".")[0]
             )
             self._record_import(alias.name, node)
-            self._check_layering(alias.name, node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -283,15 +293,7 @@ class FileLinter(ast.NodeVisitor):
                     f"{node.module}.{alias.name}"
                 )
                 self._record_import(f"{node.module}.{alias.name}", node)
-            self._check_layering(node.module, node)
         self.generic_visit(node)
-
-    def _check_layering(self, imported: str, node: ast.AST) -> None:
-        if not self.in_sim_package:
-            return
-        for banned in ORCHESTRATION_PACKAGES:
-            if imported == banned or imported.startswith(banned + "."):
-                self.report("NOC201", node, f"{self.module} imports {imported}")
 
     def visit_If(self, node: ast.If) -> None:
         if _is_type_checking_test(node.test):
@@ -304,7 +306,7 @@ class FileLinter(ast.NodeVisitor):
             return
         self.generic_visit(node)
 
-    # --- calls (NOC101 + NOC102 + NOC105 + set.pop half of NOC103) ------------
+    # --- calls (NOC101/111 + NOC102 + NOC105 + set.pop half of NOC103) --------
 
     def visit_Call(self, node: ast.Call) -> None:
         name = dotted(node.func)
@@ -312,6 +314,8 @@ class FileLinter(ast.NodeVisitor):
             resolved = self._resolve(name)
             if self._is_ambient_rng(resolved):
                 self.report("NOC101", node, resolved)
+            elif resolved in _ENTROPY_IF_UNSEEDED and _is_unseeded(node):
+                self.report("NOC111", node, f"{resolved}() with no seed")
             elif resolved in _CLOCK_ENTROPY or resolved.startswith("secrets."):
                 self.report("NOC102", node, resolved)
                 self._reported_call_funcs.add(id(node.func))
@@ -414,7 +418,6 @@ class FileLinter(ast.NodeVisitor):
 
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self._record_scope(node)
         self.local_sets.append({})
         self._func_depth += 1
         self.generic_visit(node)
@@ -424,20 +427,11 @@ class FileLinter(ast.NodeVisitor):
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    def _record_scope(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef
-    ) -> None:
-        end = getattr(node, "end_lineno", None)
-        if end is not None and end > node.lineno:
-            self.facts.scopes[node.lineno] = range(node.lineno + 1, end + 1)
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         collector = _SetAttributeCollector()
         for stmt in node.body:
             collector.visit(stmt)
         self.class_set_attrs.append(dict.fromkeys(collector.set_attrs, True))
-        self._record_scope(node)
-        self._check_spec_frozen(node)
         self.generic_visit(node)
         self.class_set_attrs.pop()
 
@@ -459,32 +453,6 @@ class FileLinter(ast.NodeVisitor):
             ):
                 self.report("NOC104", default)
 
-    # --- frozen specs (NOC202) -------------------------------------------------
-
-    def _dataclass_decorator(self, node: ast.ClassDef) -> tuple[bool, bool]:
-        """(is a dataclass, is frozen=True) from the decorator list."""
-        for decorator in node.decorator_list:
-            name = dotted(
-                decorator.func if isinstance(decorator, ast.Call) else decorator
-            )
-            if name is None or name.rsplit(".", 1)[-1] != "dataclass":
-                continue
-            frozen = isinstance(decorator, ast.Call) and any(
-                kw.arg == "frozen"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in decorator.keywords
-            )
-            return True, frozen
-        return False, False
-
-    def _check_spec_frozen(self, node: ast.ClassDef) -> None:
-        if not self.is_spec_module:
-            return
-        is_dc, frozen = self._dataclass_decorator(node)
-        if is_dc and not frozen:
-            self.report("NOC202", node, f"@dataclass(frozen=True) on {node.name}")
-
     # --- safety (NOC301 + NOC302) ----------------------------------------------
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
@@ -494,7 +462,7 @@ class FileLinter(ast.NodeVisitor):
 
     def visit_Compare(self, node: ast.Compare) -> None:
         has_eq = any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
-        if has_eq and any(
+        if self.in_repro and has_eq and any(
             _is_float_const(operand) for operand in [node.left] + node.comparators
         ):
             self.report("NOC302", node, "compare against a tolerance instead")
@@ -512,7 +480,7 @@ def parse_failure(source_path: str, exc: SyntaxError) -> Violation:
 
 
 def analyze_source(source: str, path: str) -> FileAnalysis:
-    """Analyze one file's text: per-file rules, dataflow passes, and facts."""
+    """Analyze one file's text: per-file rules and facts."""
     module = module_name(Path(path))
     lines = source.splitlines()
     directives = scan_noqa(source)
@@ -526,14 +494,8 @@ def analyze_source(source: str, path: str) -> FileAnalysis:
 
     linter = FileLinter(path, module, lines)
     linter.visit(tree)
-    violations = list(linter.violations)
-    violations.extend(dataflow.check_rng_provenance(tree, path, lines))
-    violations.extend(dataflow.check_telemetry_guards(tree, path, module, lines))
-
     facts = linter.facts
     facts.noqa = directives
-    kept, suppressed = apply_noqa(
-        violations, directives, path, scopes=facts.scopes
-    )
+    kept, suppressed = apply_noqa(linter.violations, directives, path)
     kept.sort(key=lambda v: (v.line, v.col, v.rule))
     return FileAnalysis(facts=facts, violations=kept, suppressed=suppressed)

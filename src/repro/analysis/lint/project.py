@@ -1,12 +1,12 @@
-"""Whole-program import-graph pass: transitive layering and cycles.
+"""Whole-program import-graph pass: layering and cycles.
 
 Built from the :class:`~repro.analysis.lint.filepass.ImportFact` records of
 every analyzed file.
 
-* **NOC203** — a sim package reaching an orchestration package through an
-  import *chain* (NOC201 only sees direct edges).  The violation anchors
-  at the import statement in the sim module that starts the shortest
-  offending chain, and the chain is spelled out in the message.
+* **NOC201** — a sim package reaching an orchestration package through an
+  import chain of any length, a direct import included.  The violation
+  anchors at the import statement in the sim module that starts the
+  shortest offending chain, and the chain is spelled out in the message.
 * **NOC204** — an import cycle among top-level (non-lazy,
   non-``TYPE_CHECKING``) edges between repro modules.  Lazy imports are
   the sanctioned way to break a cycle, so they are exempt.
@@ -35,6 +35,14 @@ class _Edge:
     path: str  # source file holding the import statement
 
 
+def _orchestration_package(module: str) -> str | None:
+    """The orchestration package dotted *module* lives under, if any."""
+    for package in ORCHESTRATION_PACKAGES:
+        if in_packages(module, (package,)):
+            return package
+    return None
+
+
 class ImportGraph:
     """Module-level import graph over the analyzed file set."""
 
@@ -54,75 +62,59 @@ class ImportGraph:
                 self.out.setdefault(file_facts.module, []).append(edge)
 
     def _resolve(self, imported: str) -> str | None:
-        """Longest known-module prefix of *imported* (None = external)."""
+        """Longest known-module prefix of *imported* (None = external).
+
+        An orchestration package counts as known even when none of its files
+        is in the analyzed set, so a lone sim file that imports it is caught.
+        """
         parts = imported.split(".")
         for cut in range(len(parts), 0, -1):
             candidate = ".".join(parts[:cut])
             if candidate in self.modules:
                 return candidate
-        return None
+        return _orchestration_package(imported)
 
-    # --- NOC203: transitive layering ------------------------------------------
+    # --- NOC201: layering ------------------------------------------------------
 
-    def check_transitive_layering(self) -> list[Violation]:
+    def check_layering(self) -> list[Violation]:
         violations: list[Violation] = []
-        sim_modules = [
-            m for m in sorted(self.modules) if in_packages(m, SIM_PACKAGES)
-        ]
-        for module in sim_modules:
-            flagged_targets: set[str] = set()
+        for module in sorted(self.modules):
+            if not in_packages(module, SIM_PACKAGES):
+                continue
             for chain in self._shortest_orchestration_chains(module):
-                target_pkg = next(
-                    p for p in ORCHESTRATION_PACKAGES
-                    if in_packages(chain[-1], (p,))
-                )
-                if target_pkg in flagged_targets:
-                    continue
-                flagged_targets.add(target_pkg)
-                if len(chain) < 3:
-                    continue  # direct import: NOC201's jurisdiction
-                first = self.out[module][0]
-                for edge in self.out.get(module, []):
-                    if edge.dst == chain[1]:
-                        first = edge
-                        break
-                rendered = " -> ".join(chain)
+                first = chain[0]
+                rendered = " -> ".join([module] + [edge.dst for edge in chain])
                 violations.append(Violation(
-                    "NOC203", first.path, first.fact.lineno, first.fact.col,
-                    RULES["NOC203"] + f" ({rendered})",
+                    "NOC201", first.path, first.fact.lineno, first.fact.col,
+                    RULES["NOC201"] + f" ({rendered})",
                     first.fact.context,
                 ))
         return violations
 
-    def _shortest_orchestration_chains(self, start: str) -> list[list[str]]:
-        """BFS shortest chain from *start* to each orchestration package."""
-        parent: dict[str, str] = {start: ""}
+    def _shortest_orchestration_chains(self, start: str) -> list[list[_Edge]]:
+        """BFS: the shortest runtime import chain from *start* into each
+        orchestration package it reaches, as the edges walked."""
+        via: dict[str, _Edge | None] = {start: None}
         queue: deque[str] = deque([start])
-        chains: list[list[str]] = []
-        seen_packages: set[str] = set()
+        chains: list[list[_Edge]] = []
+        reached: set[str] = set()
         while queue:
             module = queue.popleft()
             for edge in self.out.get(module, []):
                 if edge.fact.type_checking:
                     continue  # typing-only: no runtime reach
-                if edge.dst in parent:
+                if edge.dst in via:
                     continue
-                parent[edge.dst] = module
-                if in_packages(edge.dst, ORCHESTRATION_PACKAGES):
-                    pkg = next(
-                        p for p in ORCHESTRATION_PACKAGES
-                        if in_packages(edge.dst, (p,))
-                    )
-                    if pkg not in seen_packages:
-                        seen_packages.add(pkg)
-                        chain = [edge.dst]
-                        node = module
-                        while node:
-                            chain.append(node)
-                            node = parent[node]
-                        chains.append(list(reversed(chain)))
-                    continue  # don't traverse through orchestration
-                queue.append(edge.dst)
+                via[edge.dst] = edge
+                package = _orchestration_package(edge.dst)
+                if package is None:
+                    queue.append(edge.dst)
+                elif package not in reached:  # never traverse through orchestration
+                    reached.add(package)
+                    chain = [edge]
+                    while (previous := via[chain[0].src]) is not None:
+                        chain.insert(0, previous)
+                    chains.append(chain)
         return chains
 
     # --- NOC204: top-level cycles ---------------------------------------------
@@ -214,6 +206,6 @@ def _tarjan(
 def check_project(facts: list[FileFacts]) -> list[Violation]:
     """All import-graph rules over the analyzed file set."""
     graph = ImportGraph(facts)
-    violations = graph.check_transitive_layering()
+    violations = graph.check_layering()
     violations.extend(graph.check_cycles())
     return violations

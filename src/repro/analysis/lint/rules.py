@@ -1,19 +1,21 @@
 """Rule catalogue and shared lint primitives.
 
-The catalogue spans four families (full rationale in ``docs/analysis.md``):
+A rule is in the catalogue only while it is its contract's one guard: some
+one-line edit to ``src`` breaks the contract and no tier-1 test notices, or
+the rule still carries a reasoned suppression in ``src``.  The table in
+``docs/analysis.md`` gives each rule's mutant, and names the tier-1 test
+that holds every contract whose rule was retired.
 
-* **D — determinism (NOC1xx)**: per-file entropy/ordering rules plus the
-  v2 RNG-stream provenance pass (NOC110/NOC111).
-* **L — layering (NOC2xx)**: direct import rules plus the v2 project
-  import-graph pass (NOC203 transitive layering, NOC204 cycles).
+* **D — determinism (NOC1xx)**: per-file entropy/ordering rules
+  (NOC101–105, NOC111).
+* **L — layering (NOC2xx)**: the project import-graph pass (NOC201
+  sim→orchestration chains of every length, NOC204 cycles).
 * **S — safety (NOC3xx)**: bare except, float equality.
-* **C — contracts (NOC4xx)**: the telemetry-guard and cycle-domain
-  clock checkers.
+* **C — contracts (NOC4xx)**: the cycle-domain clock checker (NOC405).
 
 Any rule is suppressible per line with ``# noqa: NOC### -- <reason>``;
 the reason is mandatory (a reasonless ``noqa`` is itself a violation,
-NOC000).  A directive on a ``def``/``class`` line suppresses the rule for
-the whole definition body (used for caller-guaranteed contracts).
+NOC000).
 """
 
 from __future__ import annotations
@@ -34,15 +36,11 @@ RULES: dict[str, str] = {
     "NOC103": "iteration over an unordered set in simulation code",
     "NOC104": "mutable default argument",
     "NOC105": "sleep/timer call inside a simulation package: stay cycle-driven",
-    "NOC110": "one RNG stream feeds multiple subsystems: derive named child streams",
     "NOC111": "RNG seeded from ambient entropy: derive the seed from the spec",
-    "NOC201": "simulation package imports an orchestration layer",
-    "NOC202": "cell-spec dataclass is not frozen",
-    "NOC203": "simulation package reaches an orchestration layer transitively",
+    "NOC201": "simulation package reaches an orchestration layer",
     "NOC204": "top-level import cycle between repro modules",
     "NOC301": "bare `except:` clause",
     "NOC302": "float equality comparison in simulation logic",
-    "NOC404": "unguarded telemetry instrument call in the simulator cycle domain",
     "NOC405": "clock reference in the cycle domain: route timing through "
               "repro.telemetry.simprof",
 }
@@ -162,38 +160,21 @@ def apply_noqa(
     violations: list[Violation],
     directives: Directives,
     path: str,
-    scopes: dict[int, range] | None = None,
 ) -> tuple[list[Violation], int]:
-    """Filter suppressed violations; reasonless suppressions become NOC000.
-
-    *scopes* maps a ``def``/``class`` header line to the line range of its
-    body: a directive on the header suppresses matching rules anywhere in
-    the body (caller-guaranteed contracts such as NOC404 helpers).
-    """
+    """Filter suppressed violations; reasonless suppressions become NOC000."""
     kept: list[Violation] = []
     suppressed = 0
     flagged_reasonless: set[int] = set()
     for violation in violations:
         directive = directives.get(violation.line)
-        directive_line = violation.line
         if directive is None or violation.rule not in directive[0]:
-            directive = None
-            if scopes:
-                for header, body in scopes.items():
-                    if violation.line in body:
-                        candidate = directives.get(header)
-                        if candidate and violation.rule in candidate[0]:
-                            directive = candidate
-                            directive_line = header
-                            break
-        if directive is None:
             kept.append(violation)
             continue
         suppressed += 1
-        if directive[1] is None and directive_line not in flagged_reasonless:
-            flagged_reasonless.add(directive_line)
+        if directive[1] is None and violation.line not in flagged_reasonless:
+            flagged_reasonless.add(violation.line)
             kept.append(Violation(
-                "NOC000", path, directive_line, directive[2],
+                "NOC000", path, violation.line, directive[2],
                 RULES["NOC000"] + f" (suppressing {violation.rule})",
             ))
     return kept, suppressed

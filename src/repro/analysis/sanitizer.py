@@ -108,11 +108,7 @@ class NocSanitizer:
         """A sanitizer when ``REPRO_SANITIZE`` is set truthy, else None."""
         if not _env_truthy("REPRO_SANITIZE"):
             return None
-        interval = int(os.environ.get("REPRO_SANITIZE_INTERVAL", DEFAULT_INTERVAL))
-        watchdog = int(
-            os.environ.get("REPRO_SANITIZE_WATCHDOG", DEFAULT_WATCHDOG_CYCLES)
-        )
-        return cls(interval=interval, watchdog_cycles=watchdog)
+        return cls()
 
     # --- entry point ----------------------------------------------------------
 

@@ -240,7 +240,6 @@ class Network:
     def _init_telemetry(self) -> None:
         """Register instruments and attach observation hooks."""
         tel = self._tel
-        assert tel is not None
         self._tel_prev: dict[str, float] = {}
         self._lat_hist = tel.histogram(
             "noc_packet_latency_cycles", "End-to-end packet latency distribution"
@@ -251,7 +250,6 @@ class Network:
 
     def _make_ecc_observer(self, rid: int):
         tel = self._tel
-        assert tel is not None  # only attached by _init_telemetry
         counter = tel.counter(
             "noc_ecc_transitions_total", "Adaptive ECC hardware reconfigurations"
         )
@@ -265,7 +263,6 @@ class Network:
     def _tel_count(self, name: str, help_text: str, total: float) -> None:
         """Advance counter *name* to the model's running *total*."""
         tel = self._tel
-        assert tel is not None  # only called from _sync_telemetry
         counter = tel.counter(name, help_text)
         prev = self._tel_prev.get(name, 0.0)
         if total > prev:
@@ -277,7 +274,6 @@ class Network:
         model state (stats, gating, thermal, aging) — nothing here touches
         the per-cycle hot path."""
         tel = self._tel
-        assert tel is not None  # callers gate on an enabled hub
         stats = self.stats
         count = self._tel_count
         count("noc_packets_injected_total", "Packets entered at source NIs",
@@ -354,7 +350,6 @@ class Network:
         """Trace one control step: the applied-mode census plus, on the
         stride, each RL agent's reward decomposition and Q diagnostics."""
         tel = self._tel
-        assert tel is not None  # callers gate on an enabled hub
         census = {str(m): 0 for m in range(5)}
         for mode in applied:
             census[str(mode)] += 1

@@ -1,11 +1,9 @@
-"""Clean under NOC405/NOC404: the sanctioned simprof probe pattern.
+"""Clean under NOC405: the sanctioned simprof probe pattern.
 
 The cycle domain never touches a clock — it only calls probe methods on
 an injected profiler (which owns the clock, over in repro.telemetry).
 There is one loop body: `lap` is the profiler's probe on a sampled step
-and None otherwise, and the calls on the optional hook itself are guarded
-the NOC404 way (`prof is not None and ...`, never through a derived
-boolean alone).
+and None otherwise.
 """
 
 

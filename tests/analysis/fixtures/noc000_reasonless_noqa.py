@@ -1,5 +1,5 @@
 """Lint fixture: suppression without a reason (NOC000)."""
 
 
-def sentinel(rate: float) -> bool:
-    return rate == 1.0  # noqa: NOC302
+def collect(rates=[]):  # noqa: NOC104
+    return rates

@@ -1,4 +1,8 @@
-"""Lint fixture: float equality comparisons (NOC302)."""
+"""Lint fixture: float equality comparisons (NOC302).
+
+The ``repro/`` path component makes this the module ``repro.noc302_float_eq``:
+the rule looks only inside the package, never at tests.
+"""
 
 
 def exact(energy: float) -> bool:

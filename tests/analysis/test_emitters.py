@@ -34,7 +34,6 @@ class TestJsonReport:
             files=fixture_report.files,
             suppressed=fixture_report.suppressed,
             baselined=0,
-            stats=fixture_report.stats.to_dict(),
         )
         text = json.dumps(payload, indent=2, sort_keys=True)
         # serialize -> parse -> serialize is a fixed point
@@ -53,7 +52,6 @@ class TestJsonReport:
         assert payload["tool"] == "nocsan"
         assert payload["files"] == 7
         assert payload["counts"] == {"new": 2, "suppressed": 2, "baselined": 1}
-        assert "stats" not in payload  # only present when provided
 
     def test_two_identical_runs_emit_identical_json(self):
         kwargs = dict(files=3, suppressed=0, baselined=0)

@@ -6,7 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import InvariantViolation, NocSanitizer
+from repro.analysis.sanitizer import (
+    DEFAULT_INTERVAL,
+    DEFAULT_WATCHDOG_CYCLES,
+    InvariantViolation,
+    NocSanitizer,
+)
 from repro.config import (
     INTELLINOC,
     SECDED_BASELINE,
@@ -275,13 +280,12 @@ class TestConfiguration:
 
     def test_from_env_enables_and_configures(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.setenv("REPRO_SANITIZE_INTERVAL", "16")
-        monkeypatch.setenv("REPRO_SANITIZE_WATCHDOG", "512")
         monkeypatch.setenv("REPRO_SANITIZE_DIR", str(tmp_path / "snaps"))
         san = NocSanitizer.from_env()
         assert san is not None
-        assert san.interval == 16
-        assert san.watchdog_cycles == 512
+        assert (san.interval, san.watchdog_cycles) == (
+            DEFAULT_INTERVAL, DEFAULT_WATCHDOG_CYCLES
+        )
         assert san.snapshot_dir == tmp_path / "snaps"
         net = small_network([])
         assert net.sanitizer is not None  # network picked it up from env

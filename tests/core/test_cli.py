@@ -161,7 +161,7 @@ class TestResilienceOptions:
              "--timeout", "5.5", "--journal", "c.jsonl"]
         )
         assert args.failure_policy == "quarantine"
-        assert args.timeout == 5.5  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert args.timeout == 5.5
         assert args.journal == "c.jsonl"
 
     def test_unknown_failure_policy_rejected(self):

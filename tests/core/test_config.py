@@ -53,10 +53,10 @@ class TestTable1:
         assert EB.noc.pipeline_stages == 3
 
     def test_supply_and_clock(self):
-        assert FaultConfig().supply_voltage == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert FaultConfig().supply_voltage == 1.0
         from repro.config import PowerConfig
 
-        assert PowerConfig().clock_frequency_hz == 2.0e9  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert PowerConfig().clock_frequency_hz == 2.0e9
 
 
 class TestRlDefaults:
@@ -64,9 +64,9 @@ class TestRlDefaults:
 
     def test_tuned_values(self):
         rl = RlConfig()
-        assert rl.learning_rate == 0.1  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert rl.discount == 0.9  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert rl.epsilon == 0.05  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert rl.learning_rate == 0.1
+        assert rl.discount == 0.9
+        assert rl.epsilon == 0.05
         assert rl.time_step == 1000
         assert rl.num_bins == 5
         assert rl.initial_mode == 1
@@ -110,8 +110,8 @@ class TestTechniques:
 
     def test_with_rl_returns_modified_copy(self):
         variant = INTELLINOC.with_rl(discount=0.5)
-        assert variant.rl.discount == 0.5  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert INTELLINOC.rl.discount == 0.9  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert variant.rl.discount == 0.5
+        assert INTELLINOC.rl.discount == 0.9
         assert variant.noc is INTELLINOC.noc
 
 

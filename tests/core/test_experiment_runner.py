@@ -47,7 +47,7 @@ class TestRunner:
 
     def test_figure_tables_normalized_to_baseline(self, tiny_runner):
         table, averages = tiny_runner.figure10_latency()
-        assert averages["SECDED"] == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert averages["SECDED"] == 1.0
         assert "Fig. 10" in table
         assert "average" in table
 
@@ -168,7 +168,7 @@ class TestPartialFigures:
         body, _, footer = table.partition("omitted")
         assert "bod" not in body
         assert footer == " (incomplete results): bod"
-        assert averages["SECDED"] == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert averages["SECDED"] == 1.0
 
     def test_every_benchmark_incomplete_raises(self, tiny_runner):
         results = dict(tiny_runner.run_campaign())

@@ -56,8 +56,8 @@ class TestRunning:
     def test_scaled_faults_copy(self):
         system = IntelliNoCSystem("secded", seed=2)
         scaled = system.scaled_faults(1e-7)
-        assert scaled.faults.base_bit_error_rate == 1e-7  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert system.faults.base_bit_error_rate != 1e-7  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert scaled.faults.base_bit_error_rate == 1e-7
+        assert system.faults.base_bit_error_rate != 1e-7
 
 
 class TestPretraining:

@@ -38,7 +38,7 @@ class TestEnergyAndLeakage:
         secded = unit.codec_energy_pj()
         unit.configure(EccScheme.DECTED)
         dected = unit.codec_energy_pj()
-        assert crc == 0.0  # no per-hop codec under CRC  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert crc == 0.0  # no per-hop codec under CRC
         assert 0 < secded < dected
 
     def test_leakage_ordering(self, unit):

@@ -15,8 +15,8 @@ def model():
 
 class TestAccumulation:
     def test_fresh_device_has_unit_aging(self, model):
-        assert model.aging_factor(0) == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert model.delta_vth(0) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert model.aging_factor(0) == 1.0
+        assert model.delta_vth(0) == 0.0
 
     def test_stress_raises_vth(self, model):
         model.accumulate(0, 1.0, 350.0, 0.5, powered=True)
@@ -27,12 +27,12 @@ class TestAccumulation:
         model.accumulate(0, 1.0, 350.0, 0.5, powered=False)
         model.accumulate(1, 1.0, 350.0, 0.5, powered=True)
         # Gated: no HCI at all, NBTI at the residual calendar fraction.
-        assert model.delta_vth_hci(0) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert model.delta_vth_hci(0) == 0.0
         assert model.states[0].nbti_stress == pytest.approx(
             model.GATED_NBTI_FRACTION * model.states[1].nbti_stress
         )
-        assert model.states[0].total_seconds == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert model.states[0].powered_seconds == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert model.states[0].total_seconds == 1.0
+        assert model.states[0].powered_seconds == 0.0
 
     def test_hotter_ages_faster(self, model):
         model.accumulate(0, 1.0, 330.0, 0.5, powered=True)

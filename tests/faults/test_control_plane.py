@@ -27,7 +27,7 @@ class TestFlipFloatBit:
         assert flip_float_bit(flipped, 7) == v
 
     def test_sign_bit_negates(self):
-        assert flip_float_bit(2.0, 63) == -2.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert flip_float_bit(2.0, 63) == -2.0
 
     def test_nan_clamped_to_zero(self):
         # Setting all exponent bits of a large value can produce inf/NaN.
@@ -81,11 +81,11 @@ class TestDivergence:
         table = table_with_entries()
         clone = QTable(5, 0.1, 0.9)
         table.clone_into(clone)
-        assert table_divergence(table, clone) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert table_divergence(table, clone) == 0.0
 
     def test_disjoint_tables_diverge_zero(self):
         a = QTable(5, 0.1, 0.9)
         a.q_values((1,))
         b = QTable(5, 0.1, 0.9)
         b.q_values((2,))
-        assert table_divergence(a, b) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert table_divergence(a, b) == 0.0

@@ -75,5 +75,5 @@ class TestSystemMttf:
     def test_unstressed_system_has_zero_fit(self):
         model = AgingModel(FaultConfig(), num_routers=3)
         est = MttfEstimator(model)
-        assert est.system_fit() == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert est.system_fit() == 0.0
         assert math.isinf(est.system_mttf_seconds())

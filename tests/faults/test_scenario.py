@@ -99,11 +99,11 @@ class TestScenarioEngine:
         net = make_network(scenario=scenario)
         engine = net._scenario
         engine.tick(0)
-        assert engine.scaled_rate(1e-6, 0) == 1e-6  # before the window  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert engine.scaled_rate(1e-6, 0) == 1e-6  # before the window
         engine.tick(10)
         assert engine.scaled_rate(1e-6, 0) == pytest.approx(1e-4)
         engine.tick(20)
-        assert engine.scaled_rate(1e-6, 0) == 1e-6  # after the window  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert engine.scaled_rate(1e-6, 0) == 1e-6  # after the window
 
     def test_regional_bursts_multiply_and_clamp(self):
         scenario = FaultScenario(name="b", events=(
@@ -113,7 +113,7 @@ class TestScenarioEngine:
         net = make_network(scenario=scenario)
         engine = net._scenario
         engine.tick(0)
-        assert engine.scaled_rate(1e-6, 0) == 1e-6  # untargeted router  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert engine.scaled_rate(1e-6, 0) == 1e-6  # untargeted router
         assert engine.scaled_rate(1e-6, 2) == pytest.approx(1e-4)
         assert engine.scaled_rate(1e-6, 3) == MAX_SCENARIO_BIT_ERROR_RATE
 
@@ -158,7 +158,7 @@ class TestScenarioEngine:
         assert float(net.thermal.temperatures[1]) == pytest.approx(start + 50.0)
         for c in range(1, 101):
             engine.tick(c)
-        assert float(net.thermal.temperatures[1]) == 400.0  # capped  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert float(net.thermal.temperatures[1]) == 400.0  # capped
 
     def test_qtable_corruption_is_a_noop_without_agents(self):
         scenario = FaultScenario(name="q", events=(QTableCorruption(cycle=0),))

@@ -65,7 +65,7 @@ class TestFlitFaultProbability:
 class TestScaled:
     def test_scaled_changes_base_rate_only(self, model):
         scaled = model.scaled(1e-10)
-        assert scaled.config.base_bit_error_rate == 1e-10  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert scaled.config.base_bit_error_rate == 1e-10
         assert scaled.config.reference_temperature == model.config.reference_temperature
         assert scaled.bit_error_rate(345.0) == pytest.approx(1e-10)
 

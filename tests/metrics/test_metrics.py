@@ -26,7 +26,7 @@ class TestEnergyEfficiency:
             energy_efficiency(0.0, 0.0, 1.0)
 
     def test_edp(self):
-        assert energy_delay_product(2.0, 3.0) == 6.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert energy_delay_product(2.0, 3.0) == 6.0
         with pytest.raises(ValueError):
             energy_delay_product(-1.0, 1.0)
 
@@ -74,7 +74,7 @@ class TestReliabilitySummary:
 
     def test_zero_delivery_rates(self):
         s = self.make(flits_delivered=0)
-        assert s.retransmission_rate == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert s.retransmission_rate == 0.0
 
 
 class TestRunMetricsFromNetwork:

@@ -34,7 +34,7 @@ class TestRouterEpochCounters:
         c.num_occupancy_samples = 4
         assert c.mean_buffer_utilization()[0] == pytest.approx(0.5)
         c.reset()
-        assert c.mean_buffer_utilization().sum() == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert c.mean_buffer_utilization().sum() == 0.0
 
 
 class TestNetworkStatistics:
@@ -80,7 +80,7 @@ class TestNetworkStatistics:
         assert breakdown[1] == pytest.approx(0.75)
 
     def test_empty_mode_breakdown(self):
-        assert sum(NetworkStatistics(4).mode_breakdown().values()) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert sum(NetworkStatistics(4).mode_breakdown().values()) == 0.0
 
 
 class TestReservoirSample:

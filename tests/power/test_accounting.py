@@ -77,7 +77,7 @@ class TestEpochs:
         acct.add_dynamic(0, 100.0)
         acct.close_epoch(100)
         snap = acct.close_epoch(200)
-        assert snap.dynamic_w[0] == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert snap.dynamic_w[0] == 0.0
 
     def test_totals_survive_epoch_close(self, acct):
         acct.add_dynamic(0, 100.0)

@@ -82,7 +82,7 @@ class TestRouterObservation:
         )
         assert np.allclose(obs.in_link_utilization, 0.05)
         assert np.allclose(obs.out_link_utilization, 0.1)
-        assert obs.epoch_latency == 25.0  # fallback: no packets completed  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert obs.epoch_latency == 25.0  # fallback: no packets completed
 
     def test_counter_lists_become_arrays_that_do_not_alias_them(self):
         """The counters are int lists (bumped per flit hop); an observation
@@ -111,7 +111,7 @@ class TestRouterObservation:
         obs = RouterObservation.from_counters(
             0, counters, 1000, 320.0, 0.004, 99.0, 1.0
         )
-        assert obs.epoch_latency == 30.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert obs.epoch_latency == 30.0
 
     def test_zero_epoch_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,10 @@ from repro.telemetry.instruments import Counter, Gauge, Histogram
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self):
         c = Counter("flits_total")
-        assert c.value == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert c.value == 0.0
         c.inc()
         c.inc(3.5)
-        assert c.value == 4.5  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert c.value == 4.5
 
     def test_rejects_negative_increments(self):
         c = Counter("flits_total")
@@ -33,7 +33,7 @@ class TestGauge:
         g = Gauge("occupancy")
         g.set(10)
         g.inc(-4)
-        assert g.value == 6.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert g.value == 6.0
         assert g.samples() == [("occupancy", 6.0)]
 
 

@@ -36,8 +36,8 @@ class TestAnalyzeTrace:
 
     def test_locality_fraction(self):
         near = Trace([TraceEvent(i, 9, 10, 4) for i in range(50)])
-        assert analyze_trace(near, 64, 8).locality_fraction == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
-        assert analyze_trace(near, 64, 8).avg_hop_distance == 1.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert analyze_trace(near, 64, 8).locality_fraction == 1.0
+        assert analyze_trace(near, 64, 8).avg_hop_distance == 1.0
 
     def test_bursty_trace_scores_higher(self):
         smooth = Trace([TraceEvent(i * 10, 0, 1, 4) for i in range(100)])

@@ -38,7 +38,7 @@ class TestTrace:
         trace = Trace([])
         assert len(trace) == 0
         assert trace.duration == 0
-        assert trace.offered_load(4) == 0.0  # noqa: NOC302 -- exact value is the determinism contract under test
+        assert trace.offered_load(4) == 0.0
 
     def test_slice_rebases(self):
         trace = Trace([TraceEvent(5, 0, 1, 4), TraceEvent(15, 1, 0, 4)])
