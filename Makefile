@@ -39,16 +39,22 @@ bench-repo:
 # The protocol for a claimed gain (bench/README.md, "Noise"): the driver's
 # contract command run alternately in a checkout of the parent commit and
 # in this tree, alternating which goes first.  Prints every pair, each
-# side's median and quartiles, and the win count.  About 75 s a pair.
-#   make bench-pairs PARENT=/path/to/parent-checkout [WORKLOAD=torus_faults SEED=7 PAIRS=10]
+# side's median and quartiles, and the win count.  A win is a change
+# better in the direction BENCHMARK.json's `better` gives for METRIC (one
+# of its end-to-end metrics).  About 75 s a pair.
+#   make bench-pairs PARENT=/path/to/parent-checkout [WORKLOAD=torus_faults SEED=7 PAIRS=10 METRIC=sim_cycles_per_ref_s]
 PARENT ?=
 WORKLOAD ?= torus_faults
 SEED ?= 7
 PAIRS ?= 10
+METRIC ?= sim_cycles_per_ref_s
 define BENCH_PAIRS_PY
 import json, statistics, subprocess, sys
-parent, workload, seed, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
-METRIC = "sim_cycles_per_ref_s"
+parent, workload, seed, pairs, METRIC = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+if METRIC not in better:
+    sys.exit(f"METRIC={METRIC} is not an end-to-end metric of BENCHMARK.json: {', '.join(better)}")
+sign = 1 if better[METRIC] == "higher" else -1
 trees = {"parent": parent, "change": "."}
 def run(side):
     done = subprocess.run(
@@ -69,23 +75,23 @@ for pair in range(pairs):
     for side in order:
         values[side].append(run(side))
     p, c = values["parent"][-1], values["change"][-1]
-    print(f"pair {pair + 1:2d} ({order[0]} first)  parent {p:9.1f}  change {c:9.1f}  x{c / p:.3f}", flush=True)
+    print(f"pair {pair + 1:2d} ({order[0]} first)  parent {p:10.2f}  change {c:10.2f}  x{c / p:.3f}", flush=True)
 spread = {}
 for side, v in values.items():
     q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else (v[0],) * 3
     spread[side] = (statistics.median(v), q1, q3)
-    print(f"{side:<6} median {spread[side][0]:9.1f}  q1 {q1:9.1f}  q3 {q3:9.1f}  ({METRIC}, n={len(v)})")
-wins = sum(c > p for p, c in zip(values["parent"], values["change"]))
+    print(f"{side:<6} median {spread[side][0]:10.2f}  q1 {q1:10.2f}  q3 {q3:10.2f}  ({METRIC}, n={len(v)})")
+wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
 ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
 gap = spread["change"][0] - spread["parent"][0]
-print(f"change wins {wins} of {pairs} (ties {ties}); medians differ by {gap:+.1f} "
+print(f"change wins {wins} of {pairs} (ties {ties}, {better[METRIC]} is better); medians differ by {gap:+.2f} "
       f"(x{spread['change'][0] / spread['parent'][0]:.3f}), parent's inter-quartile distance "
-      f"{spread['parent'][2] - spread['parent'][1]:.1f}")
+      f"{spread['parent'][2] - spread['parent'][1]:.2f}")
 endef
 export BENCH_PAIRS_PY
 bench-pairs:
-	@test -f "$(PARENT)/bench/run.py" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS)]"; exit 2; }
-	@python3 -c "$$BENCH_PAIRS_PY" "$(abspath $(PARENT))" $(WORKLOAD) $(SEED) $(PAIRS)
+	@test -f "$(PARENT)/bench/run.py" || { echo "usage: make bench-pairs PARENT=<checkout of the parent commit> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) PAIRS=$(PAIRS) METRIC=$(METRIC)]"; exit 2; }
+	@python3 -c "$$BENCH_PAIRS_PY" "$(abspath $(PARENT))" $(WORKLOAD) $(SEED) $(PAIRS) $(METRIC)
 
 # The benchmark's own tests (not part of tier-1 `testpaths`; about 10 s).
 bench-test:

@@ -147,7 +147,9 @@ class CellExecutor:
     A worker crash breaks the whole pool (every in-flight future raises
     ``BrokenProcessPool``); the pool is rebuilt and each in-flight cell is
     charged one failed attempt — the crasher exhausts its retry and
-    surfaces as a failure, innocents get re-run.
+    surfaces as a failure, innocents get re-run.  A pool that breaks
+    between a wait and a submit refuses the submit: the same rebuild runs,
+    and the refused cell, which never ran, goes back uncharged.
     """
 
     jobs: int = 1
@@ -180,6 +182,7 @@ class CellExecutor:
         total = campaign_total if campaign_total is not None else len(specs)
         results: list[CellOutcome | None] = [None] * len(specs)
         attempts = [0] * len(specs)
+        started: set[int] = set()  # cells whose "start" event was emitted
         # Cells awaiting dispatch; a retry goes to the front.
         pending = deque(range(len(specs)))
         # future -> (index, monotonic submit time)
@@ -216,21 +219,48 @@ class CellExecutor:
             if on_failure is not None:
                 on_failure(idx, spec, failure)
 
+        def rebuild_pool() -> None:
+            # The pool is unusable; every in-flight cell is doomed with it.
+            # Charge each one attempt and rebuild.
+            nonlocal pool
+            now = time.monotonic()
+            for idx, submitted in inflight.values():
+                fail(idx, "worker pool broke while cell was in flight",
+                     duration_s=now - submitted)
+            inflight.clear()
+            abandoned.clear()
+            pool.shutdown(wait=False, cancel_futures=True)
+            pool = self._pool()
+
         try:
             while pending or inflight:
                 if cancel is not None and cancel.is_set() and not draining:
                     draining = True
                     pending.clear()  # undispatched cells stay unfinished
                     continue
+                refused: int | None = None
                 while pending and len(inflight) < self.jobs:
                     idx = pending.popleft()
-                    if attempts[idx] == 0:
+                    if idx not in started:
+                        started.add(idx)
                         _emit(progress, ProgressEvent(
                             "start", specs[idx], completed, total
                         ))
-                    attempts[idx] += 1
                     submitted = time.monotonic()
-                    inflight[pool.submit(self.fn, specs[idx])] = (idx, submitted)
+                    try:
+                        future = pool.submit(self.fn, specs[idx])
+                    except BrokenProcessPool:
+                        # A worker died since the last wait: the pool refuses
+                        # work before any future reports the crash.
+                        refused = idx
+                        break
+                    attempts[idx] += 1
+                    inflight[future] = (idx, submitted)
+                if refused is not None:
+                    # The refused cell never ran: it is not charged.
+                    rebuild_pool()
+                    pending.appendleft(refused)
+                    continue
 
                 waits: list[float] = []
                 if timeout_s is not None:
@@ -283,16 +313,7 @@ class CellExecutor:
                         ))
 
                 if broken:
-                    # The pool is unusable; every other in-flight cell is
-                    # doomed with it.  Charge each one attempt and rebuild.
-                    now = time.monotonic()
-                    for idx, submitted in inflight.values():
-                        fail(idx, "worker pool broke while cell was in flight",
-                             duration_s=now - submitted)
-                    inflight.clear()
-                    abandoned.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = self._pool()
+                    rebuild_pool()
                 elif timeout_s is not None:
                     now = time.monotonic()
                     for fut, (idx, submitted) in list(inflight.items()):

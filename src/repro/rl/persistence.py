@@ -3,7 +3,8 @@
 Pre-training the 64 per-router agents costs minutes of simulation; a
 deployment workflow wants to train once and reuse.  Policies serialize to
 a single JSON file: hyperparameters + per-agent sparse Q-tables (state
-tuples are stored as comma-joined bin indices).
+tuples are stored as comma-joined bin indices, rows in LRU order) and the
+running TD-target mean each table starts a new row at.
 """
 
 from __future__ import annotations
@@ -51,10 +52,15 @@ def save_policy(policy: RlPolicy, path: str | Path) -> None:
             {
                 "router": agent.router,
                 "steps": agent.steps,
+                # Rows straight from the store, in LRU order: a q_values()
+                # lookup would touch each state's LRU position.
                 "qtable": {
-                    _encode_state(state): [float(v) for v in agent.qtable.q_values(state)]
-                    for state in agent.qtable.states()
+                    _encode_state(state): agent.qtable._q[slot].tolist()
+                    for state, slot in agent.qtable._slots.items()
                 },
+                # Where a new row starts (optional: absent in older files).
+                "target_ema": agent.qtable._target_ema,
+                "target_seen": agent.qtable._target_seen,
             }
             for agent in policy.agents
         ],
@@ -86,6 +92,8 @@ def load_policy(path: str | Path, seed: int = 1) -> RlPolicy:
         for key, row in record["qtable"].items():
             values = table.q_values(_decode_state(key))
             values[:] = np.asarray(row, dtype=float)
+        table._target_ema = record.get("target_ema", 0.0)
+        table._target_seen = record.get("target_seen", False)
         agent.qtable = table
         agent.steps = record.get("steps", 0)
         agents.append(agent)

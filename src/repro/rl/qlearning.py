@@ -2,18 +2,26 @@
 
 The paper observes that although the nominal state space is 5^16, fewer
 than ~300 states are ever visited (features are correlated), and budgets a
-350-entry hardware table per router.  The table here is a dict keyed by
-the discretized state tuple, with the same budget enforced: when full, new
+350-entry hardware table per router.  The table here is keyed by the
+discretized state tuple, with the same budget enforced: when full, new
 states evict the least-recently-used entry (a fresh hardware table would
 simply miss; LRU keeps the software behavior deterministic and close).
+
+Storage is one ``float64`` array of shape (capacity, num_actions) plus an
+insertion-ordered ``dict[state, slot]`` whose order is the LRU order.  The
+used slots are always exactly ``range(len(table))``: a miss past the budget
+reuses the evicted key's slot, and growth doubles the capacity.  A copy is
+therefore one dict copy plus one ``ndarray.copy()`` of the used prefix.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 
 import numpy as np
+
+#: Rows a fresh table has room for before its first growth.
+_INITIAL_CAPACITY = 16
 
 
 class QTable:
@@ -46,7 +54,8 @@ class QTable:
         self.preferred_action = preferred_action
         self._target_ema = 0.0
         self._target_seen = False
-        self._table: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._slots: dict[tuple, int] = {}
+        self._q = np.empty((_INITIAL_CAPACITY, num_actions))
         self.evictions = 0
         self.updates = 0
         # Telemetry diagnostic: signed Q(s,a) change of the most recent
@@ -55,22 +64,34 @@ class QTable:
         self.last_update_delta = 0.0
 
     def _row(self, state: tuple) -> np.ndarray:
-        row = self._table.get(state)
-        if row is None:
-            if self.max_entries is not None and len(self._table) >= self.max_entries:
-                self._table.popitem(last=False)
+        slots = self._slots
+        slot = slots.pop(state, None)
+        if slot is None:
+            if self.max_entries is not None and len(slots) >= self.max_entries:
+                slot = slots.pop(next(iter(slots)))
                 self.evictions += 1
+            else:
+                slot = len(slots)
+                if slot == len(self._q):
+                    grown = np.empty((max(2 * slot, _INITIAL_CAPACITY), self.num_actions))
+                    grown[:slot] = self._q
+                    self._q = grown
             init = self._target_ema if self._target_seen else 0.0
-            row = np.full(self.num_actions, init)
+            row = self._q[slot]
+            row[:] = init
             if self.preferred_action is not None:
                 row[self.preferred_action] += max(1e-6, abs(init) * 1e-3)
-            self._table[state] = row
         else:
-            self._table.move_to_end(state)
+            row = self._q[slot]
+        slots[state] = slot
         return row
 
     def q_values(self, state: tuple) -> np.ndarray:
-        """Q(s, .) — creates the row on first visit (zero-initialized)."""
+        """Q(s, .) — creates the row on first visit (zero-initialized).
+
+        The result is a view into the store: writes through it land in the
+        table, and it stays valid until the next call that creates a row.
+        """
         return self._row(state)
 
     def best_action(self, state: tuple) -> int:
@@ -106,16 +127,13 @@ class QTable:
         A NaN/inf row means a reward or TD target blew up; the sanitizer
         checks this because argmax over NaN silently degenerates.
         """
-        for row in self._table.values():
-            if not np.isfinite(row).all():
-                return False
-        return True
+        return bool(np.isfinite(self._q[: len(self._slots)]).all())
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._slots)
 
     def states(self) -> list[tuple]:
-        return list(self._table.keys())
+        return list(self._slots)
 
     def __deepcopy__(self, memo: dict) -> "QTable":
         """A copy that shares the state tuples (immutable) and owns its
@@ -125,19 +143,28 @@ class QTable:
         otherwise walks tens of thousands of key tuples element by element.
         """
         clone = copy.copy(self)
-        clone._table = OrderedDict(
-            (state, row.copy()) for state, row in self._table.items()
-        )
+        # dict(), not .copy(): it leaves out the holes that LRU moves punch
+        # in the key table, which would otherwise double the dict's size.
+        clone._slots = dict(self._slots)
+        clone._q = self._q[: len(self._slots)].copy()
         return clone
 
     def clone_into(self, other: "QTable") -> None:
         """Copy learned values into *other* (used to deploy a pre-trained
-        policy onto a fresh network, Section 6.3's train-then-test split)."""
-        other._table = OrderedDict(
-            (state, row.copy()) for state, row in self._table.items()
-        )
+        policy onto a fresh network, Section 6.3's train-then-test split).
+
+        Past *other*'s budget only the most recently used rows are kept,
+        their slots renumbered in LRU order so that they stay exactly
+        ``range(len(other))``.
+        """
+        n = len(self._slots)
+        if other.max_entries is None or n <= other.max_entries:
+            # Shares the slot ints too: above 256 each is its own object.
+            other._slots = dict(self._slots)
+            other._q = self._q[:n].copy()
+        else:
+            kept = list(self._slots.items())[n - other.max_entries:]
+            other._slots = {state: i for i, (state, _) in enumerate(kept)}
+            other._q = self._q[[slot for _, slot in kept]]
         other._target_ema = self._target_ema
         other._target_seen = self._target_seen
-        if other.max_entries is not None:
-            while len(other._table) > other.max_entries:
-                other._table.popitem(last=False)

@@ -7,11 +7,13 @@ exist — a crash, a pre-emptive abandonment — is pinned to ``jobs=2``.
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.config import SECDED_BASELINE
-from repro.exec.executors import CellExecutionError, CellExecutor
+from repro.exec.executors import CellExecutionError, CellExecutor, _InProcessPool
 from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import parsec_cell
 
@@ -88,6 +90,30 @@ def _doomed_seed10_cell(spec):
     if spec.seed == 10:
         raise RuntimeError("doomed")
     return _ok_cell(spec)
+
+
+def _doomed_seed11_cell(spec):
+    if spec.seed == 11:
+        raise RuntimeError("doomed")
+    return _ok_cell(spec)
+
+
+class _RefusesSecondSubmit:
+    """Pool stand-in for a worker dying between a wait and a submit: the
+    first cell stays in flight, the second submit raises."""
+
+    def __init__(self):
+        self.submits = 0
+        self.shut_down = False
+
+    def submit(self, fn, spec):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("a child process terminated abruptly")
+        return Future()
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shut_down = True
 
 
 @both_jobs
@@ -274,6 +300,34 @@ class TestProcessPool:
         assert [r["metrics"]["seed"] for r in results] == [10, 11]
         # Each cell crashed its worker exactly once before succeeding.
         assert len(list(sentinels.iterdir())) == 2
+
+    def test_a_refused_submit_rebuilds_the_pool_and_charges_only_in_flight(
+        self, monkeypatch
+    ):
+        pools = []
+
+        def make_pool(executor):
+            pools.append(_InProcessPool() if pools else _RefusesSecondSubmit())
+            return pools[-1]
+
+        monkeypatch.setattr(CellExecutor, "_pool", make_pool)
+        events = []
+        specs = make_specs(2)
+        results = CellExecutor(jobs=2, retries=1, fn=_doomed_seed11_cell).run(
+            specs, progress=events.append, failure_mode="collect"
+        )
+        assert pools[0].shut_down and len(pools) == 2
+
+        def seen(spec):
+            return [(e.kind, e.attempt) for e in events if e.spec == spec]
+
+        # The in-flight cell is charged for the broken pool, then succeeds.
+        assert seen(specs[0]) == [("start", 0), ("retry", 1), ("done", 0)]
+        assert events[2].error == "worker pool broke while cell was in flight"
+        assert results[0]["metrics"]["seed"] == 10
+        # The refused cell starts once and keeps its whole retry budget.
+        assert seen(specs[1]) == [("start", 0), ("retry", 1), ("failed", 2)]
+        assert isinstance(results[1], CellFailure) and results[1].attempts == 2
 
     def test_abandoned_future_result_is_discarded(self, sentinels):
         """A timed-out attempt that later completes must not double-count.

@@ -35,6 +35,37 @@ class TestRoundTrip:
                     new.qtable.q_values(state), orig.qtable.q_values(state)
                 )
 
+    def test_reload_is_exact_and_starts_new_rows_where_the_original_does(
+        self, tmp_path
+    ):
+        policy = trained_policy()
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        loaded = load_policy(path)
+        unseen = (4,) * 16
+        for orig, new in zip(policy.agents, loaded.agents):
+            a, b = orig.qtable, new.qtable
+            assert a._target_seen and unseen not in a.states()
+            assert b.states() == a.states()
+            assert [b.q_values(s).tolist() for s in b.states()] == [
+                a.q_values(s).tolist() for s in a.states()
+            ]
+            assert (b._target_ema, b._target_seen) == (a._target_ema, a._target_seen)
+            assert b.q_values(unseen).tolist() == a.q_values(unseen).tolist()
+
+    def test_a_file_without_target_means_loads_as_before(self, tmp_path):
+        policy = trained_policy()
+        path = tmp_path / "policy.json"
+        save_policy(policy, path)
+        payload = json.loads(path.read_text())
+        for record in payload["agents"]:
+            del record["target_ema"], record["target_seen"]
+        path.write_text(json.dumps(payload))
+        loaded = load_policy(path)
+        for orig, new in zip(policy.agents, loaded.agents):
+            assert new.qtable.states() == orig.qtable.states()
+            assert (new.qtable._target_ema, new.qtable._target_seen) == (0.0, False)
+
     def test_hyperparameters_survive(self, tmp_path):
         policy = trained_policy()
         path = tmp_path / "p.json"

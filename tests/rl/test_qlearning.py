@@ -11,6 +11,9 @@ from repro.rl.agent import RouterAgent
 from repro.rl.qlearning import QTable
 from tests.rl.test_state import make_obs
 
+#: The row store's two fields; every other attribute of a table is a scalar.
+STORE = ("_slots", "_q")
+
 
 def table(**kwargs):
     defaults = dict(num_actions=3, learning_rate=0.5, discount=0.9)
@@ -129,26 +132,27 @@ class TestDeepCopy:
         q = self.trained()
         clone = copy.deepcopy(q)
         assert clone.states() == q.states()
-        for (state, row), (c_state, c_row) in zip(q._table.items(), clone._table.items()):
+        assert list(clone._slots.items()) == list(q._slots.items())
+        for state, c_state in zip(q._slots, clone._slots):
             assert c_state is state
-            assert np.array_equal(c_row, row) and not np.shares_memory(c_row, row)
-        scalars = {k: v for k, v in vars(q).items() if k != "_table"}
-        assert {k: v for k, v in vars(clone).items() if k != "_table"} == scalars
+        # The copy holds the used prefix only, in its own memory.
+        assert np.array_equal(clone._q, q._q[: len(q)])
+        assert not np.shares_memory(clone._q, q._q)
+        scalars = {k: v for k, v in vars(q).items() if k not in STORE}
+        assert {k: v for k, v in vars(clone).items() if k not in STORE} == scalars
         assert q.evictions == 0 and q.updates == 9 and q._target_seen
 
     def test_learning_and_evicting_in_the_copy_leaves_the_master(self):
         q = self.trained()
         before = copy.copy(vars(q))
-        rows = [(state, row.copy()) for state, row in q._table.items()]
+        rows = [(state, list(q._q[slot])) for state, slot in q._slots.items()]
         clone = copy.deepcopy(q)
         clone.update((0, 7), 2, -50.0, (9, 9))  # new row: evicts the LRU one
         clone.q_values((8, 8))
         assert clone.evictions == 2 and clone.states() != q.states()
-        assert [(s, list(r)) for s, r in q._table.items()] == [
-            (s, list(r)) for s, r in rows
-        ]
-        assert {k: v for k, v in vars(q).items() if k != "_table"} == {
-            k: v for k, v in before.items() if k != "_table"
+        assert [(s, list(q._q[slot])) for s, slot in q._slots.items()] == rows
+        assert {k: v for k, v in vars(q).items() if k not in STORE} == {
+            k: v for k, v in before.items() if k not in STORE
         }
 
     def test_an_agent_copy_owns_its_table_and_its_rng(self):
