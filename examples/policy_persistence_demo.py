@@ -1,9 +1,9 @@
 """Train once, deploy everywhere: saving and loading control policies.
 
-Pre-trains IntelliNoC's agents, saves the learned Q-tables to JSON,
-reloads them into a fresh policy, and verifies the deployed behavior
-matches — the workflow a real deployment would use instead of re-training
-at every boot.
+Pre-trains IntelliNoC's agents, saves the policy to its binary artefact,
+reloads it exactly (Q-tables and exploration state alike), and compares
+the deployed behavior against untrained agents — the workflow a real
+deployment would use instead of re-training at every boot.
 """
 
 import tempfile
@@ -21,12 +21,12 @@ def main() -> None:
     print(f"trained: {len(policy.agents)} agents, largest table {visited} states")
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "intellinoc-policy.json"
+        path = Path(tmp) / "intellinoc.policy"
         save_policy(policy, path)
         size_kb = path.stat().st_size / 1024
         print(f"saved to {path.name}: {size_kb:.0f} KiB")
 
-        reloaded = load_policy(path, seed=13)
+        reloaded = load_policy(path)
         print(f"reloaded {len(reloaded.agents)} agents")
 
         print("\nrunning 'fac' with the trained policy vs an untrained one:")

@@ -22,17 +22,8 @@ halves of the tooling that proves both properties:
   watchdog that dumps a structured network snapshot when no flit makes
   progress.
 
-``docs/analysis.md`` catalogues every rule and invariant.
+``docs/analysis.md`` catalogues every rule and invariant.  Each half is
+imported by its own module path and nothing is re-exported here, so the
+sanitizer a simulation loads never loads the linter, and the linter never
+loads the simulator.
 """
-
-from repro.analysis.lint import LintReport, Violation, lint_paths, lint_source
-from repro.analysis.sanitizer import InvariantViolation, NocSanitizer
-
-__all__ = [
-    "InvariantViolation",
-    "LintReport",
-    "NocSanitizer",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-]

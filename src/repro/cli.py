@@ -468,7 +468,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0 if audit.ok else 1
     corrupt, stale, unreachable = store.prune()
     print(f"pruned {corrupt} corrupt artifact(s), {stale} stale failure "
-          f"post-mortem(s) and {unreachable} unreachable result(s) "
+          f"post-mortem(s) and {unreachable} unreachable artifact(s) "
           f"from {store.cache_dir}")
     return 0
 
@@ -568,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="verify or prune the result cache")
     p.add_argument("action", choices=["verify", "prune"],
-                   help="verify: re-hash every artifact and report damage "
-                        "(exit 1 on corruption); prune: drop corrupt "
-                        "artifacts, stale failure post-mortems and results "
-                        "keyed under another spec schema")
+                   help="verify: re-hash every result and policy artifact "
+                        "and report damage (exit 1 on corruption); prune: "
+                        "drop corrupt artifacts, stale failure post-mortems "
+                        "and artifacts keyed under another spec schema")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="result-cache directory "
                         "(default: ~/.cache/intellinoc-repro)")

@@ -6,13 +6,14 @@ that grid.  This package factors campaign execution into three layers:
 
 * **job** (:mod:`repro.exec.spec`) — :class:`CellSpec`, a frozen, hashable
   description of one simulation cell with a canonical JSON form and a
-  stable content hash.
+  stable content hash, and :class:`PretrainSpec`, the pre-training job an
+  RL cell deploys the policy of.
 * **executor** (:mod:`repro.exec.executors`) — :class:`CellExecutor`,
-  one scheduler running ``jobs`` cells at a time (in the calling process
-  at ``jobs == 1``, in a process pool above that), with per-cell timeout,
-  retry-once-on-crash and progress callbacks.
+  one scheduler running ``jobs`` jobs at a time (in the calling process
+  at ``jobs == 1``, in a process pool above that) in dependency order,
+  with per-job timeout, retry-once-on-crash and progress callbacks.
 * **store** (:mod:`repro.exec.store`) — :class:`ResultStore`, an on-disk
-  content-addressed cache of structured run artifacts keyed by the spec
+  content-addressed cache of run artifacts and policies keyed by the spec
   hash, so repeated campaigns skip simulation entirely.
 
 :mod:`repro.exec.engine` ties the layers together: dedupe, cache lookup,
@@ -31,9 +32,15 @@ from repro.exec.executors import (
     CellExecutor,
     ProgressEvent,
 )
-from repro.exec.spec import CellSpec, WorkloadSpec, parsec_cell, synthetic_cell
+from repro.exec.spec import (
+    CellSpec,
+    PretrainSpec,
+    WorkloadSpec,
+    parsec_cell,
+    synthetic_cell,
+)
 from repro.exec.store import ResultStore, default_cache_dir
-from repro.exec.worker import build_trace, execute_cell, execute_cell_payload
+from repro.exec.worker import build_trace, execute_cell, execute_job
 
 __all__ = [
     "CampaignEngine",
@@ -42,13 +49,14 @@ __all__ = [
     "CellExecutor",
     "CellSpec",
     "EngineOptions",
+    "PretrainSpec",
     "ProgressEvent",
     "ResultStore",
     "WorkloadSpec",
     "build_trace",
     "default_cache_dir",
     "execute_cell",
-    "execute_cell_payload",
+    "execute_job",
     "parsec_cell",
     "synthetic_cell",
 ]

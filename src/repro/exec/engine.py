@@ -10,15 +10,19 @@ it inherits.  Given a list of cell specs it
 2. replays a resumed journal so finished (and quarantined) cells of an
    interrupted campaign never re-execute,
 3. serves every cell it can from the :class:`~repro.exec.store.ResultStore`,
-4. hands only the misses to the executor,
-5. persists fresh results back to the store — and into the campaign
-   journal — *the moment each cell completes*, so a crash or shutdown
-   loses nothing that finished,
+4. finds the pre-training jobs the RL misses deploy and serves their
+   policy artefacts from the store too,
+5. hands only the misses to the executor — the pre-training jobs left,
+   and the cells, each RL cell dispatched once its policy is in hand,
+6. persists fresh results and policies back to the store — and into the
+   campaign journal — *the moment each job completes*, so a crash or
+   shutdown loses nothing that finished,
 
 and returns :class:`RunMetrics` aligned with the input specs.  The
-report's counters (``executed`` vs ``cache_hits`` vs ``resumed``) make
-cache and resume behavior testable: a repeated campaign must show zero
-executor submissions, and a resumed one only the unfinished cells.
+report's counters (``executed`` vs ``cache_hits`` vs ``resumed``, and
+``pretrained``) make cache and resume behavior testable: a repeated
+campaign must show zero executor submissions, and a resumed one only the
+unfinished jobs.  Without a store a policy lives only as long as ``run``.
 
 Failure policy (:class:`~repro.exec.resilience.FailurePolicy`) decides
 what a permanently failing cell does: ``abort`` raises (historical
@@ -54,7 +58,7 @@ from repro.exec.resilience import (
     load_journal,
     manifest_hash,
 )
-from repro.exec.spec import CellSpec
+from repro.exec.spec import CellSpec, Job, PretrainSpec
 from repro.exec.store import ResultStore
 from repro.metrics.summary import RunMetrics
 from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
@@ -74,6 +78,7 @@ class CampaignReport:
     specs: list[CellSpec]
     metrics: list[RunMetrics | None]
     executed: int = 0  # cells handed to the executor
+    pretrained: int = 0  # pre-training jobs handed to the executor
     cache_hits: int = 0  # cells served from the result store
     deduplicated: int = 0  # duplicate specs folded into one execution
     resumed: int = 0  # cache hits that were journaled by an earlier run
@@ -131,32 +136,59 @@ class CampaignEngine:
         misses: list[tuple[str, CellSpec]] = []
         for h, spec in unique.items():
             if h in resume.failed:
-                self._quarantine_from_journal(
-                    policy, spec, resume.failed[h], report,
-                    len(payloads), len(unique),
-                )
                 continue
             cached = self.store.get(spec) if self.store is not None else None
             if cached is not None:
                 payloads[h] = cached
-                report.cache_hits += 1
-                if h in resume.done:
-                    report.resumed += 1
-                _emit(self.progress, ProgressEvent(
-                    "resumed" if h in resume.done else "cached",
-                    spec, len(payloads), len(unique),
-                ))
             else:
-                if h in resume.done:
-                    _LOG.warning(
-                        "journal marks %s done but the store has no artifact; "
-                        "re-executing", spec.label,
-                    )
                 misses.append((h, spec))
+        # The pre-training jobs the misses deploy, by hash (each miss's
+        # ``need``): each policy served from the store is held for this run
+        # only.
+        trainings: dict[str, PretrainSpec] = {}
+        needs: list[str | None] = []
+        for _, spec in misses:
+            job = spec.pretraining
+            need: str | None = None
+            if job is not None:
+                need = job.content_hash()
+                trainings.setdefault(need, job)
+            needs.append(need)
+        policies: dict[str, dict[str, Any]] = {}
+        for h, job in trainings.items():
+            stored = self.store.get(job) if self.store is not None else None
+            if stored is not None:
+                policies[h] = stored
 
-        if misses:
-            self._execute_misses(policy, misses, payloads, report, len(unique))
+        total = len(unique) + len(trainings)
+        served = 0
+        for h, spec in unique.items():
+            if h in resume.failed:
+                self._quarantine_from_journal(
+                    policy, spec, resume.failed[h], report, served, total,
+                )
+            elif h in payloads:
+                served += 1
+                report.cache_hits += 1
+                report.resumed += h in resume.done
+                self._served(spec, h in resume.done, served, total)
+            elif h in resume.done:
+                _LOG.warning(
+                    "journal marks %s done but the store has no artifact; "
+                    "re-executing", spec.label,
+                )
+        for h in policies:
+            served += 1
+            self._served(trainings[h], h in resume.done, served, total)
+
+        batch: list[tuple[str, Job, str | None]] = [
+            (h, job, None) for h, job in trainings.items() if h not in policies
+        ]
+        batch += [(h, spec, need) for (h, spec), need in zip(misses, needs)]
+        if batch:
+            self._execute(policy, batch, policies, payloads, report, served, total)
             report.executed = len(misses)
+            report.pretrained = len(batch) - len(misses)
 
         self.total_executed += report.executed
         self.total_cache_hits += report.cache_hits
@@ -166,6 +198,11 @@ class CampaignEngine:
         decoded = {h: RunMetrics.from_dict(p["metrics"]) for h, p in payloads.items()}
         report.metrics = [decoded.get(h) for h in order]
         return report
+
+    def _served(self, spec: Job, resumed: bool, completed: int, total: int) -> None:
+        _emit(self.progress, ProgressEvent(
+            "resumed" if resumed else "cached", spec, completed, total,
+        ))
 
     # --- resume ---------------------------------------------------------------
 
@@ -182,7 +219,7 @@ class CampaignEngine:
     def _quarantine_from_journal(
         self,
         policy: FailurePolicy,
-        spec: CellSpec,
+        spec: Job,
         cause: str,
         report: CampaignReport,
         completed: int,
@@ -200,26 +237,32 @@ class CampaignEngine:
 
     # --- execution ------------------------------------------------------------
 
-    def _execute_misses(
+    def _execute(
         self,
         policy: FailurePolicy,
-        misses: list[tuple[str, CellSpec]],
+        batch: list[tuple[str, Job, str | None]],
+        policies: dict[str, dict[str, Any]],
         payloads: dict[str, dict[str, Any]],
         report: CampaignReport,
+        served: int,
         total: int,
     ) -> None:
-        miss_hashes = [h for h, _ in misses]
+        landed = served  # jobs finished so far, campaign-wide
 
-        def on_result(index: int, spec: CellSpec, payload: dict[str, Any]) -> None:
-            # Persist the instant a cell lands: crash-safety of the journal
+        def on_result(index: int, spec: Job, payload: dict[str, Any]) -> None:
+            # Persist the instant a job lands: crash-safety of the journal
             # depends on never holding finished work only in memory.
+            nonlocal landed
+            landed += 1
+            h = batch[index][0]
             self._store_put(spec, payload)
             if self.journal is not None:
-                self.journal.record_done(miss_hashes[index], spec.label)
-            payloads[miss_hashes[index]] = payload
+                self.journal.record_done(h, spec.label)
+            if isinstance(spec, CellSpec):
+                payloads[h] = payload
 
-        def on_failure(index: int, spec: CellSpec, failure: CellFailure) -> None:
-            # The executor already reported the cell ``failed``.
+        def on_failure(index: int, spec: Job, failure: CellFailure) -> None:
+            # The executor already reported the job ``failed``.
             report.failed.append(failure)
             self.quarantined.append(failure)
             if policy is not FailurePolicy.QUARANTINE:
@@ -227,30 +270,30 @@ class CampaignEngine:
             self._store_put_failure(spec, failure)
             if self.journal is not None:
                 self.journal.record_failed(
-                    miss_hashes[index], failure.cause, spec.label
+                    batch[index][0], failure.cause, spec.label
                 )
-            # ``payloads`` holds the cache hits plus every cell landed so
-            # far: the executor's own running count.
             _emit(self.progress, ProgressEvent(
-                "quarantined", spec, len(payloads), total, error=failure.cause,
+                "quarantined", spec, landed, total, error=failure.cause,
             ))
 
         try:
             self.executor.run(
-                [s for _, s in misses],
+                [job for _, job, _ in batch],
                 self.progress,
                 failure_mode=(
                     "raise" if policy is FailurePolicy.ABORT else "collect"
                 ),
                 cancel=self.cancel,
-                completed_offset=report.cache_hits,
+                completed_offset=served,
                 campaign_total=total,
                 on_result=on_result,
                 on_failure=on_failure,
+                needs=[need for _, _, need in batch],
+                inputs=policies,
             )
         except CellExecutionError as exc:
             # Persist the post-mortem (cause + full traceback) into the
-            # cell's failure artifact before surfacing the error.
+            # job's failure artifact before surfacing the error.
             if self.store is not None:
                 self.store.put_failure(exc.spec, exc.cause, exc.traceback_text)
             if self.journal is not None:
@@ -265,7 +308,7 @@ class CampaignEngine:
                 self.journal.sync()
             raise CampaignInterrupted(
                 exc.reason,
-                completed=report.cache_hits + exc.completed,
+                completed=served + exc.completed,
                 total=total,
                 journal_path=(
                     self.journal.path if self.journal is not None else None
@@ -274,7 +317,7 @@ class CampaignEngine:
 
     # --- guarded persistence --------------------------------------------------
 
-    def _store_put(self, spec: CellSpec, payload: dict[str, Any]) -> None:
+    def _store_put(self, spec: Job, payload: dict[str, Any]) -> None:
         """Cache writes must never kill a campaign (ENOSPC et al. degrade
         to a warning: the result still reaches the report, only the cache
         misses out)."""
@@ -285,7 +328,7 @@ class CampaignEngine:
         except OSError as exc:
             _LOG.warning("result-cache write failed for %s: %s", spec.label, exc)
 
-    def _store_put_failure(self, spec: CellSpec, failure: CellFailure) -> None:
+    def _store_put_failure(self, spec: Job, failure: CellFailure) -> None:
         if self.store is None:
             return
         try:

@@ -1,11 +1,18 @@
-"""Executor layer: one cell scheduler for ``--jobs 1`` and ``--jobs N``.
+"""Executor layer: one job scheduler for ``--jobs 1`` and ``--jobs N``.
 
-:class:`CellExecutor` runs cell specs and returns a list of JSON-safe
-artifact payloads (``execute_cell_payload`` outputs) aligned with them.
-Cells are independent pure functions of their spec, so ``jobs`` can never
-change results — only wall-clock time.  At ``jobs == 1`` each cell runs in
-the calling process; above that, in a process pool.  Everything else is
-written once for both:
+:class:`CellExecutor` runs job specs and returns a list of artifact
+payloads (``execute_job`` outputs) aligned with them.  Jobs are pure
+functions of their spec (and of the payload of the job they need), so
+``jobs`` can never change results — only wall-clock time.  At ``jobs ==
+1`` each job runs in the calling process; above that, in a process pool.
+Everything else is written once for both:
+
+Dependency order: ``needs[i]`` names (by content hash) the job whose
+payload job *i* takes as its second argument — an RL cell's pre-training
+job.  Job *i* is dispatched once that payload is in hand, from ``inputs``
+or from a job of the same batch; jobs that need nothing are never held
+back.  A prerequisite that fails for good fails its dependents with its
+cause, without running them.
 
 Failure policy: a cell that raises or crashes its worker is re-dispatched
 at once (``retries`` times, default once); a cell that still fails either
@@ -30,7 +37,7 @@ lost.
 
 Progress accounting is campaign-wide: the engine passes
 ``completed_offset`` (cache hits served before this batch) and
-``campaign_total`` (the full deduplicated cell count), so a consumer
+``campaign_total`` (every deduplicated cell and pre-training job), so a consumer
 watching ``completed/total`` sees one stable denominator for the whole
 campaign, never a shrinking one.
 """
@@ -40,15 +47,15 @@ from __future__ import annotations
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Union
 
 from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
-from repro.exec.spec import CellSpec
-from repro.exec.worker import execute_cell_payload
+from repro.exec.spec import Job
+from repro.exec.worker import execute_job
 
 #: Exception classes treated as *cell* failures: charged against the retry
 #: budget and, once it is spent, surfaced as :class:`CellExecutionError`
@@ -69,24 +76,25 @@ CELL_FAILURE_TYPES = (
 #: One result slot: the artifact payload, or (collect mode) the failure.
 CellOutcome = Union[dict[str, Any], CellFailure]
 
-CellFn = Callable[[CellSpec], dict[str, Any]]
+#: ``fn(job)``, or ``fn(job, prerequisite_payload)`` for a job with a need.
+CellFn = Callable[..., dict[str, Any]]
 
 #: Hooks the engine uses to persist work the moment it lands: called with
 #: ``(index, spec, payload | CellFailure)`` as each cell resolves, in the
 #: executor's own process — this is what makes the journal crash-safe.
-ResultHook = Callable[[int, CellSpec, dict[str, Any]], None]
-FailureHook = Callable[[int, CellSpec, CellFailure], None]
+ResultHook = Callable[[int, Job, dict[str, Any]], None]
+FailureHook = Callable[[int, Job, CellFailure], None]
 
 
 @dataclass(frozen=True)
 class ProgressEvent:
-    """One progress callback: a cell started, finished, retried or failed."""
+    """One progress callback: a job started, finished, retried or failed."""
 
     # "start" | "done" | "retry" | "failed" | "cached" | "resumed"
     # | "quarantined"
     kind: str
-    spec: CellSpec
-    completed: int  # campaign-wide cells finished so far (cache hits included)
+    spec: Job  # ``spec.job``: "cell" | "pretrain"
+    completed: int  # campaign-wide jobs finished so far (cache hits included)
     total: int  # campaign-wide denominator; stable for the whole run
     seconds: float = 0.0  # the worker's self-reported cell runtime ("done")
     error: str = ""  # failure description, for "retry"/"failed" events
@@ -101,9 +109,9 @@ class ProgressEvent:
 
 
 class CellExecutionError(RuntimeError):
-    """A cell kept failing after its retry budget was spent."""
+    """A job kept failing after its retry budget was spent."""
 
-    def __init__(self, spec: CellSpec, cause: str, traceback_text: str = ""):
+    def __init__(self, spec: Job, cause: str, traceback_text: str = ""):
         super().__init__(f"cell {spec.label} failed: {cause}")
         self.spec = spec
         self.cause = cause
@@ -120,13 +128,13 @@ def _emit(progress: ProgressCallback | None, event: ProgressEvent) -> None:
 
 class _InProcessPool:
     """``ProcessPoolExecutor`` stand-in for ``jobs == 1``: ``submit`` runs
-    the cell in the calling process (no pickling, and the worker module's
-    per-process memos are the caller's) and returns a resolved future."""
+    the job in the calling process (no pickling) and returns a resolved
+    future."""
 
-    def submit(self, fn: CellFn, spec: CellSpec) -> Future[dict[str, Any]]:
+    def submit(self, fn: CellFn, *args: Any) -> Future[dict[str, Any]]:
         future: Future[dict[str, Any]] = Future()
         try:
-            future.set_result(fn(spec))
+            future.set_result(fn(*args))
         except CELL_FAILURE_TYPES as exc:
             future.set_exception(exc)
         return future
@@ -137,12 +145,14 @@ class _InProcessPool:
 
 @dataclass
 class CellExecutor:
-    """Runs cells ``jobs`` at a time: in the calling process at ``jobs ==
-    1``, in a process pool above that.
+    """Runs jobs — cells, and the pre-training jobs RL cells need —
+    ``jobs`` at a time: in the calling process at ``jobs == 1``, in a
+    process pool above that.
 
-    Pool workers import :func:`repro.exec.worker.execute_cell_payload` by
-    reference and receive only the (picklable) spec, so no simulator state
-    ever crosses process boundaries except the JSON-safe result payload.
+    Pool workers import :func:`repro.exec.worker.execute_job` by reference
+    and receive the (picklable) spec and, for an RL cell, its pre-training
+    job's payload — the policy artefact's bytes; no live simulator state
+    ever crosses a process boundary.
 
     A worker crash breaks the whole pool (every in-flight future raises
     ``BrokenProcessPool``); the pool is rebuilt and each in-flight cell is
@@ -157,7 +167,7 @@ class CellExecutor:
     #: the module docstring for the one deadline rule).
     timeout_s: float | None = None
     retries: int = 1
-    fn: CellFn = execute_cell_payload
+    fn: CellFn = execute_job
 
     def __post_init__(self) -> None:
         self.jobs = max(1, self.jobs)  # ``--jobs 0`` means in-process
@@ -169,7 +179,7 @@ class CellExecutor:
 
     def run(
         self,
-        specs: Sequence[CellSpec],
+        specs: Sequence[Job],
         progress: ProgressCallback | None = None,
         *,
         failure_mode: str = "raise",
@@ -178,13 +188,25 @@ class CellExecutor:
         campaign_total: int | None = None,
         on_result: ResultHook | None = None,
         on_failure: FailureHook | None = None,
+        needs: Sequence[str | None] = (),
+        inputs: Mapping[str, dict[str, Any]] | None = None,
     ) -> list[CellOutcome]:
         total = campaign_total if campaign_total is not None else len(specs)
         results: list[CellOutcome | None] = [None] * len(specs)
         attempts = [0] * len(specs)
-        started: set[int] = set()  # cells whose "start" event was emitted
-        # Cells awaiting dispatch; a retry goes to the front.
+        started: set[int] = set()  # jobs whose "start" event was emitted
+        # Jobs awaiting dispatch; a retry goes to the front.
         pending = deque(range(len(specs)))
+        # Prerequisite payloads in hand, jobs parked until theirs lands, and
+        # the prerequisites of this batch, by content hash.
+        ready: dict[str, dict[str, Any]] = dict(inputs or {})
+        parked: dict[str, list[int]] = {}
+        needed = {h for h in needs if h is not None}
+        hashes = [spec.content_hash() for spec in specs] if needed else []
+        provides = {idx: h for idx, h in enumerate(hashes) if h in needed}
+        if not needed <= ready.keys() | provides.values():
+            raise ValueError("a job needs a payload neither given nor produced")
+        lost: dict[str, CellFailure] = {}  # prerequisites that failed for good
         # future -> (index, monotonic submit time)
         inflight: dict[Future[dict[str, Any]], tuple[int, float]] = {}
         # timed-out futures whose results we discard
@@ -214,10 +236,21 @@ class CellExecutor:
             ))
             if failure_mode != "collect":
                 raise CellExecutionError(spec, cause, tb)
-            failure = CellFailure(spec, cause, tb, attempts=attempt)
+            give_up(idx, CellFailure(spec, cause, tb, attempts=attempt))
+
+        def give_up(idx: int, failure: CellFailure) -> None:
             results[idx] = failure
             if on_failure is not None:
-                on_failure(idx, spec, failure)
+                on_failure(idx, specs[idx], failure)
+            if idx in provides:
+                lost[provides[idx]] = failure
+                release(provides[idx])
+
+        def release(need: str) -> None:
+            # The prerequisite is settled: its parked dependents queue again
+            # (unless draining, which leaves them unfinished).
+            if not draining:
+                pending.extend(parked.pop(need, []))
 
         def rebuild_pool() -> None:
             # The pool is unusable; every in-flight cell is doomed with it.
@@ -241,14 +274,31 @@ class CellExecutor:
                 refused: int | None = None
                 while pending and len(inflight) < self.jobs:
                     idx = pending.popleft()
+                    need = needs[idx] if needs else None
+                    if need is not None and need not in ready:
+                        if need not in lost:
+                            parked.setdefault(need, []).append(idx)
+                            continue
+                        # Its prerequisite failed for good: so does it, unrun.
+                        cause = lost[need]
+                        error = f"{cause.spec.label} failed: {cause.cause}"
+                        _emit(progress, ProgressEvent(
+                            "failed", specs[idx], completed, total,
+                            error=error, traceback=cause.traceback_text,
+                        ))
+                        give_up(idx, CellFailure(
+                            specs[idx], error, cause.traceback_text
+                        ))
+                        continue
                     if idx not in started:
                         started.add(idx)
                         _emit(progress, ProgressEvent(
                             "start", specs[idx], completed, total
                         ))
+                    args = (specs[idx],) if need is None else (specs[idx], ready[need])
                     submitted = time.monotonic()
                     try:
-                        future = pool.submit(self.fn, specs[idx])
+                        future = pool.submit(self.fn, *args)
                     except BrokenProcessPool:
                         # A worker died since the last wait: the pool refuses
                         # work before any future reports the crash.
@@ -304,6 +354,9 @@ class CellExecutor:
                             continue
                         results[idx] = payload
                         completed += 1
+                        if idx in provides:
+                            ready[provides[idx]] = payload
+                            release(provides[idx])
                         if on_result is not None:
                             on_result(idx, specs[idx], payload)
                         _emit(progress, ProgressEvent(

@@ -35,7 +35,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Any
 
-from repro.exec.spec import CellSpec
+from repro.exec.spec import Job
 
 #: Journal line schema; bump on incompatible record-layout changes.
 JOURNAL_SCHEMA_VERSION = 1
@@ -85,7 +85,8 @@ class FailurePolicy(str, Enum):
 
 @dataclass(frozen=True)
 class CellFailure:
-    """Terminal outcome of one cell that exhausted its retry budget.
+    """Terminal outcome of one job that exhausted its retry budget, or
+    whose prerequisite did (then ``attempts`` is 0: it never ran).
 
     Under the collecting failure modes the executor returns this in the
     failed cell's result slot instead of raising, so surviving cells keep
@@ -93,7 +94,7 @@ class CellFailure:
     ``CampaignReport.failed`` and ``CampaignEngine.quarantined``.
     """
 
-    spec: CellSpec
+    spec: Job  # a cell, or the pre-training job its RL cells needed
     cause: str
     traceback_text: str = ""
     attempts: int = 0

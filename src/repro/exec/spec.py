@@ -1,4 +1,4 @@
-"""Job layer: the frozen, content-addressed description of one cell.
+"""Job layer: the frozen, content-addressed description of each job.
 
 A :class:`CellSpec` captures *everything* that determines a simulation's
 outcome — the full technique configuration (topology geometry included),
@@ -8,6 +8,11 @@ guaranteed to produce bit-identical :class:`~repro.metrics.summary.RunMetrics`
 (simulations are pure functions of ``(config, trace, seed)``; see
 ``docs/architecture.md``), which is what makes the on-disk result cache
 and cross-process execution sound.
+
+An RL cell with a pre-training budget deploys the policy of a second kind
+of job, its :attr:`CellSpec.pretraining` — a :class:`PretrainSpec`, keyed
+the same way, whose artefact is the pre-trained master policy (Section
+6.3: train once, deploy to every benchmark).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.config import (
+    ControlPolicy,
     FaultConfig,
     TechniqueConfig,
     canonical_json,
@@ -52,16 +58,9 @@ class WorkloadSpec:
             raise ValueError("workload duration must be positive")
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    """One fully specified simulation cell of a campaign grid."""
-
-    technique: TechniqueConfig
-    workload: WorkloadSpec
-    seed: int = 1
-    faults: FaultConfig = field(default_factory=FaultConfig)
-    pretrain_cycles: int = 0  # RL pre-training budget (0 = untrained agents)
-    max_cycles: int | None = None  # simulation cap (None = duration-derived)
+class _Keyed:
+    """The content key every job type shares (the ``__type__`` tag of
+    :func:`~repro.config.canonical_value` keeps the types apart)."""
 
     def canonical(self) -> dict[str, Any]:
         """Canonical JSON-safe structure covering every outcome-relevant field."""
@@ -77,10 +76,56 @@ class CellSpec:
         """Stable sha256 over the canonical form; the cache key."""
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
+
+@dataclass(frozen=True)
+class PretrainSpec(_Keyed):
+    """The pre-training run whose trained master policy RL cells deploy:
+    a pure function of exactly these four fields."""
+
+    technique: TechniqueConfig
+    seed: int
+    faults: FaultConfig
+    pretrain_cycles: int
+
+    #: What kind of job this is, for progress consumers.
+    job = "pretrain"
+
+    @property
+    def label(self) -> str:
+        return f"{self.technique.name}/pretrain"
+
+
+@dataclass(frozen=True)
+class CellSpec(_Keyed):
+    """One fully specified simulation cell of a campaign grid."""
+
+    technique: TechniqueConfig
+    workload: WorkloadSpec
+    seed: int = 1
+    faults: FaultConfig = field(default_factory=FaultConfig)
+    pretrain_cycles: int = 0  # RL pre-training budget (0 = untrained agents)
+    max_cycles: int | None = None  # simulation cap (None = duration-derived)
+
+    job = "cell"
+
     @property
     def label(self) -> str:
         """Short human-readable tag for progress lines and logs."""
         return f"{self.technique.name}/{self.workload.name}"
+
+    @property
+    def pretraining(self) -> PretrainSpec | None:
+        """The job whose policy this cell deploys, or None (untrained
+        agents, or a technique without any)."""
+        if self.technique.policy is not ControlPolicy.RL or self.pretrain_cycles <= 0:
+            return None
+        return PretrainSpec(
+            self.technique, self.seed, self.faults, self.pretrain_cycles
+        )
+
+
+#: Anything the executor runs.
+Job = CellSpec | PretrainSpec
 
 
 def parsec_cell(

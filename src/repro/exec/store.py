@@ -6,9 +6,14 @@ content hash.  The artifact embeds the canonical spec next to the metrics,
 so a cache entry is self-describing and can be audited or post-processed
 (the figure renderers are pure functions over exactly this data).
 
+Each finished pre-training job is persisted as ``<hash>.policy``: one line
+of JSON (the same fields, the canonical spec included, plus the SHA-256 of
+what follows) and then the policy artefact's bytes
+(:mod:`repro.rl.persistence`).
+
 Reads are defensive: a missing, corrupted, schema-mismatched or
-spec-mismatched file is treated as a miss and the cell is re-simulated —
-a broken cache can cost time but never wrong results.
+spec-mismatched file is treated as a miss and the job runs again — a
+broken cache can cost time but never wrong results.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.config import canonical_json
-from repro.exec.spec import SPEC_SCHEMA_VERSION, CellSpec
+from repro.exec.spec import SPEC_SCHEMA_VERSION, Job, PretrainSpec
 
 #: Artifact schema; bump on incompatible layout changes.
 STORE_SCHEMA_VERSION = 1
@@ -38,7 +43,7 @@ class AuditEntry:
 
     path: Path
     spec_hash: str  # from the filename
-    kind: str  # "result" | "failure"
+    kind: str  # "result" | "policy" | "failure"
     problem: str = ""  # empty when healthy
 
     @property
@@ -56,9 +61,10 @@ class StoreAudit:
     #: Failure post-mortems whose cell has since succeeded (a healthy
     #: result artifact exists for the same hash) — history, prunable.
     stale_failures: list[AuditEntry] = field(default_factory=list)
-    #: Intact results keyed under another ``SPEC_SCHEMA_VERSION``: no spec
-    #: this code builds hashes to them, so they can never be hit again —
-    #: not damage (``ok`` ignores them), prunable.
+    #: Intact results and policies keyed under another
+    #: ``SPEC_SCHEMA_VERSION``: no spec this code builds hashes to them, so
+    #: they can never be hit again — not damage (``ok`` ignores them),
+    #: prunable.
     unreachable: list[AuditEntry] = field(default_factory=list)
     failures: int = 0  # failure artifacts seen (stale or not)
 
@@ -78,7 +84,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultStore:
-    """Content-addressed result cache (one JSON artifact per cell)."""
+    """Content-addressed job cache (one artifact per cell or policy)."""
 
     def __init__(self, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
@@ -91,19 +97,21 @@ class ResultStore:
                 f"result cache path {self.cache_dir} is not a directory"
             ) from exc
 
-    def path_for(self, spec: CellSpec) -> Path:
+    def path_for(self, spec: Job) -> Path:
         h = spec.content_hash()
-        return self.cache_dir / h[:2] / f"{h}.json"
+        suffix = ".policy" if isinstance(spec, PretrainSpec) else ".json"
+        return self.cache_dir / h[:2] / f"{h}{suffix}"
 
-    def failure_path_for(self, spec: CellSpec) -> Path:
+    def failure_path_for(self, spec: Job) -> Path:
         h = spec.content_hash()
         return self.cache_dir / h[:2] / f"{h}.failure.json"
 
-    def get(self, spec: CellSpec) -> dict[str, Any] | None:
+    def get(self, spec: Job) -> dict[str, Any] | None:
         """The stored artifact payload for *spec*, or None on any defect."""
         path = self.path_for(spec)
         try:
-            artifact = json.loads(path.read_text())
+            head, blob = _split(path.read_bytes(), path)
+            artifact = json.loads(head)
             if not isinstance(artifact, dict):
                 return None
             if artifact.get("schema") != STORE_SCHEMA_VERSION:
@@ -112,6 +120,10 @@ class ResultStore:
             # collisions: the embedded spec must match byte for byte.
             if artifact.get("spec") != spec.canonical():
                 return None
+            if isinstance(spec, PretrainSpec):
+                if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
+                    return None
+                return {"policy": blob}
             payload = artifact["payload"]
             if not isinstance(payload, dict):
                 return None
@@ -120,20 +132,25 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
-    def put(self, spec: CellSpec, payload: dict[str, Any]) -> Path:
-        """Atomically persist a finished cell's artifact."""
-        path = self.path_for(spec)
+    def put(self, spec: Job, payload: dict[str, Any]) -> Path:
+        """Atomically persist a finished job's artifact."""
         artifact = {
             "schema": STORE_SCHEMA_VERSION,
             "spec_hash": spec.content_hash(),
             "spec": spec.canonical(),
-            "payload": payload,
         }
-        return self._write_atomic(path, artifact)
+        if isinstance(spec, PretrainSpec):
+            blob = payload["policy"]
+            artifact["sha256"] = hashlib.sha256(blob).hexdigest()
+            data = json.dumps(artifact, sort_keys=True).encode() + b"\n" + blob
+        else:
+            artifact["payload"] = payload
+            data = json.dumps(artifact, sort_keys=True).encode()
+        return self._write_atomic(self.path_for(spec), data)
 
-    def put_failure(self, spec: CellSpec, cause: str, traceback_text: str = "") -> Path:
-        """Persist a cell's failure (cause + full traceback) next to where
-        its result artifact would live, as ``<hash>.failure.json``.
+    def put_failure(self, spec: Job, cause: str, traceback_text: str = "") -> Path:
+        """Persist a job's failure (cause + full traceback) next to where
+        its artifact would live, as ``<hash>.failure.json``.
 
         Failure artifacts are diagnostics, not cache entries: ``get`` never
         reads them and a later successful run leaves the record behind as
@@ -148,14 +165,14 @@ class ResultStore:
             "cause": cause,
             "traceback": traceback_text,
         }
-        return self._write_atomic(path, artifact)
+        return self._write_atomic(path, json.dumps(artifact, sort_keys=True).encode())
 
-    def _write_atomic(self, path: Path, artifact: dict[str, Any]) -> Path:
+    def _write_atomic(self, path: Path, data: bytes) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(artifact, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -168,17 +185,22 @@ class ResultStore:
     # --- maintenance (the `repro cache` subcommand) ---------------------------
 
     def _artifact_paths(self) -> list[Path]:
-        # The journal is .jsonl, tmp files are .tmp; both fall outside.
-        return sorted(self.cache_dir.rglob("*.json"))
+        # The journal and the campaign log are .jsonl, tmp files are .tmp.
+        return sorted(
+            p for p in self.cache_dir.rglob("*") if p.suffix in (".json", ".policy")
+        )
 
-    def _check_result_artifact(self, path: Path, stem_hash: str) -> str:
-        """Problem description for one result artifact, or "" if healthy.
+    def _check_artifact(self, path: Path, stem_hash: str) -> str:
+        """Problem description for one result or policy artifact, or "" if
+        healthy.
 
-        Re-hashes the embedded canonical spec, so bit-rot anywhere in the
-        file — not just in the JSON framing — is caught.
+        Re-hashes the embedded canonical spec, and a policy's bytes, so
+        bit-rot anywhere in the file — not just in the JSON framing — is
+        caught.
         """
         try:
-            artifact = json.loads(path.read_text())
+            head, blob = _split(path.read_bytes(), path)
+            artifact = json.loads(head)
         except OSError as exc:
             return f"unreadable: {exc}"
         except ValueError:
@@ -195,9 +217,13 @@ class ResultStore:
         ).hexdigest()
         if rehashed != stem_hash:
             return f"content hash mismatch (re-hash {rehashed[:12]}…)"
-        payload = artifact.get("payload")
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            return "payload missing metrics"
+        if path.suffix == ".policy":
+            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
+                return "policy bytes do not match their digest"
+        else:
+            payload = artifact.get("payload")
+            if not isinstance(payload, dict) or "metrics" not in payload:
+                return "payload missing metrics"
         if spec.get("schema") != SPEC_SCHEMA_VERSION:
             return (
                 f"{UNREACHABLE}: spec schema {spec.get('schema')!r} "
@@ -230,15 +256,17 @@ class ResultStore:
                 audit.failures += 1
                 if not entry.healthy:
                     audit.corrupt.append(entry)
-                elif (path.parent / f"{stem}.json").exists():
+                elif any(
+                    (path.parent / f"{stem}{suffix}").exists()
+                    for suffix in (".json", ".policy")
+                ):
                     audit.stale_failures.append(entry)
                 else:
                     audit.healthy += 1
                 continue
             stem = path.stem
-            entry = AuditEntry(
-                path, stem, "result", self._check_result_artifact(path, stem)
-            )
+            kind = "policy" if path.suffix == ".policy" else "result"
+            entry = AuditEntry(path, stem, kind, self._check_artifact(path, stem))
             audit.checked += 1
             if entry.healthy:
                 audit.healthy += 1
@@ -272,3 +300,12 @@ class ResultStore:
             unlink_all(audit.stale_failures),
             unlink_all(audit.unreachable),
         )
+
+
+def _split(data: bytes, path: Path) -> tuple[bytes, bytes]:
+    """A policy artifact's JSON line and the bytes after it; a result
+    artifact is all JSON."""
+    if path.suffix != ".policy":
+        return data, b""
+    head, _, blob = data.partition(b"\n")
+    return head, blob

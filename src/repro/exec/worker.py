@@ -1,37 +1,37 @@
-"""Cell execution: the pure function every executor runs.
+"""Job execution: the pure function every executor runs.
 
-``execute_cell_payload`` is the unit of work shipped to worker processes:
-it must be a module-level function (picklable by reference), take only the
-picklable :class:`~repro.exec.spec.CellSpec`, and return only JSON-safe
-data.  Serial and parallel executors both run cells through this function,
-so a campaign's results are independent of the executor used.
+``execute_job`` is the unit of work shipped to worker processes: it must
+be a module-level function (picklable by reference), take only the
+picklable job spec (plus, for an RL cell, its pre-training job's payload)
+and return only plain data.  Executors run every job through this
+function, in process or in a pool, so a campaign's results are
+independent of the executor used.
 
-Each cell is *self-contained*: trace generation and (for RL techniques)
-agent pre-training happen inside the cell from the spec's seed, never
-shared across cells.  That is what makes cells order-independent,
-parallelizable and cacheable — the pre-trained policy is a deterministic
-function of ``(technique, pretrain_cycles, seed, faults)``, so a
-per-process memo plus a deep copy per cell reproduces it exactly without
-paying the training cost for every benchmark.
+There are two kinds of job.  A :class:`~repro.exec.spec.PretrainSpec`
+pre-trains the RL agents and returns the master policy as a
+:mod:`repro.rl.persistence` artefact.  A :class:`~repro.exec.spec.CellSpec`
+generates its trace from the spec's seed and, when it names a pre-training
+job, deploys a fresh load of that job's artefact: the agents learn online
+during the run, so each cell owns its copy.  The artefact loads back
+exactly, so a cell's result is a pure function of its spec whichever
+process trained the policy, and whether it came from the store or not.
 """
 
 from __future__ import annotations
 
-import copy
+import gc
 import time
 from typing import Any
 
-from repro.config import ControlPolicy, SimulationConfig, fingerprint
-from repro.exec.spec import CellSpec
+from repro.config import SimulationConfig
+from repro.control.policies import RlPolicy
+from repro.exec.spec import CellSpec, Job, PretrainSpec
 from repro.metrics.summary import RunMetrics, run_to_metrics
+from repro.rl.persistence import policy_from_bytes, policy_to_bytes
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.traffic.trace import Trace
 from repro.utils.rng import make_rng
-
-# Per-process memo of pre-trained master policies.  Safe under fork and
-# spawn alike: entries are only ever *read* through deepcopy.
-_PRETRAIN_MEMO: dict[str, object] = {}
 
 
 def build_trace(spec: CellSpec) -> Trace:
@@ -55,49 +55,57 @@ def build_trace(spec: CellSpec) -> Trace:
     )
 
 
-def _policy_for(spec: CellSpec) -> object | None:
-    """Deterministic pre-trained RL policy for the cell, or None."""
-    if spec.technique.policy is not ControlPolicy.RL or spec.pretrain_cycles <= 0:
-        return None
+def pretrain(job: PretrainSpec) -> RlPolicy:
+    """The master policy a pre-training job produces."""
     from repro.core.intellinoc import pretrain_agents  # avoid import cycle
 
-    key = fingerprint(
-        {
-            "technique": spec.technique,
-            "faults": spec.faults,
-            "seed": spec.seed,
-            "pretrain_cycles": spec.pretrain_cycles,
-        }
+    return pretrain_agents(
+        job.technique, duration=job.pretrain_cycles, seed=job.seed, faults=job.faults
     )
-    if key not in _PRETRAIN_MEMO:
-        _PRETRAIN_MEMO[key] = pretrain_agents(
-            spec.technique,
-            duration=spec.pretrain_cycles,
-            seed=spec.seed,
-            faults=spec.faults,
-        )
-    # Agents learn online during the run; hand out a pristine copy so the
-    # memoized master (RNG state included) is never mutated.
-    return copy.deepcopy(_PRETRAIN_MEMO[key])
 
 
-def execute_cell(spec: CellSpec) -> RunMetrics:
-    """Run one cell to completion and summarize it."""
+def execute_cell(spec: CellSpec, policy: RlPolicy | None = None) -> RunMetrics:
+    """Run one cell to completion and summarize it.
+
+    A cell that names a pre-training job deploys *policy*, a copy of that
+    job's master it may consume; any other cell takes none.
+    """
     from repro.noc.network import Network  # avoid import cycle
 
+    if (policy is None) != (spec.pretraining is None):
+        raise ValueError(
+            f"{spec.label}: a pre-trained policy goes with, and only with, "
+            "a cell that names a pre-training job"
+        )
     trace = build_trace(spec)
     config = SimulationConfig(
         technique=spec.technique, seed=spec.seed, faults=spec.faults
     )
-    network = Network(config, trace, policy=_policy_for(spec))
+    network = Network(config, trace, policy=policy)
     return run_to_metrics(network, spec.max_cycles)
 
 
-def execute_cell_payload(spec: CellSpec) -> dict[str, Any]:
-    """Executor entry point: run a cell, return the JSON-safe artifact body."""
+def _run(job: Job, prerequisite: dict[str, Any] | None) -> dict[str, Any]:
+    if isinstance(job, PretrainSpec):
+        return {"policy": policy_to_bytes(pretrain(job))}
+    policy = None if prerequisite is None else policy_from_bytes(prerequisite["policy"])
+    return {"metrics": execute_cell(job, policy).to_dict()}
+
+
+def execute_job(job: Job, prerequisite: dict[str, Any] | None = None) -> dict[str, Any]:
+    """Executor entry point: run a job, return its artefact payload.
+
+    A cell's payload is its ``RunMetrics.to_dict()``; a pre-training job's
+    is the master policy's bytes.  *prerequisite* is the payload of the
+    pre-training job a cell names.
+
+    The one place a finished job is released: a ``Network`` is a graph of
+    reference cycles (router links, bound callbacks) and the cycle loop
+    allocates too few containers to trigger a full collection, so without
+    this every finished job's simulator would stay resident.
+    """
     started = time.perf_counter()
-    metrics = execute_cell(spec)
-    return {
-        "metrics": metrics.to_dict(),
-        "runtime_seconds": time.perf_counter() - started,
-    }
+    payload = _run(job, prerequisite)
+    payload["runtime_seconds"] = time.perf_counter() - started
+    gc.collect()
+    return payload

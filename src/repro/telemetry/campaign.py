@@ -1,6 +1,7 @@
 """Campaign-level structured logging: the executor progress-event sink.
 
-The execution engine reports cell lifecycle through ``ProgressEvent``
+The execution engine reports the lifecycle of every job — a campaign cell,
+or the pre-training job RL cells deploy — through ``ProgressEvent``
 callbacks (start / done / cached / resumed / retry / failed /
 quarantined).  The sink here turns that stream into an append-only JSONL
 log persisted next to the result store's artifacts, so a campaign leaves
@@ -39,6 +40,7 @@ def describe_progress_event(event: ProgressLike) -> dict[str, Any]:
     spec = getattr(event, "spec", None)
     record: dict[str, Any] = {
         "kind": getattr(event, "kind", "unknown"),
+        "job": getattr(spec, "job", "cell"),
         "label": getattr(spec, "label", ""),
         "completed": getattr(event, "completed", 0),
         "total": getattr(event, "total", 0),
@@ -101,20 +103,23 @@ class CampaignTraceSink:
 
 
 def cell_span_recorder(profiler: PhaseProfiler) -> ProgressCallbackLike:
-    """A progress callback recording one profiler span per finished cell.
+    """A progress callback recording one profiler span per finished job.
 
     Uses the executor-measured ``duration_s`` (anchored to end *now*), so
-    the Chrome trace shows every cell as a block on the campaign timeline
-    — including failures, which appear in the ``cell-failed`` category.
+    the Chrome trace shows every job as a block on the campaign timeline,
+    in the category of its kind (``cell`` or ``pretrain``) — including
+    failures, which appear in ``cell-failed`` / ``pretrain-failed``.
     """
 
     def observe(event: ProgressLike) -> None:
         kind = getattr(event, "kind", "")
         if kind not in ("done", "failed"):
             return
-        label = getattr(getattr(event, "spec", None), "label", "cell")
+        spec = getattr(event, "spec", None)
+        label = getattr(spec, "label", "cell")
+        job = getattr(spec, "job", "cell")
         duration = max(0.0, float(getattr(event, "duration_s", 0.0)))
-        category = "cell" if kind == "done" else "cell-failed"
+        category = job if kind == "done" else f"{job}-failed"
         profiler.record_span(str(label), duration, category=category, kind=kind)
 
     return observe

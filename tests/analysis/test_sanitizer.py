@@ -1,11 +1,15 @@
 """Tests for the NoCSan runtime half (repro.analysis.sanitizer)."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.sanitizer import (
     DEFAULT_INTERVAL,
     DEFAULT_WATCHDOG_CYCLES,
@@ -289,3 +293,18 @@ class TestConfiguration:
         assert san.snapshot_dir == tmp_path / "snaps"
         net = small_network([])
         assert net.sanitizer is not None  # network picked it up from env
+
+
+def test_loading_the_sanitizer_does_not_load_the_linter():
+    """Every `REPRO_SANITIZE` worker imports the sanitizer; the linter is
+    the CLI's alone."""
+    probe = (
+        "import sys, repro.analysis.sanitizer; "
+        "print(*sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    ).stdout
+    assert out.split() == ["repro.analysis", "repro.analysis.sanitizer"]

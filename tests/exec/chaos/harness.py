@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.exec.spec import CellSpec
-from repro.exec.worker import execute_cell_payload
+from repro.exec.worker import execute_job
 
 #: Exit status of a chaos-crashed worker (distinctive in core-dump triage).
 CHAOS_EXIT_CODE = 23
@@ -136,12 +136,12 @@ class ChaosCellFn:
     def __init__(
         self,
         policy: ChaosPolicy,
-        fn: Callable[[CellSpec], dict[str, Any]] = execute_cell_payload,
+        fn: Callable[..., dict[str, Any]] = execute_job,
     ):
         self.policy = policy
         self.fn = fn
 
-    def __call__(self, spec: CellSpec) -> dict[str, Any]:
+    def __call__(self, spec: CellSpec, *inputs: Any) -> dict[str, Any]:
         policy = self.policy
         h = spec.content_hash()
         if h in policy.doomed:
@@ -158,4 +158,4 @@ class ChaosCellFn:
                 time.sleep(policy.hang_s)
                 raise ChaosError(f"chaos: cell {spec.label} hung {policy.hang_s}s")
             raise ChaosError(f"chaos: transient fault on {spec.label}")
-        return self.fn(spec)
+        return self.fn(spec, *inputs)

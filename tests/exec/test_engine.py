@@ -18,14 +18,14 @@ from repro.exec.resilience import (
 )
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
-from repro.exec.worker import execute_cell_payload
+from repro.exec.worker import execute_job
 from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
 
 
 def _fail_seed10_cell(spec):
     if spec.seed == 10:
         raise RuntimeError("doomed cell")
-    return execute_cell_payload(spec)
+    return execute_job(spec)
 
 
 def small_specs(n=2, duration=500):
@@ -352,7 +352,7 @@ class TestJournalAndResume:
 
         def must_not_run(spec):
             executed.append(spec)
-            return execute_cell_payload(spec)
+            return execute_job(spec)
 
         resumed = CampaignEngine(
             executor=CellExecutor(retries=0, fn=must_not_run),

@@ -19,7 +19,13 @@ from repro.config import (
     canonical_value,
     fingerprint,
 )
-from repro.exec.spec import CellSpec, WorkloadSpec, parsec_cell, synthetic_cell
+from repro.exec.spec import (
+    CellSpec,
+    PretrainSpec,
+    WorkloadSpec,
+    parsec_cell,
+    synthetic_cell,
+)
 
 
 def spec(**overrides) -> CellSpec:
@@ -98,6 +104,15 @@ class TestCellSpecHash:
         assert base.content_hash() != other_rate.content_hash()
         assert base.content_hash() != other_pattern.content_hash()
 
+    def test_a_pretraining_job_never_shares_a_cell_key(self):
+        cell = spec(technique=INTELLINOC, pretrain_cycles=500)
+        job = cell.pretraining
+        assert (job.technique, job.seed, job.faults) == (
+            cell.technique, cell.seed, cell.faults
+        )
+        assert json.loads(job.canonical_json())["spec"]["__type__"] == "PretrainSpec"
+        assert job.content_hash() != cell.content_hash()
+
     def test_specs_are_frozen_and_hashable(self):
         s = spec()
         with pytest.raises(Exception):
@@ -141,12 +156,15 @@ HASHED = {
         (TechniqueConfig, SECDED_BASELINE),
         (WorkloadSpec, WorkloadSpec(kind="parsec", name="swa", duration=1000)),
         (CellSpec, parsec_cell(SECDED_BASELINE, "swa", 1000)),
+        (PretrainSpec, PretrainSpec(INTELLINOC, 1, FaultConfig(), 1000)),
     ]
 }
 
 
 def _key(obj) -> str:
-    return obj.content_hash() if isinstance(obj, CellSpec) else fingerprint(obj)
+    if isinstance(obj, (CellSpec, PretrainSpec)):
+        return obj.content_hash()
+    return fingerprint(obj)
 
 
 class TestEveryFieldIsHashed:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.config import FaultConfig, SECDED_BASELINE, canonical_json
-from repro.exec.spec import SPEC_SCHEMA_VERSION, parsec_cell
+from repro.config import INTELLINOC, FaultConfig, SECDED_BASELINE, canonical_json
+from repro.exec.spec import SPEC_SCHEMA_VERSION, PretrainSpec, parsec_cell
 from repro.exec.store import STORE_SCHEMA_VERSION, ResultStore, default_cache_dir
 from repro.metrics.latency import LatencySummary
 from repro.metrics.reliability import ReliabilitySummary
@@ -212,6 +212,33 @@ class TestAuditAndPrune:
         assert store.prune() == (0, 0, 1)
         assert not path.exists()
         assert store.get(spec) is not None
+
+    def test_policy_under_another_spec_schema_is_unreachable(self, store):
+        """The same rule for a pre-training job's artefact."""
+        embedded = {"schema": 1, "spec": {"__type__": "PretrainSpec", "seed": 7}}
+        h = hashlib.sha256(canonical_json(embedded).encode("utf-8")).hexdigest()
+        blob = b"INOCPOL2 policy bytes"
+        header = {
+            "schema": STORE_SCHEMA_VERSION, "spec_hash": h, "spec": embedded,
+            "sha256": hashlib.sha256(blob).hexdigest(),
+        }
+        path = store.cache_dir / h[:2] / f"{h}.policy"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        audit = store.audit()
+        assert audit.ok and audit.healthy == 0
+        assert [(e.path, e.kind) for e in audit.unreachable] == [(path, "policy")]
+        assert store.prune() == (0, 0, 1)
+        assert not path.exists()
+
+    def test_a_failed_pretraining_turns_stale_once_its_policy_lands(self, store):
+        job = PretrainSpec(INTELLINOC, 7, FaultConfig(), 900)
+        store.put_failure(job, "RuntimeError: flaky", "tb")
+        assert store.audit().stale_failures == []
+        store.put(job, {"policy": b"bytes"})
+        audit = store.audit()
+        assert (audit.ok, audit.healthy, len(audit.stale_failures)) == (True, 1, 1)
+        assert store.get(job) == {"policy": b"bytes"}
 
     def test_journal_and_tmp_files_ignored(self, store, spec):
         store.put(spec, {"metrics": make_metrics().to_dict()})

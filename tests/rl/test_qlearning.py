@@ -171,24 +171,27 @@ class TestDeepCopy:
         assert clone.qtable._target_ema != ema
 
     def test_a_pretrained_cell_runs_the_same_from_a_generic_deep_copy(self, monkeypatch):
-        """The cell's metrics from the table's own `__deepcopy__` equal
-        those from `copy.deepcopy`'s element-by-element walk of the same
-        memoised master (so the first run did not disturb it either)."""
+        """The cell's metrics from a load of the master's artefact equal
+        those from the table's own `__deepcopy__` and from `copy.deepcopy`'s
+        element-by-element walk of the same master (so no run disturbed it)."""
         from repro.exec import worker
         from repro.exec.spec import parsec_cell
+        from repro.rl.persistence import policy_from_bytes, policy_to_bytes
 
-        monkeypatch.setattr(worker, "_PRETRAIN_MEMO", {})
         technique = replace(
             INTELLINOC.with_rl(time_step=200),  # six control steps in the run
             noc=replace(INTELLINOC.noc, width=4, height=4),
         )
         spec = parsec_cell(technique, "swa", duration=1200, seed=3, pretrain_cycles=1500)
-        fast = worker.execute_cell(spec).to_dict()
-        (master,) = worker._PRETRAIN_MEMO.values()
+        master = worker.pretrain(spec.pretraining)
+        artefact = policy_to_bytes(master)
         trained = [(a.steps, a.qtable.updates) for a in master.agents]
+        loaded = worker.execute_cell(spec, policy_from_bytes(artefact)).to_dict()
+        assert worker.execute_cell(spec, copy.deepcopy(master)).to_dict() == loaded
         monkeypatch.delattr(QTable, "__deepcopy__")
-        assert worker.execute_cell(spec).to_dict() == fast
+        assert worker.execute_cell(spec, copy.deepcopy(master)).to_dict() == loaded
         assert [(a.steps, a.qtable.updates) for a in master.agents] == trained
+        assert policy_to_bytes(master) == artefact
 
 
 class TestValidation:
