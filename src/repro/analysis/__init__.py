@@ -13,7 +13,8 @@ halves of the tooling that proves both properties:
   arguments), ``NOC2xx`` layering rules (simulation packages never reach
   the campaign/CLI/report layers, no import cycles), and ``NOC3xx``
   safety rules (no bare ``except``, no float equality in simulation
-  logic).  Run it with ``python -m repro lint``.
+  logic).  Run it with ``python -m repro lint``; its options are defined
+  in :mod:`repro.analysis.lint_options`, which loads no part of it.
 * **runtime** (:mod:`repro.analysis.sanitizer`) — :class:`NocSanitizer`,
   cheap opt-in invariant checks threaded through ``Network.step()``
   behind ``REPRO_SANITIZE=1`` / ``--sanitize``: flit conservation,

@@ -32,6 +32,7 @@ from repro.analysis.lint.rules import (
     LintReport,
     Violation,
 )
+from repro.analysis.lint_options import add_cli_arguments
 
 __all__ = [
     "LINT_VERSION",
@@ -58,34 +59,6 @@ def lint_paths(paths: list[str]) -> LintReport:
         suppressed=engine_report.suppressed,
         files=engine_report.files,
     )
-
-
-def add_cli_arguments(
-    parser: argparse.ArgumentParser,
-    *,
-    default_paths: list[str] | None = None,
-    default_baseline: str | None = None,
-    default_excludes: list[str] | None = None,
-) -> None:
-    """Install the lint CLI surface on *parser* (shared with ``repro lint``)."""
-    parser.add_argument(
-        "paths", nargs="*", default=list(default_paths or ["src"]),
-        help=f"files or directories to lint (default: {default_paths or ['src']})",
-    )
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--exclude", action="append", default=[],
-                        metavar="PATH",
-                        help="path prefix to skip (repeatable)")
-    parser.add_argument("--baseline", metavar="FILE", default=default_baseline,
-                        help="accepted-violations file; only new findings fail")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline: report every violation")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline from the current findings")
-    parser.add_argument("--json", metavar="FILE", dest="json_out",
-                        help="write a JSON report ('-' for stdout)")
-    parser.set_defaults(default_excludes=list(default_excludes or []))
 
 
 def build_arg_parser(prog: str = "python -m repro.analysis.lint") -> argparse.ArgumentParser:

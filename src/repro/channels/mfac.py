@@ -21,7 +21,6 @@ reserved upstream VC slot (baseline SECDED).
 from __future__ import annotations
 
 import enum
-from collections import deque
 from collections.abc import Callable
 
 from repro.noc.flit import Flit
@@ -146,9 +145,11 @@ class Channel:
         )
         self.link_latency = link_latency
         self.function = CHANNEL_NORMAL
-        # queue entries: [flit, ready_cycle]
-        self.queue: deque[list] = deque()
-        self.copies: deque[Flit] = deque()  # retransmission copies (MFAC upper link)
+        # Queue entries: [flit, ready_cycle, cached error sample] (see
+        # `send`).  Both FIFOs are plain lists, bounded by the channel's
+        # capacity, so a front pop stays cheap (docs/architecture.md).
+        self.queue: list[list] = []
+        self.copies: list[Flit] = []  # retransmission copies (MFAC upper link)
         # Baseline SECDED keeps copies in the *upstream* VC until ACK
         # (Section 3.2); this maps each in-flight flit to the reserved VC
         # and the router that owns it.
@@ -326,7 +327,7 @@ class Channel:
         """Take a delivered entry out of the queue."""
         queue = self.queue
         if queue and queue[0] is entry:
-            queue.popleft()  # the common case: flits leave in order
+            del queue[0]  # the common case: flits leave in order
         else:
             try:
                 queue.remove(entry)
@@ -358,7 +359,7 @@ class Channel:
         flit: Flit = entry[0]
         queue = self.queue
         if queue and queue[0] is entry:  # flits mostly leave in order
-            queue.popleft()
+            del queue[0]
             self.inbound.flits -= 1
             if not queue:
                 self.busy.discard(self.index)
@@ -383,7 +384,7 @@ class Channel:
         queue = self.queue
         if not queue:
             self.busy.add(self.index)
-        queue.appendleft([entry[0], cycle + self.traversal_latency, None])
+        queue.insert(0, [entry[0], cycle + self.traversal_latency, None])
         self.inbound.flits += 1
         self.flits_retransmitted += 1
 

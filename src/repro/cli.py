@@ -46,6 +46,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Any
 
+from repro.analysis.lint_options import add_cli_arguments
 from repro.config import TechniqueConfig, all_techniques, technique
 from repro.faults.scenario import scenario_names
 from repro.noc.topology import registered_topologies
@@ -587,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="NoCSan whole-program static analysis (see docs/analysis.md)"
     )
-    from repro.analysis.lint import add_cli_arguments
-
     add_cli_arguments(
         p,
         default_paths=["src", "tests"],

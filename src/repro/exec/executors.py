@@ -48,14 +48,16 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import Job
 from repro.exec.worker import execute_job
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Exception classes treated as *cell* failures: charged against the retry
 #: budget and, once it is spent, surfaced as :class:`CellExecutionError`
@@ -155,9 +157,10 @@ class CellExecutor:
     ever crosses a process boundary.
 
     A worker crash breaks the whole pool (every in-flight future raises
-    ``BrokenProcessPool``); the pool is rebuilt and each in-flight cell is
-    charged one failed attempt — the crasher exhausts its retry and
-    surfaces as a failure, innocents get re-run.  A pool that breaks
+    ``BrokenProcessPool``, caught as its base ``BrokenExecutor``); the pool
+    is rebuilt and each in-flight cell is charged one failed attempt — the
+    crasher exhausts its retry and surfaces as a failure, innocents get
+    re-run.  A pool that breaks
     between a wait and a submit refuses the submit: the same rebuild runs,
     and the refused cell, which never ran, goes back uncharged.
     """
@@ -174,6 +177,10 @@ class CellExecutor:
 
     def _pool(self) -> ProcessPoolExecutor | _InProcessPool:
         if self.jobs > 1:
+            # Imported here: the pool machinery (multiprocessing and 31
+            # more modules, 1.8 MB resident) is dead weight in process.
+            from concurrent.futures import ProcessPoolExecutor
+
             return ProcessPoolExecutor(max_workers=self.jobs)
         return _InProcessPool()
 
@@ -299,7 +306,7 @@ class CellExecutor:
                     submitted = time.monotonic()
                     try:
                         future = pool.submit(self.fn, *args)
-                    except BrokenProcessPool:
+                    except BrokenExecutor:
                         # A worker died since the last wait: the pool refuses
                         # work before any future reports the crash.
                         refused = idx
@@ -336,7 +343,7 @@ class CellExecutor:
                     elapsed = time.monotonic() - submitted
                     try:
                         payload = fut.result()
-                    except BrokenProcessPool:
+                    except BrokenExecutor:
                         broken = True
                         fail(idx, "worker process crashed", duration_s=elapsed)
                     except CELL_FAILURE_TYPES as exc:

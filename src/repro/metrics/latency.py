@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
+from repro.utils.percentile import percentile
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,16 @@ class LatencySummary:
     def from_samples(cls, latencies: list[int]) -> "LatencySummary":
         if not latencies:
             raise ValueError("no latency samples")
-        arr = np.asarray(latencies)
+        # Integer samples sum exactly, so this is numpy's mean to the bit.
+        # Sorted once: timsort re-checks a sorted list in one linear pass.
+        ordered = sorted(latencies)
         return cls(
-            mean=float(arr.mean()),
-            median=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
-            maximum=int(arr.max()),
-            count=len(latencies),
+            mean=sum(ordered) / len(ordered),
+            median=percentile(ordered, 50),
+            p95=percentile(ordered, 95),
+            p99=percentile(ordered, 99),
+            maximum=ordered[-1],
+            count=len(ordered),
         )
 
     def __str__(self) -> str:

@@ -16,7 +16,6 @@ same per-hop cycle counts as the stage-register formulation.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -452,7 +451,7 @@ class Router:
         """Move the front flit of input VC *slot* through the crossbar and
         out on *route*."""
         port, vci, vc = slot
-        flit = vc.queue.popleft()[0]
+        flit = vc.queue.pop(0)[0]
         self._flit_count -= 1
         if not vc.queue:
             self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)
@@ -497,7 +496,7 @@ class Router:
         kept = [item for item in vc.queue if id(item[0].packet) not in doomed]
         removed = len(vc.queue) - len(kept)
         if removed:
-            vc.queue = deque(kept)
+            vc.queue = kept
             self._flit_count -= removed
             if not kept:
                 self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.noc.routing import NUM_PORTS
+from repro.utils.percentile import percentile
 
 #: Per-run cap on retained latency samples.  Mean latency is always exact
 #: (tracked by running sum/count); percentiles are exact up to this many
@@ -192,7 +193,7 @@ class NetworkStatistics:
     def latency_percentile(self, q: float) -> float:
         if not self.latencies:
             raise ValueError("no packets completed")
-        return float(np.percentile(self.latencies, q))
+        return percentile(self.latencies, q)
 
     @property
     def total_retransmitted_flits(self) -> int:

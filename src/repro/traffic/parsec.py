@@ -155,14 +155,14 @@ def generate_parsec_trace(
         for src in np.nonzero(counts)[0]:
             src = int(src)
             offsets = rng.integers(0, epoch, size=int(counts[src]))
-            for off in np.sort(offsets):
+            for off in sorted(offsets.tolist()):
                 dst = _pick_destination(
                     profile, src, num_nodes, hotspots, neighbor_cache[src], rng
                 )
                 if dst != src:
                     reply = bool(rng.random() < profile.reply_fraction)
                     events.append(
-                        TraceEvent(e * epoch + int(off), src, dst, packet_size, reply)
+                        TraceEvent(e * epoch + off, src, dst, packet_size, reply)
                     )
     return Trace(events, name=profile.name)
 
@@ -175,12 +175,14 @@ def _pick_destination(
     neighbors: list[int],
     rng: np.random.Generator,
 ) -> int:
+    # ``seq[int(rng.integers(len(seq)))]`` is ``rng.choice(seq)`` — the same
+    # single draw — without converting the list to an array per event.
     draw = rng.random()
     if draw < profile.hotspot_fraction:
         choices = [h for h in hotspots if h != src]
-        return int(rng.choice(choices))
+        return choices[int(rng.integers(len(choices)))]
     if draw < profile.hotspot_fraction + profile.locality and neighbors:
-        return int(rng.choice(neighbors))
+        return neighbors[int(rng.integers(len(neighbors)))]
     dst = int(rng.integers(num_nodes))
     for _ in range(8):
         if dst != src:

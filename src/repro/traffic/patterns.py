@@ -55,7 +55,7 @@ def pattern_destination(
     if pattern is SyntheticPattern.HOTSPOT:
         if not hotspots:
             raise ValueError("hotspot pattern needs hotspot nodes")
-        return int(rng.choice(hotspots))
+        return hotspots[int(rng.integers(len(hotspots)))]  # rng.choice's draw
     raise ValueError(f"unknown pattern {pattern}")
 
 

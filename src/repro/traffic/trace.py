@@ -12,6 +12,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 
@@ -40,11 +41,16 @@ class TraceEvent:
             raise ValueError("packets carry at least one flit")
 
 
+#: :class:`TraceEvent`'s field order: sorting by it is sorting by the
+#: dataclass order, without a generated ``__lt__`` call per comparison.
+_EVENT_ORDER = attrgetter("cycle", "src", "dst", "size", "reply")
+
+
 class Trace:
     """A time-sorted packet trace."""
 
     def __init__(self, events: Iterable[TraceEvent], name: str = "trace"):
-        self.events = sorted(events)
+        self.events = sorted(events, key=_EVENT_ORDER)
         self.name = name
 
     def __len__(self) -> int:
