@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro run --technique intellinoc --benchmark bod
-    python -m repro run --benchmark swa --trace run.jsonl --metrics-out run.prom
+    python -m repro run --benchmark swa --observe out/ --observe-stride 50
     python -m repro run --technique intellinoc --benchmark bod --topology torus
     python -m repro run --scenario aging-cliff --sanitize --benchmark swa
     python -m repro campaign --benchmarks swa bod can --duration 4000
@@ -12,7 +12,6 @@ Usage::
     python -m repro campaign --failure-policy quarantine --journal c.jsonl
     python -m repro campaign --resume c.jsonl
     python -m repro sweep --knob epsilon --values 0 0.05 0.5
-    python -m repro run --benchmark swa --simprof step-profile.json
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
     python -m repro area
@@ -44,6 +43,7 @@ from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from typing import Any
 
 from repro.analysis.lint_options import add_cli_arguments
@@ -62,17 +62,15 @@ from repro.exec.resilience import (
     ShutdownFlag,
     graceful_shutdown,
 )
-from repro.telemetry import (
-    CampaignTraceSink,
-    PhaseProfiler,
-    SimProfiler,
-    Telemetry,
-    chain_progress,
-)
+from repro.telemetry import CampaignTraceSink, SimProfiler, Telemetry, chain_progress
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from repro.utils.tables import format_table
 
 _LOG = logging.getLogger("repro")
+
+#: What ``--observe DIR`` leaves in DIR.
+EVENTS_FILE = "events.jsonl"
+PROFILE_FILE = "profile.json"
 
 
 def _configure_logging(args: argparse.Namespace) -> None:
@@ -184,12 +182,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="disable the on-disk result cache (always re-simulate)",
     )
     parser.add_argument(
-        "--profile", default=None, metavar="PATH",
-        help="write a Chrome trace-event JSON phase profile to PATH",
-    )
-    parser.add_argument(
-        "--campaign-log", default=None, metavar="PATH",
-        help="append executor progress events to PATH as JSON lines",
+        "--observe", default=None, metavar="DIR",
+        help=f"append the progress log to DIR/{EVENTS_FILE} and write the "
+             f"engine's profile to DIR/{PROFILE_FILE} (docs/observability.md)",
     )
     parser.add_argument(
         "--failure-policy", default="abort",
@@ -235,29 +230,29 @@ def _print_progress(event) -> None:
         _LOG.warning("%s %s: %s", event.spec.label, event.kind, event.error)
 
 
-def _write_profile(profiler: PhaseProfiler | None, path: str | None) -> None:
-    if profiler is None or path is None:
-        return
-    out = profiler.write_chrome_trace(path)
-    _LOG.info("wrote phase profile (%d spans) to %s", len(profiler.spans), out)
+def _write_profile(profiler: SimProfiler, directory: str) -> None:
+    out = profiler.write_chrome_trace(Path(directory) / PROFILE_FILE)
+    _LOG.info("wrote profile (%d spans, %d/%d steps sampled) to %s",
+              len(profiler.spans), profiler.steps_profiled,
+              profiler.steps_seen, out)
     for name, count, total in profiler.summary():
         _LOG.debug("phase %-24s %3dx %8.2fs", name, count, total)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _apply_sanitize(args)
-    telemetry = None
-    if args.trace or args.metrics_out:
-        telemetry = Telemetry(trace_stride=args.trace_stride)
-    profiler = PhaseProfiler() if args.profile else None
-    simprof = SimProfiler(stride=args.simprof_stride) if args.simprof else None
+    telemetry: Telemetry | None = None
+    profiler: SimProfiler | None = None
+    if args.observe:
+        telemetry = Telemetry(trace_stride=args.observe_stride)
+        profiler = SimProfiler(stride=args.observe_stride)
 
     def phase(name: str, **kw):
         return nullcontext() if profiler is None else profiler.phase(name, **kw)
 
     tech = _fabric_technique(technique(args.technique), args)
     system = IntelliNoCSystem(
-        tech, seed=args.seed, telemetry=telemetry, simprof=simprof
+        tech, seed=args.seed, telemetry=telemetry, simprof=profiler
     )
     if args.pretrain and tech.policy.value == "rl":
         _LOG.info("pre-training RL agents for %d cycles ...", args.pretrain)
@@ -300,23 +295,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("\nmode breakdown: " + ", ".join(
             f"{m}: {v:.0%}" for m, v in metrics.mode_breakdown.items()
         ))
-    if telemetry is not None and args.trace:
-        path = telemetry.write_trace(args.trace)
-        _LOG.info("wrote %d trace events to %s (stride %d, %d dropped)",
+    if telemetry is not None and profiler is not None:
+        path = telemetry.write_trace(Path(args.observe) / EVENTS_FILE)
+        _LOG.info("wrote %d events to %s (stride %d, %d dropped)",
                   len(telemetry.events), path, telemetry.trace_stride,
                   telemetry.dropped_events)
-    if telemetry is not None and args.metrics_out:
-        path = telemetry.write_metrics(args.metrics_out)
-        _LOG.info("wrote %d instruments to %s", len(telemetry.instruments()), path)
-    if simprof is not None and args.simprof:
-        out = simprof.write_chrome_trace(args.simprof)
-        _LOG.info(
-            "wrote step-phase profile to %s (%d/%d steps sampled, "
-            "top phase %s)",
-            out, simprof.steps_profiled, simprof.steps_seen,
-            simprof.top_phase(),
-        )
-    _write_profile(profiler, args.profile)
+        _write_profile(profiler, args.observe)
     return 0
 
 
@@ -364,8 +348,13 @@ def _engine_session(
     reporting of the artefacts.
     """
     _apply_sanitize(args)
-    profiler = PhaseProfiler() if args.profile else None
-    sink = CampaignTraceSink(args.campaign_log) if args.campaign_log else None
+    profiler: SimProfiler | None = None
+    sink: CampaignTraceSink | None = None
+    if args.observe:
+        profiler = SimProfiler()
+        sink = CampaignTraceSink(
+            Path(args.observe) / EVENTS_FILE, clock=profiler.now_s
+        )
     flag = ShutdownFlag()
     exit_code = 0
     try:
@@ -391,9 +380,9 @@ def _engine_session(
     finally:
         if sink is not None:
             sink.close()
-    if sink is not None:
+    if sink is not None and profiler is not None:
         _LOG.info("wrote %d campaign events to %s", sink.events_written, sink.path)
-    _write_profile(profiler, args.profile)
+        _write_profile(profiler, args.observe)
     return exit_code
 
 
@@ -529,20 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", default="bod", choices=sorted(PARSEC_PROFILES))
     p.add_argument("--pretrain", type=int, default=0,
                    help="RL pre-training cycles (0 = untrained agents)")
-    p.add_argument("--trace", default=None, metavar="PATH",
-                   help="write the in-simulation event trace to PATH (JSONL)")
-    p.add_argument("--trace-stride", type=int, default=1, metavar="N",
-                   help="sample high-frequency trace events every N cycles")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write a Prometheus-style metrics snapshot to PATH")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="write a Chrome trace-event JSON phase profile to PATH")
-    p.add_argument("--simprof", default=None, metavar="PATH",
-                   help="attribute wall time per Network.step sub-phase and "
-                        "write the Chrome trace-event profile to PATH "
-                        "(docs/observability.md)")
-    p.add_argument("--simprof-stride", type=int, default=1, metavar="N",
-                   help="profile every N-th simulated step (default 1)")
+    p.add_argument("--observe", default=None, metavar="DIR",
+                   help=f"write the event stream to DIR/{EVENTS_FILE} and the "
+                        f"profile to DIR/{PROFILE_FILE} (docs/observability.md)")
+    p.add_argument("--observe-stride", type=int, default=1, metavar="N",
+                   help="sample dense events and profile steps every N cycles")
     _add_fabric_options(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_run)

@@ -61,7 +61,7 @@ from repro.exec.resilience import (
 from repro.exec.spec import CellSpec, Job, PretrainSpec
 from repro.exec.store import ResultStore
 from repro.metrics.summary import RunMetrics
-from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
+from repro.telemetry import SimProfiler, chain_progress
 
 _LOG = logging.getLogger("repro")
 
@@ -368,9 +368,9 @@ class EngineOptions:
     #: Cooperative shutdown token (see repro.exec.resilience.graceful_shutdown).
     cancel: ShutdownFlag | None = None
     progress: ProgressCallback | None = None
-    #: Optional phase profiler: every engine run becomes a phase and every
-    #: finished cell a span, exportable as Chrome trace-event JSON.
-    profiler: PhaseProfiler | None = None
+    #: Optional profiler: every engine run becomes a phase and every
+    #: finished job a span, exportable as Chrome trace-event JSON.
+    profiler: SimProfiler | None = None
     _engine: CampaignEngine | None = field(default=None, init=False, repr=False)
 
     @property
@@ -397,7 +397,7 @@ class EngineOptions:
                 store=store,
                 progress=chain_progress(
                     self.progress,
-                    cell_span_recorder(self.profiler)
+                    self.profiler.record_job
                     if self.profiler is not None
                     else None,
                 ),

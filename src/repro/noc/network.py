@@ -163,11 +163,10 @@ class Network:
             router.on_drop = self._mark_dropped
 
         # Telemetry: pure observation, never control flow.  The hot paths
-        # guard on `_tel is not None`, so a missing or disabled hub costs
-        # one attribute check and runs are bit-identical to uninstrumented
-        # ones (the disabled-path contract of docs/observability.md).
-        self.telemetry = telemetry
-        self._tel = telemetry if (telemetry is not None and telemetry.enabled) else None
+        # guard on `_tel is not None`, so a missing hub costs one attribute
+        # check and runs are bit-identical to uninstrumented ones (the
+        # unobserved-path contract of docs/observability.md).
+        self._tel = telemetry
         # Per-step sampled view of the hub: `step` resolves the stride check
         # once per cycle so the per-event hot paths (retransmit, ejection)
         # test a single attribute instead of two calls per event.
@@ -235,115 +234,51 @@ class Network:
     def _make_ejector(self, rid: int):
         return partial(self._handle_ejection, rid)
 
-    # --- telemetry (enabled hubs only; see docs/observability.md) --------------
+    # --- telemetry (observed runs only; see docs/observability.md) --------------
 
     def _init_telemetry(self) -> None:
-        """Register instruments and attach observation hooks."""
-        tel = self._tel
-        self._tel_prev: dict[str, float] = {}
-        self._lat_hist = tel.histogram(
-            "noc_packet_latency_cycles", "End-to-end packet latency distribution"
-        )
+        """Attach the observation hooks."""
+        self._epoch_power: "EpochPower | None" = None
         for router in self.routers:
-            router.telemetry = tel
+            router.telemetry = self._tel
             router.ecc.on_transition = self._make_ecc_observer(router.id)
 
     def _make_ecc_observer(self, rid: int):
         tel = self._tel
-        counter = tel.counter(
-            "noc_ecc_transitions_total", "Adaptive ECC hardware reconfigurations"
-        )
 
         def observe(old: EccScheme, new: EccScheme) -> None:
-            counter.inc()
             tel.record("ecc", self.cycle, router=rid, prev=old.value, scheme=new.value)
 
         return observe
 
-    def _tel_count(self, name: str, help_text: str, total: float) -> None:
-        """Advance counter *name* to the model's running *total*."""
-        tel = self._tel
-        counter = tel.counter(name, help_text)
-        prev = self._tel_prev.get(name, 0.0)
-        if total > prev:
-            counter.inc(total - prev)
-            self._tel_prev[name] = total
+    def _gauges(self) -> dict[str, float]:
+        """Point-in-time physics and power, read from model state."""
+        gauges = {
+            "mean_temp_k": self.thermal.mean_temperature(),
+            "peak_temp_k": self.thermal.peak_temperature_k,
+            "max_aging": self.aging.max_aging(),
+            "max_delta_vth_v": self.aging.max_delta_vth(),
+            "powered_routers": sum(1 for r in self.routers if r.gating.powered),
+            "channel_flits": sum(c.occupancy for c in self.channels),
+        }
+        power = self._epoch_power
+        if power is not None:
+            gauges["power_w"] = float(power.total_w.sum())
+            gauges["dynamic_w"] = float(power.dynamic_w.sum())
+            gauges["static_w"] = float(power.static_w.sum())
+        return gauges
 
-    def _sync_telemetry(self, now: int, snapshot: "EpochPower | None") -> None:
-        """Refresh epoch-granularity instruments from already-accumulated
-        model state (stats, gating, thermal, aging) — nothing here touches
-        the per-cycle hot path."""
+    def _observe_epoch(self, now: int, power: "EpochPower") -> None:
+        """Keep the epoch's power for `final`; on the stride, record a
+        `sample`.  Nothing here touches the per-cycle hot path."""
+        self._epoch_power = power
         tel = self._tel
-        stats = self.stats
-        count = self._tel_count
-        count("noc_packets_injected_total", "Packets entered at source NIs",
-              float(stats.packets_injected))
-        count("noc_packets_completed_total", "Packets fully ejected",
-              float(stats.packets_completed))
-        count("noc_flit_hops_total", "Flit deliveries over inter-router links",
-              float(stats.flits_delivered))
-        count("noc_flits_ejected_total", "Flits that reached their destination NI",
-              float(stats.flits_ejected_total))
-        count("noc_hop_retransmissions_total", "Per-hop NACK replays",
-              float(stats.hop_retransmissions))
-        count("noc_e2e_retransmission_flits_total",
-              "Flits re-injected after an end-to-end CRC failure",
-              float(stats.e2e_retransmission_flits))
-        count("noc_corrected_flits_total", "Flits corrected by per-hop ECC",
-              float(stats.corrected_flits))
-        count("noc_silent_corruptions_total",
-              "Flits corrupted beyond the detection envelope",
-              float(stats.silent_corruptions))
-        count("noc_bypass_traversals_total", "Flits forwarded by gated bypass switches",
-              float(stats.bypass_traversals))
-        count("noc_gate_transitions_total", "Router power-gate entries",
-              float(sum(r.gating.gate_count for r in self.routers)))
-        count("noc_wake_transitions_total", "Router wakeups (reactive and proactive)",
-              float(sum(r.gating.wake_count for r in self.routers)))
-        count("noc_mfac_function_switches_total", "MFAC runtime reconfigurations",
-              float(sum(c.function_switches for c in self.channels)))
-        tel.gauge("noc_mean_temperature_k", "Mean router temperature").set(
-            self.thermal.mean_temperature()
-        )
-        tel.gauge("noc_peak_temperature_k", "Hottest temperature reached so far").set(
-            self.thermal.peak_temperature_k
-        )
-        tel.gauge("noc_max_aging_factor", "Worst Eq. 7 aging factor").set(
-            self.aging.max_aging()
-        )
-        tel.gauge("noc_max_delta_vth_volts", "Worst accumulated threshold shift").set(
-            self.aging.max_delta_vth()
-        )
-        powered = sum(1 for r in self.routers if r.gating.powered)
-        tel.gauge("noc_powered_routers", "Routers currently powered on").set(powered)
-        occupancy = sum(c.occupancy for c in self.channels)
-        tel.gauge("noc_channel_occupancy_flits", "Flits in channel buffers").set(
-            occupancy
-        )
-        if snapshot is None:
-            return
-        power_w = float(snapshot.total_w.sum())
-        tel.gauge("noc_total_power_w", "Whole-NoC power over the last epoch").set(
-            power_w
-        )
-        tel.gauge("noc_dynamic_power_w", "Dynamic share of the last epoch").set(
-            float(snapshot.dynamic_w.sum())
-        )
-        tel.gauge("noc_static_power_w", "Leakage share of the last epoch").set(
-            float(snapshot.static_w.sum())
-        )
         if tel.sampled(now):
             tel.record(
-                "sample",
-                now,
-                injected=stats.packets_injected,
-                completed=stats.packets_completed,
-                power_w=round(power_w, 6),
-                mean_temp_k=round(self.thermal.mean_temperature(), 3),
-                peak_temp_k=round(self.thermal.peak_temperature_k, 3),
-                max_aging=round(self.aging.max_aging(), 9),
-                powered_routers=powered,
-                channel_flits=occupancy,
+                "sample", now,
+                injected=self.stats.packets_injected,
+                completed=self.stats.packets_completed,
+                **self._gauges(),
             )
 
     def _record_control(self, now: int, applied: list[int]) -> None:
@@ -374,19 +309,31 @@ class Network:
             )
 
     def finalize_telemetry(self) -> None:
-        """Flush epoch-synced instruments and record the run summary (runs
-        rarely end exactly on an epoch boundary).  No-op when disabled."""
+        """Close the event stream with the `final` record: every run total,
+        read from model state, and the last gauge values (runs rarely end
+        exactly on an epoch boundary).  No-op when unobserved."""
         tel = self._tel
         if tel is None:
             return
-        self._sync_telemetry(self.cycle, None)
-        tel.record(
-            "final",
+        stats = self.stats
+        tel.finish(
             self.cycle,
-            injected=self.stats.packets_injected,
-            completed=self.stats.packets_completed,
-            retransmitted_flits=self.stats.total_retransmitted_flits,
-            dropped_events=tel.dropped_events,
+            injected=stats.packets_injected,
+            completed=stats.packets_completed,
+            flit_hops=stats.flits_delivered,
+            flits_ejected=stats.flits_ejected_total,
+            hop_retransmissions=stats.hop_retransmissions,
+            e2e_retransmission_flits=stats.e2e_retransmission_flits,
+            retransmitted_flits=stats.total_retransmitted_flits,
+            corrected_flits=stats.corrected_flits,
+            silent_corruptions=stats.silent_corruptions,
+            bypass_traversals=stats.bypass_traversals,
+            gate_transitions=sum(r.gating.gate_count for r in self.routers),
+            wake_transitions=sum(r.gating.wake_count for r in self.routers),
+            mfac_function_switches=sum(c.function_switches for c in self.channels),
+            latency_sum=stats.latency_sum,
+            latency_count=stats.latency_count,
+            **self._gauges(),
         )
 
     # --- public API -------------------------------------------------------------
@@ -851,14 +798,12 @@ class Network:
             # re-converged around the damage (time-to-recover sample).
             self.stats.recovery_cycles.append(cycle - self._recovery_pending_since)
             self._recovery_pending_since = None
-        if self._tel is not None:
-            self._lat_hist.observe(float(packet.latency))
-            tel = self._tel_sampled  # stride check hoisted into Network.step
-            if tel is not None:
-                tel.record(
-                    "packet", cycle, src=packet.src, dst=packet.dst,
-                    latency=packet.latency, size=packet.size, hops=len(packet.path),
-                )
+        tel = self._tel_sampled  # stride check hoisted into Network.step
+        if tel is not None:
+            tel.record(
+                "packet", cycle, src=packet.src, dst=packet.dst,
+                latency=packet.latency, size=packet.size, hops=len(packet.path),
+            )
         n = self.stats.packets_completed
         self._running_avg_latency += (packet.latency - self._running_avg_latency) / min(
             n, 200
@@ -886,12 +831,8 @@ class Network:
 
     def note_scenario_event(self, cycle: int, kind: str, **fields) -> None:
         """Record one fired scenario event in the telemetry stream."""
-        if self._tel is None:
-            return
-        self._tel.counter(
-            "noc_scenario_events_total", "Fault-scenario timeline events fired"
-        ).inc()
-        self._tel.record("scenario", cycle, event=kind, **fields)
+        if self._tel is not None:
+            self._tel.record("scenario", cycle, event=kind, **fields)
 
     def _endpoint_dead(self, src_node: int, dst_node: int) -> bool:
         return (
@@ -907,10 +848,6 @@ class Network:
         self.stats.record_injection()
         self.stats.packets_undeliverable += 1
         if self._tel is not None:
-            self._tel.counter(
-                "noc_packets_dropped_total",
-                "Packets dropped or refused under fault scenarios",
-            ).inc()
             self._tel.record(
                 "drop", cycle, src=packet.src, dst=packet.dst,
                 reason=REASON_UNDELIVERABLE,
@@ -1018,10 +955,6 @@ class Network:
             self.stats.packets_undeliverable += 1
         self._pending_drops.append(packet)
         if self._tel is not None:
-            self._tel.counter(
-                "noc_packets_dropped_total",
-                "Packets dropped or refused under fault scenarios",
-            ).inc()
             self._tel.record(
                 "drop", self.cycle, src=packet.src, dst=packet.dst, reason=reason
             )
@@ -1128,7 +1061,7 @@ class Network:
         self.thermal.step(snapshot.total_w, dt)
         self.invalidate_hop_rates()
         if self._tel is not None:
-            self._sync_telemetry(now, snapshot)
+            self._observe_epoch(now, snapshot)
 
     # The stress-relaxing bypass "is operational for even low-to-moderate
     # traffic load" (Section 3.3): its single-flit-per-cycle switch cannot

@@ -180,8 +180,8 @@ class Router:
         # Set by the network: samples bit errors for one traversal of an
         # incoming channel (used on bypassed hops, where no decoder runs).
         self.sample_link_errors: Callable[[Channel], int] | None = None
-        # Set by the network when an *enabled* telemetry hub is attached;
-        # stays None otherwise so instrumented paths cost one check.
+        # Set by the network when a telemetry hub is attached; stays None
+        # otherwise so instrumented paths cost one check.
         self.telemetry: "Telemetry | None" = None
 
     @property
@@ -246,9 +246,6 @@ class Router:
         else:
             self.gating.request_power_on(cycle)
         if self.telemetry is not None and mode != prev:
-            self.telemetry.counter(
-                "noc_mode_transitions_total", "Operation-mode changes applied"
-            ).inc()
             self.telemetry.record(
                 "mode",
                 cycle,

@@ -1,24 +1,25 @@
-"""``repro.telemetry`` — zero-overhead-when-disabled instrumentation.
+"""``repro.telemetry`` — zero-overhead-when-off observation.
 
-The observability layer of the reproduction (catalogued in
-``docs/observability.md``):
+The observability layer of the reproduction (``docs/observability.md``,
+"What a run leaves behind"):
 
-* :class:`Telemetry` — the hub: typed instruments (counters, gauges,
-  histograms) plus a cycle-stamped JSONL event tracer, sampled on a
-  configurable cycle stride.  Pass one to
-  :class:`~repro.noc.network.Network` (or the CLI's ``--trace`` /
-  ``--metrics-out``) to watch mode transitions, reward decompositions,
-  retransmission bursts and thermal trajectories as they happen.
-* :class:`PhaseProfiler` — wall-clock spans for the *orchestration* layer
-  (never the simulated-cycle domain), exported as Chrome trace-event JSON
-  for ``chrome://tracing``.
-* :class:`SimProfiler` — the one sanctioned wall-clock probe *inside* the
-  cycle loop: per-``Network.step``-phase time attribution with stride
-  sampling, router/channel heat tables, and Chrome-trace export, under
-  the same bit-identical-runs contract (NOC405 statically enforces that
-  no other clock reads the cycle domain).
+* :class:`Telemetry` — the hub: the cycle-stamped event stream of one
+  simulation, dense kinds sampled on a configurable cycle stride, closed
+  by one ``final`` record holding the run's totals.  Pass one to
+  :class:`~repro.noc.network.Network` (or ``repro run --observe DIR``) to
+  watch mode transitions, reward decompositions, retransmission bursts
+  and thermal trajectories as they happen.
+* :class:`SimProfiler` — the one wall-clock profiler: orchestration spans
+  (trace generation, pre-training, engine runs, campaign jobs) and, as the
+  one sanctioned probe *inside* the cycle loop, per-``Network.step``-phase
+  attribution with stride sampling and router/channel heat tables, under
+  the bit-identical-runs contract (NOC405 statically enforces that no
+  other clock reads the cycle domain).  One Chrome trace holds both.
 * :class:`CampaignTraceSink` — turns the execution engine's progress-event
-  stream into a JSONL campaign log persisted next to result artifacts.
+  stream into the wall-stamped JSONL campaign log.
+
+Both JSONL streams share one envelope and one encoder
+(:mod:`repro.telemetry.sinks`).
 
 Layering: this package sits below the orchestration layer — simulation
 packages may import it, and it imports no simulator or campaign code.  It
@@ -27,57 +28,31 @@ wall-clock/entropy reads outside the monotonic profiler clock).
 """
 
 from repro.telemetry.campaign import (
-    CAMPAIGN_LOG_NAME,
     CampaignTraceSink,
-    cell_span_recorder,
     chain_progress,
     describe_progress_event,
 )
 from repro.telemetry.hub import Telemetry
-from repro.telemetry.instruments import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-)
-from repro.telemetry.profiler import CHROME_TRACE_SCHEMA, PhaseProfiler, PhaseSpan
 from repro.telemetry.simprof import (
+    CHROME_TRACE_SCHEMA,
     OVERHEAD_PHASE,
-    SIMPROF_SUMMARY_SCHEMA,
-    SIMPROF_TRACE_SCHEMA,
     STEP_PHASES,
+    PhaseSpan,
     SimProfiler,
 )
-from repro.telemetry.sinks import (
-    read_events_jsonl,
-    render_prometheus,
-    write_events_jsonl,
-    write_prometheus,
-)
+from repro.telemetry.sinks import EVENTS_SCHEMA, read_events_jsonl, write_events_jsonl
 
 __all__ = [
-    "CAMPAIGN_LOG_NAME",
     "CHROME_TRACE_SCHEMA",
     "CampaignTraceSink",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "Instrument",
+    "EVENTS_SCHEMA",
     "OVERHEAD_PHASE",
-    "PhaseProfiler",
     "PhaseSpan",
-    "SIMPROF_SUMMARY_SCHEMA",
-    "SIMPROF_TRACE_SCHEMA",
     "STEP_PHASES",
     "SimProfiler",
     "Telemetry",
-    "cell_span_recorder",
     "chain_progress",
     "describe_progress_event",
     "read_events_jsonl",
-    "render_prometheus",
     "write_events_jsonl",
-    "write_prometheus",
 ]

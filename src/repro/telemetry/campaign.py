@@ -4,12 +4,12 @@ The execution engine reports the lifecycle of every job — a campaign cell,
 or the pre-training job RL cells deploy — through ``ProgressEvent``
 callbacks (start / done / cached / resumed / retry / failed /
 quarantined).  The sink here turns that stream into an append-only JSONL
-log persisted next to the result store's artifacts, so a campaign leaves
-a durable, machine-readable record of what ran, how long each cell took,
-what was retried, what was replayed from a resumed journal, and what was
-quarantined — without the CLI having to re-clock anything.  (The campaign
-*journal* is separate: it is the minimal crash-safe resume substrate,
-while this log is the full observability stream; see docs/resilience.md.)
+log in the one event envelope (:mod:`repro.telemetry.sinks`), so a
+campaign leaves a durable, machine-readable record of what ran, how long
+each cell took, what was retried, what was replayed from a resumed
+journal, and what was quarantined.  (The campaign *journal* is separate:
+it is the minimal crash-safe resume substrate, while this log is the full
+observability stream; see docs/resilience.md.)
 
 The sink is deliberately *duck-typed* over the event object (it reads
 ``kind``/``completed``/``total``/``duration_s``/... by ``getattr``): the
@@ -20,16 +20,11 @@ import ``repro.exec.executors`` for the type.
 
 from __future__ import annotations
 
-import json
-import time
 from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
-from repro.telemetry.profiler import PhaseProfiler
-
-#: Default log filename, placed next to the ResultStore's artifacts.
-CAMPAIGN_LOG_NAME = "campaign-events.jsonl"
+from repro.telemetry.sinks import encode_event, header
 
 ProgressLike = Any  # duck-typed executor ProgressEvent
 ProgressCallbackLike = Callable[[ProgressLike], None]
@@ -68,27 +63,31 @@ class CampaignTraceSink:
 
     Usable directly as a progress callback::
 
-        with CampaignTraceSink(store.cache_dir / CAMPAIGN_LOG_NAME) as sink:
+        profiler = SimProfiler()
+        with CampaignTraceSink(path, clock=profiler.now_s) as sink:
             engine = CampaignEngine(progress=sink)
 
-    Each line carries a monotonic ``t_s`` relative to the sink's creation
-    (never the wall clock: the log format stays deterministic-friendly and
-    secret-free).
+    Opening the sink appends a ``campaign`` header; each event line then
+    carries ``t_s`` read from *clock* — the profiler's monotonic seconds,
+    so log lines and profile spans share one time base.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, clock: Callable[[], float]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._clock = clock
         self._fh = self.path.open("a", encoding="utf-8")
-        self._epoch = time.monotonic()  # noqa: NOC105 -- diagnostic campaign-altitude timestamp, never simulated state
+        self._write(header("campaign"))
         self.events_written = 0
+
+    def _write(self, record: dict[str, Any]) -> None:
+        self._fh.write(encode_event(record))
+        self._fh.flush()
 
     def __call__(self, event: ProgressLike) -> None:
         record = describe_progress_event(event)
-        record["t_s"] = round(time.monotonic() - self._epoch, 6)  # noqa: NOC105 -- diagnostic campaign-altitude timestamp, never simulated state
-        self._fh.write(json.dumps(record, sort_keys=True))
-        self._fh.write("\n")
-        self._fh.flush()
+        record["t_s"] = round(self._clock(), 6)
+        self._write(record)
         self.events_written += 1
 
     def close(self) -> None:
@@ -100,29 +99,6 @@ class CampaignTraceSink:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def cell_span_recorder(profiler: PhaseProfiler) -> ProgressCallbackLike:
-    """A progress callback recording one profiler span per finished job.
-
-    Uses the executor-measured ``duration_s`` (anchored to end *now*), so
-    the Chrome trace shows every job as a block on the campaign timeline,
-    in the category of its kind (``cell`` or ``pretrain``) — including
-    failures, which appear in ``cell-failed`` / ``pretrain-failed``.
-    """
-
-    def observe(event: ProgressLike) -> None:
-        kind = getattr(event, "kind", "")
-        if kind not in ("done", "failed"):
-            return
-        spec = getattr(event, "spec", None)
-        label = getattr(spec, "label", "cell")
-        job = getattr(spec, "job", "cell")
-        duration = max(0.0, float(getattr(event, "duration_s", 0.0)))
-        category = job if kind == "done" else f"{job}-failed"
-        profiler.record_span(str(label), duration, category=category, kind=kind)
-
-    return observe
 
 
 def chain_progress(

@@ -1,32 +1,21 @@
-"""The :class:`Telemetry` hub: instrument registry + in-simulation tracer.
+"""The :class:`Telemetry` hub: the in-simulation event stream.
 
-One hub instance observes one simulation run (or one campaign process).
-It owns
-
-* a registry of typed instruments (get-or-create by name, type-checked),
-* an in-memory event trace: dict records with a ``kind`` and the simulated
-  ``cycle`` they were observed at, sampled on a configurable cycle stride,
-* convenience writers for the JSONL trace and the Prometheus-style text
-  snapshot (:mod:`repro.telemetry.sinks`).
+One hub instance observes one simulation run.  It owns an in-memory event
+trace: dict records with a ``kind`` and the simulated ``cycle`` they were
+observed at, the dense kinds sampled on a configurable cycle stride, and
+closed by one ``final`` record carrying the run's totals (the numbers a
+metrics snapshot would hold, read from model state at the end of the run).
 
 Determinism contract: the hub never reads clocks or entropy and never
-mutates simulator state — every record is a pure observation.  With
-``enabled=False`` (or simply no hub passed), instrumented code skips all
-telemetry work, so disabled runs are bit-identical to uninstrumented ones.
+mutates simulator state — every record is a pure observation.  With no hub
+passed, instrumented code skips all telemetry work, so unobserved runs are
+bit-identical to uninstrumented ones.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Any
-
-from repro.telemetry.instruments import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-)
 
 #: Cap on retained trace events; beyond it events are counted but dropped,
 #: so an accidentally unstrided long run degrades instead of exhausting
@@ -35,11 +24,10 @@ DEFAULT_MAX_EVENTS = 1_000_000
 
 
 class Telemetry:
-    """Instrument registry and event tracer for one run."""
+    """Event tracer for one run."""
 
     def __init__(
         self,
-        enabled: bool = True,
         trace_stride: int = 1,
         max_events: int = DEFAULT_MAX_EVENTS,
     ):
@@ -47,67 +35,10 @@ class Telemetry:
             raise ValueError("trace stride must be >= 1")
         if max_events < 0:
             raise ValueError("max_events cannot be negative")
-        self.enabled = enabled
         self.trace_stride = trace_stride
         self.max_events = max_events
         self.events: list[dict[str, Any]] = []
         self.dropped_events = 0
-        self._instruments: dict[str, Instrument] = {}
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """A hub that records nothing (handy as an explicit 'off' value)."""
-        return cls(enabled=False)
-
-    # --- instruments ----------------------------------------------------------
-
-    def _get_or_create(
-        self, cls: type[Instrument], name: str, help_text: str, **kwargs: Any
-    ) -> Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ValueError(
-                    f"instrument {name!r} already registered as {existing.kind}"
-                )
-            return existing
-        instrument: Instrument = cls(name, help_text, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        out = self._get_or_create(Counter, name, help_text)
-        assert isinstance(out, Counter)
-        return out
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        out = self._get_or_create(Gauge, name, help_text)
-        assert isinstance(out, Gauge)
-        return out
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        out = self._get_or_create(Histogram, name, help_text, buckets=buckets)
-        assert isinstance(out, Histogram)
-        return out
-
-    def instruments(self) -> list[Instrument]:
-        """All registered instruments, in registration order."""
-        return list(self._instruments.values())
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat {exposition name: value} view of every instrument."""
-        out: dict[str, float] = {}
-        for instrument in self._instruments.values():
-            for name, value in instrument.samples():
-                out[name] = value
-        return out
-
-    # --- event tracing --------------------------------------------------------
 
     def sampled(self, cycle: int) -> bool:
         """Whether high-frequency events at *cycle* fall on the stride."""
@@ -115,8 +46,6 @@ class Telemetry:
 
     def record(self, kind: str, cycle: int, **fields: Any) -> None:
         """Append one trace event (JSON-safe field values only)."""
-        if not self.enabled:
-            return
         if len(self.events) >= self.max_events:
             self.dropped_events += 1
             return
@@ -124,27 +53,26 @@ class Telemetry:
         event.update(fields)
         self.events.append(event)
 
+    def finish(self, cycle: int, **totals: Any) -> None:
+        """Append the closing ``final`` record.  It ignores the cap: it is
+        the record that reports how many events the cap dropped."""
+        self.events.append(
+            {"kind": "final", "cycle": cycle, **totals,
+             "dropped_events": self.dropped_events}
+        )
+
     def events_of(self, kind: str) -> list[dict[str, Any]]:
         """All recorded events of one kind, in record order."""
         return [e for e in self.events if e["kind"] == kind]
 
-    # --- persistence ----------------------------------------------------------
-
     def write_trace(self, path: str | Path) -> Path:
-        """Write the event trace as JSON lines; returns the path."""
+        """Write the event stream as JSON lines; returns the path."""
         from repro.telemetry.sinks import write_events_jsonl
 
-        return write_events_jsonl(path, self.events)
-
-    def write_metrics(self, path: str | Path) -> Path:
-        """Write the Prometheus-style text snapshot; returns the path."""
-        from repro.telemetry.sinks import write_prometheus
-
-        return write_prometheus(path, self.instruments())
+        return write_events_jsonl(path, self.events, scope="run")
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
         return (
-            f"Telemetry({state}, stride={self.trace_stride}, "
-            f"{len(self._instruments)} instruments, {len(self.events)} events)"
+            f"Telemetry(stride={self.trace_stride}, {len(self.events)} events, "
+            f"{self.dropped_events} dropped)"
         )

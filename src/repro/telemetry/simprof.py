@@ -1,15 +1,23 @@
-"""In-loop simulator profiler: wall time per ``Network.step`` sub-phase.
+"""The profiler: wall time per orchestration phase and per ``Network.step``
+sub-phase, on one clock, in one Chrome trace.
 
-:class:`PhaseProfiler` (PR 3) stops at the orchestration altitude — it can
-say a cell spent 12 s in ``simulate`` but not *where inside the cycle loop*
-that time went.  :class:`SimProfiler` closes that gap: the network calls
-``begin_step`` once per cycle and ``lap(phase)`` between sub-phases on
-sampled steps, and the profiler accumulates per-phase wall totals,
-per-router / per-channel utilization heat tables, and a Chrome-trace
-export, so perf work on ROADMAP item 1 knows which phase to attack first.
+Two altitudes, one class:
 
-The contract is the bit-identical-runs contract the telemetry hub honors
-(``docs/observability.md``), at a measured near-zero cost when off:
+* **Orchestration spans** — ``phase()`` / ``record_span()`` time trace
+  generation, pre-training, engine runs and individual campaign jobs
+  (``record_job`` is the progress callback that turns each finished job
+  into a span).
+* **The cycle loop** — the network calls ``begin_step`` once per cycle
+  and ``lap(phase)`` between sub-phases on sampled steps, and the profiler
+  accumulates per-phase wall totals and per-router / per-channel
+  utilization heat tables.
+
+``to_chrome_trace`` lays the spans on ``tid 0`` and "one averaged step"
+on ``tid 1``, so perf work knows both which phase of a campaign and which
+phase of the cycle loop to attack first.
+
+The in-loop probes keep the bit-identical-runs contract the telemetry hub
+honors (``docs/observability.md``), at a measured near-zero cost when off:
 
 * **One code path.**  The probes live in the only body of the cycle
   loop (``Network.step`` / ``_step_routers`` / ``Router.step``); on a
@@ -34,15 +42,14 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 #: Schema tag for the Chrome trace-event export (top-level ``otherData``).
-SIMPROF_TRACE_SCHEMA = "repro-simprof/1"
-
-#: Schema tag for the JSON summary (:meth:`SimProfiler.to_dict`).
-SIMPROF_SUMMARY_SCHEMA = "repro-simprof-summary/1"
+CHROME_TRACE_SCHEMA = "repro-profile/1"
 
 #: Canonical phase order, matching ``Network.step``'s execution order.
 #: ``router.*`` phases accumulate across every router stepped in a cycle
@@ -70,13 +77,29 @@ STEP_PHASES: tuple[str, ...] = (
 OVERHEAD_PHASE = "simprof.overhead"
 
 
+@dataclass(frozen=True)
+class PhaseSpan:
+    """One timed phase: a named interval on the orchestration timeline."""
+
+    name: str
+    category: str
+    start_s: float  # seconds since the profiler's epoch
+    duration_s: float
+    args: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def end_s(self) -> float:
+        return self.start_s + self.duration_s
+
+
 class SimProfiler:
-    """Per-phase wall-time attribution for the simulator cycle loop.
+    """Orchestration spans and per-phase cycle-loop attribution.
 
     Pure observer: owns the only clock in the cycle domain (injected as a
     callable so tests drive it deterministically) and never touches
     simulation state.  Pass one to :class:`~repro.noc.network.Network`
-    (or ``repro run --simprof``) to enable it.
+    (or ``repro run --observe DIR``) to profile the cycle loop, or to an
+    engine driver's ``profiler`` to time its runs and jobs.
     """
 
     def __init__(
@@ -90,6 +113,8 @@ class SimProfiler:
         self.stride = stride
         self.heat = heat
         self._clock = clock
+        self._epoch = clock()
+        self.spans: list[PhaseSpan] = []
         self.steps_seen = 0
         self.steps_profiled = 0
         self.overhead_s = 0.0
@@ -106,6 +131,75 @@ class SimProfiler:
         self._channel_flits: list[int] = []
         #: Optional display labels for channel indices (set by the network).
         self.channel_labels: list[str] | None = None
+
+    # --- orchestration spans --------------------------------------------------
+
+    def now_s(self) -> float:
+        """Seconds since this profiler was created (monotonic)."""
+        return self._clock() - self._epoch
+
+    @contextmanager
+    def phase(self, name: str, category: str = "phase", **args: Any) -> Iterator[None]:
+        """Time one orchestration phase::
+
+            with profiler.phase("engine.run", cells=12):
+                engine.run(specs)
+        """
+        start = self.now_s()
+        try:
+            yield
+        finally:
+            self.spans.append(
+                PhaseSpan(name, category, start, self.now_s() - start, dict(args))
+            )
+
+    def record_span(
+        self,
+        name: str,
+        duration_s: float,
+        category: str = "cell",
+        end_s: float | None = None,
+        **args: Any,
+    ) -> PhaseSpan:
+        """Record a span timed elsewhere (e.g. an executor's ``duration_s``).
+
+        When *end_s* is omitted the span is anchored so it ends now — the
+        natural fit for progress events that arrive at completion time.
+        """
+        if duration_s < 0:
+            raise ValueError("span duration cannot be negative")
+        end = self.now_s() if end_s is None else end_s
+        span = PhaseSpan(name, category, max(0.0, end - duration_s),
+                         duration_s, dict(args))
+        self.spans.append(span)
+        return span
+
+    def record_job(self, event: Any) -> None:
+        """Progress callback: one span per finished job.
+
+        Uses the executor-measured ``duration_s`` (anchored to end *now*),
+        in the category of the job's kind (``cell`` or ``pretrain``) —
+        failures included, as ``cell-failed`` / ``pretrain-failed``.  The
+        executor's ``ProgressEvent`` is duck-typed: this package sits below
+        ``repro.exec`` in the import graph.
+        """
+        kind = getattr(event, "kind", "")
+        if kind not in ("done", "failed"):
+            return
+        spec = getattr(event, "spec", None)
+        job = getattr(spec, "job", "cell")
+        duration = max(0.0, float(getattr(event, "duration_s", 0.0)))
+        category = job if kind == "done" else f"{job}-failed"
+        self.record_span(str(getattr(spec, "label", "cell")), duration,
+                         category=category, kind=kind)
+
+    def summary(self) -> list[tuple[str, int, float]]:
+        """(name, span count, total seconds), ordered by first occurrence."""
+        totals: dict[str, tuple[int, float]] = {}
+        for span in self.spans:
+            count, seconds = totals.get(span.name, (0, 0.0))
+            totals[span.name] = (count + 1, seconds + span.duration_s)
+        return [(name, count, seconds) for name, (count, seconds) in totals.items()]
 
     # --- probe points (called from the cycle loop) ----------------------------
 
@@ -237,58 +331,31 @@ class SimProfiler:
 
     # --- export ---------------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe summary of everything the profiler observed."""
-        shares = self.phase_shares()
-        return {
-            "schema": SIMPROF_SUMMARY_SCHEMA,
-            "stride": self.stride,
-            "steps_seen": self.steps_seen,
-            "steps_profiled": self.steps_profiled,
-            "first_cycle": self.first_cycle,
-            "last_cycle": self.last_cycle,
-            "total_s": round(self.total_s(), 6),
-            "overhead_s": round(self.overhead_s, 6),
-            "phases": {
-                name: {
-                    "seconds": round(seconds, 6),
-                    "share": round(shares[name], 6),
-                    "laps": self._phase_laps.get(name, 0),
-                }
-                for name, seconds in self.phase_totals().items()
-            },
-            "router_heat": self.router_heat(),
-            "channel_heat": self.channel_heat(),
-        }
-
     def to_chrome_trace(self) -> dict[str, Any]:
-        """Aggregated per-phase profile as Chrome trace-event JSON.
+        """The ``chrome://tracing`` / Perfetto JSON object.
 
-        Phases are laid out back-to-back as complete (``X``) events in
-        canonical step order — a flamegraph-compatible rendering of "one
-        averaged step", scaled to total profiled seconds.
+        ``tid 0``: the orchestration spans, by start time.  ``tid 1`` (when
+        any step was profiled): the step phases laid back-to-back in
+        canonical order — a flamegraph of "one averaged step", scaled to
+        total profiled seconds.  All events are complete (``X``) events
+        with microsecond timestamps.
         """
-        events: list[dict[str, Any]] = []
-        cursor = 0.0
-        for name, seconds in self.phase_totals().items():
-            events.append(
-                {
-                    "name": name,
-                    "cat": "simprof",
-                    "ph": "X",
-                    "ts": round(cursor * 1e6, 3),
-                    "dur": round(seconds * 1e6, 3),
-                    "pid": 0,
-                    "tid": 0,
-                    "args": {"laps": self._phase_laps.get(name, 0)},
-                }
-            )
-            cursor += seconds
+        events = [
+            _complete(span.name, span.category, span.start_s, span.duration_s,
+                      0, span.args)
+            for span in sorted(self.spans, key=lambda s: s.start_s)
+        ]
+        if self.steps_profiled:
+            cursor = 0.0
+            for name, seconds in self.phase_totals().items():
+                events.append(_complete(name, "simprof", cursor, seconds, 1,
+                                        {"laps": self._phase_laps.get(name, 0)}))
+                cursor += seconds
         return {
             "traceEvents": events,
             "displayTimeUnit": "ms",
             "otherData": {
-                "schema": SIMPROF_TRACE_SCHEMA,
+                "schema": CHROME_TRACE_SCHEMA,
                 "stride": self.stride,
                 "steps_seen": self.steps_seen,
                 "steps_profiled": self.steps_profiled,
@@ -302,21 +369,28 @@ class SimProfiler:
         out.write_text(json.dumps(self.to_chrome_trace()), encoding="utf-8")
         return out
 
-    def write_summary(self, path: str | Path) -> Path:
-        """Write the JSON summary (:meth:`to_dict`); returns the path."""
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8"
-        )
-        return out
-
     def __repr__(self) -> str:
         return (
-            f"SimProfiler(stride={self.stride}, "
+            f"SimProfiler(stride={self.stride}, {len(self.spans)} spans, "
             f"profiled={self.steps_profiled}/{self.steps_seen} steps, "
             f"{len(self._phase_s)} phases, {self.total_s():.3f}s)"
         )
+
+
+def _complete(
+    name: str, category: str, start_s: float, duration_s: float, tid: int,
+    args: dict[str, Any],
+) -> dict[str, Any]:
+    return {
+        "name": name,
+        "cat": category,
+        "ph": "X",
+        "ts": round(start_s * 1e6, 3),
+        "dur": round(duration_s * 1e6, 3),
+        "pid": 0,
+        "tid": tid,
+        "args": args,
+    }
 
 
 def _accumulate(busy: list[int], flits: list[int], sample: Sequence[int]) -> None:

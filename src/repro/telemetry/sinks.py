@@ -1,45 +1,56 @@
-"""Telemetry sinks: JSONL trace files and Prometheus-style text snapshots.
+"""The one event-stream format: versioned JSON lines.
 
-Two durable formats:
+Both JSONL streams — a run's cycle-stamped events and a campaign's
+wall-stamped progress log — share one envelope.  A line carries ``kind``,
+then its clock (``cycle``, simulated time, or ``t_s``, wall seconds), then
+its payload.  Every session opens with a ``header`` line naming the schema
+and the scope, so a log appended across a resume still shows where each
+session's ``t_s`` restarts at 0.
 
-* **JSONL traces** — one JSON object per line, in record order.  Griddable
-  with ``jq``, loadable with :func:`read_events_jsonl` (exact round-trip of
-  what :meth:`Telemetry.record` captured).
-* **Prometheus text exposition** — ``# HELP``/``# TYPE`` headers plus one
-  sample per line, the de-facto scrape format, so a snapshot can be fed to
-  promtool, node-exporter textfile collectors, or just diffed in CI.
-
-Writes are atomic-enough for our use (write then close); readers are
-strict — a malformed line raises, because a trace that cannot round-trip
-is a bug, not an operational condition.
+Readers are strict — a malformed line raises, because a trace that cannot
+round-trip is a bug, not an operational condition.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.telemetry.instruments import Instrument
+#: Schema tag carried by every session's header line.
+EVENTS_SCHEMA = "repro-events/1"
+
+_ENVELOPE = ("kind", "cycle", "t_s")
+
+
+def header(scope: str) -> dict[str, Any]:
+    """The line that opens one ``run`` or ``campaign`` session."""
+    return {"kind": "header", "schema": EVENTS_SCHEMA, "scope": scope}
+
+
+def encode_event(event: Mapping[str, Any]) -> str:
+    """One JSONL line: the envelope keys first, then the payload sorted."""
+    line = {key: event[key] for key in _ENVELOPE if key in event}
+    line.update(sorted((k, v) for k, v in event.items() if k not in line))
+    return json.dumps(line) + "\n"
 
 
 def write_events_jsonl(
-    path: str | Path, events: Iterable[Mapping[str, Any]]
+    path: str | Path, events: Iterable[Mapping[str, Any]], scope: str
 ) -> Path:
-    """Write *events* one JSON object per line; returns the path."""
+    """Write one *scope* session — header, then *events* — as JSON lines."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", encoding="utf-8") as fh:
+        fh.write(encode_event(header(scope)))
         for event in events:
-            fh.write(json.dumps(dict(event), sort_keys=True))
-            fh.write("\n")
+            fh.write(encode_event(event))
     return out
 
 
 def read_events_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Load a JSONL trace back into a list of event dicts."""
+    """Load a JSONL stream back into a list of records, headers included."""
     events: list[dict[str, Any]] = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -54,33 +65,3 @@ def read_events_jsonl(path: str | Path) -> list[dict[str, Any]]:
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
             events.append(record)
     return events
-
-
-def _format_value(value: float) -> str:
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        return "NaN"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
-
-def render_prometheus(instruments: Iterable[Instrument]) -> str:
-    """The text exposition of *instruments* (HELP/TYPE + samples)."""
-    lines: list[str] = []
-    for instrument in instruments:
-        if instrument.help_text:
-            lines.append(f"# HELP {instrument.name} {instrument.help_text}")
-        lines.append(f"# TYPE {instrument.name} {instrument.kind}")
-        for name, value in instrument.samples():
-            lines.append(f"{name} {_format_value(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(path: str | Path, instruments: Iterable[Instrument]) -> Path:
-    """Write the text snapshot of *instruments*; returns the path."""
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render_prometheus(instruments), encoding="utf-8")
-    return out

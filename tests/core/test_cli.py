@@ -2,10 +2,13 @@
 
 import json
 import logging
+import os
+import signal
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry import EVENTS_SCHEMA, read_events_jsonl
 
 
 class TestParser:
@@ -27,12 +30,20 @@ class TestParser:
             build_parser().parse_args(["run", "--benchmark", "doom3"])
 
     def test_retired_surface_stays_retired(self):
-        """``repro bench``, the lint cache / process pool and the SARIF
-        report are gone (the yardstick is ``bench/``; every lint run is
-        cold and serial; CI reads the JSON report)."""
+        """``repro bench``, the lint cache / process pool, the SARIF
+        report and the per-format artefact options are gone (the yardstick
+        is ``bench/``; every lint run is cold and serial; CI reads the JSON
+        report; ``--observe DIR`` writes every run artefact)."""
         for argv in (
             ["bench"], ["lint", "--cache"], ["lint", "--jobs", "2"],
             ["lint", "--sarif", "x"],
+            *(["run", option, "x"] for option in (
+                "--trace", "--trace-stride", "--metrics-out", "--profile",
+                "--simprof", "--simprof-stride",
+            )),
+            *([command, option, "x"]
+              for command in ("campaign", "sweep", "verify-paper")
+              for option in ("--profile", "--campaign-log")),
         ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
@@ -68,12 +79,12 @@ class TestCommands:
 
     def test_sweep_unknown_knob_fails(self, tmp_path):
         """A misspelt knob is rejected before the session opens anything."""
-        log = tmp_path / "events.jsonl"
+        observe = tmp_path / "observe"
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "--knob", "nonsense", "--values", "1",
-                  "--campaign-log", str(log)])
+                  "--observe", str(observe)])
         assert exit_info.value.code == 2
-        assert not log.exists()
+        assert not observe.exists()
 
     def test_sweep_gamma_small(self, capsys):
         rc = main(["sweep", "--knob", "gamma", "--values", "0.9",
@@ -220,8 +231,8 @@ class TestResilienceOptions:
 class TestSmokes:
     """What CI's retired smoke jobs ran that nothing else in tier-1 does,
     through ``main``: the non-mesh fabrics and the scenario packs under
-    ``--sanitize``, every artefact flag of ``run`` written and read back,
-    and a campaign's ``--campaign-log`` and reliability table."""
+    ``--sanitize``, the ``--observe`` artefacts written and read back, and
+    a campaign's reliability table."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--topology", "torus"],
@@ -233,45 +244,70 @@ class TestSmokes:
     def test_sanitized_run_writes_its_artefacts(
         self, argv, tmp_path, monkeypatch, capsys
     ):
-        from repro.telemetry.sinks import read_events_jsonl
-
         # --sanitize exports REPRO_SANITIZE into os.environ; setting it
         # first is what makes monkeypatch restore it (delenv on an unset
         # name records nothing), so it cannot leak into later tests.
         monkeypatch.setenv("REPRO_SANITIZE", "0")
         monkeypatch.setenv("REPRO_SANITIZE_DIR", str(tmp_path / "sanitizer"))
-        profile = tmp_path / "profile.json"
+        observe = tmp_path / "observe"
         if argv[0] == "run":
-            jsonl, prom = tmp_path / "trace.jsonl", tmp_path / "metrics.prom"
-            simprof = tmp_path / "simprof.json"
             argv = argv + [
                 "--technique", "intellinoc", "--benchmark", "swa",
-                "--duration", "800", "--seed", "2",
-                "--trace", str(jsonl), "--trace-stride", "50",
-                "--metrics-out", str(prom),
-                "--simprof", str(simprof), "--simprof-stride", "10",
+                "--duration", "800", "--seed", "2", "--observe-stride", "10",
             ]
         else:
-            jsonl = tmp_path / "campaign-events.jsonl"
             argv = argv + [
                 "--benchmarks", "swa", "--duration", "600", "--pretrain", "0",
                 "--figures", "latency", "--no-cache",
-                "--campaign-log", str(jsonl),
             ]
-        rc = main(argv + ["--sanitize", "--profile", str(profile)])
+        rc = main(argv + ["--sanitize", "--observe", str(observe)])
         out = capsys.readouterr().out
         assert rc == 0
         assert not (tmp_path / "sanitizer").exists()  # no violation snapshot
-        events = read_events_jsonl(jsonl)
-        assert events and all("kind" in e for e in events)
-        assert json.loads(profile.read_text())["traceEvents"]
+        events = read_events_jsonl(observe / "events.jsonl")
+        assert events[0] == {"kind": "header", "schema": EVENTS_SCHEMA,
+                             "scope": argv[0]}
+        tracks = {e["tid"] for e in _profile(observe)["traceEvents"]}
         if argv[0] == "run":
-            assert json.loads(simprof.read_text())["traceEvents"]
-            assert "# TYPE" in prom.read_text()
+            assert events[-1]["kind"] == "final"
+            assert all("cycle" in e for e in events[1:])
+            assert tracks == {0, 1}
             assert ("delivery ratio" in out) == ("--scenario" in argv)
         else:
             assert [e["kind"] for e in events].count("done") == 5
+            assert all("t_s" in e for e in events[1:])
+            assert tracks == {0}
             assert "Delivery accounting under fault scenarios" in out
+
+    def test_resumed_campaign_continues_the_log(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Interrupted after its first cell, then resumed into the same
+        DIR: one log, two sessions, each opened by its header."""
+        from repro import cli
+        from repro.exec.resilience import EXIT_INTERRUPTED
+
+        def sigterm_after_first_cell(event):
+            if event.kind == "done" and event.spec.job == "cell":
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        observe, journal = tmp_path / "observe", tmp_path / "c.jsonl"
+        base = ["campaign", "--benchmarks", "swa", "--duration", "600",
+                "--pretrain", "0", "--figures", "speedup", "--seed", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--observe", str(observe)]
+        monkeypatch.setattr(cli, "_print_progress", sigterm_after_first_cell)
+        assert main(base + ["--journal", str(journal)]) == EXIT_INTERRUPTED
+        monkeypatch.undo()
+        assert main(base + ["--resume", str(journal)]) == 0
+        kinds = [e["kind"] for e in read_events_jsonl(observe / "events.jsonl")]
+        assert kinds.count("header") == 2
+        assert kinds.index("resumed") > kinds.index("header", 1)
+        assert _profile(observe)["traceEvents"]
+
+
+def _profile(observe):
+    return json.loads((observe / "profile.json").read_text())
 
 
 class TestEngineSession:
@@ -283,16 +319,15 @@ class TestEngineSession:
 
         args = build_parser().parse_args(
             ["sweep", "--knob", "gamma", "--values", "1", "--no-cache",
-             "--profile", str(tmp_path / "p.json"),
-             "--campaign-log", str(tmp_path / "log.jsonl")]
+             "--observe", str(tmp_path)]
         )
         rendered = []
         rc = _engine_session(
             args, EngineOptions, run, lambda driver, out: rendered.append(out)
         )
         # Whatever the outcome, the artefacts are closed and written.
-        assert (tmp_path / "log.jsonl").exists()
-        assert (tmp_path / "p.json").exists()
+        assert (tmp_path / "events.jsonl").exists()
+        assert (tmp_path / "profile.json").exists()
         return rc, rendered
 
     def test_clean_run_renders_and_exits_zero(self, tmp_path):

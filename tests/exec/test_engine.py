@@ -19,7 +19,7 @@ from repro.exec.resilience import (
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_job
-from repro.telemetry import PhaseProfiler, cell_span_recorder, chain_progress
+from repro.telemetry import SimProfiler, chain_progress
 
 
 def _fail_seed10_cell(spec):
@@ -69,7 +69,7 @@ class TestEngineOptions:
 
     def test_the_same_options_build_the_same_engine(self, driver, tmp_path):
         seen = []
-        profiler = PhaseProfiler()
+        profiler = SimProfiler()
         flag = ShutdownFlag()
         journal = tmp_path / "campaign.jsonl"
         CampaignJournal(journal).begin("m", 1)
@@ -226,11 +226,11 @@ class TestFailurePolicies:
     @pytest.mark.parametrize("policy", ["skip", "quarantine"])
     def test_a_failed_cell_is_reported_once(self, policy, jobs):
         events = []
-        profiler = PhaseProfiler()
+        profiler = SimProfiler()
         engine = CampaignEngine(
             executor=CellExecutor(jobs=jobs, retries=0, fn=_fail_seed10_cell),
             failure_policy=policy,
-            progress=chain_progress(events.append, cell_span_recorder(profiler)),
+            progress=chain_progress(events.append, profiler.record_job),
         )
         engine.run(small_specs(3)[::-1])  # the doomed cell goes last
         kinds = [e.kind for e in events]

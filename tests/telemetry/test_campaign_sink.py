@@ -6,9 +6,9 @@ from repro.config import SECDED_BASELINE
 from repro.exec.executors import CellExecutor, ProgressEvent
 from repro.exec.spec import parsec_cell
 from repro.telemetry import (
+    EVENTS_SCHEMA,
     CampaignTraceSink,
-    PhaseProfiler,
-    cell_span_recorder,
+    SimProfiler,
     chain_progress,
     describe_progress_event,
 )
@@ -46,40 +46,49 @@ class TestDescribe:
         assert "traceback" not in record
 
 
+def sink_at(path, clock=lambda: 0.0):
+    return CampaignTraceSink(path, clock=clock)
+
+
 class TestSink:
     def test_writes_one_json_line_per_event(self, tmp_path):
         path = tmp_path / "campaign-events.jsonl"
-        with CampaignTraceSink(path) as sink:
+        ticks = iter([1.5, 2.25])
+        with sink_at(path, clock=lambda: next(ticks)) as sink:
             sink(event("start", completed=0))
             sink(event("done", duration_s=0.5))
         assert sink.events_written == 2
-        records = read_events_jsonl(path)
+        header, *records = read_events_jsonl(path)
+        assert header == {
+            "kind": "header", "schema": EVENTS_SCHEMA, "scope": "campaign",
+        }
         assert [r["kind"] for r in records] == ["start", "done"]
-        assert all("t_s" in r for r in records)
+        assert [r["t_s"] for r in records] == [1.5, 2.25]
 
     def test_appends_across_sink_instances(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        with CampaignTraceSink(path) as sink:
+        with sink_at(path) as sink:
             sink(event("start", completed=0))
-        with CampaignTraceSink(path) as sink:
+        with sink_at(path) as sink:
             sink(event("done"))
-        assert len(read_events_jsonl(path)) == 2
+        kinds = [r["kind"] for r in read_events_jsonl(path)]
+        assert kinds == ["header", "start", "header", "done"]
 
     def test_records_a_real_executor_run(self, tmp_path):
         def ok(s):
             return {"runtime_seconds": 0.0, "metrics": {}}
 
         path = tmp_path / "log.jsonl"
-        with CampaignTraceSink(path) as sink:
+        with sink_at(path, clock=SimProfiler().now_s) as sink:
             CellExecutor(fn=ok).run([spec()], progress=sink)
         kinds = [r["kind"] for r in read_events_jsonl(path)]
-        assert kinds == ["start", "done"]
+        assert kinds == ["header", "start", "done"]
 
 
 class TestSpanRecorder:
     def test_records_spans_for_done_and_failed_only(self):
-        profiler = PhaseProfiler()
-        observe = cell_span_recorder(profiler)
+        profiler = SimProfiler()
+        observe = profiler.record_job
         observe(event("start", completed=0))
         observe(event("done", duration_s=0.25))
         observe(event("failed", duration_s=0.1, error="x"))

@@ -1,31 +1,11 @@
-"""The Telemetry hub: registry semantics, event tracing, sinks."""
+"""The Telemetry hub: event tracing and the JSONL envelope."""
+
+import json
 
 import pytest
 
-from repro.telemetry import Telemetry
-from repro.telemetry.sinks import read_events_jsonl, render_prometheus
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        tel = Telemetry()
-        a = tel.counter("noc_flits_total", "help")
-        b = tel.counter("noc_flits_total")
-        assert a is b
-
-    def test_type_conflict_raises(self):
-        tel = Telemetry()
-        tel.counter("x_total")
-        with pytest.raises(ValueError, match="already registered as counter"):
-            tel.gauge("x_total")
-
-    def test_snapshot_flattens_all_samples(self):
-        tel = Telemetry()
-        tel.counter("a_total").inc(2)
-        tel.gauge("b").set(7)
-        snap = tel.snapshot()
-        assert snap["a_total"] == 2.0
-        assert snap["b"] == 7.0
+from repro.telemetry import EVENTS_SCHEMA, Telemetry
+from repro.telemetry.sinks import read_events_jsonl
 
 
 class TestTracing:
@@ -39,17 +19,21 @@ class TestTracing:
         with pytest.raises(ValueError, match="stride"):
             Telemetry(trace_stride=0)
 
-    def test_disabled_hub_records_nothing(self):
-        tel = Telemetry.disabled()
-        tel.record("sample", 10, value=1)
-        assert tel.events == []
-
     def test_max_events_cap_counts_drops(self):
         tel = Telemetry(max_events=2)
         for cycle in range(5):
             tel.record("sample", cycle)
         assert len(tel.events) == 2
         assert tel.dropped_events == 3
+
+    def test_final_record_passes_the_cap_and_reports_the_drops(self):
+        tel = Telemetry(max_events=2)
+        for cycle in range(5):
+            tel.record("sample", cycle)
+        tel.finish(5, injected=1)
+        assert tel.events[-1] == {
+            "kind": "final", "cycle": 5, "injected": 1, "dropped_events": 3,
+        }
 
     def test_events_of_filters_by_kind(self):
         tel = Telemetry()
@@ -65,25 +49,19 @@ class TestSinks:
         tel.record("packet", 7, src=0, dst=9, latency=11)
         tel.record("final", 100, injected=1, completed=1)
         path = tel.write_trace(tmp_path / "trace.jsonl")
-        assert read_events_jsonl(path) == tel.events
+        header, *events = read_events_jsonl(path)
+        assert header == {"kind": "header", "schema": EVENTS_SCHEMA, "scope": "run"}
+        assert events == tel.events
+
+    def test_lines_lead_with_the_envelope(self, tmp_path):
+        tel = Telemetry()
+        tel.record("packet", 7, src=0, dst=9)
+        path = tel.write_trace(tmp_path / "trace.jsonl")
+        line = path.read_text().splitlines()[1]
+        assert list(json.loads(line)) == ["kind", "cycle", "dst", "src"]
 
     def test_jsonl_reader_rejects_malformed_lines(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"kind": "sample"}\nnot json\n')
         with pytest.raises(ValueError, match="malformed JSONL"):
             read_events_jsonl(bad)
-
-    def test_prometheus_snapshot_has_help_type_and_samples(self, tmp_path):
-        tel = Telemetry()
-        tel.counter("noc_flits_total", "Flits moved").inc(5)
-        path = tel.write_metrics(tmp_path / "metrics.prom")
-        text = path.read_text()
-        assert "# HELP noc_flits_total Flits moved" in text
-        assert "# TYPE noc_flits_total counter" in text
-        assert "noc_flits_total 5" in text
-
-    def test_prometheus_formats_inf_bucket(self):
-        tel = Telemetry()
-        tel.histogram("lat", buckets=(10.0,)).observe(99)
-        text = render_prometheus(tel.instruments())
-        assert 'lat_bucket{le="+Inf"} 1' in text

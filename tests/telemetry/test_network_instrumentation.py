@@ -1,4 +1,4 @@
-"""In-simulation instrumentation: what an enabled hub observes."""
+"""In-simulation instrumentation: what an attached hub observes."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from repro.traffic.parsec import generate_parsec_trace
 
 @pytest.fixture(scope="module")
 def traced_run():
-    """One INTELLINOC run observed by an enabled hub (stride 50)."""
+    """One INTELLINOC run observed by a hub (stride 50)."""
     noc = INTELLINOC.noc
     trace = generate_parsec_trace(
         "swa", noc.width, noc.height, 1500, noc.flits_per_packet, 7
@@ -25,21 +25,22 @@ def traced_run():
 
 def test_counters_match_run_totals(traced_run):
     network, tel = traced_run
-    snap = tel.snapshot()
+    (final,) = tel.events_of("final")
     s = network.stats
-    assert snap["noc_packets_injected_total"] == s.packets_injected
-    assert snap["noc_packets_completed_total"] == s.packets_completed
-    assert snap["noc_flit_hops_total"] == s.flits_delivered
-    assert snap["noc_flits_ejected_total"] == s.flits_ejected_total
-    assert snap["noc_corrected_flits_total"] == s.corrected_flits
-    assert snap["noc_hop_retransmissions_total"] == s.hop_retransmissions
+    assert final["injected"] == s.packets_injected
+    assert final["completed"] == s.packets_completed
+    assert final["flit_hops"] == s.flits_delivered
+    assert final["flits_ejected"] == s.flits_ejected_total
+    assert final["corrected_flits"] == s.corrected_flits
+    assert final["hop_retransmissions"] == s.hop_retransmissions
 
 
 def test_latency_histogram_sees_every_completion(traced_run):
+    """The latency distribution's sum and count close the stream."""
     network, tel = traced_run
-    snap = tel.snapshot()
-    assert snap["noc_packet_latency_cycles_count"] == network.stats.latency_count
-    assert snap["noc_packet_latency_cycles_sum"] == network.stats.latency_sum
+    (final,) = tel.events_of("final")
+    assert final["latency_count"] == network.stats.latency_count
+    assert final["latency_sum"] == network.stats.latency_sum
 
 
 def test_sample_events_follow_the_stride(traced_run):
@@ -70,7 +71,6 @@ def test_mode_events_record_transitions(traced_run):
     modes = tel.events_of("mode")
     assert modes, "IntelliNoC run should switch modes"
     assert all(e["mode"] != e["prev"] for e in modes)
-    assert tel.snapshot()["noc_mode_transitions_total"] == len(modes)
 
 
 def test_control_events_census_all_routers(traced_run):

@@ -11,9 +11,8 @@ import json
 import pytest
 
 from repro.telemetry import (
+    CHROME_TRACE_SCHEMA,
     OVERHEAD_PHASE,
-    SIMPROF_SUMMARY_SCHEMA,
-    SIMPROF_TRACE_SCHEMA,
     STEP_PHASES,
     SimProfiler,
 )
@@ -156,16 +155,9 @@ class TestExport:
         prof.end_step(router_flits=[1], channel_flits=[2])
         return prof
 
-    def test_summary_dict_schema(self):
-        data = self.profiled().to_dict()
-        assert data["schema"] == SIMPROF_SUMMARY_SCHEMA
-        assert data["steps_profiled"] == 1
-        assert data["phases"]["inject"]["laps"] == 1
-        assert data["router_heat"][0]["busy_share"] == pytest.approx(1.0)
-
     def test_chrome_trace_events_are_contiguous(self):
         trace = self.profiled().to_chrome_trace()
-        assert trace["otherData"]["schema"] == SIMPROF_TRACE_SCHEMA
+        assert trace["otherData"]["schema"] == CHROME_TRACE_SCHEMA
         events = trace["traceEvents"]
         assert [e["name"] for e in events] == [
             "link.deliver", "inject", OVERHEAD_PHASE,
@@ -173,17 +165,25 @@ class TestExport:
         cursor = 0.0
         for event in events:
             assert event["ph"] == "X"
+            assert event["tid"] == 1
             assert event["ts"] == pytest.approx(cursor)
             cursor += event["dur"]
+
+    def test_spans_and_the_averaged_step_share_one_trace(self):
+        prof = self.profiled()
+        with prof.phase("simulate"):
+            pass
+        events = prof.to_chrome_trace()["traceEvents"]
+        assert [(e["name"], e["tid"]) for e in events][:2] == [
+            ("simulate", 0), ("link.deliver", 1),
+        ]
 
     def test_write_paths_round_trip(self, tmp_path):
         prof = self.profiled()
         trace_path = prof.write_chrome_trace(tmp_path / "nested" / "trace.json")
-        summary_path = prof.write_summary(tmp_path / "summary.json")
         trace = json.loads(trace_path.read_text())
-        summary = json.loads(summary_path.read_text())
+        assert trace == prof.to_chrome_trace()
         assert trace["otherData"]["steps_profiled"] == 1
-        assert summary["schema"] == SIMPROF_SUMMARY_SCHEMA
 
     def test_repr_mentions_sampling(self):
         prof = self.profiled()
