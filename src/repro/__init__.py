@@ -31,7 +31,7 @@ from repro.config import (
     all_techniques,
     technique,
 )
-from repro.core.experiment import ExperimentRunner, run_technique
+from repro.core.experiment import ExperimentRunner
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
 from repro.core.sweep import SensitivitySweep, SweepPoint
 from repro.exec import (
@@ -88,7 +88,6 @@ __all__ = [
     "generate_synthetic_trace",
     "parsec_cell",
     "pretrain_agents",
-    "run_technique",
     "synthetic_cell",
     "technique",
 ]

@@ -70,7 +70,7 @@ def build_arg_parser(prog: str = "python -m repro.analysis.lint") -> argparse.Ar
     return parser
 
 
-def _write_report(text: str, destination: str) -> None:
+def _write_json(text: str, destination: str) -> None:
     if destination == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -119,7 +119,7 @@ def run_cli(args: argparse.Namespace) -> int:
             fresh, files=report.files, suppressed=report.suppressed,
             baselined=baselined,
         )
-        _write_report(json.dumps(payload, indent=2, sort_keys=True), args.json_out)
+        _write_json(json.dumps(payload, indent=2, sort_keys=True), args.json_out)
 
     for violation in fresh:
         print(violation.render())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
@@ -270,6 +271,9 @@ class RlConfig:
     num_bins: int = 5  # discretization bins per feature
     initial_mode: int = 1  # all routers start in mode 1 (Section 6.3)
     max_table_entries: int = 350  # hardware Q-table budget (Section 7.4)
+    #: Eq. 1's term weights (latency, power, aging); the paper's reward is
+    #: (1, 1, 1), and a 0 drops a term (the reward ablation).
+    reward_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.discount <= 1.0:
@@ -280,6 +284,18 @@ class RlConfig:
             raise ValueError("learning rate must lie in (0, 1]")
         if self.time_step < 1:
             raise ValueError("time step must be at least one cycle")
+        try:
+            weights = tuple(float(w) for w in self.reward_weights)
+        except (TypeError, ValueError):
+            weights = ()
+        if len(weights) != 3 or not all(math.isfinite(w) and w >= 0.0 for w in weights):
+            raise ValueError(
+                "reward weights are three finite, non-negative numbers "
+                "(latency, power, aging)"
+            )
+        # Stored as a tuple of floats whatever came in: a policy artefact's
+        # JSON hands the field back as a list, which would not hash.
+        object.__setattr__(self, "reward_weights", weights)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from repro.control.policies import (
     StaticPolicy,
     make_policy,
 )
-from repro.core.experiment import ExperimentRunner, run_technique
+from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep, LoadPoint
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
 from repro.core.sweep import SensitivitySweep, SweepPoint
@@ -36,5 +36,4 @@ __all__ = [
     "SweepPoint",
     "make_policy",
     "pretrain_agents",
-    "run_technique",
 ]

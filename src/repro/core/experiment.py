@@ -18,45 +18,14 @@ from dataclasses import dataclass, field
 from repro.config import (
     ControlPolicy,
     FaultConfig,
-    SimulationConfig,
     TechniqueConfig,
     all_techniques,
 )
-from repro.control.policies import ModePolicy
 from repro.core import figures
 from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, parsec_cell
-from repro.metrics.summary import RunMetrics, run_to_metrics
-from repro.noc.network import Network
-from repro.telemetry import Telemetry
-from repro.traffic.parsec import PARSEC_BENCHMARKS, generate_parsec_trace
-from repro.traffic.trace import Trace
-
-
-def run_technique(
-    technique: TechniqueConfig,
-    trace: Trace,
-    seed: int = 1,
-    faults: FaultConfig | None = None,
-    policy: ModePolicy | None = None,
-    max_cycles: int | None = None,
-    telemetry: Telemetry | None = None,
-) -> RunMetrics:
-    """Run one technique on one explicit trace to completion.
-
-    The low-level escape hatch for callers that bring their own trace or
-    policy (ablations); campaign work should go through specs and the
-    engine so it parallelizes and caches.  An enabled *telemetry* hub
-    observes the run (mode timeline, reward decomposition, instrument
-    snapshot) without changing its results.
-    """
-    config = SimulationConfig(
-        technique=technique,
-        seed=seed,
-        faults=faults if faults is not None else FaultConfig(),
-    )
-    network = Network(config, trace, policy=policy, telemetry=telemetry)
-    return run_to_metrics(network, max_cycles)
+from repro.metrics.summary import RunMetrics
+from repro.traffic.parsec import PARSEC_BENCHMARKS
 
 
 def _over_campaign(render):
@@ -85,7 +54,6 @@ class ExperimentRunner(EngineOptions):
     techniques: list[TechniqueConfig] = field(default_factory=all_techniques)
     pretrain_cycles: int = 16_000
     _cache: dict[tuple[str, str], RunMetrics] = field(default_factory=dict, repr=False)
-    _trace_cache: dict[tuple, Trace] = field(default_factory=dict, repr=False)
 
     def spec_for(self, technique: TechniqueConfig, benchmark: str) -> CellSpec:
         """The content-addressed job description of one campaign cell."""
@@ -102,25 +70,6 @@ class ExperimentRunner(EngineOptions):
             faults=self.faults,
             pretrain_cycles=pretrain,
         )
-
-    def trace_for(self, benchmark: str, technique: TechniqueConfig) -> Trace:
-        """The exact trace a cell runs (techniques with one geometry share it).
-
-        The key carries the full generator parameter set — mesh geometry,
-        duration, packet size and seed — so techniques with different NoC
-        shapes never silently share a trace built for another geometry.
-        """
-        noc = technique.noc
-        key = (
-            benchmark, noc.width, noc.height, self.duration,
-            noc.flits_per_packet, self.seed,
-        )
-        if key not in self._trace_cache:
-            self._trace_cache[key] = generate_parsec_trace(
-                benchmark, noc.width, noc.height, self.duration,
-                noc.flits_per_packet, self.seed,
-            )
-        return self._trace_cache[key]
 
     # --- campaign execution ---------------------------------------------------
 

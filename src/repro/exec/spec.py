@@ -32,7 +32,8 @@ from repro.config import (
 #: Bumped whenever simulation semantics, or the canonical form itself,
 #: change in a way that invalidates previously stored results (also
 #: embedded in stored artifacts).  2: every dataclass field is hashed.
-SPEC_SCHEMA_VERSION = 2
+#: 3: ``RlConfig.reward_weights``.
+SPEC_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)

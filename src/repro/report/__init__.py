@@ -1,6 +1,2 @@
-"""Campaign report generation (Markdown + ASCII charts)."""
-
-from repro.report.charts import bar_chart, horizontal_bar
-from repro.report.markdown import CampaignReport, write_report
-
-__all__ = ["CampaignReport", "bar_chart", "horizontal_bar", "write_report"]
+"""The paper table: what the paper claims (:mod:`repro.report.paper_table`)
+and the evaluator that measures it (:mod:`repro.report.paper`)."""

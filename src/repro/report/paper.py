@@ -2,14 +2,13 @@
 
 One :class:`PaperEvaluator` — an :class:`~repro.exec.engine.EngineOptions`
 like the campaign drivers — lays out every cell the paper's evaluation
-needs (the Figs. 9-16 suite, the Figs. 17-18 sweeps, the MFAC and bypass
-ablations) and runs them as *one* engine campaign: ``--jobs`` spans the
-whole grid, one journal covers it, the default-configuration cell the
-three RL sweeps share is simulated once, and a second run is pure cache
-reads.  Tables come from the pure renderers of :mod:`repro.core.figures`
-and :func:`repro.power.area.area_table`; the Eq. 1 reward ablation needs
-a policy no spec can name and is the one figure simulated outside the
-engine.
+needs (the Figs. 9-16 suite, the Figs. 17-18 sweeps, the MFAC, bypass
+and Eq. 1 reward ablations) and runs them as *one* engine campaign:
+``--jobs`` spans the whole grid, one journal covers it, the
+default-configuration cell the three RL sweeps share is simulated once,
+and a second run is pure cache reads.  Tables come from the pure
+renderers of :mod:`repro.core.figures` and
+:func:`repro.power.area.area_table`.
 
 ``python -m repro verify-paper`` measures :data:`FULL_GRID`, evaluates
 every row, rewrites ``results/`` and the generated parts of
@@ -33,16 +32,13 @@ from repro.config import (
     FaultConfig,
     all_techniques,
 )
-from repro.control.policies import RlPolicy, make_policy
 from repro.core import figures
-from repro.core.experiment import run_technique
 from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, parsec_cell
 from repro.metrics.summary import RunMetrics
 from repro.power.area import area_table
 from repro.report.paper_table import ANY, FIGURES, PAPER, ROWS, Row
-from repro.traffic.parsec import PARSEC_BENCHMARKS, generate_parsec_trace
-from repro.utils.rng import RngFactory
+from repro.traffic.parsec import PARSEC_BENCHMARKS
 from repro.utils.tables import format_table
 
 TUNING_BENCHMARK = "blackscholes"
@@ -71,12 +67,12 @@ ABLATIONS = {
         INTELLINOC, name="IntelliNoC-noBypass", uses_bypass=False
     )),
 }
-#: Reward-ablation variant -> the observation fields its agents see as constants.
-REWARD_BLIND = {
-    "full reward": {},
-    "drop latency": {"epoch_latency": 1.0},
-    "drop power": {"epoch_power_w": 1e-3},
-    "drop aging": {"aging_factor": 1.0},
+#: Reward-ablation variant -> Eq. 1's (latency, power, aging) weights.
+REWARD_WEIGHTS = {
+    "full reward": (1.0, 1.0, 1.0),
+    "drop latency": (0.0, 1.0, 1.0),
+    "drop power": (1.0, 0.0, 1.0),
+    "drop aging": (1.0, 1.0, 0.0),
 }
 
 
@@ -108,18 +104,6 @@ class Verdict(NamedTuple):
     row: Row
     value: float
     ok: bool
-
-
-class _BlindedPolicy(RlPolicy):
-    """RL policy whose agents see constants in place of one Eq. 1 term."""
-
-    def __init__(self, agents, constants: dict[str, float]):
-        super().__init__(agents)
-        self.constants = constants
-
-    def control_step(self, observations, cycle):
-        blinded = [replace(obs, **self.constants) for obs in observations]
-        return super().control_step(blinded, cycle)
 
 
 def _measured(figure: str, table: str, values: dict[str, float]) -> Measured:
@@ -185,6 +169,17 @@ class PaperEvaluator(EngineOptions):
         for figure, (benchmark, ablated) in ABLATIONS.items():
             for t in (INTELLINOC, ablated):
                 specs[figure, t.name] = cell(t, benchmark, g.tuning_duration)
+        # Eq. 1 ablation: fast 250-cycle control steps and idle-driven gating
+        # off, so mode-0 occupancy is decided by the (weighted) reward alone.
+        for variant, weights in REWARD_WEIGHTS.items():
+            technique = replace(
+                INTELLINOC.with_rl(time_step=250, epsilon=0.15, reward_weights=weights),
+                name="IntelliNoC-" + variant.title().replace(" ", ""),
+                idle_gate_threshold=10**9,
+            )
+            specs["ablation_reward", variant] = cell(
+                technique, TUNING_BENCHMARK, g.reward_duration
+            )
         return specs
 
     def measure(self) -> dict[str, Measured]:
@@ -246,37 +241,17 @@ class PaperEvaluator(EngineOptions):
                                      ("cycles", m.execution_cycles),
                                      ("latency", m.latency.mean))},
             )
-        out["ablation_reward"] = self._reward_ablation()
-        out["table2_area"] = _measured("table2_area", *area_table())
-        return {figure: out[figure] for figure in FIGURES}
-
-    def _reward_ablation(self) -> Measured:
-        """Fast 250-cycle control steps, idle-driven gating off: mode-0
-        occupancy is decided by the (blinded) reward alone."""
-        g = self.grid
-        technique = replace(
-            INTELLINOC.with_rl(time_step=250, epsilon=0.15),
-            idle_gate_threshold=10**9,
-        )
-        noc = technique.noc
-        trace = generate_parsec_trace(
-            TUNING_BENCHMARK, noc.width, noc.height, g.reward_duration,
-            noc.flits_per_packet, g.seed,
-        )
-        lines = {}
-        for variant, constants in REWARD_BLIND.items():
-            agents = make_policy(technique, noc.num_routers, RngFactory(g.seed)).agents
-            lines[variant] = run_technique(
-                technique, trace, g.seed, policy=_BlindedPolicy(agents, constants)
-            )
+        lines = {v: cells["ablation_reward", v] for v in REWARD_WEIGHTS}
         values = {k: m.mode_breakdown.get(0, 0.0) for k, m in lines.items()}
         values["drop latency - full reward"] = (
             values["drop latency"] - values["full reward"]
         )
-        return _study(
+        out["ablation_reward"] = _study(
             "ablation_reward",
             f"Ablation - Eq. 1 reward terms ({TUNING_BENCHMARK})", lines, values,
         )
+        out["table2_area"] = _measured("table2_area", *area_table())
+        return {figure: out[figure] for figure in FIGURES}
 
 
 # --- evaluate, render, publish ---------------------------------------------------

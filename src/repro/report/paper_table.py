@@ -130,7 +130,7 @@ FIGURES: dict[str, str] = {
                      "the MFAC functions cost no performance",
     "ablation_bypass": "IntelliNoC with and without the bypass (swa); "
                        "the bypass recovers the latency cost of gating",
-    "ablation_reward": "mode-0 share with one Eq. 1 term hidden (blackscholes); "
+    "ablation_reward": "mode-0 share with one Eq. 1 term weighted to 0 (blackscholes); "
                        "no latency term over-gates, no power term never gates",
 }
 

@@ -15,7 +15,7 @@ import numpy as np
 from repro.config import RlConfig
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qlearning import QTable
-from repro.rl.reward import compute_reward, reward_components
+from repro.rl.reward import reward_components
 from repro.rl.state import RouterObservation, StateExtractor
 
 NUM_OPERATION_MODES = 5
@@ -43,7 +43,7 @@ class RouterAgent:
         self.steps = 0
         # Telemetry diagnostics refreshed by decide(); pure observations —
         # none of these feed back into the learning loop.
-        self.last_reward_terms = (0.0, 0.0, 0.0)  # (latency, power, aging)
+        self.last_reward_terms = (0.0, 0.0, 0.0)  # weighted (latency, power, aging)
         self.last_q_delta = 0.0
         self.last_explored = False
         self.last_action = config.initial_mode
@@ -51,11 +51,11 @@ class RouterAgent:
     def decide(self, obs: RouterObservation) -> int:
         """One control step: learn from the last action, pick the next mode."""
         state = self.extractor.extract(obs)
-        reward = compute_reward(obs.epoch_latency, obs.epoch_power_w, obs.aging_factor)
-        self.last_reward = reward
-        self.last_reward_terms = reward_components(
-            obs.epoch_latency, obs.epoch_power_w, obs.aging_factor
+        self.last_reward_terms = latency, power, aging = reward_components(
+            obs.epoch_latency, obs.epoch_power_w, obs.aging_factor,
+            self.config.reward_weights,
         )
+        self.last_reward = reward = latency + power + aging
         self.last_q_delta = 0.0
         if (
             self.learning_enabled

@@ -71,6 +71,7 @@ class TestRlDefaults:
         assert rl.num_bins == 5
         assert rl.initial_mode == 1
         assert rl.max_table_entries == 350
+        assert rl.reward_weights == (1.0, 1.0, 1.0)
 
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
@@ -81,6 +82,22 @@ class TestRlDefaults:
             RlConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             RlConfig(time_step=0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0),
+         (float("nan"), 1.0, 1.0), (float("inf"), 1.0, 1.0), ("a", 1, 1), None],
+    )
+    def test_reward_weights_are_three_finite_non_negative_numbers(self, weights):
+        with pytest.raises(ValueError):
+            RlConfig(reward_weights=weights)
+
+    def test_reward_weights_are_stored_as_a_tuple_of_floats(self):
+        rl = RlConfig(reward_weights=[0, 1, 1])
+        assert rl.reward_weights == (0.0, 1.0, 1.0)
+        assert type(rl.reward_weights) is tuple and hash(rl) == hash(
+            RlConfig(reward_weights=(0.0, 1.0, 1.0))
+        )
 
 
 class TestTechniques:

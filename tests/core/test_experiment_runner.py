@@ -7,9 +7,16 @@ import pytest
 
 from repro.config import INTELLINOC, SECDED_BASELINE
 from repro.core import figures
-from repro.core.experiment import ExperimentRunner, run_technique
+from repro.core.experiment import ExperimentRunner
+from repro.core.intellinoc import IntelliNoCSystem
 from repro.core.sweep import SensitivitySweep
+from repro.exec.worker import build_trace
 from repro.traffic.parsec import generate_parsec_trace
+
+
+def trace(runner, benchmark, technique):
+    """The trace the engine generates for one of *runner*'s cells."""
+    return build_trace(runner.spec_for(technique, benchmark))
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +48,10 @@ class TestRunner:
         assert a is b
 
     def test_identical_traces_across_techniques(self, tiny_runner):
-        trace_a = tiny_runner.trace_for("swa", SECDED_BASELINE)
-        trace_b = tiny_runner.trace_for("swa", INTELLINOC)
-        assert trace_a is trace_b  # same packets for every technique
+        trace_a = trace(tiny_runner, "swa", SECDED_BASELINE)
+        trace_b = trace(tiny_runner, "swa", INTELLINOC)
+        # same packets for every technique
+        assert trace_a.fingerprint() == trace_b.fingerprint()
 
     def test_figure_tables_normalized_to_baseline(self, tiny_runner):
         table, averages = tiny_runner.figure10_latency()
@@ -76,29 +84,24 @@ class TestRunner:
 
 class TestTraceCacheKey:
     def test_trace_cache_distinguishes_geometry(self):
-        """Techniques with different mesh shapes must not share a trace."""
+        """Techniques with different mesh shapes never share a trace: the
+        spec carries the geometry the generator addresses."""
         runner = ExperimentRunner(duration=1000, seed=2)
         small = replace(
             SECDED_BASELINE,
             name="SECDED-4x4",
             noc=replace(SECDED_BASELINE.noc, width=4, height=4),
         )
-        big_trace = runner.trace_for("swa", SECDED_BASELINE)
-        small_trace = runner.trace_for("swa", small)
-        assert big_trace is not small_trace
+        big_trace = trace(runner, "swa", SECDED_BASELINE)
+        small_trace = trace(runner, "swa", small)
+        assert big_trace.fingerprint() != small_trace.fingerprint()
         assert all(e.src < 16 and e.dst < 16 for e in small_trace.events)
         assert any(e.src >= 16 or e.dst >= 16 for e in big_trace.events)
 
     def test_trace_cache_distinguishes_duration_and_seed(self):
-        a = ExperimentRunner(duration=1000, seed=2).trace_for(
-            "swa", SECDED_BASELINE
-        )
-        b = ExperimentRunner(duration=1500, seed=2).trace_for(
-            "swa", SECDED_BASELINE
-        )
-        c = ExperimentRunner(duration=1000, seed=3).trace_for(
-            "swa", SECDED_BASELINE
-        )
+        a = trace(ExperimentRunner(duration=1000, seed=2), "swa", SECDED_BASELINE)
+        b = trace(ExperimentRunner(duration=1500, seed=2), "swa", SECDED_BASELINE)
+        c = trace(ExperimentRunner(duration=1000, seed=3), "swa", SECDED_BASELINE)
         assert a.duration <= 1000 < b.duration or len(a) != len(b)
         assert a.fingerprint() != c.fingerprint()
 
@@ -147,8 +150,9 @@ class TestRunnerEngineModes:
 
 class TestRunTechnique:
     def test_single_run_helper(self):
+        """One technique on one explicit trace, outside any campaign."""
         trace = generate_parsec_trace("swa", 8, 8, 1000, 4, seed=4)
-        metrics = run_technique(SECDED_BASELINE, trace, seed=4)
+        metrics = IntelliNoCSystem(SECDED_BASELINE, seed=4).run_trace(trace)
         assert metrics.technique == "SECDED"
         assert metrics.packets_completed > 0
 

@@ -86,9 +86,14 @@ class ChaosPolicy:
             return {"attempts": 0, "faults": 0}
 
     def _ledger_write(self, spec_hash: str, entry: dict[str, int]) -> None:
+        # Atomic: a broken pool kills its other workers at any instruction,
+        # and a ledger truncated mid-write would read back as a fresh cell
+        # with its fault budget restored.
         path = self._ledger_path(spec_hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(entry))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(entry))
+        os.replace(tmp, path)
 
     def next_attempt(self, spec_hash: str) -> tuple[int, bool]:
         """Record one attempt; return (attempt index, fault budget left).

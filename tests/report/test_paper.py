@@ -2,8 +2,8 @@
 
 Cheapest first: the check functions on numbers; the committed
 ``results/measured.json`` against the table and EXPERIMENTS.md (no
-simulation); the evaluator on the reduced grid, its cells shared with
-``test_report.py`` through the suite's result cache.
+simulation); the evaluator on the reduced grid, through the suite's
+result cache.
 """
 
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.noc.network import Network
 from repro.report import paper
 from repro.report.paper_table import (
     ANY, FIGURES, PAPER, ROWS, above, band, below, near, ranked,
@@ -112,7 +113,14 @@ class TestReducedGrid:
         assert {v.row.grid for v in paper.evaluate(values, paper.REDUCED_GRID)} == {ANY}
         assert failed(values, paper.REDUCED_GRID) == []
 
-    def test_a_second_run_is_one_campaign_of_cache_reads(self, reduced):
+    def test_a_second_run_is_one_campaign_of_cache_reads(self, reduced, monkeypatch):
+        """Every figure, the Eq. 1 reward ablation included, is engine cells:
+        a warm run simulates nothing."""
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a warm run built a Network")
+
+        monkeypatch.setattr(Network, "__init__", no_network)
         again = paper.PaperEvaluator(grid=paper.REDUCED_GRID, use_cache=True)
         assert again.measure() == reduced
         assert again.engine.total_executed == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import INTELLINOC
 from repro.control.policies import make_policy
+from repro.core.intellinoc import pretrain_agents
 from repro.rl.persistence import (
     MAGIC,
     load_policy,
@@ -44,11 +45,13 @@ def everything(policy):
     ]
 
 
-def reframed(data, **changes):
-    """The artefact with its JSON header edited."""
+def reframed(data, edit=None, **changes):
+    """The artefact with its JSON header edited (by *edit*, then *changes*)."""
     start = len(MAGIC) + 8
     end = start + int.from_bytes(data[len(MAGIC):start], "little")
     header = json.loads(data[start:end])
+    if edit is not None:
+        edit(header)
     header.update(changes)
     head = json.dumps(header).encode()
     return data[: len(MAGIC)] + len(head).to_bytes(8, "little") + head + data[end:]
@@ -117,6 +120,25 @@ class TestRoundTrip:
         loaded = load_policy(path)
         assert loaded.agents[0].config.discount == INTELLINOC.rl.discount
         assert loaded.agents[0].config.epsilon == INTELLINOC.rl.epsilon
+
+    def test_reward_weights_survive_equal_and_hashable(self):
+        """JSON has no tuples: the weights come back as a list, and the
+        config stores them as a tuple again."""
+        technique = INTELLINOC.with_rl(reward_weights=(0, 1, 1), time_step=200)
+        policy = pretrain_agents(technique, duration=600, seed=3)
+        loaded = policy_from_bytes(policy_to_bytes(policy))
+        assert everything(loaded) == everything(policy)
+        config, original = loaded.agents[0].config, policy.agents[0].config
+        assert config == original and hash(config) == hash(original)
+        assert config.reward_weights == (0.0, 1.0, 1.0)
+
+    def test_an_artefact_without_weights_loads_the_papers_reward(self):
+        def drop_weights(header):
+            for record in header["agents"]:
+                del record["config"]["reward_weights"]
+
+        loaded = policy_from_bytes(reframed(policy_to_bytes(trained_policy()), drop_weights))
+        assert all(a.config.reward_weights == (1.0, 1.0, 1.0) for a in loaded.agents)
 
     def test_loaded_policy_drives_a_network(self, tmp_path):
         from repro.config import FaultConfig, SimulationConfig
