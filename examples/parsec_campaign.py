@@ -13,6 +13,7 @@ Usage::
 
 import sys
 
+from repro.core import figures
 from repro.core.experiment import ExperimentRunner
 
 
@@ -30,27 +31,17 @@ def main() -> None:
         f"Campaign: {len(runner.techniques)} techniques x {len(benchmarks)} "
         f"benchmarks, {duration}-cycle traces (pre-training IntelliNoC first)"
     )
-    runner.run_campaign()
+    results = runner.run_campaign()
+    names = [t.name for t in runner.techniques]
 
-    for figure in (
-        runner.figure9_speedup,
-        runner.figure10_latency,
-        runner.figure11_static_power,
-        runner.figure12_dynamic_power,
-        runner.figure13_energy_efficiency,
-        runner.figure15_retransmissions,
-        runner.figure16_mttf,
-    ):
-        table, averages = figure()
+    averages = {}
+    for figure, render in figures.SUITE_FIGURES.items():
+        table, averages[figure] = render(results, names, benchmarks)
         print()
         print(table)
-
-    table, avg = runner.figure14_mode_breakdown()
-    print()
-    print(table)
     print(
         "\nIntelliNoC average mode occupancy: "
-        + ", ".join(f"mode {m}: {v:.0%}" for m, v in avg.items())
+        + ", ".join(f"{m}: {v:.0%}" for m, v in averages["fig14_mode_breakdown"].items())
     )
 
 

@@ -33,7 +33,6 @@ from repro.config import (
 )
 from repro.core.experiment import ExperimentRunner
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
-from repro.core.sweep import SensitivitySweep, SweepPoint
 from repro.exec import (
     CampaignEngine,
     CampaignReport,
@@ -76,9 +75,7 @@ __all__ = [
     "PowerConfig",
     "RlConfig",
     "RunMetrics",
-    "SensitivitySweep",
     "SimulationConfig",
-    "SweepPoint",
     "SyntheticPattern",
     "TechniqueConfig",
     "Trace",

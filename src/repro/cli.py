@@ -7,15 +7,22 @@ Usage::
     python -m repro run --technique intellinoc --benchmark bod --topology torus
     python -m repro run --scenario aging-cliff --sanitize --benchmark swa
     python -m repro campaign --benchmarks swa bod can --duration 4000
+    python -m repro campaign --figures fig10_latency fig13_energy_efficiency
     python -m repro campaign --scenario transient-storm --benchmarks swa
     python -m repro campaign --benchmarks swa --topology cmesh --concentration 4
     python -m repro campaign --failure-policy quarantine --journal c.jsonl
     python -m repro campaign --resume c.jsonl
-    python -m repro sweep --knob epsilon --values 0 0.05 0.5
+    python -m repro sweep --knob epsilon
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
     python -m repro area
     python -m repro verify-paper --jobs 2
+
+``campaign`` and ``sweep`` print slices of the paper's evaluation grid
+(:data:`~repro.core.experiment.FULL_GRID`): with no options, the tables
+``verify-paper`` writes to ``results/`` from the same cache keys.
+``--seed``, ``--duration``, ``--pretrain`` and ``--benchmarks`` default to
+the grid's values and override it.
 
 Exit codes: 0 success, 2 usage/config error, 3 partial results (cells
 quarantined or skipped), 75 interrupted after a graceful drain (resume
@@ -50,9 +57,9 @@ from repro.analysis.lint_options import add_cli_arguments
 from repro.config import TechniqueConfig, all_techniques, technique
 from repro.faults.scenario import scenario_names
 from repro.noc.topology import registered_topologies
-from repro.core.experiment import ExperimentRunner
+from repro.core import figures
+from repro.core.experiment import FULL_GRID, ExperimentRunner
 from repro.core.intellinoc import IntelliNoCSystem
-from repro.core.sweep import SensitivitySweep
 from repro.exec.engine import EngineOptions
 from repro.exec.resilience import (
     EXIT_INTERRUPTED,
@@ -102,10 +109,12 @@ def _add_logging_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=1, help="master seed")
+def _add_common(
+    parser: argparse.ArgumentParser, seed: int, duration: int
+) -> None:
+    parser.add_argument("--seed", type=int, default=seed, help="master seed")
     parser.add_argument(
-        "--duration", type=int, default=6000, help="trace length in cycles"
+        "--duration", type=int, default=duration, help="trace length in cycles"
     )
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -320,19 +329,6 @@ def _report_interrupted(exc: CampaignInterrupted) -> int:
     return EXIT_INTERRUPTED
 
 
-#: ``campaign --figures`` name -> the runner method that renders it.
-_CAMPAIGN_FIGURES = {
-    "speedup": ExperimentRunner.figure9_speedup,
-    "latency": ExperimentRunner.figure10_latency,
-    "static": ExperimentRunner.figure11_static_power,
-    "dynamic": ExperimentRunner.figure12_dynamic_power,
-    "efficiency": ExperimentRunner.figure13_energy_efficiency,
-    "modes": ExperimentRunner.figure14_mode_breakdown,
-    "retx": ExperimentRunner.figure15_retransmissions,
-    "mttf": ExperimentRunner.figure16_mttf,
-}
-
-
 def _engine_session(
     args: argparse.Namespace,
     build: Callable[..., EngineOptions],
@@ -387,14 +383,15 @@ def _engine_session(
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    def render(runner: ExperimentRunner, _results: object) -> None:
-        for name in args.figures or _CAMPAIGN_FIGURES:
-            table, _ = _CAMPAIGN_FIGURES[name](runner)
+    def render(runner: ExperimentRunner, results: figures.Results) -> None:
+        names = [t.name for t in runner.techniques]
+        for figure in args.figures or figures.SUITE_FIGURES:
+            table, _ = figures.SUITE_FIGURES[figure](results, names, runner.benchmarks)
             print()
             print(table)
         if args.scenario:
             print()
-            print(runner.reliability_table())
+            print(figures.reliability_table(results, names, runner.benchmarks))
 
     build = partial(
         ExperimentRunner,
@@ -407,35 +404,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return _engine_session(args, build, ExperimentRunner.run_campaign, render)
 
 
-#: ``sweep --knob`` name -> the sweep method and the type of its values.
-_SWEEP_KNOBS = {
-    "time-step": (SensitivitySweep.sweep_time_step, int),
-    "error-rate": (SensitivitySweep.sweep_error_rate, float),
-    "gamma": (SensitivitySweep.sweep_gamma, float),
-    "epsilon": (SensitivitySweep.sweep_epsilon, float),
+#: ``sweep --knob`` name -> the figure of the grid it measures.
+SWEEP_FIGURES = {
+    "time-step": "fig17a_timestep",
+    "error-rate": "fig17b_error_rate",
+    "gamma": "fig18a_gamma",
+    "epsilon": "fig18b_epsilon",
 }
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    method, cast = _SWEEP_KNOBS[args.knob]
+    from repro.report.paper import PaperEvaluator
 
-    def run(sweep: SensitivitySweep) -> list:
-        return method(sweep, [cast(v) for v in args.values])
-
-    def render(_sweep: SensitivitySweep, points: list) -> None:
-        rows = [
-            [p.value, p.metrics.latency.mean, p.edp, p.retransmission_rate]
-            for p in points
-        ]
-        print(format_table(
-            [args.knob, "avg latency", "EDP (J*s)", "retx rate"],
-            rows,
-            title=f"Sensitivity sweep: {args.knob}",
-            float_fmt="{:.4g}",
-        ))
-
-    build = partial(SensitivitySweep, duration=args.duration, seed=args.seed)
-    return _engine_session(args, build, run, render)
+    figure = SWEEP_FIGURES[args.knob]
+    grid = replace(FULL_GRID, seed=args.seed, tuning_duration=args.duration)
+    return _engine_session(
+        args, partial(PaperEvaluator, grid=grid),
+        lambda evaluator: evaluator.measure([figure]),
+        lambda _evaluator, measured: print(measured[figure].table),
+    )
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -524,26 +511,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observe-stride", type=int, default=1, metavar="N",
                    help="sample dense events and profile steps every N cycles")
     _add_fabric_options(p)
-    _add_common(p)
+    _add_common(p, seed=1, duration=FULL_GRID.duration)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("campaign", help="technique x benchmark comparison")
-    p.add_argument("--benchmarks", nargs="+", default=["swa", "bod", "can"],
+    p = sub.add_parser(
+        "campaign", help="technique x benchmark comparison (Figs. 9-16)"
+    )
+    p.add_argument("--benchmarks", nargs="+", default=list(FULL_GRID.benchmarks),
                    choices=sorted(PARSEC_PROFILES))
     p.add_argument("--figures", nargs="*", default=None,
-                   choices=list(_CAMPAIGN_FIGURES),
+                   choices=list(figures.SUITE_FIGURES),
                    help="subset of figures to print (default: all)")
-    p.add_argument("--pretrain", type=int, default=20_000)
+    p.add_argument("--pretrain", type=int, default=FULL_GRID.pretrain,
+                   help="RL pre-training cycles")
     _add_fabric_options(p)
-    _add_common(p)
+    _add_common(p, FULL_GRID.seed, FULL_GRID.duration)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser("sweep", help="sensitivity sweep (Figs. 17-18)")
-    p.add_argument("--knob", required=True, choices=list(_SWEEP_KNOBS),
-                   help="the IntelliNoC parameter to vary")
-    p.add_argument("--values", nargs="+", required=True)
-    _add_common(p)
+    p.add_argument("--knob", required=True, choices=list(SWEEP_FIGURES),
+                   help="the IntelliNoC parameter to vary; its values are "
+                        "the figure's points")
+    _add_common(p, FULL_GRID.seed, FULL_GRID.tuning_duration)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_sweep)
 
@@ -562,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="generate and save a PARSEC-profile trace")
     p.add_argument("--benchmark", default="bod", choices=sorted(PARSEC_PROFILES))
     p.add_argument("--out", required=True, help="output JSON-lines path")
-    _add_common(p)
+    _add_common(p, seed=1, duration=FULL_GRID.duration)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(

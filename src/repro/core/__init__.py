@@ -3,9 +3,9 @@
 * :mod:`repro.core.intellinoc` — :class:`IntelliNoCSystem`, the top-level
   public API binding a technique, a workload, and the simulator, plus RL
   pre-training (Section 6.3).
-* :mod:`repro.core.experiment` — the (technique x benchmark) campaign
-  runner producing the paper's per-figure metrics.
-* :mod:`repro.core.sweep` — parameter sweeps for the sensitivity studies.
+* :mod:`repro.core.experiment` — the paper's evaluation grid
+  (:data:`FULL_GRID`, the Figs. 17-18 :data:`SWEEPS`) and the (technique x
+  benchmark) campaign runner producing the per-figure metrics.
 
 The runtime mode-control policies live in :mod:`repro.control.policies`
 and are re-exported here for convenience.
@@ -21,7 +21,6 @@ from repro.control.policies import (
 from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep, LoadPoint
 from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
-from repro.core.sweep import SensitivitySweep, SweepPoint
 
 __all__ = [
     "ExperimentRunner",
@@ -31,9 +30,7 @@ __all__ = [
     "IntelliNoCSystem",
     "ModePolicy",
     "RlPolicy",
-    "SensitivitySweep",
     "StaticPolicy",
-    "SweepPoint",
     "make_policy",
     "pretrain_agents",
 ]

@@ -1,9 +1,13 @@
-"""Experiment harness: (technique x benchmark) campaigns (Section 7).
+"""Experiment harness: the paper's evaluation grid and its (technique x
+benchmark) campaigns (Section 7).
 
-Every figure of the paper's evaluation compares the five techniques over
-the PARSEC suite, normalized to the SECDED baseline.  The runner builds
-one :class:`~repro.exec.spec.CellSpec` per campaign cell and hands the
-grid to the :class:`~repro.exec.engine.CampaignEngine` its inherited
+:data:`FULL_GRID` is the one set of campaign defaults: the runner and the
+CLI read it.  Every figure of Figs. 9-16 compares the five
+techniques over the PARSEC suite, normalized to the SECDED baseline.  The
+runner builds one :class:`~repro.exec.spec.CellSpec` per campaign cell
+(:meth:`ExperimentRunner.spec_for`, which lays out the paper table's
+cells too) and hands the grid to the
+:class:`~repro.exec.engine.CampaignEngine` its inherited
 :class:`~repro.exec.engine.EngineOptions` build, which executes cells
 serially or across worker processes (``jobs``) and memoizes results in an
 on-disk content-addressed store (``cache_dir``/``use_cache``).
@@ -28,6 +32,34 @@ from repro.metrics.summary import RunMetrics
 from repro.traffic.parsec import PARSEC_BENCHMARKS
 
 
+@dataclass(frozen=True)
+class Grid:
+    """How large a run of the table is.  Not options: two constants."""
+
+    name: str
+    benchmarks: tuple[str, ...]
+    duration: int  # the Figs. 9-16 suite's traces
+    pretrain: int  # RL pre-training cycles (Section 6.3)
+    tuning_duration: int  # Figs. 17-18 and the MFAC / bypass ablations
+    reward_duration: int  # the Eq. 1 ablation, at a 250-cycle control step
+    seed: int = 7
+
+
+FULL_GRID = Grid("full", tuple(PARSEC_BENCHMARKS), 6_000, 40_000, 8_000, 30_000)
+REDUCED_GRID = Grid("reduced", ("swa", "fre"), 800, 1_500, 300, 300)
+
+#: Figs. 17(a), 18(a), 18(b): RlConfig field -> (figure, title, values,
+#: the tuned value the others are normalised to, unit).
+SWEEPS = {
+    "time_step": ("fig17a_timestep", "Fig. 17(a) - Impact of RL time step",
+                  (200, 500, 1000, 10_000), 1000, " cycles"),
+    "discount": ("fig18a_gamma", "Fig. 18(a) - Impact of discount rate",
+                 (0.0, 0.1, 0.2, 0.5, 0.9, 1.0), 0.9, ""),
+    "epsilon": ("fig18b_epsilon", "Fig. 18(b) - Impact of exploration probability",
+                (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0), 0.05, ""),
+}
+
+
 def _over_campaign(render):
     """The runner method that renders one figure of :mod:`repro.core.figures`
     over the runner's (cached) campaign."""
@@ -41,18 +73,19 @@ def _over_campaign(render):
 
 @dataclass
 class ExperimentRunner(EngineOptions):
-    """Runs full campaigns and renders the paper's figures as tables.
+    """Runs full campaigns and renders the paper's figures as tables; the
+    defaults are :data:`FULL_GRID`'s suite.
 
     How cells execute (``jobs``, ``cache_dir``, ``failure_policy``,
     ``journal_path`` ...) is :class:`~repro.exec.engine.EngineOptions`.
     """
 
-    duration: int = 8_000
-    seed: int = 1
+    duration: int = FULL_GRID.duration
+    seed: int = FULL_GRID.seed
     faults: FaultConfig = field(default_factory=FaultConfig)
-    benchmarks: list[str] = field(default_factory=lambda: list(PARSEC_BENCHMARKS))
+    benchmarks: list[str] = field(default_factory=lambda: list(FULL_GRID.benchmarks))
     techniques: list[TechniqueConfig] = field(default_factory=all_techniques)
-    pretrain_cycles: int = 16_000
+    pretrain_cycles: int = FULL_GRID.pretrain
     _cache: dict[tuple[str, str], RunMetrics] = field(default_factory=dict, repr=False)
 
     def spec_for(self, technique: TechniqueConfig, benchmark: str) -> CellSpec:
@@ -72,18 +105,6 @@ class ExperimentRunner(EngineOptions):
         )
 
     # --- campaign execution ---------------------------------------------------
-
-    def run_cell(
-        self, technique: TechniqueConfig, benchmark: str
-    ) -> RunMetrics | None:
-        """One cell's metrics — None when the cell was skipped/quarantined."""
-        key = (technique.name, benchmark)
-        if key not in self._cache:
-            report = self.run_specs([self.spec_for(technique, benchmark)])
-            if report.metrics[0] is None:
-                return None  # not memoized: a later run may retry it
-            self._cache[key] = report.metrics[0]
-        return self._cache[key]
 
     def run_campaign(self) -> dict[tuple[str, str], RunMetrics]:
         """All (technique, benchmark) cells, executed via the engine.
@@ -112,16 +133,7 @@ class ExperimentRunner(EngineOptions):
     def _technique_names(self) -> list[str]:
         return [t.name for t in self.techniques]
 
-    figure9_speedup = _over_campaign(figures.figure9_speedup)
+    # The two figures the repository benchmark's campaign renders; any suite
+    # figure is ``figures.SUITE_FIGURES[name](self.run_campaign(), ...)``.
     figure10_latency = _over_campaign(figures.figure10_latency)
-    figure11_static_power = _over_campaign(figures.figure11_static_power)
-    figure12_dynamic_power = _over_campaign(figures.figure12_dynamic_power)
     figure13_energy_efficiency = _over_campaign(figures.figure13_energy_efficiency)
-    figure15_retransmissions = _over_campaign(figures.figure15_retransmissions)
-    figure16_mttf = _over_campaign(figures.figure16_mttf)
-    reliability_table = _over_campaign(figures.reliability_table)
-
-    def figure14_mode_breakdown(self):
-        return figures.figure14_mode_breakdown(
-            self.run_campaign(), self.benchmarks
-        )

@@ -206,14 +206,23 @@ def figure16_mttf(results, technique_names, benchmarks):
     )
 
 
-#: The figures that are one metric normalised to the baseline, under the
-#: names :mod:`repro.report.paper_table` gives them.
-NORMALIZED_FIGURES = {
+def _mode_shares(results, technique_names, benchmarks):
+    """Fig. 14 in the common signature, its shares named as the paper
+    table names them."""
+    table, shares = figure14_mode_breakdown(results, benchmarks)
+    return table, {f"mode {mode}": share for mode, share in shares.items()}
+
+
+#: Figs. 9-16, every figure over the (technique x benchmark) suite, under
+#: the names :mod:`repro.report.paper_table` gives them:
+#: ``render(results, technique_names, benchmarks) -> (table, values)``.
+SUITE_FIGURES = {
     "fig09_speedup": figure9_speedup,
     "fig10_latency": figure10_latency,
     "fig11_static_power": figure11_static_power,
     "fig12_dynamic_power": figure12_dynamic_power,
     "fig13_energy_efficiency": figure13_energy_efficiency,
+    "fig14_mode_breakdown": _mode_shares,
     "fig15_retransmissions": figure15_retransmissions,
     "fig16_mttf": figure16_mttf,
 }

@@ -37,7 +37,7 @@ from repro.utils.rng import RngFactory
 
 def pretrain_agents(
     technique: TechniqueConfig,
-    duration: int = 40_000,
+    duration: int,
     seed: int = 1,
     benchmark: str = "blackscholes",
     faults: FaultConfig | None = None,
@@ -49,7 +49,9 @@ def pretrain_agents(
     Runs the RL technique on *benchmark* (the paper uses blackscholes, the
     same workload used for hyperparameter tuning) and returns the trained
     policy, ready to hand to :class:`IntelliNoCSystem` or
-    :class:`repro.noc.network.Network` for the test phase.
+    :class:`repro.noc.network.Network` for the test phase.  *duration* is
+    the training trace's length in cycles (the paper grid's is
+    :data:`repro.core.experiment.FULL_GRID`'s ``pretrain``).
 
     Training uses a faster control cadence and a higher exploration
     probability than deployment (the state/action spaces are identical, so

@@ -344,7 +344,7 @@ class EngineOptions:
     that turns them into a :class:`CampaignEngine`.
 
     :class:`~repro.core.experiment.ExperimentRunner`,
-    :class:`~repro.core.sweep.SensitivitySweep` and
+    :class:`~repro.report.paper.PaperEvaluator` and
     :class:`~repro.core.loadlatency.LoadLatencySweep` inherit this, so the
     same options build the same executor, store, journal and progress
     chain whichever driver holds them.  ``jobs > 1`` executes cells in

@@ -10,17 +10,20 @@ and a second run is pure cache reads.  Tables come from the pure
 renderers of :mod:`repro.core.figures` and
 :func:`repro.power.area.area_table`.
 
-``python -m repro verify-paper`` measures :data:`FULL_GRID`, evaluates
-every row, rewrites ``results/`` and the generated parts of
-EXPERIMENTS.md, and exits non-zero when a row fails.  Tier-1 runs the same
-code on :data:`REDUCED_GRID` and checks the committed files against each
-other (``tests/report/test_paper.py``).
+``python -m repro verify-paper`` measures
+:data:`~repro.core.experiment.FULL_GRID`, evaluates every row, rewrites
+``results/`` and the generated parts of EXPERIMENTS.md, and exits non-zero
+when a row fails.  ``repro campaign`` and ``repro sweep`` print slices of
+the same grid from the same cache keys.  Tier-1 runs the same code on
+:data:`~repro.core.experiment.REDUCED_GRID` and checks the committed files
+against each other (``tests/report/test_paper.py``).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -28,30 +31,21 @@ from typing import NamedTuple
 from repro.config import (
     INTELLINOC,
     SECDED_BASELINE,
-    ControlPolicy,
     FaultConfig,
     all_techniques,
 )
 from repro.core import figures
+from repro.core.experiment import FULL_GRID, SWEEPS, ExperimentRunner, Grid
 from repro.exec.engine import EngineOptions
 from repro.exec.spec import CellSpec, parsec_cell
 from repro.metrics.summary import RunMetrics
 from repro.power.area import area_table
 from repro.report.paper_table import ANY, FIGURES, PAPER, ROWS, Row
-from repro.traffic.parsec import PARSEC_BENCHMARKS
 from repro.utils.tables import format_table
 
 TUNING_BENCHMARK = "blackscholes"
-#: Figs. 17(a), 18(a), 18(b): RlConfig field -> (figure, title, values,
-#: the tuned value the others are normalised to, unit).
-SWEEPS = {
-    "time_step": ("fig17a_timestep", "Fig. 17(a) - Impact of RL time step",
-                  (200, 500, 1000, 10_000), 1000, " cycles"),
-    "discount": ("fig18a_gamma", "Fig. 18(a) - Impact of discount rate",
-                 (0.0, 0.1, 0.2, 0.5, 0.9, 1.0), 0.9, ""),
-    "epsilon": ("fig18b_epsilon", "Fig. 18(b) - Impact of exploration probability",
-                (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0), 0.05, ""),
-}
+#: What the Figs. 9-16 suite's cells measure: its figures and Section 7.4.
+SUITE = frozenset({*figures.SUITE_FIGURES, "rl_overhead"})
 #: Fig. 17(b): the paper's average bit error rates on `fac`, scaled by one
 #: common factor so a short window sees enough faults (DESIGN.md).
 ERROR_RATES = (1e-10, 1e-9, 1e-8, 1e-7)
@@ -74,23 +68,6 @@ REWARD_WEIGHTS = {
     "drop power": (1.0, 0.0, 1.0),
     "drop aging": (1.0, 1.0, 0.0),
 }
-
-
-@dataclass(frozen=True)
-class Grid:
-    """How large a run of the table is.  Not options: two constants."""
-
-    name: str
-    benchmarks: tuple[str, ...]
-    duration: int  # the Figs. 9-16 suite's traces
-    pretrain: int  # RL pre-training cycles (Section 6.3)
-    tuning_duration: int  # Figs. 17-18 and the MFAC / bypass ablations
-    reward_duration: int  # the Eq. 1 ablation, at a 250-cycle control step
-    seed: int = 7
-
-
-FULL_GRID = Grid("full", tuple(PARSEC_BENCHMARKS), 6_000, 40_000, 8_000, 30_000)
-REDUCED_GRID = Grid("reduced", ("swa", "fre"), 800, 1_500, 300, 300)
 
 
 class Measured(NamedTuple):
@@ -141,49 +118,61 @@ class PaperEvaluator(EngineOptions):
 
     grid: Grid = FULL_GRID
 
-    def specs(self) -> dict[tuple, CellSpec]:
-        """Every engine cell of the grid, keyed by what it is a cell of."""
+    def specs(self, only: Collection[str] = FIGURES) -> dict[tuple, CellSpec]:
+        """The engine cells of the figures *only* names (default: all of
+        them), keyed by what each is a cell of."""
         g = self.grid
 
-        def cell(technique, benchmark, duration, faults=None, pretrain=False):
-            rl = pretrain and technique.policy is ControlPolicy.RL
-            return parsec_cell(technique, benchmark, duration, g.seed, faults,
-                               pretrain_cycles=g.pretrain if rl else 0)
+        def pretrained(duration, faults=FaultConfig()):
+            """The campaign runner's cells: RL agents pre-trained first."""
+            return ExperimentRunner(duration=duration, seed=g.seed, faults=faults,
+                                    pretrain_cycles=g.pretrain).spec_for
 
-        specs: dict[tuple, CellSpec] = {
-            (t.name, b): cell(t, b, g.duration, pretrain=True)
-            for t in all_techniques() for b in g.benchmarks
-        }
-        for knob, (_, _, points, _, _) in SWEEPS.items():
-            for point in points:
-                specs[knob, point] = cell(
-                    INTELLINOC.with_rl(**{knob: point}),
-                    TUNING_BENCHMARK, g.tuning_duration,
-                )
-        for rate in ERROR_RATES:
-            faults = FaultConfig(base_bit_error_rate=rate * ERROR_ACCELERATION)
-            for t in (SECDED_BASELINE, INTELLINOC):
-                specs["error", rate, t.name] = cell(
-                    t, "fac", g.tuning_duration, faults, pretrain=True
-                )
+        def untrained(technique, benchmark, duration):
+            return parsec_cell(technique, benchmark, duration, g.seed)
+
+        specs: dict[tuple, CellSpec] = {}
+        if not SUITE.isdisjoint(only):
+            suite = pretrained(g.duration)
+            specs.update({(t.name, b): suite(t, b)
+                          for t in all_techniques() for b in g.benchmarks})
+        for knob, (figure, _, points, _, _) in SWEEPS.items():
+            if figure in only:
+                for point in points:
+                    specs[knob, point] = untrained(
+                        INTELLINOC.with_rl(**{knob: point}),
+                        TUNING_BENCHMARK, g.tuning_duration,
+                    )
+        if "fig17b_error_rate" in only:
+            for rate in ERROR_RATES:
+                fac = pretrained(g.tuning_duration, FaultConfig(
+                    base_bit_error_rate=rate * ERROR_ACCELERATION
+                ))
+                for t in (SECDED_BASELINE, INTELLINOC):
+                    specs["error", rate, t.name] = fac(t, "fac")
         for figure, (benchmark, ablated) in ABLATIONS.items():
-            for t in (INTELLINOC, ablated):
-                specs[figure, t.name] = cell(t, benchmark, g.tuning_duration)
+            if figure in only:
+                for t in (INTELLINOC, ablated):
+                    specs[figure, t.name] = untrained(t, benchmark, g.tuning_duration)
         # Eq. 1 ablation: fast 250-cycle control steps and idle-driven gating
         # off, so mode-0 occupancy is decided by the (weighted) reward alone.
-        for variant, weights in REWARD_WEIGHTS.items():
-            technique = replace(
-                INTELLINOC.with_rl(time_step=250, epsilon=0.15, reward_weights=weights),
-                name="IntelliNoC-" + variant.title().replace(" ", ""),
-                idle_gate_threshold=10**9,
-            )
-            specs["ablation_reward", variant] = cell(
-                technique, TUNING_BENCHMARK, g.reward_duration
-            )
+        if "ablation_reward" in only:
+            for variant, weights in REWARD_WEIGHTS.items():
+                technique = replace(
+                    INTELLINOC.with_rl(time_step=250, epsilon=0.15,
+                                       reward_weights=weights),
+                    name="IntelliNoC-" + variant.title().replace(" ", ""),
+                    idle_gate_threshold=10**9,
+                )
+                specs["ablation_reward", variant] = untrained(
+                    technique, TUNING_BENCHMARK, g.reward_duration
+                )
         return specs
 
-    def measure(self) -> dict[str, Measured]:
-        specs = self.specs()
+    def measure(self, only: Collection[str] = FIGURES) -> dict[str, Measured]:
+        """The figures *only* names (default: every figure of the table),
+        measured as one campaign of their cells."""
+        specs = self.specs(only)
         report = self.run_specs(list(specs.values()), "paper.run")
         if not report.ok:
             raise ValueError(
@@ -195,63 +184,63 @@ class PaperEvaluator(EngineOptions):
         names = [t.name for t in all_techniques()]
         out = {
             figure: _measured(figure, *render(cells, names, g.benchmarks))
-            for figure, render in figures.NORMALIZED_FIGURES.items()
+            for figure, render in figures.SUITE_FIGURES.items() if figure in only
         }
-        table, shares = figures.figure14_mode_breakdown(cells, g.benchmarks)
-        out["fig14_mode_breakdown"] = _measured(
-            "fig14_mode_breakdown", table,
-            {f"mode {mode}": share for mode, share in shares.items()},
-        )
-        entries = max(cells[INTELLINOC.name, b].qtable_entries_max
-                      for b in g.benchmarks)
-        values = {"Q-table entries": float(entries),
-                  "visited fraction": entries / 5**16}
-        out["rl_overhead"] = _measured("rl_overhead", format_table(
-            ["quantity (max over routers and suite; 5^16 nominal states)", "value"],
-            [[k, f"{v:.4g}"] for k, v in values.items()],
-            title="Section 7.4 - RL overhead",
-        ), values)
+        if "rl_overhead" in only:
+            entries = max(cells[INTELLINOC.name, b].qtable_entries_max
+                          for b in g.benchmarks)
+            values = {"Q-table entries": float(entries),
+                      "visited fraction": entries / 5**16}
+            out["rl_overhead"] = _measured("rl_overhead", format_table(
+                ["quantity (max over routers and suite; 5^16 nominal states)", "value"],
+                [[k, f"{v:.4g}"] for k, v in values.items()],
+                title="Section 7.4 - RL overhead",
+            ), values)
         for knob, (figure, title, points, tuned, unit) in SWEEPS.items():
-            lines = {f"{p:g}{unit}": cells[knob, p] for p in points}
-            base = cells[knob, tuned].energy_delay_product
-            out[figure] = _study(
-                figure, title, lines,
-                {k: m.energy_delay_product / base for k, m in lines.items()},
-                f"EDP vs {tuned:g}{unit}",
+            if figure in only:
+                lines = {f"{p:g}{unit}": cells[knob, p] for p in points}
+                base = cells[knob, tuned].energy_delay_product
+                out[figure] = _study(
+                    figure, title, lines,
+                    {k: m.energy_delay_product / base for k, m in lines.items()},
+                    f"EDP vs {tuned:g}{unit}",
+                )
+        if "fig17b_error_rate" in only:
+            lines, values = {}, {}
+            for rate in ERROR_RATES:
+                base = cells["error", rate, SECDED_BASELINE.name]
+                ours = cells["error", rate, INTELLINOC.name]
+                lines[f"{rate:.0e} SECDED"] = base
+                lines[f"{rate:.0e}"] = ours
+                values[f"{rate:.0e}"] = ours.total_energy_j / base.total_energy_j
+            out["fig17b_error_rate"] = _study(
+                "fig17b_error_rate", "Fig. 17(b) - Impact of transient error rates "
+                "(fac; a bare rate is IntelliNoC's line)", lines, values,
+                "energy vs SECDED",
             )
-        lines, values = {}, {}
-        for rate in ERROR_RATES:
-            base = cells["error", rate, SECDED_BASELINE.name]
-            ours = cells["error", rate, INTELLINOC.name]
-            lines[f"{rate:.0e} SECDED"] = base
-            lines[f"{rate:.0e}"] = ours
-            values[f"{rate:.0e}"] = ours.total_energy_j / base.total_energy_j
-        out["fig17b_error_rate"] = _study(
-            "fig17b_error_rate", "Fig. 17(b) - Impact of transient error rates "
-            "(fac; a bare rate is IntelliNoC's line)", lines, values,
-            "energy vs SECDED",
-        )
         for figure, (benchmark, ablated) in ABLATIONS.items():
-            lines = {t.name: cells[figure, t.name] for t in (INTELLINOC, ablated)}
-            out[figure] = _study(
-                figure, f"Ablation - {ablated.name} ({benchmark})", lines,
-                {f"{what} {name}": float(value)
-                 for name, m in lines.items()
-                 for what, value in (("packets", m.packets_completed),
-                                     ("cycles", m.execution_cycles),
-                                     ("latency", m.latency.mean))},
+            if figure in only:
+                lines = {t.name: cells[figure, t.name] for t in (INTELLINOC, ablated)}
+                out[figure] = _study(
+                    figure, f"Ablation - {ablated.name} ({benchmark})", lines,
+                    {f"{what} {name}": float(value)
+                     for name, m in lines.items()
+                     for what, value in (("packets", m.packets_completed),
+                                         ("cycles", m.execution_cycles),
+                                         ("latency", m.latency.mean))},
+                )
+        if "ablation_reward" in only:
+            lines = {v: cells["ablation_reward", v] for v in REWARD_WEIGHTS}
+            values = {k: m.mode_breakdown.get(0, 0.0) for k, m in lines.items()}
+            values["drop latency - full reward"] = (
+                values["drop latency"] - values["full reward"]
             )
-        lines = {v: cells["ablation_reward", v] for v in REWARD_WEIGHTS}
-        values = {k: m.mode_breakdown.get(0, 0.0) for k, m in lines.items()}
-        values["drop latency - full reward"] = (
-            values["drop latency"] - values["full reward"]
-        )
-        out["ablation_reward"] = _study(
-            "ablation_reward",
-            f"Ablation - Eq. 1 reward terms ({TUNING_BENCHMARK})", lines, values,
-        )
+            out["ablation_reward"] = _study(
+                "ablation_reward",
+                f"Ablation - Eq. 1 reward terms ({TUNING_BENCHMARK})", lines, values,
+            )
         out["table2_area"] = _measured("table2_area", *area_table())
-        return {figure: out[figure] for figure in FIGURES}
+        return {figure: out[figure] for figure in FIGURES if figure in only}
 
 
 # --- evaluate, render, publish ---------------------------------------------------

@@ -19,7 +19,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 #: Grids a row is asserted on: the full grid only (bands round a full-grid
-#: value; the name of `repro.report.paper.FULL_GRID`), or the reduced tier-1
+#: value; the name of `repro.core.experiment.FULL_GRID`), or the reduced tier-1
 #: grid as well (directional claims).
 FULL = "full"
 ANY = "any"

@@ -81,21 +81,21 @@ class TestCommands:
         """A misspelt knob is rejected before the session opens anything."""
         observe = tmp_path / "observe"
         with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--knob", "nonsense", "--values", "1",
-                  "--observe", str(observe)])
+            main(["sweep", "--knob", "nonsense", "--observe", str(observe)])
         assert exit_info.value.code == 2
         assert not observe.exists()
 
     def test_sweep_gamma_small(self, capsys):
-        rc = main(["sweep", "--knob", "gamma", "--values", "0.9",
-                   "--duration", "800", "--seed", "2"])
+        """Fig. 18(a)'s six points, on a shorter trace than the grid's."""
+        rc = main(["sweep", "--knob", "gamma", "--duration", "300", "--seed", "2"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Sensitivity sweep" in out
+        assert "Fig. 18(a) - Impact of discount rate" in out
+        assert "EDP vs 0.9" in out
 
     def test_campaign_single_figure(self, capsys):
         rc = main(["campaign", "--benchmarks", "swa", "--duration", "800",
-                   "--pretrain", "1000", "--figures", "latency", "--seed", "2"])
+                   "--pretrain", "1000", "--figures", "fig10_latency", "--seed", "2"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Fig. 10" in out
@@ -111,7 +111,7 @@ class TestCommands:
         try:
             with pytest.raises(SystemExit) as exit_info:
                 main(["campaign", "--benchmarks", "swa", "--duration", "800",
-                      "--pretrain", "500", "--figures", "latency", "pie-chart",
+                      "--pretrain", "500", "--figures", "fig10_latency", "pie-chart",
                       "--cache-dir", str(cache)])
         finally:
             logger.removeHandler(caplog.handler)
@@ -129,7 +129,7 @@ class TestEngineOptions:
 
     def test_sweep_accepts_engine_options(self):
         args = build_parser().parse_args(
-            ["sweep", "--knob", "gamma", "--values", "0.9",
+            ["sweep", "--knob", "gamma",
              "--jobs", "4", "--cache-dir", "/tmp/x", "--no-cache"]
         )
         assert args.jobs == 4
@@ -138,7 +138,7 @@ class TestEngineOptions:
 
     def test_campaign_with_jobs_and_cache(self, tmp_path, capsys):
         argv = ["campaign", "--benchmarks", "swa", "--duration", "800",
-                "--pretrain", "1000", "--figures", "latency", "--seed", "2",
+                "--pretrain", "1000", "--figures", "fig10_latency", "--seed", "2",
                 "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
         rc = main(argv)
         first = capsys.readouterr().out
@@ -152,7 +152,7 @@ class TestEngineOptions:
 
     def test_campaign_no_cache(self, capsys):
         rc = main(["campaign", "--benchmarks", "swa", "--duration", "800",
-                   "--pretrain", "500", "--figures", "latency", "--seed", "2",
+                   "--pretrain", "500", "--figures", "fig10_latency", "--seed", "2",
                    "--no-cache"])
         assert rc == 0
         assert "Fig. 10" in capsys.readouterr().out
@@ -184,7 +184,7 @@ class TestResilienceOptions:
     def test_campaign_journal_then_resume(self, tmp_path, capsys):
         journal = tmp_path / "c.jsonl"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "speedup", "--seed", "2",
+                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
                 "--cache-dir", str(tmp_path / "cache")]
         rc = main(base + ["--journal", str(journal)])
         first = capsys.readouterr().out
@@ -200,13 +200,13 @@ class TestResilienceOptions:
     def test_resume_foreign_journal_is_a_config_error(self, tmp_path, capsys):
         journal = tmp_path / "c.jsonl"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "speedup", "--seed", "2",
+                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(base + ["--journal", str(journal)]) == 0
         capsys.readouterr()
         # Same journal, different campaign (other seed): manifest mismatch.
         rc = main(["campaign", "--benchmarks", "swa", "--duration", "600",
-                   "--pretrain", "0", "--figures", "speedup", "--seed", "3",
+                   "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "3",
                    "--cache-dir", str(tmp_path / "cache"),
                    "--resume", str(journal)])
         assert rc == 2
@@ -217,7 +217,7 @@ class TestResilienceOptions:
         resume could serve nothing, only re-simulate the whole grid."""
         journal = tmp_path / "c.jsonl"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "speedup", "--seed", "2"]
+                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2"]
         assert main(base + ["--cache-dir", str(tmp_path / "cache"),
                             "--journal", str(journal)]) == 0
         capsys.readouterr()
@@ -258,7 +258,7 @@ class TestSmokes:
         else:
             argv = argv + [
                 "--benchmarks", "swa", "--duration", "600", "--pretrain", "0",
-                "--figures", "latency", "--no-cache",
+                "--figures", "fig10_latency", "--no-cache",
             ]
         rc = main(argv + ["--sanitize", "--observe", str(observe)])
         out = capsys.readouterr().out
@@ -293,7 +293,7 @@ class TestSmokes:
 
         observe, journal = tmp_path / "observe", tmp_path / "c.jsonl"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "speedup", "--seed", "2",
+                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--observe", str(observe)]
         monkeypatch.setattr(cli, "_print_progress", sigterm_after_first_cell)
@@ -318,7 +318,7 @@ class TestEngineSession:
         from repro.exec.engine import EngineOptions
 
         args = build_parser().parse_args(
-            ["sweep", "--knob", "gamma", "--values", "1", "--no-cache",
+            ["sweep", "--knob", "gamma", "--no-cache",
              "--observe", str(tmp_path)]
         )
         rendered = []

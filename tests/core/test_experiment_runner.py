@@ -1,4 +1,5 @@
-"""Tests for the campaign runner and sensitivity sweeps (small scale)."""
+"""Tests for the campaign runner, the grid it shares with the paper table,
+and the sensitivity sweeps as slices of that grid (small scale)."""
 
 import math
 from dataclasses import replace
@@ -7,11 +8,19 @@ import pytest
 
 from repro.config import INTELLINOC, SECDED_BASELINE
 from repro.core import figures
-from repro.core.experiment import ExperimentRunner
+from repro.cli import build_parser
+from repro.core.experiment import FULL_GRID, REDUCED_GRID, ExperimentRunner
 from repro.core.intellinoc import IntelliNoCSystem
-from repro.core.sweep import SensitivitySweep
 from repro.exec.worker import build_trace
+from repro.report.paper import PaperEvaluator
 from repro.traffic.parsec import generate_parsec_trace
+
+
+def render(runner, figure):
+    """One suite figure over *runner*'s campaign, as ``repro campaign``
+    prints it."""
+    names = [t.name for t in runner.techniques]
+    return figures.SUITE_FIGURES[figure](runner.run_campaign(), names, runner.benchmarks)
 
 
 def trace(runner, benchmark, technique):
@@ -43,8 +52,8 @@ class TestRunner:
         }
 
     def test_cells_are_cached(self, tiny_runner):
-        a = tiny_runner.run_cell(SECDED_BASELINE, "swa")
-        b = tiny_runner.run_cell(SECDED_BASELINE, "swa")
+        a = tiny_runner.run_campaign()[("SECDED", "swa")]
+        b = tiny_runner.run_campaign()[("SECDED", "swa")]
         assert a is b
 
     def test_identical_traces_across_techniques(self, tiny_runner):
@@ -60,12 +69,13 @@ class TestRunner:
         assert "average" in table
 
     def test_speedup_inverts_execution_time(self, tiny_runner):
-        _, averages = tiny_runner.figure9_speedup()
+        _, averages = render(tiny_runner, "fig09_speedup")
         # Per-benchmark speed-up = base cycles / ours cycles; the figure's
         # average is the geometric mean of those.
+        results = tiny_runner.run_campaign()
         speedups = [
-            tiny_runner.run_cell(SECDED_BASELINE, benchmark).execution_cycles
-            / tiny_runner.run_cell(INTELLINOC, benchmark).execution_cycles
+            results["SECDED", benchmark].execution_cycles
+            / results["IntelliNoC", benchmark].execution_cycles
             for benchmark in tiny_runner.benchmarks
         ]
         assert averages["IntelliNoC"] == pytest.approx(
@@ -73,12 +83,12 @@ class TestRunner:
         )
 
     def test_mode_breakdown_covers_benchmarks(self, tiny_runner):
-        table, avg = tiny_runner.figure14_mode_breakdown()
+        table, avg = render(tiny_runner, "fig14_mode_breakdown")
         assert abs(sum(avg.values()) - 1.0) < 1e-9
         assert table.count("\n") >= 4  # title + header + 2 benchmarks
 
     def test_mttf_figure_positive(self, tiny_runner):
-        _, averages = tiny_runner.figure16_mttf()
+        _, averages = render(tiny_runner, "fig16_mttf")
         assert all(v > 0 for v in averages.values())
 
 
@@ -193,21 +203,81 @@ class TestPartialFigures:
             figures.figure14_mode_breakdown({}, self.BENCHMARKS)
 
 
+class TestOneGrid:
+    """FULL_GRID is the one set of campaign defaults, and the paper table's
+    suite cells are the runner's."""
+
+    def test_runner_and_cli_defaults_are_the_full_grid(self):
+        runner = ExperimentRunner()
+        assert (runner.seed, runner.duration, runner.pretrain_cycles) == (
+            FULL_GRID.seed, FULL_GRID.duration, FULL_GRID.pretrain
+        )
+        assert runner.benchmarks == list(FULL_GRID.benchmarks)
+        campaign = build_parser().parse_args(["campaign"])
+        assert (campaign.seed, campaign.duration, campaign.pretrain) == (
+            FULL_GRID.seed, FULL_GRID.duration, FULL_GRID.pretrain
+        )
+        assert campaign.benchmarks == list(FULL_GRID.benchmarks)
+        sweep = build_parser().parse_args(["sweep", "--knob", "gamma"])
+        assert (sweep.seed, sweep.duration) == (
+            FULL_GRID.seed, FULL_GRID.tuning_duration
+        )
+
+    @pytest.mark.parametrize("grid", [FULL_GRID, REDUCED_GRID], ids=lambda g: g.name)
+    def test_paper_suite_cells_are_the_runners(self, grid):
+        runner = ExperimentRunner(
+            duration=grid.duration, seed=grid.seed,
+            benchmarks=list(grid.benchmarks), pretrain_cycles=grid.pretrain,
+        )
+        suite = PaperEvaluator(grid=grid).specs(["fig10_latency"])
+        assert {k: s.content_hash() for k, s in suite.items()} == {
+            (t.name, b): runner.spec_for(t, b).content_hash()
+            for t in runner.techniques for b in runner.benchmarks
+        }
+
+    def test_full_grid_cache_keys_are_pinned(self):
+        """A moved key re-simulates every cached cell of the table."""
+        runner = ExperimentRunner()
+        assert runner.spec_for(INTELLINOC, "bod").content_hash().startswith("bb475701")
+        assert runner.spec_for(SECDED_BASELINE, "swa").content_hash().startswith(
+            "b7fa4d38"
+        )
+
+
+def sweep(figure):
+    """One sweep figure of the reduced grid: its cells' ``{key: metrics}``
+    and the figure the table renders from them."""
+    evaluator = PaperEvaluator(grid=REDUCED_GRID, use_cache=True)
+    specs = evaluator.specs([figure])
+    cells = dict(zip(specs, evaluator.run_specs(list(specs.values())).metrics))
+    return cells, evaluator.measure([figure])[figure]
+
+
 class TestSweeps:
     def test_time_step_sweep_smoke(self):
-        sweep = SensitivitySweep(duration=1200, seed=4)
-        points = sweep.sweep_time_step([400, 1200])
-        assert [p.value for p in points] == [400, 1200]
-        assert all(p.edp > 0 for p in points)
+        cells, measured = sweep("fig17a_timestep")
+        assert [point for _, point in cells] == [200, 500, 1000, 10_000]
+        assert all(m.energy_delay_product > 0 for m in cells.values())
+        assert measured.values["1000 cycles"] == 1.0
+        assert "Fig. 17(a)" in measured.table
 
     def test_gamma_sweep_varies_hyperparameter(self):
-        sweep = SensitivitySweep(duration=1000, seed=4)
-        points = sweep.sweep_gamma([0.0, 0.9])
-        assert all(p.metrics.packets_completed > 0 for p in points)
+        evaluator = PaperEvaluator(grid=REDUCED_GRID)
+        gammas = [s.technique.rl.discount
+                  for s in evaluator.specs(["fig18a_gamma"]).values()]
+        assert gammas == [0.0, 0.1, 0.2, 0.5, 0.9, 1.0]
+        cells, _ = sweep("fig18a_gamma")
+        assert all(m.packets_completed > 0 for m in cells.values())
 
     def test_error_rate_sweep_scales_faults(self):
-        sweep = SensitivitySweep(duration=1000, seed=4)
-        lo, hi = sweep.sweep_error_rate([1e-9, 5e-4])
-        lo_retx = lo.metrics.reliability.total_retransmitted_flits
-        hi_retx = hi.metrics.reliability.total_retransmitted_flits
-        assert hi_retx >= lo_retx
+        """Fig. 17(b): SECDED vs IntelliNoC on fac, pre-trained, at the
+        paper's rates times one acceleration factor."""
+        cells, measured = sweep("fig17b_error_rate")
+        for name in ("SECDED", "IntelliNoC"):
+            lo = cells["error", 1e-10, name].reliability.total_retransmitted_flits
+            hi = cells["error", 1e-7, name].reliability.total_retransmitted_flits
+            assert hi >= lo
+        specs = PaperEvaluator(grid=REDUCED_GRID).specs(["fig17b_error_rate"])
+        assert {s.workload.name for s in specs.values()} == {"fac"}
+        assert specs["error", 1e-7, "IntelliNoC"].pretrain_cycles == REDUCED_GRID.pretrain
+        assert set(measured.values) == {"1e-10", "1e-09", "1e-08", "1e-07"}

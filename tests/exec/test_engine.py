@@ -6,7 +6,6 @@ import pytest
 from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
 from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep
-from repro.core.sweep import SensitivitySweep
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor, ProgressEvent
 from repro.exec.resilience import (
@@ -19,6 +18,7 @@ from repro.exec.resilience import (
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_job
+from repro.report.paper import PaperEvaluator
 from repro.telemetry import SimProfiler, chain_progress
 
 
@@ -47,7 +47,7 @@ def campaign_specs():
 #: The three campaign drivers, each built from engine options alone.
 DRIVERS = {
     "runner": ExperimentRunner,
-    "sensitivity": SensitivitySweep,
+    "paper": PaperEvaluator,
     "load-latency": lambda **options: LoadLatencySweep(
         technique=SECDED_BASELINE, **options
     ),

@@ -1,12 +1,14 @@
 """What a simulation process loads: the simulator, and nothing it does not run.
 
 Every campaign cell, bench child and sweep point is a process that pays for
-its modules in start-up time and resident memory.  Four never run in a
+its modules in start-up time and resident memory.  Five never run in a
 simulation: the process pool (``multiprocessing`` and
 ``concurrent.futures.process``, needed only at ``--jobs N > 1``), numpy's
 masked arrays (which ``np.percentile`` loads to ask whether a list is
-masked) and the lint engine (which the CLI's parser once loaded to define
-the ``lint`` subcommand).  Each probe runs in a fresh interpreter, since
+masked), the lint engine (which the CLI's parser once loaded to define
+the ``lint`` subcommand) and the paper table (``repro.report``, which
+only ``verify-paper`` and ``sweep`` load; the grid it measures lives in
+``repro.core.experiment``).  Each probe runs in a fresh interpreter, since
 this one has long since loaded all of them.
 """
 
@@ -28,6 +30,7 @@ FORBIDDEN = (
     "concurrent.futures.process",
     "numpy.ma",
     "repro.analysis.lint",
+    "repro.report",
 )
 
 _REPORT = (

@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.experiment import FULL_GRID, REDUCED_GRID, Grid
+from repro.core.figures import SUITE_FIGURES
+from repro.exec.store import default_cache_dir
 from repro.noc.network import Network
 from repro.report import paper
 from repro.report.paper_table import (
@@ -25,11 +29,15 @@ COMMITTED = json.loads((ROOT / "results" / "measured.json").read_text())
 KNOWN_DEVIATIONS = [row for row in ROWS if row.known_deviation]
 
 
+def no_network(*args, **kwargs):
+    raise AssertionError("a warm run built a Network")
+
+
 def row_id(row):
     return f"{row.figure}/{row.subject}"
 
 
-def failed(values, grid=paper.FULL_GRID):
+def failed(values, grid=FULL_GRID):
     return [row_id(v.row) for v in paper.evaluate(values, grid) if not v.ok]
 
 
@@ -101,7 +109,7 @@ class TestCommittedRun:
 
 @pytest.fixture(scope="module")
 def reduced():
-    return paper.PaperEvaluator(grid=paper.REDUCED_GRID, use_cache=True).measure()
+    return paper.PaperEvaluator(grid=REDUCED_GRID, use_cache=True).measure()
 
 
 class TestReducedGrid:
@@ -110,18 +118,15 @@ class TestReducedGrid:
         values = {figure: m.values for figure, m in reduced.items()}
         for row in ROWS:
             assert row.subject in values[row.figure], row_id(row)
-        assert {v.row.grid for v in paper.evaluate(values, paper.REDUCED_GRID)} == {ANY}
-        assert failed(values, paper.REDUCED_GRID) == []
+        assert {v.row.grid for v in paper.evaluate(values, REDUCED_GRID)} == {ANY}
+        assert failed(values, REDUCED_GRID) == []
 
     def test_a_second_run_is_one_campaign_of_cache_reads(self, reduced, monkeypatch):
         """Every figure, the Eq. 1 reward ablation included, is engine cells:
         a warm run simulates nothing."""
 
-        def no_network(*args, **kwargs):
-            raise AssertionError("a warm run built a Network")
-
         monkeypatch.setattr(Network, "__init__", no_network)
-        again = paper.PaperEvaluator(grid=paper.REDUCED_GRID, use_cache=True)
+        again = paper.PaperEvaluator(grid=REDUCED_GRID, use_cache=True)
         assert again.measure() == reduced
         assert again.engine.total_executed == 0
         # The three RL sweeps share their default-configuration cell.
@@ -155,7 +160,7 @@ class TestCli:
 
         @dataclass
         class ReducedEvaluator(paper.PaperEvaluator):
-            grid: paper.Grid = paper.REDUCED_GRID
+            grid: Grid = REDUCED_GRID
 
         monkeypatch.setattr(paper, "PaperEvaluator", ReducedEvaluator)
         shutil.copy(ROOT / "EXPERIMENTS.md", tmp_path)
@@ -164,3 +169,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "| **fig09_speedup** — " in out and "**FAILED**" in out
         assert (tmp_path / "results" / "fig13_energy_efficiency.txt").exists()
+
+    def test_campaign_and_sweep_print_slices_of_the_grid(
+        self, reduced, monkeypatch, capsys
+    ):
+        """After the table's run, `campaign` and `sweep` at their defaults
+        (the CLI's grid swapped for the reduced one) are cache reads of the
+        same cells and print the tables results/ holds."""
+        monkeypatch.setattr(cli, "FULL_GRID", REDUCED_GRID)
+        monkeypatch.setattr(Network, "__init__", no_network)
+        cache = str(default_cache_dir())
+
+        def body(figure):
+            """results/<figure>.txt without what the paper reports."""
+            table = reduced[figure].table.removesuffix("\n" + FIGURES[figure])
+            return table.split("\npaper: ")[0]
+
+        assert main(["campaign", "--cache-dir", cache, "--quiet"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"\n{body(figure)}\n" for figure in SUITE_FIGURES
+        )
+        assert main(["sweep", "--knob", "epsilon", "--cache-dir", cache, "--quiet"]) == 0
+        assert capsys.readouterr().out == reduced["fig18b_epsilon"].table + "\n"
