@@ -21,6 +21,10 @@ Invariants (catalogued with rationale in ``docs/analysis.md``):
   reservation total matches the unacked copies channels hold against it.
 * **BST consistency** — an ACTIVE input VC's (route, out_vc) must match
   its Buffer State Table entry; BST entries must reference real ports.
+* **VC owners** — a VC that is busy, holds flits or has a BST entry names
+  the packet it is claimed for, and holds only that packet's flits; no VC
+  stays claimed for a dropped packet past the drop sweep; a drained
+  network holds no claim (hence no BST entry).
 * **gated buffers** — a power-gated router holds no buffered flits (its
   pipeline state is off; the bypass works out of the channels).
 * **delivery accounting** — no silent packet loss: every injected packet
@@ -78,6 +82,17 @@ def _env_truthy(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
+def _drained(network: "Network") -> bool:
+    """The workload has fully arrived and no flit is queued at a source,
+    buffered in a router or in flight on a channel."""
+    return (
+        network._trace_index >= len(network._events)
+        and not any(s.pending_packets for s in network.sources)
+        and not any(r._flit_count for r in network.routers)
+        and not any(c.queue for c in network.channels)
+    )
+
+
 class NocSanitizer:
     """Invariant checker attached to one :class:`~repro.noc.network.Network`."""
 
@@ -122,6 +137,7 @@ class NocSanitizer:
         self._check_occupancy_counters(network, cycle)
         self._check_credit_conservation(network, cycle)
         self._check_bst_consistency(network, cycle)
+        self._check_vc_owners(network, cycle)
         self._check_gated_buffers(network, cycle)
         self._check_delivery_accounting(network, cycle)
         self._check_qtables(network, cycle)
@@ -263,6 +279,34 @@ class NocSanitizer:
                         f"out-of-range VC {entry.out_vc}",
                     )
 
+    def _check_vc_owners(self, network: "Network", cycle: int) -> None:
+        from repro.noc.vc import VcState
+
+        port_name = network.topology.port_name
+        pending = {id(p) for p in network._pending_drops}
+        drained = _drained(network)
+        for router in network.routers:
+            entries = router.bst.entries()
+            for port, vci, vc in router._vc_slots:
+                owner = vc.owner
+                if owner is None:
+                    busy = vc.state is not VcState.IDLE or vc.queue
+                    if not busy and (port.direction, vci) not in entries:
+                        continue
+                    problem = f"is {vc.state.value} (or routed by the BST) but has no owner"
+                elif drained:
+                    problem = f"is claimed by packet {owner.pid} on a drained network"
+                elif owner.dropped_reason is not None and id(owner) not in pending:
+                    problem = f"is claimed by packet {owner.pid}, dropped before the last sweep"
+                elif any(flit.packet is not owner for flit, _ in vc.queue):
+                    problem = f"buffers flits of a packet other than its owner {owner.pid}"
+                else:
+                    continue
+                self._fail(
+                    network, "vc-owners", cycle,
+                    f"router {router.id} {port_name(port.direction)}/vc{vci} {problem}",
+                )
+
     def _check_gated_buffers(self, network: "Network", cycle: int) -> None:
         from repro.noc.power_gating import PowerState
 
@@ -291,13 +335,8 @@ class NocSanitizer:
                 f"{stats.packets_undeliverable} undeliverable) exceed "
                 f"injected={stats.packets_injected}",
             )
-        if network._trace_index < len(network._events):
-            return  # workload still arriving
-        pending_sources = sum(s.pending_packets for s in network.sources)
-        buffered = sum(r._flit_count for r in network.routers)
-        in_flight = sum(len(c.queue) for c in network.channels)
-        if pending_sources or buffered or in_flight:
-            return  # packets legitimately in flight
+        if not _drained(network):
+            return  # workload still arriving, or packets legitimately in flight
         if resolved != stats.packets_injected:
             self._fail(
                 network, "delivery-accounting", cycle,
@@ -383,9 +422,12 @@ class NocSanitizer:
                         "route": port_name(vc.route) if vc.route is not None else None,
                         "out_vc": vc.out_vc,
                         "flits": [repr(f) for f, _ in vc.queue],
+                        "owner": vc.owner.pid if vc.owner is not None else None,
                     })
                 ports[port_name(direction)] = {
-                    "claimed": sorted(port.claimed),
+                    "claimed": [
+                        vci for vci, vc in enumerate(port.vcs) if vc.owner is not None
+                    ],
                     "vcs": vcs,
                 }
             routers.append({

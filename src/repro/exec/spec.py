@@ -32,8 +32,9 @@ from repro.config import (
 #: Bumped whenever simulation semantics, or the canonical form itself,
 #: change in a way that invalidates previously stored results (also
 #: embedded in stored artifacts).  2: every dataclass field is hashed.
-#: 3: ``RlConfig.reward_weights``.
-SPEC_SCHEMA_VERSION = 3
+#: 3: ``RlConfig.reward_weights``.  4: the drop sweep releases every VC
+#: a victim owns.
+SPEC_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)

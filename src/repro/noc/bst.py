@@ -23,15 +23,11 @@ from repro.noc.routing import NUM_PORTS
 
 @dataclass
 class BstEntry:
-    """Routing state for the packet currently owning (input port, VC)."""
+    """Routing state for the packet currently owning (input port, VC); the
+    owner itself is that input VC's ``owner``."""
 
     output_port: int  # a Direction member, or a cmesh extra local port id
     out_vc: int
-    active: bool = True
-    # The owning packet (set at record time).  Pure simulation convenience:
-    # when a scenario kills a router/link, the network's drop sweep uses it
-    # to find and excise every wormhole committed to the dead element.
-    owner: object | None = None
 
 
 class BufferStateTable:
@@ -46,19 +42,10 @@ class BufferStateTable:
         self.num_ports = num_ports
         self._entries: dict[tuple[int, int], BstEntry] = {}
 
-    def record(
-        self,
-        in_port: int,
-        in_vc: int,
-        output_port: int,
-        out_vc: int,
-        owner: object | None = None,
-    ) -> None:
+    def record(self, in_port: int, in_vc: int, output_port: int, out_vc: int) -> None:
         """Store the head flit's allocation for its body flits to follow."""
         self._check(in_port, in_vc)
-        self._entries[(int(in_port), in_vc)] = BstEntry(
-            output_port, out_vc, owner=owner
-        )
+        self._entries[(int(in_port), in_vc)] = BstEntry(output_port, out_vc)
 
     def lookup(self, in_port: int, in_vc: int) -> BstEntry | None:
         """Allocation of the packet owning (port, VC), or None if idle."""

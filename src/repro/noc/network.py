@@ -59,7 +59,6 @@ from repro.noc.power_gating import (
 from repro.noc.router import Router
 from repro.noc.statistics import NetworkStatistics
 from repro.noc.topology import build_topology
-from repro.noc.vc import VC_IDLE
 from repro.power.accounting import EnergyAccountant
 from repro.power.model import PowerModel
 from repro.traffic.injection import SourceQueue
@@ -740,6 +739,7 @@ class Network:
                 vci = port.free_vc_for_head()
                 if vci is None:
                     continue
+                port.claim(vci, flit.packet)
                 source.current_vc = vci
                 flit.vc = vci
                 source.pop()
@@ -870,36 +870,25 @@ class Network:
         router.dead = True
         router.failed = True  # adaptive routing already avoids failed hops
         self._dead_routers[rid] = cycle
-        for channel in router.outgoing.values():
-            channel.kill(REASON_DEAD_ROUTER)
-        for channel in router.incoming.values():
-            channel.kill(REASON_DEAD_ROUTER)
         self._enter_degraded(cycle)
-        # In-flight victims: flits wired to/from the router and flits
-        # buffered inside it.
-        for channel in list(router.outgoing.values()) + list(router.incoming.values()):
+        # In-flight victims: flits wired to/from the router and the owner
+        # of every VC inside it (its buffered flits are the owner's).
+        for channel in [*router.outgoing.values(), *router.incoming.values()]:
+            channel.kill(REASON_DEAD_ROUTER)
             for entry in channel.queue:
                 self._mark_dropped(entry[0].packet, REASON_DEAD_ROUTER)
         for port in router.input_ports.values():
             for vc in port.vcs:
-                for flit, _ in vc.queue:
-                    self._mark_dropped(flit.packet, REASON_DEAD_ROUTER)
-        for entry in router.bst.entries().values():
-            if entry.owner is not None:
-                self._mark_dropped(entry.owner, REASON_DEAD_ROUTER)
+                if vc.owner is not None:
+                    self._mark_dropped(vc.owner, REASON_DEAD_ROUTER)
         self._mark_committed_worms()
-        # Local traffic: a mid-injection packet is a normal drop; packets
-        # that never started (and everything still queued) are refused.
+        # Local traffic: a mid-injection packet owns a VC here (dropped
+        # above); one that never started, and everything queued, is refused.
         for node in self.topology.local_nodes(rid):
             source = self.sources[node]
-            current = source.current_packet()
-            if current is not None:
-                if current.injection_cycle >= 0:
-                    self._mark_dropped(current, REASON_DEAD_ROUTER)
-                else:
-                    self._mark_dropped(current, REASON_UNDELIVERABLE)
-            for packet in source.drain_queued():
-                self._mark_dropped(packet, REASON_UNDELIVERABLE)
+            for packet in (source.current_packet(), *source.drain_queued()):
+                if packet is not None:
+                    self._mark_dropped(packet, REASON_UNDELIVERABLE)
         self._flush_drops(cycle)
         # Park the gating controller in GATED so the epoch accounting
         # charges dead-router leakage at the gated (power-cut) rate.
@@ -932,14 +921,11 @@ class Network:
         for router in self.routers:
             if router.dead:
                 continue
-            for entry in router.bst.entries().values():
+            for (in_port, in_vc), entry in router.bst.entries().items():
                 channel = router.outgoing.get(entry.output_port)
-                if (
-                    channel is not None
-                    and channel.dead
-                    and entry.owner is not None
-                ):
-                    self._mark_dropped(entry.owner, channel.dead_reason or REASON_DEAD_LINK)
+                if channel is not None and channel.dead:
+                    owner = router.input_ports[in_port].vcs[in_vc].owner
+                    self._mark_dropped(owner, channel.dead_reason or REASON_DEAD_LINK)
 
     def _mark_dropped(self, packet, reason: str) -> None:
         """Resolve *packet* as dropped (idempotent).  Counters move now;
@@ -961,8 +947,8 @@ class Network:
 
     def _flush_drops(self, cycle: int) -> None:
         """Excise every flit of every marked packet from the fabric,
-        releasing the wormhole state (VC claims, BST entries, upstream
-        reservations) it held, and account the flits as dropped so the
+        release every VC a victim owns (with its BST entry) wherever the
+        victim's flits are, and account the flits as dropped so the
         sanitizer's conservation law keeps closing."""
         victims = self._pending_drops
         self._pending_drops = []
@@ -976,27 +962,9 @@ class Network:
             for entry in doomed:
                 channel.dequeue(entry)
             dropped_flits += len(doomed)
-        # Routers: remove buffered flits and close the wormhole state the
-        # victims held (mirroring Router._close for each open allocation).
+        # Routers: release every VC a victim owns, with its buffered flits.
         for router in self.routers:
-            for port in router.input_ports.values():
-                for vci, vc in enumerate(port.vcs):
-                    removed = router.drop_buffered(port, vci, victim_set)
-                    dropped_flits += removed
-                    entry = router.bst.lookup(port.direction, vci)
-                    if entry is not None and id(entry.owner) in victim_set:
-                        if entry.output_port not in router._ejection_ports:
-                            down_port = router.downstream_ports.get(entry.output_port)
-                            if down_port is not None:
-                                down_port.unclaim(entry.out_vc)
-                        router.bst.clear(port.direction, vci)
-                        vc.close_packet()
-                        port.unclaim(vci)
-                    elif removed and not vc.queue and vc.state is not VC_IDLE:
-                        # Head never reached VC allocation: no BST entry,
-                        # no downstream claim — just reset the VC.
-                        vc.close_packet()
-                        port.unclaim(vci)
+            dropped_flits += router.drop_owned(victim_set)
         # Sources: un-injected flits of a partially-injected victim (they
         # never entered the popped-flits ledger, so they are not "dropped").
         for victim in victims:

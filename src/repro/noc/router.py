@@ -262,13 +262,7 @@ class Router:
         """Buffer an arriving flit into its input VC."""
         port = self.input_ports[direction]
         vc = port.vcs[flit.vc]
-        if flit.is_head:
-            if vc.state is not VC_IDLE:
-                raise RuntimeError(
-                    f"router {self.id}: head arrived at busy VC "
-                    f"{self.topology.port_name(direction)}/{flit.vc}"
-                )
-        elif vc.state is VC_IDLE:
+        if not flit.is_head and vc.state is VC_IDLE:
             # Body flit whose head traversed while this router was gated:
             # restore wormhole state from the always-on BST.
             entry = self.bst.lookup(direction, flit.vc)
@@ -364,7 +358,7 @@ class Router:
                     continue  # no downstream VC free; retry next cycle
                 vc.out_vc = out_vc
             vc.state = VC_ACTIVE
-            self.bst.record(port.direction, vci, route, vc.out_vc, owner=packet)
+            self.bst.record(port.direction, vci, route, vc.out_vc)
             active.append(slot)
 
     def _switch_allocate(self, cycle: int, active: list) -> None:
@@ -459,7 +453,7 @@ class Router:
         is_tail = flit.is_tail
         if route in self._ejection_ports:
             if is_tail:
-                self._close(port, vci, vc)
+                self._close(port, vci)
             self.on_eject(flit, cycle)
             return
 
@@ -484,23 +478,27 @@ class Router:
             self._reserved_count += 1
             channel.pending_acks[flit] = (vc, self)
         if is_tail:
-            self._close(port, vci, vc)
+            self._close(port, vci)
 
-    def drop_buffered(self, port: InputPort, vci: int, doomed: dict) -> int:
-        """Remove the buffered flits of VC *vci* of *port* whose packet is
-        in *doomed* (keyed by ``id(packet)``); returns how many went."""
-        vc = port.vcs[vci]
-        kept = [item for item in vc.queue if id(item[0].packet) not in doomed]
-        removed = len(vc.queue) - len(kept)
-        if removed:
-            vc.queue = kept
-            self._flit_count -= removed
-            if not kept:
-                self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)
+    def drop_owned(self, doomed: dict) -> int:
+        """Release every input VC whose owner is in *doomed* (keyed by
+        ``id(packet)``) with the flits it buffers, all of them the owner's;
+        returns how many flits went."""
+        removed = 0
+        for bit, (port, vci, vc) in enumerate(self._vc_slots):
+            if vc.owner is not None and id(vc.owner) in doomed:
+                removed += len(vc.queue)
+                vc.queue = []
+                self._occupied_vcs &= ~(1 << bit)
+                self._close(port, vci)
+        self._flit_count -= removed
         return removed
 
-    def _close(self, port: InputPort, vci: int, vc) -> None:
-        vc.close_packet()
+    def _close(self, port: InputPort, vci: int) -> None:
+        """Release input VC *vci* of *port* and its BST entry: behind the
+        owner's tail (switched or bypassed), or when the network's drop
+        sweep excises the owner."""
+        port.vcs[vci].close_packet()
         self.bst.clear(port.direction, vci)
         port.unclaim(vci)
 
@@ -692,7 +690,7 @@ class Router:
             out_vc = down_port.free_vc_for_head()
             if out_vc is None:
                 return None
-        down_port.claim(out_vc)
+        down_port.claim(out_vc, packet)
         return out_vc
 
     def _bypass_forward(self, in_dir: int, channel: Channel, cycle: int) -> bool:
@@ -719,7 +717,7 @@ class Router:
                 entry[2] = self.sample_link_errors(channel)
             flit.bit_errors += entry[2] or 0
             if flit.is_head:
-                self.bst.record(in_dir, in_vc, route, out_vc, owner=flit.packet)
+                self.bst.record(in_dir, in_vc, route, out_vc)
                 flit.packet.path.append(self.id)
             self.counters.in_flits[in_dir] += 1
             self._bypass_emit(flit, in_dir, in_vc, route, out_vc, cycle)
@@ -730,12 +728,12 @@ class Router:
         self, flit: Flit, in_port: int, in_vc: int, route: int, out_vc: int, cycle: int
     ) -> None:
         """Drive *flit* out of the bypass switch: eject it or send it on
-        *route*, and close the worm's BST entry behind a tail."""
+        *route*, and close the worm's input VC behind a tail."""
         self.charge(self._bypass_base_pj + self.ecc.codec_pj)
         self.counters.out_flits[route] += 1
         if route in self._ejection_ports:
             if flit.is_tail:
-                self._bypass_close(in_port, in_vc)
+                self._close(self.input_ports[in_port], in_vc)
             self.on_eject(flit, cycle)
             return
         flit.vc = out_vc
@@ -747,15 +745,7 @@ class Router:
             keep_copy=out_channel.function is CHANNEL_RETRANSMISSION,
         )
         if flit.is_tail:
-            self._bypass_close(in_port, in_vc)
-
-    def _bypass_close(self, in_dir: int, in_vc: int) -> None:
-        self.bst.clear(in_dir, in_vc)
-        port = self.input_ports[in_dir]
-        vc = port.vcs[in_vc]
-        if vc.state is not VC_IDLE and not vc.queue:
-            vc.close_packet()
-        port.unclaim(in_vc)
+            self._close(self.input_ports[in_port], in_vc)
 
     def _bypass_inject(self, cycle: int, source, port: int = LOCAL) -> bool:
         flit = source.peek()
@@ -783,9 +773,9 @@ class Router:
                 if not self.outgoing[route].can_accept(cycle):
                     self.downstream_ports[route].unclaim(out_vc)
                     return False
-            self.input_ports[port].claim(in_vc)
+            self.input_ports[port].claim(in_vc, flit.packet)
             source.current_vc = in_vc
-            self.bst.record(port, in_vc, route, out_vc, owner=flit.packet)
+            self.bst.record(port, in_vc, route, out_vc)
             flit.packet.injection_cycle = cycle
             flit.packet.path.append(self.id)
         else:

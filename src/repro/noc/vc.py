@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import enum
 
-from repro.noc.flit import Flit
+from repro.noc.flit import Flit, Packet
 from repro.noc.routing import Direction
 
 
 class VcState(enum.Enum):
-    IDLE = "idle"  # no packet owns this VC
+    IDLE = "idle"  # no worm in progress (the VC may be claimed for one)
     ROUTING = "routing"  # head buffered, route computation pending
     WAITING_VA = "waiting_va"  # route known, needs an output VC
     ACTIVE = "active"  # output VC allocated, flits may traverse
@@ -40,7 +40,7 @@ class VirtualChannel:
     bytes against an empty ``deque``'s 760 (a mesh builds thousands).
     """
 
-    __slots__ = ("depth", "queue", "state", "route", "out_vc", "reserved")
+    __slots__ = ("depth", "queue", "state", "route", "out_vc", "reserved", "owner")
 
     def __init__(self, depth: int):
         if depth < 1:
@@ -51,6 +51,9 @@ class VirtualChannel:
         self.route: Direction | None = None
         self.out_vc: int | None = None
         self.reserved = 0  # slots held by unacked retransmission copies
+        # The packet this VC is promised to, from its claim (VA, bypass or
+        # injection) to its release (``Router._close``): Fig. 4's owner.
+        self.owner: Packet | None = None
 
     @property
     def occupancy(self) -> int:
@@ -96,19 +99,17 @@ class VirtualChannel:
 class InputPort:
     """All VCs of one router input direction.
 
-    ``claimed`` holds VC indices promised to in-flight packets by the
-    upstream VA (or by the BST while the router is gated), so two packets
-    never get allocated the same downstream VC.
+    A VC is claimed for one packet at a time (``VirtualChannel.owner``), so
+    two packets never get allocated the same downstream VC.
     """
 
-    __slots__ = ("direction", "vcs", "claimed")
+    __slots__ = ("direction", "vcs")
 
     def __init__(self, direction: int, num_vcs: int, depth: int):
         # Port id: a Direction member for the five classic ports, a plain
         # int for a cmesh extra local port.
         self.direction = direction
         self.vcs = [VirtualChannel(depth) for _ in range(num_vcs)]
-        self.claimed: set[int] = set()
 
     def total_occupancy(self) -> int:
         return sum(vc.occupancy for vc in self.vcs)
@@ -130,17 +131,18 @@ class InputPort:
             vc = self.vcs[i]
             if (
                 vc.state is VC_IDLE
-                and i not in self.claimed
+                and vc.owner is None
                 and vc.reserved == 0
                 and len(vc.queue) < vc.depth
             ):
                 return i
         return None
 
-    def claim(self, index: int) -> None:
-        if index in self.claimed:
+    def claim(self, index: int, packet: Packet) -> None:
+        vc = self.vcs[index]
+        if vc.owner is not None:
             raise RuntimeError(f"VC {index} is already claimed")
-        self.claimed.add(index)
+        vc.owner = packet
 
     def unclaim(self, index: int) -> None:
-        self.claimed.discard(index)
+        self.vcs[index].owner = None

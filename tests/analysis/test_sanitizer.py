@@ -23,6 +23,7 @@ from repro.config import (
     NocConfig,
     SimulationConfig,
 )
+from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.power_gating import PowerState
 from repro.noc.routing import Direction
@@ -84,11 +85,13 @@ class TestDeadlockWatchdog:
     def test_wedged_mesh_trips_watchdog_and_dumps_snapshot(self, tmp_path):
         san = make_sanitizer(tmp_path, interval=4, watchdog_cycles=64)
         net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
-        # Wedge: claim every VC on router 0's LOCAL input port, so the
-        # queued packet can never win a VC and no flit ever progresses.
+        # Wedge: claim every VC on router 0's LOCAL input port for a packet
+        # that never comes, so the queued packet can never win a VC and no
+        # flit ever progresses.
+        phantom = Packet.create(1, 3, 4, 0)
         port = net.routers[0].input_ports[Direction.LOCAL]
         for vci in range(len(port.vcs)):
-            port.claim(vci)
+            port.claim(vci, phantom)
         with pytest.raises(InvariantViolation) as exc_info:
             net.run_to_completion(5000)
         violation = exc_info.value
@@ -101,7 +104,9 @@ class TestDeadlockWatchdog:
         assert payload["cycle"] == violation.cycle
         assert len(payload["routers"]) == 4
         assert payload["busy_sources"][0]["node"] == 0
-        assert payload["routers"][0]["ports"]["LOCAL"]["claimed"] == [0, 1, 2, 3]
+        local = payload["routers"][0]["ports"]["LOCAL"]
+        assert local["claimed"] == [0, 1, 2, 3]
+        assert [vc["owner"] for vc in local["vcs"]] == [phantom.pid] * 4
 
     def test_slow_but_live_network_does_not_trip(self, tmp_path):
         san = make_sanitizer(tmp_path, interval=4, watchdog_cycles=64)
@@ -136,6 +141,67 @@ class TestStateAudits:
             san.observe(net, cycle=san.interval)
         assert exc_info.value.check == "bst-consistency"
         assert "no BST entry" in exc_info.value.detail
+
+    def test_busy_vc_without_owner_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        net.run(2)  # the head sits in router 0's LOCAL port, claimed for it
+        port = net.routers[0].input_ports[Direction.LOCAL]
+        vc = next(vc for vc in port.vcs if vc.queue)
+        assert vc.owner is vc.queue[0][0].packet
+        vc.owner = None
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "vc-owners"
+        assert "no owner" in exc_info.value.detail
+
+    def test_claim_held_for_a_swept_drop_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        victim = Packet.create(1, 3, 4, 0)
+        victim.dropped_reason = "dead_link"
+        net.routers[1].input_ports[Direction.WEST].claim(2, victim)
+        net._pending_drops.append(victim)
+        san.observe(net, cycle=san.interval)  # the sweep has yet to run
+        net._pending_drops.clear()
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "vc-owners"
+        assert "router 1 WEST/vc2" in exc_info.value.detail
+
+    def test_drained_network_holding_a_claim_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([], sanitizer=san)
+        net.routers[3].input_ports[Direction.NORTH].claim(0, Packet.create(0, 3, 4, 0))
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "vc-owners"
+        assert "drained" in exc_info.value.detail
+
+    def test_release_through_upstream_bst_only_is_caught(self, tmp_path, monkeypatch):
+        """The mutant: a drop releases a downstream claim only through the
+        upstream router's BST entry, so a victim worm that has already left
+        its upstream router leaves its claim behind.  On the 8x8 X-Y mesh
+        under aging-cliff (seed 0) the first such orphan is router 13's
+        EAST vc 0, at cycle 1 665."""
+        from repro import SyntheticPattern, generate_synthetic_trace
+        from repro.utils.rng import make_rng
+
+        monkeypatch.setattr(Network, "_flush_drops", _flush_drops_upstream_only)
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, 64, 8, 4500, 0.02, 4,
+            make_rng(0, "bench/uniform/0.02"),
+        )
+        noc = replace(INTELLINOC.noc, fault_scenario="aging-cliff")
+        config = SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=0)
+        net = Network(config, trace, sanitizer=make_sanitizer(
+            tmp_path, interval=16, watchdog_cycles=20_000,
+        ))
+        with pytest.raises(InvariantViolation) as exc_info:
+            net.run(2000)
+        assert exc_info.value.check == "vc-owners"
+        assert exc_info.value.cycle == 1680  # the first check after 1 665
+        assert "router 13 EAST/vc0" in exc_info.value.detail
 
     def test_inbound_counter_drift_is_caught(self, tmp_path):
         san = make_sanitizer(tmp_path)
@@ -308,3 +374,36 @@ def test_loading_the_sanitizer_does_not_load_the_linter():
         env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
     ).stdout
     assert out.split() == ["repro.analysis", "repro.analysis.sanitizer"]
+
+
+_flush_drops = Network._flush_drops
+
+
+def _flush_drops_upstream_only(self, cycle):
+    """``Network._flush_drops`` under the release rule from before VCs named
+    their owner (the mutant the ``vc-owners`` audit exists to catch): a
+    victim's VC is released only when it buffers the victim's flits, holds
+    its BST entry, or is the downstream VC of an upstream BST entry the
+    victim holds.  A claim whose worm already left the upstream router is
+    none of these, so it stays behind."""
+    doomed = {id(p) for p in self._pending_drops}
+    released = set()
+    for router in self.routers:
+        for port, vci, vc in router._vc_slots:
+            entry = router.bst.lookup(port.direction, vci)
+            if id(vc.owner) in doomed and (entry is not None or vc.queue):
+                released.add(id(vc))
+                if entry is not None and entry.output_port in router.downstream_ports:
+                    down = router.downstream_ports[entry.output_port]
+                    released.add(id(down.vcs[entry.out_vc]))
+    orphans = [
+        (vc, vc.owner)
+        for router in self.routers
+        for _, _, vc in router._vc_slots
+        if id(vc.owner) in doomed and id(vc) not in released
+    ]
+    for vc, _ in orphans:
+        vc.owner = None  # hidden from the sweep...
+    _flush_drops(self, cycle)
+    for vc, owner in orphans:
+        vc.owner = owner  # ...and left claimed behind it

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 from repro.analysis.sanitizer import InvariantViolation, NocSanitizer
+from repro.noc.flit import Packet
 from repro.noc.routing import Direction
 from repro.traffic.trace import TraceEvent
 
@@ -73,9 +74,10 @@ class TestSnapshotSchema:
         san = NocSanitizer(interval=4, watchdog_cycles=64,
                           snapshot_dir=tmp_path / "sanitizer")
         net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        phantom = Packet.create(1, 3, 4, 0)
         port = net.routers[0].input_ports[Direction.LOCAL]
         for vci in range(len(port.vcs)):
-            port.claim(vci)
+            port.claim(vci, phantom)
         with pytest.raises(InvariantViolation) as exc_info:
             net.run_to_completion(5000)
         payload = json.loads(exc_info.value.snapshot_path.read_text())

@@ -238,9 +238,9 @@ class TestOneGrid:
     def test_full_grid_cache_keys_are_pinned(self):
         """A moved key re-simulates every cached cell of the table."""
         runner = ExperimentRunner()
-        assert runner.spec_for(INTELLINOC, "bod").content_hash().startswith("bb475701")
+        assert runner.spec_for(INTELLINOC, "bod").content_hash().startswith("b571e824")
         assert runner.spec_for(SECDED_BASELINE, "swa").content_hash().startswith(
-            "b7fa4d38"
+            "1a471363"
         )
 
 

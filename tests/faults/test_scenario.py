@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import SyntheticPattern, generate_synthetic_trace
 from repro.analysis.sanitizer import NocSanitizer
 from repro.config import (
     INTELLINOC,
@@ -28,6 +29,7 @@ from repro.faults.scenario import (
 from repro.noc.network import Network
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
+from repro.utils.rng import make_rng
 
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
 
@@ -198,12 +200,31 @@ class TestPackRegistry:
         assert net._scenario is None
 
 
-def run_pack(name, technique, duration=3000, seed=7, tmp_path=None):
-    noc = replace(technique.noc, width=4, height=4, fault_scenario=name)
+#: Every registered fabric, and the mesh under both routing families.
+FABRICS = {
+    "mesh-xy": {},
+    "mesh-west_first": {"routing": "west_first"},
+    "torus": {"topology": "torus"},
+    "ring": {"topology": "ring"},
+    "cmesh": {"topology": "cmesh", "concentration": 2},
+}
+
+
+def run_pack(name, technique, duration=3000, seed=7, tmp_path=None, rate=None,
+             **fabric):
+    """One 4x4 run under pack *name*: PARSEC swa traffic, or uniform
+    traffic at *rate* (the benchmark's trace) when one is given."""
+    noc = replace(technique.noc, width=4, height=4, fault_scenario=name, **fabric)
     tech = replace(technique, noc=noc)
-    trace = generate_parsec_trace(
-        "swa", noc.width, noc.height, duration, noc.flits_per_packet, seed
-    )
+    if rate is None:
+        trace = generate_parsec_trace(
+            "swa", noc.width, noc.height, duration, noc.flits_per_packet, seed
+        )
+    else:
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, duration, rate,
+            noc.flits_per_packet, make_rng(seed, f"bench/uniform/{rate}"),
+        )
     sanitizer = NocSanitizer(
         interval=8, watchdog_cycles=20_000,
         snapshot_dir=None if tmp_path is None else tmp_path / "san",
@@ -214,24 +235,55 @@ def run_pack(name, technique, duration=3000, seed=7, tmp_path=None):
     return net
 
 
+def assert_no_claims(net, run):
+    for router in net.routers:
+        assert not router.bst.entries(), f"{run}: router {router.id} BST"
+        for port in router.input_ports.values():
+            for vci, vc in enumerate(port.vcs):
+                assert vc.owner is None, f"{run}: router {router.id} {port.direction}/{vci}"
+
+
 class TestPacksEndToEnd:
     @pytest.mark.parametrize("name", sorted(SCENARIO_PACKS))
     def test_pack_is_sanitizer_clean_and_accounting_balances(
         self, name, tmp_path
     ):
-        """The no-silent-loss contract: under every pack, every injected
-        packet is delivered, dropped-with-reason, or refused — and NoCSan
-        agrees throughout the run."""
-        net = run_pack(name, INTELLINOC, tmp_path=tmp_path)
-        s = net.stats
-        assert s.packets_injected > 0
-        assert s.packets_resolved == s.packets_injected
-        assert (
-            s.packets_completed + s.packets_dropped + s.packets_undeliverable
-            == s.packets_injected
+        """The no-silent-loss and termination law: under every pack, on
+        every fabric and routing, every injected packet is delivered,
+        dropped-with-reason, or refused; NoCSan agrees throughout the run;
+        and the drained network holds no VC claim and no BST entry."""
+        runs = {"mesh-xy, PARSEC swa, seed 7": {}}
+        for fabric, overrides in FABRICS.items():
+            for seed in (0, 1):
+                runs[f"{fabric}, seed {seed}"] = dict(seed=seed, rate=0.03, **overrides)
+        for run, inputs in runs.items():
+            net = run_pack(name, INTELLINOC, tmp_path=tmp_path, **inputs)
+            s = net.stats
+            assert s.packets_injected > 0, run
+            assert s.packets_resolved == s.packets_injected, run
+            assert (
+                s.packets_completed + s.packets_dropped + s.packets_undeliverable
+                == s.packets_injected
+            ), run
+            assert net.sanitizer.violations_seen == 0, run
+            assert net.sanitizer.checks_run > 0, run
+            assert_no_claims(net, run)
+
+    def test_aging_cliff_8x8_xy_seed2_terminates(self):
+        """The regression the termination law grew from: on the 8x8 X-Y
+        mesh a drop left a VC claimed for a worm that had already left its
+        upstream router, and four packets waited on it until the cycle cap
+        (68 000).  Every packet now resolves, at cycle 4 527."""
+        noc = replace(INTELLINOC.noc, fault_scenario="aging-cliff")
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 4500, 0.02,
+            noc.flits_per_packet, make_rng(2, "bench/uniform/0.02"),
         )
-        assert net.sanitizer.violations_seen == 0
-        assert net.sanitizer.checks_run > 0
+        config = SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=2)
+        net = Network(config, trace)
+        assert net.run_to_completion(4500 * 4 + 50_000) < 5000
+        assert net.stats.packets_resolved == net.stats.packets_injected
+        assert_no_claims(net, "8x8 seed 2")
 
     def test_aging_cliff_actually_drops_packets(self, tmp_path):
         """The destructive pack must exercise the accounting, not just

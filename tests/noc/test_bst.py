@@ -1,8 +1,10 @@
 """Tests for the unified Buffer State Table."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.noc.bst import BufferStateTable
+from repro.noc.bst import BstEntry, BufferStateTable
 from repro.noc.routing import Direction
 
 
@@ -17,6 +19,10 @@ class TestBst:
         entry = bst.lookup(Direction.EAST, 2)
         assert entry.output_port is Direction.NORTH
         assert entry.out_vc == 1
+
+    def test_entry_holds_only_the_allocation(self):
+        # The owning packet is the input VC's ``owner``, not a BST field.
+        assert [f.name for f in fields(BstEntry)] == ["output_port", "out_vc"]
 
     def test_lookup_idle_pair_returns_none(self, bst):
         assert bst.lookup(Direction.WEST, 0) is None

@@ -199,6 +199,7 @@ def check_vc_class_memo(network):
                     packet = Packet.create(0, 1, 4, 0)
                     packet.vc_class = vc_class
                     out_vc = router._claim_downstream_vc(route, packet)
+                    assert down_port.vcs[out_vc].owner is packet
                     down_port.unclaim(out_vc)
                     if not topology.uses_vc_classes:
                         assert packet.vc_class == vc_class

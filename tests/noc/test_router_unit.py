@@ -16,6 +16,7 @@ from repro.noc.router import MODE_SCHEME, Router
 from repro.noc.routing import Direction
 from repro.noc.statistics import RouterEpochCounters
 from repro.noc.topology import MeshTopology
+from repro.noc.vc import VcState
 
 
 def bare_router(technique=SECDED_BASELINE, rid=9):
@@ -101,15 +102,19 @@ class TestDropBuffered:
         port = router.input_ports[Direction.WEST]
         doomed, spared = Packet.create(0, 5, 2, 0), Packet.create(0, 5, 2, 0)
         for vci, packet in ((0, doomed), (1, spared)):
+            port.claim(vci, packet)
             for flit in packet.make_flits():
                 flit.vc = vci
                 router.deliver(flit, Direction.WEST, 0)
         assert router._flit_count == 4
-        assert router.drop_buffered(port, 0, {id(doomed): doomed}) == 2
-        assert router.drop_buffered(port, 1, {id(doomed): doomed}) == 0
+        assert router.drop_owned({id(doomed): doomed}) == 2
+        assert router.drop_owned({id(doomed): doomed}) == 0
         assert router._flit_count == 2
         assert not port.vcs[0].queue and len(port.vcs[1].queue) == 2
         assert router._occupied_vcs == router._slot_bit[Direction.WEST] << 1
+        # The doomed packet's VC is released; the spared one is untouched.
+        assert port.vcs[0].owner is None and port.vcs[0].state is VcState.IDLE
+        assert port.vcs[1].owner is spared and port.vcs[1].state is VcState.ROUTING
 
 
 class TestPipelineDelays:

@@ -76,7 +76,10 @@ class TestVirtualChannel:
 class TestInputPort:
     def test_free_vc_skips_claimed(self):
         port = InputPort(Direction.EAST, 2, 4)
-        port.claim(0)
+        packet = Packet.create(0, 1, 4, cycle=0)
+        port.claim(0, packet)
+        assert port.vcs[0].owner is packet
+        assert port.vcs[1].owner is None
         assert port.free_vc_for_head() == 1
 
     def test_free_vc_skips_busy(self):
@@ -86,20 +89,23 @@ class TestInputPort:
 
     def test_no_free_vc(self):
         port = InputPort(Direction.EAST, 1, 4)
-        port.claim(0)
+        port.claim(0, Packet.create(0, 1, 4, cycle=0))
         assert port.free_vc_for_head() is None
 
     def test_double_claim_rejected(self):
         port = InputPort(Direction.EAST, 2, 4)
-        port.claim(1)
+        first = Packet.create(0, 1, 4, cycle=0)
+        port.claim(1, first)
         with pytest.raises(RuntimeError):
-            port.claim(1)
+            port.claim(1, Packet.create(0, 1, 4, cycle=0))
+        assert port.vcs[1].owner is first
 
     def test_unclaim_is_idempotent(self):
         port = InputPort(Direction.EAST, 2, 4)
-        port.claim(1)
+        port.claim(1, Packet.create(0, 1, 4, cycle=0))
         port.unclaim(1)
         port.unclaim(1)
+        assert port.vcs[1].owner is None
         assert port.free_vc_for_head() == 0
 
     def test_occupancy_accounting(self):

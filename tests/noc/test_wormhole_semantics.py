@@ -73,8 +73,8 @@ class TestWormholeIntegrity:
         net.run_to_completion(1000)
         for router in net.routers:
             for port in router.input_ports.values():
-                assert not port.claimed
                 for vc in port.vcs:
+                    assert vc.owner is None
                     assert vc.state is VcState.IDLE
                     assert vc.reserved == 0
             assert router.bst.open_entries() == 0
