@@ -18,7 +18,7 @@ halves of the tooling that proves both properties:
 * **runtime** (:mod:`repro.analysis.sanitizer`) — :class:`NocSanitizer`,
   cheap opt-in invariant checks threaded through ``Network.step()``
   behind ``REPRO_SANITIZE=1`` / ``--sanitize``: flit conservation,
-  per-VC credit conservation, BST↔buffer consistency, gated routers
+  per-VC credit conservation, VC owners and records, gated routers
   never holding buffered flits, Q-table finiteness, and a deadlock
   watchdog that dumps a structured network snapshot when no flit makes
   progress.

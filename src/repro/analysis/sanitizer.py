@@ -15,16 +15,16 @@ Invariants (catalogued with rationale in ``docs/analysis.md``):
   by must equal what a scan would find: each router's ``inbound.flits`` is
   the sum of its incoming channels' queue lengths, the network's busy-
   channel set is exactly the channels holding flits, and each router's
-  occupied-VC mask marks exactly its non-empty input VCs.
+  occupied-VC and open-VC masks mark exactly its non-empty and its ACTIVE
+  input VCs.
 * **credit conservation** — per-VC occupancy (queue + reservations) never
   exceeds depth, reservations never go negative, and each router's
   reservation total matches the unacked copies channels hold against it.
-* **BST consistency** — an ACTIVE input VC's (route, out_vc) must match
-  its Buffer State Table entry; BST entries must reference real ports.
-* **VC owners** — a VC that is busy, holds flits or has a BST entry names
-  the packet it is claimed for, and holds only that packet's flits; no VC
-  stays claimed for a dropped packet past the drop sweep; a drained
-  network holds no claim (hence no BST entry).
+* **VC owners** — a VC that is busy or holds flits names the packet it is
+  claimed for, and holds only that packet's flits; an ACTIVE VC (the
+  paper's Buffer State Table entry) routes to a real port and a real
+  output VC; no VC stays claimed for a dropped packet past the drop sweep;
+  a drained network holds no claim.
 * **gated buffers** — a power-gated router holds no buffered flits (its
   pipeline state is off; the bypass works out of the channels).
 * **delivery accounting** — no silent packet loss: every injected packet
@@ -136,7 +136,6 @@ class NocSanitizer:
         self._check_flit_conservation(network, cycle)
         self._check_occupancy_counters(network, cycle)
         self._check_credit_conservation(network, cycle)
-        self._check_bst_consistency(network, cycle)
         self._check_vc_owners(network, cycle)
         self._check_gated_buffers(network, cycle)
         self._check_delivery_accounting(network, cycle)
@@ -183,6 +182,8 @@ class NocSanitizer:
     def _check_occupancy_counters(self, network: "Network", cycle: int) -> None:
         """The counters that let ``Network.step`` skip idle routers and
         empty channels must match a full scan."""
+        from repro.noc.vc import VcState
+
         for router in network.routers:
             queued = sum(len(c.queue) for c in router.incoming.values())
             if router.inbound.flits != queued:
@@ -191,15 +192,23 @@ class NocSanitizer:
                     f"router {router.id}: inbound.flits={router.inbound.flits} "
                     f"but its incoming channels queue {queued} flits",
                 )
-            occupied = 0
+            occupied = active = 0
             for bit, (_, _, vc) in enumerate(router._vc_slots):
                 if vc.queue:
                     occupied |= 1 << bit
+                if vc.state is VcState.ACTIVE:
+                    active |= 1 << bit
             if router._occupied_vcs != occupied:
                 self._fail(
                     network, "occupancy-counters", cycle,
                     f"router {router.id}: occupied-VC mask "
                     f"{router._occupied_vcs:#b} but buffers say {occupied:#b}",
+                )
+            if router._open_vcs != active:
+                self._fail(
+                    network, "occupancy-counters", cycle,
+                    f"router {router.id}: open-VC mask "
+                    f"{router._open_vcs:#b} but ACTIVE VCs say {active:#b}",
                 )
         busy = {i for i, c in enumerate(network.channels) if c.queue}
         if network._busy_channels != busy:
@@ -240,60 +249,28 @@ class NocSanitizer:
                     f"{reserved_by_router[router.id]} unacked copies against it",
                 )
 
-    def _check_bst_consistency(self, network: "Network", cycle: int) -> None:
-        from repro.noc.vc import VcState
-
-        port_name = network.topology.port_name
-        num_ports = network.topology.num_ports
-        for router in network.routers:
-            num_vcs = router.noc.num_vcs
-            for port in router.input_ports.values():
-                for vci, vc in enumerate(port.vcs):
-                    if vc.state is not VcState.ACTIVE or vc.route is None:
-                        continue
-                    entry = router.bst.lookup(port.direction, vci)
-                    if entry is None:
-                        self._fail(
-                            network, "bst-consistency", cycle,
-                            f"router {router.id} {port_name(port.direction)}/vc{vci} "
-                            f"is ACTIVE with no BST entry",
-                        )
-                    elif entry.output_port != vc.route or entry.out_vc != vc.out_vc:
-                        self._fail(
-                            network, "bst-consistency", cycle,
-                            f"router {router.id} {port_name(port.direction)}/vc{vci}: "
-                            f"VC says ({port_name(vc.route)}, {vc.out_vc}) but BST "
-                            f"says ({port_name(entry.output_port)}, {entry.out_vc})",
-                        )
-            for (in_port, in_vc), entry in router.bst.entries().items():
-                if not (0 <= int(entry.output_port) < num_ports):
-                    self._fail(
-                        network, "bst-consistency", cycle,
-                        f"router {router.id}: BST ({in_port}, {in_vc}) routes "
-                        f"to nonexistent port {entry.output_port}",
-                    )
-                if not (0 <= entry.out_vc < num_vcs):
-                    self._fail(
-                        network, "bst-consistency", cycle,
-                        f"router {router.id}: BST ({in_port}, {in_vc}) claims "
-                        f"out-of-range VC {entry.out_vc}",
-                    )
-
     def _check_vc_owners(self, network: "Network", cycle: int) -> None:
         from repro.noc.vc import VcState
 
         port_name = network.topology.port_name
+        ports = range(network.topology.num_ports)
         pending = {id(p) for p in network._pending_drops}
         drained = _drained(network)
         for router in network.routers:
-            entries = router.bst.entries()
+            out_vcs = range(router.noc.num_vcs)
             for port, vci, vc in router._vc_slots:
                 owner = vc.owner
-                if owner is None:
-                    busy = vc.state is not VcState.IDLE or vc.queue
-                    if not busy and (port.direction, vci) not in entries:
+                if vc.state is VcState.ACTIVE and not (
+                    vc.route in ports and vc.out_vc in out_vcs
+                ):
+                    problem = (
+                        f"is ACTIVE with an out-of-range route "
+                        f"(port {vc.route}, VC {vc.out_vc})"
+                    )
+                elif owner is None:
+                    if vc.state is VcState.IDLE and not vc.queue:
                         continue
-                    problem = f"is {vc.state.value} (or routed by the BST) but has no owner"
+                    problem = f"is {vc.state.value} but has no owner"
                 elif drained:
                     problem = f"is claimed by packet {owner.pid} on a drained network"
                 elif owner.dropped_reason is not None and id(owner) not in pending:
@@ -436,15 +413,6 @@ class NocSanitizer:
                 "gating": router.gating.state.value,
                 "flit_count": router._flit_count,
                 "reserved_count": router._reserved_count,
-                "bst_entries": [
-                    {
-                        "in_port": int(in_port),
-                        "in_vc": in_vc,
-                        "out_port": port_name(entry.output_port),
-                        "out_vc": entry.out_vc,
-                    }
-                    for (in_port, in_vc), entry in sorted(router.bst.entries().items())
-                ],
                 "ports": ports,
             })
         channels = [

@@ -9,8 +9,9 @@ Primitives:
 * :mod:`repro.noc.torus` / :mod:`repro.noc.cmesh` / :mod:`repro.noc.ring`
   — the wraparound, concentrated, and loop fabrics.
 * :mod:`repro.noc.arbiter` — round-robin arbitration.
-* :mod:`repro.noc.vc` — virtual channels and input ports.
-* :mod:`repro.noc.bst` — the paper's unified Buffer State Table.
+* :mod:`repro.noc.vc` — virtual channels and input ports.  An input VC's
+  state, route, output VC and owner are the paper's unified Buffer State
+  Table entry: the one record of the worm it carries, alive under gating.
 
 Router and network:
 

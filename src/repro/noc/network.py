@@ -59,6 +59,7 @@ from repro.noc.power_gating import (
 from repro.noc.router import Router
 from repro.noc.statistics import NetworkStatistics
 from repro.noc.topology import build_topology
+from repro.noc.vc import VC_ACTIVE
 from repro.power.accounting import EnergyAccountant
 from repro.power.model import PowerModel
 from repro.traffic.injection import SourceQueue
@@ -685,9 +686,7 @@ class Network:
                 if gating.state is POWER_ON:
                     # `Router.is_idle()` and every local source empty.
                     idle = not (
-                        router._flit_count
-                        or router.inbound.flits
-                        or router.bst.open_entries()
+                        router._flit_count or router.inbound.flits or router._open_vcs
                     )
                     if idle:
                         for _, source in sources:
@@ -914,18 +913,19 @@ class Network:
         return True
 
     def _mark_committed_worms(self) -> None:
-        """Mark every packet whose recorded allocation crosses a channel
-        that just died.  Heads still waiting for VC allocation are spared —
-        they get a reroute attempt (west-first often has one; X-Y never
-        does) before the router drops them."""
+        """Mark every packet whose open worm crosses a channel that just
+        died.  Heads still waiting for VC allocation are spared — they get
+        a reroute attempt (west-first often has one; X-Y never does) before
+        the router drops them."""
         for router in self.routers:
             if router.dead:
                 continue
-            for (in_port, in_vc), entry in router.bst.entries().items():
-                channel = router.outgoing.get(entry.output_port)
-                if channel is not None and channel.dead:
-                    owner = router.input_ports[in_port].vcs[in_vc].owner
-                    self._mark_dropped(owner, channel.dead_reason or REASON_DEAD_LINK)
+            for _, _, vc in router._vc_slots:
+                if vc.state is VC_ACTIVE:
+                    channel = router.outgoing.get(vc.route)
+                    if channel is not None and channel.dead:
+                        reason = channel.dead_reason or REASON_DEAD_LINK
+                        self._mark_dropped(vc.owner, reason)
 
     def _mark_dropped(self, packet, reason: str) -> None:
         """Resolve *packet* as dropped (idempotent).  Counters move now;
@@ -947,9 +947,9 @@ class Network:
 
     def _flush_drops(self, cycle: int) -> None:
         """Excise every flit of every marked packet from the fabric,
-        release every VC a victim owns (with its BST entry) wherever the
-        victim's flits are, and account the flits as dropped so the
-        sanitizer's conservation law keeps closing."""
+        release every VC a victim owns wherever the victim's flits are,
+        and account the flits as dropped so the sanitizer's conservation
+        law keeps closing."""
         victims = self._pending_drops
         self._pending_drops = []
         victim_set = {id(p): p for p in victims}

@@ -2,10 +2,11 @@
 
 One :class:`Router` models the paper's enhanced microarchitecture
 (Fig. 1): a 4-stage (or, for EB, 3-stage) input-queued pipeline with
-virtual channels and credit backpressure, the unified Buffer State Table,
-the adaptive ECC unit, the power-gating controller, and — when gated with
-the stress-relaxing feature — the bypass switch that forwards flits from
-upstream MFACs to downstream MFACs without touching buffers or crossbar.
+virtual channels and credit backpressure (each input VC's record is its
+unified Buffer State Table entry), the adaptive ECC unit, the power-gating
+controller, and — when gated with the stress-relaxing feature — the bypass
+switch that forwards flits from upstream MFACs to downstream MFACs without
+touching buffers or crossbar.
 
 The pipeline is modeled with per-flit eligibility delays rather than
 explicit stage registers: a head flit becomes switch-eligible
@@ -34,7 +35,6 @@ from repro.config import (
 from repro.ecc.adaptive import AdaptiveEccUnit
 from repro.noc.adaptive_routing import select_output
 from repro.noc.arbiter import RoundRobinArbiter
-from repro.noc.bst import BufferStateTable
 from repro.noc.flit import Flit
 from repro.noc.power_gating import (
     POWER_DRAINING,
@@ -110,7 +110,6 @@ class Router:
         self.downstream_ports: dict[int, InputPort] = {}
         self.downstream_routers: dict[int, "Router"] = {}
 
-        self.bst = BufferStateTable(noc.num_vcs, topology.num_ports)
         self.ecc = AdaptiveEccUnit(power_cfg, technique.static_ecc)
         self.power_model = PowerModel(technique, power_cfg)
         # A flit hop costs this plus the active scheme's ``ecc.codec_pj``
@@ -163,6 +162,10 @@ class Router:
             p: 1 << (i * noc.num_vcs) for i, p in enumerate(self.input_ports)
         }
         self._occupied_vcs = 0
+        # Which input VCs hold an open worm (ACTIVE: route and output VC
+        # allocated), a bit per slot like ``_occupied_vcs``.  Set where a
+        # VC turns ACTIVE (``_open``), cleared only in ``_close``.
+        self._open_vcs = 0
         # True when two incoming channels read congested even while empty
         # (zero-capacity channels): the bypass watchdog then fires on an
         # idle router, so such a router is never skipped.
@@ -214,10 +217,9 @@ class Router:
         return self._flit_count == 0 and self._reserved_count == 0
 
     def is_idle(self) -> bool:
-        """Idle for gating purposes: nothing buffered here or inbound."""
-        return not (
-            self._flit_count or self.inbound.flits or self.bst.open_entries()
-        )
+        """Idle for gating purposes: nothing buffered here or inbound, and
+        no worm open through here."""
+        return not (self._flit_count or self.inbound.flits or self._open_vcs)
 
     # --- operation modes --------------------------------------------------------
 
@@ -263,17 +265,12 @@ class Router:
         port = self.input_ports[direction]
         vc = port.vcs[flit.vc]
         if not flit.is_head and vc.state is VC_IDLE:
-            # Body flit whose head traversed while this router was gated:
-            # restore wormhole state from the always-on BST.
-            entry = self.bst.lookup(direction, flit.vc)
-            if entry is None:
-                raise RuntimeError(
-                    f"router {self.id}: orphan body flit on "
-                    f"{self.topology.port_name(direction)}/{flit.vc}"
-                )
-            vc.route = entry.output_port
-            vc.out_vc = entry.out_vc
-            vc.state = VC_ACTIVE
+            # A body flit follows its head's VC record, which stays open
+            # across gating (a bypassed head opens it too): none, no head.
+            raise RuntimeError(
+                f"router {self.id}: orphan body flit on "
+                f"{self.topology.port_name(direction)}/{flit.vc}"
+            )
         vc.push(flit, cycle)
         self._flit_count += 1
         self._occupied_vcs |= self._slot_bit[direction] << flit.vc
@@ -347,18 +344,16 @@ class Router:
         """Grant one requesting head per output (round-robin over the
         slot-indexed request lines) a downstream VC; winners join *active*."""
         for route, lines in requests.items():
-            slot = self._vc_slots[self._va_arbiters[route].grant_mask(lines)]
-            port, vci, vc = slot
-            packet = vc.queue[0][0].packet
+            index = self._va_arbiters[route].grant_mask(lines)
+            slot = self._vc_slots[index]
+            vc = slot[2]
             if route in self._ejection_ports:
-                vc.out_vc = 0
+                out_vc = 0
             else:
-                out_vc = self._claim_downstream_vc(route, packet)
+                out_vc = self._claim_downstream_vc(route, vc.queue[0][0].packet)
                 if out_vc is None:
                     continue  # no downstream VC free; retry next cycle
-                vc.out_vc = out_vc
-            vc.state = VC_ACTIVE
-            self.bst.record(port.direction, vci, route, vc.out_vc)
+            self._open(1 << index, vc, route, out_vc)
             active.append(slot)
 
     def _switch_allocate(self, cycle: int, active: list) -> None:
@@ -494,12 +489,22 @@ class Router:
         self._flit_count -= removed
         return removed
 
+    def _open(self, bit: int, vc: VirtualChannel, route: int, out_vc: int) -> None:
+        """Open the worm on input VC *vc* (slot mask *bit*): the head won
+        *out_vc* on *route*, by VA or through the bypass.  The record is
+        the paper's BST entry (Fig. 4): it outlives gating, so body flits
+        follow it whether the router is powered or bypassed."""
+        vc.state = VC_ACTIVE
+        vc.route = route
+        vc.out_vc = out_vc
+        self._open_vcs |= bit
+
     def _close(self, port: InputPort, vci: int) -> None:
-        """Release input VC *vci* of *port* and its BST entry: behind the
-        owner's tail (switched or bypassed), or when the network's drop
-        sweep excises the owner."""
+        """Release input VC *vci* of *port*: behind the owner's tail
+        (switched or bypassed), or when the network's drop sweep excises
+        the owner."""
         port.vcs[vci].close_packet()
-        self.bst.clear(port.direction, vci)
+        self._open_vcs &= ~(self._slot_bit[port.direction] << vci)
         port.unclaim(vci)
 
     # --- stress-relaxing bypass (Section 3.3) --------------------------------------
@@ -634,8 +639,10 @@ class Router:
             self.on_drop(packet, self._dead_reason(vc.route))
         return False
 
-    def _bypass_route_for(self, in_dir: int, flit: Flit, cycle: int):
-        """(route, out_vc) for a bypassed flit, or None when blocked."""
+    def _bypass_route_for(self, vc: VirtualChannel, flit: Flit, cycle: int):
+        """(route, out_vc) for a flit bypassed into input VC *vc*, or None
+        when blocked.  A head claims its downstream VC only once the
+        channel there can take it; a body follows the VC's open worm."""
         if flit.is_head:
             route = self.compute_route(flit.packet.dst)
             if route in self._ejection_ports:
@@ -644,17 +651,15 @@ class Router:
                 if self.on_drop is not None:
                     self.on_drop(flit.packet, self._dead_reason(route))
                 return None
+            if not self.outgoing[route].can_accept(cycle):
+                return None
             out_vc = self._claim_downstream_vc(route, flit.packet)
             if out_vc is None:
                 return None
-            if not self.outgoing[route].can_accept(cycle):
-                self.downstream_ports[route].unclaim(out_vc)
-                return None
             return route, out_vc
-        entry = self.bst.lookup(in_dir, flit.vc)
-        if entry is None:
-            raise RuntimeError(f"router {self.id}: bypassed body flit without BST entry")
-        route = entry.output_port
+        if vc.state is not VC_ACTIVE:
+            raise RuntimeError(f"router {self.id}: bypassed body flit without an open VC")
+        route = vc.route
         if route not in self._ejection_ports:
             if self.degraded and self._route_unserviceable(route):
                 if self.on_drop is not None:
@@ -662,7 +667,7 @@ class Router:
                 return None
             if not self.outgoing[route].can_accept(cycle):
                 return None
-        return route, entry.out_vc
+        return route, vc.out_vc
 
     def _claim_downstream_vc(self, route: int, packet) -> int | None:
         """Claim a free VC of the input port *route* leads to for the head
@@ -695,6 +700,7 @@ class Router:
 
     def _bypass_forward(self, in_dir: int, channel: Channel, cycle: int) -> bool:
         """Move the oldest due flit of *channel* that is not blocked."""
+        vcs = self.input_ports[in_dir].vcs
         blocked_vcs = 0  # a bit per VC
         for entry in channel.queue:
             if entry[1] > cycle:
@@ -703,7 +709,7 @@ class Router:
             in_vc = flit.vc
             if blocked_vcs >> in_vc & 1:
                 continue  # an older same-VC flit is blocked; keep order
-            routed = self._bypass_route_for(in_dir, flit, cycle)
+            routed = self._bypass_route_for(vcs[in_vc], flit, cycle)
             if routed is None:
                 blocked_vcs |= 1 << in_vc
                 continue
@@ -717,7 +723,7 @@ class Router:
                 entry[2] = self.sample_link_errors(channel)
             flit.bit_errors += entry[2] or 0
             if flit.is_head:
-                self.bst.record(in_dir, in_vc, route, out_vc)
+                self._open(self._slot_bit[in_dir] << in_vc, vcs[in_vc], route, out_vc)
                 flit.packet.path.append(self.id)
             self.counters.in_flits[in_dir] += 1
             self._bypass_emit(flit, in_dir, in_vc, route, out_vc, cycle)
@@ -751,8 +757,9 @@ class Router:
         flit = source.peek()
         if flit is None:
             return False
+        in_port = self.input_ports[port]
         if flit.is_head:
-            in_vc = self.input_ports[port].free_vc_for_head()
+            in_vc = in_port.free_vc_for_head()
             if in_vc is None:
                 return False
             route = self.compute_route(flit.packet.dst)
@@ -766,26 +773,23 @@ class Router:
                 if self.on_drop is not None:
                     self.on_drop(flit.packet, "undeliverable")
                 return False
+            elif not self.outgoing[route].can_accept(cycle):
+                return False
             else:
                 out_vc = self._claim_downstream_vc(route, flit.packet)
                 if out_vc is None:
                     return False
-                if not self.outgoing[route].can_accept(cycle):
-                    self.downstream_ports[route].unclaim(out_vc)
-                    return False
-            self.input_ports[port].claim(in_vc, flit.packet)
+            in_port.claim(in_vc, flit.packet)
             source.current_vc = in_vc
-            self.bst.record(port, in_vc, route, out_vc)
+            self._open(self._slot_bit[port] << in_vc, in_port.vcs[in_vc], route, out_vc)
             flit.packet.injection_cycle = cycle
             flit.packet.path.append(self.id)
         else:
             in_vc = source.current_vc
-            if in_vc is None:
-                raise RuntimeError(f"router {self.id}: bypass body inject without VC")
-            entry = self.bst.lookup(port, in_vc)
-            if entry is None:
-                raise RuntimeError(f"router {self.id}: bypass body inject without BST")
-            route, out_vc = entry.output_port, entry.out_vc
+            vc = None if in_vc is None else in_port.vcs[in_vc]
+            if vc is None or vc.state is not VC_ACTIVE:
+                raise RuntimeError(f"router {self.id}: bypass body inject without an open VC")
+            route, out_vc = vc.route, vc.out_vc
             if route not in self._ejection_ports and not self.outgoing[
                 route
             ].can_accept(cycle):

@@ -2,7 +2,10 @@
 
 Each input port owns ``num_vcs`` virtual channels; each VC is a FIFO of
 (flit, enqueue_cycle) with the per-packet wormhole state the router pipeline
-needs (computed route, allocated output VC, activity state).
+needs (computed route, allocated output VC, activity state, owner).  That
+state is the paper's Buffer State Table entry (Section 3.1.2, Fig. 4): it
+lives on the always-on supply, so an ACTIVE VC's route and output VC steer
+body flits through the bypass while the router is gated.
 
 ``reserved`` models the paper's baseline SECDED retransmission cost: when
 copies of in-flight flits are "buffered in the current router's virtual
@@ -116,9 +119,6 @@ class InputPort:
 
     def total_capacity(self) -> int:
         return sum(vc.depth for vc in self.vcs)
-
-    def has_flits(self) -> bool:
-        return any(vc.queue for vc in self.vcs)
 
     def free_vc_for_head(self, allowed: "range | None" = None) -> int | None:
         """A VC able to start a new packet (IDLE, unclaimed, with space).

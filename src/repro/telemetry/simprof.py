@@ -53,7 +53,7 @@ CHROME_TRACE_SCHEMA = "repro-profile/1"
 
 #: Canonical phase order, matching ``Network.step``'s execution order.
 #: ``router.*`` phases accumulate across every router stepped in a cycle
-#: (the BST reads/writes ride inside ``router.vc_alloc`` / ``router.switch``).
+#: (opening and closing a VC's worm ride inside ``router.vc_alloc`` / ``router.switch``).
 STEP_PHASES: tuple[str, ...] = (
     "scenario.tick",
     "drops.flush",

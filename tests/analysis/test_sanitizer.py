@@ -120,27 +120,19 @@ class TestDeadlockWatchdog:
 
 
 class TestStateAudits:
-    def test_mutated_bst_entry_is_caught(self, tmp_path):
+    def test_mutated_vc_record_is_caught(self, tmp_path):
         san = make_sanitizer(tmp_path)
-        net = small_network([], sanitizer=san)
-        # Corrupt the BST: record an entry claiming an out-of-range VC.
-        net.routers[0].bst.record(Direction.LOCAL, 0, Direction.NORTH, 9)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        router = net.routers[0]
+        port = router.input_ports[Direction.LOCAL]
+        while not router._open_vcs:
+            net.step()  # until the head wins VC allocation
+        vc = next(vc for vc in port.vcs if vc.state is VcState.ACTIVE)
+        vc.out_vc = 9  # corrupt the record: an out-of-range output VC
         with pytest.raises(InvariantViolation) as exc_info:
             san.observe(net, cycle=san.interval)
-        assert exc_info.value.check == "bst-consistency"
+        assert exc_info.value.check == "vc-owners"
         assert "out-of-range" in exc_info.value.detail
-
-    def test_active_vc_without_bst_entry_is_caught(self, tmp_path):
-        san = make_sanitizer(tmp_path)
-        net = small_network([], sanitizer=san)
-        vc = net.routers[1].input_ports[Direction.LOCAL].vcs[0]
-        vc.state = VcState.ACTIVE
-        vc.route = Direction.NORTH
-        vc.out_vc = 0
-        with pytest.raises(InvariantViolation) as exc_info:
-            san.observe(net, cycle=san.interval)
-        assert exc_info.value.check == "bst-consistency"
-        assert "no BST entry" in exc_info.value.detail
 
     def test_busy_vc_without_owner_is_caught(self, tmp_path):
         san = make_sanitizer(tmp_path)
@@ -180,7 +172,8 @@ class TestStateAudits:
 
     def test_release_through_upstream_bst_only_is_caught(self, tmp_path, monkeypatch):
         """The mutant: a drop releases a downstream claim only through the
-        upstream router's BST entry, so a victim worm that has already left
+        upstream router's open worm (the VC record that is the paper's BST
+        entry), so a victim worm that has already left
         its upstream router leaves its claim behind.  On the 8x8 X-Y mesh
         under aging-cliff (seed 0) the first such orphan is router 13's
         EAST vc 0, at cycle 1 665."""
@@ -226,6 +219,17 @@ class TestStateAudits:
         with pytest.raises(InvariantViolation) as exc_info:
             san.observe(net, cycle=san.interval)
         assert exc_info.value.check == "occupancy-counters"
+
+    def test_open_vc_mask_drift_is_caught(self, tmp_path):
+        san = make_sanitizer(tmp_path)
+        net = small_network([TraceEvent(0, 0, 3, 4)], sanitizer=san)
+        while not net.routers[0]._open_vcs:
+            net.step()  # until the head wins VC allocation
+        net.routers[0]._open_vcs = 0  # the router would read idle and gate
+        with pytest.raises(InvariantViolation) as exc_info:
+            san.observe(net, cycle=san.interval)
+        assert exc_info.value.check == "occupancy-counters"
+        assert "open-VC mask" in exc_info.value.detail
 
     def test_occupied_vc_mask_drift_is_caught(self, tmp_path):
         san = make_sanitizer(tmp_path)
@@ -383,19 +387,19 @@ def _flush_drops_upstream_only(self, cycle):
     """``Network._flush_drops`` under the release rule from before VCs named
     their owner (the mutant the ``vc-owners`` audit exists to catch): a
     victim's VC is released only when it buffers the victim's flits, holds
-    its BST entry, or is the downstream VC of an upstream BST entry the
+    its open worm, or is the downstream VC of an upstream open worm the
     victim holds.  A claim whose worm already left the upstream router is
     none of these, so it stays behind."""
     doomed = {id(p) for p in self._pending_drops}
     released = set()
     for router in self.routers:
-        for port, vci, vc in router._vc_slots:
-            entry = router.bst.lookup(port.direction, vci)
-            if id(vc.owner) in doomed and (entry is not None or vc.queue):
+        for _, _, vc in router._vc_slots:
+            is_open = vc.state is VcState.ACTIVE
+            if id(vc.owner) in doomed and (is_open or vc.queue):
                 released.add(id(vc))
-                if entry is not None and entry.output_port in router.downstream_ports:
-                    down = router.downstream_ports[entry.output_port]
-                    released.add(id(down.vcs[entry.out_vc]))
+                if is_open and vc.route in router.downstream_ports:
+                    down = router.downstream_ports[vc.route]
+                    released.add(id(down.vcs[vc.out_vc]))
     orphans = [
         (vc, vc.owner)
         for router in self.routers

@@ -237,7 +237,7 @@ def run_pack(name, technique, duration=3000, seed=7, tmp_path=None, rate=None,
 
 def assert_no_claims(net, run):
     for router in net.routers:
-        assert not router.bst.entries(), f"{run}: router {router.id} BST"
+        assert not router._open_vcs, f"{run}: router {router.id} open worms"
         for port in router.input_ports.values():
             for vci, vc in enumerate(port.vcs):
                 assert vc.owner is None, f"{run}: router {router.id} {port.direction}/{vci}"
@@ -251,7 +251,7 @@ class TestPacksEndToEnd:
         """The no-silent-loss and termination law: under every pack, on
         every fabric and routing, every injected packet is delivered,
         dropped-with-reason, or refused; NoCSan agrees throughout the run;
-        and the drained network holds no VC claim and no BST entry."""
+        and the drained network holds no VC claim and no open worm."""
         runs = {"mesh-xy, PARSEC swa, seed 7": {}}
         for fabric, overrides in FABRICS.items():
             for seed in (0, 1):

@@ -1,11 +1,15 @@
 """Integration tests for power gating and the stress-relaxing bypass."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CP, FaultConfig, INTELLINOC, SimulationConfig
 from repro.control.policies import ModePolicy
 from repro.noc.network import Network
 from repro.noc.power_gating import PowerState
+from repro.noc.routing import Direction
+from repro.noc.vc import VcState
 from repro.traffic.trace import Trace, TraceEvent
 
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
@@ -210,10 +214,60 @@ class TestIdleRouterSkip:
 class TestBstUnderGating:
     def test_wormhole_state_survives_power_off(self):
         """A packet whose head passes powered and body passes gated relies
-        on the BST; delivery must still be complete and in order."""
+        on its input VC's record (the paper's BST entry) outliving the
+        power-off; delivery must still be complete and in order."""
         # Long packet stream through the middle of the mesh.
         events = [TraceEvent(i * 6, 16, 23, 4) for i in range(20)]
         net = intellinoc_network(events, mode=0, time_step=50)
         net.run_to_completion(20_000)
         assert net.stats.packets_completed == net.stats.packets_injected
         assert net.stats.corrupted_packets_delivered == 0
+
+
+def gated_torus(events):
+    """4x4 torus, every router in mode 0 (gated, bypassing) from cycle 50."""
+    noc = replace(INTELLINOC.noc, width=4, height=4, topology="torus")
+    technique = replace(INTELLINOC, noc=noc).with_rl(time_step=50)
+    config = SimulationConfig(technique=technique, seed=1, faults=NO_FAULTS)
+    return Network(config, Trace(list(events)), policy=FixedModePolicy(0))
+
+
+class TestBypassDatelineClass:
+    """Router 3 sits at x = 3: its EAST channel is the wrap link to router
+    0, the dateline of row 0, so an eastbound head moves to VC class 1
+    there.  A head from node 3 enters the bypass by local injection, one
+    from node 2 by forwarding (x = 2 to x = 0 ties and goes east)."""
+
+    @pytest.mark.parametrize("src", [3, 2], ids=["injected", "forwarded"])
+    def test_refused_head_keeps_its_class_and_claims_nothing(self, src):
+        net = gated_torus([TraceEvent(60, src, 0, 4)])
+        net.run(55)
+        assert all(r.gating.state is PowerState.GATED for r in net.routers)
+        net.find_channel(3, Direction.EAST).set_down(True)
+        net.run(40)
+        packet = net.sources[src].current_packet() or next(
+            e[0].packet for e in net.find_channel(2, Direction.EAST).queue
+        )
+        assert packet.vc_class == 0
+        assert all(
+            vc.owner is None for vc in net.routers[0].input_ports[Direction.WEST].vcs
+        )
+
+    def test_bypassed_head_keeps_its_dateline_class(self):
+        net = gated_torus([TraceEvent(60, 3, 0, 4)])
+        port = net.routers[0].input_ports[Direction.WEST]
+        allowed = net.topology.allowed_vcs(1, len(port.vcs))
+        following = set()
+        for _ in range(300):
+            net.step()
+            for vci, vc in enumerate(port.vcs):
+                if vc.owner is not None:
+                    assert vci in allowed and vc.owner.vc_class == 1
+                if vc.state is VcState.ACTIVE:
+                    # The head ejected; body and tail follow the record.
+                    assert (vc.route, vc.out_vc) == (Direction.LOCAL, 0)
+                    following.add(vci)
+        assert following
+        assert net.routers[0].gating.state is PowerState.GATED
+        assert net.stats.packets_completed == net.stats.packets_injected == 1
+        assert all(vc.owner is None and vc.state is VcState.IDLE for vc in port.vcs)

@@ -117,6 +117,60 @@ class TestDropBuffered:
         assert port.vcs[1].owner is spared and port.vcs[1].state is VcState.ROUTING
 
 
+def deliver_head(router, direction, vc, src):
+    """Deliver the head of a four-flit packet that ejects at ``router`` on
+    input VC ``vc`` of port ``direction``; return the body and tail."""
+    packet = Packet.create(src, router.id, 4, 0)
+    head, *rest = packet.make_flits()
+    router.input_ports[direction].claim(vc, packet)
+    head.vc = vc
+    router.deliver(head, direction, 0)
+    return rest
+
+
+def step_until(router, ejected, cycle=0):
+    while len(router._test_ejected) < ejected:
+        router.step(cycle, None)
+        cycle += 1
+    return cycle
+
+
+class TestVcRecord:
+    """An input VC's state, route and output VC are its worm's one record
+    (the paper's BST entry)."""
+
+    def test_va_opens_the_record(self):
+        router = bare_router(SECDED_BASELINE)
+        deliver_head(router, Direction.WEST, 1, 8)
+        step_until(router, 1)
+        vc = router.input_ports[Direction.WEST].vcs[1]
+        assert (vc.state, vc.route, vc.out_vc) == (VcState.ACTIVE, Direction.LOCAL, 0)
+        # The record stays open while the worm has no flit here.
+        assert router._flit_count == 0 and not router.is_idle()
+
+    def test_the_tail_closes_the_record(self):
+        router = bare_router(SECDED_BASELINE)
+        rest = deliver_head(router, Direction.WEST, 1, 8)
+        cycle = step_until(router, 1)
+        for flit in rest:
+            flit.vc = 1
+            router.deliver(flit, Direction.WEST, cycle)
+        step_until(router, 4, cycle)
+        vc = router.input_ports[Direction.WEST].vcs[1]
+        assert (vc.state, vc.route, vc.out_vc, vc.owner) == (VcState.IDLE, None, None, None)
+        assert router._open_vcs == 0 and router.is_idle()
+
+    def test_open_vc_mask_counts_open_worms(self):
+        router = bare_router(SECDED_BASELINE)
+        deliver_head(router, Direction.WEST, 1, 8)
+        deliver_head(router, Direction.NORTH, 0, 17)
+        step_until(router, 2)
+        assert router._open_vcs == (
+            router._slot_bit[Direction.WEST] << 1 | router._slot_bit[Direction.NORTH]
+        )
+        assert bin(router._open_vcs).count("1") == 2
+
+
 class TestPipelineDelays:
     def test_baseline_is_four_stage(self):
         router = bare_router(SECDED_BASELINE)

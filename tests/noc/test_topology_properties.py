@@ -26,6 +26,7 @@ from repro.config import (
 )
 from repro.noc.routing import Direction
 from repro.noc.topology import build_topology, registered_topologies
+from repro.noc.vc import VcState
 
 #: One representative small fabric configuration per registered topology,
 #: as overrides applied onto whatever NocConfig a technique already has
@@ -210,8 +211,8 @@ class TestOccupancyCounters:
     @pytest.mark.parametrize("fabric", sorted(FABRIC_OVERRIDES))
     def test_is_idle_equals_the_scanning_definition(self, fabric, tech):
         """`Router.is_idle()` reads counters; on every fabric, every cycle,
-        it must say what a scan of the buffers, the BST and the incoming
-        channels says."""
+        it must say what a scan of the input VCs (flits or an open worm)
+        and the incoming channels says."""
         from repro.noc.network import Network
         from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
         from repro.utils.rng import make_rng
@@ -228,11 +229,10 @@ class TestOccupancyCounters:
         for _ in range(400):
             network.step()
             for router in network.routers:
-                scanned = (
-                    router._flit_count == 0
-                    and router.bst.open_entries() == 0
-                    and all(not c.queue for c in router.incoming.values())
-                )
+                scanned = all(
+                    not vc.queue and vc.state is not VcState.ACTIVE
+                    for _, _, vc in router._vc_slots
+                ) and all(not c.queue for c in router.incoming.values())
                 assert router.is_idle() == scanned
                 idle_seen += scanned
                 busy_seen += not scanned

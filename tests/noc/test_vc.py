@@ -115,4 +115,3 @@ class TestInputPort:
             port.vcs[0].push(f, 0)
         assert port.total_occupancy() == 3
         assert port.total_capacity() == 8
-        assert port.has_flits()

@@ -77,7 +77,7 @@ class TestWormholeIntegrity:
                     assert vc.owner is None
                     assert vc.state is VcState.IDLE
                     assert vc.reserved == 0
-            assert router.bst.open_entries() == 0
+            assert router._open_vcs == 0
 
     def test_interleaved_packets_keep_flit_order(self):
         """Two packets sharing a link on different VCs both arrive whole
