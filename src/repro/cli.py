@@ -10,8 +10,7 @@ Usage::
     python -m repro campaign --figures fig10_latency fig13_energy_efficiency
     python -m repro campaign --scenario transient-storm --benchmarks swa
     python -m repro campaign --benchmarks swa --topology cmesh --concentration 4
-    python -m repro campaign --failure-policy quarantine --journal c.jsonl
-    python -m repro campaign --resume c.jsonl
+    python -m repro campaign --failure-policy quarantine
     python -m repro sweep --knob epsilon
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
@@ -25,8 +24,8 @@ Usage::
 the grid's values and override it.
 
 Exit codes: 0 success, 2 usage/config error, 3 partial results (cells
-quarantined or skipped), 75 interrupted after a graceful drain (resume
-with ``--resume``); see docs/resilience.md.
+quarantined or skipped), 75 interrupted after a graceful drain (rerun
+the same command to finish the remainder); see docs/resilience.md.
 
 Output discipline: the *results* (metric tables, figure tables) go to
 stdout via ``print``; everything diagnostic — progress lines, pre-training
@@ -207,18 +206,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="per-cell wall-clock budget; an overrunning attempt counts "
              "as a retryable failure",
     )
-    parser.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="append a crash-safe campaign journal to PATH "
-             "(enables --resume after a crash or interrupt)",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="replay the journal at PATH: finished cells are served from "
-             "the cache, quarantined cells re-reported, only unfinished "
-             "cells execute (continues journaling to the same file unless "
-             "--journal overrides it)",
-    )
 
 
 def _print_progress(event) -> None:
@@ -229,9 +216,6 @@ def _print_progress(event) -> None:
                   event.completed, event.total, event.spec.label, duration)
     elif event.kind == "cached":
         _LOG.info("[%d/%d] %s (cache hit)",
-                  event.completed, event.total, event.spec.label)
-    elif event.kind == "resumed":
-        _LOG.info("[%d/%d] %s (resumed from journal)",
                   event.completed, event.total, event.spec.label)
     elif event.kind == "quarantined":
         _LOG.warning("%s quarantined: %s", event.spec.label, event.error)
@@ -321,11 +305,12 @@ def _report_quarantined(quarantined) -> int:
     return EXIT_PARTIAL
 
 
-def _report_interrupted(exc: CampaignInterrupted) -> int:
-    hint = f" --resume {exc.journal_path}" if exc.journal_path else ""
+def _report_interrupted(exc: CampaignInterrupted, cached: bool) -> int:
     _LOG.warning("%s", exc)
-    if hint:
-        _LOG.warning("finish the remainder with:%s", hint)
+    if cached:
+        _LOG.warning("rerun the same command to finish the remainder")
+    else:
+        _LOG.warning("without the cache nothing was kept: a rerun starts over")
     return EXIT_INTERRUPTED
 
 
@@ -360,8 +345,6 @@ def _engine_session(
             use_cache=not args.no_cache,
             timeout_s=args.timeout,
             failure_policy=args.failure_policy,
-            journal_path=args.journal,
-            resume_from=args.resume,
             cancel=flag,
             progress=chain_progress(_print_progress, sink),
             profiler=profiler,
@@ -372,7 +355,7 @@ def _engine_session(
         if driver.engine.quarantined:
             exit_code = _report_quarantined(driver.engine.quarantined)
     except CampaignInterrupted as exc:
-        exit_code = _report_interrupted(exc)
+        exit_code = _report_interrupted(exc, cached=not args.no_cache)
     finally:
         if sink is not None:
             sink.close()

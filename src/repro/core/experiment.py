@@ -77,7 +77,7 @@ class ExperimentRunner(EngineOptions):
     defaults are :data:`FULL_GRID`'s suite.
 
     How cells execute (``jobs``, ``cache_dir``, ``failure_policy``,
-    ``journal_path`` ...) is :class:`~repro.exec.engine.EngineOptions`.
+    ``timeout_s`` ...) is :class:`~repro.exec.engine.EngineOptions`.
     """
 
     duration: int = FULL_GRID.duration

@@ -78,10 +78,6 @@ class AdaptiveEccUnit:
         """Dynamic encode+decode energy for one flit hop under the current scheme."""
         return self.codec_pj
 
-    def end_to_end_check_energy_pj(self) -> float:
-        """Energy of the destination CRC check (charged once per flit)."""
-        return self._power.crc_check_pj
-
     def leakage_mw(self) -> float:
         """Leakage of the currently-powered ECC circuitry (per router)."""
         leak = self._power.crc_leak_mw  # CRC at the injection port, always on

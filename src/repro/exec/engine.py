@@ -1,28 +1,30 @@
 """The campaign engine: dedupe, cache lookup, execute misses, write back.
 
 The engine is the single entry point every campaign driver uses
-(:class:`~repro.core.experiment.ExperimentRunner`, the sensitivity sweeps,
+(:class:`~repro.core.experiment.ExperimentRunner`, the paper evaluator,
 the load-latency harness, the CLI), each through the :class:`EngineOptions`
 it inherits.  Given a list of cell specs it
 
 1. deduplicates them by content hash (a grid or bisection often asks for
    the same cell twice),
-2. replays a resumed journal so finished (and quarantined) cells of an
-   interrupted campaign never re-execute,
-3. serves every cell it can from the :class:`~repro.exec.store.ResultStore`,
-4. finds the pre-training jobs the RL misses deploy and serves their
+2. serves every cell it can from the :class:`~repro.exec.store.ResultStore`
+   and, under the ``quarantine`` policy, reports every cell with a stored
+   post-mortem as quarantined without executing it,
+3. finds the pre-training jobs the RL misses deploy and serves their
    policy artefacts from the store too,
-5. hands only the misses to the executor — the pre-training jobs left,
+4. hands only the misses to the executor — the pre-training jobs left,
    and the cells, each RL cell dispatched once its policy is in hand,
-6. persists fresh results and policies back to the store — and into the
-   campaign journal — *the moment each job completes*, so a crash or
-   shutdown loses nothing that finished,
+5. persists fresh results, policies and post-mortems back to the store
+   *the moment each job completes*, so a crash or shutdown loses nothing
+   that finished,
 
-and returns :class:`RunMetrics` aligned with the input specs.  The
-report's counters (``executed`` vs ``cache_hits`` vs ``resumed``, and
-``pretrained``) make cache and resume behavior testable: a repeated
-campaign must show zero executor submissions, and a resumed one only the
-unfinished jobs.  Without a store a policy lives only as long as ``run``.
+and returns :class:`RunMetrics` aligned with the input specs.  The store
+is the one record of a campaign's progress: rerunning an interrupted
+campaign on the same store executes only what did not finish.  The
+report's counters (``executed`` vs ``cache_hits``, and ``pretrained``)
+make that testable: a repeated campaign must show zero executor
+submissions, and a rerun of an interrupted one only the unfinished jobs.
+Without a store a policy lives only as long as ``run``.
 
 Failure policy (:class:`~repro.exec.resilience.FailurePolicy`) decides
 what a permanently failing cell does: ``abort`` raises (historical
@@ -48,15 +50,10 @@ from repro.exec.executors import (
 )
 from repro.exec.resilience import (
     CampaignInterrupted,
-    CampaignJournal,
     CellFailure,
     ExecutorInterrupted,
     FailurePolicy,
-    JournalMismatch,
-    JournalState,
     ShutdownFlag,
-    load_journal,
-    manifest_hash,
 )
 from repro.exec.spec import CellSpec, Job, PretrainSpec
 from repro.exec.store import ResultStore
@@ -81,9 +78,7 @@ class CampaignReport:
     pretrained: int = 0  # pre-training jobs handed to the executor
     cache_hits: int = 0  # cells served from the result store
     deduplicated: int = 0  # duplicate specs folded into one execution
-    resumed: int = 0  # cache hits that were journaled by an earlier run
     failed: list[CellFailure] = field(default_factory=list)
-    manifest: str = ""  # campaign identity (journal manifest hash)
 
     @property
     def ok(self) -> bool:
@@ -98,10 +93,6 @@ class CampaignEngine:
     store: ResultStore | None = None
     progress: ProgressCallback | None = None
     failure_policy: FailurePolicy | str = FailurePolicy.ABORT
-    #: Append-only crash-safe record of this campaign's progress.
-    journal: CampaignJournal | None = None
-    #: Parsed journal of an interrupted earlier run to replay.
-    resume: JournalState | None = None
     #: Cooperative shutdown token (set by graceful_shutdown's handlers).
     cancel: ShutdownFlag | None = None
     # Running totals across invocations (useful for sweeps that call run()
@@ -127,19 +118,23 @@ class CampaignEngine:
             else:
                 unique[h] = spec
 
-        report.manifest = manifest_hash(unique)
-        resume = self._validated_resume(report.manifest)
-        if self.journal is not None:
-            self.journal.begin(report.manifest, len(unique))
-
+        store = self.store
         payloads: dict[str, dict[str, Any]] = {}
+        # Post-mortems a quarantine rerun reports instead of executing.
+        replays: dict[str, dict[str, Any]] = {}
         misses: list[tuple[str, CellSpec]] = []
         for h, spec in unique.items():
-            if h in resume.failed:
-                continue
-            cached = self.store.get(spec) if self.store is not None else None
+            cached = store.get(spec) if store is not None else None
             if cached is not None:
                 payloads[h] = cached
+                continue
+            stored = (
+                store.get_failure(spec)
+                if store is not None and policy is FailurePolicy.QUARANTINE
+                else None
+            )
+            if stored is not None:
+                replays[h] = stored
             else:
                 misses.append((h, spec))
         # The pre-training jobs the misses deploy, by hash (each miss's
@@ -156,30 +151,22 @@ class CampaignEngine:
             needs.append(need)
         policies: dict[str, dict[str, Any]] = {}
         for h, job in trainings.items():
-            stored = self.store.get(job) if self.store is not None else None
-            if stored is not None:
-                policies[h] = stored
+            policy_artefact = store.get(job) if store is not None else None
+            if policy_artefact is not None:
+                policies[h] = policy_artefact
 
         total = len(unique) + len(trainings)
         served = 0
         for h, spec in unique.items():
-            if h in resume.failed:
-                self._quarantine_from_journal(
-                    policy, spec, resume.failed[h], report, served, total,
-                )
-            elif h in payloads:
+            if h in payloads:
                 served += 1
                 report.cache_hits += 1
-                report.resumed += h in resume.done
-                self._served(spec, h in resume.done, served, total)
-            elif h in resume.done:
-                _LOG.warning(
-                    "journal marks %s done but the store has no artifact; "
-                    "re-executing", spec.label,
-                )
+                self._served(spec, served, total)
+            elif h in replays:
+                self._replay(spec, replays[h], report, served, total)
         for h in policies:
             served += 1
-            self._served(trainings[h], h in resume.done, served, total)
+            self._served(trainings[h], served, total)
 
         batch: list[tuple[str, Job, str | None]] = [
             (h, job, None) for h, job in trainings.items() if h not in policies
@@ -199,40 +186,26 @@ class CampaignEngine:
         report.metrics = [decoded.get(h) for h in order]
         return report
 
-    def _served(self, spec: Job, resumed: bool, completed: int, total: int) -> None:
-        _emit(self.progress, ProgressEvent(
-            "resumed" if resumed else "cached", spec, completed, total,
-        ))
+    def _served(self, spec: Job, completed: int, total: int) -> None:
+        _emit(self.progress, ProgressEvent("cached", spec, completed, total))
 
-    # --- resume ---------------------------------------------------------------
-
-    def _validated_resume(self, manifest: str) -> JournalState:
-        if self.resume is None:
-            return JournalState()
-        if self.resume.manifest is not None and self.resume.manifest != manifest:
-            raise JournalMismatch(
-                "the resume journal belongs to a different campaign "
-                f"(manifest {self.resume.manifest[:12]}… != {manifest[:12]}…)"
-            )
-        return self.resume
-
-    def _quarantine_from_journal(
+    def _replay(
         self,
-        policy: FailurePolicy,
         spec: Job,
-        cause: str,
+        stored: dict[str, Any],
         report: CampaignReport,
         completed: int,
         total: int,
     ) -> None:
-        """A journaled permanent failure: report it without re-executing."""
-        if policy is FailurePolicy.ABORT:
-            raise CellExecutionError(spec, f"quarantined by resumed journal: {cause}")
-        cell = CellFailure(spec, cause, from_journal=True)
+        """A stored post-mortem: report it without re-executing."""
+        cell = CellFailure(
+            spec, stored["cause"], str(stored.get("traceback", "")),
+            replayed=True,
+        )
         report.failed.append(cell)
         self.quarantined.append(cell)
         _emit(self.progress, ProgressEvent(
-            "quarantined", spec, completed, total, error=cause,
+            "quarantined", spec, completed, total, error=cell.cause,
         ))
 
     # --- execution ------------------------------------------------------------
@@ -250,16 +223,13 @@ class CampaignEngine:
         landed = served  # jobs finished so far, campaign-wide
 
         def on_result(index: int, spec: Job, payload: dict[str, Any]) -> None:
-            # Persist the instant a job lands: crash-safety of the journal
-            # depends on never holding finished work only in memory.
+            # Persist the instant a job lands: a rerun resumes from the
+            # store, so finished work is never held only in memory.
             nonlocal landed
             landed += 1
-            h = batch[index][0]
             self._store_put(spec, payload)
-            if self.journal is not None:
-                self.journal.record_done(h, spec.label)
             if isinstance(spec, CellSpec):
-                payloads[h] = payload
+                payloads[batch[index][0]] = payload
 
         def on_failure(index: int, spec: Job, failure: CellFailure) -> None:
             # The executor already reported the job ``failed``.
@@ -267,11 +237,7 @@ class CampaignEngine:
             self.quarantined.append(failure)
             if policy is not FailurePolicy.QUARANTINE:
                 return
-            self._store_put_failure(spec, failure)
-            if self.journal is not None:
-                self.journal.record_failed(
-                    batch[index][0], failure.cause, spec.label
-                )
+            self._store_put_failure(spec, failure.cause, failure.traceback_text)
             _emit(self.progress, ProgressEvent(
                 "quarantined", spec, landed, total, error=failure.cause,
             ))
@@ -294,25 +260,11 @@ class CampaignEngine:
         except CellExecutionError as exc:
             # Persist the post-mortem (cause + full traceback) into the
             # job's failure artifact before surfacing the error.
-            if self.store is not None:
-                self.store.put_failure(exc.spec, exc.cause, exc.traceback_text)
-            if self.journal is not None:
-                self.journal.record_failed(
-                    exc.spec.content_hash(), exc.cause, exc.spec.label
-                )
-                self.journal.sync()
+            self._store_put_failure(exc.spec, exc.cause, exc.traceback_text)
             raise
         except ExecutorInterrupted as exc:
-            if self.journal is not None:
-                self.journal.record_interrupted(exc.reason)
-                self.journal.sync()
             raise CampaignInterrupted(
-                exc.reason,
-                completed=served + exc.completed,
-                total=total,
-                journal_path=(
-                    self.journal.path if self.journal is not None else None
-                ),
+                exc.reason, completed=served + exc.completed, total=total,
             ) from exc
 
     # --- guarded persistence --------------------------------------------------
@@ -328,11 +280,11 @@ class CampaignEngine:
         except OSError as exc:
             _LOG.warning("result-cache write failed for %s: %s", spec.label, exc)
 
-    def _store_put_failure(self, spec: Job, failure: CellFailure) -> None:
+    def _store_put_failure(self, spec: Job, cause: str, traceback_text: str) -> None:
         if self.store is None:
             return
         try:
-            self.store.put_failure(spec, failure.cause, failure.traceback_text)
+            self.store.put_failure(spec, cause, traceback_text)
         except OSError as exc:
             _LOG.warning("failure-artifact write failed for %s: %s",
                          spec.label, exc)
@@ -346,8 +298,8 @@ class EngineOptions:
     :class:`~repro.core.experiment.ExperimentRunner`,
     :class:`~repro.report.paper.PaperEvaluator` and
     :class:`~repro.core.loadlatency.LoadLatencySweep` inherit this, so the
-    same options build the same executor, store, journal and progress
-    chain whichever driver holds them.  ``jobs > 1`` executes cells in
+    same options build the same executor, store and progress chain
+    whichever driver holds them.  ``jobs > 1`` executes cells in
     worker processes; ``use_cache=True`` (or an explicit ``cache_dir``)
     persists every cell result so repeated runs are pure cache reads.
     Results are bit-identical across all of these modes: every cell is a
@@ -360,11 +312,6 @@ class EngineOptions:
     timeout_s: float | None = None
     #: What a permanently failing cell does: abort (raise), skip, quarantine.
     failure_policy: FailurePolicy | str = FailurePolicy.ABORT
-    #: Crash-safe campaign journal location (enables resume after a crash).
-    journal_path: str | Path | None = None
-    #: Journal of an interrupted earlier run to replay before executing;
-    #: journaling continues to it unless ``journal_path`` says otherwise.
-    resume_from: str | Path | None = None
     #: Cooperative shutdown token (see repro.exec.resilience.graceful_shutdown).
     cancel: ShutdownFlag | None = None
     progress: ProgressCallback | None = None
@@ -377,24 +324,13 @@ class EngineOptions:
     def engine(self) -> CampaignEngine:
         """The driver's engine, built on first use."""
         if self._engine is None:
-            journal_path = (
-                self.journal_path
-                if self.journal_path is not None
-                else self.resume_from
-            )
-            store = (
-                ResultStore(self.cache_dir)
-                if self.use_cache or self.cache_dir is not None
-                else None
-            )
-            if self.resume_from is not None and store is None:
-                raise ValueError(
-                    "resuming needs the result cache: the journal records "
-                    "which cells finished, the store holds what they produced"
-                )
             self._engine = CampaignEngine(
                 executor=CellExecutor(jobs=self.jobs, timeout_s=self.timeout_s),
-                store=store,
+                store=(
+                    ResultStore(self.cache_dir)
+                    if self.use_cache or self.cache_dir is not None
+                    else None
+                ),
                 progress=chain_progress(
                     self.progress,
                     self.profiler.record_job
@@ -402,16 +338,6 @@ class EngineOptions:
                     else None,
                 ),
                 failure_policy=self.failure_policy,
-                journal=(
-                    CampaignJournal(journal_path)
-                    if journal_path is not None
-                    else None
-                ),
-                resume=(
-                    load_journal(self.resume_from)
-                    if self.resume_from is not None
-                    else None
-                ),
                 cancel=self.cancel,
             )
         return self._engine

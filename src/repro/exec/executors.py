@@ -83,7 +83,7 @@ CellFn = Callable[..., dict[str, Any]]
 
 #: Hooks the engine uses to persist work the moment it lands: called with
 #: ``(index, spec, payload | CellFailure)`` as each cell resolves, in the
-#: executor's own process — this is what makes the journal crash-safe.
+#: executor's own process — this is what makes the store crash-safe.
 ResultHook = Callable[[int, Job, dict[str, Any]], None]
 FailureHook = Callable[[int, Job, CellFailure], None]
 
@@ -92,8 +92,7 @@ FailureHook = Callable[[int, Job, CellFailure], None]
 class ProgressEvent:
     """One progress callback: a job started, finished, retried or failed."""
 
-    # "start" | "done" | "retry" | "failed" | "cached" | "resumed"
-    # | "quarantined"
+    # "start" | "done" | "retry" | "failed" | "cached" | "quarantined"
     kind: str
     spec: Job  # ``spec.job``: "cell" | "pretrain"
     completed: int  # campaign-wide jobs finished so far (cache hits included)
@@ -226,8 +225,8 @@ class CellExecutor:
 
         def fail(idx: int, cause: str, tb: str = "", duration_s: float = 0.0) -> None:
             if draining:
-                # Shutdown drain: the cell stays unfinished (the journal has
-                # no record for it), so a resumed run re-executes it.
+                # Shutdown drain: the cell stays unfinished (the store has
+                # no artifact for it), so a rerun re-executes it.
                 return
             spec, attempt = specs[idx], attempts[idx]
             if attempt <= self.retries:

@@ -11,6 +11,12 @@ of JSON (the same fields, the canonical spec included, plus the SHA-256 of
 what follows) and then the policy artefact's bytes
 (:mod:`repro.rl.persistence`).
 
+A job that failed under the ``quarantine`` policy (or raised under
+``abort``) is persisted as ``<hash>.failure.json``: the canonical spec,
+the cause and the traceback.  Written the moment each job lands, these
+files are the one record of a campaign's progress, so rerunning a
+campaign on the same store resumes it.
+
 Reads are defensive: a missing, corrupted, schema-mismatched or
 spec-mismatched file is treated as a miss and the job runs again — a
 broken cache can cost time but never wrong results.
@@ -35,6 +41,9 @@ STORE_SCHEMA_VERSION = 1
 #: How :attr:`AuditEntry.problem` starts for an intact result keyed under
 #: another ``SPEC_SCHEMA_VERSION``.
 UNREACHABLE = "unreachable"
+
+#: A post-mortem's filename after its spec hash.
+FAILURE_SUFFIX = ".failure.json"
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ class StoreAudit:
     #: Failure post-mortems whose cell has since succeeded (a healthy
     #: result artifact exists for the same hash) — history, prunable.
     stale_failures: list[AuditEntry] = field(default_factory=list)
-    #: Intact results and policies keyed under another
+    #: Intact artifacts keyed under another
     #: ``SPEC_SCHEMA_VERSION``: no spec this code builds hashes to them, so
     #: they can never be hit again — not damage (``ok`` ignores them),
     #: prunable.
@@ -104,33 +113,55 @@ class ResultStore:
 
     def failure_path_for(self, spec: Job) -> Path:
         h = spec.content_hash()
-        return self.cache_dir / h[:2] / f"{h}.failure.json"
+        return self.cache_dir / h[:2] / f"{h}{FAILURE_SUFFIX}"
 
     def get(self, spec: Job) -> dict[str, Any] | None:
         """The stored artifact payload for *spec*, or None on any defect."""
-        path = self.path_for(spec)
+        read = self._read(self.path_for(spec), spec)
+        if read is None:
+            return None
+        artifact, blob = read
+        if isinstance(spec, PretrainSpec):
+            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
+                return None
+            return {"policy": blob}
+        payload = artifact.get("payload")
+        if not isinstance(payload, dict) or "metrics" not in payload:
+            return None
+        return payload
+
+    def get_failure(self, spec: Job) -> dict[str, Any] | None:
+        """The stored post-mortem for *spec* (its ``cause`` and
+        ``traceback``), or None on any defect."""
+        read = self._read(self.failure_path_for(spec), spec)
+        if read is None:
+            return None
+        artifact = read[0]
+        if artifact.get("kind") != "failure":
+            return None
+        if not isinstance(artifact.get("cause"), str):
+            return None
+        return artifact
+
+    def _read(
+        self, path: Path, spec: Job
+    ) -> tuple[dict[str, Any], bytes] | None:
+        """One artifact's JSON and trailing bytes, if it is *spec*'s under
+        this schema."""
         try:
             head, blob = _split(path.read_bytes(), path)
             artifact = json.loads(head)
-            if not isinstance(artifact, dict):
-                return None
-            if artifact.get("schema") != STORE_SCHEMA_VERSION:
-                return None
-            # Guard against corruption and (vanishingly unlikely) hash
-            # collisions: the embedded spec must match byte for byte.
-            if artifact.get("spec") != spec.canonical():
-                return None
-            if isinstance(spec, PretrainSpec):
-                if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
-                    return None
-                return {"policy": blob}
-            payload = artifact["payload"]
-            if not isinstance(payload, dict):
-                return None
-            payload["metrics"]  # key must exist
-            return payload
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):
             return None
+        if not isinstance(artifact, dict):
+            return None
+        if artifact.get("schema") != STORE_SCHEMA_VERSION:
+            return None
+        # Guard against corruption and (vanishingly unlikely) hash
+        # collisions: the embedded spec must match byte for byte.
+        if artifact.get("spec") != spec.canonical():
+            return None
+        return artifact, blob
 
     def put(self, spec: Job, payload: dict[str, Any]) -> Path:
         """Atomically persist a finished job's artifact."""
@@ -152,8 +183,9 @@ class ResultStore:
         """Persist a job's failure (cause + full traceback) next to where
         its artifact would live, as ``<hash>.failure.json``.
 
-        Failure artifacts are diagnostics, not cache entries: ``get`` never
-        reads them and a later successful run leaves the record behind as
+        ``get`` never reads them: a rerun under ``quarantine`` reads them
+        with :meth:`get_failure` and reports the cell without executing
+        it, and a later successful run leaves the record behind as
         history, so a flaky cell's last crash stays auditable.
         """
         path = self.failure_path_for(spec)
@@ -185,14 +217,13 @@ class ResultStore:
     # --- maintenance (the `repro cache` subcommand) ---------------------------
 
     def _artifact_paths(self) -> list[Path]:
-        # The journal and the campaign log are .jsonl, tmp files are .tmp.
+        # A campaign log is .jsonl, and torn writes are .tmp leftovers.
         return sorted(
             p for p in self.cache_dir.rglob("*") if p.suffix in (".json", ".policy")
         )
 
-    def _check_artifact(self, path: Path, stem_hash: str) -> str:
-        """Problem description for one result or policy artifact, or "" if
-        healthy.
+    def _check_artifact(self, path: Path, stem_hash: str, kind: str) -> str:
+        """Problem description for one artifact of *kind*, or "" if healthy.
 
         Re-hashes the embedded canonical spec, and a policy's bytes, so
         bit-rot anywhere in the file — not just in the JSON framing — is
@@ -217,9 +248,12 @@ class ResultStore:
         ).hexdigest()
         if rehashed != stem_hash:
             return f"content hash mismatch (re-hash {rehashed[:12]}…)"
-        if path.suffix == ".policy":
+        if kind == "policy":
             if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
                 return "policy bytes do not match their digest"
+        elif kind == "failure":
+            if artifact.get("kind") != "failure":
+                return "not a failure post-mortem"
         else:
             payload = artifact.get("payload")
             if not isinstance(payload, dict) or "metrics" not in payload:
@@ -231,49 +265,31 @@ class ResultStore:
             )
         return ""
 
-    def _check_failure_artifact(self, path: Path) -> str:
-        try:
-            artifact = json.loads(path.read_text())
-        except OSError as exc:
-            return f"unreadable: {exc}"
-        except ValueError:
-            return "unparsable JSON"
-        if not isinstance(artifact, dict) or artifact.get("kind") != "failure":
-            return "not a failure post-mortem"
-        return ""
-
     def audit(self) -> StoreAudit:
         """Verify every artifact: re-hash results, classify failures."""
         audit = StoreAudit()
         for path in self._artifact_paths():
-            name = path.name
-            if name.endswith(".failure.json"):
-                stem = name[: -len(".failure.json")]
-                entry = AuditEntry(
-                    path, stem, "failure", self._check_failure_artifact(path)
-                )
-                audit.checked += 1
+            if path.name.endswith(FAILURE_SUFFIX):
+                stem, kind = path.name[: -len(FAILURE_SUFFIX)], "failure"
                 audit.failures += 1
-                if not entry.healthy:
-                    audit.corrupt.append(entry)
-                elif any(
-                    (path.parent / f"{stem}{suffix}").exists()
-                    for suffix in (".json", ".policy")
-                ):
-                    audit.stale_failures.append(entry)
-                else:
-                    audit.healthy += 1
-                continue
-            stem = path.stem
-            kind = "policy" if path.suffix == ".policy" else "result"
-            entry = AuditEntry(path, stem, kind, self._check_artifact(path, stem))
-            audit.checked += 1
-            if entry.healthy:
-                audit.healthy += 1
-            elif entry.problem.startswith(UNREACHABLE):
-                audit.unreachable.append(entry)
             else:
+                stem = path.stem
+                kind = "policy" if path.suffix == ".policy" else "result"
+            entry = AuditEntry(
+                path, stem, kind, self._check_artifact(path, stem, kind)
+            )
+            audit.checked += 1
+            if entry.problem.startswith(UNREACHABLE):
+                audit.unreachable.append(entry)
+            elif not entry.healthy:
                 audit.corrupt.append(entry)
+            elif kind == "failure" and any(
+                (path.parent / f"{stem}{suffix}").exists()
+                for suffix in (".json", ".policy")
+            ):
+                audit.stale_failures.append(entry)
+            else:
+                audit.healthy += 1
         return audit
 
     def prune(self) -> tuple[int, int, int]:

@@ -60,28 +60,11 @@ class EnergyAccountant:
         self._dynamic_pj[router] += energy_pj
         self._epoch_dynamic_pj[router] += energy_pj
 
-    def add_static_cycle(self, router: int, leak_mw: float) -> None:
-        """Charge one cycle of *leak_mw* leakage to *router*."""
-        pj = leak_mw * 1e-3 / self.power.clock_frequency_hz * 1e12
-        self.static_pj[router] += pj
-        self._epoch_static_pj[router] += pj
-
     def add_static(self, router: int, leak_mw: float, cycles: int) -> None:
         """Charge *cycles* cycles of *leak_mw* leakage to one router."""
         pj = leak_mw * (1e-3 / self.power.clock_frequency_hz * 1e12 * cycles)
         self.static_pj[router] += pj
         self._epoch_static_pj[router] += pj
-
-    def add_static_cycles_bulk(self, leak_mw: np.ndarray, cycles: int) -> None:
-        """Charge *cycles* cycles of per-router leakage in one call.
-
-        The hot path uses this once per stats epoch instead of per cycle.
-        """
-        if leak_mw.shape != (self.num_routers,):
-            raise ValueError("leakage vector has wrong shape")
-        pj = leak_mw * (1e-3 / self.power.clock_frequency_hz * 1e12 * cycles)
-        self.static_pj += pj
-        self._epoch_static_pj += pj
 
     def close_epoch(self, current_cycle: int) -> EpochPower:
         """Snapshot and reset the per-epoch accumulators."""

@@ -74,11 +74,6 @@ class PowerModel:
 
     # --- dynamic events ----------------------------------------------------
 
-    def leakage_energy_pj(self, leak_mw: float, cycles: int) -> float:
-        """Convert *leak_mw* sustained for *cycles* into picojoules."""
-        seconds = cycles / self.power.clock_frequency_hz
-        return leak_mw * 1e-3 * seconds * 1e12
-
     def buffer_energy_scale(self) -> float:
         """Per-access buffer energy scales with the port's slot count
         (bitline capacitance): ORION-style linear-in-slots reduction."""

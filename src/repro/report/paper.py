@@ -4,7 +4,7 @@ One :class:`PaperEvaluator` — an :class:`~repro.exec.engine.EngineOptions`
 like the campaign drivers — lays out every cell the paper's evaluation
 needs (the Figs. 9-16 suite, the Figs. 17-18 sweeps, the MFAC, bypass
 and Eq. 1 reward ablations) and runs them as *one* engine campaign:
-``--jobs`` spans the whole grid, one journal covers it, the
+``--jobs`` spans the whole grid, one result store resumes it, the
 default-configuration cell the three RL sweeps share is simulated once,
 and a second run is pure cache reads.  Tables come from the pure
 renderers of :mod:`repro.core.figures` and

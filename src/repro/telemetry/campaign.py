@@ -2,14 +2,13 @@
 
 The execution engine reports the lifecycle of every job — a campaign cell,
 or the pre-training job RL cells deploy — through ``ProgressEvent``
-callbacks (start / done / cached / resumed / retry / failed /
-quarantined).  The sink here turns that stream into an append-only JSONL
-log in the one event envelope (:mod:`repro.telemetry.sinks`), so a
-campaign leaves a durable, machine-readable record of what ran, how long
-each cell took, what was retried, what was replayed from a resumed
-journal, and what was quarantined.  (The campaign *journal* is separate:
-it is the minimal crash-safe resume substrate, while this log is the full
-observability stream; see docs/resilience.md.)
+callbacks (start / done / cached / retry / failed / quarantined).  The
+sink here turns that stream into an append-only JSONL log in the one
+event envelope (:mod:`repro.telemetry.sinks`), so a campaign leaves a
+durable, machine-readable record of what ran, how long each cell took,
+what was served from the cache, what was retried, and what was
+quarantined.  (The log is diagnostics: what a rerun resumes from is the
+result store; see docs/resilience.md.)
 
 The sink is deliberately *duck-typed* over the event object (it reads
 ``kind``/``completed``/``total``/``duration_s``/... by ``getattr``): the

@@ -43,11 +43,64 @@ class TestParser:
             )),
             *([command, option, "x"]
               for command in ("campaign", "sweep", "verify-paper")
-              for option in ("--profile", "--campaign-log")),
+              for option in ("--profile", "--campaign-log", "--journal",
+                             "--resume")),
         ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
             assert exit_info.value.code == 2, argv
+
+
+#: Settable options per subcommand (argparse actions minus ``-h``), as CI's
+#: step summary tabulates them: ceilings, so a new knob has to retire one.
+OPTION_CEILINGS = {
+    "run": 13, "campaign": 17, "sweep": 12, "cache": 4, "trace": 7,
+    "lint": 9, "area": 2, "verify-paper": 8,
+}
+
+#: Init fields per config dataclass (a knob added as a field counts like a
+#: flag), the second table of CI's step summary plus ``EngineOptions``.
+FIELD_CEILINGS = {
+    "NocConfig": 15, "FaultConfig": 13, "PowerConfig": 21, "RlConfig": 8,
+    "TechniqueConfig": 10, "WorkloadSpec": 6, "CellSpec": 6,
+    "EngineOptions": 8,
+}
+
+
+class TestKnobCount:
+    """ROADMAP aim 2: the number of knobs must not grow."""
+
+    def test_options_per_subcommand_do_not_grow(self):
+        import argparse
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        counts = {
+            name: sum(not isinstance(a, argparse._HelpAction)
+                      for a in parser._actions)
+            for name, parser in sub.choices.items()
+        }
+        assert counts.keys() == OPTION_CEILINGS.keys()
+        grown = {n: c for n, c in counts.items() if c > OPTION_CEILINGS[n]}
+        assert not grown, f"options above their ceiling: {grown}"
+
+    def test_fields_per_config_dataclass_do_not_grow(self):
+        import dataclasses
+
+        from repro.config import (
+            FaultConfig, NocConfig, PowerConfig, RlConfig, TechniqueConfig,
+        )
+        from repro.exec.engine import EngineOptions
+        from repro.exec.spec import CellSpec, WorkloadSpec
+
+        counts = {
+            cls.__name__: sum(f.init for f in dataclasses.fields(cls))
+            for cls in (NocConfig, FaultConfig, PowerConfig, RlConfig,
+                        TechniqueConfig, WorkloadSpec, CellSpec, EngineOptions)
+        }
+        assert counts.keys() == FIELD_CEILINGS.keys()
+        grown = {n: c for n, c in counts.items() if c > FIELD_CEILINGS[n]}
+        assert not grown, f"fields above their ceiling: {grown}"
 
 
 class TestCommands:
@@ -163,17 +216,13 @@ class TestResilienceOptions:
         args = build_parser().parse_args(["campaign"])
         assert args.failure_policy == "abort"
         assert args.timeout is None
-        assert args.journal is None
-        assert args.resume is None
 
     def test_campaign_accepts_resilience_flags(self):
         args = build_parser().parse_args(
-            ["campaign", "--failure-policy", "quarantine",
-             "--timeout", "5.5", "--journal", "c.jsonl"]
+            ["campaign", "--failure-policy", "quarantine", "--timeout", "5.5"]
         )
         assert args.failure_policy == "quarantine"
         assert args.timeout == 5.5
-        assert args.journal == "c.jsonl"
 
     def test_unknown_failure_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -181,51 +230,27 @@ class TestResilienceOptions:
                 ["campaign", "--failure-policy", "explode"]
             )
 
-    def test_campaign_journal_then_resume(self, tmp_path, capsys):
-        journal = tmp_path / "c.jsonl"
-        base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
-                "--cache-dir", str(tmp_path / "cache")]
-        rc = main(base + ["--journal", str(journal)])
-        first = capsys.readouterr().out
-        assert rc == 0
-        assert journal.exists()
-        # Resuming a *finished* campaign re-executes nothing and reprints
-        # the same tables from the journal + cache.
-        rc = main(base + ["--resume", str(journal)])
-        second = capsys.readouterr().out
-        assert rc == 0
-        assert first == second
+    def test_campaign_journal_then_resume(self, tmp_path, monkeypatch, capsys):
+        """The cache is the campaign's journal: interrupted (exit 75), the
+        same command rerun prints what an uninterrupted run prints."""
+        from repro import cli
+        from repro.exec.resilience import EXIT_INTERRUPTED
 
-    def test_resume_foreign_journal_is_a_config_error(self, tmp_path, capsys):
-        journal = tmp_path / "c.jsonl"
-        base = ["campaign", "--benchmarks", "swa", "--duration", "600",
-                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
-                "--cache-dir", str(tmp_path / "cache")]
-        assert main(base + ["--journal", str(journal)]) == 0
-        capsys.readouterr()
-        # Same journal, different campaign (other seed): manifest mismatch.
-        rc = main(["campaign", "--benchmarks", "swa", "--duration", "600",
-                   "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "3",
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--resume", str(journal)])
-        assert rc == 2
+        def sigterm_after_first_cell(event):
+            if event.kind == "done" and event.spec.job == "cell":
+                os.kill(os.getpid(), signal.SIGTERM)
 
-
-    def test_resume_without_a_store_is_a_config_error(self, tmp_path, capsys):
-        """The journal holds hashes, the store payloads: without a store a
-        resume could serve nothing, only re-simulate the whole grid."""
-        journal = tmp_path / "c.jsonl"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
                 "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2"]
-        assert main(base + ["--cache-dir", str(tmp_path / "cache"),
-                            "--journal", str(journal)]) == 0
-        capsys.readouterr()
-        written = journal.read_text()
-        rc = main(base + ["--no-cache", "--resume", str(journal)])
-        assert rc == 2
-        assert capsys.readouterr().out == ""  # nothing ran, nothing rendered
-        assert journal.read_text() == written
+        assert main(base + ["--no-cache"]) == 0
+        uninterrupted = capsys.readouterr().out
+        again = base + ["--cache-dir", str(tmp_path / "cache")]
+        monkeypatch.setattr(cli, "_print_progress", sigterm_after_first_cell)
+        assert main(again) == EXIT_INTERRUPTED
+        assert capsys.readouterr().out == ""  # nothing rendered
+        monkeypatch.undo()
+        assert main(again) == 0
+        assert capsys.readouterr().out == uninterrupted
 
 
 class TestSmokes:
@@ -282,8 +307,9 @@ class TestSmokes:
     def test_resumed_campaign_continues_the_log(
         self, tmp_path, monkeypatch, capsys
     ):
-        """Interrupted after its first cell, then resumed into the same
-        DIR: one log, two sessions, each opened by its header."""
+        """Interrupted after its first cell, then rerun into the same DIR:
+        one log, two sessions, each opened by its header, and the rerun
+        serves the finished cell from the cache."""
         from repro import cli
         from repro.exec.resilience import EXIT_INTERRUPTED
 
@@ -291,18 +317,18 @@ class TestSmokes:
             if event.kind == "done" and event.spec.job == "cell":
                 os.kill(os.getpid(), signal.SIGTERM)
 
-        observe, journal = tmp_path / "observe", tmp_path / "c.jsonl"
+        observe = tmp_path / "observe"
         base = ["campaign", "--benchmarks", "swa", "--duration", "600",
                 "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--observe", str(observe)]
         monkeypatch.setattr(cli, "_print_progress", sigterm_after_first_cell)
-        assert main(base + ["--journal", str(journal)]) == EXIT_INTERRUPTED
+        assert main(base) == EXIT_INTERRUPTED
         monkeypatch.undo()
-        assert main(base + ["--resume", str(journal)]) == 0
+        assert main(base) == 0
         kinds = [e["kind"] for e in read_events_jsonl(observe / "events.jsonl")]
         assert kinds.count("header") == 2
-        assert kinds.index("resumed") > kinds.index("header", 1)
+        assert kinds.index("cached") > kinds.index("header", 1)
         assert _profile(observe)["traceEvents"]
 
 

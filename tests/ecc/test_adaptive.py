@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import EccScheme, PowerConfig
+from repro.config import INTELLINOC, EccScheme, PowerConfig
 from repro.ecc.adaptive import AdaptiveEccUnit
+from repro.power.model import PowerModel
 
 
 @pytest.fixture
@@ -52,5 +53,8 @@ class TestEnergyAndLeakage:
         unit.configure(EccScheme.CRC)
         assert unit.leakage_mw() == pytest.approx(PowerConfig().crc_leak_mw)
 
-    def test_end_to_end_check_energy(self, unit):
-        assert unit.end_to_end_check_energy_pj() == PowerConfig().crc_check_pj
+    def test_end_to_end_check_energy(self):
+        """The destination CRC check, charged once per ejected flit whatever
+        the per-hop scheme, is the power model's one definition."""
+        model = PowerModel(INTELLINOC, PowerConfig())
+        assert model.ejection_check_energy_pj() == PowerConfig().crc_check_pj

@@ -5,8 +5,8 @@ Each drill wires a ``ChaosPolicy`` into the executor's cell function
 (``ChaosCellFn``, ``harness.py`` beside this file) and asserts the
 campaign machinery recovers exactly as documented in docs/resilience.md:
 quarantine isolates only the doomed cell, survivors stay bit-identical to
-a chaos-free run, a killed campaign resumes with zero re-simulation of
-finished cells, and a broken process pool is rebuilt.
+a chaos-free run, a killed campaign rerun on the same store re-simulates
+none of its finished cells, and a broken process pool is rebuilt.
 
 The ``max_faults_per_cell=1`` cap plus the pre-fault on-disk ledger make
 every non-doomed cell survivable by construction, so these drills are
@@ -23,10 +23,8 @@ from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutor
 from repro.exec.resilience import (
     CampaignInterrupted,
-    CampaignJournal,
     ShutdownFlag,
     graceful_shutdown,
-    load_journal,
 )
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
@@ -86,17 +84,14 @@ class TestChaosEndToEnd:
             doomed=(doomed.content_hash(),),
         )
         store = ResultStore(tmp_path / "cache")
-        journal = CampaignJournal(tmp_path / "campaign.journal.jsonl")
         # Generous retry budget: each cell injects at most one fault, but a
         # pool break also charges the innocent in-flight cells one attempt.
         engine = CampaignEngine(
             executor=CellExecutor(jobs=2, retries=5, fn=ChaosCellFn(policy)),
             store=store,
             failure_policy="quarantine",
-            journal=journal,
         )
         report = engine.run(specs)
-        journal.close()
 
         assert report.executed == 4
         assert [f.spec for f in report.failed] == [doomed]
@@ -106,22 +101,19 @@ class TestChaosEndToEnd:
 
         clean = CampaignEngine(executor=CellExecutor()).run(specs)
         assert report.metrics[1:] == clean.metrics[1:]
-
-        state = load_journal(tmp_path / "campaign.journal.jsonl")
-        assert state.done == {s.content_hash() for s in specs[1:]}
-        assert set(state.failed) == {doomed.content_hash()}
+        assert all(store.get(s) is not None for s in specs[1:])
+        assert store.get(doomed) is None
 
     def test_kill_mid_flight_then_resume_runs_only_the_remainder(
         self, tmp_path
     ):
-        """SIGTERM lands after two cells finish; ``--resume`` semantics
-        replay the journal so only the unfinished cells re-execute."""
+        """SIGTERM lands after two cells finish; a second engine on the same
+        store serves those two and executes only the unfinished cells."""
         specs = drill_specs(4)
         policy = ChaosPolicy(
             state_dir=str(tmp_path / "chaos"), seed=9, transient_rate=1.0
         )
         store = ResultStore(tmp_path / "cache")
-        path = tmp_path / "campaign.journal.jsonl"
         flag = ShutdownFlag()
         done = []
 
@@ -131,37 +123,29 @@ class TestChaosEndToEnd:
                 if len(done) == 2:
                     os.kill(os.getpid(), signal.SIGTERM)
 
-        journal = CampaignJournal(path)
         engine = CampaignEngine(
             executor=CellExecutor(retries=1, fn=ChaosCellFn(policy)),
             store=store,
-            journal=journal,
             cancel=flag,
             progress=sigterm_after_two,
         )
         with graceful_shutdown(flag, signals=(signal.SIGTERM,)):
             with pytest.raises(CampaignInterrupted) as exc_info:
                 engine.run(specs)
-        journal.close()
         assert exc_info.value.completed == 2
         assert exc_info.value.total == 4
-        assert exc_info.value.journal_path == path
-
-        state = load_journal(path)
-        assert len(state.done) == 2
-        assert state.interrupted
+        assert sum(store.get(s) is not None for s in specs) == 2
 
         resumed = CampaignEngine(
             executor=CellExecutor(retries=1, fn=ChaosCellFn(policy)),
             store=store,
-            journal=CampaignJournal(path),
-            resume=state,
         )
         report = resumed.run(specs)
         # Zero re-simulation of the finished cells.
         assert report.executed == 2
         assert report.cache_hits == 2
-        assert all(m is not None for m in report.metrics)
+        # Bit-identical to a chaos-free run.
+        assert report.metrics == CampaignEngine().run(specs).metrics
 
 
 class TestProcessPoolChaos:

@@ -1,5 +1,10 @@
 """Engine: serial/parallel equivalence, caching, dedup, corruption recovery,
-failure policies, journaling and resume."""
+failure policies and resume."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +13,7 @@ from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor, ProgressEvent
-from repro.exec.resilience import (
-    CampaignInterrupted,
-    CampaignJournal,
-    JournalMismatch,
-    ShutdownFlag,
-    load_journal,
-)
+from repro.exec.resilience import CampaignInterrupted, ShutdownFlag
 from repro.exec.spec import parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_job
@@ -64,25 +63,19 @@ class TestEngineOptions:
         engine = built.engine
         assert built.engine is engine
         assert (engine.executor.jobs, engine.executor.timeout_s) == (1, None)
-        assert engine.store is None and engine.journal is None
-        assert engine.resume is None and engine.progress is None
+        assert engine.store is None and engine.progress is None
 
     def test_the_same_options_build_the_same_engine(self, driver, tmp_path):
         seen = []
         profiler = SimProfiler()
         flag = ShutdownFlag()
-        journal = tmp_path / "campaign.jsonl"
-        CampaignJournal(journal).begin("m", 1)
         engine = DRIVERS[driver](
             jobs=2, cache_dir=tmp_path / "cache", timeout_s=9.0,
-            failure_policy="quarantine", resume_from=journal, cancel=flag,
+            failure_policy="quarantine", cancel=flag,
             progress=seen.append, profiler=profiler,
         ).engine
         assert (engine.executor.jobs, engine.executor.timeout_s) == (2, 9.0)
         assert engine.store.cache_dir == tmp_path / "cache"
-        # Resuming keeps journaling to the file it resumed from.
-        assert engine.journal.path == journal
-        assert engine.resume.manifest == "m"
         assert engine.failure_policy == "quarantine" and engine.cancel is flag
         # Chained progress: the caller's callback, then the profiler's spans.
         spec = small_specs(1)[0]
@@ -275,78 +268,97 @@ class TestStoreWriteFailure:
         assert store.get(spec) is None
 
 
+#: A campaign of four cells in a child process that dies without any
+#: cleanup (``os._exit``) right after its second ``done``.
+HARD_KILL = """
+import os, sys
+from repro.config import SECDED_BASELINE
+from repro.exec.engine import CampaignEngine
+from repro.exec.spec import parsec_cell
+from repro.exec.store import ResultStore
+
+done = []
+
+def die_after_two(event):
+    if event.kind == "done":
+        done.append(event)
+        if len(done) == 2:
+            os._exit(9)
+
+specs = [parsec_cell(SECDED_BASELINE, "swa", 500, seed=10 + i) for i in range(4)]
+CampaignEngine(store=ResultStore(sys.argv[1]), progress=die_after_two).run(specs)
+"""
+
+
 class TestJournalAndResume:
+    """The result store is the campaign's journal: every job's artifact
+    lands before its ``done``, so rerunning on the same store resumes."""
+
     def test_journal_records_every_completion(self, tmp_path):
-        path = tmp_path / "c.jsonl"
+        store = ResultStore(tmp_path / "cache")
         specs = small_specs()
-        with CampaignJournal(path) as journal:
-            CampaignEngine(executor=CellExecutor(), journal=journal).run(
-                specs
-            )
-        state = load_journal(path)
-        assert state.manifest is not None
-        assert state.done == {s.content_hash() for s in specs}
+        stored_at_done = []
+
+        def check(event):
+            if event.kind == "done":
+                stored_at_done.append(store.get(event.spec) is not None)
+
+        CampaignEngine(
+            executor=CellExecutor(), store=store, progress=check
+        ).run(specs)
+        assert stored_at_done == [True, True]
 
     def test_interrupt_then_resume_runs_only_the_remainder(self, tmp_path):
         specs = small_specs(3)
         store = ResultStore(tmp_path / "cache")
-        path = tmp_path / "c.jsonl"
         flag = ShutdownFlag()
 
         def stop_after_first(event):
             if event.kind == "done":
                 flag.set("test-shutdown")
 
-        journal = CampaignJournal(path)
         engine = CampaignEngine(
-            executor=CellExecutor(), store=store, journal=journal,
+            executor=CellExecutor(), store=store,
             cancel=flag, progress=stop_after_first,
         )
         with pytest.raises(CampaignInterrupted) as exc_info:
             engine.run(specs)
-        journal.close()
         assert exc_info.value.completed == 1
         assert exc_info.value.total == 3
-        assert exc_info.value.journal_path == path
 
-        state = load_journal(path)
-        assert len(state.done) == 1
-        assert state.interrupted
-
-        resumed = CampaignEngine(
-            executor=CellExecutor(), store=store,
-            journal=CampaignJournal(path), resume=state,
-        )
-        report = resumed.run(specs)
-        # Only the unfinished cells execute; the journaled one replays.
+        report = CampaignEngine(executor=CellExecutor(), store=store).run(specs)
+        # Only the unfinished cells execute; the stored one is a cache hit.
         assert report.executed == 2
         assert report.cache_hits == 1
-        assert report.resumed == 1
         assert all(m is not None for m in report.metrics)
 
-    def test_resume_rejects_a_foreign_journal(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        with CampaignJournal(path) as journal:
-            CampaignEngine(executor=CellExecutor(), journal=journal).run(
-                small_specs(1)
-            )
-        state = load_journal(path)
-        other = CampaignEngine(executor=CellExecutor(), resume=state)
-        with pytest.raises(JournalMismatch, match="different campaign"):
-            other.run(small_specs(2, duration=502))
+    def test_a_hard_kill_loses_only_the_unfinished_cells(self, tmp_path):
+        cache = tmp_path / "cache"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        child = subprocess.run(
+            [sys.executable, "-c", HARD_KILL, str(cache)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 9, child.stderr
+        store = ResultStore(cache)
+        assert store.audit().ok
+
+        specs = small_specs(4)
+        report = CampaignEngine(executor=CellExecutor(), store=store).run(specs)
+        assert (report.executed, report.cache_hits) == (2, 2)
+        assert report.metrics == CampaignEngine().run(specs).metrics
 
     def test_resumed_quarantine_is_not_reexecuted(self, tmp_path):
         specs = small_specs()
         store = ResultStore(tmp_path / "cache")
-        path = tmp_path / "c.jsonl"
-        with CampaignJournal(path) as journal:
-            first = CampaignEngine(
-                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
-                store=store, journal=journal, failure_policy="quarantine",
-            )
-            first.run(specs)
-        state = load_journal(path)
-        assert set(state.failed) == {specs[0].content_hash()}
+        CampaignEngine(
+            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
+            store=store, failure_policy="quarantine",
+        ).run(specs)
+        assert store.get_failure(specs[0])["cause"] == "RuntimeError: doomed cell"
 
         executed = []
 
@@ -354,31 +366,35 @@ class TestJournalAndResume:
             executed.append(spec)
             return execute_job(spec)
 
-        resumed = CampaignEngine(
+        events = []
+        report = CampaignEngine(
             executor=CellExecutor(retries=0, fn=must_not_run),
-            store=store, resume=state, failure_policy="quarantine",
-        )
-        report = resumed.run(specs)
+            store=store, failure_policy="quarantine", progress=events.append,
+        ).run(specs)
         assert executed == []  # survivor cached, failure replayed
         assert report.executed == 0
-        assert report.failed[0].from_journal
+        assert [f.spec for f in report.failed] == [specs[0]]
+        assert report.failed[0].replayed
         assert report.metrics[0] is None and report.metrics[1] is not None
-        assert (report.resumed, report.cache_hits) == (1, 1)
+        assert report.cache_hits == 1
+        assert [e.kind for e in events] == ["quarantined", "cached"]
 
-    def test_abort_policy_refuses_a_journaled_failure(self, tmp_path):
+    @pytest.mark.parametrize("policy", ["skip", "abort"])
+    def test_skip_and_abort_retry_a_stored_failure(self, tmp_path, policy):
         specs = small_specs()
-        path = tmp_path / "c.jsonl"
-        with CampaignJournal(path) as journal:
-            CampaignEngine(
-                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
-                journal=journal, failure_policy="quarantine",
-            ).run(specs)
-        resumed = CampaignEngine(
-            executor=CellExecutor(), resume=load_journal(path),
-            failure_policy="abort",
-        )
-        with pytest.raises(CellExecutionError, match="quarantined"):
-            resumed.run(specs)
+        store = ResultStore(tmp_path / "cache")
+        CampaignEngine(
+            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
+            store=store, failure_policy="quarantine",
+        ).run(specs)
+        report = CampaignEngine(
+            executor=CellExecutor(), store=store, failure_policy=policy,
+        ).run(specs)
+        assert (report.executed, report.cache_hits) == (1, 1)
+        assert report.ok and all(m is not None for m in report.metrics)
+        # The healed cell is stored; its post-mortem is now history.
+        assert store.get(specs[0]) is not None
+        assert len(store.audit().stale_failures) == 1
 
 
 class TestProgressAccounting:

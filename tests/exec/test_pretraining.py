@@ -1,6 +1,6 @@
 """Pre-training as a job: its artefact is exact, it runs once per campaign
-and never again on a warm store, and the engine's journal, resume and
-failure policy apply to it as to any cell."""
+and never again on a warm store, and the engine's resume and failure
+policy apply to it as to any cell."""
 
 import copy
 from dataclasses import replace
@@ -10,12 +10,7 @@ import pytest
 from repro.config import INTELLINOC, SECDED_BASELINE
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor
-from repro.exec.resilience import (
-    CampaignInterrupted,
-    CampaignJournal,
-    ShutdownFlag,
-    load_journal,
-)
+from repro.exec.resilience import CampaignInterrupted, ShutdownFlag
 from repro.exec.spec import PretrainSpec, parsec_cell
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_cell, execute_job, pretrain
@@ -138,7 +133,6 @@ class TestRunsOnce:
         self, cold, tmp_path
     ):
         store = ResultStore(tmp_path / "cache")
-        path = tmp_path / "c.jsonl"
         flag = ShutdownFlag()
 
         def stop_after_pretraining(event):
@@ -146,22 +140,17 @@ class TestRunsOnce:
                 flag.set("test-shutdown")
 
         with pytest.raises(CampaignInterrupted) as interrupted:
-            with CampaignJournal(path) as journal:
-                CampaignEngine(
-                    store=store, journal=journal, cancel=flag,
-                    progress=stop_after_pretraining,
-                ).run(grid())
+            CampaignEngine(
+                store=store, cancel=flag, progress=stop_after_pretraining,
+            ).run(grid())
         assert (interrupted.value.completed, interrupted.value.total) == (1, 5)
-        state = load_journal(path)
-        assert state.done == {grid()[-1].pretraining.content_hash()}
+        assert store.get(grid()[-1].pretraining) is not None
+        assert all(store.get(spec) is None for spec in grid())
 
         events = []
-        report = CampaignEngine(
-            store=store, journal=CampaignJournal(path), resume=state,
-            progress=events.append,
-        ).run(grid())
+        report = CampaignEngine(store=store, progress=events.append).run(grid())
         assert (report.executed, report.pretrained) == (4, 0)
-        assert len(pretrainings(events, "resumed")) == 1
+        assert len(pretrainings(events, "cached")) == 1
         assert report.metrics == cold[0].metrics
 
 

@@ -124,6 +124,22 @@ class TestStore:
         path.write_text(json.dumps(artifact))
         assert store.get(spec) is None
 
+    def test_put_failure_then_get_failure(self, store, spec):
+        assert store.get_failure(spec) is None
+        store.put_failure(spec, "RuntimeError: doomed", "tb")
+        stored = store.get_failure(spec)
+        assert (stored["cause"], stored["traceback"]) == ("RuntimeError: doomed", "tb")
+        assert store.get(spec) is None  # a post-mortem is not a result
+
+    def test_a_damaged_post_mortem_is_not_read(self, store, spec):
+        path = store.put_failure(spec, "RuntimeError: doomed", "tb")
+        artifact = json.loads(path.read_text())
+        artifact["spec"]["spec"]["seed"] = 99  # not this spec's
+        path.write_text(json.dumps(artifact))
+        assert store.get_failure(spec) is None
+        path.write_text("{torn")
+        assert store.get_failure(spec) is None
+
 
 class TestAuditAndPrune:
     def _fill(self, store, n=3):
@@ -231,6 +247,32 @@ class TestAuditAndPrune:
         assert store.prune() == (0, 0, 1)
         assert not path.exists()
 
+    def test_a_rehash_mismatch_in_a_post_mortem_is_corrupt(self, store, spec):
+        path = store.put_failure(spec, "RuntimeError: doomed", "tb")
+        artifact = json.loads(path.read_text())
+        artifact["spec"]["spec"]["seed"] = 99
+        path.write_text(json.dumps(artifact))
+        audit = store.audit()
+        assert [(e.path, e.kind) for e in audit.corrupt] == [(path, "failure")]
+        assert "hash mismatch" in audit.corrupt[0].problem
+        assert store.prune() == (1, 0, 0)
+        assert not path.exists()
+
+    def test_post_mortem_under_another_spec_schema_is_unreachable(self, store):
+        embedded = {"schema": 1, "spec": {"__type__": "CellSpec", "seed": 7}}
+        h = hashlib.sha256(canonical_json(embedded).encode("utf-8")).hexdigest()
+        path = store.cache_dir / h[:2] / f"{h}.failure.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": STORE_SCHEMA_VERSION, "kind": "failure", "spec_hash": h,
+            "spec": embedded, "cause": "RuntimeError: old", "traceback": "",
+        }))
+        audit = store.audit()
+        assert audit.ok and audit.healthy == 0
+        assert [(e.path, e.kind) for e in audit.unreachable] == [(path, "failure")]
+        assert store.prune() == (0, 0, 1)
+        assert not path.exists()
+
     def test_a_failed_pretraining_turns_stale_once_its_policy_lands(self, store):
         job = PretrainSpec(INTELLINOC, 7, FaultConfig(), 900)
         store.put_failure(job, "RuntimeError: flaky", "tb")
@@ -241,6 +283,8 @@ class TestAuditAndPrune:
         assert store.get(job) == {"policy": b"bytes"}
 
     def test_journal_and_tmp_files_ignored(self, store, spec):
+        """A campaign journal an older version left, or a campaign log, is
+        .jsonl; a torn write is a .tmp leftover.  Neither is an artifact."""
         store.put(spec, {"metrics": make_metrics().to_dict()})
         (store.cache_dir / "campaign.journal.jsonl").write_text("{}\n")
         (store.cache_dir / "ab").mkdir(exist_ok=True)

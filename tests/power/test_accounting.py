@@ -43,24 +43,12 @@ class TestDynamic:
 class TestStatic:
     def test_single_cycle_conversion(self, acct):
         # 2 mW over one 0.5 ns cycle = 1 pJ.
-        acct.add_static_cycle(1, 2.0)
+        acct.add_static(1, 2.0, 1)
         assert acct.static_pj[1] == pytest.approx(1.0)
 
     def test_add_static_multi_cycle(self, acct):
         acct.add_static(2, 2.0, 10)
         assert acct.static_pj[2] == pytest.approx(10.0)
-
-    def test_bulk_matches_scalar(self, acct):
-        other = EnergyAccountant(4, PowerConfig())
-        leak = np.array([1.0, 2.0, 3.0, 4.0])
-        acct.add_static_cycles_bulk(leak, 7)
-        for i in range(4):
-            other.add_static(i, leak[i], 7)
-        assert np.allclose(acct.static_pj, other.static_pj)
-
-    def test_bulk_shape_checked(self, acct):
-        with pytest.raises(ValueError):
-            acct.add_static_cycles_bulk(np.zeros(3), 1)
 
 
 class TestEpochs:

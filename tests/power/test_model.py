@@ -83,8 +83,3 @@ class TestDynamicEvents:
     def test_hold_energy_added(self):
         m = model_for(CP)
         assert m.link_energy_pj(1, held_cycles=4) > m.link_energy_pj(1)
-
-    def test_leakage_energy_conversion(self):
-        m = model_for(SECDED_BASELINE)
-        # 2 mW for 2 GHz cycles: 1 cycle = 0.5 ns -> 1 pJ.
-        assert m.leakage_energy_pj(2.0, 1) == pytest.approx(1.0)
