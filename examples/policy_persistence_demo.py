@@ -7,16 +7,20 @@ deployment would use instead of re-training at every boot.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro.config import INTELLINOC
-from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import execute_cell, pretrain
 from repro.rl.persistence import load_policy, save_policy
 
 
 def main() -> None:
+    # The cell whose pre-training job produces the policy it deploys.
+    cell = parsec_cell(INTELLINOC, "fac", 4000, seed=13, pretrain_cycles=20_000)
     print("pre-training agents on the blackscholes load sweep ...")
-    policy = pretrain_agents(INTELLINOC, duration=20_000, seed=13)
+    policy = pretrain(cell.pretraining)
     visited = max(len(a.qtable) for a in policy.agents)
     print(f"trained: {len(policy.agents)} agents, largest table {visited} states")
 
@@ -30,11 +34,8 @@ def main() -> None:
         print(f"reloaded {len(reloaded.agents)} agents")
 
         print("\nrunning 'fac' with the trained policy vs an untrained one:")
-        trained_sys = IntelliNoCSystem(INTELLINOC, seed=13, policy=reloaded)
-        trained = trained_sys.run_benchmark("fac", duration=4000)
-        untrained = IntelliNoCSystem(INTELLINOC, seed=13).run_benchmark(
-            "fac", duration=4000
-        )
+        trained = execute_cell(cell, reloaded)
+        untrained = execute_cell(replace(cell, pretrain_cycles=0))
         print(f"  trained : latency {trained.latency.mean:7.2f}  "
               f"energy {trained.total_energy_j * 1e6:7.2f} uJ")
         print(f"  untrained: latency {untrained.latency.mean:7.2f}  "

@@ -4,14 +4,16 @@ Usage::
 
     python examples/quickstart.py [benchmark] [duration_cycles]
 
-Builds the SECDED baseline and the full IntelliNoC design (MFACs +
-adaptive ECC + stress-relaxing bypass + per-router Q-learning), runs both
-on the *same* generated trace, and prints paper-style normalized metrics.
+Runs two cells of one benchmark, hence one generated trace: the SECDED
+baseline and the full IntelliNoC design (MFACs + adaptive ECC +
+stress-relaxing bypass + per-router Q-learning), whose RL agents the
+engine pre-trains first; prints paper-style normalized metrics.
 """
 
 import sys
 
-from repro import IntelliNoCSystem
+from repro import INTELLINOC, SECDED_BASELINE, parsec_cell
+from repro.exec import EngineOptions
 from repro.utils.tables import format_table
 
 
@@ -22,13 +24,12 @@ def main() -> None:
 
     print(f"Workload: {benchmark} profile, {duration} cycles, 8x8 mesh")
     print("Pre-training IntelliNoC's RL agents on blackscholes ...")
-    intellinoc = IntelliNoCSystem("intellinoc", seed=seed).with_pretrained_policy(
-        duration=30_000
-    )
-    baseline = IntelliNoCSystem("secded", seed=seed)
-
-    base = baseline.run_benchmark(benchmark, duration=duration)
-    ours = intellinoc.run_benchmark(benchmark, duration=duration)
+    base, ours = EngineOptions().run_specs([
+        parsec_cell(SECDED_BASELINE, benchmark, duration, seed=seed),
+        parsec_cell(
+            INTELLINOC, benchmark, duration, seed=seed, pretrain_cycles=30_000
+        ),
+    ]).metrics
 
     rows = [
         ["execution cycles", base.execution_cycles, ours.execution_cycles,

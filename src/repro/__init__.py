@@ -7,10 +7,14 @@ substrate, MFAC channels, adaptive ECC, stress-relaxing bypass, fault /
 thermal / aging models, and the per-router Q-learning control policy,
 plus the four comparison techniques (SECDED baseline, EB, CP, CPD).
 
-Quickstart::
+Quickstart: one cell of the paper's grid, its RL agents pre-trained
+first (the engine runs the pre-training job, then the cell)::
 
-    from repro import IntelliNoCSystem
-    metrics = IntelliNoCSystem("intellinoc", seed=7).run_benchmark("bod")
+    from repro import INTELLINOC, parsec_cell
+    from repro.exec import EngineOptions
+
+    spec = parsec_cell(INTELLINOC, "bod", 8000, seed=42, pretrain_cycles=20_000)
+    metrics = EngineOptions().run_specs([spec]).metrics[0]
     print(metrics.latency, metrics.energy_efficiency)
 """
 
@@ -32,7 +36,7 @@ from repro.config import (
     technique,
 )
 from repro.core.experiment import ExperimentRunner
-from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
+from repro.core.intellinoc import pretrain_agents
 from repro.exec import (
     CampaignEngine,
     CampaignReport,
@@ -67,7 +71,6 @@ __all__ = [
     "ResultStore",
     "WorkloadSpec",
     "FaultConfig",
-    "IntelliNoCSystem",
     "Network",
     "NocConfig",
     "PARSEC_BENCHMARKS",

@@ -21,7 +21,9 @@ Usage::
 (:data:`~repro.core.experiment.FULL_GRID`): with no options, the tables
 ``verify-paper`` writes to ``results/`` from the same cache keys.
 ``--seed``, ``--duration``, ``--pretrain`` and ``--benchmarks`` default to
-the grid's values and override it.
+the grid's values and override it.  ``run`` runs one cell of that grid,
+live, through :mod:`repro.exec.worker`; it and ``trace`` default to the
+grid's seed.
 
 Exit codes: 0 success, 2 usage/config error, 3 partial results (cells
 quarantined or skipped), 75 interrupted after a graceful drain (rerun
@@ -58,7 +60,7 @@ from repro.faults.scenario import scenario_names
 from repro.noc.topology import registered_topologies
 from repro.core import figures
 from repro.core.experiment import FULL_GRID, ExperimentRunner
-from repro.core.intellinoc import IntelliNoCSystem
+from repro.exec import worker
 from repro.exec.engine import EngineOptions
 from repro.exec.resilience import (
     EXIT_INTERRUPTED,
@@ -68,11 +70,15 @@ from repro.exec.resilience import (
     ShutdownFlag,
     graceful_shutdown,
 )
+from repro.exec.spec import parsec_cell
 from repro.telemetry import CampaignTraceSink, SimProfiler, Telemetry, chain_progress
-from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
+from repro.traffic.parsec import PARSEC_PROFILES
 from repro.utils.tables import format_table
 
 _LOG = logging.getLogger("repro")
+
+#: ``run``'s default ``--technique``; ``trace`` writes the trace of its cell.
+DEFAULT_TECHNIQUE = "intellinoc"
 
 #: What ``--observe DIR`` leaves in DIR.
 EVENTS_FILE = "events.jsonl"
@@ -240,21 +246,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry = Telemetry(trace_stride=args.observe_stride)
         profiler = SimProfiler(stride=args.observe_stride)
 
-    def phase(name: str, **kw):
-        return nullcontext() if profiler is None else profiler.phase(name, **kw)
-
-    tech = _fabric_technique(technique(args.technique), args)
-    system = IntelliNoCSystem(
-        tech, seed=args.seed, telemetry=telemetry, simprof=profiler
+    spec = parsec_cell(
+        _fabric_technique(technique(args.technique), args),
+        args.benchmark,
+        args.duration,
+        seed=args.seed,
+        pretrain_cycles=args.pretrain,
     )
-    if args.pretrain and tech.policy.value == "rl":
+    policy = None
+    if spec.pretraining is not None:
         _LOG.info("pre-training RL agents for %d cycles ...", args.pretrain)
-        with phase("pretrain", cycles=args.pretrain):
-            system = system.with_pretrained_policy(duration=args.pretrain)
-    with phase("trace.generate", benchmark=args.benchmark):
-        trace = system.make_trace(args.benchmark, args.duration)
-    with phase("simulate", benchmark=args.benchmark, duration=args.duration):
-        metrics = system.run_trace(trace)
+        with nullcontext() if profiler is None else profiler.phase(
+            "pretrain", cycles=args.pretrain
+        ):
+            policy = worker.pretrain(spec.pretraining)
+    metrics = worker.execute_cell(
+        spec, policy, telemetry=telemetry, simprof=profiler
+    )
     r = metrics.reliability
     rows = [
         ["execution cycles", metrics.execution_cycles],
@@ -434,9 +442,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace = generate_parsec_trace(
-        args.benchmark, 8, 8, args.duration, 4, args.seed
+    spec = parsec_cell(
+        technique(DEFAULT_TECHNIQUE), args.benchmark, args.duration, seed=args.seed
     )
+    trace = worker.build_trace(spec)
     trace.save(args.out)
     print(f"wrote {len(trace)} events ({trace.total_flits} flits, "
           f"{trace.duration} cycles) to {args.out}")
@@ -483,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run one technique on one benchmark")
-    p.add_argument("--technique", default="intellinoc",
+    p.add_argument("--technique", default=DEFAULT_TECHNIQUE,
                    choices=[t.name.lower() for t in all_techniques()])
     p.add_argument("--benchmark", default="bod", choices=sorted(PARSEC_PROFILES))
     p.add_argument("--pretrain", type=int, default=0,
@@ -494,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observe-stride", type=int, default=1, metavar="N",
                    help="sample dense events and profile steps every N cycles")
     _add_fabric_options(p)
-    _add_common(p, seed=1, duration=FULL_GRID.duration)
+    _add_common(p, FULL_GRID.seed, FULL_GRID.duration)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -535,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="generate and save a PARSEC-profile trace")
     p.add_argument("--benchmark", default="bod", choices=sorted(PARSEC_PROFILES))
     p.add_argument("--out", required=True, help="output JSON-lines path")
-    _add_common(p, seed=1, duration=FULL_GRID.duration)
+    _add_common(p, FULL_GRID.seed, FULL_GRID.duration)
     p.set_defaults(fn=_cmd_trace)
 
     p = sub.add_parser(

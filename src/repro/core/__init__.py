@@ -1,8 +1,7 @@
-"""IntelliNoC core: the top-level system facade and experiment harness.
+"""IntelliNoC core: RL pre-training and the experiment harness.
 
-* :mod:`repro.core.intellinoc` — :class:`IntelliNoCSystem`, the top-level
-  public API binding a technique, a workload, and the simulator, plus RL
-  pre-training (Section 6.3).
+* :mod:`repro.core.intellinoc` — :func:`pretrain_agents`, RL pre-training
+  (Section 6.3); a cell runs through :mod:`repro.exec.worker`.
 * :mod:`repro.core.experiment` — the paper's evaluation grid
   (:data:`FULL_GRID`, the Figs. 17-18 :data:`SWEEPS`) and the (technique x
   benchmark) campaign runner producing the per-figure metrics.
@@ -20,14 +19,13 @@ from repro.control.policies import (
 )
 from repro.core.experiment import ExperimentRunner
 from repro.core.loadlatency import LoadLatencySweep, LoadPoint
-from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
+from repro.core.intellinoc import pretrain_agents
 
 __all__ = [
     "ExperimentRunner",
     "LoadLatencySweep",
     "LoadPoint",
     "HeuristicEccPolicy",
-    "IntelliNoCSystem",
     "ModePolicy",
     "RlPolicy",
     "StaticPolicy",

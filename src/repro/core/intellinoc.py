@@ -1,35 +1,19 @@
-"""Top-level public API: :class:`IntelliNoCSystem`.
+"""RL pre-training (Section 6.3): tune and pre-train on blackscholes, test
+on the rest of PARSEC.
 
-The facade a downstream user drives:
-
->>> from repro import IntelliNoCSystem
->>> system = IntelliNoCSystem("intellinoc", seed=7)
->>> metrics = system.run_benchmark("bod", duration=5_000)
->>> metrics.technique
-'IntelliNoC'
-
-It wires together configuration, workload generation, optional RL
-pre-training (Section 6.3: tune and pre-train on blackscholes, test on the
-rest of PARSEC), and metric extraction.
+:func:`pretrain_agents` is what a :class:`~repro.exec.spec.PretrainSpec`
+job runs (:func:`repro.exec.worker.pretrain`); the cells that name the job
+deploy the policy it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.config import (
-    FaultConfig,
-    PowerConfig,
-    SimulationConfig,
-    TechniqueConfig,
-    technique as technique_by_name,
-)
-from repro.control.policies import ModePolicy, RlPolicy, make_policy
-from repro.faults.injection import FaultInjector
-from repro.metrics.summary import RunMetrics, run_to_metrics
+from repro.config import FaultConfig, SimulationConfig, TechniqueConfig
+from repro.control.policies import RlPolicy, make_policy
 from repro.noc.network import Network
 from repro.rl.qlearning import QTable
-from repro.telemetry import SimProfiler, Telemetry
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.utils.rng import RngFactory
@@ -48,7 +32,7 @@ def pretrain_agents(
 
     Runs the RL technique on *benchmark* (the paper uses blackscholes, the
     same workload used for hyperparameter tuning) and returns the trained
-    policy, ready to hand to :class:`IntelliNoCSystem` or
+    policy, ready to hand to :func:`repro.exec.worker.execute_cell` or
     :class:`repro.noc.network.Network` for the test phase.  *duration* is
     the training trace's length in cycles (the paper grid's is
     :data:`repro.core.experiment.FULL_GRID`'s ``pretrain``).
@@ -123,103 +107,3 @@ def pretrain_agents(
         shared.clone_into(private)
         agent.qtable = private
     return policy
-
-
-class IntelliNoCSystem:
-    """One configured NoC design, ready to run workloads."""
-
-    def __init__(
-        self,
-        technique: str | TechniqueConfig = "intellinoc",
-        seed: int = 1,
-        faults: FaultConfig | None = None,
-        power: PowerConfig | None = None,
-        policy: ModePolicy | None = None,
-        fault_injector: FaultInjector | None = None,
-        telemetry: Telemetry | None = None,
-        simprof: SimProfiler | None = None,
-    ):
-        self.technique = (
-            technique_by_name(technique) if isinstance(technique, str) else technique
-        )
-        self.seed = seed
-        self.faults = faults if faults is not None else FaultConfig()
-        self.power = power if power is not None else PowerConfig()
-        self.policy = policy
-        self.fault_injector = fault_injector
-        self.telemetry = telemetry
-        self.simprof = simprof
-        self.last_network: Network | None = None
-
-    def _config(self) -> SimulationConfig:
-        return SimulationConfig(
-            technique=self.technique,
-            faults=self.faults,
-            power=self.power,
-            seed=self.seed,
-        )
-
-    def build_network(self, trace: Trace) -> Network:
-        """Construct (but do not run) a simulator for *trace*."""
-        return Network(
-            self._config(),
-            trace,
-            policy=self.policy,
-            fault_injector=self.fault_injector,
-            telemetry=self.telemetry,
-            simprof=self.simprof,
-        )
-
-    def make_trace(self, benchmark: str, duration: int) -> Trace:
-        """Generate the synthetic trace of a named PARSEC benchmark."""
-        if benchmark not in PARSEC_PROFILES:
-            raise KeyError(
-                f"unknown benchmark {benchmark!r}; choose from {sorted(PARSEC_PROFILES)}"
-            )
-        noc = self.technique.noc
-        return generate_parsec_trace(
-            benchmark, noc.width, noc.height, duration, noc.flits_per_packet, self.seed
-        )
-
-    def run_trace(self, trace: Trace, max_cycles: int | None = None) -> RunMetrics:
-        """Run *trace* to completion and summarize."""
-        network = self.build_network(trace)
-        metrics = run_to_metrics(network, max_cycles)
-        self.last_network = network
-        return metrics
-
-    def run_benchmark(
-        self, benchmark: str, duration: int = 10_000, max_cycles: int | None = None
-    ) -> RunMetrics:
-        """Generate and run one PARSEC benchmark profile."""
-        return self.run_trace(self.make_trace(benchmark, duration), max_cycles)
-
-    def with_pretrained_policy(self, duration: int = 20_000) -> "IntelliNoCSystem":
-        """Return a copy of this system holding a pre-trained RL policy."""
-        policy = pretrain_agents(
-            self.technique, duration=duration, seed=self.seed, faults=self.faults
-        )
-        clone = IntelliNoCSystem(
-            self.technique,
-            seed=self.seed,
-            faults=self.faults,
-            power=self.power,
-            policy=policy,
-            fault_injector=self.fault_injector,
-            telemetry=self.telemetry,
-            simprof=self.simprof,
-        )
-        return clone
-
-    def scaled_faults(self, base_bit_error_rate: float) -> "IntelliNoCSystem":
-        """Copy with a different injected base error rate (Fig. 17b)."""
-        return IntelliNoCSystem(
-            self.technique,
-            seed=self.seed,
-            faults=replace(self.faults, base_bit_error_rate=base_bit_error_rate),
-            power=self.power,
-            policy=self.policy,
-            fault_injector=self.fault_injector,
-            telemetry=self.telemetry,
-            simprof=self.simprof,
-        )

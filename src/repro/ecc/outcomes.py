@@ -182,9 +182,3 @@ class ErrorSampler:
             count = int(rng.binomial(self.flit_bits, bit_error_rate))
             if count >= 1:
                 return min(count, self.flit_bits)
-
-    def sample_outcome(
-        self, scheme: EccScheme, bit_error_rate: float
-    ) -> DecodeOutcome:
-        """Sample a flit traversal and classify it under *scheme*."""
-        return decode_outcome(scheme, self.sample_bit_errors(bit_error_rate))

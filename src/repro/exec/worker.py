@@ -15,12 +15,15 @@ job, deploys a fresh load of that job's artefact: the agents learn online
 during the run, so each cell owns its copy.  The artefact loads back
 exactly, so a cell's result is a pure function of its spec whichever
 process trained the policy, and whether it came from the store or not.
+``repro run`` calls :func:`pretrain` and :func:`execute_cell` directly,
+with its observers, and so prints what a campaign stores for its spec.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+from contextlib import AbstractContextManager, nullcontext
 from typing import Any
 
 from repro.config import SimulationConfig
@@ -28,6 +31,7 @@ from repro.control.policies import RlPolicy
 from repro.exec.spec import CellSpec, Job, PretrainSpec
 from repro.metrics.summary import RunMetrics, run_to_metrics
 from repro.rl.persistence import policy_from_bytes, policy_to_bytes
+from repro.telemetry import SimProfiler, Telemetry
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.traffic.trace import Trace
@@ -64,11 +68,25 @@ def pretrain(job: PretrainSpec) -> RlPolicy:
     )
 
 
-def execute_cell(spec: CellSpec, policy: RlPolicy | None = None) -> RunMetrics:
+def _phase(
+    simprof: SimProfiler | None, name: str, **args: Any
+) -> AbstractContextManager[None]:
+    return nullcontext() if simprof is None else simprof.phase(name, **args)
+
+
+def execute_cell(
+    spec: CellSpec,
+    policy: RlPolicy | None = None,
+    *,
+    telemetry: Telemetry | None = None,
+    simprof: SimProfiler | None = None,
+) -> RunMetrics:
     """Run one cell to completion and summarize it.
 
     A cell that names a pre-training job deploys *policy*, a copy of that
-    job's master it may consume; any other cell takes none.
+    job's master it may consume; any other cell takes none.  *telemetry*
+    and *simprof* observe the run (``repro run --observe``); a profiler
+    also times the ``trace.generate`` and ``simulate`` spans.
     """
     from repro.noc.network import Network  # avoid import cycle
 
@@ -77,12 +95,17 @@ def execute_cell(spec: CellSpec, policy: RlPolicy | None = None) -> RunMetrics:
             f"{spec.label}: a pre-trained policy goes with, and only with, "
             "a cell that names a pre-training job"
         )
-    trace = build_trace(spec)
+    w = spec.workload
+    with _phase(simprof, "trace.generate", benchmark=w.name):
+        trace = build_trace(spec)
     config = SimulationConfig(
         technique=spec.technique, seed=spec.seed, faults=spec.faults
     )
-    network = Network(config, trace, policy=policy)
-    return run_to_metrics(network, spec.max_cycles)
+    network = Network(
+        config, trace, policy=policy, telemetry=telemetry, simprof=simprof
+    )
+    with _phase(simprof, "simulate", benchmark=w.name, duration=w.duration):
+        return run_to_metrics(network, spec.max_cycles)
 
 
 def _run(job: Job, prerequisite: dict[str, Any] | None) -> dict[str, Any]:

@@ -1101,13 +1101,6 @@ class Network:
 
     # --- summaries -------------------------------------------------------------------------------
 
-    def drain_remaining(self, max_cycles: int = 50_000) -> None:
-        """Convenience: keep stepping until in-flight traffic drains."""
-        waited = 0
-        while not self._network_drained() and waited < max_cycles:
-            self.step()
-            waited += 1
-
     def __repr__(self) -> str:
         return (
             f"Network({self.technique.name}, cycle={self.cycle}, "

@@ -21,7 +21,6 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from repro.channels.controller import MfacController
-from repro.channels.flow_control import CongestionControlBlock
 from repro.channels.mfac import CHANNEL_RETRANSMISSION, Channel, InboundCounter
 from repro.config import (
     ECC_CRC,
@@ -126,7 +125,6 @@ class Router:
             bypass=technique.uses_bypass,
         )
         self.mfac_controller: MfacController | None = None  # set after wiring
-        self.congestion: CongestionControlBlock | None = None
 
         self.mode = technique.rl.initial_mode if self._adaptive else 2
         self.relaxed_timing = False
@@ -198,7 +196,6 @@ class Router:
             self.mfac_controller = MfacController(
                 [c for c in self.outgoing.values() if c.is_mfac]
             )
-        self.congestion = CongestionControlBlock(self.input_ports, self.incoming)
         self.congested_when_empty = (
             sum(1 for c in self.incoming.values() if c.capacity == 0) >= 2
         )

@@ -1,13 +1,10 @@
-"""Tests for the MFAC controller and congestion control block."""
+"""Tests for the MFAC controller."""
 
 import pytest
 
 from repro.channels.controller import MfacController
-from repro.channels.flow_control import CongestionControlBlock
 from repro.channels.mfac import Channel, ChannelFunction
-from repro.noc.flit import Packet
 from repro.noc.routing import Direction
-from repro.noc.vc import InputPort
 
 
 def mfac(direction=Direction.EAST):
@@ -47,48 +44,3 @@ class TestMfacController:
         wire = Channel(0, Direction.EAST, 1, buffer_depth=0)
         with pytest.raises(ValueError):
             MfacController([wire])
-
-
-class TestCongestionControlBlock:
-    def make_block(self, depth=2, num_vcs=1):
-        port = InputPort(Direction.EAST, num_vcs, depth)
-        channel = mfac()
-        block = CongestionControlBlock(
-            {Direction.EAST: port}, {Direction.EAST: channel}
-        )
-        return block, port, channel
-
-    def fill_port(self, port):
-        flits = Packet.create(0, 1, 8, 0).make_flits()
-        i = 0
-        for vc in port.vcs:
-            while vc.can_accept():
-                vc.queue.append((flits[i], 0))
-                i += 1
-
-    def test_quiet_port_not_congested(self):
-        block, _, _ = self.make_block()
-        assert not block.congestion_signal(Direction.EAST)
-
-    def test_full_port_empty_channel_not_congested(self):
-        block, port, _ = self.make_block()
-        self.fill_port(port)
-        assert not block.congestion_signal(Direction.EAST)
-
-    def test_full_port_and_channel_raises_signal(self):
-        block, port, channel = self.make_block()
-        self.fill_port(port)
-        flits = Packet.create(0, 1, 8, 0).make_flits()
-        cycle = 0
-        while channel.can_accept(cycle) and flits:
-            channel.send(flits.pop(), cycle)
-            cycle += 1
-        assert block.congestion_signal(Direction.EAST)
-        assert block.congestion_events == 1
-
-    def test_buffer_utilization_fraction(self):
-        block, port, _ = self.make_block(depth=4)
-        flits = Packet.create(0, 1, 4, 0).make_flits()
-        port.vcs[0].queue.append((flits[0], 0))
-        port.vcs[0].queue.append((flits[1], 0))
-        assert block.buffer_utilization(Direction.EAST) == pytest.approx(0.5)

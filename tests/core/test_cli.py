@@ -8,7 +8,13 @@ import signal
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config import technique
+from repro.core.experiment import FULL_GRID
+from repro.exec import EngineOptions
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import build_trace
 from repro.telemetry import EVENTS_SCHEMA, read_events_jsonl
+from repro.traffic.trace import Trace
 
 
 class TestParser:
@@ -20,6 +26,16 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.technique == "intellinoc"
         assert args.benchmark == "bod"
+
+    def test_simulating_subcommands_default_to_the_grid_seed(self):
+        """``run --technique T --benchmark B --pretrain 40000`` is the
+        paper grid's cell T/B, and ``trace`` writes that cell's trace."""
+        argv = {
+            "run": ["run"], "campaign": ["campaign"], "trace": ["trace", "--out", "x"],
+            "sweep": ["sweep", "--knob", "gamma"],
+        }
+        for command, args in argv.items():
+            assert build_parser().parse_args(args).seed == FULL_GRID.seed, command
 
     def test_unknown_technique_rejected(self):
         with pytest.raises(SystemExit):
@@ -124,11 +140,16 @@ class TestCommands:
         rc = main(["trace", "--benchmark", "swa", "--duration", "1000",
                    "--out", str(out_file)])
         assert rc == 0
-        from repro.traffic.trace import Trace
-
         trace = Trace.load(out_file)
         assert len(trace) > 0
         assert "wrote" in capsys.readouterr().out
+
+    def test_trace_writes_the_cells_trace(self, tmp_path, capsys):
+        out_file = tmp_path / "t.jsonl"
+        assert main(["trace", "--benchmark", "swa", "--duration", "600",
+                     "--seed", "3", "--out", str(out_file)]) == 0
+        spec = parsec_cell(technique("intellinoc"), "swa", 600, seed=3)
+        assert Trace.load(out_file).events == build_trace(spec).events
 
     def test_sweep_unknown_knob_fails(self, tmp_path):
         """A misspelt knob is rejected before the session opens anything."""
@@ -171,6 +192,49 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert list(cache.iterdir()) == []
         assert "[1/" not in caplog.text
+
+
+#: ``repro run``'s rows -> the ``RunMetrics`` value each prints.
+RUN_ROWS = {
+    "execution cycles": lambda m: m.execution_cycles,
+    "packets completed": lambda m: m.packets_completed,
+    "avg latency (cycles)": lambda m: m.latency.mean,
+    "p99 latency (cycles)": lambda m: m.latency.p99,
+    "static power (W)": lambda m: m.static_power_w,
+    "dynamic power (W)": lambda m: m.dynamic_power_w,
+    "energy efficiency (1/J)": lambda m: m.energy_efficiency,
+    "retransmitted flits": lambda m: m.reliability.total_retransmitted_flits,
+    "corrected flits": lambda m: m.reliability.corrected_flits,
+    "MTTF (s, extrapolated)": lambda m: m.reliability.mttf_seconds,
+    "max temperature (K)": lambda m: m.max_temperature_k,
+}
+
+
+class TestRunIsACampaignCell:
+    """``repro run`` prints what a campaign stores for the same spec."""
+
+    @pytest.mark.parametrize("name,pretrain", [("secded", 0), ("intellinoc", 1500)])
+    def test_every_printed_value_is_the_engines(self, name, pretrain, capsys):
+        assert main(["run", "--technique", name, "--benchmark", "swa",
+                     "--duration", "400", "--pretrain", str(pretrain)]) == 0
+        out = capsys.readouterr().out
+        spec = parsec_cell(technique(name), "swa", 400, seed=FULL_GRID.seed,
+                           pretrain_cycles=pretrain)
+        (metrics,) = EngineOptions().run_specs([spec]).metrics
+        table, _, breakdown = out.partition("\nmode breakdown: ")
+        printed = {
+            label.strip(): value
+            for label, value in (line.split(" | ") for line in table.splitlines()[4:])
+        }
+        assert printed.keys() == RUN_ROWS.keys()
+        for label, value in RUN_ROWS.items():
+            want = value(metrics)
+            want = f"{want:.3f}" if isinstance(want, float) else str(want)
+            assert printed[label] == want, label
+        assert table.startswith(f"{metrics.technique} on 'swa' (400 cycles)")
+        assert breakdown == ("" if name == "secded" else ", ".join(
+            f"{m}: {v:.0%}" for m, v in metrics.mode_breakdown.items()
+        ) + "\n")
 
 
 class TestEngineOptions:

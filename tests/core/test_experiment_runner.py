@@ -10,10 +10,9 @@ from repro.config import INTELLINOC, SECDED_BASELINE
 from repro.core import figures
 from repro.cli import build_parser
 from repro.core.experiment import FULL_GRID, REDUCED_GRID, ExperimentRunner
-from repro.core.intellinoc import IntelliNoCSystem
-from repro.exec.worker import build_trace
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import build_trace, execute_cell
 from repro.report.paper import PaperEvaluator
-from repro.traffic.parsec import generate_parsec_trace
 
 
 def render(runner, figure):
@@ -160,9 +159,8 @@ class TestRunnerEngineModes:
 
 class TestRunTechnique:
     def test_single_run_helper(self):
-        """One technique on one explicit trace, outside any campaign."""
-        trace = generate_parsec_trace("swa", 8, 8, 1000, 4, seed=4)
-        metrics = IntelliNoCSystem(SECDED_BASELINE, seed=4).run_trace(trace)
+        """One technique on one benchmark, outside any campaign."""
+        metrics = execute_cell(parsec_cell(SECDED_BASELINE, "swa", 1000, seed=4))
         assert metrics.technique == "SECDED"
         assert metrics.packets_completed > 0
 

@@ -1,4 +1,4 @@
-"""Tests for the top-level IntelliNoCSystem facade."""
+"""Tests for running one cell outside a campaign, and RL pre-training."""
 
 from dataclasses import replace
 
@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import repro.core.intellinoc as intellinoc_module
-from repro.config import FaultConfig, INTELLINOC, technique
-from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
+from repro.config import FaultConfig, INTELLINOC, SimulationConfig, technique
+from repro.core.intellinoc import pretrain_agents
 from repro.control.policies import RlPolicy
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import build_trace, execute_cell, pretrain
+from repro.metrics.summary import run_to_metrics
+from repro.noc.network import Network
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
 
@@ -16,48 +20,49 @@ from repro.traffic.trace import Trace, TraceEvent
 QUIET = FaultConfig(base_bit_error_rate=1e-9)
 
 
+def cell(name, seed=2, duration=1500, **kwargs):
+    return parsec_cell(
+        technique(name), "swa", duration, seed=seed, faults=QUIET, **kwargs
+    )
+
+
 class TestConstruction:
     def test_by_name(self):
-        assert IntelliNoCSystem("secded").technique.name == "SECDED"
-        assert IntelliNoCSystem("intellinoc").technique.name == "IntelliNoC"
+        assert cell("secded").technique.name == "SECDED"
+        assert cell("intellinoc").technique.name == "IntelliNoC"
 
     def test_by_config(self):
-        assert IntelliNoCSystem(INTELLINOC).technique is INTELLINOC
+        assert parsec_cell(INTELLINOC, "swa", 1000).technique is INTELLINOC
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
-            IntelliNoCSystem("nonsense")
+            technique("nonsense")
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
-            IntelliNoCSystem("secded").make_trace("doom3", 1000)
+            build_trace(parsec_cell(technique("secded"), "doom3", 1000))
 
 
 class TestRunning:
     def test_run_benchmark_returns_metrics(self):
-        system = IntelliNoCSystem("secded", seed=2, faults=QUIET)
-        metrics = system.run_benchmark("swa", duration=1500)
+        metrics = execute_cell(cell("secded"))
         assert metrics.packets_completed > 0
         assert metrics.workload == "swa"
-        assert system.last_network is not None
 
     def test_same_seed_reproducible(self):
-        a = IntelliNoCSystem("cp", seed=9, faults=QUIET).run_benchmark("swa", 1500)
-        b = IntelliNoCSystem("cp", seed=9, faults=QUIET).run_benchmark("swa", 1500)
+        a = execute_cell(cell("cp", seed=9))
+        b = execute_cell(cell("cp", seed=9))
         assert a.latency.mean == b.latency.mean
         assert a.total_energy_j == b.total_energy_j
 
     def test_run_trace_uses_given_trace(self):
-        system = IntelliNoCSystem("secded", seed=2, faults=QUIET)
-        trace = system.make_trace("swa", 1200)
-        metrics = system.run_trace(trace)
-        assert metrics.workload == "swa"
-
-    def test_scaled_faults_copy(self):
-        system = IntelliNoCSystem("secded", seed=2)
-        scaled = system.scaled_faults(1e-7)
-        assert scaled.faults.base_bit_error_rate == 1e-7
-        assert system.faults.base_bit_error_rate != 1e-7
+        """A cell runs the trace ``build_trace`` gives for its spec."""
+        spec = cell("secded", duration=1200)
+        config = SimulationConfig(
+            technique=spec.technique, seed=spec.seed, faults=spec.faults
+        )
+        network = Network(config, build_trace(spec))
+        assert execute_cell(spec) == run_to_metrics(network)
 
 
 class TestPretraining:
@@ -140,7 +145,6 @@ class TestPretraining:
         ]
 
     def test_with_pretrained_policy_runs(self):
-        system = IntelliNoCSystem("intellinoc", seed=2, faults=QUIET)
-        trained = system.with_pretrained_policy(duration=3000)
-        metrics = trained.run_benchmark("swa", duration=1500)
+        spec = cell("intellinoc", pretrain_cycles=3000)
+        metrics = execute_cell(spec, pretrain(spec.pretraining))
         assert metrics.packets_completed > 0

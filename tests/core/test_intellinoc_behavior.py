@@ -2,13 +2,21 @@
 
 import pytest
 
-from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
-from repro.core.intellinoc import IntelliNoCSystem, pretrain_agents
+from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE, SimulationConfig
+from repro.core.intellinoc import pretrain_agents
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import build_trace, execute_cell
+from repro.metrics.summary import run_to_metrics
+from repro.noc.network import Network
+
+
+#: The pre-training every test here deploys (seed 11, default faults).
+PRETRAIN_CYCLES = 8000
 
 
 @pytest.fixture(scope="module")
 def trained_policy():
-    return pretrain_agents(INTELLINOC, duration=8000, seed=11)
+    return pretrain_agents(INTELLINOC, duration=PRETRAIN_CYCLES, seed=11)
 
 
 class TestEndToEndStory:
@@ -21,8 +29,10 @@ class TestEndToEndStory:
             (SECDED_BASELINE, None),
             (INTELLINOC, trained_policy),
         ):
-            system = IntelliNoCSystem(technique, seed=11, policy=policy)
-            request[technique.name] = system.run_benchmark("swa", duration=3000)
+            spec = parsec_cell(
+                technique, "swa", 3000, seed=11, pretrain_cycles=PRETRAIN_CYCLES
+            )
+            request[technique.name] = execute_cell(spec, policy)
         return request
 
     def test_intellinoc_saves_energy(self, results):
@@ -51,13 +61,16 @@ class TestUnderHeavyErrors:
     def test_survives_pathological_error_rates(self, trained_policy):
         """At error rates far beyond the calibrated regime the system
         still delivers every packet (the recovery paths compose), and the
-        error machinery is visibly exercised."""
-        noisy = IntelliNoCSystem(
-            INTELLINOC,
+        error machinery is visibly exercised.  The policy was trained under
+        the default faults, so no spec names this run: it builds its own
+        ``Network``."""
+        config = SimulationConfig(
+            technique=INTELLINOC,
             seed=11,
-            policy=trained_policy,
             faults=FaultConfig(base_bit_error_rate=3e-4),
-        ).run_benchmark("fac", duration=4000)
+        )
+        trace = build_trace(parsec_cell(INTELLINOC, "fac", 4000, seed=11))
+        noisy = run_to_metrics(Network(config, trace, policy=trained_policy))
         assert noisy.packets_completed > 0
         r = noisy.reliability
         assert r.total_retransmitted_flits + r.corrected_flits > 0

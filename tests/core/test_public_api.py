@@ -27,12 +27,12 @@ class TestPublicApi:
         import repro.utils
 
     def test_doctest_style_quickstart(self):
-        """The README quickstart must actually run."""
-        from repro import IntelliNoCSystem
+        """The README quickstart must actually run (at smoke scale)."""
+        from repro import INTELLINOC, parsec_cell
+        from repro.exec import EngineOptions
 
-        metrics = IntelliNoCSystem("secded", seed=1).run_benchmark(
-            "swa", duration=1000
-        )
+        spec = parsec_cell(INTELLINOC, "swa", 1000, seed=42, pretrain_cycles=1000)
+        metrics = EngineOptions().run_specs([spec]).metrics[0]
         assert metrics.packets_completed > 0
         assert metrics.energy_efficiency > 0
 

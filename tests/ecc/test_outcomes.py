@@ -126,8 +126,3 @@ class TestErrorSampler:
             ErrorSampler(8, np.random.default_rng(0), multi_bit_fraction=2.0)
         with pytest.raises(ValueError):
             ErrorSampler(8, np.random.default_rng(0), burst_extra_bits_mean=-1.0)
-
-    def test_sample_outcome_uses_scheme(self):
-        sampler = ErrorSampler(64, np.random.default_rng(4))
-        outcome = sampler.sample_outcome(EccScheme.SECDED, 0.0)
-        assert outcome is DecodeOutcome.CLEAN

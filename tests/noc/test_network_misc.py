@@ -1,4 +1,4 @@
-"""Remaining Network surface: drain helper, repr, validation, wiring."""
+"""Remaining Network surface: repr, validation, wiring."""
 
 import pytest
 
@@ -21,10 +21,6 @@ class TestWiring:
             assert dst.incoming[channel.direction.opposite] is channel
             assert src.downstream_routers[channel.direction] is dst
 
-    def test_every_router_has_congestion_block(self):
-        net = make_network(events=[], faults=NO_FAULTS)
-        assert all(r.congestion is not None for r in net.routers)
-
     def test_edge_routers_have_fewer_channels(self):
         net = make_network(events=[], faults=NO_FAULTS)
         corner = net.routers[0]
@@ -39,13 +35,6 @@ class TestRunControls:
         net = make_network(events=[], faults=NO_FAULTS)
         with pytest.raises(ValueError):
             net.run(-1)
-
-    def test_drain_remaining_empties_network(self):
-        net = make_network(events=[TraceEvent(0, 0, 63, 4)], faults=NO_FAULTS)
-        net.run(5)  # mid-flight
-        net.drain_remaining(max_cycles=5000)
-        assert net._network_drained()
-        assert net.stats.packets_completed == 1
 
     def test_repr_shows_progress(self):
         net = make_network(events=[TraceEvent(0, 0, 9, 4)], faults=NO_FAULTS)

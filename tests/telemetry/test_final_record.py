@@ -13,7 +13,8 @@ from dataclasses import replace
 import pytest
 
 from repro.config import INTELLINOC, SimulationConfig
-from repro.core.intellinoc import IntelliNoCSystem
+from repro.exec.spec import parsec_cell
+from repro.exec.worker import execute_cell
 from repro.metrics.summary import run_to_metrics
 from repro.noc.network import Network
 from repro.telemetry import SimProfiler, Telemetry
@@ -150,7 +151,7 @@ def test_observed_faulted_torus_is_bit_identical_to_a_bare_run():
 
 def test_final_record_survives_the_event_cap():
     tel = Telemetry(trace_stride=1, max_events=50)
-    IntelliNoCSystem("intellinoc", seed=7, telemetry=tel).run_benchmark("swa", 400)
+    execute_cell(parsec_cell(INTELLINOC, "swa", 400, seed=7), telemetry=tel)
     assert tel.dropped_events > 0
     assert len(tel.events) == 51
     (final,) = tel.events_of("final")
