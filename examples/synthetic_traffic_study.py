@@ -1,55 +1,53 @@
 """Load-latency study on classic synthetic traffic patterns.
 
 Standard NoC methodology: sweep the injection rate under uniform /
-transpose / hotspot traffic and plot (print) the load-latency curve for
-the SECDED baseline and IntelliNoC, exposing each pattern's saturation
-point.  Demonstrates the simulator as a general-purpose NoC tool beyond
+transpose / hotspot traffic and print the load-latency curve for the
+SECDED baseline and IntelliNoC, exposing each pattern's saturation point.
+A curve is a list of ``synthetic_cell`` specs, one per operating point,
+run by the campaign engine like any other cells (two worker processes
+here).  Demonstrates the simulator as a general-purpose NoC tool beyond
 the paper's PARSEC campaign.
 """
 
-from repro.config import FaultConfig, SECDED_BASELINE, SimulationConfig, INTELLINOC
-from repro.noc.network import Network
-from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
-from repro.utils.rng import make_rng
+from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
+from repro.exec.engine import EngineOptions
+from repro.exec.spec import synthetic_cell
 from repro.utils.tables import format_table
 
 DURATION = 2000
 RATES = (0.005, 0.015, 0.035)
-PATTERNS = (
-    SyntheticPattern.UNIFORM,
-    SyntheticPattern.TRANSPOSE,
-    SyntheticPattern.HOTSPOT,
-)
-
-
-def run(technique, pattern, rate) -> float:
-    trace = generate_synthetic_trace(
-        pattern, 64, 8, DURATION, rate, 4, make_rng(9, f"{pattern.value}/{rate}"),
-        hotspots=(0, 7, 56, 63),
-    )
-    config = SimulationConfig(
-        technique=technique, seed=9, faults=FaultConfig(base_bit_error_rate=1e-7)
-    )
-    net = Network(config, trace)
-    net.run_to_completion(DURATION * 3 + 10_000)
-    if net.stats.latency_count == 0:
-        return float("nan")
-    return net.stats.average_latency
+PATTERNS = ("uniform", "transpose", "hotspot")
+TECHNIQUES = (SECDED_BASELINE, INTELLINOC)
 
 
 def main() -> None:
+    points = [(p, r, t) for p in PATTERNS for r in RATES for t in TECHNIQUES]
+    specs = [
+        synthetic_cell(
+            technique, pattern, DURATION, rate, packet_size=4, seed=9,
+            faults=FaultConfig(base_bit_error_rate=1e-7),
+            hotspots=(0, 7, 56, 63), max_cycles=DURATION * 3 + 10_000,
+        )
+        for pattern, rate, technique in points
+    ]
+    metrics = EngineOptions(jobs=2).run_specs(specs).metrics
+    latency = {
+        (pattern, rate, technique.name):
+            m.latency.mean if m.latency.count else float("nan")
+        for (pattern, rate, technique), m in zip(points, metrics)
+    }
     for pattern in PATTERNS:
         rows = []
         for rate in RATES:
-            base = run(SECDED_BASELINE, pattern, rate)
-            ours = run(INTELLINOC, pattern, rate)
+            base = latency[pattern, rate, SECDED_BASELINE.name]
+            ours = latency[pattern, rate, INTELLINOC.name]
             rows.append([f"{rate:.3f}", base, ours, base / ours])
         print()
         print(format_table(
             ["inj. rate (pkt/node/cyc)", "SECDED latency", "IntelliNoC latency",
              "speed ratio"],
             rows,
-            title=f"Load-latency: {pattern.value} traffic",
+            title=f"Load-latency: {pattern} traffic",
         ))
 
 

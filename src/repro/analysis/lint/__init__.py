@@ -7,8 +7,7 @@ every rule the one-line mutant only it catches):
   NOC405),
 * a project import-graph pass (:mod:`.project`: layering NOC201, cycles
   NOC204),
-* infrastructure: a violation baseline (:mod:`.baseline`) and the JSON
-  report (:mod:`.emit`).
+* infrastructure: the JSON report (:mod:`.emit`).
 
 The v1 API (``lint_source``, ``lint_paths``, ``main``, ``RULES``,
 ``Violation``, ``LintReport``) is preserved; new callers should prefer
@@ -19,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from repro.analysis.lint.baseline import Baseline
 from repro.analysis.lint.emit import report_to_json
 from repro.analysis.lint.engine import EngineReport, report_on, run_engine
 from repro.analysis.lint.filepass import analyze_source
@@ -85,50 +82,23 @@ def run_cli(args: argparse.Namespace) -> int:
             print(f"{rule}  {summary}")
         return 0
 
-    baseline_path = None if args.no_baseline else args.baseline
-    if args.update_baseline and not baseline_path:
-        print("--update-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
-
     excludes = list(getattr(args, "default_excludes", [])) + args.exclude
     report: EngineReport = run_engine(args.paths or ["src"], excludes=excludes)
 
-    if args.update_baseline:
-        Baseline.from_violations(report.violations).save(baseline_path)
-        print(
-            f"baseline {baseline_path} updated: "
-            f"{len(report.violations)} accepted violations",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined = 0
-    fresh = report.violations
-    if baseline_path:
-        if not os.path.exists(baseline_path):
-            print(
-                f"baseline file {baseline_path} not found "
-                "(create it with --update-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        fresh, baselined = Baseline.load(baseline_path).filter(report.violations)
-
     if args.json_out:
         payload = report_to_json(
-            fresh, files=report.files, suppressed=report.suppressed,
-            baselined=baselined,
+            report.violations, files=report.files, suppressed=report.suppressed
         )
         _write_json(json.dumps(payload, indent=2, sort_keys=True), args.json_out)
 
-    for violation in fresh:
+    for violation in report.violations:
         print(violation.render())
     print(
-        f"{report.files} files, {len(fresh)} violations, "
-        f"{report.suppressed} suppressed, {baselined} baselined",
+        f"{report.files} files, {len(report.violations)} violations, "
+        f"{report.suppressed} suppressed",
         file=sys.stderr,
     )
-    return 1 if fresh else 0
+    return 1 if report.violations else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,6 @@ def report_to_json(
     *,
     files: int,
     suppressed: int,
-    baselined: int,
 ) -> dict[str, Any]:
     """Stable JSON structure for ``--json`` output and snapshot tests."""
     return {
@@ -20,9 +19,5 @@ def report_to_json(
         "version": LINT_VERSION,
         "files": files,
         "violations": [v.to_dict() for v in violations],
-        "counts": {
-            "new": len(violations),
-            "suppressed": suppressed,
-            "baselined": baselined,
-        },
+        "counts": {"new": len(violations), "suppressed": suppressed},
     }

@@ -5,7 +5,7 @@ Run shape::
 
     discover files -> analyze each (facts + file violations)
     -> import-graph pass (NOC201/204)
-    -> noqa for project violations -> baseline filter -> report
+    -> noqa for project violations -> report
 
 Every file is analyzed in process, in discovery order, on every run: the
 whole tree takes about a second, so there is no cache whose answer could
@@ -94,7 +94,7 @@ def _analyze_path(path: str) -> FileAnalysis:
 def run_engine(
     paths: Sequence[str], *, excludes: Sequence[str] = ()
 ) -> EngineReport:
-    """Analyze *paths* end to end (no baseline filtering; caller's job)."""
+    """Analyze *paths* end to end."""
     return report_on([_analyze_path(p) for p in discover_files(paths, excludes)])
 
 

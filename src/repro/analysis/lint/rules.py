@@ -51,7 +51,7 @@ class Violation:
     """One rule hit at one source location.
 
     ``context`` carries the stripped source line the violation anchors to;
-    the baseline matches on it so entries survive unrelated line drift.
+    the JSON report prints it beside the location.
     """
 
     rule: str
@@ -181,7 +181,7 @@ def apply_noqa(
 
 
 def source_line(lines: list[str], lineno: int) -> str:
-    """Stripped, length-capped text of 1-indexed *lineno* (baseline context)."""
+    """Stripped, length-capped text of 1-indexed *lineno* (violation context)."""
     if 1 <= lineno <= len(lines):
         return lines[lineno - 1].strip()[:160]
     return ""

@@ -15,7 +15,6 @@ def add_cli_arguments(
     parser: argparse.ArgumentParser,
     *,
     default_paths: list[str] | None = None,
-    default_baseline: str | None = None,
     default_excludes: list[str] | None = None,
 ) -> None:
     """Install the lint CLI surface on *parser* (shared with ``repro lint``)."""
@@ -28,12 +27,6 @@ def add_cli_arguments(
     parser.add_argument("--exclude", action="append", default=[],
                         metavar="PATH",
                         help="path prefix to skip (repeatable)")
-    parser.add_argument("--baseline", metavar="FILE", default=default_baseline,
-                        help="accepted-violations file; only new findings fail")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline: report every violation")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline from the current findings")
     parser.add_argument("--json", metavar="FILE", dest="json_out",
                         help="write a JSON report ('-' for stdout)")
     parser.set_defaults(default_excludes=list(default_excludes or []))

@@ -553,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_cli_arguments(
         p,
         default_paths=["src", "tests"],
-        default_baseline="lint-baseline.json",
         default_excludes=["tests/analysis/fixtures"],
     )
     _add_logging_options(p)

@@ -18,13 +18,10 @@ from repro.control.policies import (
     make_policy,
 )
 from repro.core.experiment import ExperimentRunner
-from repro.core.loadlatency import LoadLatencySweep, LoadPoint
 from repro.core.intellinoc import pretrain_agents
 
 __all__ = [
     "ExperimentRunner",
-    "LoadLatencySweep",
-    "LoadPoint",
     "HeuristicEccPolicy",
     "ModePolicy",
     "RlPolicy",

@@ -2,11 +2,11 @@
 
 The engine is the single entry point every campaign driver uses
 (:class:`~repro.core.experiment.ExperimentRunner`, the paper evaluator,
-the load-latency harness, the CLI), each through the :class:`EngineOptions`
-it inherits.  Given a list of cell specs it
+the CLI), each through the :class:`EngineOptions` it inherits or builds.
+Given a list of cell specs it
 
-1. deduplicates them by content hash (a grid or bisection often asks for
-   the same cell twice),
+1. deduplicates them by content hash (a grid often asks for the same cell
+   twice),
 2. serves every cell it can from the :class:`~repro.exec.store.ResultStore`
    and, under the ``quarantine`` policy, reports every cell with a stored
    post-mortem as quarantined without executing it,
@@ -295,11 +295,12 @@ class EngineOptions:
     """The engine options every campaign driver takes, and the one recipe
     that turns them into a :class:`CampaignEngine`.
 
-    :class:`~repro.core.experiment.ExperimentRunner`,
-    :class:`~repro.report.paper.PaperEvaluator` and
-    :class:`~repro.core.loadlatency.LoadLatencySweep` inherit this, so the
+    :class:`~repro.core.experiment.ExperimentRunner` and
+    :class:`~repro.report.paper.PaperEvaluator` inherit this, so the
     same options build the same executor, store and progress chain
-    whichever driver holds them.  ``jobs > 1`` executes cells in
+    whichever driver holds them; ``EngineOptions().run_specs(specs)`` runs
+    any list of cells, such as a load-latency curve of ``synthetic_cell``
+    points.  ``jobs > 1`` executes cells in
     worker processes; ``use_cache=True`` (or an explicit ``cache_dir``)
     persists every cell result so repeated runs are pure cache reads.
     Results are bit-identical across all of these modes: every cell is a

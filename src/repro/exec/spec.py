@@ -166,7 +166,8 @@ def synthetic_cell(
     hotspots: tuple[int, ...] = (),
     max_cycles: int | None = None,
 ) -> CellSpec:
-    """Spec for one synthetic-pattern operating point (load-latency work)."""
+    """Spec for one synthetic-pattern operating point: a load-latency curve
+    is a list of these, one per injection rate."""
     return CellSpec(
         technique=technique,
         workload=WorkloadSpec(

@@ -58,16 +58,6 @@ class QTableFaultInjector:
         self.injected += 1
         return True
 
-    def corrupt_many(
-        self, table: QTable, count: int, high_bits_only: bool = False
-    ) -> int:
-        """Inject up to *count* upsets; returns how many landed."""
-        landed = 0
-        for _ in range(count):
-            if self.corrupt_random_entry(table, high_bits_only):
-                landed += 1
-        return landed
-
 
 def table_divergence(reference: QTable, corrupted: QTable) -> float:
     """Mean |dQ| over the states both tables know — a repair metric.

@@ -14,9 +14,6 @@ import math
 
 from repro.faults.aging import AgingModel
 
-HOURS_PER_SECOND = 1.0 / 3600.0
-FIT_SCALE = 1e9  # failures per 1e9 device-hours
-
 
 class MttfEstimator:
     """Extrapolates MTTF from accumulated aging stress."""
@@ -63,13 +60,6 @@ class MttfEstimator:
                 hi = mid
         return (lo + hi) / 2.0
 
-    def router_fit(self, router: int) -> float:
-        """Failures-in-time (per 1e9 hours) of one router."""
-        ttf = self.router_time_to_failure_seconds(router)
-        if math.isinf(ttf):
-            return 0.0
-        return FIT_SCALE / (ttf * HOURS_PER_SECOND)
-
     def system_mttf_seconds(self) -> float:
         """Series-system MTTF: failure rates of all routers add."""
         total_rate = 0.0
@@ -80,9 +70,3 @@ class MttfEstimator:
             if not math.isinf(ttf):
                 total_rate += 1.0 / ttf
         return math.inf if total_rate == 0 else 1.0 / total_rate
-
-    def system_fit(self) -> float:
-        mttf = self.system_mttf_seconds()
-        if math.isinf(mttf):
-            return 0.0
-        return FIT_SCALE / (mttf * HOURS_PER_SECOND)

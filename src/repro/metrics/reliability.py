@@ -68,12 +68,6 @@ class ReliabilitySummary:
         return self.total_retransmitted_flits / self.flits_delivered
 
     @property
-    def silent_corruption_rate(self) -> float:
-        if self.flits_delivered == 0:
-            return 0.0
-        return self.silent_corruptions / self.flits_delivered
-
-    @property
     def packets_dropped(self) -> int:
         """Packets lost to dead fabric elements (excludes refusals)."""
         return self.packets_dropped_dead_router + self.packets_dropped_dead_link

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.noc.routing import NUM_PORTS
-from repro.utils.percentile import percentile
 
 #: Per-run cap on retained latency samples.  Mean latency is always exact
 #: (tracked by running sum/count); percentiles are exact up to this many
@@ -189,11 +188,6 @@ class NetworkStatistics:
         if self.latency_count == 0:
             raise ValueError("no packets completed")
         return self.latency_sum / self.latency_count
-
-    def latency_percentile(self, q: float) -> float:
-        if not self.latencies:
-            raise ValueError("no packets completed")
-        return percentile(self.latencies, q)
 
     @property
     def total_retransmitted_flits(self) -> int:

@@ -220,11 +220,6 @@ class MeshTopology(Topology):
         self._check(router)
         return router % self.width, router // self.width
 
-    def router_at(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise ValueError(f"({x}, {y}) outside the {self.width}x{self.height} mesh")
-        return y * self.width + x
-
     def neighbor(self, router: int, direction: Direction) -> int | None:
         """Neighbor id in *direction*, or None at a mesh edge."""
         x, y = self.coordinates(router)

@@ -292,11 +292,6 @@ class SimProfiler:
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows[: max(0, top_n)]
 
-    def top_phase(self) -> str | None:
-        """The single hottest phase inside ``Network.step`` (or None)."""
-        spots = self.hot_spots(top_n=1)
-        return spots[0][0] if spots else None
-
     # --- heat tables ----------------------------------------------------------
 
     def router_heat(self) -> list[dict[str, Any]]:

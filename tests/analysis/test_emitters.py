@@ -33,7 +33,6 @@ class TestJsonReport:
             fixture_report.violations,
             files=fixture_report.files,
             suppressed=fixture_report.suppressed,
-            baselined=0,
         )
         text = json.dumps(payload, indent=2, sort_keys=True)
         # serialize -> parse -> serialize is a fixed point
@@ -46,15 +45,13 @@ class TestJsonReport:
 
     def test_counts_block(self):
         violations = _sample_violations()
-        payload = report_to_json(
-            violations, files=7, suppressed=2, baselined=1
-        )
+        payload = report_to_json(violations, files=7, suppressed=2)
         assert payload["tool"] == "nocsan"
         assert payload["files"] == 7
-        assert payload["counts"] == {"new": 2, "suppressed": 2, "baselined": 1}
+        assert payload["counts"] == {"new": 2, "suppressed": 2}
 
     def test_two_identical_runs_emit_identical_json(self):
-        kwargs = dict(files=3, suppressed=0, baselined=0)
+        kwargs = dict(files=3, suppressed=0)
         first = report_to_json(_sample_violations(), **kwargs)
         second = report_to_json(_sample_violations(), **kwargs)
         assert json.dumps(first, sort_keys=True) == json.dumps(

@@ -10,7 +10,6 @@ import pytest
 
 from repro.config import FaultConfig, INTELLINOC, SECDED_BASELINE
 from repro.core.experiment import ExperimentRunner
-from repro.core.loadlatency import LoadLatencySweep
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor, ProgressEvent
 from repro.exec.resilience import CampaignInterrupted, ShutdownFlag
@@ -43,19 +42,16 @@ def campaign_specs():
     ]
 
 
-#: The three campaign drivers, each built from engine options alone.
+#: The two campaign drivers, each built from engine options alone.
 DRIVERS = {
     "runner": ExperimentRunner,
     "paper": PaperEvaluator,
-    "load-latency": lambda **options: LoadLatencySweep(
-        technique=SECDED_BASELINE, **options
-    ),
 }
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 class TestEngineOptions:
-    """One recipe (`EngineOptions.engine`) behind all three drivers."""
+    """One recipe (`EngineOptions.engine`) behind both drivers."""
 
     def test_defaults_build_a_bare_serial_engine(self, driver):
         built = DRIVERS[driver]()

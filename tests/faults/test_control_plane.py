@@ -51,8 +51,9 @@ class TestInjector:
         reference = QTable(5, 0.1, 0.9)
         table.clone_into(reference)
         inj = QTableFaultInjector(np.random.default_rng(1))
-        landed = inj.corrupt_many(table, 20, high_bits_only=True)
-        assert landed == 20
+        landed = [inj.corrupt_random_entry(table, high_bits_only=True)
+                  for _ in range(20)]
+        assert all(landed) and inj.injected == 20
         assert table_divergence(reference, table) > 0.0
 
     def test_online_learning_repairs_corruption(self):
@@ -61,7 +62,8 @@ class TestInjector:
         reference = QTable(5, 0.1, 0.9)
         table.clone_into(reference)
         inj = QTableFaultInjector(np.random.default_rng(2))
-        inj.corrupt_many(table, 10, high_bits_only=True)
+        for _ in range(10):
+            inj.corrupt_random_entry(table, high_bits_only=True)
         damaged = table_divergence(reference, table)
         assert damaged > 0
         # Re-run the same experience stream on both tables.

@@ -68,12 +68,11 @@ class TestSystemMttf:
     def test_fit_rates_add(self):
         model = stressed_model([350.0, 350.0])
         est = MttfEstimator(model)
-        total = est.system_fit()
-        parts = est.router_fit(0) + est.router_fit(1)
+        total = 1.0 / est.system_mttf_seconds()
+        parts = sum(1.0 / est.router_time_to_failure_seconds(i) for i in range(2))
         assert total == pytest.approx(parts, rel=1e-6)
 
     def test_unstressed_system_has_zero_fit(self):
         model = AgingModel(FaultConfig(), num_routers=3)
         est = MttfEstimator(model)
-        assert est.system_fit() == 0.0
         assert math.isinf(est.system_mttf_seconds())

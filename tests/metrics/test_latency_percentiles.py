@@ -1,7 +1,7 @@
 """The latency percentiles are numpy's, to the bit.
 
-Both percentile sites — :meth:`LatencySummary.from_samples` and
-:meth:`NetworkStatistics.latency_percentile` — compute in plain Python what
+:func:`repro.utils.percentile.percentile`, behind
+:meth:`LatencySummary.from_samples`, computes in plain Python what
 ``np.percentile`` (numpy 2, default ``linear`` method) computes, so that a
 run need not load ``numpy.ma`` to summarise three numbers.  ``np.percentile``
 stays here as the oracle.  The samples are integer latencies with many ties,
@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.metrics.latency import LatencySummary
 from repro.noc.statistics import NetworkStatistics
+from repro.utils.percentile import percentile
 
 QUANTILES = (50, 95, 99)
 
@@ -46,7 +47,7 @@ def _statistics_of(samples: list[int]) -> NetworkStatistics:
 @settings(max_examples=150, deadline=None)
 @given(latency_samples(), st.floats(0.0, 100.0))
 @example([0, 7, 14], 95.0)  # numpy 1's index rounds this one differently
-def test_both_percentile_sites_equal_numpy_bit_for_bit(samples, q):
+def test_percentiles_equal_numpy_bit_for_bit(samples, q):
     summary = LatencySummary.from_samples(samples)
     stats = _statistics_of(samples)
     assert stats.latencies == samples
@@ -54,7 +55,7 @@ def test_both_percentile_sites_equal_numpy_bit_for_bit(samples, q):
         _oracle(samples, p) for p in QUANTILES
     )
     for p in (*QUANTILES, q):
-        assert stats.latency_percentile(p) == _oracle(samples, p), p
+        assert percentile(stats.latencies, p) == _oracle(samples, p), p
 
 
 @settings(max_examples=100, deadline=None)

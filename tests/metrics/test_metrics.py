@@ -70,7 +70,6 @@ class TestReliabilitySummary:
     def test_rates(self):
         s = self.make()
         assert s.retransmission_rate == pytest.approx(0.018)
-        assert s.silent_corruption_rate == pytest.approx(0.001)
 
     def test_zero_delivery_rates(self):
         s = self.make(flits_delivered=0)

@@ -43,7 +43,6 @@ class TestNetworkStatistics:
         stats.record_completion(10, 0, cycle=100, path=[0, 1, 2])
         stats.record_completion(30, 1, cycle=120, path=[1])
         assert stats.average_latency == 20
-        assert stats.latency_percentile(50) == 20
         assert stats.last_completion_cycle == 120
 
     def test_path_attribution(self):
@@ -62,8 +61,6 @@ class TestNetworkStatistics:
         stats = NetworkStatistics(4)
         with pytest.raises(ValueError):
             _ = stats.average_latency
-        with pytest.raises(ValueError):
-            stats.latency_percentile(99)
 
     def test_retransmission_total(self):
         stats = NetworkStatistics(4)

@@ -113,12 +113,11 @@ class TestAggregation:
         assert [name for name, _, _ in spots] == ["inject", "scenario.tick"]
         assert spots[0][1] == pytest.approx(2.0)
         assert spots[0][2] == pytest.approx(0.2)
-        assert prof.top_phase() == "inject"
         with_ovh = prof.hot_spots(top_n=5, include_overhead=True)
         assert with_ovh[0][0] == OVERHEAD_PHASE
 
-    def test_empty_profiler_has_no_top_phase(self):
-        assert make().top_phase() is None
+    def test_empty_profiler_has_no_hot_spots(self):
+        assert make().hot_spots() == []
 
 
 class TestHeat:

@@ -56,7 +56,7 @@ def test_profiled_runs_are_bit_identical(technique):
     # The profilers really ran — this test must not pass vacuously.
     assert dense.steps_profiled == dense.steps_seen > 0
     assert 0 < sparse.steps_profiled < sparse.steps_seen
-    assert dense.top_phase() is not None
+    assert dense.hot_spots(top_n=1)
 
 
 def test_profiler_composes_with_telemetry():
