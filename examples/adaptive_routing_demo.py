@@ -1,15 +1,16 @@
 """Adaptive routing extension: spreading load and surviving dead routers.
 
 Compares deterministic X-Y against the west-first turn model (with
-congestion- and fault-aware output selection) on a convergent workload,
-then kills a router on the dimension-ordered path and shows traffic
-flowing around it — the permanent-fault response the paper's related work
-(Vicis, Ariadne, QORE) builds on.
+congestion-aware output selection) on a convergent workload, then kills a
+router on the dimension-ordered path with a `RouterFailure` scenario event
+and shows traffic flowing around it — the permanent-fault response the
+paper's related work (Vicis, Ariadne, QORE) builds on.
 """
 
 from dataclasses import replace
 
 from repro.config import FaultConfig, SECDED_BASELINE, SimulationConfig
+from repro.faults.scenario import FaultScenario, RouterFailure
 from repro.noc.network import Network
 from repro.traffic.analysis import render_heatmap
 from repro.traffic.trace import Trace, TraceEvent
@@ -24,12 +25,16 @@ def run(routing: str, events, dead_router: int | None = None):
     technique = replace(
         SECDED_BASELINE, noc=replace(SECDED_BASELINE.noc, routing=routing)
     )
+    scenario = None
+    if dead_router is not None:
+        scenario = FaultScenario(
+            name="kill", events=(RouterFailure(cycle=0, router=dead_router),)
+        )
     net = Network(
         SimulationConfig(technique=technique, seed=17, faults=NO_FAULTS),
         Trace(list(events)),
+        scenario=scenario,
     )
-    if dead_router is not None:
-        net.routers[dead_router].failed = True
     net.run_to_completion(30_000)
     return net
 

@@ -114,18 +114,19 @@ def _add_logging_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, seed: int, duration: int
-) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: int, duration: int) -> None:
     parser.add_argument("--seed", type=int, default=seed, help="master seed")
     parser.add_argument(
         "--duration", type=int, default=duration, help="trace length in cycles"
     )
+    _add_logging_options(parser)
+
+
+def _add_sanitize(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
         help="enable the NoCSan runtime invariant checks (see docs/analysis.md)",
     )
-    _add_logging_options(parser)
 
 
 def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
@@ -504,6 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample dense events and profile steps every N cycles")
     _add_fabric_options(p)
     _add_common(p, FULL_GRID.seed, FULL_GRID.duration)
+    _add_sanitize(p)
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser(
@@ -518,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RL pre-training cycles")
     _add_fabric_options(p)
     _add_common(p, FULL_GRID.seed, FULL_GRID.duration)
+    _add_sanitize(p)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_campaign)
 
@@ -526,6 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the IntelliNoC parameter to vary; its values are "
                         "the figure's points")
     _add_common(p, FULL_GRID.seed, FULL_GRID.tuning_duration)
+    _add_sanitize(p)
     _add_engine_options(p)
     p.set_defaults(fn=_cmd_sweep)
 

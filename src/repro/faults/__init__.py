@@ -7,24 +7,26 @@
 * :mod:`repro.faults.aging` — NBTI + HCI threshold-voltage shift
   (Eqs. 4-7) and the Aging reward factor.
 * :mod:`repro.faults.mttf` — FIT/MTTF estimation from aging trajectories.
-* :mod:`repro.faults.injection` — deterministic fault-injection campaigns
-  for testing the recovery paths.
+* :mod:`repro.faults.scenario` — declarative fault timelines, the one way a
+  scripted fault enters a run (bursts, kills, outages, thermal attacks,
+  Q-table upsets, single link strikes).
+* :mod:`repro.faults.control_plane` — the Q-table bit upset a
+  ``QTableCorruption`` event applies.
 """
 
 from repro.faults.aging import AgingModel, AgingState
-from repro.faults.control_plane import QTableFaultInjector, table_divergence
-from repro.faults.injection import FaultInjector, InjectedFault
+from repro.faults.control_plane import corrupt_random_entry
 from repro.faults.mttf import MttfEstimator
+from repro.faults.scenario import FaultScenario, LinkStrike
 from repro.faults.thermal import ThermalModel
 from repro.faults.transient import TransientFaultModel
 
 __all__ = [
     "AgingModel",
     "AgingState",
-    "QTableFaultInjector",
-    "table_divergence",
-    "FaultInjector",
-    "InjectedFault",
+    "corrupt_random_entry",
+    "FaultScenario",
+    "LinkStrike",
     "MttfEstimator",
     "ThermalModel",
     "TransientFaultModel",

@@ -4,9 +4,10 @@ The stochastic transient model answers "how often do bits flip at this
 temperature"; this module answers "what happens to the run when faults
 *accumulate over time*": transient storms sweeping a region, links duty-
 cycling in and out, routers dying mid-flight, thermal attacks pushing the
-Eq. 3 error rate up, control-plane upsets corrupting Q-tables.  A scenario
-is a plain tuple of frozen event dataclasses; :class:`ScenarioEngine`
-replays it against a live network, one ``tick`` per simulated cycle.
+Eq. 3 error rate up, control-plane upsets corrupting Q-tables, single
+strikes on one link.  A scenario is a plain tuple of frozen event
+dataclasses; :class:`ScenarioEngine` replays it against a live network,
+one ``tick`` per simulated cycle.
 
 Determinism: everything structural (kills, outages, ramps) depends only on
 the event timeline; the single stochastic event type (Q-table corruption)
@@ -156,6 +157,24 @@ class QTableCorruption:
             raise ValueError("need at least one upset")
 
 
+@dataclass(frozen=True)
+class LinkStrike:
+    """A pulsed particle strike: ``bit_errors`` flipped bits on the first
+    flit over one directed channel at or after ``cycle`` (fires once).  It
+    drives one recovery path (correction, per-hop or end-to-end retry)."""
+
+    cycle: int
+    src_router: int
+    direction: int  # output-port direction index at the source router
+    bit_errors: int = 1
+
+    def __post_init__(self) -> None:
+        if self.cycle < 0:
+            raise ValueError("strike cycle cannot be negative")
+        if self.bit_errors < 1:
+            raise ValueError("a strike must flip at least one bit")
+
+
 ScenarioEvent = Union[
     TransientBurst,
     RouterFailure,
@@ -163,9 +182,11 @@ ScenarioEvent = Union[
     IntermittentLink,
     ThermalAttack,
     QTableCorruption,
+    LinkStrike,
 ]
 
 _ONESHOT_TYPES = (RouterFailure, LinkFailure, QTableCorruption)
+_AT_CYCLE_TYPES = (*_ONESHOT_TYPES, LinkStrike)
 
 
 @dataclass(frozen=True)
@@ -184,7 +205,7 @@ class FaultScenario:
         """Last cycle at which any event is still active."""
         last = 0
         for event in self.events:
-            if isinstance(event, _ONESHOT_TYPES):
+            if isinstance(event, _AT_CYCLE_TYPES):
                 last = max(last, event.cycle)
             else:
                 last = max(last, event.end)
@@ -198,9 +219,10 @@ class ScenarioEngine:
     """Replays one :class:`FaultScenario` against a live network.
 
     ``tick(cycle)`` is called by ``Network.step`` at the top of every
-    cycle; :meth:`scaled_rate` is consulted by the error-sampling path.
-    Both are cheap: one-shot events sit in a cycle-sorted list behind a
-    single pointer, and the burst multiplier is a cached per-router array
+    cycle; :meth:`scaled_rate` and :meth:`strike` are consulted by the
+    error-sampling path.  All are cheap: one-shot events sit in a
+    cycle-sorted list behind a single pointer, strikes in cycle-sorted
+    per-link lists, and the burst multiplier is a cached per-router array
     recomputed only when the active-burst set changes.
     """
 
@@ -213,6 +235,15 @@ class ScenarioEngine:
             key=lambda e: e.cycle,
         )
         self._next_oneshot = 0
+        #: Unfired strikes per link, earliest first (ties in scenario order).
+        self.pending_strikes: dict[tuple[int, int], list[LinkStrike]] = {}
+        for strike in sorted(
+            (e for e in scenario.events if isinstance(e, LinkStrike)),
+            key=lambda e: e.cycle,
+        ):
+            self.pending_strikes.setdefault(
+                (strike.src_router, strike.direction), []
+            ).append(strike)
         self._bursts: list[TransientBurst] = [
             e for e in scenario.events if isinstance(e, TransientBurst)
         ]
@@ -235,6 +266,20 @@ class ScenarioEngine:
         if m is None:
             return rate
         return min(rate * float(m[src_router]), MAX_SCENARIO_BIT_ERROR_RATE)
+
+    def strike(self, cycle: int, src_router: int, direction: int) -> int:
+        """Bit errors the earliest due strike on this link puts on this
+        traversal (consuming it); 0 when none is due."""
+        bucket = self.pending_strikes.get((src_router, direction))
+        if not bucket or bucket[0].cycle > cycle:
+            return 0
+        bit_errors = bucket.pop(0).bit_errors
+        self.events_fired += 1
+        self.network.note_scenario_event(
+            cycle, "link_strike", src=src_router, direction=direction,
+            bit_errors=bit_errors,
+        )
+        return bit_errors
 
     def tick(self, cycle: int) -> None:
         """Advance the timeline to *cycle*, firing whatever is due."""
@@ -269,7 +314,7 @@ class ScenarioEngine:
             self._corrupt_qtables(event, cycle)
 
     def _corrupt_qtables(self, event: QTableCorruption, cycle: int) -> None:
-        from repro.faults.control_plane import QTableFaultInjector
+        from repro.faults.control_plane import corrupt_random_entry
 
         net = self.network
         agents = getattr(net.policy, "agents", None)
@@ -277,12 +322,12 @@ class ScenarioEngine:
             return  # static/heuristic control plane: nothing to upset
         if self._qrng is None:
             self._qrng = net.rngs.stream("scenario")
-        injector = QTableFaultInjector(self._qrng)
+        rng = self._qrng
         corrupted = 0
         for _ in range(event.upsets):
-            agent = agents[int(self._qrng.integers(0, len(agents)))]
-            if injector.corrupt_random_entry(
-                agent.qtable, high_bits_only=event.high_bits_only
+            agent = agents[int(rng.integers(0, len(agents)))]
+            if corrupt_random_entry(
+                agent.qtable, rng, high_bits_only=event.high_bits_only
             ):
                 corrupted += 1
         self.events_fired += 1

@@ -1,12 +1,13 @@
-"""Adaptive routing: the west-first turn model with congestion/fault-aware
+"""Adaptive routing: the west-first turn model with congestion-aware
 output selection.
 
 The paper's Table 1 configuration uses deterministic X-Y routing; its
 related work (Vicis, Ariadne, QORE) handles permanent faults with adaptive
 routing.  This module provides that extension: minimal west-first routing
 (Glass & Ni's turn model — deadlock-free because the two west-bound turns
-are forbidden) with a selection function that prefers less congested and
-non-failed downstream routers.
+are forbidden) with a selection function that prefers less congested
+downstream routers.  Faults need no say here: ``Router.compute_route``
+drops outputs over dead channels before it selects.
 
 Enable it per configuration::
 
@@ -62,25 +63,15 @@ CANDIDATE_FUNCTIONS: dict[str, Callable[[int, int, int], list[Direction]]] = {
 def select_output(
     candidates: list[Direction],
     free_slots: Callable[[Direction], int],
-    neighbor_failed: Callable[[Direction], bool],
 ) -> Direction:
     """Pick one productive direction.
 
-    Healthy candidates are preferred over failed ones; among equals the
-    one with the most free downstream buffer slots wins (congestion-aware
-    adaptivity).  With a single candidate this degenerates to deterministic
-    routing.
+    The candidate with the most free downstream buffer slots wins (the
+    first one on a tie): congestion-aware adaptivity.  With a single
+    candidate this degenerates to deterministic routing.
     """
     if not candidates:
         raise ValueError("no productive directions")
     if len(candidates) == 1:
-        return candidates[0]
-    best = None
-    best_key = None
-    for direction in candidates:
-        if direction is LOCAL:
-            return direction
-        key = (not neighbor_failed(direction), free_slots(direction))
-        if best_key is None or key > best_key:
-            best, best_key = direction, key
-    return best
+        return candidates[0]  # arrival (an ejection port) or deterministic
+    return max(candidates, key=free_slots)

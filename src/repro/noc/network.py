@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.power.accounting import EpochPower
     from repro.telemetry import SimProfiler, Telemetry
 from repro.faults.aging import AgingModel
-from repro.faults.injection import FaultInjector
 from repro.faults.scenario import (
     REASON_DEAD_LINK,
     REASON_DEAD_ROUTER,
@@ -77,7 +76,6 @@ class Network:
         config: SimulationConfig,
         trace: Trace,
         policy: "ModePolicy | None" = None,
-        fault_injector: FaultInjector | None = None,
         sanitizer: "object | None" = None,
         telemetry: "Telemetry | None" = None,
         scenario: FaultScenario | None = None,
@@ -91,7 +89,6 @@ class Network:
         noc = config.noc
         self.topology = build_topology(noc)
         self.trace = trace
-        self.fault_injector = fault_injector
         # NoCSan: read-only invariant checks, default-off (REPRO_SANITIZE=1
         # or an explicitly passed sanitizer).  Never changes results.
         self.sanitizer = sanitizer if sanitizer is not None else NocSanitizer.from_env()
@@ -153,6 +150,13 @@ class Network:
             scenario = build_scenario(config.noc.fault_scenario, self.topology)
         self._scenario = (
             ScenarioEngine(scenario, self) if scenario is not None else None
+        )
+        # Scripted link strikes: the error-sampling path asks only when the
+        # scenario has some.
+        self._strike = (
+            self._scenario.strike
+            if self._scenario is not None and self._scenario.pending_strikes
+            else None
         )
         self._degraded = False  # set on the first router/link kill
         self._pending_drops: list[Packet] = []
@@ -497,12 +501,10 @@ class Network:
         """Bit errors for one traversal (also charges the link energy)."""
         src = channel.src
         self.accountant.add_dynamic(src, channel.traversal_pj)
-        if self.fault_injector is not None:
-            injected = self.fault_injector.pop_matching(
-                self.cycle, src, int(channel.direction)
-            )
-            if injected:
-                return injected
+        if self._strike is not None:
+            struck = self._strike(self.cycle, src, int(channel.direction))
+            if struck:
+                return struck
         # The memo of `_hop_error_rates`, read in place (it fills a miss).
         rates = self._hop_rates[
             self.routers[src].relaxed_timing
@@ -867,7 +869,6 @@ class Network:
         if router.dead:
             return
         router.dead = True
-        router.failed = True  # adaptive routing already avoids failed hops
         self._dead_routers[rid] = cycle
         self._enter_degraded(cycle)
         # In-flight victims: flits wired to/from the router and the owner

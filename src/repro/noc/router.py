@@ -138,7 +138,6 @@ class Router:
             p: RoundRobinArbiter(self.num_ports * noc.num_vcs) for p in ports
         }
         self._bypass_arbiter = RoundRobinArbiter(self.num_ports)
-        self.failed = False  # permanent fault flagged by the aging model
         self.dead = False  # killed by a fault scenario (never recovers)
         # Degraded operation: some fabric element died.  Routing filters
         # dead outputs and blocked worms are dropped with accounting via
@@ -579,8 +578,9 @@ class Router:
     def compute_route(self, dst: int) -> int:
         """Route computation toward destination *node* ``dst``:
         deterministic (X-Y / dimension-ordered / loop-minimal per fabric)
-        by default, or turn-model adaptive selection (congestion- and
-        fault-aware) when configured."""
+        by default, or congestion-aware turn-model selection when
+        configured.  Once the fabric is degraded, outputs over dead channels
+        are filtered out before selection."""
         degraded = self.degraded
         if not degraded:
             route = self._route_memo.get(dst)
@@ -602,7 +602,6 @@ class Router:
             free_slots=lambda d: sum(
                 vc.free_slots for vc in self.downstream_ports[d].vcs
             ),
-            neighbor_failed=lambda d: self.downstream_routers[d].failed,
         )
 
     # --- graceful degradation (fault scenarios) -------------------------------

@@ -70,7 +70,7 @@ class TestParser:
 #: Settable options per subcommand (argparse actions minus ``-h``), as CI's
 #: step summary tabulates them: ceilings, so a new knob has to retire one.
 OPTION_CEILINGS = {
-    "run": 13, "campaign": 17, "sweep": 12, "cache": 4, "trace": 7,
+    "run": 13, "campaign": 17, "sweep": 12, "cache": 4, "trace": 6,
     "lint": 6, "area": 2, "verify-paper": 8,
 }
 
@@ -81,6 +81,10 @@ FIELD_CEILINGS = {
     "TechniqueConfig": 10, "WorkloadSpec": 6, "CellSpec": 6,
     "EngineOptions": 8,
 }
+
+#: Parameters of ``Network.__init__`` beside ``self``: a fault or observer
+#: hook arrives through an existing one (a scenario event, telemetry).
+NETWORK_PARAMETER_CEILING = 7
 
 
 class TestKnobCount:
@@ -117,6 +121,14 @@ class TestKnobCount:
         assert counts.keys() == FIELD_CEILINGS.keys()
         grown = {n: c for n, c in counts.items() if c > FIELD_CEILINGS[n]}
         assert not grown, f"fields above their ceiling: {grown}"
+
+    def test_network_constructor_parameters_do_not_grow(self):
+        import inspect
+
+        from repro.noc.network import Network
+
+        params = list(inspect.signature(Network.__init__).parameters)[1:]
+        assert len(params) <= NETWORK_PARAMETER_CEILING, params
 
 
 class TestCommands:

@@ -5,12 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from repro.faults.control_plane import (
-    QTableFaultInjector,
-    flip_float_bit,
-    table_divergence,
-)
+from repro.faults.control_plane import corrupt_random_entry, flip_float_bit
 from repro.rl.qlearning import QTable
+
+
+def table_divergence(reference: QTable, corrupted: QTable) -> float:
+    """Mean |dQ| over the states both tables know — a repair metric.
+
+    Online learning pulls corrupted entries back toward the TD target, so
+    divergence shrinks as the agent keeps running.
+    """
+    common = set(reference.states()) & set(corrupted.states())
+    if not common:
+        return 0.0
+    total = 0.0
+    for state in common:
+        total += float(
+            np.abs(reference.q_values(state) - corrupted.q_values(state)).mean()
+        )
+    return total / len(common)
 
 
 def table_with_entries(n=10):
@@ -42,18 +55,16 @@ class TestFlipFloatBit:
 
 class TestInjector:
     def test_empty_table_cannot_be_corrupted(self):
-        inj = QTableFaultInjector(np.random.default_rng(0))
-        assert not inj.corrupt_random_entry(QTable(5, 0.1, 0.9))
-        assert inj.injected == 0
+        assert not corrupt_random_entry(QTable(5, 0.1, 0.9), np.random.default_rng(0))
 
     def test_corruption_changes_some_value(self):
         table = table_with_entries()
         reference = QTable(5, 0.1, 0.9)
         table.clone_into(reference)
-        inj = QTableFaultInjector(np.random.default_rng(1))
-        landed = [inj.corrupt_random_entry(table, high_bits_only=True)
+        rng = np.random.default_rng(1)
+        landed = [corrupt_random_entry(table, rng, high_bits_only=True)
                   for _ in range(20)]
-        assert all(landed) and inj.injected == 20
+        assert all(landed)
         assert table_divergence(reference, table) > 0.0
 
     def test_online_learning_repairs_corruption(self):
@@ -61,9 +72,9 @@ class TestInjector:
         table = table_with_entries(4)
         reference = QTable(5, 0.1, 0.9)
         table.clone_into(reference)
-        inj = QTableFaultInjector(np.random.default_rng(2))
+        rng = np.random.default_rng(2)
         for _ in range(10):
-            inj.corrupt_random_entry(table, high_bits_only=True)
+            corrupt_random_entry(table, rng, high_bits_only=True)
         damaged = table_divergence(reference, table)
         assert damaged > 0
         # Re-run the same experience stream on both tables.

@@ -18,6 +18,7 @@ from repro.faults.scenario import (
     FaultScenario,
     IntermittentLink,
     LinkFailure,
+    LinkStrike,
     QTableCorruption,
     RouterFailure,
     ScenarioEngine,
@@ -26,7 +27,9 @@ from repro.faults.scenario import (
     build_scenario,
     scenario_names,
 )
+from repro.metrics.summary import RunMetrics
 from repro.noc.network import Network
+from repro.telemetry import Telemetry
 from repro.traffic.parsec import generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.utils.rng import make_rng
@@ -79,6 +82,12 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             ThermalAttack(start=0, end=100, routers=(1,), delta_k=-1.0)
 
+    def test_link_strike_validation(self):
+        with pytest.raises(ValueError):
+            LinkStrike(cycle=-1, src_router=0, direction=1)
+        with pytest.raises(ValueError):
+            LinkStrike(cycle=0, src_router=0, direction=1, bit_errors=0)
+
     def test_qtable_corruption_needs_upsets(self):
         with pytest.raises(ValueError):
             QTableCorruption(cycle=10, upsets=0)
@@ -91,6 +100,66 @@ class TestEventValidation:
             RouterFailure(cycle=900, router=1),
         ))
         assert scenario.horizon == 900
+        struck = FaultScenario(name="s", events=(
+            *scenario.events, LinkStrike(cycle=1200, src_router=0, direction=1),
+        ))
+        assert struck.horizon == 1200
+
+
+def strike_engine(*strikes):
+    """The engine of a 4x4 network whose scenario is *strikes*."""
+    net = make_network(scenario=FaultScenario(name="s", events=strikes))
+    assert net._strike == net._scenario.strike
+    return net._scenario
+
+
+class TestLinkStrike:
+    def test_fires_at_or_after_cycle(self):
+        engine = strike_engine(
+            LinkStrike(cycle=10, src_router=3, direction=1, bit_errors=2)
+        )
+        assert engine.strike(5, 3, 1) == 0  # too early
+        assert engine.strike(12, 3, 1) == 2
+        assert engine.events_fired == 1
+
+    def test_fires_only_once(self):
+        engine = strike_engine(LinkStrike(cycle=0, src_router=3, direction=1))
+        assert engine.strike(0, 3, 1) == 1
+        assert engine.strike(1, 3, 1) == 0
+        assert engine.events_fired == 1
+
+    def test_matches_router_and_direction(self):
+        engine = strike_engine(LinkStrike(cycle=0, src_router=3, direction=1))
+        assert engine.strike(0, 3, 2) == 0
+        assert engine.strike(0, 4, 1) == 0
+        assert engine.events_fired == 0
+        assert engine.strike(0, 3, 1) == 1
+
+    def test_same_cycle_strikes_fire_in_scenario_order(self):
+        engine = strike_engine(
+            LinkStrike(cycle=0, src_router=3, direction=1, bit_errors=1),
+            LinkStrike(cycle=0, src_router=3, direction=1, bit_errors=3),
+        )
+        assert engine.strike(0, 3, 1) == 1
+        assert engine.strike(0, 3, 1) == 3
+        assert engine.strike(0, 3, 1) == 0
+
+    def test_same_link_strikes_fire_earliest_cycle_first(self):
+        # Regression: strikes listed out of cycle order on one link used to
+        # fire in listing order, so a late strike could consume an early
+        # traversal and leave the early one pending forever.
+        engine = strike_engine(
+            LinkStrike(cycle=20, src_router=3, direction=1, bit_errors=5),
+            LinkStrike(cycle=5, src_router=3, direction=1, bit_errors=2),
+        )
+        assert engine.strike(5, 3, 1) == 2  # cycle-5 strike, not cycle-20
+        assert engine.strike(10, 3, 1) == 0  # cycle-20 strike not due yet
+        assert engine.strike(20, 3, 1) == 5
+        assert engine.events_fired == 2
+
+    def test_no_strikes_means_no_hook(self):
+        scenario = FaultScenario(name="k", events=(RouterFailure(cycle=5, router=6),))
+        assert make_network(scenario=scenario)._strike is None
 
 
 class TestScenarioEngine:
@@ -326,21 +395,58 @@ class TestZeroOverhead:
             dict(s.mode_cycles),
         )
 
-    @pytest.mark.parametrize("technique", [SECDED_BASELINE, INTELLINOC],
-                             ids=["secded", "intellinoc"])
-    def test_no_scenario_run_matches_idle_scenario_run(self, technique):
+    #: Traffic whose first packet (0 -> 5) leaves router 0 through EAST.
+    EVENTS = [TraceEvent(c, c % 16, (c + 5) % 16, 4) for c in range(0, 900, 3)]
+
+    IDLE = FaultScenario(name="idle", events=(
+        TransientBurst(start=10**9, end=10**9 + 1, multiplier=2.0),
+        RouterFailure(cycle=10**9, router=0),
+    ))
+    LATE_STRIKE = FaultScenario(name="late-strike", events=(
+        LinkStrike(cycle=10**9, src_router=0, direction=1),
+    ))
+
+    @pytest.mark.parametrize(
+        "technique, idle",
+        [(SECDED_BASELINE, IDLE), (INTELLINOC, IDLE),
+         (SECDED_BASELINE, LATE_STRIKE), (INTELLINOC, LATE_STRIKE)],
+        ids=["secded", "intellinoc", "secded-late-strike",
+             "intellinoc-late-strike"],
+    )
+    def test_no_scenario_run_matches_idle_scenario_run(self, technique, idle):
         """A scenario whose events never fire must be bit-transparent:
         the hooks are present but must not perturb anything."""
-        events = [
-            TraceEvent(c, c % 16, (c + 5) % 16, 4) for c in range(0, 900, 3)
-        ]
-        idle = FaultScenario(name="idle", events=(
-            TransientBurst(start=10**9, end=10**9 + 1, multiplier=2.0),
-            RouterFailure(cycle=10**9, router=0),
-        ))
         baseline = self.fingerprint(make_network(technique=technique,
-                                                 events=events))
+                                                 events=self.EVENTS))
         with_idle = self.fingerprint(make_network(technique=technique,
-                                                  events=events,
+                                                  events=self.EVENTS,
                                                   scenario=idle))
         assert with_idle == baseline
+
+    @pytest.mark.parametrize("bit_errors, counter", [
+        (1, "corrected_flits"), (2, "hop_retransmissions"),
+    ])
+    def test_a_fired_strike_reaches_final_and_run_metrics(
+        self, bit_errors, counter
+    ):
+        """A strike that fires is counted where every run total is: the
+        `final` record and `RunMetrics`."""
+        tech = replace(SECDED_BASELINE,
+                       noc=replace(SECDED_BASELINE.noc, width=4, height=4))
+        strike = FaultScenario(name="strike", events=(
+            LinkStrike(cycle=0, src_router=0, direction=1, bit_errors=bit_errors),
+        ))
+        tel = Telemetry()
+        net = Network(
+            SimulationConfig(technique=tech, seed=7, faults=NO_FAULTS),
+            Trace(list(self.EVENTS)), telemetry=tel, scenario=strike,
+        )
+        net.run_to_completion(60_000)
+        net.finalize_telemetry()
+        assert net._scenario.events_fired == 1
+        (final,) = tel.events_of("final")
+        assert final[counter] == 1
+        assert getattr(RunMetrics.from_network(net).reliability, counter) == 1
+        (fired,) = [e for e in tel.events_of("scenario")
+                    if e["event"] == "link_strike"]
+        assert fired["bit_errors"] == bit_errors

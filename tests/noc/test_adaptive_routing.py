@@ -66,27 +66,17 @@ class TestWestFirstCandidates:
 
 class TestSelectOutput:
     def test_single_candidate_deterministic(self):
-        out = select_output([Direction.EAST], lambda d: 0, lambda d: False)
+        out = select_output([Direction.EAST], lambda d: 0)
         assert out is Direction.EAST
 
     def test_prefers_more_free_slots(self):
         slots = {Direction.EAST: 2, Direction.NORTH: 7}
-        out = select_output(
-            [Direction.EAST, Direction.NORTH], slots.__getitem__, lambda d: False
-        )
+        out = select_output([Direction.EAST, Direction.NORTH], slots.__getitem__)
         assert out is Direction.NORTH
-
-    def test_avoids_failed_neighbor(self):
-        slots = {Direction.EAST: 1, Direction.NORTH: 9}
-        failed = {Direction.EAST: False, Direction.NORTH: True}
-        out = select_output(
-            [Direction.EAST, Direction.NORTH], slots.__getitem__, failed.__getitem__
-        )
-        assert out is Direction.EAST
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            select_output([], lambda d: 0, lambda d: False)
+            select_output([], lambda d: 0)
 
     def test_xy_candidates_single(self):
         assert len(xy_candidates(0, 63, WIDTH)) == 1
@@ -126,17 +116,3 @@ class TestAdaptiveNetworkIntegration:
         )
         xy_used = sum(1 for c in xy.stats.routers if sum(c.in_flits) > 0)
         assert adaptive_used >= xy_used
-
-    def test_routes_around_failed_router(self):
-        technique = replace(
-            SECDED_BASELINE, noc=replace(SECDED_BASELINE.noc, routing="west_first")
-        )
-        config = SimulationConfig(technique=technique, seed=4, faults=NO_FAULTS)
-        events = [TraceEvent(i * 10, 0, 18, 4) for i in range(20)]
-        net = Network(config, Trace(events))
-        # Mark router 1 (on the XY path 0->1->2->10->18) as failed.
-        net.routers[1].failed = True
-        net.run_to_completion(20_000)
-        assert net.stats.packets_completed == 20
-        # Traffic flowed through the healthy detour (router 8, northwards).
-        assert sum(net.stats.routers[8].in_flits) > 0

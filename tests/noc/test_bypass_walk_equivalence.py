@@ -178,7 +178,6 @@ def route_from_scratch(router, dst):
     return select_output(
         candidates,
         free_slots=lambda d: sum(vc.free_slots for vc in router.downstream_ports[d].vcs),
-        neighbor_failed=lambda d: router.downstream_routers[d].failed,
     )
 
 

@@ -1,4 +1,4 @@
-"""Integration tests for every error-recovery path (fault injection)."""
+"""Integration tests for every error-recovery path (scripted link strikes)."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.config import (
     INTELLINOC,
     SECDED_BASELINE,
 )
-from repro.faults.injection import FaultInjector, InjectedFault
+from repro.faults.scenario import FaultScenario, LinkStrike
 from repro.noc.routing import Direction
 from repro.traffic.trace import Trace, TraceEvent
 from repro.noc.network import Network
@@ -18,14 +18,19 @@ from repro.config import SimulationConfig
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
 
 
+def first_link_strike(bit_errors=1):
+    """A scenario whose one event strikes router 0's EAST link at cycle 0."""
+    return FaultScenario(name="strike", events=(
+        LinkStrike(cycle=0, src_router=0, direction=int(Direction.EAST),
+                   bit_errors=bit_errors),
+    ))
+
+
 def run_with_fault(bit_errors, technique=SECDED_BASELINE, dst=3):
     """Send one packet 0 -> dst along +X and strike the first link."""
-    injector = FaultInjector()
-    injector.schedule(
-        InjectedFault(cycle=0, src_router=0, direction=int(Direction.EAST), bit_errors=bit_errors)
-    )
     config = SimulationConfig(technique=technique, seed=1, faults=NO_FAULTS)
-    net = Network(config, Trace([TraceEvent(0, 0, dst, 4)]), fault_injector=injector)
+    net = Network(config, Trace([TraceEvent(0, 0, dst, 4)]),
+                  scenario=first_link_strike(bit_errors))
     net.run_to_completion(5000)
     return net
 
@@ -83,15 +88,11 @@ class TestRetryBudget:
         assert net.stats.packets_completed == 1
 
 
-class TestFaultInjectorPlumbing:
+class TestLinkStrikePlumbing:
     def test_fault_consumed_exactly_once(self):
-        injector = FaultInjector()
-        injector.schedule(
-            InjectedFault(cycle=0, src_router=0, direction=int(Direction.EAST))
-        )
         config = SimulationConfig(technique=SECDED_BASELINE, seed=1, faults=NO_FAULTS)
         events = [TraceEvent(0, 0, 3, 4), TraceEvent(100, 0, 3, 4)]
-        net = Network(config, Trace(events), fault_injector=injector)
+        net = Network(config, Trace(events), scenario=first_link_strike())
         net.run_to_completion(5000)
-        assert len(injector.fired) == 1
+        assert net._scenario.events_fired == 1
         assert net.stats.corrected_flits == 1  # only the first packet hit

@@ -7,6 +7,8 @@ These tests run against *every* fabric in the registry (parameterized by
   channel has a reverse channel, node<->router maps roundtrip;
 * routing — following candidates always makes progress and reaches the
   destination in exactly ``distance()`` hops;
+* deadlock freedom — the extended channel-dependency graph that routing
+  and the VC classes induce on a fault-free fabric is acyclic;
 * liveness — a short saturated run under the NoCSan deadlock watchdog
   completes without invariant violations;
 * spec hashing — each fabric produces a distinct CellSpec hash (that every
@@ -24,8 +26,10 @@ from repro.config import (
     SimulationConfig,
     fingerprint,
 )
-from repro.noc.routing import Direction
+from repro.noc.adaptive_routing import west_first_candidates
+from repro.noc.routing import NORTH, WEST, Direction
 from repro.noc.topology import build_topology, registered_topologies
+from repro.noc.torus import TorusTopology
 from repro.noc.vc import VcState
 
 #: One representative small fabric configuration per registered topology,
@@ -173,6 +177,110 @@ class TestRouting:
             for cls in range(4):
                 once = topo.next_vc_class(src, direction, cls)
                 assert topo.next_vc_class(src, direction, once) == once
+
+
+#: Every fabric, plus west-first (the one adaptive routing) on the two
+#: fabrics that take it.
+ROUTED_CONFIGS = {
+    **FABRIC_CONFIGS,
+    "mesh-west-first": replace(FABRIC_CONFIGS["mesh"], routing="west_first"),
+    "cmesh-c4-west-first": replace(
+        FABRIC_CONFIGS["cmesh-c4"], routing="west_first"
+    ),
+}
+
+
+def dependency_graph(topo, num_vcs):
+    """The edges of the extended channel-dependency graph, read off the
+    ``Topology`` contract alone (``channels``, ``route_candidates``,
+    ``next_vc_class``, ``allowed_vcs``).
+
+    A node is ``(router, output port, VCs the class may hold)``, so two
+    classes that share VCs share a node.  An edge joins the channel a head
+    holds to every channel its route may claim next.  Each destination's
+    walk follows every route from every source; the graph is the union of
+    their edges.
+    """
+    link = {(src, int(d)): dst for src, d, dst in topo.channels()}
+    edges = set()
+    for dst in range(topo.num_nodes):
+        stack = [(topo.router_of_node(src), 0, None) for src in range(topo.num_nodes)]
+        seen = set()
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            router, vc_class, held = state
+            for port in topo.route_candidates(router, dst):
+                if port in topo.ejection_ports(router):
+                    continue
+                cls = topo.next_vc_class(router, port, vc_class)
+                node = (router, int(port), tuple(topo.allowed_vcs(cls, num_vcs)))
+                if held is not None:
+                    edges.add((held, node))
+                stack.append((link[(router, int(port))], cls, node))
+    return edges
+
+
+def find_cycle(edges):
+    """One cycle of the directed graph ``edges`` as a node list, or ``None``
+    when the graph is acyclic (an iterative three-colour DFS)."""
+    succ = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    done, on_path = set(), {}
+    for root in succ:
+        if root in done:
+            continue
+        path, iters = [root], [iter(succ[root])]
+        on_path[root] = 0
+        while path:
+            nxt = next(iters[-1], None)
+            if nxt is None:
+                node = path.pop()
+                iters.pop()
+                del on_path[node]
+                done.add(node)
+            elif nxt in on_path:
+                return path[on_path[nxt]:] + [nxt]
+            elif nxt not in done:
+                on_path[nxt] = len(path)
+                path.append(nxt)
+                iters.append(iter(succ.get(nxt, ())))
+    return None
+
+
+def north_west_mutant(current, dst, width):
+    """West-first that also lets a north-west head go NORTH first: the
+    north->west turn the turn model forbids."""
+    candidates = west_first_candidates(current, dst, width)
+    if candidates == [WEST] and dst // width > current // width:
+        return [NORTH, WEST]
+    return candidates
+
+
+class TestDeadlockFreedom:
+    @pytest.mark.parametrize("fabric", sorted(ROUTED_CONFIGS))
+    def test_channel_dependency_graph_is_acyclic(self, fabric):
+        noc = ROUTED_CONFIGS[fabric]
+        edges = dependency_graph(build_topology(noc), noc.num_vcs)
+        assert edges
+        cycle = find_cycle(edges)
+        assert cycle is None, cycle
+
+    def test_a_classless_torus_is_cyclic(self, monkeypatch):
+        """Mutant: the dateline never moves a head to its upper VC half."""
+        monkeypatch.setattr(TorusTopology, "next_vc_class", lambda *_: 0)
+        noc = FABRIC_CONFIGS["torus"]
+        edges = dependency_graph(build_topology(noc), noc.num_vcs)
+        assert find_cycle(edges) is not None
+
+    def test_west_first_with_a_north_west_turn_is_cyclic(self):
+        noc = ROUTED_CONFIGS["mesh-west-first"]
+        topo = build_topology(noc)
+        topo._candidate_fn = north_west_mutant
+        assert find_cycle(dependency_graph(topo, noc.num_vcs)) is not None
 
 
 class TestLiveness:
