@@ -10,7 +10,6 @@ Usage::
     python -m repro campaign --figures fig10_latency fig13_energy_efficiency
     python -m repro campaign --scenario transient-storm --benchmarks swa
     python -m repro campaign --benchmarks swa --topology cmesh --concentration 4
-    python -m repro campaign --failure-policy quarantine
     python -m repro sweep --knob epsilon
     python -m repro trace --benchmark vips --out vips.jsonl
     python -m repro cache verify
@@ -25,9 +24,10 @@ the grid's values and override it.  ``run`` runs one cell of that grid,
 live, through :mod:`repro.exec.worker`; it and ``trace`` default to the
 grid's seed.
 
-Exit codes: 0 success, 2 usage/config error, 3 partial results (cells
-quarantined or skipped), 75 interrupted after a graceful drain (rerun
-the same command to finish the remainder); see docs/resilience.md.
+Exit codes: 0 success, 1 a cell failed (its post-mortem is in the cache;
+rerun the same command after the fix) or a ``verify-paper`` row failed,
+2 usage/config error, 75 interrupted after a graceful drain (rerun the
+same command to finish the remainder); see docs/resilience.md.
 
 Output discipline: the *results* (metric tables, figure tables) go to
 stdout via ``print``; everything diagnostic — progress lines, pre-training
@@ -62,11 +62,10 @@ from repro.core import figures
 from repro.core.experiment import FULL_GRID, ExperimentRunner
 from repro.exec import worker
 from repro.exec.engine import EngineOptions
+from repro.exec.executors import CellExecutionError
 from repro.exec.resilience import (
     EXIT_INTERRUPTED,
-    EXIT_PARTIAL,
     CampaignInterrupted,
-    FailurePolicy,
     ShutdownFlag,
     graceful_shutdown,
 )
@@ -201,18 +200,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help=f"append the progress log to DIR/{EVENTS_FILE} and write the "
              f"engine's profile to DIR/{PROFILE_FILE} (docs/observability.md)",
     )
-    parser.add_argument(
-        "--failure-policy", default="abort",
-        choices=[p.value for p in FailurePolicy],
-        help="what a permanently failing cell does: abort the campaign, "
-             "skip it, or quarantine it with a persisted post-mortem "
-             "(default: abort)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock budget; an overrunning attempt counts "
-             "as a retryable failure",
-    )
 
 
 def _print_progress(event) -> None:
@@ -224,8 +211,6 @@ def _print_progress(event) -> None:
     elif event.kind == "cached":
         _LOG.info("[%d/%d] %s (cache hit)",
                   event.completed, event.total, event.spec.label)
-    elif event.kind == "quarantined":
-        _LOG.warning("%s quarantined: %s", event.spec.label, event.error)
     elif event.kind in ("retry", "failed"):
         _LOG.warning("%s %s: %s", event.spec.label, event.kind, event.error)
 
@@ -306,14 +291,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_quarantined(quarantined) -> int:
-    """Warn about every failed cell; the exit code for a partial run."""
-    for cell in quarantined:
-        _LOG.warning("quarantined %s: %s", cell.spec.label, cell.cause)
-    _LOG.warning("%d cell(s) failed; results are partial", len(quarantined))
-    return EXIT_PARTIAL
-
-
 def _report_interrupted(exc: CampaignInterrupted, cached: bool) -> int:
     _LOG.warning("%s", exc)
     if cached:
@@ -334,7 +311,7 @@ def _engine_session(
     *build* takes the engine options and returns the driver, *run* executes
     it under the graceful-shutdown handlers and *render* prints what came
     back.  The session owns the profiler, the campaign log, the shutdown
-    flag, the partial / interrupted exit codes and the closing and
+    flag, the failed / interrupted exit codes and the closing and
     reporting of the artefacts.
     """
     _apply_sanitize(args)
@@ -352,8 +329,6 @@ def _engine_session(
             jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
             use_cache=not args.no_cache,
-            timeout_s=args.timeout,
-            failure_policy=args.failure_policy,
             cancel=flag,
             progress=chain_progress(_print_progress, sink),
             profiler=profiler,
@@ -361,8 +336,13 @@ def _engine_session(
         with graceful_shutdown(flag):
             results = run(driver)
         render(driver, results)
-        if driver.engine.quarantined:
-            exit_code = _report_quarantined(driver.engine.quarantined)
+    except CellExecutionError as exc:
+        store = driver.engine.store
+        _LOG.error("repro: error: %s%s", exc, "" if store is None else (
+            f"; post-mortem: {store.failure_path_for(exc.spec)}; finished "
+            "cells are cached: rerun the same command after the fix"
+        ))
+        exit_code = 1
     except CampaignInterrupted as exc:
         exit_code = _report_interrupted(exc, cached=not args.no_cache)
     finally:

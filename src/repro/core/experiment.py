@@ -76,8 +76,8 @@ class ExperimentRunner(EngineOptions):
     """Runs full campaigns and renders the paper's figures as tables; the
     defaults are :data:`FULL_GRID`'s suite.
 
-    How cells execute (``jobs``, ``cache_dir``, ``failure_policy``,
-    ``timeout_s`` ...) is :class:`~repro.exec.engine.EngineOptions`.
+    How cells execute (``jobs``, ``cache_dir``, ``cancel`` ...) is
+    :class:`~repro.exec.engine.EngineOptions`.
     """
 
     duration: int = FULL_GRID.duration
@@ -107,12 +107,7 @@ class ExperimentRunner(EngineOptions):
     # --- campaign execution ---------------------------------------------------
 
     def run_campaign(self) -> dict[tuple[str, str], RunMetrics]:
-        """All (technique, benchmark) cells, executed via the engine.
-
-        Under the non-aborting failure policies a failed cell simply has
-        no entry, so figure renderers degrade to the surviving rows (the
-        cells appear in ``engine.quarantined`` for reporting).
-        """
+        """All (technique, benchmark) cells, executed via the engine."""
         missing = [
             (technique, benchmark)
             for technique in self.techniques
@@ -123,8 +118,7 @@ class ExperimentRunner(EngineOptions):
             specs = [self.spec_for(t, b) for t, b in missing]
             report = self.run_specs(specs)
             for (technique, benchmark), metrics in zip(missing, report.metrics):
-                if metrics is not None:
-                    self._cache[(technique.name, benchmark)] = metrics
+                self._cache[(technique.name, benchmark)] = metrics
         return dict(self._cache)
 
     # --- figure renderers (pure functions over campaign results) -------------

@@ -5,12 +5,8 @@ benchmark): RunMetrics}`` mapping, exactly what the execution engine
 returns (or what a result-store artifact decodes to) — and produces the
 paper-style table plus the per-technique averages.  No simulation ever
 happens here, so figures can be re-rendered from cached artifacts alone.
-
-Renderers degrade gracefully under the non-aborting failure policies: a
-benchmark missing any technique's cell (quarantined or skipped) is dropped
-from the table and listed in an ``omitted`` footer instead of raising, so
-a partially failed campaign still yields every figure its surviving cells
-support.
+Every cell of the grid is present: a campaign with a failed cell stops
+before any figure renders.
 """
 
 from __future__ import annotations
@@ -32,21 +28,10 @@ def metric_table(
     invert: bool = False,
     baseline: str = "SECDED",
 ) -> tuple[str, dict[str, float]]:
-    """Per-benchmark normalized metric table plus technique averages.
-
-    Benchmarks missing any technique's result (a quarantined or skipped
-    cell) are dropped and noted in a footer; normalization stays apples
-    to apples within every surviving row.
-    """
+    """Per-benchmark normalized metric table plus technique averages."""
     rows = []
     averages: dict[str, list[float]] = {name: [] for name in technique_names}
-    omitted = []
     for benchmark in benchmarks:
-        if any(
-            results.get((name, benchmark)) is None for name in technique_names
-        ):
-            omitted.append(benchmark)
-            continue
         raw = {
             name: metric(results[(name, benchmark)]) for name in technique_names
         }
@@ -54,19 +39,12 @@ def metric_table(
         rows.append([benchmark] + [normalized[name] for name in technique_names])
         for name, value in normalized.items():
             averages[name].append(value)
-    if not rows:
-        raise ValueError(
-            f"no benchmark has complete results for {title!r} "
-            f"(incomplete: {', '.join(omitted)})"
-        )
     avg_row = ["average"] + [
         geometric_mean(averages[name]) for name in technique_names
     ]
     rows.append(avg_row)
     headers = ["benchmark"] + list(technique_names)
     table = format_table(headers, rows, title=title)
-    if omitted:
-        table += "\nomitted (incomplete results): " + ", ".join(omitted)
     return table, {
         name: avg_row[1 + i] for i, name in enumerate(technique_names)
     }
@@ -127,14 +105,8 @@ def reliability_table(
     comparison metric.  On clean runs every row reads 1.0 / 0 / 0 / 1.0.
     """
     rows = []
-    omitted = []
     for name in technique_names:
-        cells = [results.get((name, b)) for b in benchmarks]
-        present = [m for m in cells if m is not None]
-        if not present:
-            omitted.append(name)
-            continue
-        rel = [m.reliability for m in present]
+        rel = [results[(name, b)].reliability for b in benchmarks]
         recoveries = [
             r.time_to_recover_cycles for r in rel if r.time_to_recover_cycles
         ]
@@ -146,18 +118,13 @@ def reliability_table(
             sum(r.availability for r in rel) / len(rel),
             sum(recoveries) / len(recoveries) if recoveries else 0.0,
         ])
-    if not rows:
-        raise ValueError("no technique has any result for the reliability table")
     headers = [
         "technique", "delivery ratio", "dropped", "refused",
         "availability", "time-to-recover (cycles)",
     ]
-    table = format_table(
+    return format_table(
         headers, rows, title="Delivery accounting under fault scenarios"
     )
-    if omitted:
-        table += "\nomitted (no results): " + ", ".join(omitted)
-    return table
 
 
 def figure14_mode_breakdown(
@@ -167,25 +134,13 @@ def figure14_mode_breakdown(
 ) -> tuple[str, dict[int, float]]:
     """Fig. 14: IntelliNoC operation-mode occupancy per benchmark."""
     rows = []
-    omitted = []
     for benchmark in benchmarks:
-        metrics = results.get((technique_name, benchmark))
-        if metrics is None:
-            omitted.append(benchmark)
-            continue
-        breakdown = metrics.mode_breakdown
+        breakdown = results[(technique_name, benchmark)].mode_breakdown
         rows.append(
             [benchmark] + [breakdown.get(mode, 0.0) for mode in range(5)]
         )
-    if not rows:
-        raise ValueError(
-            f"no benchmark has a {technique_name} result for Fig. 14 "
-            f"(incomplete: {', '.join(omitted)})"
-        )
     headers = ["benchmark"] + [f"mode {m}" for m in range(5)]
     table = format_table(headers, rows, title="Fig. 14 - Operation mode breakdown")
-    if omitted:
-        table += "\nomitted (incomplete results): " + ", ".join(omitted)
     avg = {m: sum(r[1 + m] for r in rows) / len(rows) for m in range(5)}
     return table, avg
 

@@ -11,7 +11,8 @@ that grid.  This package factors campaign execution into three layers:
 * **executor** (:mod:`repro.exec.executors`) — :class:`CellExecutor`,
   one scheduler running ``jobs`` jobs at a time (in the calling process
   at ``jobs == 1``, in a process pool above that) in dependency order,
-  with per-job timeout, retry-once-on-crash and progress callbacks.
+  with retry-once-on-crash and progress callbacks; a job that still fails
+  stops the campaign.
 * **store** (:mod:`repro.exec.store`) — :class:`ResultStore`, an on-disk
   content-addressed cache of run artifacts and policies keyed by the spec
   hash, so repeated campaigns skip simulation entirely.

@@ -7,16 +7,14 @@ Given a list of cell specs it
 
 1. deduplicates them by content hash (a grid often asks for the same cell
    twice),
-2. serves every cell it can from the :class:`~repro.exec.store.ResultStore`
-   and, under the ``quarantine`` policy, reports every cell with a stored
-   post-mortem as quarantined without executing it,
+2. serves every cell it can from the :class:`~repro.exec.store.ResultStore`,
 3. finds the pre-training jobs the RL misses deploy and serves their
    policy artefacts from the store too,
 4. hands only the misses to the executor — the pre-training jobs left,
    and the cells, each RL cell dispatched once its policy is in hand,
-5. persists fresh results, policies and post-mortems back to the store
-   *the moment each job completes*, so a crash or shutdown loses nothing
-   that finished,
+5. persists fresh results and policies back to the store *the moment
+   each job completes*, so a crash, a shutdown or a failed job loses
+   nothing that finished,
 
 and returns :class:`RunMetrics` aligned with the input specs.  The store
 is the one record of a campaign's progress: rerunning an interrupted
@@ -26,11 +24,11 @@ make that testable: a repeated campaign must show zero executor
 submissions, and a rerun of an interrupted one only the unfinished jobs.
 Without a store a policy lives only as long as ``run``.
 
-Failure policy (:class:`~repro.exec.resilience.FailurePolicy`) decides
-what a permanently failing cell does: ``abort`` raises (historical
-behavior), ``skip``/``quarantine`` leave a ``None`` metrics slot and
-record the cell in ``CampaignReport.failed`` so downstream consumers
-degrade to partial results instead of dying.
+A job that still fails after its retries stops the campaign: the engine
+stores its ``<hash>.failure.json`` post-mortem and raises
+:class:`~repro.exec.executors.CellExecutionError`.  Every figure needs
+every cell of its grid, so there is no partial result to return; the
+rerun after the fix executes only the unfinished jobs.
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ from repro.exec.executors import (
 )
 from repro.exec.resilience import (
     CampaignInterrupted,
-    CellFailure,
     ExecutorInterrupted,
-    FailurePolicy,
     ShutdownFlag,
 )
 from repro.exec.spec import CellSpec, Job, PretrainSpec
@@ -65,24 +61,15 @@ _LOG = logging.getLogger("repro")
 
 @dataclass
 class CampaignReport:
-    """Outcome of one engine invocation.
-
-    ``metrics`` is aligned with ``specs``; under the non-aborting failure
-    policies a failed cell's slot is ``None`` and the cell appears in
-    ``failed``.
-    """
+    """Outcome of one engine invocation; ``metrics`` is aligned with
+    ``specs``."""
 
     specs: list[CellSpec]
-    metrics: list[RunMetrics | None]
+    metrics: list[RunMetrics]
     executed: int = 0  # cells handed to the executor
     pretrained: int = 0  # pre-training jobs handed to the executor
     cache_hits: int = 0  # cells served from the result store
     deduplicated: int = 0  # duplicate specs folded into one execution
-    failed: list[CellFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
 
 
 @dataclass
@@ -92,18 +79,14 @@ class CampaignEngine:
     executor: CellExecutor = field(default_factory=CellExecutor)
     store: ResultStore | None = None
     progress: ProgressCallback | None = None
-    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
     #: Cooperative shutdown token (set by graceful_shutdown's handlers).
     cancel: ShutdownFlag | None = None
     # Running totals across invocations (useful for sweeps that call run()
     # once per point).
     total_executed: int = 0
     total_cache_hits: int = 0
-    #: Every cell quarantined or skipped across invocations.
-    quarantined: list[CellFailure] = field(default_factory=list)
 
     def run(self, specs: Sequence[CellSpec]) -> CampaignReport:
-        policy = FailurePolicy.coerce(self.failure_policy)
         specs = list(specs)
         report = CampaignReport(specs=specs, metrics=[])
 
@@ -120,21 +103,11 @@ class CampaignEngine:
 
         store = self.store
         payloads: dict[str, dict[str, Any]] = {}
-        # Post-mortems a quarantine rerun reports instead of executing.
-        replays: dict[str, dict[str, Any]] = {}
         misses: list[tuple[str, CellSpec]] = []
         for h, spec in unique.items():
             cached = store.get(spec) if store is not None else None
             if cached is not None:
                 payloads[h] = cached
-                continue
-            stored = (
-                store.get_failure(spec)
-                if store is not None and policy is FailurePolicy.QUARANTINE
-                else None
-            )
-            if stored is not None:
-                replays[h] = stored
             else:
                 misses.append((h, spec))
         # The pre-training jobs the misses deploy, by hash (each miss's
@@ -162,8 +135,6 @@ class CampaignEngine:
                 served += 1
                 report.cache_hits += 1
                 self._served(spec, served, total)
-            elif h in replays:
-                self._replay(spec, replays[h], report, served, total)
         for h in policies:
             served += 1
             self._served(trainings[h], served, total)
@@ -173,7 +144,7 @@ class CampaignEngine:
         ]
         batch += [(h, spec, need) for (h, spec), need in zip(misses, needs)]
         if batch:
-            self._execute(policy, batch, policies, payloads, report, served, total)
+            self._execute(batch, policies, payloads, served, total)
             report.executed = len(misses)
             report.pretrained = len(batch) - len(misses)
 
@@ -183,77 +154,37 @@ class CampaignEngine:
         # parallel, cached), so results are representation-identical no
         # matter how a cell was obtained.
         decoded = {h: RunMetrics.from_dict(p["metrics"]) for h, p in payloads.items()}
-        report.metrics = [decoded.get(h) for h in order]
+        report.metrics = [decoded[h] for h in order]
         return report
 
     def _served(self, spec: Job, completed: int, total: int) -> None:
         _emit(self.progress, ProgressEvent("cached", spec, completed, total))
 
-    def _replay(
-        self,
-        spec: Job,
-        stored: dict[str, Any],
-        report: CampaignReport,
-        completed: int,
-        total: int,
-    ) -> None:
-        """A stored post-mortem: report it without re-executing."""
-        cell = CellFailure(
-            spec, stored["cause"], str(stored.get("traceback", "")),
-            replayed=True,
-        )
-        report.failed.append(cell)
-        self.quarantined.append(cell)
-        _emit(self.progress, ProgressEvent(
-            "quarantined", spec, completed, total, error=cell.cause,
-        ))
-
     # --- execution ------------------------------------------------------------
 
     def _execute(
         self,
-        policy: FailurePolicy,
         batch: list[tuple[str, Job, str | None]],
         policies: dict[str, dict[str, Any]],
         payloads: dict[str, dict[str, Any]],
-        report: CampaignReport,
         served: int,
         total: int,
     ) -> None:
-        landed = served  # jobs finished so far, campaign-wide
-
         def on_result(index: int, spec: Job, payload: dict[str, Any]) -> None:
             # Persist the instant a job lands: a rerun resumes from the
             # store, so finished work is never held only in memory.
-            nonlocal landed
-            landed += 1
             self._store_put(spec, payload)
             if isinstance(spec, CellSpec):
                 payloads[batch[index][0]] = payload
-
-        def on_failure(index: int, spec: Job, failure: CellFailure) -> None:
-            # The executor already reported the job ``failed``.
-            report.failed.append(failure)
-            self.quarantined.append(failure)
-            if policy is not FailurePolicy.QUARANTINE:
-                return
-            self._store_put_failure(spec, failure.cause, failure.traceback_text)
-            _emit(self.progress, ProgressEvent(
-                "quarantined", spec, landed, total, error=failure.cause,
-            ))
 
         try:
             self.executor.run(
                 [job for _, job, _ in batch],
                 self.progress,
-                failure_mode=(
-                    "raise" if policy is FailurePolicy.ABORT else "collect"
-                ),
                 cancel=self.cancel,
                 completed_offset=served,
                 campaign_total=total,
                 on_result=on_result,
-                on_failure=on_failure,
                 needs=[need for _, _, need in batch],
                 inputs=policies,
             )
@@ -310,9 +241,6 @@ class EngineOptions:
     jobs: int = 1
     cache_dir: str | Path | None = None
     use_cache: bool = False
-    timeout_s: float | None = None
-    #: What a permanently failing cell does: abort (raise), skip, quarantine.
-    failure_policy: FailurePolicy | str = FailurePolicy.ABORT
     #: Cooperative shutdown token (see repro.exec.resilience.graceful_shutdown).
     cancel: ShutdownFlag | None = None
     progress: ProgressCallback | None = None
@@ -326,7 +254,7 @@ class EngineOptions:
         """The driver's engine, built on first use."""
         if self._engine is None:
             self._engine = CampaignEngine(
-                executor=CellExecutor(jobs=self.jobs, timeout_s=self.timeout_s),
+                executor=CellExecutor(jobs=self.jobs),
                 store=(
                     ResultStore(self.cache_dir)
                     if self.use_cache or self.cache_dir is not None
@@ -338,7 +266,6 @@ class EngineOptions:
                     if self.profiler is not None
                     else None,
                 ),
-                failure_policy=self.failure_policy,
                 cancel=self.cancel,
             )
         return self._engine

@@ -11,22 +11,12 @@ Dependency order: ``needs[i]`` names (by content hash) the job whose
 payload job *i* takes as its second argument — an RL cell's pre-training
 job.  Job *i* is dispatched once that payload is in hand, from ``inputs``
 or from a job of the same batch; jobs that need nothing are never held
-back.  A prerequisite that fails for good fails its dependents with its
-cause, without running them.
+back.
 
-Failure policy: a cell that raises or crashes its worker is re-dispatched
-at once (``retries`` times, default once); a cell that still fails either
-raises :class:`CellExecutionError` (``failure_mode="raise"``, the default)
-or — under ``failure_mode="collect"`` — fills its result slot with a
-:class:`~repro.exec.resilience.CellFailure` so the surviving cells
-complete.
-
-Deadline: with ``timeout_s`` set, an attempt whose result is not in hand
-by ``submitted + timeout_s`` fails as ``timed out after …s`` and its
-result, whenever it arrives, is discarded.  A pool worker is abandoned at
-the deadline; an in-process attempt cannot be pre-empted, so the same
-comparison runs when it returns (a single hung attempt blocks until it
-yields — docs/resilience.md).
+Failure: a job that raises or crashes its worker is re-dispatched at once
+(``retries`` times, default once); a job that still fails raises
+:class:`CellExecutionError`, which ends the run.  No deadline is needed:
+every job bounds its own cycle count (docs/resilience.md).
 
 Graceful shutdown: when a :class:`~repro.exec.resilience.ShutdownFlag` is
 set (usually by the SIGINT/SIGTERM handlers), the executor stops
@@ -50,9 +40,9 @@ from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
-from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
+from repro.exec.resilience import ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import Job
 from repro.exec.worker import execute_job
 
@@ -75,24 +65,20 @@ CELL_FAILURE_TYPES = (
     ValueError,
 )
 
-#: One result slot: the artifact payload, or (collect mode) the failure.
-CellOutcome = Union[dict[str, Any], CellFailure]
-
 #: ``fn(job)``, or ``fn(job, prerequisite_payload)`` for a job with a need.
 CellFn = Callable[..., dict[str, Any]]
 
-#: Hooks the engine uses to persist work the moment it lands: called with
-#: ``(index, spec, payload | CellFailure)`` as each cell resolves, in the
-#: executor's own process — this is what makes the store crash-safe.
+#: The hook the engine uses to persist work the moment it lands: called
+#: with ``(index, spec, payload)`` as each job finishes, in the executor's
+#: own process — this is what makes the store crash-safe.
 ResultHook = Callable[[int, Job, dict[str, Any]], None]
-FailureHook = Callable[[int, Job, CellFailure], None]
 
 
 @dataclass(frozen=True)
 class ProgressEvent:
     """One progress callback: a job started, finished, retried or failed."""
 
-    # "start" | "done" | "retry" | "failed" | "cached" | "quarantined"
+    # "start" | "done" | "retry" | "failed" | "cached"
     kind: str
     spec: Job  # ``spec.job``: "cell" | "pretrain"
     completed: int  # campaign-wide jobs finished so far (cache hits included)
@@ -165,9 +151,6 @@ class CellExecutor:
     """
 
     jobs: int = 1
-    #: Wall-clock budget per attempt, measured from its submission (see
-    #: the module docstring for the one deadline rule).
-    timeout_s: float | None = None
     retries: int = 1
     fn: CellFn = execute_job
 
@@ -188,17 +171,15 @@ class CellExecutor:
         specs: Sequence[Job],
         progress: ProgressCallback | None = None,
         *,
-        failure_mode: str = "raise",
         cancel: ShutdownFlag | None = None,
         completed_offset: int = 0,
         campaign_total: int | None = None,
         on_result: ResultHook | None = None,
-        on_failure: FailureHook | None = None,
         needs: Sequence[str | None] = (),
         inputs: Mapping[str, dict[str, Any]] | None = None,
-    ) -> list[CellOutcome]:
+    ) -> list[dict[str, Any]]:
         total = campaign_total if campaign_total is not None else len(specs)
-        results: list[CellOutcome | None] = [None] * len(specs)
+        results: list[dict[str, Any] | None] = [None] * len(specs)
         attempts = [0] * len(specs)
         started: set[int] = set()  # jobs whose "start" event was emitted
         # Jobs awaiting dispatch; a retry goes to the front.
@@ -212,15 +193,10 @@ class CellExecutor:
         provides = {idx: h for idx, h in enumerate(hashes) if h in needed}
         if not needed <= ready.keys() | provides.values():
             raise ValueError("a job needs a payload neither given nor produced")
-        lost: dict[str, CellFailure] = {}  # prerequisites that failed for good
         # future -> (index, monotonic submit time)
         inflight: dict[Future[dict[str, Any]], tuple[int, float]] = {}
-        # timed-out futures whose results we discard
-        abandoned: set[Future[dict[str, Any]]] = set()
         completed = completed_offset
         draining = False
-        timeout_s = self.timeout_s
-        timed_out = "" if timeout_s is None else f"timed out after {timeout_s:.1f}s"
         pool = self._pool()
 
         def fail(idx: int, cause: str, tb: str = "", duration_s: float = 0.0) -> None:
@@ -229,34 +205,14 @@ class CellExecutor:
                 # no artifact for it), so a rerun re-executes it.
                 return
             spec, attempt = specs[idx], attempts[idx]
-            if attempt <= self.retries:
-                _emit(progress, ProgressEvent(
-                    "retry", spec, completed, total, error=cause,
-                    traceback=tb, duration_s=duration_s, attempt=attempt,
-                ))
-                pending.appendleft(idx)
-                return
+            kind = "retry" if attempt <= self.retries else "failed"
             _emit(progress, ProgressEvent(
-                "failed", spec, completed, total, error=cause,
+                kind, spec, completed, total, error=cause,
                 traceback=tb, duration_s=duration_s, attempt=attempt,
             ))
-            if failure_mode != "collect":
+            if kind == "failed":
                 raise CellExecutionError(spec, cause, tb)
-            give_up(idx, CellFailure(spec, cause, tb, attempts=attempt))
-
-        def give_up(idx: int, failure: CellFailure) -> None:
-            results[idx] = failure
-            if on_failure is not None:
-                on_failure(idx, specs[idx], failure)
-            if idx in provides:
-                lost[provides[idx]] = failure
-                release(provides[idx])
-
-        def release(need: str) -> None:
-            # The prerequisite is settled: its parked dependents queue again
-            # (unless draining, which leaves them unfinished).
-            if not draining:
-                pending.extend(parked.pop(need, []))
+            pending.appendleft(idx)
 
         def rebuild_pool() -> None:
             # The pool is unusable; every in-flight cell is doomed with it.
@@ -267,7 +223,6 @@ class CellExecutor:
                 fail(idx, "worker pool broke while cell was in flight",
                      duration_s=now - submitted)
             inflight.clear()
-            abandoned.clear()
             pool.shutdown(wait=False, cancel_futures=True)
             pool = self._pool()
 
@@ -282,19 +237,7 @@ class CellExecutor:
                     idx = pending.popleft()
                     need = needs[idx] if needs else None
                     if need is not None and need not in ready:
-                        if need not in lost:
-                            parked.setdefault(need, []).append(idx)
-                            continue
-                        # Its prerequisite failed for good: so does it, unrun.
-                        cause = lost[need]
-                        error = f"{cause.spec.label} failed: {cause.cause}"
-                        _emit(progress, ProgressEvent(
-                            "failed", specs[idx], completed, total,
-                            error=error, traceback=cause.traceback_text,
-                        ))
-                        give_up(idx, CellFailure(
-                            specs[idx], error, cause.traceback_text
-                        ))
+                        parked.setdefault(need, []).append(idx)
                         continue
                     if idx not in started:
                         started.add(idx)
@@ -318,26 +261,15 @@ class CellExecutor:
                     pending.appendleft(refused)
                     continue
 
-                waits: list[float] = []
-                if timeout_s is not None:
-                    now = time.monotonic()
-                    waits.extend(
-                        submitted + timeout_s - now
-                        for _, submitted in inflight.values()
-                    )
-                if cancel is not None:
-                    waits.append(0.2)  # poll the shutdown flag
                 done, _ = wait(
-                    set(inflight) | abandoned,
-                    timeout=max(0.0, min(waits)) if waits else None,
+                    set(inflight),
+                    # Poll the shutdown flag while it can be set.
+                    timeout=0.2 if cancel is not None else None,
                     return_when=FIRST_COMPLETED,
                 )
 
                 broken = False
                 for fut in done:
-                    if fut in abandoned:
-                        abandoned.discard(fut)  # late result of a timed-out cell
-                        continue
                     idx, submitted = inflight.pop(fut)
                     elapsed = time.monotonic() - submitted
                     try:
@@ -353,16 +285,12 @@ class CellExecutor:
                              "".join(traceback.format_exception(exc)),
                              duration_s=elapsed)
                     else:
-                        if timeout_s is not None and elapsed >= timeout_s:
-                            # In hand, but late: discarded like a result that
-                            # lands after its worker was abandoned.
-                            fail(idx, timed_out, duration_s=elapsed)
-                            continue
                         results[idx] = payload
                         completed += 1
                         if idx in provides:
                             ready[provides[idx]] = payload
-                            release(provides[idx])
+                            if not draining:  # a drain leaves them unfinished
+                                pending.extend(parked.pop(provides[idx], []))
                         if on_result is not None:
                             on_result(idx, specs[idx], payload)
                         _emit(progress, ProgressEvent(
@@ -373,14 +301,6 @@ class CellExecutor:
 
                 if broken:
                     rebuild_pool()
-                elif timeout_s is not None:
-                    now = time.monotonic()
-                    for fut, (idx, submitted) in list(inflight.items()):
-                        if now - submitted >= timeout_s:
-                            del inflight[fut]
-                            if not fut.cancel():
-                                abandoned.add(fut)  # running; discard later
-                            fail(idx, timed_out, duration_s=now - submitted)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         if draining:

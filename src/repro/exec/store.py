@@ -11,10 +11,10 @@ of JSON (the same fields, the canonical spec included, plus the SHA-256 of
 what follows) and then the policy artefact's bytes
 (:mod:`repro.rl.persistence`).
 
-A job that failed under the ``quarantine`` policy (or raised under
-``abort``) is persisted as ``<hash>.failure.json``: the canonical spec,
-the cause and the traceback.  Written the moment each job lands, these
-files are the one record of a campaign's progress, so rerunning a
+The job that stopped a campaign is persisted as ``<hash>.failure.json``:
+the canonical spec, the cause and the traceback, for the reader — no
+run reads it back.  Results and policies, written the moment each job
+lands, are the one record of a campaign's progress, so rerunning a
 campaign on the same store resumes it.
 
 Reads are defensive: a missing, corrupted, schema-mismatched or
@@ -117,37 +117,7 @@ class ResultStore:
 
     def get(self, spec: Job) -> dict[str, Any] | None:
         """The stored artifact payload for *spec*, or None on any defect."""
-        read = self._read(self.path_for(spec), spec)
-        if read is None:
-            return None
-        artifact, blob = read
-        if isinstance(spec, PretrainSpec):
-            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
-                return None
-            return {"policy": blob}
-        payload = artifact.get("payload")
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            return None
-        return payload
-
-    def get_failure(self, spec: Job) -> dict[str, Any] | None:
-        """The stored post-mortem for *spec* (its ``cause`` and
-        ``traceback``), or None on any defect."""
-        read = self._read(self.failure_path_for(spec), spec)
-        if read is None:
-            return None
-        artifact = read[0]
-        if artifact.get("kind") != "failure":
-            return None
-        if not isinstance(artifact.get("cause"), str):
-            return None
-        return artifact
-
-    def _read(
-        self, path: Path, spec: Job
-    ) -> tuple[dict[str, Any], bytes] | None:
-        """One artifact's JSON and trailing bytes, if it is *spec*'s under
-        this schema."""
+        path = self.path_for(spec)
         try:
             head, blob = _split(path.read_bytes(), path)
             artifact = json.loads(head)
@@ -161,7 +131,14 @@ class ResultStore:
         # collisions: the embedded spec must match byte for byte.
         if artifact.get("spec") != spec.canonical():
             return None
-        return artifact, blob
+        if isinstance(spec, PretrainSpec):
+            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
+                return None
+            return {"policy": blob}
+        payload = artifact.get("payload")
+        if not isinstance(payload, dict) or "metrics" not in payload:
+            return None
+        return payload
 
     def put(self, spec: Job, payload: dict[str, Any]) -> Path:
         """Atomically persist a finished job's artifact."""
@@ -183,10 +160,9 @@ class ResultStore:
         """Persist a job's failure (cause + full traceback) next to where
         its artifact would live, as ``<hash>.failure.json``.
 
-        ``get`` never reads them: a rerun under ``quarantine`` reads them
-        with :meth:`get_failure` and reports the cell without executing
-        it, and a later successful run leaves the record behind as
-        history, so a flaky cell's last crash stays auditable.
+        ``get`` never reads them, so a rerun executes the job again, and
+        a later successful run leaves the record behind as history: a
+        flaky cell's last crash stays auditable until ``prune``.
         """
         path = self.failure_path_for(spec)
         artifact = {

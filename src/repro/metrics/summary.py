@@ -114,8 +114,7 @@ class RunMetrics:
         mttf = MttfEstimator(network.aging)
         # Fault-scenario delivery accounting: availability weighs each dead
         # router by the fraction of the run it spent dead.
-        dead_routers = getattr(network, "_dead_routers", {})
-        dead_links = getattr(network, "_dead_links", {})
+        dead_routers = network.dead_routers
         lost_router_cycles = sum(cycles - killed for killed in dead_routers.values())
         availability = 1.0 - lost_router_cycles / (
             network.topology.num_routers * cycles
@@ -140,7 +139,7 @@ class RunMetrics:
                 sum(recovery) / len(recovery) if recovery else 0.0
             ),
             routers_failed=len(dead_routers),
-            links_failed=len(dead_links),
+            links_failed=len(network.dead_links),
         )
         qtable_max = 0
         policy = network.policy

@@ -160,8 +160,8 @@ class Network:
         )
         self._degraded = False  # set on the first router/link kill
         self._pending_drops: list[Packet] = []
-        self._dead_routers: dict[int, int] = {}  # rid -> kill cycle
-        self._dead_links: dict[tuple[int, int], int] = {}  # (src, dir) -> cycle
+        self.dead_routers: dict[int, int] = {}  # rid -> kill cycle
+        self.dead_links: dict[tuple[int, int], int] = {}  # (src, dir) -> cycle
         self._recovery_pending_since: int | None = None
         for router in self.routers:
             router.on_drop = self._mark_dropped
@@ -869,7 +869,7 @@ class Network:
         if router.dead:
             return
         router.dead = True
-        self._dead_routers[rid] = cycle
+        self.dead_routers[rid] = cycle
         self._enter_degraded(cycle)
         # In-flight victims: flits wired to/from the router and the owner
         # of every VC inside it (its buffered flits are the owner's).
@@ -902,7 +902,7 @@ class Network:
         if channel is None or channel.dead:
             return False
         channel.kill(REASON_DEAD_LINK)
-        self._dead_links[(src_router, direction)] = cycle
+        self.dead_links[(src_router, direction)] = cycle
         self._enter_degraded(cycle)
         for entry in channel.queue:
             self._mark_dropped(entry[0].packet, REASON_DEAD_LINK)

@@ -47,9 +47,11 @@ class TestParser:
 
     def test_retired_surface_stays_retired(self):
         """``repro bench``, the lint cache / process pool, the SARIF
-        report and the per-format artefact options are gone (the yardstick
-        is ``bench/``; every lint run is cold and serial; CI reads the JSON
-        report; ``--observe DIR`` writes every run artefact)."""
+        report, the per-format artefact options and the failure policies
+        and per-cell deadline are gone (the yardstick is ``bench/``; every
+        lint run is cold and serial; CI reads the JSON report; ``--observe
+        DIR`` writes every run artefact; a failed cell stops the campaign,
+        and every job bounds its own cycles)."""
         for argv in (
             ["bench"], ["lint", "--cache"], ["lint", "--jobs", "2"],
             ["lint", "--sarif", "x"],
@@ -60,7 +62,7 @@ class TestParser:
             *([command, option, "x"]
               for command in ("campaign", "sweep", "verify-paper")
               for option in ("--profile", "--campaign-log", "--journal",
-                             "--resume")),
+                             "--resume", "--failure-policy", "--timeout")),
         ):
             with pytest.raises(SystemExit) as exit_info:
                 build_parser().parse_args(argv)
@@ -70,8 +72,8 @@ class TestParser:
 #: Settable options per subcommand (argparse actions minus ``-h``), as CI's
 #: step summary tabulates them: ceilings, so a new knob has to retire one.
 OPTION_CEILINGS = {
-    "run": 13, "campaign": 17, "sweep": 12, "cache": 4, "trace": 6,
-    "lint": 6, "area": 2, "verify-paper": 8,
+    "run": 13, "campaign": 15, "sweep": 10, "cache": 4, "trace": 6,
+    "lint": 6, "area": 2, "verify-paper": 6,
 }
 
 #: Init fields per config dataclass (a knob added as a field counts like a
@@ -79,7 +81,7 @@ OPTION_CEILINGS = {
 FIELD_CEILINGS = {
     "NocConfig": 15, "FaultConfig": 13, "PowerConfig": 21, "RlConfig": 8,
     "TechniqueConfig": 10, "WorkloadSpec": 6, "CellSpec": 6,
-    "EngineOptions": 8,
+    "EngineOptions": 6,
 }
 
 #: Parameters of ``Network.__init__`` beside ``self``: a fault or observer
@@ -288,23 +290,50 @@ class TestEngineOptions:
 
 
 class TestResilienceOptions:
-    def test_campaign_resilience_defaults(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.failure_policy == "abort"
-        assert args.timeout is None
+    def test_a_failed_cell_exits_one_and_a_rerun_finishes(
+        self, tmp_path, monkeypatch, capsys, caplog
+    ):
+        """One error line names the failed cell and its post-mortem; the
+        same command rerun after the fix executes only the unfinished
+        cells and prints what a clean run prints."""
+        from repro.exec import worker
 
-    def test_campaign_accepts_resilience_flags(self):
-        args = build_parser().parse_args(
-            ["campaign", "--failure-policy", "quarantine", "--timeout", "5.5"]
-        )
-        assert args.failure_policy == "quarantine"
-        assert args.timeout == 5.5
+        execute_cell = worker.execute_cell
 
-    def test_unknown_failure_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["campaign", "--failure-policy", "explode"]
-            )
+        def cp_is_broken(spec, *args, **kwargs):
+            if spec.label == "CP/swa":
+                raise RuntimeError("broken CP")
+            return execute_cell(spec, *args, **kwargs)
+
+        base = ["campaign", "--benchmarks", "swa", "--duration", "600",
+                "--pretrain", "0", "--figures", "fig09_speedup", "--seed", "2"]
+        assert main(base + ["--no-cache"]) == 0
+        clean = capsys.readouterr().out
+        cache = tmp_path / "cache"
+        argv = base + ["--cache-dir", str(cache)]
+        caplog.set_level(logging.INFO, logger="repro")
+        logger = logging.getLogger("repro")
+        logger.addHandler(caplog.handler)
+        try:
+            monkeypatch.setattr(worker, "execute_cell", cp_is_broken)
+            assert main(argv) == 1
+            assert capsys.readouterr().out == ""  # nothing rendered
+            errors = [r.getMessage() for r in caplog.records
+                      if r.levelno >= logging.ERROR]
+            post_mortems = list(cache.rglob("*.failure.json"))
+            assert len(errors) == 1 and len(post_mortems) == 1
+            assert "CP/swa failed: RuntimeError: broken CP" in errors[0]
+            assert f"post-mortem: {post_mortems[0]}" in errors[0]
+            assert "rerun the same command after the fix" in errors[0]
+            monkeypatch.undo()
+            caplog.clear()
+            assert main(argv) == 0
+            lines = [r.getMessage() for r in caplog.records]
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert capsys.readouterr().out == clean
+        assert sum("(cache hit)" in line for line in lines) == 2
+        assert sum(" done in " in line for line in lines) == 3
 
     def test_campaign_journal_then_resume(self, tmp_path, monkeypatch, capsys):
         """The cache is the campaign's journal: interrupted (exit 75), the
@@ -435,17 +464,16 @@ class TestEngineSession:
     def test_clean_run_renders_and_exits_zero(self, tmp_path):
         assert self._session(tmp_path, lambda d: "out") == (0, ["out"])
 
-    def test_quarantined_cells_exit_partial(self, tmp_path):
+    def test_a_failed_cell_exits_one_without_rendering(self, tmp_path):
         from repro.config import SECDED_BASELINE
-        from repro.exec.resilience import EXIT_PARTIAL, CellFailure
+        from repro.exec.executors import CellExecutionError
         from repro.exec.spec import parsec_cell
 
-        cell = CellFailure(parsec_cell(SECDED_BASELINE, "swa", 100), "boom")
-        rc, rendered = self._session(
-            tmp_path, lambda d: d.engine.quarantined.append(cell)
-        )
-        assert rc == EXIT_PARTIAL == 3
-        assert rendered == [None]  # partial results are still rendered
+        def run(driver):
+            spec = parsec_cell(SECDED_BASELINE, "swa", 100)
+            raise CellExecutionError(spec, "RuntimeError: boom")
+
+        assert self._session(tmp_path, run) == (1, [])
 
     def test_interrupt_exits_resumable_without_rendering(self, tmp_path):
         from repro.exec.resilience import EXIT_INTERRUPTED, CampaignInterrupted

@@ -165,42 +165,6 @@ class TestRunTechnique:
         assert metrics.packets_completed > 0
 
 
-class TestPartialFigures:
-    """Figure renderers degrade gracefully under quarantine/skip policies."""
-
-    NAMES = ["SECDED", "IntelliNoC"]
-    BENCHMARKS = ["swa", "bod"]
-
-    def test_incomplete_benchmark_is_omitted_with_a_footer(self, tiny_runner):
-        results = dict(tiny_runner.run_campaign())
-        results[("IntelliNoC", "bod")] = None  # quarantined cell
-        table, averages = figures.figure10_latency(
-            results, self.NAMES, self.BENCHMARKS
-        )
-        body, _, footer = table.partition("omitted")
-        assert "bod" not in body
-        assert footer == " (incomplete results): bod"
-        assert averages["SECDED"] == 1.0
-
-    def test_every_benchmark_incomplete_raises(self, tiny_runner):
-        results = dict(tiny_runner.run_campaign())
-        results.pop(("IntelliNoC", "swa"))  # skipped cell: key absent
-        results[("IntelliNoC", "bod")] = None
-        with pytest.raises(ValueError, match="no benchmark has complete"):
-            figures.figure10_latency(results, self.NAMES, self.BENCHMARKS)
-
-    def test_mode_breakdown_omits_missing_benchmarks(self, tiny_runner):
-        results = dict(tiny_runner.run_campaign())
-        results[("IntelliNoC", "bod")] = None
-        table, avg = figures.figure14_mode_breakdown(results, self.BENCHMARKS)
-        assert "omitted (incomplete results): bod" in table
-        assert abs(sum(avg.values()) - 1.0) < 1e-9
-
-    def test_mode_breakdown_with_no_rows_raises(self, tiny_runner):
-        with pytest.raises(ValueError, match="no benchmark has a"):
-            figures.figure14_mode_breakdown({}, self.BENCHMARKS)
-
-
 class TestOneGrid:
     """FULL_GRID is the one set of campaign defaults, and the paper table's
     suite cells are the runner's."""

@@ -1,10 +1,10 @@
 """Chaos harness: deterministic, seeded fault injection for the executors.
 
-The resilience machinery (failure policies, retries, journal/resume, the
+The resilience machinery (retries, the stop on a failed cell, resume, the
 ``BrokenProcessPool`` rebuild) is only trustworthy if every recovery path
 is *driven*.  ``ChaosCellFn`` wraps the executor's cell function with
-policy-driven worker crashes (``os._exit``), hangs (a sleep past
-``timeout_s``), transient exceptions and permanently doomed cells.  Store
+policy-driven worker crashes (``os._exit``), transient exceptions and
+permanently doomed cells.  Store
 faults need no harness: ``tests/exec/test_engine.py`` and ``test_store.py``
 damage the artifact or the ``put`` directly.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -61,8 +60,6 @@ class ChaosPolicy:
     state_dir: str
     seed: int = 0
     crash_rate: float = 0.0  # hard worker exit (os._exit)
-    hang_rate: float = 0.0  # stall long enough to trip timeout_s
-    hang_s: float = 5.0
     transient_rate: float = 0.0  # plain retryable exception
     doomed: tuple[str, ...] = ()  # spec hashes that always fail
     #: Injected-fault budget per cell (doomed cells exempt): once spent,
@@ -118,7 +115,6 @@ class ChaosPolicy:
         edge = 0.0
         for kind, rate in (
             ("crash", self.crash_rate),
-            ("hang", self.hang_rate),
             ("transient", self.transient_rate),
         ):
             edge += rate
@@ -157,10 +153,5 @@ class ChaosCellFn:
             policy.charge_fault(h)
             if fault == "crash":
                 os._exit(CHAOS_EXIT_CODE)
-            if fault == "hang":
-                # Long enough to trip a configured timeout_s; if no timeout
-                # was set the hang degrades to a slow transient failure.
-                time.sleep(policy.hang_s)
-                raise ChaosError(f"chaos: cell {spec.label} hung {policy.hang_s}s")
             raise ChaosError(f"chaos: transient fault on {spec.label}")
         return self.fn(spec, *inputs)

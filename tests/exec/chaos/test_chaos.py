@@ -4,13 +4,14 @@ deterministic, seeded fault injection.
 Each drill wires a ``ChaosPolicy`` into the executor's cell function
 (``ChaosCellFn``, ``harness.py`` beside this file) and asserts the
 campaign machinery recovers exactly as documented in docs/resilience.md:
-quarantine isolates only the doomed cell, survivors stay bit-identical to
-a chaos-free run, a killed campaign rerun on the same store re-simulates
+crashes and transient errors leave the metrics bit-identical to a
+chaos-free run, a doomed cell stops the campaign with its post-mortem
+stored, a killed or stopped campaign rerun on the same store re-simulates
 none of its finished cells, and a broken process pool is rebuilt.
 
 The ``max_faults_per_cell=1`` cap plus the pre-fault on-disk ledger make
 every non-doomed cell survivable by construction, so these drills are
-deterministic despite injecting crashes and hangs.
+deterministic despite injecting crashes.
 """
 
 import os
@@ -20,7 +21,7 @@ import pytest
 
 from repro.config import SECDED_BASELINE
 from repro.exec.engine import CampaignEngine
-from repro.exec.executors import CellExecutor
+from repro.exec.executors import CellExecutionError, CellExecutor
 from repro.exec.resilience import (
     CampaignInterrupted,
     ShutdownFlag,
@@ -69,13 +70,38 @@ class TestChaosPolicy:
 
 
 class TestChaosEndToEnd:
-    def test_quarantine_campaign_survives_mixed_chaos(self, tmp_path):
-        """The acceptance drill: crashes and transients under a parallel
-        quarantine campaign.  Exactly the doomed cell is quarantined (with
-        a persisted post-mortem) and every survivor's metrics are
-        bit-identical to a chaos-free run."""
+    def test_crashes_and_transients_leave_the_metrics_bit_identical(
+        self, tmp_path
+    ):
+        """The acceptance drill: crashes and transient errors under a
+        parallel campaign with no doomed cell.  The campaign completes,
+        and its metrics are bit-identical to a chaos-free run."""
         specs = drill_specs(4)
-        doomed = specs[0]
+        policy = ChaosPolicy(
+            state_dir=str(tmp_path / "chaos"),
+            seed=5,
+            crash_rate=0.35,
+            transient_rate=0.35,
+        )
+        store = ResultStore(tmp_path / "cache")
+        # Generous retry budget: each cell injects at most one fault, but a
+        # pool break also charges the innocent in-flight cells one attempt.
+        report = CampaignEngine(
+            executor=CellExecutor(jobs=2, retries=5, fn=ChaosCellFn(policy)),
+            store=store,
+        ).run(specs)
+        assert report.executed == 4
+        assert report.metrics == CampaignEngine().run(specs).metrics
+        assert all(store.get(s) is not None for s in specs)
+
+    def test_a_doomed_cell_stops_the_campaign_and_a_rerun_finishes_it(
+        self, tmp_path
+    ):
+        """Under the same chaos one doomed cell raises, with its post-mortem
+        stored; a chaos-free rerun on the same store executes only the jobs
+        that had not finished, and its results equal a clean run's."""
+        specs = drill_specs(4)
+        doomed = specs[2]
         policy = ChaosPolicy(
             state_dir=str(tmp_path / "chaos"),
             seed=5,
@@ -84,25 +110,18 @@ class TestChaosEndToEnd:
             doomed=(doomed.content_hash(),),
         )
         store = ResultStore(tmp_path / "cache")
-        # Generous retry budget: each cell injects at most one fault, but a
-        # pool break also charges the innocent in-flight cells one attempt.
-        engine = CampaignEngine(
-            executor=CellExecutor(jobs=2, retries=5, fn=ChaosCellFn(policy)),
-            store=store,
-            failure_policy="quarantine",
-        )
-        report = engine.run(specs)
-
-        assert report.executed == 4
-        assert [f.spec for f in report.failed] == [doomed]
-        assert report.metrics[0] is None
-        assert all(m is not None for m in report.metrics[1:])
+        with pytest.raises(CellExecutionError, match="doomed"):
+            CampaignEngine(
+                executor=CellExecutor(jobs=2, retries=5, fn=ChaosCellFn(policy)),
+                store=store,
+            ).run(specs)
         assert store.failure_path_for(doomed).exists()
-
-        clean = CampaignEngine(executor=CellExecutor()).run(specs)
-        assert report.metrics[1:] == clean.metrics[1:]
-        assert all(store.get(s) is not None for s in specs[1:])
         assert store.get(doomed) is None
+        finished = sum(store.get(s) is not None for s in specs)
+
+        report = CampaignEngine(store=store).run(specs)
+        assert (report.executed, report.cache_hits) == (4 - finished, finished)
+        assert report.metrics == CampaignEngine().run(specs).metrics
 
     def test_kill_mid_flight_then_resume_runs_only_the_remainder(
         self, tmp_path
@@ -166,42 +185,3 @@ class TestProcessPoolChaos:
         ).run(specs)
         assert report.executed == 3
         assert all(m is not None for m in report.metrics)
-
-    def test_hang_is_abandoned_by_timeout_and_retried(self, tmp_path):
-        """A hung attempt trips ``timeout_s``; the executor abandons the
-        still-running future and the retry (fault budget spent) lands."""
-        spec = drill_specs(1)[0]
-        policy = ChaosPolicy(
-            state_dir=str(tmp_path / "chaos"),
-            seed=0,
-            hang_rate=1.0,
-            hang_s=1.5,
-        )
-        report = CampaignEngine(
-            executor=CellExecutor(
-                jobs=2, timeout_s=0.6, retries=1, fn=ChaosCellFn(policy)
-            )
-        ).run([spec])
-        assert report.executed == 1
-        assert report.metrics[0] is not None
-
-    def test_serial_hang_degrades_to_a_slow_failed_attempt(self, tmp_path):
-        """An in-process attempt cannot be pre-empted (documented
-        limitation): the hang blocks for ``hang_s``, surfaces as a failed
-        attempt, and the retry recovers."""
-        spec = drill_specs(1)[0]
-        policy = ChaosPolicy(
-            state_dir=str(tmp_path / "chaos"),
-            seed=0,
-            hang_rate=1.0,
-            hang_s=0.3,
-        )
-        events = []
-        report = CampaignEngine(
-            executor=CellExecutor(retries=1, fn=ChaosCellFn(policy)),
-            progress=events.append,
-        ).run([spec])
-        assert report.metrics[0] is not None
-        assert any(
-            e.kind == "retry" and "hung" in e.error for e in events
-        )

@@ -1,5 +1,5 @@
 """Engine: serial/parallel equivalence, caching, dedup, corruption recovery,
-failure policies and resume."""
+a failed cell and resume."""
 
 import os
 import subprocess
@@ -58,7 +58,7 @@ class TestEngineOptions:
         assert built._engine is None  # lazy: nothing opened at construction
         engine = built.engine
         assert built.engine is engine
-        assert (engine.executor.jobs, engine.executor.timeout_s) == (1, None)
+        assert engine.executor.jobs == 1
         assert engine.store is None and engine.progress is None
 
     def test_the_same_options_build_the_same_engine(self, driver, tmp_path):
@@ -66,13 +66,12 @@ class TestEngineOptions:
         profiler = SimProfiler()
         flag = ShutdownFlag()
         engine = DRIVERS[driver](
-            jobs=2, cache_dir=tmp_path / "cache", timeout_s=9.0,
-            failure_policy="quarantine", cancel=flag,
+            jobs=2, cache_dir=tmp_path / "cache", cancel=flag,
             progress=seen.append, profiler=profiler,
         ).engine
-        assert (engine.executor.jobs, engine.executor.timeout_s) == (2, 9.0)
+        assert engine.executor.jobs == 2
         assert engine.store.cache_dir == tmp_path / "cache"
-        assert engine.failure_policy == "quarantine" and engine.cancel is flag
+        assert engine.cancel is flag
         # Chained progress: the caller's callback, then the profiler's spans.
         spec = small_specs(1)[0]
         engine.progress(ProgressEvent("done", spec, 1, 1, duration_s=0.5))
@@ -171,80 +170,39 @@ class TestDedup:
         assert report.metrics[0] == report.metrics[1] == report.metrics[2]
 
 
-class TestFailurePolicies:
-    def _engine(self, policy, store=None, **kwargs):
-        return CampaignEngine(
-            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
-            store=store,
-            failure_policy=policy,
-            **kwargs,
-        )
+class TestAFailedCell:
+    """A cell that still fails after its retries stops the campaign."""
 
-    def test_abort_raises(self):
+    def test_it_raises_with_its_post_mortem_stored(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        specs = small_specs()
         with pytest.raises(CellExecutionError, match="doomed cell"):
-            self._engine("abort").run(small_specs())
-
-    def test_quarantine_degrades_to_partial_results(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        specs = small_specs()
-        report = self._engine("quarantine", store).run(specs)
-        assert report.metrics[0] is None
-        assert report.metrics[1] is not None
-        assert not report.ok
-        assert len(report.failed) == 1
-        assert report.failed[0].cause == "RuntimeError: doomed cell"
-        assert report.failed[0].attempts == 1
-        assert (report.executed, report.cache_hits) == (2, 0)
-        # The failure is a persisted post-mortem; the survivor is cached.
+            CampaignEngine(
+                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
+                store=store,
+            ).run(specs)
         assert store.failure_path_for(specs[0]).exists()
-        assert store.get(specs[1]) is not None
-
-    def test_skip_persists_nothing_for_the_failed_cell(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        specs = small_specs()
-        report = self._engine("skip", store).run(specs)
-        assert report.metrics[0] is None and report.metrics[1] is not None
-        assert [f.spec for f in report.failed] == [specs[0]]
-        assert not store.failure_path_for(specs[0]).exists()
-        # A later run retries the skipped cell from scratch.
-        rerun = self._engine("skip", store).run(specs)
-        assert rerun.executed == 1
-        assert rerun.cache_hits == 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
-    def test_a_failed_cell_is_reported_once(self, policy, jobs):
+    def test_a_failed_cell_is_reported_once(self, jobs):
         events = []
         profiler = SimProfiler()
         engine = CampaignEngine(
             executor=CellExecutor(jobs=jobs, retries=0, fn=_fail_seed10_cell),
-            failure_policy=policy,
             progress=chain_progress(events.append, profiler.record_job),
         )
-        engine.run(small_specs(3)[::-1])  # the doomed cell goes last
+        with pytest.raises(CellExecutionError):
+            engine.run(small_specs(3)[::-1])  # the doomed cell goes last
         kinds = [e.kind for e in events]
-        assert kinds.count("failed") == 1
-        assert kinds.count("quarantined") == (policy == "quarantine")
+        assert kinds.count("failed") == 1 and kinds[-1] == "failed"
         # The campaign-wide counter never runs backwards.
         counts = [e.completed for e in events]
         assert counts == sorted(counts)
         assert all(e.total == 3 for e in events)
-        # One span per cell, the failed one included once.
+        # One span per finished cell and one for the failed cell.
         categories = sorted(span.category for span in profiler.spans)
-        assert categories == ["cell", "cell", "cell-failed"]
-
-    def test_quarantined_accumulates_across_runs(self, tmp_path):
-        engine = self._engine("quarantine")
-        engine.run(small_specs())
-        engine.run(small_specs(duration=501))
-        assert len(engine.quarantined) == 2
-
-    def test_quarantine_events_emitted(self):
-        events = []
-        engine = self._engine("quarantine")
-        engine.progress = events.append
-        engine.run(small_specs())
-        assert [e.kind for e in events if e.kind == "quarantined"] != []
+        assert categories.count("cell-failed") == 1
+        assert set(categories) <= {"cell", "cell-failed"}
 
 
 class TestStoreWriteFailure:
@@ -347,49 +305,21 @@ class TestJournalAndResume:
         assert (report.executed, report.cache_hits) == (2, 2)
         assert report.metrics == CampaignEngine().run(specs).metrics
 
-    def test_resumed_quarantine_is_not_reexecuted(self, tmp_path):
-        specs = small_specs()
+    def test_a_stored_post_mortem_never_stops_a_rerun(self, tmp_path):
+        specs = small_specs()[::-1]  # the doomed cell goes last
         store = ResultStore(tmp_path / "cache")
-        CampaignEngine(
-            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
-            store=store, failure_policy="quarantine",
-        ).run(specs)
-        assert store.get_failure(specs[0])["cause"] == "RuntimeError: doomed cell"
-
-        executed = []
-
-        def must_not_run(spec):
-            executed.append(spec)
-            return execute_job(spec)
-
-        events = []
-        report = CampaignEngine(
-            executor=CellExecutor(retries=0, fn=must_not_run),
-            store=store, failure_policy="quarantine", progress=events.append,
-        ).run(specs)
-        assert executed == []  # survivor cached, failure replayed
-        assert report.executed == 0
-        assert [f.spec for f in report.failed] == [specs[0]]
-        assert report.failed[0].replayed
-        assert report.metrics[0] is None and report.metrics[1] is not None
-        assert report.cache_hits == 1
-        assert [e.kind for e in events] == ["quarantined", "cached"]
-
-    @pytest.mark.parametrize("policy", ["skip", "abort"])
-    def test_skip_and_abort_retry_a_stored_failure(self, tmp_path, policy):
-        specs = small_specs()
-        store = ResultStore(tmp_path / "cache")
-        CampaignEngine(
-            executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
-            store=store, failure_policy="quarantine",
-        ).run(specs)
-        report = CampaignEngine(
-            executor=CellExecutor(), store=store, failure_policy=policy,
-        ).run(specs)
+        with pytest.raises(CellExecutionError):
+            CampaignEngine(
+                executor=CellExecutor(retries=0, fn=_fail_seed10_cell),
+                store=store,
+            ).run(specs)
+        assert store.failure_path_for(specs[-1]).exists()
+        report = CampaignEngine(executor=CellExecutor(), store=store).run(specs)
+        # Only the failed cell executes; the finished one is served.
         assert (report.executed, report.cache_hits) == (1, 1)
-        assert report.ok and all(m is not None for m in report.metrics)
+        assert report.metrics == CampaignEngine().run(specs).metrics
         # The healed cell is stored; its post-mortem is now history.
-        assert store.get(specs[0]) is not None
+        assert store.get(specs[-1]) is not None
         assert len(store.audit().stale_failures) == 1
 
 

@@ -1,8 +1,8 @@
-"""Executor layer: retries, crash recovery, timeouts, progress events.
+"""Executor layer: retries, crash recovery, progress events.
 
 One scheduler serves ``jobs == 1`` (in process) and ``jobs > 1`` (process
 pool), so every law here runs at both; only what needs a worker process to
-exist — a crash, a pre-emptive abandonment — is pinned to ``jobs=2``.
+exist — a crash — is pinned to ``jobs=2``.
 """
 
 import os
@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import SECDED_BASELINE
 from repro.exec.executors import CellExecutionError, CellExecutor, _InProcessPool
-from repro.exec.resilience import CellFailure, ExecutorInterrupted, ShutdownFlag
+from repro.exec.resilience import ExecutorInterrupted, ShutdownFlag
 from repro.exec.spec import parsec_cell
 
 both_jobs = pytest.mark.parametrize("jobs", [1, 2])
@@ -65,18 +65,6 @@ def _crash_once_cell(spec):
     return _ok_cell(spec)
 
 
-def _slow_once_cell(spec):
-    """Sleep past the timeout on first sight of each spec."""
-    if _first_sight(spec):
-        time.sleep(0.75)
-    return _ok_cell(spec)
-
-
-def _always_slow_cell(spec):
-    time.sleep(0.3)
-    return _ok_cell(spec)
-
-
 def _slowish_cell(spec):
     time.sleep(0.01)
     return _ok_cell(spec)
@@ -84,12 +72,6 @@ def _slowish_cell(spec):
 
 def _always_broken_cell(spec):
     raise RuntimeError("doomed")
-
-
-def _doomed_seed10_cell(spec):
-    if spec.seed == 10:
-        raise RuntimeError("doomed")
-    return _ok_cell(spec)
 
 
 def _doomed_seed11_cell(spec):
@@ -170,62 +152,6 @@ class TestCellExecutor:
 
 
 @both_jobs
-class TestDeadline:
-    """One rule: a result not in hand by ``submitted + timeout_s`` is a
-    timed-out attempt, and is discarded whenever it does arrive."""
-
-    def test_overdue_result_is_discarded_and_retried(self, jobs, sentinels):
-        events, landed = [], []
-        executor = CellExecutor(
-            jobs=jobs, timeout_s=0.5, retries=1, fn=_slow_once_cell
-        )
-        results = executor.run(
-            make_specs(1), progress=events.append,
-            on_result=lambda i, spec, payload: landed.append(i),
-        )
-        # Attempt 1 finished (in process) or was abandoned (pool) past the
-        # deadline; either way only the retry's fresh result is reported.
-        assert [e.kind for e in events] == ["start", "retry", "done"]
-        assert events[1].error == "timed out after 0.5s"
-        assert results[0]["metrics"]["seed"] == 10
-        assert landed == [0]
-        assert len(list(sentinels.iterdir())) == 1  # the slow attempt ran
-
-    def test_persistent_overrun_exhausts_retries(self, jobs):
-        landed = []
-        executor = CellExecutor(
-            jobs=jobs, timeout_s=0.1, retries=1, fn=_always_slow_cell
-        )
-        with pytest.raises(CellExecutionError, match="timed out"):
-            executor.run(
-                make_specs(1),
-                on_result=lambda i, spec, payload: landed.append(i),
-            )
-        assert landed == []
-
-
-@both_jobs
-class TestCollectMode:
-    def test_failure_fills_its_slot(self, jobs):
-        results = CellExecutor(jobs=jobs, retries=0, fn=_doomed_seed10_cell).run(
-            make_specs(3), failure_mode="collect"
-        )
-        assert isinstance(results[0], CellFailure)
-        assert results[0].cause == "RuntimeError: doomed"
-        assert results[0].attempts == 1
-        # The survivors completed.
-        assert [r["metrics"]["seed"] for r in results[1:]] == [11, 12]
-
-    def test_failure_hook_fires_once_per_failed_cell(self, jobs):
-        seen = []
-        CellExecutor(jobs=jobs, retries=0, fn=_doomed_seed10_cell).run(
-            make_specs(2), failure_mode="collect",
-            on_failure=lambda i, spec, f: seen.append((i, f.cause)),
-        )
-        assert seen == [(0, "RuntimeError: doomed")]
-
-
-@both_jobs
 class TestCampaignWideAccounting:
     def test_offsets_shift_the_counters(self, jobs):
         events = []
@@ -290,7 +216,7 @@ class TestGracefulCancel:
 
 
 class TestProcessPool:
-    """What only a worker process can do: die, and be abandoned."""
+    """What only a worker process can do: die."""
 
     def test_worker_crash_is_retried_once(self, sentinels):
         specs = make_specs(2)
@@ -313,9 +239,10 @@ class TestProcessPool:
         monkeypatch.setattr(CellExecutor, "_pool", make_pool)
         events = []
         specs = make_specs(2)
-        results = CellExecutor(jobs=2, retries=1, fn=_doomed_seed11_cell).run(
-            specs, progress=events.append, failure_mode="collect"
-        )
+        with pytest.raises(CellExecutionError, match="doomed"):
+            CellExecutor(jobs=2, retries=1, fn=_doomed_seed11_cell).run(
+                specs, progress=events.append
+            )
         assert pools[0].shut_down and len(pools) == 2
 
         def seen(spec):
@@ -324,30 +251,5 @@ class TestProcessPool:
         # The in-flight cell is charged for the broken pool, then succeeds.
         assert seen(specs[0]) == [("start", 0), ("retry", 1), ("done", 0)]
         assert events[2].error == "worker pool broke while cell was in flight"
-        assert results[0]["metrics"]["seed"] == 10
         # The refused cell starts once and keeps its whole retry budget.
         assert seen(specs[1]) == [("start", 0), ("retry", 1), ("failed", 2)]
-        assert isinstance(results[1], CellFailure) and results[1].attempts == 2
-
-    def test_abandoned_future_result_is_discarded(self, sentinels):
-        """A timed-out attempt that later completes must not double-count.
-
-        Both workers sleep past the timeout on their first cell and are
-        abandoned (still running, so they cannot be cancelled); the two
-        retries queue behind them and only start once the late attempts
-        finish.  When those results finally land they must be dropped on
-        the floor — each cell's payload comes from its retry, and exactly
-        one "done" event fires per cell.  (The sleep/timeout margins leave
-        the retries enough deadline to absorb their queueing delay.)
-        """
-        events = []
-        executor = CellExecutor(
-            jobs=2, timeout_s=0.5, retries=1, fn=_slow_once_cell
-        )
-        results = executor.run(make_specs(2), progress=events.append)
-        assert [r["metrics"]["seed"] for r in results] == [10, 11]
-        kinds = [e.kind for e in events]
-        assert kinds.count("done") == 2
-        assert kinds.count("retry") == 2  # each timeout charged one attempt
-        # The sentinels prove the slow first attempts really ran.
-        assert len(list(sentinels.iterdir())) == 2

@@ -1,6 +1,6 @@
 """Pre-training as a job: its artefact is exact, it runs once per campaign
 and never again on a warm store, and the engine's resume and failure
-policy apply to it as to any cell."""
+handling apply to it as to any cell."""
 
 import copy
 from dataclasses import replace
@@ -156,41 +156,19 @@ class TestRunsOnce:
 
 class TestFailure:
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
-    def test_a_failed_pretraining_fails_only_its_dependents(
-        self, cold, jobs, policy, tmp_path
+    def test_a_failed_pretraining_stops_the_campaign_before_its_cells(
+        self, jobs, tmp_path
     ):
         events = []
         store = ResultStore(tmp_path / "cache")
-        report = CampaignEngine(
-            executor=CellExecutor(jobs=jobs, fn=_doomed_pretraining),
-            store=store, failure_policy=policy, progress=events.append,
-        ).run(grid())
-        assert report.metrics[:2] == cold[0].metrics[:2]
-        assert report.metrics[2:] == [None, None]
-        causes = {f.spec.label: f.cause for f in report.failed}
-        assert causes == {
-            "IntelliNoC/pretrain": "RuntimeError: doomed pre-training",
-            "IntelliNoC/swa":
-                "IntelliNoC/pretrain failed: RuntimeError: doomed pre-training",
-            "IntelliNoC/x264s":
-                "IntelliNoC/pretrain failed: RuntimeError: doomed pre-training",
-        }
-        started = {e.spec.label for e in events if e.kind == "start"}
-        assert not started & {"IntelliNoC/swa", "IntelliNoC/x264s"}
-        assert [e.kind for e in events].count("failed") == 3
-        persisted = policy == "quarantine"
-        assert store.failure_path_for(grid()[-1]).exists() == persisted
-        assert store.failure_path_for(grid()[-1].pretraining).exists() == persisted
-
-    def test_under_abort_the_campaign_raises(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
         with pytest.raises(CellExecutionError, match="doomed pre-training"):
             CampaignEngine(
-                executor=CellExecutor(retries=0, fn=_doomed_pretraining),
-                store=store,
+                executor=CellExecutor(jobs=jobs, retries=0, fn=_doomed_pretraining),
+                store=store, progress=events.append,
             ).run(grid())
         assert store.failure_path_for(grid()[-1].pretraining).exists()
+        started = {e.spec.label for e in events if e.kind == "start"}
+        assert not started & {"IntelliNoC/swa", "IntelliNoC/x264s"}
 
 
 class TestStoredArtefact:

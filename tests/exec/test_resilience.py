@@ -1,27 +1,13 @@
-"""Resilience primitives: failure policies and shutdown plumbing."""
+"""Resilience primitives: shutdown plumbing."""
 
 import os
 import signal
 
-import pytest
-
 from repro.exec.resilience import (
     ExecutorInterrupted,
-    FailurePolicy,
     ShutdownFlag,
     graceful_shutdown,
 )
-
-
-class TestFailurePolicy:
-    def test_coerce_accepts_strings_and_members(self):
-        assert FailurePolicy.coerce("quarantine") is FailurePolicy.QUARANTINE
-        assert FailurePolicy.coerce("SKIP") is FailurePolicy.SKIP
-        assert FailurePolicy.coerce(FailurePolicy.ABORT) is FailurePolicy.ABORT
-
-    def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValueError, match="choose from"):
-            FailurePolicy.coerce("explode")
 
 
 class TestShutdown:

@@ -124,22 +124,6 @@ class TestStore:
         path.write_text(json.dumps(artifact))
         assert store.get(spec) is None
 
-    def test_put_failure_then_get_failure(self, store, spec):
-        assert store.get_failure(spec) is None
-        store.put_failure(spec, "RuntimeError: doomed", "tb")
-        stored = store.get_failure(spec)
-        assert (stored["cause"], stored["traceback"]) == ("RuntimeError: doomed", "tb")
-        assert store.get(spec) is None  # a post-mortem is not a result
-
-    def test_a_damaged_post_mortem_is_not_read(self, store, spec):
-        path = store.put_failure(spec, "RuntimeError: doomed", "tb")
-        artifact = json.loads(path.read_text())
-        artifact["spec"]["spec"]["seed"] = 99  # not this spec's
-        path.write_text(json.dumps(artifact))
-        assert store.get_failure(spec) is None
-        path.write_text("{torn")
-        assert store.get_failure(spec) is None
-
 
 class TestAuditAndPrune:
     def _fill(self, store, n=3):

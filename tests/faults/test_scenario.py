@@ -359,7 +359,7 @@ class TestPacksEndToEnd:
         trivially balance at zero drops."""
         net = run_pack("aging-cliff", INTELLINOC, tmp_path=tmp_path)
         s = net.stats
-        assert len(net._dead_routers) == 2
+        assert len(net.dead_routers) == 2
         assert s.packets_dropped + s.packets_undeliverable > 0
         assert s.delivery_ratio < 1.0
         assert s.flits_dropped > 0

@@ -101,8 +101,8 @@ class TestRouterDeath:
         net = make_network("xy", [])
         net.fail_router(DEAD, 0)
         net.fail_router(DEAD, 5)
-        assert net._dead_routers == {DEAD: 0}
-        assert len(net._dead_links) == 0  # router kill is not a link kill
+        assert net.dead_routers == {DEAD: 0}
+        assert len(net.dead_links) == 0  # router kill is not a link kill
 
 
 class TestLinkDeath:
@@ -128,7 +128,7 @@ class TestLinkDeath:
         assert net.fail_link(DEAD, int(Direction.EAST), cycle=0)
         assert not net.fail_link(DEAD, int(Direction.EAST), cycle=1)  # repeat
         assert not net.fail_link(0, int(Direction.WEST), cycle=0)  # no channel
-        assert net._dead_links == {(DEAD, int(Direction.EAST)): 0}
+        assert net.dead_links == {(DEAD, int(Direction.EAST)): 0}
 
 
 class TestDegradedTermination:

@@ -8,7 +8,9 @@ These tests run against *every* fabric in the registry (parameterized by
 * routing — following candidates always makes progress and reaches the
   destination in exactly ``distance()`` hops;
 * deadlock freedom — the extended channel-dependency graph that routing
-  and the VC classes induce on a fault-free fabric is acyclic;
+  and the VC classes induce is acyclic, fault-free and after any failure
+  set, and every VC claim a run makes (the bypass's included) is an edge
+  of it;
 * liveness — a short saturated run under the NoCSan deadlock watchdog
   completes without invariant violations;
 * spec hashing — each fabric produces a distinct CellSpec hash (that every
@@ -18,6 +20,7 @@ These tests run against *every* fabric in the registry (parameterized by
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     INTELLINOC,
@@ -26,11 +29,20 @@ from repro.config import (
     SimulationConfig,
     fingerprint,
 )
+from repro.faults.scenario import (
+    FaultScenario, IntermittentLink, LinkFailure, RouterFailure, TransientBurst,
+    build_scenario, scenario_names,
+)
 from repro.noc.adaptive_routing import west_first_candidates
+from repro.noc.network import Network
+from repro.noc.power_gating import POWER_GATED
+from repro.noc.router import Router
 from repro.noc.routing import NORTH, WEST, Direction
 from repro.noc.topology import build_topology, registered_topologies
 from repro.noc.torus import TorusTopology
 from repro.noc.vc import VcState
+from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
+from repro.utils.rng import make_rng
 
 #: One representative small fabric configuration per registered topology,
 #: as overrides applied onto whatever NocConfig a technique already has
@@ -190,16 +202,19 @@ ROUTED_CONFIGS = {
 }
 
 
-def dependency_graph(topo, num_vcs):
+def dependency_graph(topo, num_vcs, dead=frozenset()):
     """The edges of the extended channel-dependency graph, read off the
     ``Topology`` contract alone (``channels``, ``route_candidates``,
-    ``next_vc_class``, ``allowed_vcs``).
+    ``next_vc_class``, ``allowed_vcs``), with the ``(router, port)``
+    channels in *dead* failed.
 
     A node is ``(router, output port, VCs the class may hold)``, so two
     classes that share VCs share a node.  An edge joins the channel a head
     holds to every channel its route may claim next.  Each destination's
     walk follows every route from every source; the graph is the union of
-    their edges.
+    their edges.  Candidates are filtered as a degraded
+    ``Router.compute_route`` filters them: the live outputs, or all when
+    none is live, and then the head is dropped, not routed.
     """
     link = {(src, int(d)): dst for src, d, dst in topo.channels()}
     edges = set()
@@ -213,7 +228,7 @@ def dependency_graph(topo, num_vcs):
             seen.add(state)
             router, vc_class, held = state
             for port in topo.route_candidates(router, dst):
-                if port in topo.ejection_ports(router):
+                if port in topo.ejection_ports(router) or (router, int(port)) in dead:
                     continue
                 cls = topo.next_vc_class(router, port, vc_class)
                 node = (router, int(port), tuple(topo.allowed_vcs(cls, num_vcs)))
@@ -260,6 +275,72 @@ def north_west_mutant(current, dst, width):
     return candidates
 
 
+def dead_channels(topo, routers=(), links=()):
+    """A failure set as the channels it kills (all of a dead router's)."""
+    return frozenset(links) | {
+        (src, int(d)) for src, d, dst in topo.channels() if {src, dst} & set(routers)
+    }
+
+
+def assert_acyclic_subgraph(noc, topo, dead):
+    edges = dependency_graph(topo, noc.num_vcs, dead)
+    assert find_cycle(edges) is None, sorted(dead)
+    # Minimal candidates: a failure only cuts edges (item 10 must keep this).
+    assert edges <= dependency_graph(topo, noc.num_vcs)
+
+
+def torus_flaps():
+    """`torus_faults`' shape on a 4x4 gated-bypass torus: flaps, a burst."""
+    noc = replace(INTELLINOC.noc, **FABRIC_OVERRIDES["torus"])
+    rot = build_scenario("link-rot", build_topology(noc)).events
+    return noc, FaultScenario("flaps-burst", (
+        TransientBurst(start=300, end=1500, multiplier=300.0),
+        *(e for e in rot if isinstance(e, IntermittentLink)),
+    ))
+
+
+def west_first_aging_cliff():
+    noc = replace(INTELLINOC.noc, width=4, height=4, routing="west_first")
+    return noc, build_scenario("aging-cliff", build_topology(noc))
+
+
+def observed_claims(monkeypatch, make_run, claim=Router._claim_downstream_vc):
+    """The consecutive VC claims of one packet attempt that are no edge (VCs
+    included) of the graph proved for the dead set at the second claim, and
+    how many claims gated routers made."""
+    noc, scenario = make_run()
+    topo = build_topology(noc)
+    trace = generate_synthetic_trace(
+        SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 1500, 0.02,
+        noc.flits_per_packet, make_rng(7, "observed-claims"),
+    )
+    config = SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=7)
+    network = Network(config, trace, scenario=scenario)
+    claims, gated = {}, 0
+
+    def recorded(router, route, packet):
+        nonlocal gated
+        out_vc = claim(router, route, packet)
+        if out_vc is not None:
+            gated += router.gating.state is POWER_GATED
+            dead = dead_channels(topo, network.dead_routers, network.dead_links)
+            claims.setdefault((packet.pid, packet.e2e_retransmissions), []).append(
+                (router.id, int(route), out_vc, dead)
+            )
+        return out_vc
+
+    monkeypatch.setattr(Router, "_claim_downstream_vc", recorded)
+    network.run_to_completion(20_000)
+    proved = {
+        dead: {(*x[:2], v, *y[:2], w)
+               for x, y in dependency_graph(topo, noc.num_vcs, dead)
+               for v in x[2] for w in y[2]}
+        for dead in dict.fromkeys(hop[3] for hops in claims.values() for hop in hops)
+    }
+    return [(a, b) for hops in claims.values() for a, b in zip(hops, hops[1:])
+            if (*a[:3], *b[:3]) not in proved[b[3]]], gated
+
+
 class TestDeadlockFreedom:
     @pytest.mark.parametrize("fabric", sorted(ROUTED_CONFIGS))
     def test_channel_dependency_graph_is_acyclic(self, fabric):
@@ -281,6 +362,55 @@ class TestDeadlockFreedom:
         topo = build_topology(noc)
         topo._candidate_fn = north_west_mutant
         assert find_cycle(dependency_graph(topo, noc.num_vcs)) is not None
+
+
+    @pytest.mark.parametrize("fabric", sorted(ROUTED_CONFIGS))
+    def test_every_packs_terminal_failure_set_is_acyclic(self, fabric):
+        noc = ROUTED_CONFIGS[fabric]
+        topo = build_topology(noc)
+        for name in scenario_names():
+            events = build_scenario(name, topo).events
+            assert_acyclic_subgraph(noc, topo, dead_channels(
+                topo,
+                [e.router for e in events if isinstance(e, RouterFailure)],
+                [(e.src_router, e.direction) for e in events
+                 if isinstance(e, LinkFailure)],
+            ))
+
+    @pytest.mark.parametrize("fabric", sorted(ROUTED_CONFIGS))
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_drawn_failure_sets_are_acyclic(self, fabric, data):
+        noc = ROUTED_CONFIGS[fabric]
+        topo = build_topology(noc)
+        channels = sorted((src, int(d)) for src, d, _ in topo.channels())
+        links = data.draw(st.sets(st.sampled_from(channels), max_size=4))
+        routers = data.draw(
+            st.sets(st.integers(0, topo.num_routers - 1), max_size=2)
+        )
+        assert_acyclic_subgraph(noc, topo, dead_channels(topo, routers, links))
+
+    @pytest.mark.parametrize("make_run", [torus_flaps, west_first_aging_cliff],
+                             ids=lambda f: f.__name__)
+    def test_every_observed_claim_is_a_proved_edge(self, monkeypatch, make_run):
+        stray, gated = observed_claims(monkeypatch, make_run)
+        assert not stray, stray[:5]
+        assert gated > 0  # the bypass claimed too
+
+    def test_a_claim_from_the_current_class_half_is_caught(self, monkeypatch):
+        """Mutant: a head claims from its current class's VC half, not from
+        the half of the class the next channel puts it in."""
+        def current_half(router, route, packet):
+            topo, port = router.topology, router.downstream_ports[route]
+            out_vc = port.free_vc_for_head(
+                topo.allowed_vcs(packet.vc_class, router.noc.num_vcs)
+            )
+            if out_vc is not None:
+                packet.vc_class = topo.next_vc_class(router.id, route, packet.vc_class)
+                port.claim(out_vc, packet)
+            return out_vc
+
+        assert observed_claims(monkeypatch, torus_flaps, current_half)[0]
 
 
 class TestLiveness:
