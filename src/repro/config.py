@@ -411,7 +411,6 @@ class SimulationConfig:
     faults: FaultConfig = field(default_factory=FaultConfig)
     power: PowerConfig = field(default_factory=PowerConfig)
     seed: int = 1
-    warmup_cycles: int = 1000
     stats_epoch: int = 100  # cycles between thermal/stat updates
 
     @property

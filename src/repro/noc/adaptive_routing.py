@@ -7,7 +7,8 @@ routing.  This module provides that extension: minimal west-first routing
 (Glass & Ni's turn model — deadlock-free because the two west-bound turns
 are forbidden) with a selection function that prefers less congested
 downstream routers.  Faults need no say here: ``Router.compute_route``
-drops outputs over dead channels before it selects.
+selects among ``Topology.live_candidates``, the candidates without the
+outputs over dead links or into dead routers.
 
 Enable it per configuration::
 
@@ -16,7 +17,7 @@ Enable it per configuration::
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.noc.routing import EAST, LOCAL, NORTH, SOUTH, WEST, Direction, xy_route
 
@@ -61,7 +62,7 @@ CANDIDATE_FUNCTIONS: dict[str, Callable[[int, int, int], list[Direction]]] = {
 
 
 def select_output(
-    candidates: list[Direction],
+    candidates: Sequence[Direction],
     free_slots: Callable[[Direction], int],
 ) -> Direction:
     """Pick one productive direction.

@@ -58,7 +58,7 @@ from repro.noc.power_gating import (
 from repro.noc.router import Router
 from repro.noc.statistics import NetworkStatistics
 from repro.noc.topology import build_topology
-from repro.noc.vc import VC_ACTIVE
+from repro.noc.vc import VC_ACTIVE, VC_ROUTING, VC_WAITING_VA
 from repro.power.accounting import EnergyAccountant
 from repro.power.model import PowerModel
 from repro.traffic.injection import SourceQueue
@@ -132,6 +132,10 @@ class Network:
             [(topo.injection_port(n), self.sources[n]) for n in topo.local_nodes(rid)]
             for rid in range(topo.num_routers)
         ]
+        # The failure set (``fail_router`` / ``fail_link`` grow it), which
+        # every router routes around.
+        self.dead_routers: dict[int, int] = {}  # rid -> kill cycle
+        self.dead_links: dict[tuple[int, int], int] = {}  # (src, dir) -> cycle
         self._build()
 
         self.cycle = 0
@@ -158,13 +162,8 @@ class Network:
             if self._scenario is not None and self._scenario.pending_strikes
             else None
         )
-        self._degraded = False  # set on the first router/link kill
         self._pending_drops: list[Packet] = []
-        self.dead_routers: dict[int, int] = {}  # rid -> kill cycle
-        self.dead_links: dict[tuple[int, int], int] = {}  # (src, dir) -> cycle
         self._recovery_pending_since: int | None = None
-        for router in self.routers:
-            router.on_drop = self._mark_dropped
 
         # Telemetry: pure observation, never control flow.  The hot paths
         # guard on `_tel is not None`, so a missing hub costs one attribute
@@ -204,8 +203,11 @@ class Network:
                 self.stats.routers[rid],
                 charge=self._make_charger(rid),
                 on_eject=self._make_ejector(rid),
+                on_drop=self._mark_dropped,
             )
             router.sample_link_errors = self._sample_channel_errors
+            router.dead_routers = self.dead_routers
+            router.dead_links = self.dead_links
             self.routers.append(router)
         for src, direction, dst in self.topology.channels():
             channel = Channel(
@@ -453,7 +455,7 @@ class Network:
             ev = events[self._trace_index]
             self._trace_index += 1
             packet = Packet.create(ev.src, ev.dst, ev.size, cycle, expects_reply=ev.reply)
-            if self._degraded and self._endpoint_dead(ev.src, ev.dst):
+            if self.dead_routers and self._endpoint_dead(ev.src, ev.dst):
                 self._refuse_packet(packet, cycle)
                 continue
             self.sources[ev.src].enqueue(packet)
@@ -725,9 +727,9 @@ class Network:
                 done.append(node)
                 continue
             if (
-                self._degraded
+                self.dead_routers
                 and flit.is_head
-                and self.routers[self._node_router[flit.packet.dst]].dead
+                and self._node_router[flit.packet.dst] in self.dead_routers
             ):
                 # Destination died while this packet waited at the source:
                 # refuse injection and account for it instead of letting it
@@ -777,7 +779,7 @@ class Network:
         if not flit.is_tail:
             return
         if packet.needs_retry and packet.e2e_retransmissions < MAX_E2E_RETRIES:
-            if self._degraded and self.routers[src_router].dead:
+            if src_router in self.dead_routers:
                 # The source can never re-send: account the packet as
                 # undeliverable rather than retrying into a dead NI.
                 self._mark_dropped(packet, REASON_UNDELIVERABLE)
@@ -815,7 +817,7 @@ class Network:
             reply = Packet.create(
                 packet.dst, packet.src, packet.size, cycle, is_reply=True
             )
-            if self._degraded and self._endpoint_dead(packet.dst, packet.src):
+            if self.dead_routers and self._endpoint_dead(packet.dst, packet.src):
                 self._refuse_packet(reply, cycle)
                 return
             self.sources[packet.dst].enqueue(reply)
@@ -837,8 +839,8 @@ class Network:
 
     def _endpoint_dead(self, src_node: int, dst_node: int) -> bool:
         return (
-            self.routers[self._node_router[src_node]].dead
-            or self.routers[self._node_router[dst_node]].dead
+            self._node_router[src_node] in self.dead_routers
+            or self._node_router[dst_node] in self.dead_routers
         )
 
     def _refuse_packet(self, packet: Packet, cycle: int) -> None:
@@ -854,23 +856,15 @@ class Network:
                 reason=REASON_UNDELIVERABLE,
             )
 
-    def _enter_degraded(self, cycle: int) -> None:
-        self._degraded = True
-        for router in self.routers:
-            router.degraded = True
-        if self._recovery_pending_since is None:
-            self._recovery_pending_since = cycle
-
     def fail_router(self, rid: int, cycle: int) -> None:
         """Kill router *rid* permanently: every attached channel dies, every
         packet committed through it is dropped with accounting, local
-        sources are drained, and routing degrades around the hole."""
+        sources are drained, and routing goes around the hole."""
         router = self.routers[rid]
         if router.dead:
             return
         router.dead = True
         self.dead_routers[rid] = cycle
-        self._enter_degraded(cycle)
         # In-flight victims: flits wired to/from the router and the owner
         # of every VC inside it (its buffered flits are the owner's).
         for channel in [*router.outgoing.values(), *router.incoming.values()]:
@@ -881,7 +875,7 @@ class Network:
             for vc in port.vcs:
                 if vc.owner is not None:
                     self._mark_dropped(vc.owner, REASON_DEAD_ROUTER)
-        self._mark_committed_worms()
+        self._route_around_kill(cycle)
         # Local traffic: a mid-injection packet owns a VC here (dropped
         # above); one that never started, and everything queued, is refused.
         for node in self.topology.local_nodes(rid):
@@ -903,30 +897,35 @@ class Network:
             return False
         channel.kill(REASON_DEAD_LINK)
         self.dead_links[(src_router, direction)] = cycle
-        self._enter_degraded(cycle)
         for entry in channel.queue:
             self._mark_dropped(entry[0].packet, REASON_DEAD_LINK)
-        self._mark_committed_worms()
+        self._route_around_kill(cycle)
         self._flush_drops(cycle)
         self.note_scenario_event(
             cycle, "link_failure", src=src_router, direction=direction
         )
         return True
 
-    def _mark_committed_worms(self) -> None:
-        """Mark every packet whose open worm crosses a channel that just
-        died.  Heads still waiting for VC allocation are spared — they get
-        a reroute attempt (west-first often has one; X-Y never does) before
-        the router drops them."""
+    def _route_around_kill(self, cycle: int) -> None:
+        """After a kill: start the recovery clock, forget every memoised
+        route, mark each worm committed to a channel that just died as
+        dropped, and send each head waiting for VC allocation on one back
+        through route computation (which drops it if no output is live)."""
+        if self._recovery_pending_since is None:
+            self._recovery_pending_since = cycle
         for router in self.routers:
+            router._route_memo.clear()
             if router.dead:
                 continue
             for _, _, vc in router._vc_slots:
-                if vc.state is VC_ACTIVE:
+                state = vc.state
+                if state is VC_ACTIVE or state is VC_WAITING_VA:
                     channel = router.outgoing.get(vc.route)
                     if channel is not None and channel.dead:
-                        reason = channel.dead_reason or REASON_DEAD_LINK
-                        self._mark_dropped(vc.owner, reason)
+                        if state is VC_ACTIVE:
+                            self._mark_dropped(vc.owner, channel.dead_reason)
+                        else:
+                            vc.state = VC_ROUTING
 
     def _mark_dropped(self, packet, reason: str) -> None:
         """Resolve *packet* as dropped (idempotent).  Counters move now;

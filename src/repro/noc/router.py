@@ -17,7 +17,7 @@ same per-hop cycle counts as the stage-register formulation.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from typing import TYPE_CHECKING
 
 from repro.channels.controller import MfacController
@@ -80,6 +80,7 @@ class Router:
         counters: RouterEpochCounters,
         charge: Callable[[float], None],
         on_eject: Callable[[Flit, int], None],
+        on_drop: Callable[[object, str], None],
     ):
         noc = technique.noc
         self.id = rid
@@ -90,6 +91,7 @@ class Router:
         self.counters = counters
         self.charge = charge  # dynamic-energy sink (pJ)
         self.on_eject = on_eject
+        self.on_drop = on_drop  # resolves a packet as dropped, with its reason
 
         ports = topology.ports
         if tuple(int(p) for p in ports) != tuple(range(self.num_ports)):
@@ -139,11 +141,11 @@ class Router:
         }
         self._bypass_arbiter = RoundRobinArbiter(self.num_ports)
         self.dead = False  # killed by a fault scenario (never recovers)
-        # Degraded operation: some fabric element died.  Routing filters
-        # dead outputs and blocked worms are dropped with accounting via
-        # ``on_drop`` (set by the network) instead of wedging forever.
-        self.degraded = False
-        self.on_drop: Callable[[object, str], None] | None = None
+        # The fabric's failure set, the network's own (it fills them on a
+        # kill): routing keeps to live outputs, and a head with none, or a
+        # worm committed to a dead channel, is dropped, not wedged.
+        self.dead_routers: Container[int] = ()
+        self.dead_links: Container[tuple[int, int]] = ()
         self._flit_count = 0  # flits in this router's input buffers
         # Which input VCs hold flits, as a bit per slot of ``_vc_slots``
         # (port order, then VC index — the order the pipeline scans in).
@@ -170,11 +172,11 @@ class Router:
         # ``incoming`` as (port, channel) pairs, fixed by ``finish_wiring``:
         # what one visit of the gated router walks.
         self._bypass_inputs: tuple[tuple[int, Channel], ...] = ()
-        # Head-routing memos.  The fabric is static, so neither is ever
-        # invalidated: destination -> output while the fabric offers
-        # exactly one (a degraded router does not consult it), and on
-        # dateline fabrics (route, VC class) -> (next class, VCs allowed).
-        self._route_memo: dict[int, int] = {}
+        # Head-routing memos: destination -> the live candidate outputs
+        # (``Topology.live_candidates``; a kill clears it, through
+        # ``Network.fail_router`` / ``fail_link``), and on dateline fabrics
+        # (route, VC class) -> (next class, VCs allowed), never invalidated.
+        self._route_memo: dict[int, tuple[int, ...]] = {}
         self._vc_class_memo: dict[tuple[int, int], tuple[int, range]] = {}
         self._reserved_count = 0  # slots held by unacked wire-channel copies
         # Set by the network: samples bit errors for one traversal of an
@@ -325,12 +327,13 @@ class Router:
             if state is VC_ROUTING:
                 flit, enq = vc.queue[0]
                 if cycle >= enq + 1:
-                    vc.route = self.compute_route(flit.packet.dst)
+                    route = self.compute_route(flit.packet.dst)
+                    if route is None:
+                        self._drop_unroutable(flit.packet)
+                        continue  # the next drop sweep excises it
+                    vc.route = route
                     vc.state = state = VC_WAITING_VA
             if state is VC_WAITING_VA:
-                if self.degraded and self._route_unserviceable(vc.route):
-                    if not self._reroute_or_drop(vc):
-                        continue  # dropped: the sweep excises it
                 if cycle >= vc.queue[0][1] + head_delay:
                     route = vc.route
                     va_requests[route] = va_requests.get(route, 0) | lowest
@@ -386,14 +389,10 @@ class Router:
                     or not channel.can_accept(cycle)
                     or (channel.is_wire and not self._wire_has_slot(channel, route, vc))
                 ):
-                    if (
-                        self.degraded
-                        and self.on_drop is not None
-                        and self._route_unserviceable(route)
-                    ):
+                    if channel is not None and channel.dead:
                         # Committed worm blocked on a channel that died
                         # between the kill sweep and now: drop, not wedge.
-                        self.on_drop(flit.packet, self._dead_reason(route))
+                        self.on_drop(flit.packet, channel.dead_reason)
                     continue
             ready[direction] = lines | (1 << vci)
 
@@ -575,65 +574,30 @@ class Router:
                         break
         return False
 
-    def compute_route(self, dst: int) -> int:
-        """Route computation toward destination *node* ``dst``:
-        deterministic (X-Y / dimension-ordered / loop-minimal per fabric)
-        by default, or congestion-aware turn-model selection when
-        configured.  Once the fabric is degraded, outputs over dead channels
-        are filtered out before selection."""
-        degraded = self.degraded
-        if not degraded:
-            route = self._route_memo.get(dst)
-            if route is not None:
-                return route
-        candidates = self.topology.route_candidates(self.id, dst)
-        if degraded:
-            alive = [c for c in candidates if not self._route_unserviceable(c)]
-            if alive:
-                # Keep the original list when every option is dead: the
-                # WAITING_VA check then drops the packet with accounting.
-                candidates = alive
-        if len(candidates) == 1:
-            if not degraded:
-                self._route_memo[dst] = candidates[0]
-            return candidates[0]
-        return select_output(
-            candidates,
-            free_slots=lambda d: sum(
-                vc.free_slots for vc in self.downstream_ports[d].vcs
-            ),
-        )
+    def compute_route(self, dst: int) -> int | None:
+        """Route computation toward destination *node* ``dst`` over the
+        live outputs: the one the fabric offers (X-Y / dimension-ordered /
+        loop-minimal per fabric), or congestion-aware turn-model selection
+        among several.  None when no output toward *dst* is live."""
+        candidates = self._route_memo.get(dst)
+        if candidates is None:
+            candidates = self._route_memo[dst] = self.topology.live_candidates(
+                self.id, dst, self.dead_routers, self.dead_links
+            )
+        if len(candidates) > 1:
+            return select_output(
+                candidates,
+                free_slots=lambda d: sum(
+                    vc.free_slots for vc in self.downstream_ports[d].vcs
+                ),
+            )
+        return candidates[0] if candidates else None
 
-    # --- graceful degradation (fault scenarios) -------------------------------
-
-    def _route_unserviceable(self, route: int) -> bool:
-        """Whether the chosen output leads over a dead channel."""
-        if route in self._ejection_ports:
-            return False
-        channel = self.outgoing.get(route)
-        return channel is None or channel.dead
-
-    def _dead_reason(self, route: int) -> str:
-        channel = self.outgoing.get(route)
-        if channel is not None and channel.dead_reason is not None:
-            return channel.dead_reason
-        return "dead_link"
-
-    def _reroute_or_drop(self, vc: VirtualChannel) -> bool:
-        """A waiting head's chosen output died before VC allocation: pick a
-        surviving minimal route if the turn model offers one (west-first
-        does for most turns; X-Y never does), else drop with accounting.
-        Returns False when the packet was dropped."""
-        packet = vc.queue[0][0].packet
-        # Degraded route computation keeps to surviving outputs while one
-        # exists, so a dead answer means none does.
-        route = self.compute_route(packet.dst)
-        if not self._route_unserviceable(route):
-            vc.route = route
-            return True
-        if self.on_drop is not None:
-            self.on_drop(packet, self._dead_reason(vc.route))
-        return False
+    def _drop_unroutable(self, packet) -> None:
+        """Drop *packet*, whose head has no live output, for the failure
+        that cut its route's first candidate."""
+        first = self.topology.route_candidates(self.id, packet.dst)[0]
+        self.on_drop(packet, self.outgoing[first].dead_reason)
 
     def _bypass_route_for(self, vc: VirtualChannel, flit: Flit, cycle: int):
         """(route, out_vc) for a flit bypassed into input VC *vc*, or None
@@ -641,12 +605,11 @@ class Router:
         channel there can take it; a body follows the VC's open worm."""
         if flit.is_head:
             route = self.compute_route(flit.packet.dst)
+            if route is None:
+                self._drop_unroutable(flit.packet)
+                return None
             if route in self._ejection_ports:
                 return route, 0
-            if self.degraded and self._route_unserviceable(route):
-                if self.on_drop is not None:
-                    self.on_drop(flit.packet, self._dead_reason(route))
-                return None
             if not self.outgoing[route].can_accept(cycle):
                 return None
             out_vc = self._claim_downstream_vc(route, flit.packet)
@@ -657,11 +620,10 @@ class Router:
             raise RuntimeError(f"router {self.id}: bypassed body flit without an open VC")
         route = vc.route
         if route not in self._ejection_ports:
-            if self.degraded and self._route_unserviceable(route):
-                if self.on_drop is not None:
-                    self.on_drop(flit.packet, self._dead_reason(route))
-                return None
-            if not self.outgoing[route].can_accept(cycle):
+            channel = self.outgoing[route]
+            if not channel.can_accept(cycle):
+                if channel.dead:
+                    self.on_drop(flit.packet, channel.dead_reason)
                 return None
         return route, vc.out_vc
 
@@ -759,16 +721,15 @@ class Router:
             if in_vc is None:
                 return False
             route = self.compute_route(flit.packet.dst)
+            if route is None:
+                # Not yet in the network: refuse injection, count the
+                # packet as undeliverable rather than losing it silently.
+                self.on_drop(flit.packet, "undeliverable")
+                return False
             if route in self._ejection_ports:
                 # Destination shares this router (concentrated mesh):
                 # eject straight out of the bypass switch.
                 out_vc = 0
-            elif self.degraded and self._route_unserviceable(route):
-                # Not yet in the network: refuse injection, count the
-                # packet as undeliverable rather than losing it silently.
-                if self.on_drop is not None:
-                    self.on_drop(flit.packet, "undeliverable")
-                return False
             elif not self.outgoing[route].can_accept(cycle):
                 return False
             else:

@@ -26,6 +26,7 @@ channels, so channel bookkeeping is identical across fabrics.
 from __future__ import annotations
 
 import abc
+from collections.abc import Container
 from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS
@@ -149,6 +150,32 @@ class Topology(abc.ABC):
         sequence of candidates must be deadlock-free under this fabric's
         VC discipline.
         """
+
+    def live_candidates(
+        self,
+        current: int,
+        dst_node: int,
+        dead_routers: Container[int] = (),
+        dead_links: Container[tuple[int, int]] = (),
+    ) -> tuple[int, ...]:
+        """:meth:`route_candidates` without the outputs over a dead link (a
+        ``(router, port)`` of *dead_links*) or into a dead router; empty at
+        a dead router, or when no output toward *dst_node* survives.  The
+        one failure-aware route choice: ``Router.compute_route`` memoises
+        it and the deadlock law proves it (tests/noc/test_topology_properties.py).
+        """
+        if current in dead_routers:
+            return ()
+        ejection = self.ejection_ports(current)
+        return tuple(
+            port
+            for port in self.route_candidates(current, dst_node)
+            if port in ejection
+            or (
+                (current, port) not in dead_links
+                and self.neighbor(current, Direction(port)) not in dead_routers
+            )
+        )
 
     @abc.abstractmethod
     def distance(self, src_node: int, dst_node: int) -> int:

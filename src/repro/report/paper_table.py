@@ -152,7 +152,7 @@ class Row:
 
 _OPEN_LOOP = (
     "open-loop traces: latency never delays the next request, so execution "
-    "time is tied to trace length (ROADMAP item 2 closes it)"
+    "time is tied to trace length (ROADMAP item 6 closes it)"
 )
 _SHORT_HORIZON = (
     "needs full-application phase dynamics; an 8 000-cycle tuning run "

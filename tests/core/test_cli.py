@@ -81,7 +81,7 @@ OPTION_CEILINGS = {
 FIELD_CEILINGS = {
     "NocConfig": 15, "FaultConfig": 13, "PowerConfig": 21, "RlConfig": 8,
     "TechniqueConfig": 10, "WorkloadSpec": 6, "CellSpec": 6,
-    "EngineOptions": 6,
+    "EngineOptions": 6, "SimulationConfig": 5,
 }
 
 #: Parameters of ``Network.__init__`` beside ``self``: a fault or observer
@@ -110,7 +110,8 @@ class TestKnobCount:
         import dataclasses
 
         from repro.config import (
-            FaultConfig, NocConfig, PowerConfig, RlConfig, TechniqueConfig,
+            FaultConfig, NocConfig, PowerConfig, RlConfig, SimulationConfig,
+            TechniqueConfig,
         )
         from repro.exec.engine import EngineOptions
         from repro.exec.spec import CellSpec, WorkloadSpec
@@ -118,7 +119,8 @@ class TestKnobCount:
         counts = {
             cls.__name__: sum(f.init for f in dataclasses.fields(cls))
             for cls in (NocConfig, FaultConfig, PowerConfig, RlConfig,
-                        TechniqueConfig, WorkloadSpec, CellSpec, EngineOptions)
+                        TechniqueConfig, WorkloadSpec, CellSpec, EngineOptions,
+                        SimulationConfig)
         }
         assert counts.keys() == FIELD_CEILINGS.keys()
         grown = {n: c for n, c in counts.items() if c > FIELD_CEILINGS[n]}

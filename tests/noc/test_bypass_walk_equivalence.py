@@ -168,13 +168,17 @@ FABRICS = {
 }
 
 
-def route_from_scratch(router, dst):
+def live_answer(network, router, dst):
+    return network.topology.live_candidates(
+        router.id, dst, network.dead_routers, network.dead_links
+    )
+
+
+def route_from_scratch(network, router, dst):
     """`compute_route` as it reads without its memo."""
-    candidates = router.topology.route_candidates(router.id, dst)
-    if router.degraded:
-        candidates = [
-            c for c in candidates if not router._route_unserviceable(c)
-        ] or candidates
+    candidates = live_answer(network, router, dst)
+    if not candidates:
+        return None
     return select_output(
         candidates,
         free_slots=lambda d: sum(vc.free_slots for vc in router.downstream_ports[d].vcs),
@@ -186,7 +190,9 @@ def check_route_memo(network):
     for router in network.routers:
         for _ in range(2):  # a miss, then (at most) a hit
             for dst in nodes:
-                assert router.compute_route(dst) == route_from_scratch(router, dst)
+                assert router.compute_route(dst) == route_from_scratch(
+                    network, router, dst
+                )
 
 
 def check_vc_class_memo(network):
@@ -212,24 +218,37 @@ def check_vc_class_memo(network):
         assert bool(router._vc_class_memo) == topology.uses_vc_classes
 
 
-@pytest.mark.parametrize("fabric", sorted(FABRICS))
-def test_memos_equal_from_scratch_answers_before_and_after_a_kill(fabric):
-    network = make_network(on_fabric(**FABRICS[fabric]))
-    topology = network.topology
-    check_route_memo(network)
-    check_vc_class_memo(network)
-    # Exactly the single-candidate destinations were memoised.
+def route_memos(network):
+    return [dict(router._route_memo) for router in network.routers]
+
+
+def check_memos_hold_live_answers(network):
+    nodes = range(network.topology.num_nodes)
     for router in network.routers:
         assert router._route_memo == {
-            dst: candidates[0]
-            for dst in range(topology.num_nodes)
-            for candidates in [topology.route_candidates(router.id, dst)]
-            if len(candidates) == 1
+            dst: live_answer(network, router, dst) for dst in nodes
         }
-    memos = [dict(router._route_memo) for router in network.routers]
-    network.fail_router(topology.num_routers // 2 + 1, cycle=5)
-    assert all(router.degraded for router in network.routers)
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+def test_memos_equal_from_scratch_answers_before_and_after_a_kill(fabric):
+    """Every destination's live candidates are memoised, and a link kill,
+    then a router kill, replaces stale answers with live ones."""
+    network = make_network(on_fabric(**FABRICS[fabric]))
+    topology = network.topology
+    channels = topology.channels()
+    src, direction, _ = channels[len(channels) // 2]
+    kills = [
+        lambda: network.fail_link(src, direction, cycle=5),
+        lambda: network.fail_router(topology.num_routers // 2 + 1, cycle=6),
+    ]
     check_route_memo(network)
     check_vc_class_memo(network)
-    # A degraded router neither consults nor fills the route memo.
-    assert [router._route_memo for router in network.routers] == memos
+    check_memos_hold_live_answers(network)
+    for kill in kills:
+        memos = route_memos(network)
+        kill()
+        check_route_memo(network)
+        check_vc_class_memo(network)
+        check_memos_hold_live_answers(network)
+        assert route_memos(network) != memos  # the kill cut some route

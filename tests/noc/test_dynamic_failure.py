@@ -16,6 +16,7 @@ from repro.config import SECDED_BASELINE, FaultConfig, SimulationConfig
 from repro.faults.scenario import FaultScenario, RouterFailure
 from repro.noc.network import Network
 from repro.noc.routing import Direction
+from repro.noc.vc import VcState
 from repro.traffic.trace import Trace, TraceEvent
 
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
@@ -120,6 +121,24 @@ class TestLinkDeath:
         assert net.fail_link(4, int(Direction.EAST), cycle=0)
         net.run_to_completion(20_000)
         assert net.stats.packets_completed == len(flow_events())
+        assert net.stats.packets_dropped == 0
+        assert_accounting_balances(net)
+
+    def test_a_head_waiting_on_an_output_that_dies_is_rerouted(self):
+        """The kill sends a head waiting for VC allocation on the dead
+        output back through route computation: west-first takes the other
+        productive output instead of committing to the dead one."""
+        net = make_network("west_first", flow_events(n=1))
+        slots = net.routers[FLOW[0]]._vc_slots
+        waiting = []
+        while not waiting and net.cycle < 50:
+            net.step()
+            waiting = [vc for *_, vc in slots if vc.state is VcState.WAITING_VA]
+        (vc,) = waiting
+        assert net.fail_link(FLOW[0], int(vc.route), cycle=net.cycle)
+        assert vc.state is VcState.ROUTING
+        net.run_to_completion(20_000)
+        assert net.stats.packets_completed == 1
         assert net.stats.packets_dropped == 0
         assert_accounting_balances(net)
 

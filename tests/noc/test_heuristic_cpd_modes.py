@@ -20,6 +20,7 @@ def cpd_router():
         counters=RouterEpochCounters(),
         charge=lambda e: None,
         on_eject=lambda f, c: None,
+        on_drop=lambda packet, reason: None,
     )
 
 

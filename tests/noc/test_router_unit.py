@@ -30,6 +30,7 @@ def bare_router(technique=SECDED_BASELINE, rid=9):
         counters=RouterEpochCounters(),
         charge=charges.append,
         on_eject=lambda f, c: ejected.append(f),
+        on_drop=lambda packet, reason: None,
     )
     router._test_charges = charges
     router._test_ejected = ejected

@@ -174,11 +174,10 @@ def test_same_grants_in_the_same_order_and_same_pointers(technique, rid):
 def test_degraded_router_with_a_dead_output(scene, dead):
     """A worm committed to a dead output is never granted, and every such
     worm whose front flit is due is reported dropped, in scan order.  (No
-    VA grants here: the scan reroutes or drops a head bound for a dead
-    output before it can request a VC.)"""
+    VA grants here: route computation never picks a dead output, and a
+    kill sends a head already waiting on one back to route computation.)"""
     router = make_network(INTELLINOC).routers[INTERIOR]
     router.outgoing[dead].kill("dead_link")
-    router.degraded = True
     dropped = []
     router.on_drop = lambda packet, reason: dropped.append((packet.pid, reason))
     active, granted = check_equivalence(router, scene)

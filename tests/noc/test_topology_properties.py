@@ -202,19 +202,19 @@ ROUTED_CONFIGS = {
 }
 
 
-def dependency_graph(topo, num_vcs, dead=frozenset()):
+def dependency_graph(topo, num_vcs, dead_routers=(), dead_links=()):
     """The edges of the extended channel-dependency graph, read off the
-    ``Topology`` contract alone (``channels``, ``route_candidates``,
-    ``next_vc_class``, ``allowed_vcs``), with the ``(router, port)``
-    channels in *dead* failed.
+    ``Topology`` contract alone (``channels``, ``live_candidates``,
+    ``next_vc_class``, ``allowed_vcs``), with the routers in
+    *dead_routers* and the ``(router, port)`` links in *dead_links* failed.
 
     A node is ``(router, output port, VCs the class may hold)``, so two
     classes that share VCs share a node.  An edge joins the channel a head
     holds to every channel its route may claim next.  Each destination's
     walk follows every route from every source; the graph is the union of
-    their edges.  Candidates are filtered as a degraded
-    ``Router.compute_route`` filters them: the live outputs, or all when
-    none is live, and then the head is dropped, not routed.
+    their edges.  ``live_candidates`` is what ``Router.compute_route``
+    routes by, so the graph is the simulator's own; a head with no live
+    output is dropped, not routed, and adds no edge.
     """
     link = {(src, int(d)): dst for src, d, dst in topo.channels()}
     edges = set()
@@ -227,8 +227,8 @@ def dependency_graph(topo, num_vcs, dead=frozenset()):
                 continue
             seen.add(state)
             router, vc_class, held = state
-            for port in topo.route_candidates(router, dst):
-                if port in topo.ejection_ports(router) or (router, int(port)) in dead:
+            for port in topo.live_candidates(router, dst, dead_routers, dead_links):
+                if port in topo.ejection_ports(router):
                     continue
                 cls = topo.next_vc_class(router, port, vc_class)
                 node = (router, int(port), tuple(topo.allowed_vcs(cls, num_vcs)))
@@ -275,16 +275,9 @@ def north_west_mutant(current, dst, width):
     return candidates
 
 
-def dead_channels(topo, routers=(), links=()):
-    """A failure set as the channels it kills (all of a dead router's)."""
-    return frozenset(links) | {
-        (src, int(d)) for src, d, dst in topo.channels() if {src, dst} & set(routers)
-    }
-
-
-def assert_acyclic_subgraph(noc, topo, dead):
-    edges = dependency_graph(topo, noc.num_vcs, dead)
-    assert find_cycle(edges) is None, sorted(dead)
+def assert_acyclic_subgraph(noc, topo, routers, links):
+    edges = dependency_graph(topo, noc.num_vcs, set(routers), set(links))
+    assert find_cycle(edges) is None, (sorted(routers), sorted(links))
     # Minimal candidates: a failure only cuts edges (item 10 must keep this).
     assert edges <= dependency_graph(topo, noc.num_vcs)
 
@@ -323,7 +316,7 @@ def observed_claims(monkeypatch, make_run, claim=Router._claim_downstream_vc):
         out_vc = claim(router, route, packet)
         if out_vc is not None:
             gated += router.gating.state is POWER_GATED
-            dead = dead_channels(topo, network.dead_routers, network.dead_links)
+            dead = frozenset(network.dead_routers), frozenset(network.dead_links)
             claims.setdefault((packet.pid, packet.e2e_retransmissions), []).append(
                 (router.id, int(route), out_vc, dead)
             )
@@ -333,7 +326,7 @@ def observed_claims(monkeypatch, make_run, claim=Router._claim_downstream_vc):
     network.run_to_completion(20_000)
     proved = {
         dead: {(*x[:2], v, *y[:2], w)
-               for x, y in dependency_graph(topo, noc.num_vcs, dead)
+               for x, y in dependency_graph(topo, noc.num_vcs, *dead)
                for v in x[2] for w in y[2]}
         for dead in dict.fromkeys(hop[3] for hops in claims.values() for hop in hops)
     }
@@ -370,12 +363,12 @@ class TestDeadlockFreedom:
         topo = build_topology(noc)
         for name in scenario_names():
             events = build_scenario(name, topo).events
-            assert_acyclic_subgraph(noc, topo, dead_channels(
-                topo,
+            assert_acyclic_subgraph(
+                noc, topo,
                 [e.router for e in events if isinstance(e, RouterFailure)],
                 [(e.src_router, e.direction) for e in events
                  if isinstance(e, LinkFailure)],
-            ))
+            )
 
     @pytest.mark.parametrize("fabric", sorted(ROUTED_CONFIGS))
     @settings(max_examples=4, deadline=None)
@@ -388,7 +381,7 @@ class TestDeadlockFreedom:
         routers = data.draw(
             st.sets(st.integers(0, topo.num_routers - 1), max_size=2)
         )
-        assert_acyclic_subgraph(noc, topo, dead_channels(topo, routers, links))
+        assert_acyclic_subgraph(noc, topo, routers, links)
 
     @pytest.mark.parametrize("make_run", [torus_flaps, west_first_aging_cliff],
                              ids=lambda f: f.__name__)
