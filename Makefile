@@ -13,11 +13,14 @@ lint:
 		&& python -m mypy -p repro.analysis; \
 	else echo "mypy not installed; skipped type check"; fi
 
+# The tier-1 suite by CI's command line: `src` on the path (a fresh
+# checkout has no installed `repro`), pyproject's `testpaths` and its one
+# -q (a second -q drops the final "N passed in S s" line).
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest -x
 
 test-output:
-	pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src python -m pytest -x 2>&1 | tee test_output.txt
 
 # Measure every figure of the paper on the full grid, check the table of
 # repro.report.paper_table, rewrite results/ and EXPERIMENTS.md (minutes
@@ -101,5 +104,5 @@ examples:
 # results/ is generated *and committed* (`make verify-paper` writes it):
 # clean leaves it alone.
 clean:
-	rm -rf .pytest_cache nocsan.json
+	rm -rf .pytest_cache nocsan.json test_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -102,7 +102,6 @@ class Channel:
         "traversal_pj",
         "_link_energy_pj",
         "down",
-        "dead",
         "dead_reason",
     )
 
@@ -160,23 +159,26 @@ class Channel:
         self.flits_retransmitted = 0
         self.function_switches = 0  # runtime reconfigurations of this MFAC
         # Fault-scenario state.  ``down`` refuses new sends (intermittent
-        # outage: queued flits are *held*, not lost); ``dead`` additionally
-        # marks the outage permanent — routing treats the channel as gone
-        # and packets committed to it are dropped with ``dead_reason``.
+        # outage: queued flits are *held*, not lost); ``dead_reason`` marks
+        # the outage permanent — routing treats the channel as gone and
+        # packets committed to it are dropped for that reason.
         self.down = False
-        self.dead = False
         self.dead_reason: str | None = None
         self._refresh_geometry()
 
     # --- fault-scenario state transitions ------------------------------------
 
+    @property
+    def dead(self) -> bool:
+        """Permanently failed (:meth:`kill`)."""
+        return self.dead_reason is not None
+
     def set_down(self, down: bool) -> None:
         """Duty-cycled outage: hold traffic while down (dead stays down)."""
-        self.down = down or self.dead
+        self.down = down or self.dead_reason is not None
 
     def kill(self, reason: str) -> None:
         """Permanent failure: the channel never carries traffic again."""
-        self.dead = True
         self.down = True
         self.dead_reason = reason
 

@@ -128,15 +128,17 @@ class Network:
         self.sources = [SourceQueue(i) for i in range(topo.num_nodes)]
         self._node_router = [topo.router_of_node(n) for n in range(topo.num_nodes)]
         self._node_port = [topo.injection_port(n) for n in range(topo.num_nodes)]
-        self._router_locals: list[list[tuple[int, SourceQueue]]] = [
-            [(topo.injection_port(n), self.sources[n]) for n in topo.local_nodes(rid)]
-            for rid in range(topo.num_routers)
-        ]
         # The failure set (``fail_router`` / ``fail_link`` grow it), which
-        # every router routes around.
+        # every router routes around: the one record of a failure.
         self.dead_routers: dict[int, int] = {}  # rid -> kill cycle
         self.dead_links: dict[tuple[int, int], int] = {}  # (src, dir) -> cycle
         self._build()
+        # What phase 3 visits: each live router with its local sources
+        # (``fail_router`` takes a dead router out).
+        self._live_routers: list[tuple[Router, list[tuple[int, SourceQueue]]]] = [
+            (r, [(topo.injection_port(n), self.sources[n]) for n in topo.local_nodes(r.id)])
+            for r in self.routers
+        ]
 
         self.cycle = 0
         self._trace_index = 0
@@ -402,8 +404,8 @@ class Network:
         if lap is not None:
             lap("scenario.tick")
         if self._pending_drops:
-            # Packets marked dropped after the last sweep (e.g. by a router
-            # that found its committed output dead): excise their flits now,
+            # Packets marked dropped after the last sweep (a head with no
+            # live output, a refused packet): excise their flits now,
             # before this cycle moves anything.
             self._flush_drops(cycle)
         if lap is not None:
@@ -455,12 +457,12 @@ class Network:
             ev = events[self._trace_index]
             self._trace_index += 1
             packet = Packet.create(ev.src, ev.dst, ev.size, cycle, expects_reply=ev.reply)
+            self.stats.record_injection()
             if self.dead_routers and self._endpoint_dead(ev.src, ev.dst):
-                self._refuse_packet(packet, cycle)
+                self._mark_dropped(packet, REASON_UNDELIVERABLE)
                 continue
             self.sources[ev.src].enqueue(packet)
             self._active_sources.add(ev.src)
-            self.stats.record_injection()
 
     # --- phase 2: channel delivery -----------------------------------------------------
 
@@ -642,9 +644,7 @@ class Network:
     def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
         uses_bypass = self.technique.uses_bypass
-        for router, sources in zip(self.routers, self._router_locals):
-            if router.dead:
-                continue
+        for router, sources in self._live_routers:
             gating = router.gating
             state = gating.state
             if state is POWER_GATED:
@@ -723,9 +723,6 @@ class Network:
             if state is POWER_DRAINING or state is POWER_WAKING:
                 continue
             flit = source.peek()
-            if flit is None:
-                done.append(node)
-                continue
             if (
                 self.dead_routers
                 and flit.is_head
@@ -817,12 +814,12 @@ class Network:
             reply = Packet.create(
                 packet.dst, packet.src, packet.size, cycle, is_reply=True
             )
+            self.stats.record_injection()
             if self.dead_routers and self._endpoint_dead(packet.dst, packet.src):
-                self._refuse_packet(reply, cycle)
+                self._mark_dropped(reply, REASON_UNDELIVERABLE)
                 return
             self.sources[packet.dst].enqueue(reply)
             self._active_sources.add(packet.dst)
-            self.stats.record_injection()
 
     # --- fault scenarios: kills, drops, accounting ----------------------------------------------
 
@@ -843,28 +840,15 @@ class Network:
             or self._node_router[dst_node] in self.dead_routers
         )
 
-    def _refuse_packet(self, packet: Packet, cycle: int) -> None:
-        """Refuse admission (dead endpoint): injected and resolved in one
-        breath, so delivery accounting stays balanced without the packet
-        ever touching a queue."""
-        packet.dropped_reason = REASON_UNDELIVERABLE
-        self.stats.record_injection()
-        self.stats.packets_undeliverable += 1
-        if self._tel is not None:
-            self._tel.record(
-                "drop", cycle, src=packet.src, dst=packet.dst,
-                reason=REASON_UNDELIVERABLE,
-            )
-
     def fail_router(self, rid: int, cycle: int) -> None:
         """Kill router *rid* permanently: every attached channel dies, every
         packet committed through it is dropped with accounting, local
         sources are drained, and routing goes around the hole."""
-        router = self.routers[rid]
-        if router.dead:
+        if rid in self.dead_routers:
             return
-        router.dead = True
+        router = self.routers[rid]
         self.dead_routers[rid] = cycle
+        self._live_routers = [pair for pair in self._live_routers if pair[0] is not router]
         # In-flight victims: flits wired to/from the router and the owner
         # of every VC inside it (its buffered flits are the owner's).
         for channel in [*router.outgoing.values(), *router.incoming.values()]:
@@ -915,7 +899,7 @@ class Network:
             self._recovery_pending_since = cycle
         for router in self.routers:
             router._route_memo.clear()
-            if router.dead:
+            if router.id in self.dead_routers:
                 continue
             for _, _, vc in router._vc_slots:
                 state = vc.state
@@ -1061,7 +1045,7 @@ class Network:
             rl_pj = self.power_model.rl_step_energy_pj()
             applied: list[int] = []
             for router, mode, obs in zip(self.routers, modes, observations):
-                if router.dead:
+                if router.id in self.dead_routers:
                     continue  # no hardware left to reconfigure
                 if rl_pj:
                     self.accountant.add_dynamic(router.id, rl_pj)

@@ -140,10 +140,9 @@ class Router:
             p: RoundRobinArbiter(self.num_ports * noc.num_vcs) for p in ports
         }
         self._bypass_arbiter = RoundRobinArbiter(self.num_ports)
-        self.dead = False  # killed by a fault scenario (never recovers)
         # The fabric's failure set, the network's own (it fills them on a
-        # kill): routing keeps to live outputs, and a head with none, or a
-        # worm committed to a dead channel, is dropped, not wedged.
+        # kill): routing keeps to live outputs, and a head with none is
+        # dropped, not wedged.
         self.dead_routers: Container[int] = ()
         self.dead_links: Container[tuple[int, int]] = ()
         self._flit_count = 0  # flits in this router's input buffers
@@ -389,10 +388,6 @@ class Router:
                     or not channel.can_accept(cycle)
                     or (channel.is_wire and not self._wire_has_slot(channel, route, vc))
                 ):
-                    if channel is not None and channel.dead:
-                        # Committed worm blocked on a channel that died
-                        # between the kill sweep and now: drop, not wedge.
-                        self.on_drop(flit.packet, channel.dead_reason)
                     continue
             ready[direction] = lines | (1 << vci)
 
@@ -619,12 +614,8 @@ class Router:
         if vc.state is not VC_ACTIVE:
             raise RuntimeError(f"router {self.id}: bypassed body flit without an open VC")
         route = vc.route
-        if route not in self._ejection_ports:
-            channel = self.outgoing[route]
-            if not channel.can_accept(cycle):
-                if channel.dead:
-                    self.on_drop(flit.packet, channel.dead_reason)
-                return None
+        if route not in self._ejection_ports and not self.outgoing[route].can_accept(cycle):
+            return None
         return route, vc.out_vc
 
     def _claim_downstream_vc(self, route: int, packet) -> int | None:

@@ -212,9 +212,9 @@ class TestScenarioEngine:
         net = make_network(scenario=scenario)
         engine = net._scenario
         engine.tick(4)
-        assert not net.routers[6].dead
+        assert 6 not in net.dead_routers
         engine.tick(5)
-        assert net.routers[6].dead
+        assert net.dead_routers == {6: 5}
         assert engine.events_fired == 1
         engine.tick(6)
         assert engine.events_fired == 1  # one-shot

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import INTELLINOC
@@ -94,7 +94,7 @@ def stage(network, router, scene):
             channel.queue[-1][1] = CYCLE + state["head_due_in"] + age
         channel.capacity = state["capacity"]
         channel.set_down(state["down"])
-    sources = network._router_locals[router.id]
+    sources = dict(network._live_routers)[router]
     for (_, source), packets in zip(sources, scene["local_packets"]):
         source.drain_queued()
         source.discard_packet(source.current_packet())
@@ -150,8 +150,21 @@ def test_same_verdict_same_inputs_tried_and_same_pointer(fabric, rid):
     router.apply_mode(0, 0)
     assert router.gating.state is PowerState.GATED
     verdicts = []
+    quiet = {"capacity": 8, "flits": 0, "head_due_in": 0, "down": False}
+    full = dict(quiet, capacity=0)  # congested while empty
+    due = dict(quiet, flits=1)
 
+    def scene(channels, moves):
+        return {"channels": channels, "local_packets": [0] * 4, "pointer": 0,
+                "moves": [moves] * router.num_ports}
+
+    # One scene per verdict, so that every run reaches all three whatever
+    # the draw: two congested inputs fire the watchdog (None); one due
+    # flit either moves (True) or does not (False).
     @settings(max_examples=150, deadline=None)
+    @example(scene=scene([full] * 4, True))
+    @example(scene=scene([due] + [quiet] * 3, True))
+    @example(scene=scene([due] + [quiet] * 3, False))
     @given(scene=scenes(router.num_ports))
     def check(scene):
         verdicts.append(check_walk(network, router, scene))

@@ -12,12 +12,15 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.sanitizer import NocSanitizer
-from repro.config import SECDED_BASELINE, FaultConfig, SimulationConfig
+from repro.config import INTELLINOC, SECDED_BASELINE, FaultConfig, SimulationConfig
 from repro.faults.scenario import FaultScenario, RouterFailure
 from repro.noc.network import Network
 from repro.noc.routing import Direction
 from repro.noc.vc import VcState
+from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.traffic.trace import Trace, TraceEvent
+from repro.utils.rng import make_rng
+from tests.noc.test_topology_properties import FABRIC_OVERRIDES
 
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
 
@@ -59,7 +62,7 @@ class TestRouterDeath:
     def test_west_first_routes_around_a_dead_router(self):
         net = make_network("west_first", flow_events(), scenario=kill_at(0))
         net.run_to_completion(20_000)
-        assert net.routers[DEAD].dead
+        assert net.dead_routers == {DEAD: 0}
         assert net.stats.packets_completed == len(flow_events())
         assert net.stats.packets_dropped == 0
         assert_accounting_balances(net)
@@ -161,3 +164,39 @@ class TestDegradedTermination:
         net.run_to_completion(cap)
         assert net.cycle < cap
         assert_accounting_balances(net)
+
+
+class TestKillSweep:
+    @pytest.mark.parametrize("fabric", sorted(FABRIC_OVERRIDES))
+    @pytest.mark.parametrize("pack", ["aging-cliff", "hotspot-meltdown", "link-rot"])
+    def test_no_worm_is_left_on_a_dead_output(self, pack, fabric):
+        """The kill sweep's guarantee, on which the switch allocator and
+        the bypass rely when they never ask whether a channel is dead:
+        once `fail_router` or `fail_link` returns, no input VC is ACTIVE
+        or WAITING_VA on an output whose channel is dead, and no drop
+        waits for a later sweep."""
+        noc = replace(INTELLINOC.noc, fault_scenario=pack, **FABRIC_OVERRIDES[fabric])
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 2500, 0.05,
+            noc.flits_per_packet, make_rng(7, "kill-sweep"),
+        )
+        config = SimulationConfig(technique=replace(INTELLINOC, noc=noc), seed=7)
+        net = Network(config, trace)
+        committed = (VcState.ACTIVE, VcState.WAITING_VA)
+
+        def checked(kill):
+            def run(*args):
+                result = kill(*args)
+                for router in net.routers:
+                    for *_, vc in router._vc_slots:
+                        if vc.state in committed:
+                            channel = router.outgoing.get(vc.route)
+                            assert channel is None or not channel.dead, (router.id, vc.state)
+                assert net._pending_drops == []
+                return result
+            return run
+
+        net.fail_router = checked(net.fail_router)
+        net.fail_link = checked(net.fail_link)
+        net.run_to_completion(50_000)
+        assert net._scenario.events_fired > 0

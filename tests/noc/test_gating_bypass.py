@@ -180,6 +180,7 @@ class TestIdleRouterSkip:
         events = [TraceEvent(c, c % 64, (c * 7 + 9) % 64, 4) for c in range(0, 600, 3)]
         events = [e for e in events if e.src != e.dst]
         net = intellinoc_network(events, mode=0)
+        local_sources = dict(net._live_routers)
         visited = set()
         for router in net.routers:
             def visit(cycle, sources, rid=router.id, step=router.bypass_step):
@@ -194,14 +195,12 @@ class TestIdleRouterSkip:
                 r
                 for r in gated
                 if not any(c.queue for c in r.incoming.values())
-                and all(s.is_empty() for _, s in net._router_locals[r.id])
+                and all(s.is_empty() for _, s in local_sources[r])
             ]
             for router in quiet:
                 pointer = router._bypass_arbiter.peek()
                 assert not router.bypass_overloaded()
-                assert router.bypass_step(
-                    net.cycle, net._router_locals[router.id]
-                ) is False
+                assert router.bypass_step(net.cycle, local_sources[router]) is False
                 assert router._bypass_arbiter.peek() == pointer
             visited.clear()
             net.step()

@@ -24,14 +24,12 @@ CYCLE = 100
 INTERIOR, CORNER = 9, 0  # routers of the 8x8 mesh: four neighbours / two
 
 
-def stage_delay_elapsed(router, vc, cycle):
-    flit, enq = vc.queue[0]
-    return cycle >= enq + (router._head_delay if flit.is_head else router._body_delay)
-
-
 def is_ready(router, vc, cycle):
     """SA eligibility of one ACTIVE VC (stage delay + output can take it)."""
-    if not vc.queue or not stage_delay_elapsed(router, vc, cycle):
+    if not vc.queue:
+        return False
+    flit, enq = vc.queue[0]
+    if cycle < enq + (router._head_delay if flit.is_head else router._body_delay):
         return False
     if vc.route in router._ejection_ports:
         return True
@@ -111,10 +109,13 @@ def stage(router, scene, cycle):
     for (port, vci, vc), contents in zip(router._vc_slots, scene["vcs"]):
         vc.queue.clear()
         vc.close_packet()
+        vc.owner = None
         if contents is None:
             continue
-        head, tail = Packet.create(1, 2, 2, cycle).make_flits()
+        packet = Packet.create(1, 2, 2, cycle)
+        head, tail = packet.make_flits()
         vc.queue.append((head if contents["is_head"] else tail, cycle - contents["age"]))
+        vc.owner = packet
         vc.state = VcState.ACTIVE
         vc.route = contents["route"]
         vc.out_vc = contents["out_vc"]
@@ -130,9 +131,9 @@ def stage(router, scene, cycle):
     return [slots[i] for i in order if slots[i][2].state is VcState.ACTIVE]
 
 
-def check_equivalence(router, scene):
-    """Run both allocators from *scene*; returns (ACTIVE slots, grants)."""
-    active = stage(router, scene, CYCLE)
+def check_equivalence(router, active):
+    """Run both allocators over the ACTIVE slots *active*, assert that they
+    agree, and return the grants."""
     port_arbiters = copy.deepcopy(router._port_arbiters)
     output_arbiters = copy.deepcopy(router._output_arbiters)
     expected = reference_switch_allocate(
@@ -147,7 +148,7 @@ def check_equivalence(router, scene):
     for port in router.input_ports:
         assert router._port_arbiters[port].peek() == port_arbiters[port].peek()
         assert router._output_arbiters[port].peek() == output_arbiters[port].peek()
-    return active, granted
+    return granted
 
 
 @pytest.mark.parametrize("rid", [INTERIOR, CORNER])
@@ -164,7 +165,7 @@ def test_same_grants_in_the_same_order_and_same_pointers(technique, rid):
     @settings(max_examples=60, deadline=None)
     @given(scene=scenes())
     def check(scene):
-        check_equivalence(router, scene)
+        check_equivalence(router, stage(router, scene, CYCLE))
 
     check()
 
@@ -172,18 +173,22 @@ def test_same_grants_in_the_same_order_and_same_pointers(technique, rid):
 @settings(max_examples=60, deadline=None)
 @given(scene=scenes(va_grants=False), dead=st.sampled_from(list(Direction)[1:]))
 def test_degraded_router_with_a_dead_output(scene, dead):
-    """A worm committed to a dead output is never granted, and every such
-    worm whose front flit is due is reported dropped, in scan order.  (No
-    VA grants here: route computation never picks a dead output, and a
-    kill sends a head already waiting on one back to route computation.)"""
-    router = make_network(INTELLINOC).routers[INTERIOR]
-    router.outgoing[dead].kill("dead_link")
-    dropped = []
-    router.on_drop = lambda packet, reason: dropped.append((packet.pid, reason))
-    active, granted = check_equivalence(router, scene)
+    """Killing an output through `Network.fail_link` drops every worm
+    committed to it, due or not, and releases its VC; the allocators then
+    agree over the survivors and never grant the dead output.  (No VA
+    grants here: route computation never picks a dead output, and a kill
+    sends a head already waiting on one back to route computation.)"""
+    net = make_network(INTELLINOC)
+    router = net.routers[INTERIOR]
+    active = stage(router, scene, CYCLE)
+    doomed = [(vc.owner, vc) for _, _, vc in active if vc.route == dead]
+    assert net.fail_link(INTERIOR, int(dead), CYCLE)
+    assert not net._pending_drops
+    assert net.stats.packets_dropped_dead_link == len(doomed)
+    for packet, vc in doomed:
+        assert packet.dropped_reason == "dead_link"
+        assert vc.owner is None and vc.state is VcState.IDLE and not vc.queue
+    survivors = [slot for slot in active if slot[2].state is VcState.ACTIVE]
+    assert len(survivors) == len(active) - len(doomed)
+    granted = check_equivalence(router, survivors)
     assert all(route != dead for _, _, route in granted)
-    assert dropped == [
-        (vc.queue[0][0].packet.pid, "dead_link")
-        for _, _, vc in active
-        if vc.route == dead and stage_delay_elapsed(router, vc, CYCLE)
-    ]
