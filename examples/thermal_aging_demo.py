@@ -62,6 +62,8 @@ def main() -> None:
 
     print("\npre-training IntelliNoC agents ...")
     policy = pretrain_agents(INTELLINOC, duration=24_000, seed=21)
+    for agent in policy.agents:  # deploy at IntelliNoC's exploration rate
+        agent.policy.epsilon = INTELLINOC.rl.epsilon
     ours = run(INTELLINOC, policy=policy)
     report("IntelliNoC", ours)
 

@@ -232,12 +232,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry = Telemetry(trace_stride=args.observe_stride)
         profiler = SimProfiler(stride=args.observe_stride)
 
-    spec = parsec_cell(
+    spec = replace(FULL_GRID, seed=args.seed, pretrain=args.pretrain).cell(
         _fabric_technique(technique(args.technique), args),
         args.benchmark,
         args.duration,
-        seed=args.seed,
-        pretrain_cycles=args.pretrain,
     )
     policy = None
     if spec.pretraining is not None:

@@ -3,10 +3,10 @@ benchmark) campaigns (Section 7).
 
 :data:`FULL_GRID` is the one set of campaign defaults: the runner and the
 CLI read it.  Every figure of Figs. 9-16 compares the five
-techniques over the PARSEC suite, normalized to the SECDED baseline.  The
-runner builds one :class:`~repro.exec.spec.CellSpec` per campaign cell
-(:meth:`ExperimentRunner.spec_for`, which lays out the paper table's
-cells too) and hands the grid to the
+techniques over the PARSEC suite, normalized to the SECDED baseline.
+:meth:`Grid.cell` is the one layout of a cell, for the runner and the
+paper table alike: the runner builds its campaign's cells through it
+(:meth:`ExperimentRunner.spec_for`) and hands the grid to the
 :class:`~repro.exec.engine.CampaignEngine` its inherited
 :class:`~repro.exec.engine.EngineOptions` build, which executes cells
 serially or across worker processes (``jobs``) and memoizes results in an
@@ -17,7 +17,7 @@ Figure rendering is delegated to the pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.config import (
     ControlPolicy,
@@ -43,6 +43,17 @@ class Grid:
     tuning_duration: int  # Figs. 17-18 and the MFAC / bypass ablations
     reward_duration: int  # the Eq. 1 ablation, at a 250-cycle control step
     seed: int = 7
+
+    def cell(self, technique: TechniqueConfig, benchmark: str,
+             duration: int | None = None, faults: FaultConfig = FaultConfig()) -> CellSpec:
+        """The grid's cell of *technique* on *benchmark*: the grid's seed, its
+        suite duration unless *duration* is given, and its pre-training
+        budget for an RL technique only."""
+        rl = technique.policy is ControlPolicy.RL
+        return parsec_cell(
+            technique, benchmark, self.duration if duration is None else duration,
+            self.seed, faults, self.pretrain if rl else 0,
+        )
 
 
 FULL_GRID = Grid("full", tuple(PARSEC_BENCHMARKS), 6_000, 40_000, 8_000, 30_000)
@@ -82,7 +93,6 @@ class ExperimentRunner(EngineOptions):
 
     duration: int = FULL_GRID.duration
     seed: int = FULL_GRID.seed
-    faults: FaultConfig = field(default_factory=FaultConfig)
     benchmarks: list[str] = field(default_factory=lambda: list(FULL_GRID.benchmarks))
     techniques: list[TechniqueConfig] = field(default_factory=all_techniques)
     pretrain_cycles: int = FULL_GRID.pretrain
@@ -90,19 +100,8 @@ class ExperimentRunner(EngineOptions):
 
     def spec_for(self, technique: TechniqueConfig, benchmark: str) -> CellSpec:
         """The content-addressed job description of one campaign cell."""
-        pretrain = (
-            self.pretrain_cycles
-            if technique.policy is ControlPolicy.RL
-            else 0
-        )
-        return parsec_cell(
-            technique=technique,
-            benchmark=benchmark,
-            duration=self.duration,
-            seed=self.seed,
-            faults=self.faults,
-            pretrain_cycles=pretrain,
-        )
+        return replace(FULL_GRID, duration=self.duration, seed=self.seed,
+                       pretrain=self.pretrain_cycles).cell(technique, benchmark)
 
     # --- campaign execution ---------------------------------------------------
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from repro.config import FaultConfig, SimulationConfig, TechniqueConfig
 from repro.control.policies import RlPolicy, make_policy
+from repro.exec.spec import training_technique
 from repro.noc.network import Network
 from repro.rl.qlearning import QTable
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
@@ -25,8 +26,6 @@ def pretrain_agents(
     seed: int = 1,
     benchmark: str = "blackscholes",
     faults: FaultConfig | None = None,
-    training_time_step: int = 250,
-    training_epsilon: float = 0.25,
 ) -> RlPolicy:
     """Pre-train per-router RL agents (Section 6.3).
 
@@ -37,14 +36,13 @@ def pretrain_agents(
     the training trace's length in cycles (the paper grid's is
     :data:`repro.core.experiment.FULL_GRID`'s ``pretrain``).
 
-    Training uses a faster control cadence and a higher exploration
-    probability than deployment (the state/action spaces are identical, so
-    the learned Q-table transfers); deployment hyperparameters are restored
-    on the returned policy.
+    Training runs :func:`~repro.exec.spec.training_technique`: a faster
+    control cadence and a higher exploration probability than deployment
+    (the state/action spaces are identical, so the learned Q-table
+    transfers).  The returned policy explores at the training rate until
+    :func:`~repro.exec.worker.execute_cell` deploys it at the cell's own.
     """
-    training = technique.with_rl(
-        time_step=training_time_step, epsilon=training_epsilon
-    )
+    training = training_technique(technique)
     config = SimulationConfig(
         technique=training,
         seed=seed,
@@ -96,13 +94,12 @@ def pretrain_agents(
     network.run(duration)
     for agent in policy.agents:
         agent.reset_episode()
-        agent.policy.epsilon = technique.rl.epsilon
         private = QTable(
             shared.num_actions,
-            technique.rl.learning_rate,
-            technique.rl.discount,
+            training.rl.learning_rate,
+            training.rl.discount,
             max_entries=None,
-            preferred_action=technique.rl.initial_mode,
+            preferred_action=training.rl.initial_mode,
         )
         shared.clone_into(private)
         agent.qtable = private

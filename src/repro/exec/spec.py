@@ -12,7 +12,9 @@ and cross-process execution sound.
 An RL cell with a pre-training budget deploys the policy of a second kind
 of job, its :attr:`CellSpec.pretraining` — a :class:`PretrainSpec`, keyed
 the same way, whose artefact is the pre-trained master policy (Section
-6.3: train once, deploy to every benchmark).
+6.3: train once, deploy to every benchmark).  The job is keyed on the
+technique training runs (:func:`training_technique`), so cells that differ
+only in a deploy-time field share one policy.
 """
 
 from __future__ import annotations
@@ -79,10 +81,17 @@ class _Keyed:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
+def training_technique(technique: TechniqueConfig) -> TechniqueConfig:
+    """*technique* as pre-training runs it: faster control steps and more
+    exploration than a deploying cell, which runs its own."""
+    return technique.with_rl(time_step=250, epsilon=0.25)
+
+
 @dataclass(frozen=True)
 class PretrainSpec(_Keyed):
     """The pre-training run whose trained master policy RL cells deploy:
-    a pure function of exactly these four fields."""
+    a pure function of exactly these four fields, *technique* being the
+    one training runs."""
 
     technique: TechniqueConfig
     seed: int
@@ -122,7 +131,8 @@ class CellSpec(_Keyed):
         if self.technique.policy is not ControlPolicy.RL or self.pretrain_cycles <= 0:
             return None
         return PretrainSpec(
-            self.technique, self.seed, self.faults, self.pretrain_cycles
+            training_technique(self.technique), self.seed, self.faults,
+            self.pretrain_cycles,
         )
 
 

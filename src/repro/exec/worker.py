@@ -84,9 +84,10 @@ def execute_cell(
     """Run one cell to completion and summarize it.
 
     A cell that names a pre-training job deploys *policy*, a copy of that
-    job's master it may consume; any other cell takes none.  *telemetry*
-    and *simprof* observe the run (``repro run --observe``); a profiler
-    also times the ``trace.generate`` and ``simulate`` spans.
+    job's master it may consume, at its own exploration rate; any other
+    cell takes none.  *telemetry* and *simprof* observe the run (``repro
+    run --observe``); a profiler also times the ``trace.generate`` and
+    ``simulate`` spans.
     """
     from repro.noc.network import Network  # avoid import cycle
 
@@ -95,6 +96,9 @@ def execute_cell(
             f"{spec.label}: a pre-trained policy goes with, and only with, "
             "a cell that names a pre-training job"
         )
+    if policy is not None:
+        for agent in policy.agents:
+            agent.policy.epsilon = spec.technique.rl.epsilon
     w = spec.workload
     with _phase(simprof, "trace.generate", benchmark=w.name):
         trace = build_trace(spec)

@@ -54,6 +54,8 @@ class MttfEstimator:
                 return math.inf
         for _ in range(200):
             mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break  # adjacent floats: no later step moves either end
             if shift_at(mid) < threshold:
                 lo = mid
             else:

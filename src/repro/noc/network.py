@@ -396,8 +396,8 @@ class Network:
         lap = prof.lap if prof is not None and prof.begin_step(cycle) else None
         tel = self._tel
         if tel is not None:
-            # Satellite of ROADMAP item 1: resolve the trace-stride check
-            # once per step; per-event sites read `_tel_sampled` directly.
+            # Resolve the trace-stride check once per step; per-event
+            # sites read `_tel_sampled` directly.
             self._tel_sampled = tel if cycle % tel.trace_stride == 0 else None
         if self._scenario is not None:
             self._scenario.tick(cycle)

@@ -703,9 +703,7 @@ class Router:
             self._close(self.input_ports[in_port], in_vc)
 
     def _bypass_inject(self, cycle: int, source, port: int = LOCAL) -> bool:
-        flit = source.peek()
-        if flit is None:
-            return False
+        flit = source.peek()  # not None: its request line was raised
         in_port = self.input_ports[port]
         if flit.is_head:
             in_vc = in_port.free_vc_for_head()

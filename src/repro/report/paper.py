@@ -35,9 +35,9 @@ from repro.config import (
     all_techniques,
 )
 from repro.core import figures
-from repro.core.experiment import FULL_GRID, SWEEPS, ExperimentRunner, Grid
+from repro.core.experiment import FULL_GRID, SWEEPS, Grid
 from repro.exec.engine import EngineOptions
-from repro.exec.spec import CellSpec, parsec_cell
+from repro.exec.spec import CellSpec
 from repro.metrics.summary import RunMetrics
 from repro.power.area import area_table
 from repro.report.paper_table import ANY, FIGURES, PAPER, ROWS, Row
@@ -122,38 +122,29 @@ class PaperEvaluator(EngineOptions):
         """The engine cells of the figures *only* names (default: all of
         them), keyed by what each is a cell of."""
         g = self.grid
-
-        def pretrained(duration, faults=FaultConfig()):
-            """The campaign runner's cells: RL agents pre-trained first."""
-            return ExperimentRunner(duration=duration, seed=g.seed, faults=faults,
-                                    pretrain_cycles=g.pretrain).spec_for
-
-        def untrained(technique, benchmark, duration):
-            return parsec_cell(technique, benchmark, duration, g.seed)
-
+        untrained = replace(g, pretrain=0)
         specs: dict[tuple, CellSpec] = {}
         if not SUITE.isdisjoint(only):
-            suite = pretrained(g.duration)
-            specs.update({(t.name, b): suite(t, b)
+            specs.update({(t.name, b): g.cell(t, b)
                           for t in all_techniques() for b in g.benchmarks})
         for knob, (figure, _, points, _, _) in SWEEPS.items():
             if figure in only:
                 for point in points:
-                    specs[knob, point] = untrained(
+                    specs[knob, point] = untrained.cell(
                         INTELLINOC.with_rl(**{knob: point}),
                         TUNING_BENCHMARK, g.tuning_duration,
                     )
         if "fig17b_error_rate" in only:
             for rate in ERROR_RATES:
-                fac = pretrained(g.tuning_duration, FaultConfig(
-                    base_bit_error_rate=rate * ERROR_ACCELERATION
-                ))
+                faults = FaultConfig(base_bit_error_rate=rate * ERROR_ACCELERATION)
                 for t in (SECDED_BASELINE, INTELLINOC):
-                    specs["error", rate, t.name] = fac(t, "fac")
+                    specs["error", rate, t.name] = g.cell(
+                        t, "fac", g.tuning_duration, faults
+                    )
         for figure, (benchmark, ablated) in ABLATIONS.items():
             if figure in only:
                 for t in (INTELLINOC, ablated):
-                    specs[figure, t.name] = untrained(t, benchmark, g.tuning_duration)
+                    specs[figure, t.name] = untrained.cell(t, benchmark, g.tuning_duration)
         # Eq. 1 ablation: fast 250-cycle control steps and idle-driven gating
         # off, so mode-0 occupancy is decided by the (weighted) reward alone.
         if "ablation_reward" in only:
@@ -164,7 +155,7 @@ class PaperEvaluator(EngineOptions):
                     name="IntelliNoC-" + variant.title().replace(" ", ""),
                     idle_gate_threshold=10**9,
                 )
-                specs["ablation_reward", variant] = untrained(
+                specs["ablation_reward", variant] = untrained.cell(
                     technique, TUNING_BENCHMARK, g.reward_duration
                 )
         return specs

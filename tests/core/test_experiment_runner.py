@@ -6,13 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import INTELLINOC, SECDED_BASELINE
+from repro.config import INTELLINOC, SECDED_BASELINE, all_techniques, technique
 from repro.core import figures
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.core.experiment import FULL_GRID, REDUCED_GRID, ExperimentRunner
+from repro.exec import EngineOptions, worker
 from repro.exec.spec import parsec_cell
 from repro.exec.worker import build_trace, execute_cell
-from repro.report.paper import PaperEvaluator
+from repro.report.paper import ERROR_RATES, PaperEvaluator
 
 
 def render(runner, figure):
@@ -196,6 +197,61 @@ class TestOneGrid:
             (t.name, b): runner.spec_for(t, b).content_hash()
             for t in runner.techniques for b in runner.benchmarks
         }
+
+    @pytest.mark.parametrize("grid", [FULL_GRID, REDUCED_GRID], ids=lambda g: g.name)
+    def test_every_paper_cell_is_its_grids_cell(self, grid):
+        """One layout: each cell of the table is `Grid.cell` of its own
+        (technique, benchmark, duration, faults), and only the suite and
+        Fig. 17(b) cells deploy a pre-trained policy."""
+        specs = PaperEvaluator(grid=grid).specs()
+        untrained = replace(grid, pretrain=0)
+        for key, spec in specs.items():
+            layout = untrained if spec.pretraining is None else grid
+            assert spec == layout.cell(
+                spec.technique, spec.workload.name, spec.workload.duration, spec.faults
+            ), key
+        assert {k for k, s in specs.items() if s.pretraining is not None} == {
+            *((INTELLINOC.name, b) for b in grid.benchmarks),
+            *(("error", rate, INTELLINOC.name) for rate in ERROR_RATES),
+        }
+
+    def test_runner_cells_are_the_grids_cells(self):
+        runner = ExperimentRunner(duration=900, seed=3, pretrain_cycles=1200)
+        grid = replace(FULL_GRID, duration=900, seed=3, pretrain=1200)
+        for t in runner.techniques:
+            assert runner.spec_for(t, "can") == grid.cell(t, "can")
+        assert runner.spec_for(INTELLINOC, "can").pretrain_cycles == 1200
+        assert runner.spec_for(SECDED_BASELINE, "can").pretrain_cycles == 0
+
+    def test_campaign_and_run_cells_are_the_grids_cells(self, monkeypatch):
+        """What `repro campaign` hands the engine and `repro run` executes."""
+        class Laid(Exception):
+            pass
+
+        laid = []
+
+        def lay(_options, specs, *_args):
+            laid.extend(specs)
+            raise Laid
+
+        def lay_one(spec, *_args, **_kwargs):
+            laid.append(spec)
+            raise Laid
+
+        monkeypatch.setattr(EngineOptions, "run_specs", lay)
+        monkeypatch.setattr(worker, "execute_cell", lay_one)
+        monkeypatch.setattr(worker, "pretrain", lambda job: None)
+        with pytest.raises(Laid):
+            main(["campaign", "--benchmarks", "swa", "can", "--duration", "700",
+                  "--pretrain", "900", "--seed", "3", "--no-cache", "--quiet"])
+        grid = replace(FULL_GRID, duration=700, seed=3, pretrain=900)
+        assert laid == [grid.cell(t, b) for t in all_techniques() for b in ("swa", "can")]
+        for name in ("secded", "intellinoc"):
+            laid.clear()
+            with pytest.raises(Laid):
+                main(["run", "--technique", name, "--benchmark", "fre",
+                      "--duration", "500", "--pretrain", "900", "--seed", "3"])
+            assert laid == [grid.cell(technique(name), "fre", 500)]
 
     def test_full_grid_cache_keys_are_pinned(self):
         """A moved key re-simulates every cached cell of the table."""

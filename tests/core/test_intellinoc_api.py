@@ -9,7 +9,7 @@ import repro.core.intellinoc as intellinoc_module
 from repro.config import FaultConfig, INTELLINOC, SimulationConfig, technique
 from repro.core.intellinoc import pretrain_agents
 from repro.control.policies import RlPolicy
-from repro.exec.spec import parsec_cell
+from repro.exec.spec import parsec_cell, training_technique
 from repro.exec.worker import build_trace, execute_cell, pretrain
 from repro.metrics.summary import run_to_metrics
 from repro.noc.network import Network
@@ -70,8 +70,8 @@ class TestPretraining:
         policy = pretrain_agents(INTELLINOC, duration=3000, seed=2)
         assert isinstance(policy, RlPolicy)
         assert policy.max_table_entries() > 0
-        # Deployment epsilon restored.
-        assert policy.agents[0].policy.epsilon == INTELLINOC.rl.epsilon
+        # The master explores at the training rate; a cell deploys its own.
+        assert policy.agents[0].policy.epsilon == training_technique(INTELLINOC).rl.epsilon
 
     def test_private_tables_after_pretraining(self):
         policy = pretrain_agents(INTELLINOC, duration=3000, seed=2)

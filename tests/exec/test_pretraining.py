@@ -7,11 +7,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import INTELLINOC, SECDED_BASELINE
+from hypothesis import given, strategies as st
+
+from repro.config import INTELLINOC, SECDED_BASELINE, FaultConfig
+from repro.core.intellinoc import pretrain_agents
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor
 from repro.exec.resilience import CampaignInterrupted, ShutdownFlag
-from repro.exec.spec import PretrainSpec, parsec_cell
+from repro.exec.spec import PretrainSpec, parsec_cell, training_technique
 from repro.exec.store import ResultStore
 from repro.exec.worker import execute_cell, execute_job, pretrain
 from repro.rl.persistence import policy_from_bytes, policy_to_bytes
@@ -79,11 +82,61 @@ def test_a_cell_and_its_policy_go_together():
 def test_the_pretraining_job_is_keyed_on_what_trains_the_policy():
     rl = grid()
     assert rl[2].pretraining == rl[3].pretraining == PretrainSpec(
-        rl[2].technique, 7, rl[2].faults, 900
+        training_technique(rl[2].technique), 7, rl[2].faults, 900
     )
     assert rl[0].pretraining is None  # a static technique trains nothing
     assert replace(rl[2], pretrain_cycles=0).pretraining is None
     assert replace(rl[2], seed=8).pretraining != rl[2].pretraining
+
+
+def deployed(technique=INTELLINOC, **fields):
+    return replace(parsec_cell(technique, "swa", 600, seed=7, pretrain_cycles=900),
+                   **fields)
+
+
+class TestKeyLaw:
+    """A pre-training job is keyed on exactly what `pretrain_agents` reads:
+    the deploy-only fields (`rl.time_step`, `rl.epsilon`) leave the key,
+    everything else that trains stays in it."""
+
+    @given(time_step=st.integers(1, 20_000), epsilon=st.floats(0.0, 1.0))
+    def test_one_key_for_every_time_step_and_epsilon(self, time_step, epsilon):
+        cell = deployed(INTELLINOC.with_rl(time_step=time_step, epsilon=epsilon))
+        assert cell.pretraining == deployed().pretraining
+        assert cell.pretraining.content_hash() == deployed().pretraining.content_hash()
+
+    @pytest.mark.parametrize("cell", [
+        deployed(INTELLINOC.with_rl(learning_rate=0.2)),
+        deployed(INTELLINOC.with_rl(discount=0.5)),
+        deployed(INTELLINOC.with_rl(reward_weights=(1.0, 0.0, 1.0))),
+        deployed(seed=8),
+        deployed(faults=FaultConfig(base_bit_error_rate=1e-6)),
+        deployed(pretrain_cycles=1200),
+    ], ids=["learning_rate", "discount", "reward_weights", "seed", "faults",
+            "pretrain_cycles"])
+    def test_the_key_moves_with_what_trains(self, cell):
+        assert cell.pretraining.content_hash() != deployed().pretraining.content_hash()
+
+    def test_deploy_only_fields_never_reach_the_artefact(self):
+        """Trained from either technique, the master is the same bytes."""
+        fast, tuned = small(INTELLINOC.with_rl(time_step=200, epsilon=0.5)), small(INTELLINOC)
+        assert policy_to_bytes(pretrain_agents(fast, duration=900, seed=7)) == (
+            policy_to_bytes(pretrain_agents(tuned, duration=900, seed=7))
+        )
+
+    def test_a_cell_deploys_the_shared_artefact_at_its_own_epsilon(self):
+        technique = small(INTELLINOC.with_rl(time_step=200))
+        cells = [deployed(technique.with_rl(epsilon=e)) for e in (0.0, 1.0)]
+        assert cells[0].pretraining == cells[1].pretraining
+        artefact = policy_to_bytes(pretrain(cells[0].pretraining))
+        runs = []
+        for cell in cells:
+            policy = policy_from_bytes(artefact)
+            runs.append(execute_cell(cell, policy).to_dict())
+            assert {a.policy.epsilon for a in policy.agents} == {
+                cell.technique.rl.epsilon
+            }
+        assert runs[0] != runs[1]
 
 
 class TestRunsOnce:

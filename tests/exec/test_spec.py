@@ -25,6 +25,7 @@ from repro.exec.spec import (
     WorkloadSpec,
     parsec_cell,
     synthetic_cell,
+    training_technique,
 )
 
 
@@ -108,7 +109,7 @@ class TestCellSpecHash:
         cell = spec(technique=INTELLINOC, pretrain_cycles=500)
         job = cell.pretraining
         assert (job.technique, job.seed, job.faults) == (
-            cell.technique, cell.seed, cell.faults
+            training_technique(cell.technique), cell.seed, cell.faults
         )
         assert json.loads(job.canonical_json())["spec"]["__type__"] == "PretrainSpec"
         assert job.content_hash() != cell.content_hash()

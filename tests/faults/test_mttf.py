@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.config import FaultConfig
 from repro.faults.aging import AgingModel
@@ -76,3 +77,52 @@ class TestSystemMttf:
         model = AgingModel(FaultConfig(), num_routers=3)
         est = MttfEstimator(model)
         assert math.isinf(est.system_mttf_seconds())
+
+
+def two_hundred_halvings(model, router):
+    """The bisection as it ran before it stopped on a frozen bracket: 200
+    halvings whatever happens (kept here as the oracle)."""
+    state = model.states[router]
+    cfg = model.config
+    threshold = cfg.vth_failure_fraction * cfg.nominal_vth
+    rate_n = state.nbti_stress / state.total_seconds
+    rate_h = state.hci_stress / state.total_seconds
+
+    def shift_at(t):
+        total = 0.0
+        if rate_n > 0:
+            total += model.NBTI_PREFACTOR * (rate_n * t) ** model.NBTI_EXPONENT
+        if rate_h > 0:
+            total += model.HCI_PREFACTOR * (rate_h * t) ** model.HCI_EXPONENT
+        return total
+
+    lo, hi = 0.0, 1.0
+    while shift_at(hi) < threshold:
+        hi *= 2.0
+        if hi > 1e18:
+            return math.inf
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if shift_at(mid) < threshold:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+stress = st.one_of(st.just(0.0), st.floats(1e-12, 1e9))
+
+
+@given(nbti=stress, hci=stress, seconds=st.floats(1e-9, 1e6),
+       fraction=st.floats(0.01, 0.5))
+def test_bisection_stopping_at_a_frozen_bracket_is_bit_identical(
+    nbti, hci, seconds, fraction
+):
+    model = AgingModel(FaultConfig(vth_failure_fraction=fraction), num_routers=1)
+    state = model.states[0]
+    state.nbti_stress, state.hci_stress, state.total_seconds = nbti, hci, seconds
+    got = MttfEstimator(model).router_time_to_failure_seconds(0)
+    if nbti == hci == 0.0:
+        assert math.isinf(got)
+    else:
+        assert got == two_hundred_halvings(model, 0)
