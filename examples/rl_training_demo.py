@@ -11,6 +11,7 @@ import numpy as np
 from repro.config import INTELLINOC, SimulationConfig
 from repro.control.policies import make_policy
 from repro.core.intellinoc import pretrain_agents
+from repro.exec.spec import training_technique
 from repro.noc.network import Network
 from repro.traffic.parsec import generate_parsec_trace
 from repro.utils.rng import RngFactory
@@ -18,7 +19,7 @@ from repro.utils.tables import format_table
 
 
 def watch_training(duration: int = 20_000, report_every: int = 2_000) -> None:
-    technique = INTELLINOC.with_rl(time_step=250, epsilon=0.25)
+    technique = training_technique(INTELLINOC)
     noc = technique.noc
     policy = make_policy(technique, noc.num_routers, RngFactory(3))
     trace = generate_parsec_trace(

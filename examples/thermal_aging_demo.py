@@ -61,10 +61,8 @@ def main() -> None:
     report("SECDED baseline", baseline)
 
     print("\npre-training IntelliNoC agents ...")
-    policy = pretrain_agents(INTELLINOC, duration=24_000, seed=21)
-    for agent in policy.agents:  # deploy at IntelliNoC's exploration rate
-        agent.policy.epsilon = INTELLINOC.rl.epsilon
-    ours = run(INTELLINOC, policy=policy)
+    master = pretrain_agents(INTELLINOC, duration=24_000, seed=21)
+    ours = run(INTELLINOC, policy=master.deploy(INTELLINOC))
     report("IntelliNoC", ours)
 
     ratio = (

@@ -14,6 +14,7 @@ that (re)configures routers at each control time step:
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -87,12 +88,24 @@ class RlPolicy(ModePolicy):
             raise ValueError("one observation per agent required")
         return [agent.decide(obs) for agent, obs in zip(self.agents, observations)]
 
-    def freeze(self) -> None:
-        for agent in self.agents:
-            agent.freeze()
-
-    def total_table_entries(self) -> int:
-        return sum(len(a.qtable) for a in self.agents)
+    def deploy(self, technique: TechniqueConfig) -> "RlPolicy":
+        """This pre-trained master's agents as a cell of *technique* runs
+        them (Section 6.3's train-then-test split): per router, a fresh
+        agent built from the cell's own ``technique.rl``, exploring from a
+        copy of its master agent's generator and learning online in a
+        private copy of its master agent's table.  The master is left as
+        it was, so it deploys any number of times."""
+        agents = []
+        for master in self.agents:
+            agent = RouterAgent(
+                master.router, technique.rl, copy.deepcopy(master.policy._rng)
+            )
+            # Uncapped, as pre-training leaves the table: the cell's
+            # `max_table_entries` budget is not applied to deployed tables.
+            agent.qtable.max_entries = None
+            master.qtable.clone_into(agent.qtable)
+            agents.append(agent)
+        return RlPolicy(agents)
 
     def max_table_entries(self) -> int:
         return max(len(a.qtable) for a in self.agents)

@@ -14,7 +14,6 @@ from repro.config import FaultConfig, SimulationConfig, TechniqueConfig
 from repro.control.policies import RlPolicy, make_policy
 from repro.exec.spec import training_technique
 from repro.noc.network import Network
-from repro.rl.qlearning import QTable
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.utils.rng import RngFactory
@@ -30,17 +29,19 @@ def pretrain_agents(
     """Pre-train per-router RL agents (Section 6.3).
 
     Runs the RL technique on *benchmark* (the paper uses blackscholes, the
-    same workload used for hyperparameter tuning) and returns the trained
-    policy, ready to hand to :func:`repro.exec.worker.execute_cell` or
-    :class:`repro.noc.network.Network` for the test phase.  *duration* is
-    the training trace's length in cycles (the paper grid's is
-    :data:`repro.core.experiment.FULL_GRID`'s ``pretrain``).
+    same workload used for hyperparameter tuning) and returns the *master*:
+    the trained policy whose agents all share the one trained Q-table.
+    *duration* is the training trace's length in cycles (the paper grid's
+    is :data:`repro.core.experiment.FULL_GRID`'s ``pretrain``).
 
     Training runs :func:`~repro.exec.spec.training_technique`: a faster
     control cadence and a higher exploration probability than deployment
     (the state/action spaces are identical, so the learned Q-table
-    transfers).  The returned policy explores at the training rate until
-    :func:`~repro.exec.worker.execute_cell` deploys it at the cell's own.
+    transfers).  A cell never runs the master itself:
+    :meth:`RlPolicy.deploy <repro.control.policies.RlPolicy.deploy>` builds
+    its agents from the cell's own technique, each with a private copy of
+    the table (:func:`repro.exec.worker.execute_cell` does this for every
+    cell).
     """
     training = training_technique(technique)
     config = SimulationConfig(
@@ -78,29 +79,12 @@ def pretrain_agents(
     # Shared-table pre-training: all 64 agents update one Q-table, turning
     # 64x more experience into each state's estimates (the routers face the
     # same decision problem; per-router tables re-specialize online during
-    # the test phase, when each deployed agent owns a private copy).
+    # the test phase, in the private copies `RlPolicy.deploy` hands out).
     # Training runs uncapped — an LRU-capped table would evict the quiet
     # states learned early in the sweep while the heavy segments run.
-    shared = QTable(
-        policy.agents[0].qtable.num_actions,
-        training.rl.learning_rate,
-        training.rl.discount,
-        max_entries=None,
-        preferred_action=training.rl.initial_mode,
-    )
+    shared = policy.agents[0].qtable
+    shared.max_entries = None
     for agent in policy.agents:
         agent.qtable = shared
-    network = Network(config, trace, policy=policy)
-    network.run(duration)
-    for agent in policy.agents:
-        agent.reset_episode()
-        private = QTable(
-            shared.num_actions,
-            training.rl.learning_rate,
-            training.rl.discount,
-            max_entries=None,
-            preferred_action=training.rl.initial_mode,
-        )
-        shared.clone_into(private)
-        agent.qtable = private
+    Network(config, trace, policy=policy).run(duration)
     return policy

@@ -30,6 +30,7 @@ from repro.config import (
     canonical_json,
     canonical_value,
 )
+from repro.rl.persistence import FORMAT_VERSION as POLICY_FORMAT
 
 #: Bumped whenever simulation semantics, or the canonical form itself,
 #: change in a way that invalidates previously stored results (also
@@ -100,6 +101,11 @@ class PretrainSpec(_Keyed):
 
     #: What kind of job this is, for progress consumers.
     job = "pretrain"
+
+    def canonical(self) -> dict[str, Any]:
+        """The run's key plus the artefact layout its payload is stored in,
+        so a store never serves a policy in a format this tree cannot load."""
+        return {**super().canonical(), "policy_format": POLICY_FORMAT}
 
     @property
     def label(self) -> str:

@@ -11,9 +11,9 @@ There are two kinds of job.  A :class:`~repro.exec.spec.PretrainSpec`
 pre-trains the RL agents and returns the master policy as a
 :mod:`repro.rl.persistence` artefact.  A :class:`~repro.exec.spec.CellSpec`
 generates its trace from the spec's seed and, when it names a pre-training
-job, deploys a fresh load of that job's artefact: the agents learn online
-during the run, so each cell owns its copy.  The artefact loads back
-exactly, so a cell's result is a pure function of its spec whichever
+job, deploys that job's master: the agents learn online during the run, so
+each cell owns its copy of the table.  The artefact loads back as the
+master exactly, so a cell's result is a pure function of its spec whichever
 process trained the policy, and whether it came from the store or not.
 ``repro run`` calls :func:`pretrain` and :func:`execute_cell` directly,
 with its observers, and so prints what a campaign stores for its spec.
@@ -83,11 +83,11 @@ def execute_cell(
 ) -> RunMetrics:
     """Run one cell to completion and summarize it.
 
-    A cell that names a pre-training job deploys *policy*, a copy of that
-    job's master it may consume, at its own exploration rate; any other
-    cell takes none.  *telemetry* and *simprof* observe the run (``repro
-    run --observe``); a profiler also times the ``trace.generate`` and
-    ``simulate`` spans.
+    A cell that names a pre-training job takes that job's master *policy*
+    and runs its own deployment of it (:meth:`RlPolicy.deploy`), leaving
+    the master as it was; any other cell takes none.  *telemetry* and
+    *simprof* observe the run (``repro run --observe``); a profiler also
+    times the ``trace.generate`` and ``simulate`` spans.
     """
     from repro.noc.network import Network  # avoid import cycle
 
@@ -97,8 +97,7 @@ def execute_cell(
             "a cell that names a pre-training job"
         )
     if policy is not None:
-        for agent in policy.agents:
-            agent.policy.epsilon = spec.technique.rl.epsilon
+        policy = policy.deploy(spec.technique)
     w = spec.workload
     with _phase(simprof, "trace.generate", benchmark=w.name):
         trace = build_trace(spec)

@@ -36,7 +36,6 @@ class RouterAgent:
             preferred_action=config.initial_mode,
         )
         self.policy = EpsilonGreedyPolicy(config.epsilon, NUM_OPERATION_MODES, rng)
-        self.learning_enabled = True
         self._prev_state: tuple | None = None
         self._prev_action: int | None = None
         self.last_reward = 0.0
@@ -57,11 +56,7 @@ class RouterAgent:
         )
         self.last_reward = reward = latency + power + aging
         self.last_q_delta = 0.0
-        if (
-            self.learning_enabled
-            and self._prev_state is not None
-            and self._prev_action is not None
-        ):
+        if self._prev_state is not None and self._prev_action is not None:
             self.qtable.update(self._prev_state, self._prev_action, reward, state)
             self.last_q_delta = self.qtable.last_update_delta
         action = self.policy.select(self.qtable.q_values(state))
@@ -71,14 +66,6 @@ class RouterAgent:
         self._prev_action = action
         self.steps += 1
         return action
-
-    def freeze(self) -> None:
-        """Stop updating Q-values (deploy the learned policy as-is)."""
-        self.learning_enabled = False
-
-    def load_policy(self, source: "RouterAgent") -> None:
-        """Adopt another agent's Q-table (pre-training, Section 6.3)."""
-        source.qtable.clone_into(self.qtable)
 
     def reset_episode(self) -> None:
         """Forget the previous (s, a) pair without dropping the table."""

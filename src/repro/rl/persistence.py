@@ -1,19 +1,20 @@
-"""Save and load trained control policies, exactly.
+"""Save and load pre-trained master policies, exactly.
 
 Pre-training the 64 per-router agents costs minutes of simulation; a
 deployment workflow (and the campaign engine's result store) trains once
-and reuses.  A policy serializes to one binary artefact that loads back as
-the policy it was, bit for bit: every agent's Q-table rows in LRU order
-with the table's running TD-target mean and counters, its exploration
-generator's state, and every other field, so a run deploying the loaded
-policy is the run deploying the original.
+and reuses.  What is stored is the *master* that
+:func:`~repro.core.intellinoc.pretrain_agents` returns — agents that share
+one trained Q-table — and it loads back as that master: the training
+``RlConfig``, the table's rows and ``{state: slot}`` map in LRU order with
+its running TD-target mean, and each router's exploration generator state.
+Cells never run a master; they run :meth:`RlPolicy.deploy
+<repro.control.policies.RlPolicy.deploy>`'s copies of it, so a cell
+deploying the loaded master is the cell deploying the original.
 
 Layout: ``MAGIC``, the header's length (8 bytes, little-endian), a UTF-8
-JSON header, then three little-endian arrays — the distinct state tuples
-(int64, one row each), each table's ``(state index, slot)`` pairs in LRU
-order (int64), and each table's rows in slot order (float64).  Identical
-tables (every agent right after pre-training) are stored once.  Never a
-pickle: loading runs no code from the file.
+JSON header, then three little-endian arrays — the table's state tuples in
+LRU order (int64, one row each), each state's slot (int64), and the rows in
+slot order (float64).  Never a pickle: loading runs no code from the file.
 """
 
 from __future__ import annotations
@@ -21,90 +22,40 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
 from repro.config import RlConfig
 from repro.control.policies import RlPolicy
 from repro.rl.agent import RouterAgent
-from repro.rl.policy import EpsilonGreedyPolicy
-from repro.rl.qlearning import QTable
-from repro.rl.state import StateExtractor
 
-MAGIC = b"INOCPOL2"
-FORMAT_VERSION = 2
-
-#: Attributes that are not plain JSON fields: sub-objects, the generator,
-#: and the table's store (which goes in the arrays).
-_AGENT_PARTS = ("config", "extractor", "qtable", "policy")
-_POLICY_RNG = ("_rng",)
-_TABLE_STORE = ("_slots", "_q")
-
-
-def _fields(obj: object, skip: tuple[str, ...] = ()) -> dict[str, Any]:
-    return {k: v for k, v in vars(obj).items() if k not in skip}
-
-
-def _rebuild(cls: type, fields: dict[str, Any]) -> Any:
-    """An instance holding exactly *fields* (JSON turned tuples into lists;
-    none of these attributes is a list)."""
-    obj = cls.__new__(cls)
-    vars(obj).update(
-        (k, tuple(v) if isinstance(v, list) else v) for k, v in fields.items()
-    )
-    return obj
+MAGIC = b"INOCPOL3"
+FORMAT_VERSION = 3
 
 
 def policy_to_bytes(policy: RlPolicy) -> bytes:
-    """The policy's artefact (see the module docstring for the layout)."""
-    if not policy.agents:
-        raise ValueError("policy has no agents")
-    blocks: list[tuple[list[tuple[tuple, int]], bytes]] = []
-    agents = []
-    for agent in policy.agents:
-        table = agent.qtable
-        block = (
-            list(table._slots.items()),
-            np.ascontiguousarray(table._q[: len(table)], dtype="<f8").tobytes(),
-        )
-        try:
-            number = blocks.index(block)
-        except ValueError:
-            number = len(blocks)
-            blocks.append(block)
-        agents.append({
-            "agent": _fields(agent, _AGENT_PARTS),
-            "config": dataclasses.asdict(agent.config),
-            "extractor": _fields(agent.extractor),
-            "policy": _fields(agent.policy, _POLICY_RNG),
-            "rng": agent.policy._rng.bit_generator.state,
-            "table": _fields(table, _TABLE_STORE),
-            "block": number,
-        })
-    state_ids: dict[tuple, int] = {}
-    index = [
-        (state_ids.setdefault(state, len(state_ids)), slot)
-        for items, _ in blocks
-        for state, slot in items
-    ]
-    width = len(next(iter(state_ids), ()))
-    states = np.array(list(state_ids), dtype="<i8").reshape(len(state_ids), width)
+    """The master's artefact (see the module docstring for the layout)."""
+    table = policy.agents[0].qtable
+    if any(agent.qtable is not table for agent in policy.agents):
+        raise ValueError("not a master policy: its agents do not share one table")
+    width = len(next(iter(table._slots), ()))
+    states = np.array(list(table._slots), dtype="<i8").reshape(len(table), width)
     header = json.dumps({
         "format": FORMAT_VERSION,
+        "config": dataclasses.asdict(policy.agents[0].config),
         "states": list(states.shape),
-        "blocks": [len(items) for items, _ in blocks],
-        "num_actions": policy.agents[0].qtable.num_actions,
-        "agents": agents,
+        "target": [table._target_ema, table._target_seen],
+        "rngs": [agent.policy._rng.bit_generator.state for agent in policy.agents],
     }).encode("utf-8")
     return b"".join([
         MAGIC, len(header).to_bytes(8, "little"), header, states.tobytes(),
-        np.array(index, dtype="<i8").tobytes(), *(rows for _, rows in blocks),
+        np.array(list(table._slots.values()), dtype="<i8").tobytes(),
+        np.ascontiguousarray(table._q[: len(table)], dtype="<f8").tobytes(),
     ])
 
 
 def policy_from_bytes(data: bytes) -> RlPolicy:
-    """The policy :func:`policy_to_bytes` wrote, exactly."""
+    """The master :func:`policy_to_bytes` wrote, exactly."""
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError("not a policy artefact")
     start = len(MAGIC) + 8
@@ -112,7 +63,7 @@ def policy_from_bytes(data: bytes) -> RlPolicy:
     header = json.loads(data[start:end])
     if header.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported policy format {header.get('format')!r}")
-    if not header["agents"]:
+    if not header["rngs"]:
         raise ValueError("policy artefact contains no agents")
 
     def take(dtype: str, count: int) -> np.ndarray:
@@ -121,41 +72,34 @@ def policy_from_bytes(data: bytes) -> RlPolicy:
         end += array.nbytes
         return array
 
-    shape = header["states"]
-    states = list(map(tuple, take("<i8", shape[0] * shape[1]).reshape(shape).tolist()))
-    # One {state: slot} dict per block, shared keys (as `clone_into` shares them).
-    slots = []
-    for n in header["blocks"]:
-        pairs = take("<i8", 2 * n).tolist()
-        slots.append(dict(zip([states[i] for i in pairs[::2]], pairs[1::2])))
-    num_actions = header["num_actions"]
-    rows = [take("<f8", n * num_actions).reshape(n, num_actions) for n in header["blocks"]]
-    if end != len(data):
-        raise ValueError("policy artefact has trailing bytes")
+    count, width = header["states"]
+    states = map(tuple, take("<i8", count * width).reshape(count, width).tolist())
+    slots = take("<i8", count).tolist()
+    config = RlConfig(**header["config"])
     agents = []
-    for record in header["agents"]:
-        table = _rebuild(QTable, record["table"])
-        table._slots = dict(slots[record["block"]])
-        table._q = rows[record["block"]].copy()
+    for router, state in enumerate(header["rngs"]):
         # `make_rng`'s generator; the seed is overwritten by the saved state.
         rng = np.random.Generator(np.random.PCG64(0))
-        rng.bit_generator.state = record["rng"]
-        policy = _rebuild(EpsilonGreedyPolicy, record["policy"])
-        policy._rng = rng
-        agent = _rebuild(RouterAgent, record["agent"])
-        agent.config = RlConfig(**record["config"])
-        agent.extractor = _rebuild(StateExtractor, record["extractor"])
+        rng.bit_generator.state = state
+        agents.append(RouterAgent(router, config, rng))
+    table = agents[0].qtable
+    table.max_entries = None  # as pre-training trains it
+    table._slots = dict(zip(states, slots))
+    rows = take("<f8", count * table.num_actions)
+    table._q = rows.reshape(count, table.num_actions).copy()  # writable
+    table._target_ema, table._target_seen = header["target"]
+    if end != len(data):
+        raise ValueError("policy artefact has trailing bytes")
+    for agent in agents:
         agent.qtable = table
-        agent.policy = policy
-        agents.append(agent)
     return RlPolicy(agents)
 
 
 def save_policy(policy: RlPolicy, path: str | Path) -> None:
-    """Write a (trained) RL policy's artefact to *path*."""
+    """Write a pre-trained master policy's artefact to *path*."""
     Path(path).write_bytes(policy_to_bytes(policy))
 
 
 def load_policy(path: str | Path) -> RlPolicy:
-    """Reconstruct a policy saved by :func:`save_policy`."""
+    """Reconstruct the master saved by :func:`save_policy`."""
     return policy_from_bytes(Path(path).read_bytes())

@@ -74,8 +74,12 @@ class TestPretraining:
         assert policy.agents[0].policy.epsilon == training_technique(INTELLINOC).rl.epsilon
 
     def test_private_tables_after_pretraining(self):
-        policy = pretrain_agents(INTELLINOC, duration=3000, seed=2)
-        assert policy.agents[0].qtable is not policy.agents[1].qtable
+        """The master's agents share the trained table; each agent a cell
+        deploys owns a private copy of it."""
+        master = pretrain_agents(INTELLINOC, duration=3000, seed=2)
+        assert len({id(a.qtable) for a in master.agents}) == 1
+        deployed = master.deploy(INTELLINOC)
+        assert len({id(a.qtable) for a in deployed.agents}) == len(deployed.agents)
 
     def test_pretrain_rejects_non_rl_technique(self):
         with pytest.raises(ValueError):

@@ -2,22 +2,24 @@
 and never again on a warm store, and the engine's resume and failure
 handling apply to it as to any cell."""
 
-import copy
 from dataclasses import replace
 
 import pytest
 
 from hypothesis import given, strategies as st
 
-from repro.config import INTELLINOC, SECDED_BASELINE, FaultConfig
+from repro.config import INTELLINOC, SECDED_BASELINE, FaultConfig, SimulationConfig
 from repro.core.intellinoc import pretrain_agents
 from repro.exec.engine import CampaignEngine
 from repro.exec.executors import CellExecutionError, CellExecutor
 from repro.exec.resilience import CampaignInterrupted, ShutdownFlag
 from repro.exec.spec import PretrainSpec, parsec_cell, training_technique
 from repro.exec.store import ResultStore
-from repro.exec.worker import execute_cell, execute_job, pretrain
+from repro.exec.worker import build_trace, execute_cell, execute_job, pretrain
+from repro.metrics.summary import run_to_metrics
+from repro.noc.network import Network
 from repro.rl.persistence import policy_from_bytes, policy_to_bytes
+from tests.rl.test_persistence import everything
 
 
 def small(technique, topology="mesh"):
@@ -64,11 +66,33 @@ def test_a_cell_from_a_loaded_artefact_is_the_cell_from_the_master(topology):
     ]
     master = pretrain(cells[0].pretraining)
     artefact = policy_to_bytes(master)
-    for cell in cells:
+    for cell in cells:  # each cell deploys the one master; none consumes it
         assert (
             execute_cell(cell, policy_from_bytes(artefact)).to_dict()
-            == execute_cell(cell, copy.deepcopy(master)).to_dict()
+            == execute_cell(cell, master).to_dict()
         )
+    assert policy_to_bytes(master) == artefact
+
+
+def test_a_cell_runs_the_deployment_of_its_own_technique():
+    """Law: a pre-trained cell runs `RlPolicy.deploy(spec.technique)` of its
+    job's master, whether the master is in memory or loaded from its
+    artefact: equal agents, every one configured as the cell's technique,
+    and byte-identical metrics."""
+    cell = deployed(small(INTELLINOC.with_rl(time_step=200)))
+    master = pretrain(cell.pretraining)
+    loaded = policy_from_bytes(policy_to_bytes(master))
+    agents = master.deploy(cell.technique)
+    assert everything(agents) == everything(loaded.deploy(cell.technique))
+    assert {a.config for a in agents.agents} == {cell.technique.rl}
+    assert {a.policy.epsilon for a in agents.agents} == {cell.technique.rl.epsilon}
+    config = SimulationConfig(technique=cell.technique, seed=cell.seed, faults=cell.faults)
+    direct = run_to_metrics(Network(config, build_trace(cell), policy=agents))
+    assert (
+        execute_cell(cell, master).to_dict()
+        == execute_cell(cell, loaded).to_dict()
+        == direct.to_dict()
+    )
 
 
 def test_a_cell_and_its_policy_go_together():
@@ -128,12 +152,11 @@ class TestKeyLaw:
         technique = small(INTELLINOC.with_rl(time_step=200))
         cells = [deployed(technique.with_rl(epsilon=e)) for e in (0.0, 1.0)]
         assert cells[0].pretraining == cells[1].pretraining
-        artefact = policy_to_bytes(pretrain(cells[0].pretraining))
+        master = policy_from_bytes(policy_to_bytes(pretrain(cells[0].pretraining)))
         runs = []
         for cell in cells:
-            policy = policy_from_bytes(artefact)
-            runs.append(execute_cell(cell, policy).to_dict())
-            assert {a.policy.epsilon for a in policy.agents} == {
+            runs.append(execute_cell(cell, master).to_dict())
+            assert {a.policy.epsilon for a in master.deploy(cell.technique).agents} == {
                 cell.technique.rl.epsilon
             }
         assert runs[0] != runs[1]

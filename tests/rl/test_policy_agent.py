@@ -58,14 +58,6 @@ class TestRouterAgent:
         agent.decide(make_obs(in_util=0.02))
         assert agent.qtable.updates == before + 1
 
-    def test_freeze_stops_updates(self):
-        agent = self.agent(epsilon=0.0)
-        agent.decide(make_obs())
-        agent.freeze()
-        before = agent.qtable.updates
-        agent.decide(make_obs(in_util=0.1))
-        assert agent.qtable.updates == before
-
     def test_reward_shapes_future_choices(self):
         """An action punished hard in a state loses to the alternatives."""
         agent = self.agent(epsilon=0.0)
@@ -79,14 +71,6 @@ class TestRouterAgent:
         # down-weighted its early choices relative to the initial estimate.
         q_row = agent.qtable.q_values(agent.extractor.extract(bad_obs))
         assert q_row.min() < 0
-
-    def test_load_policy_transfers_table(self):
-        teacher = self.agent(epsilon=0.0)
-        teacher.decide(make_obs())
-        teacher.decide(make_obs())
-        student = self.agent()
-        student.load_policy(teacher)
-        assert len(student.qtable) == len(teacher.qtable)
 
     def test_reset_episode_clears_sa_pair(self):
         agent = self.agent(epsilon=0.0)

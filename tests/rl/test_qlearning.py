@@ -118,8 +118,9 @@ class TestClone:
 
 
 class TestDeepCopy:
-    """`copy.deepcopy` of a table (what hands a campaign cell its private
-    copy of the pre-trained policy) shares the state tuples, nothing else."""
+    """`copy.deepcopy` of a table (the in-process copy of a policy, beside
+    the `clone_into` copies `RlPolicy.deploy` hands a campaign cell) shares
+    the state tuples, nothing else."""
 
     def trained(self):
         q = table(max_entries=4, preferred_action=1)
