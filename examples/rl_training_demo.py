@@ -13,6 +13,7 @@ from repro.control.policies import make_policy
 from repro.core.intellinoc import pretrain_agents
 from repro.exec.spec import training_technique
 from repro.noc.network import Network
+from repro.noc.topology import build_topology
 from repro.traffic.parsec import generate_parsec_trace
 from repro.utils.rng import RngFactory
 from repro.utils.tables import format_table
@@ -21,7 +22,7 @@ from repro.utils.tables import format_table
 def watch_training(duration: int = 20_000, report_every: int = 2_000) -> None:
     technique = training_technique(INTELLINOC)
     noc = technique.noc
-    policy = make_policy(technique, noc.num_routers, RngFactory(3))
+    policy = make_policy(technique, build_topology(noc).num_routers, RngFactory(3))
     trace = generate_parsec_trace(
         "blackscholes", noc.width, noc.height, duration, noc.flits_per_packet, 3
     )

@@ -57,7 +57,7 @@ from typing import Any
 from repro.analysis.lint_options import add_cli_arguments
 from repro.config import TechniqueConfig, all_techniques, technique
 from repro.faults.scenario import scenario_names
-from repro.noc.topology import registered_topologies
+from repro.noc.topology import build_topology, registered_topologies
 from repro.core import figures
 from repro.core.experiment import FULL_GRID, ExperimentRunner
 from repro.exec import worker
@@ -150,7 +150,8 @@ def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
 def _fabric_technique(
     tech: TechniqueConfig, args: argparse.Namespace
 ) -> TechniqueConfig:
-    """Re-target a technique's NoC onto the fabric the CLI selected."""
+    """Re-target a technique's NoC onto the fabric the CLI selected; a
+    fabric that refuses it (``build_topology``) fails before any job starts."""
     topology = getattr(args, "topology", "mesh")
     concentration = getattr(args, "concentration", None)
     scenario = getattr(args, "scenario", "")
@@ -163,15 +164,14 @@ def _fabric_technique(
         and scenario == noc.fault_scenario
     ):
         return tech
-    return replace(
-        tech,
-        noc=replace(
-            noc,
-            topology=topology,
-            concentration=concentration,
-            fault_scenario=scenario,
-        ),
+    noc = replace(
+        noc,
+        topology=topology,
+        concentration=concentration,
+        fault_scenario=scenario,
     )
+    build_topology(noc)
+    return replace(tech, noc=noc)
 
 
 def _apply_sanitize(args: argparse.Namespace) -> None:

@@ -127,9 +127,12 @@ class NocConfig:
     pipeline_stages: int = 4  # BW/RC, VA, SA, ST
     link_latency: int = 1  # cycles per channel stage traversal
     subnetworks: int = 1  # EB uses 2
-    routing: str = "xy"  # "xy" (Table 1) or "west_first" (adaptive)
-    topology: str = "mesh"  # "mesh", "torus", "cmesh" or "ring"
-    concentration: int = 1  # cores per router (cmesh: 2 or 4)
+    # The fabric: a registered topology, its routing family and the cores
+    # per router.  `repro.noc.topology.build_topology` asks the fabric's own
+    # builder, which refuses what it cannot build.
+    routing: str = "xy"  # Table 1: X-Y
+    topology: str = "mesh"
+    concentration: int = 1
     # Named fault-scenario pack ("" = none).  The name is resolved against
     # the `repro.faults.scenario` registry at network build time (not here:
     # config must stay importable without the fault engine), so an unknown
@@ -145,43 +148,10 @@ class NocConfig:
             raise ValueError("packets need at least one flit")
         if self.pipeline_stages not in (3, 4):
             raise ValueError("only 3- and 4-stage router pipelines are modeled")
-        if self.routing not in ("xy", "west_first"):
-            raise ValueError("routing must be 'xy' or 'west_first'")
-        if self.topology not in ("mesh", "torus", "cmesh", "ring"):
-            raise ValueError(
-                "topology must be one of 'mesh', 'torus', 'cmesh', 'ring'"
-            )
-        if self.topology == "cmesh":
-            if self.concentration not in (2, 4):
-                raise ValueError("cmesh concentration must be 2 or 4")
-            tile_w, tile_h = (2, 1) if self.concentration == 2 else (2, 2)
-            if self.width % tile_w or self.height % tile_h:
-                raise ValueError(
-                    f"cmesh c={self.concentration} needs node grid divisible "
-                    f"by {tile_w}x{tile_h} tiles"
-                )
-        elif self.concentration != 1:
-            raise ValueError("concentration > 1 requires topology 'cmesh'")
-        if self.topology in ("torus", "ring"):
-            if self.routing != "xy":
-                raise ValueError(
-                    f"{self.topology} supports only the dimension-ordered "
-                    "'xy' routing family"
-                )
-            if self.num_vcs < 2:
-                raise ValueError(
-                    "dateline (VC-class) routing needs at least 2 VCs per port"
-                )
 
     @property
     def num_nodes(self) -> int:
         """Cores / traffic endpoints — always the full node grid."""
-        return self.width * self.height
-
-    @property
-    def num_routers(self) -> int:
-        if self.topology == "cmesh":
-            return (self.width * self.height) // self.concentration
         return self.width * self.height
 
     @property

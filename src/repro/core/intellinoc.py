@@ -14,6 +14,7 @@ from repro.config import FaultConfig, SimulationConfig, TechniqueConfig
 from repro.control.policies import RlPolicy, make_policy
 from repro.exec.spec import training_technique
 from repro.noc.network import Network
+from repro.noc.topology import build_topology
 from repro.traffic.parsec import PARSEC_PROFILES, generate_parsec_trace
 from repro.traffic.trace import Trace, TraceEvent
 from repro.utils.rng import RngFactory
@@ -73,7 +74,7 @@ def pretrain_agents(
             for e in seg_trace.events
         )
     trace = Trace(events, name=f"{benchmark}-pretrain")
-    policy = make_policy(training, noc.num_routers, RngFactory(seed))
+    policy = make_policy(training, build_topology(noc).num_routers, RngFactory(seed))
     if not isinstance(policy, RlPolicy):
         raise ValueError(f"technique {technique.name} has no RL agents to pre-train")
     # Shared-table pre-training: all 64 agents update one Q-table, turning

@@ -16,7 +16,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.config import FaultConfig, NocConfig
+from repro.config import FaultConfig
 
 if TYPE_CHECKING:
     from repro.noc.topology import Topology
@@ -25,26 +25,16 @@ if TYPE_CHECKING:
 class ThermalModel:
     """Temperature state for every router in the fabric."""
 
-    def __init__(
-        self,
-        noc: NocConfig,
-        config: FaultConfig,
-        topology: "Topology | None" = None,
-    ):
-        self.noc = noc
+    def __init__(self, topology: "Topology", config: FaultConfig):
         self.config = config
         self.temperatures = np.full(
-            noc.num_routers, config.ambient_temperature, dtype=float
+            topology.num_routers, config.ambient_temperature, dtype=float
         )
         # Highest temperature any node has reached since construction
         # (kelvin) — a telemetry observable, never read by the dynamics.
         self.peak_temperature_k = float(config.ambient_temperature)
-        if topology is None:  # standalone construction: the classic mesh layout
-            from repro.noc.topology import MeshTopology  # avoid import cycle
-
-            topology = MeshTopology(noc.width, noc.height)
         self._neighbors: list[list[int]] = [
-            topology.thermal_neighbors(i) for i in range(noc.num_routers)
+            topology.thermal_neighbors(i) for i in range(topology.num_routers)
         ]
 
     def temperature(self, router: int) -> float:

@@ -16,7 +16,6 @@ answers every question about neighbours and distances.
 
 from __future__ import annotations
 
-from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS
 from repro.noc.routing import LOCAL, Direction
 from repro.noc.topology import MeshTopology, Topology, register_topology
 
@@ -43,7 +42,6 @@ class CMeshTopology(Topology):
         self.width = width
         self.height = height
         self.concentration = concentration
-        self.routing = routing
         self.tile_w = tile_w
         self.tile_h = tile_h
         self.router_width = width // tile_w
@@ -51,7 +49,6 @@ class CMeshTopology(Topology):
         if self.router_width < 2 or self.router_height < 2:
             raise ValueError("cmesh router grid must be at least 2x2")
         self._grid = MeshTopology(self.router_width, self.router_height, routing)
-        self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
         # Slot 0 ejects via LOCAL; slot s >= 1 via port 4 + s.
         self._slot_ports = tuple(
             LOCAL if s == 0 else 4 + s for s in range(concentration)
@@ -106,9 +103,7 @@ class CMeshTopology(Topology):
         dst_router = self.router_of_node(dst_node)
         if current == dst_router:
             return [self.injection_port(dst_node)]
-        return list(
-            self._candidate_fn(current, dst_router, self.router_width)
-        )
+        return self._grid.route_candidates(current, dst_router)
 
     def distance(self, src_node: int, dst_node: int) -> int:
         return self._grid.distance(

@@ -100,7 +100,7 @@ class Network:
             num_ports=self.topology.num_ports,
         )
         self.accountant = EnergyAccountant(self.topology.num_routers, config.power)
-        self.thermal = ThermalModel(noc, config.faults, topology=self.topology)
+        self.thermal = ThermalModel(self.topology, config.faults)
         self.aging = AgingModel(config.faults, self.topology.num_routers)
         self.fault_model = TransientFaultModel(config.faults)
         self.sampler = ErrorSampler(

@@ -20,26 +20,23 @@ as a whole is deadlock-free with ``num_vcs >= 2``.
 from __future__ import annotations
 
 from repro.noc.routing import EAST, LOCAL, WEST, Direction
-from repro.noc.topology import Topology, register_topology
+from repro.noc.topology import DatelineTopology, register_topology
 
 #: The two loop directions: EAST is the clockwise loop, WEST the
 #: counter-clockwise one.
 RING_DIRECTIONS = (EAST, WEST)
 
 
-class RingTopology(Topology):
+class RingTopology(DatelineTopology):
     """All nodes on one bidirectional loop; 3-port switches."""
 
     name = "ring"
-    uses_vc_classes = True
     directions = RING_DIRECTIONS
 
     def __init__(self, width: int, height: int):
         if width * height < 3:
             raise ValueError("ring needs at least 3 nodes")
-        self.width = width
-        self.height = height
-        self.routing = "xy"
+        super().__init__(width, height)
 
     def neighbor(self, router: int, direction: Direction) -> int:
         self._check(router)
@@ -73,4 +70,4 @@ class RingTopology(Topology):
         return crossed
 
 
-register_topology("ring", lambda noc: RingTopology(noc.width, noc.height))
+register_topology("ring", RingTopology.build)

@@ -98,7 +98,6 @@ class Router:
             # Arbiter request lines and the VC-slot masks index by port id.
             raise ValueError("port ids must count from 0 in port order")
         self._ejection_ports = topology.ejection_ports(rid)
-        self._uses_vc_classes = topology.uses_vc_classes
         depth = max(1, noc.router_buffer_depth)  # EB keeps a 1-flit latch
         self.input_ports: dict[int, InputPort] = {
             p: InputPort(p, noc.num_vcs, depth) for p in ports
@@ -173,8 +172,8 @@ class Router:
         self._bypass_inputs: tuple[tuple[int, Channel], ...] = ()
         # Head-routing memos: destination -> the live candidate outputs
         # (``Topology.live_candidates``; a kill clears it, through
-        # ``Network.fail_router`` / ``fail_link``), and on dateline fabrics
-        # (route, VC class) -> (next class, VCs allowed), never invalidated.
+        # ``Network.fail_router`` / ``fail_link``), and (route, VC class) ->
+        # (next class, VCs allowed), never invalidated.
         self._route_memo: dict[int, tuple[int, ...]] = {}
         self._vc_class_memo: dict[tuple[int, int], tuple[int, range]] = {}
         self._reserved_count = 0  # slots held by unacked wire-channel copies
@@ -624,26 +623,21 @@ class Router:
         down_port = self.downstream_ports.get(route)
         if down_port is None:
             raise RuntimeError(f"router {self.id}: route {route} off-fabric")
-        if self._uses_vc_classes:
-            # Dateline discipline (torus/ring): the head may only claim a
-            # downstream VC of its class partition.
-            key = (route, packet.vc_class)
-            memo = self._vc_class_memo.get(key)
-            if memo is None:
-                cls = self.topology.next_vc_class(self.id, route, packet.vc_class)
-                memo = self._vc_class_memo[key] = (
-                    cls,
-                    self.topology.allowed_vcs(cls, self.noc.num_vcs),
-                )
-            cls, allowed = memo
-            out_vc = down_port.free_vc_for_head(allowed)
-            if out_vc is None:
-                return None
-            packet.vc_class = cls
-        else:
-            out_vc = down_port.free_vc_for_head()
-            if out_vc is None:
-                return None
+        # The fabric's VC-class discipline (dateline halves on torus/ring):
+        # the head may only claim a downstream VC its next class allows.
+        key = (route, packet.vc_class)
+        memo = self._vc_class_memo.get(key)
+        if memo is None:
+            cls = self.topology.next_vc_class(self.id, route, packet.vc_class)
+            memo = self._vc_class_memo[key] = (
+                cls,
+                self.topology.allowed_vcs(cls, self.noc.num_vcs),
+            )
+        cls, allowed = memo
+        out_vc = down_port.free_vc_for_head(allowed)
+        if out_vc is None:
+            return None
+        packet.vc_class = cls
         down_port.claim(out_vc, packet)
         return out_vc
 

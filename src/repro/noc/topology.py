@@ -65,15 +65,12 @@ class Topology(abc.ABC):
 
     #: Registry key; also the value of ``NocConfig.topology``.
     name: ClassVar[str] = ""
-    #: Whether routing partitions VCs into dateline classes (torus/ring).
-    uses_vc_classes: ClassVar[bool] = False
     #: Output directions that carry inter-router channels, in the order
     #: :meth:`channels` enumerates them.
     directions: ClassVar[tuple[Direction, ...]] = MESH_DIRECTIONS
 
     width: int
     height: int
-    routing: str
 
     # --- structure -----------------------------------------------------------
 
@@ -181,20 +178,16 @@ class Topology(abc.ABC):
     def distance(self, src_node: int, dst_node: int) -> int:
         """Minimal router-to-router hop count between two nodes' routers."""
 
-    # --- VC classes (dateline deadlock avoidance) -------------------------------
+    # --- VC classes ---------------------------------------------------------------
 
     def next_vc_class(self, router: int, out_port: int, current: int) -> int:
         """VC class a packet enters when leaving *router* via *out_port*."""
         return 0
 
     def allowed_vcs(self, vc_class: int, num_vcs: int) -> range:
-        """Downstream VC indices a packet of *vc_class* may claim: all of
-        them, or under dateline classes the lower half before the dateline
-        (even classes) and the upper half after it."""
-        if not self.uses_vc_classes:
-            return range(num_vcs)
-        half = num_vcs // 2
-        return range(0, half) if vc_class % 2 == 0 else range(half, num_vcs)
+        """Downstream VC indices a packet of *vc_class* may claim (every
+        router's head claims go through this and :meth:`next_vc_class`)."""
+        return range(num_vcs)
 
     # --- physical layout / labels ----------------------------------------------
 
@@ -238,9 +231,13 @@ class MeshTopology(Topology):
     def __init__(self, width: int, height: int, routing: str = "xy"):
         if width < 2 or height < 2:
             raise ValueError("mesh must be at least 2x2")
+        if routing not in CANDIDATE_FUNCTIONS:
+            raise ValueError(
+                f"routing must be one of {sorted(CANDIDATE_FUNCTIONS)}, "
+                f"not {routing!r}"
+            )
         self.width = width
         self.height = height
-        self.routing = routing
         self._candidate_fn = CANDIDATE_FUNCTIONS[routing]
 
     def coordinates(self, router: int) -> tuple[int, int]:
@@ -267,6 +264,37 @@ class MeshTopology(Topology):
         return hop_count(src_node, dst_node, self.width)
 
 
+class DatelineTopology(Topology):
+    """A fabric whose channel graph has cycles (torus, ring), made
+    deadlock-free by the dateline: dimension-ordered routing only, and a
+    packet's class (:meth:`next_vc_class`, which the fabric supplies) turns
+    odd once it crosses a dateline.  Even classes claim the lower half of a
+    port's VCs and odd classes the upper half."""
+
+    def __init__(self, width: int, height: int):
+        self.width = width
+        self.height = height
+
+    @classmethod
+    def build(cls, noc: "NocConfig") -> "DatelineTopology":
+        """The fabric's registry builder: the dateline needs the ``xy``
+        routing family and two VC halves."""
+        if noc.routing != "xy":
+            raise ValueError(
+                f"{cls.name} supports only the dimension-ordered 'xy' "
+                "routing family"
+            )
+        if noc.num_vcs < 2:
+            raise ValueError(
+                "dateline (VC-class) routing needs at least 2 VCs per port"
+            )
+        return cls(noc.width, noc.height)
+
+    def allowed_vcs(self, vc_class: int, num_vcs: int) -> range:
+        half = num_vcs // 2
+        return range(0, half) if vc_class % 2 == 0 else range(half, num_vcs)
+
+
 # --- registry -----------------------------------------------------------------
 
 #: name -> builder(NocConfig) -> Topology.  Populated by register_topology;
@@ -286,27 +314,39 @@ register_topology(
 )
 
 
-def build_topology(noc: "NocConfig") -> Topology:
-    """Instantiate the topology a :class:`~repro.config.NocConfig` names."""
-    # The concrete fabric modules register themselves on first import.
+def _builders() -> dict[str, Callable[["NocConfig"], Topology]]:
+    """:data:`TOPOLOGY_BUILDERS` with the shipped fabric modules imported
+    (they register themselves on first import)."""
     import repro.noc.cmesh  # noqa: F401  (self-registration import)
     import repro.noc.ring  # noqa: F401
     import repro.noc.torus  # noqa: F401
 
+    return TOPOLOGY_BUILDERS
+
+
+def build_topology(noc: "NocConfig") -> Topology:
+    """Instantiate the topology a :class:`~repro.config.NocConfig` names.
+
+    The fabric owns its facts: its builder refuses a routing family or a
+    VC count it cannot make deadlock-free, and a concentration that is not
+    its cores per router is refused here, all with ``ValueError``.
+    """
+    builders = _builders()
     try:
-        builder = TOPOLOGY_BUILDERS[noc.topology]
+        builder = builders[noc.topology]
     except KeyError:
         raise ValueError(
-            f"unknown topology {noc.topology!r}; "
-            f"registered: {sorted(TOPOLOGY_BUILDERS)}"
+            f"unknown topology {noc.topology!r}; registered: {sorted(builders)}"
         ) from None
-    return builder(noc)
+    topology = builder(noc)
+    if noc.concentration * topology.num_routers != topology.num_nodes:
+        raise ValueError(
+            f"concentration {noc.concentration} does not fit {noc.topology}: "
+            f"{topology.num_nodes} nodes on {topology.num_routers} routers"
+        )
+    return topology
 
 
 def registered_topologies() -> list[str]:
-    """Names accepted by :func:`build_topology` (import side effects included)."""
-    import repro.noc.cmesh  # noqa: F401
-    import repro.noc.ring  # noqa: F401
-    import repro.noc.torus  # noqa: F401
-
-    return sorted(TOPOLOGY_BUILDERS)
+    """Names accepted by :func:`build_topology`."""
+    return sorted(_builders())

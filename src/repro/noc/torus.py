@@ -10,27 +10,25 @@ port's VCs) until they cross the dateline, then switch to class 1 (the
 upper half).  The class resets when the packet turns into the next
 dimension.  With dimension order ruling out Y->X turns, the extended
 channel-dependency graph (channel x class) is acyclic, hence
-deadlock-free; this is why ``NocConfig`` requires ``num_vcs >= 2`` here.
+deadlock-free; this is why the builder
+(``DatelineTopology.build``) refuses fewer than 2 VCs.
 """
 
 from __future__ import annotations
 
 from repro.noc.routing import EAST, LOCAL, NORTH, SOUTH, WEST, Direction
-from repro.noc.topology import Topology, register_topology
+from repro.noc.topology import DatelineTopology, register_topology
 
 
-class TorusTopology(Topology):
+class TorusTopology(DatelineTopology):
     """W x H torus with per-dimension minimal, dateline-classed routing."""
 
     name = "torus"
-    uses_vc_classes = True
 
     def __init__(self, width: int, height: int):
         if width < 2 or height < 2:
             raise ValueError("torus must be at least 2x2")
-        self.width = width
-        self.height = height
-        self.routing = "xy"
+        super().__init__(width, height)
 
     def coordinates(self, router: int) -> tuple[int, int]:
         self._check(router)
@@ -85,4 +83,4 @@ class TorusTopology(Topology):
         return dim * 2 + crossed
 
 
-register_topology("torus", lambda noc: TorusTopology(noc.width, noc.height))
+register_topology("torus", TorusTopology.build)

@@ -123,8 +123,8 @@ class InputPort:
     def free_vc_for_head(self, allowed: "range | None" = None) -> int | None:
         """A VC able to start a new packet (IDLE, unclaimed, with space).
 
-        *allowed* restricts the scan to a VC-class partition (dateline
-        routing on torus/ring fabrics); None scans every VC.
+        *allowed* restricts the scan to the VCs a head's class may claim
+        (``Topology.allowed_vcs``); None scans every VC.
         """
         indices = range(len(self.vcs)) if allowed is None else allowed
         for i in indices:

@@ -66,8 +66,3 @@ class RouterAgent:
         self._prev_action = action
         self.steps += 1
         return action
-
-    def reset_episode(self) -> None:
-        """Forget the previous (s, a) pair without dropping the table."""
-        self._prev_state = None
-        self._prev_action = None

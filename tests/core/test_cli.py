@@ -209,6 +209,25 @@ class TestCommands:
         assert list(cache.iterdir()) == []
         assert "[1/" not in caplog.text
 
+    def test_campaign_on_a_fabric_that_refuses_its_config(self, tmp_path, caplog):
+        """The fabric's builder, not the config, refuses a concentration it
+        cannot build, and the CLI asks it before any cell runs."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        caplog.set_level(logging.INFO, logger="repro")
+        logger = logging.getLogger("repro")
+        logger.addHandler(caplog.handler)
+        try:
+            rc = main(["campaign", "--topology", "cmesh", "--concentration", "3",
+                       "--benchmarks", "swa", "--duration", "800", "--pretrain", "500",
+                       "--figures", "fig10_latency", "--cache-dir", str(cache)])
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert rc == 2
+        assert "repro: error: cmesh concentration must be 2 or 4" in caplog.text
+        assert list(cache.iterdir()) == []
+        assert "[1/" not in caplog.text
+
 
 #: ``repro run``'s rows -> the ``RunMetrics`` value each prints.
 RUN_ROWS = {

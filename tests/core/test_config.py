@@ -17,6 +17,7 @@ from repro.config import (
     all_techniques,
     technique,
 )
+from repro.noc.topology import build_topology
 
 
 class TestTable1:
@@ -24,7 +25,7 @@ class TestTable1:
 
     def test_mesh_is_8x8_64_cores(self):
         noc = SECDED_BASELINE.noc
-        assert (noc.width, noc.height, noc.num_routers) == (8, 8, 64)
+        assert (noc.width, noc.height, build_topology(noc).num_routers) == (8, 8, 64)
 
     def test_packets_are_4x128_bit_flits(self):
         noc = SECDED_BASELINE.noc
@@ -151,6 +152,8 @@ class TestValidation:
             NocConfig(width=1)
         with pytest.raises(ValueError):
             NocConfig(num_vcs=0)
+        with pytest.raises(ValueError):
+            NocConfig(flits_per_packet=0)
         with pytest.raises(ValueError):
             NocConfig(pipeline_stages=7)
 

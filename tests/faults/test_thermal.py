@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.config import FaultConfig, NocConfig
+from repro.config import FaultConfig
 from repro.faults.thermal import ThermalModel
+from repro.noc.topology import MeshTopology
 
 
 @pytest.fixture
 def model():
-    return ThermalModel(NocConfig(width=4, height=4), FaultConfig())
+    return ThermalModel(MeshTopology(4, 4), FaultConfig())
 
 
 def step_many(model, power, dt, n):

@@ -14,7 +14,10 @@ These tests run against *every* fabric in the registry (parameterized by
 * liveness — a short saturated run under the NoCSan deadlock watchdog
   completes without invariant violations;
 * spec hashing — each fabric produces a distinct CellSpec hash (that every
-  config field is hashed is ``tests/exec/test_spec.py``'s law).
+  config field is hashed is ``tests/exec/test_spec.py``'s law);
+* ownership — the fabric's builder, not ``NocConfig``, refuses what the
+  fabric cannot build, and every (fabric, routing) pair that builds has a
+  deadlock-law row.
 """
 
 from dataclasses import replace
@@ -33,12 +36,15 @@ from repro.faults.scenario import (
     FaultScenario, IntermittentLink, LinkFailure, RouterFailure, TransientBurst,
     build_scenario, scenario_names,
 )
-from repro.noc.adaptive_routing import west_first_candidates
+from repro.noc.adaptive_routing import CANDIDATE_FUNCTIONS, west_first_candidates
 from repro.noc.network import Network
 from repro.noc.power_gating import POWER_GATED
 from repro.noc.router import Router
 from repro.noc.routing import NORTH, WEST, Direction
-from repro.noc.topology import build_topology, registered_topologies
+from repro.noc.topology import (
+    TOPOLOGY_BUILDERS, DatelineTopology, MeshTopology, build_topology,
+    registered_topologies,
+)
 from repro.noc.torus import TorusTopology
 from repro.noc.vc import VcState
 from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
@@ -166,7 +172,7 @@ class TestRouting:
     def test_vc_classes_partition_the_vcs(self, noc):
         topo = build_topology(noc)
         num_vcs = 4
-        if not topo.uses_vc_classes:
+        if not isinstance(topo, DatelineTopology):
             for cls in range(4):
                 assert topo.allowed_vcs(cls, num_vcs) == range(num_vcs)
             return
@@ -183,8 +189,6 @@ class TestRouting:
     def test_next_vc_class_is_idempotent(self, noc):
         """The bypass path may recompute the class at the same hop."""
         topo = build_topology(noc)
-        if not topo.uses_vc_classes:
-            return
         for src, direction, _ in topo.channels():
             for cls in range(4):
                 once = topo.next_vc_class(src, direction, cls)
@@ -479,3 +483,84 @@ class TestSpecHashing:
             for name, cfg in FABRIC_CONFIGS.items()
         }
         assert len(set(hashes.values())) == len(hashes)
+
+
+class OutsideMesh(MeshTopology):
+    """A fabric registered from outside the package."""
+
+    name = "outside-mesh"
+
+
+#: Every fabric refusal, one row each: (NocConfig fields, the refusal's
+#: message).  ``NocConfig`` takes these fields and the fabric's builder,
+#: reached through ``build_topology``, refuses them; the fabric-independent
+#: checks stay ``NocConfig``'s (tests/core/test_config.py).
+REFUSED = {
+    "unknown-topology": (dict(topology="hypercube"), "unknown topology"),
+    "mesh-unknown-routing": (dict(routing="odd_even"), "routing must be one of"),
+    "cmesh-unknown-routing": (
+        dict(topology="cmesh", concentration=4, routing="odd_even"),
+        "routing must be one of",
+    ),
+    "torus-west-first": (dict(topology="torus", routing="west_first"), "'xy'"),
+    "ring-west-first": (dict(topology="ring", routing="west_first"), "'xy'"),
+    "torus-1-vc": (dict(topology="torus", num_vcs=1), "at least 2 VCs"),
+    "ring-1-vc": (dict(topology="ring", num_vcs=1), "at least 2 VCs"),
+    "cmesh-c1": (dict(topology="cmesh"), "concentration must be 2 or 4"),
+    "cmesh-c3": (dict(topology="cmesh", concentration=3), "concentration must be 2 or 4"),
+    "cmesh-c4-on-6x3": (
+        dict(width=6, height=3, topology="cmesh", concentration=4),
+        "not divisible",
+    ),
+    "mesh-c2": (dict(concentration=2), "does not fit mesh"),
+    "torus-c2": (dict(topology="torus", concentration=2), "does not fit torus"),
+    "ring-c4": (dict(topology="ring", concentration=4), "does not fit ring"),
+}
+
+
+def builds(**fields):
+    """Whether ``build_topology`` accepts a 4x4 NocConfig of *fields*."""
+    try:
+        build_topology(NocConfig(width=4, height=4, **fields))
+    except ValueError:
+        return False
+    return True
+
+
+class TestFabricOwnsItsConfig:
+    def test_an_outside_fabric_registers_and_runs(self, monkeypatch):
+        monkeypatch.setitem(
+            TOPOLOGY_BUILDERS, OutsideMesh.name,
+            lambda noc: OutsideMesh(noc.width, noc.height, routing=noc.routing),
+        )
+        assert OutsideMesh.name in registered_topologies()
+        noc = replace(SECDED_BASELINE.noc, width=4, height=4, topology=OutsideMesh.name)
+        trace = generate_synthetic_trace(
+            SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 300, 0.05,
+            noc.flits_per_packet, make_rng(7, "outside-fabric"),
+        )
+        config = SimulationConfig(technique=replace(SECDED_BASELINE, noc=noc), seed=7)
+        network = Network(config, trace)
+        assert type(network.topology) is OutsideMesh
+        network.run_to_completion(5_000)
+        assert network.stats.packets_completed == len(trace.events) > 0
+
+    @pytest.mark.parametrize("row", sorted(REFUSED))
+    def test_every_refusal_holds(self, row):
+        fields, message = REFUSED[row]
+        noc = NocConfig(**fields)
+        with pytest.raises(ValueError, match=message):
+            build_topology(noc)
+
+    def test_every_fabric_routing_pair_that_builds_has_a_deadlock_law_row(self):
+        """A new routing family or fabric cannot land without a row in
+        ``ROUTED_CONFIGS``, the configurations TestDeadlockFreedom proves."""
+        buildable = {
+            (fabric, routing)
+            for fabric in registered_topologies()
+            for routing in CANDIDATE_FUNCTIONS
+            if any(builds(topology=fabric, routing=routing, concentration=c)
+                   for c in range(1, 5))
+        }
+        proved = {(noc.topology, noc.routing) for noc in ROUTED_CONFIGS.values()}
+        assert buildable == proved

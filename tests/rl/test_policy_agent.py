@@ -71,11 +71,3 @@ class TestRouterAgent:
         # down-weighted its early choices relative to the initial estimate.
         q_row = agent.qtable.q_values(agent.extractor.extract(bad_obs))
         assert q_row.min() < 0
-
-    def test_reset_episode_clears_sa_pair(self):
-        agent = self.agent(epsilon=0.0)
-        agent.decide(make_obs())
-        agent.reset_episode()
-        before = agent.qtable.updates
-        agent.decide(make_obs())
-        assert agent.qtable.updates == before  # no prev pair to credit
