@@ -1,17 +1,35 @@
-.PHONY: install lint test test-output verify-paper bench-repo bench-pairs bench-test examples clean
+.PHONY: install lint typecheck test test-output verify-paper bench-repo bench-pairs bench-test examples clean
 
 install:
 	pip install -e .
 
 # NoCSan whole-program pass (docs/analysis.md), by the command line CI's
 # `lint` job runs (paths and fixture exclude are `repro lint`'s defaults,
-# spelled once in cli.py); mypy runs too when installed.
+# spelled once in cli.py); the type check runs too when mypy is installed.
 lint:
 	PYTHONPATH=src python -m repro lint --json nocsan.json
-	@if python -c "import mypy" 2>/dev/null; then \
-		python -m mypy --strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry \
-		&& python -m mypy -p repro.analysis; \
+	@if python -c "import mypy" 2>/dev/null; then $(MAKE) --no-print-directory typecheck; \
 	else echo "mypy not installed; skipped type check"; fi
+
+# The one list of what mypy checks (pyproject.toml's overrides say how
+# strictly): one invocation per entry, "label|mypy arguments".  `make lint`
+# and CI's lint job both run it; each invocation prints mypy's output and
+# appends a "| label | verdict | errors |" row to MYPY_SUMMARY (CI passes
+# its step summary).  Fails if any invocation fails.
+MYPY_CHECKS = \
+	"exec, config, metrics, telemetry (--strict)|--strict -p repro.exec -p repro.config -p repro.metrics -p repro.telemetry" \
+	"topology modules|-p repro.noc.topology -p repro.noc.torus -p repro.noc.cmesh -p repro.noc.ring" \
+	"fault-scenario engine|-p repro.faults.scenario" \
+	"NoCSan|-p repro.analysis"
+MYPY_SUMMARY ?= /dev/null
+typecheck:
+	@status=0; output=$$(mktemp); \
+	for check in $(MYPY_CHECKS); do \
+		label="$${check%%|*}"; \
+		if python -m mypy $${check#*|} > "$$output" 2>&1; then verdict=pass; else verdict=FAIL; status=1; fi; \
+		cat "$$output"; \
+		echo "| $$label | $$verdict | $$(grep -c ': error:' "$$output") |" >> "$(MYPY_SUMMARY)"; \
+	done; rm -f "$$output"; exit $$status
 
 # The tier-1 suite by CI's command line: `src` on the path (a fresh
 # checkout has no installed `repro`), pyproject's `testpaths` and its one

@@ -7,11 +7,14 @@ every rule the one-line mutant only it catches):
   NOC405),
 * a project import-graph pass (:mod:`.project`: layering NOC201, cycles
   NOC204),
-* infrastructure: the JSON report (:mod:`.emit`).
+* infrastructure: the engine and its one report (:mod:`.engine`:
+  :func:`~.engine.run_engine` over paths, :func:`~.engine.report_on` over
+  :func:`~.filepass.analyze_source` results) and the JSON report
+  (:mod:`.emit`).
 
-The v1 API (``lint_source``, ``lint_paths``, ``main``, ``RULES``,
-``Violation``, ``LintReport``) is preserved; new callers should prefer
-:func:`repro.analysis.lint.engine.run_engine`.
+Its one command line is ``python -m repro lint``: :mod:`repro.cli` defines
+the subcommand's options and defaults without loading this package, and
+runs :func:`run_cli`.
 """
 
 from __future__ import annotations
@@ -21,50 +24,10 @@ import json
 import sys
 
 from repro.analysis.lint.emit import report_to_json
-from repro.analysis.lint.engine import EngineReport, report_on, run_engine
-from repro.analysis.lint.filepass import analyze_source
-from repro.analysis.lint.rules import (
-    LINT_VERSION,
-    RULES,
-    LintReport,
-    Violation,
-)
-from repro.analysis.lint_options import add_cli_arguments
+from repro.analysis.lint.engine import run_engine
+from repro.analysis.lint.rules import RULES
 
-__all__ = [
-    "LINT_VERSION",
-    "RULES",
-    "Violation",
-    "LintReport",
-    "lint_source",
-    "lint_paths",
-    "run_engine",
-    "main",
-]
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Lint one file's text; returns unsuppressed violations."""
-    return report_on([analyze_source(source, path)]).violations
-
-
-def lint_paths(paths: list[str]) -> LintReport:
-    """Lint every ``.py`` file under *paths*, whole-program passes included."""
-    engine_report = run_engine(paths)
-    return LintReport(
-        violations=engine_report.violations,
-        suppressed=engine_report.suppressed,
-        files=engine_report.files,
-    )
-
-
-def build_arg_parser(prog: str = "python -m repro.analysis.lint") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="Project-specific determinism/layering/safety/contract lint.",
-    )
-    add_cli_arguments(parser)
-    return parser
+__all__ = ["run_cli"]
 
 
 def _write_json(text: str, destination: str) -> None:
@@ -76,14 +39,13 @@ def _write_json(text: str, destination: str) -> None:
 
 
 def run_cli(args: argparse.Namespace) -> int:
-    """The v2 CLI behind both ``python -m`` and ``repro lint``."""
+    """``repro lint``: exit 1 on any finding, 0 when clean."""
     if args.list_rules:
         for rule, summary in sorted(RULES.items()):
             print(f"{rule}  {summary}")
         return 0
 
-    excludes = list(getattr(args, "default_excludes", [])) + args.exclude
-    report: EngineReport = run_engine(args.paths or ["src"], excludes=excludes)
+    report = run_engine(args.paths, excludes=args.exclude)
 
     if args.json_out:
         payload = report_to_json(
@@ -99,11 +61,3 @@ def run_cli(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 1 if report.violations else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    return run_cli(build_arg_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -26,7 +26,7 @@ from repro.analysis.lint import project
 
 @dataclass
 class EngineReport:
-    """Everything a caller needs: the findings and the files behind them."""
+    """The one report of a lint run: the findings and the files behind them."""
 
     violations: list[Violation] = field(default_factory=list)
     suppressed: int = 0

@@ -21,7 +21,7 @@ NOC000).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -84,19 +84,6 @@ class Violation:
             message=str(data["message"]),
             context=str(data.get("context", "")),
         )
-
-
-@dataclass
-class LintReport:
-    """Outcome of linting a set of files."""
-
-    violations: list[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    files: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 #: Sim-altitude packages: hardware models plus their embedded observers.

@@ -54,10 +54,13 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.lint_options import add_cli_arguments
 from repro.config import TechniqueConfig, all_techniques, technique
 from repro.faults.scenario import scenario_names
-from repro.noc.topology import build_topology, registered_topologies
+from repro.noc.topology import (
+    build_topology,
+    default_concentration,
+    registered_topologies,
+)
 from repro.core import figures
 from repro.core.experiment import FULL_GRID, ExperimentRunner
 from repro.exec import worker
@@ -135,8 +138,8 @@ def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--concentration", type=int, default=None, metavar="C",
-        help="cores per router for --topology cmesh "
-             "(2 or 4; default 4, ignored elsewhere)",
+        help="cores per router (default: the fabric's own; a fabric "
+             "refuses one it cannot attach, see docs/topologies.md)",
     )
     parser.add_argument(
         "--scenario", default="", choices=[""] + scenario_names(),
@@ -156,7 +159,7 @@ def _fabric_technique(
     concentration = getattr(args, "concentration", None)
     scenario = getattr(args, "scenario", "")
     if concentration is None:
-        concentration = 4 if topology == "cmesh" else 1
+        concentration = default_concentration(topology)
     noc = tech.noc
     if (
         topology == noc.topology
@@ -532,11 +535,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="NoCSan whole-program static analysis (see docs/analysis.md)"
     )
-    add_cli_arguments(
-        p,
-        default_paths=["src", "tests"],
-        default_excludes=["tests/analysis/fixtures"],
-    )
+    # The lint command line's one set of defaults.  Defining them loads no
+    # part of the engine: a process that runs a simulation never needs it.
+    p.add_argument("paths", nargs="*", default=["src", "tests"],
+                   help="files or directories to lint (default: src tests)")
+    p.add_argument("--list-rules", action="store_true",
+                   help="print the rule catalogue and exit")
+    p.add_argument("--exclude", action="append",
+                   default=["tests/analysis/fixtures"], metavar="PATH",
+                   help="path prefix to skip, beside the deliberately "
+                        "violating tests/analysis/fixtures (repeatable)")
+    p.add_argument("--json", metavar="FILE", dest="json_out",
+                   help="write a JSON report ('-' for stdout)")
     _add_logging_options(p)
     p.set_defaults(fn=_cmd_lint)
 

@@ -116,4 +116,5 @@ register_topology(
     lambda noc: CMeshTopology(
         noc.width, noc.height, noc.concentration, routing=noc.routing
     ),
+    default_concentration=4,
 )

@@ -301,12 +301,19 @@ class DatelineTopology(Topology):
 #: the concrete fabric modules self-register on import.
 TOPOLOGY_BUILDERS: dict[str, Callable[["NocConfig"], Topology]] = {}
 
+#: name -> cores per router when none is asked for (1 unless registered).
+DEFAULT_CONCENTRATIONS: dict[str, int] = {}
+
 
 def register_topology(
-    name: str, builder: Callable[["NocConfig"], Topology]
+    name: str,
+    builder: Callable[["NocConfig"], Topology],
+    *,
+    default_concentration: int = 1,
 ) -> None:
     """Register a fabric under ``NocConfig.topology == name``."""
     TOPOLOGY_BUILDERS[name] = builder
+    DEFAULT_CONCENTRATIONS[name] = default_concentration
 
 
 register_topology(
@@ -345,6 +352,12 @@ def build_topology(noc: "NocConfig") -> Topology:
             f"{topology.num_nodes} nodes on {topology.num_routers} routers"
         )
     return topology
+
+
+def default_concentration(topology: str) -> int:
+    """Cores per router of fabric *topology* when the user names none."""
+    _builders()
+    return DEFAULT_CONCENTRATIONS.get(topology, 1)
 
 
 def registered_topologies() -> list[str]:

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import Violation
 from repro.analysis.lint.emit import report_to_json
 from repro.analysis.lint.engine import run_engine
+from repro.analysis.lint.rules import Violation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

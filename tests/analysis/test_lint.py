@@ -2,7 +2,9 @@
 
 Each fixture under ``fixtures/`` seeds one deliberate violation of one
 rule; the suite asserts every rule fires on its fixture and that the real
-source tree lints clean (the CI gate).
+source tree lints clean (the CI gate).  Files go through
+:func:`run_engine`, source text through :func:`report_on` over
+:func:`analyze_source`, and the command line through ``repro lint``.
 """
 
 import re
@@ -10,11 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import RULES, LintReport, lint_paths, lint_source, main
+from repro.analysis.lint.engine import EngineReport, report_on, run_engine
+from repro.analysis.lint.filepass import analyze_source
+from repro.analysis.lint.rules import RULES
+from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+
+
+def _findings(source, path="<string>"):
+    """The unsuppressed violations of one file's text."""
+    return report_on([analyze_source(source, path)]).violations
+
 
 #: fixture file (or tree, for whole-program rules) -> the rule it must trigger
 FIXTURE_RULES = {
@@ -46,7 +57,7 @@ CLEAN_FIXTURES = [
 class TestFixtures:
     @pytest.mark.parametrize("relpath,rule", sorted(FIXTURE_RULES.items()))
     def test_fixture_triggers_its_rule(self, relpath, rule):
-        report = lint_paths([str(FIXTURES / relpath)])
+        report = run_engine([str(FIXTURES / relpath)])
         hit_rules = {v.rule for v in report.violations}
         assert rule in hit_rules, (
             f"{relpath} should trigger {rule}, got {sorted(hit_rules)}"
@@ -60,11 +71,12 @@ class TestFixtures:
         assert set(re.findall(r"^\| `(NOC\d{3})` \|", page, re.M)) == set(RULES)
 
     def test_fixture_tree_fails_as_a_whole(self):
-        assert main([str(FIXTURES)]) == 1
+        report = run_engine([str(FIXTURES)])
+        assert {v.rule for v in report.violations} == set(RULES)
 
     @pytest.mark.parametrize("relpath", CLEAN_FIXTURES)
     def test_clean_fixture_passes(self, relpath):
-        report = lint_paths([str(FIXTURES / relpath)])
+        report = run_engine([str(FIXTURES / relpath)])
         assert report.ok, "\n".join(v.render() for v in report.violations)
 
     def test_expected_hit_counts(self):
@@ -91,7 +103,7 @@ class TestFixtures:
             "noc000_reasonless_noqa.py": 1,
         }
         for relpath, count in expected.items():
-            report = lint_paths([str(FIXTURES / relpath)])
+            report = run_engine([str(FIXTURES / relpath)])
             assert len(report.violations) == count, (
                 f"{relpath}: {[v.render() for v in report.violations]}"
             )
@@ -102,16 +114,16 @@ class TestSuppression:
 
     def test_reasoned_noqa_suppresses(self):
         code = "def f(x):\n    return x == 1.0  # noqa: NOC302 -- exact sentinel\n"
-        assert lint_source(code, self.MOD) == []
+        assert _findings(code, self.MOD) == []
 
     def test_reasonless_noqa_becomes_noc000(self):
         code = "def f(x):\n    return x == 1.0  # noqa: NOC302\n"
-        rules = [v.rule for v in lint_source(code, self.MOD)]
+        rules = [v.rule for v in _findings(code, self.MOD)]
         assert rules == ["NOC000"]
 
     def test_noqa_for_other_rule_does_not_suppress(self):
         code = "def f(x):\n    return x == 1.0  # noqa: NOC301 -- wrong rule\n"
-        rules = [v.rule for v in lint_source(code, self.MOD)]
+        rules = [v.rule for v in _findings(code, self.MOD)]
         assert rules == ["NOC302"]
 
     def test_multi_rule_noqa(self):
@@ -121,13 +133,13 @@ class TestSuppression:
             "    return random.random() == 1.0"
             "  # noqa: NOC101, NOC302 -- test double\n"
         )
-        assert lint_source(code, self.MOD) == []
+        assert _findings(code, self.MOD) == []
 
     def test_suppressed_counted_in_report(self, tmp_path):
         f = tmp_path / "repro" / "mod.py"
         f.parent.mkdir()
         f.write_text("X = 1.0 == 1.0  # noqa: NOC302 -- static truth\n")
-        report = lint_paths([str(f)])
+        report = run_engine([str(f)])
         assert report.ok
         assert report.suppressed == 1
 
@@ -140,44 +152,49 @@ class TestCleanCode:
             "    rng = np.random.default_rng(np.random.SeedSequence([seed]))\n"
             "    return rng.integers(0, 10)\n"
         )
-        assert lint_source(code) == []
+        assert _findings(code) == []
 
     def test_src_tree_is_clean(self):
         """The acceptance gate: the real source tree lints clean."""
-        report = lint_paths([str(SRC)])
+        report = run_engine([str(SRC)])
         assert report.ok, "\n".join(v.render() for v in report.violations)
         assert report.files > 50  # sanity: the whole tree was scanned
 
     def test_orchestration_may_import_simulation(self):
         code = "from repro.noc.network import Network\n"
-        assert lint_source(code, path="src/repro/exec/worker.py") == []
+        assert _findings(code, path="src/repro/exec/worker.py") == []
 
     def test_exact_assertion_in_a_test_is_not_simulation_logic(self):
         code = "def test_f(a):\n    assert a.latency.mean == 0.5\n"
-        assert lint_source(code, path="tests/noc/test_x.py") == []
-        violations = lint_source(code, path="src/repro/noc/x.py")
+        assert _findings(code, path="tests/noc/test_x.py") == []
+        violations = _findings(code, path="src/repro/noc/x.py")
         assert [v.rule for v in violations] == ["NOC302"]
 
     def test_sim_package_importing_exec_flagged(self):
         code = "from repro.exec.spec import CellSpec\n"
-        violations = lint_source(code, path="src/repro/noc/helper.py")
+        violations = _findings(code, path="src/repro/noc/helper.py")
         assert [v.rule for v in violations] == ["NOC201"]
 
 
+
 class TestCli:
+    """``repro lint``, the linter's one command line."""
+
     def test_list_rules_exits_zero(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in RULES:
-            assert rule in out
+        assert main(["lint", "--list-rules"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{rule}  {summary}" for rule, summary in sorted(RULES.items())
+        ]
 
     def test_clean_tree_exits_zero(self):
-        assert main([str(SRC / "repro" / "metrics")]) == 0
+        assert main(["lint", str(SRC / "repro" / "metrics")]) == 0
 
     def test_violating_file_exits_one(self, capsys):
-        assert main([str(FIXTURES / "noc301_bare_except.py")]) == 1
+        assert main(["lint", str(FIXTURES / "noc301_bare_except.py")]) == 1
         assert "NOC301" in capsys.readouterr().out
 
     def test_report_dataclass_defaults(self):
-        report = LintReport()
-        assert report.ok and report.files == 0 and report.suppressed == 0
+        """An empty report, built or produced from no files, is clean."""
+        for report in (EngineReport(), report_on([])):
+            assert report.ok and report.files == 0 and report.suppressed == 0
+            assert report.violations == [] and report.analyses == []

@@ -229,6 +229,32 @@ class TestCommands:
         assert "[1/" not in caplog.text
 
 
+class TestFabricConcentration:
+    """The default concentration is the fabric's own fact, and a fabric
+    refuses one it cannot attach: the CLI holds neither."""
+
+    def test_a_fabric_refuses_a_concentration_it_cannot_attach(self, caplog):
+        caplog.set_level(logging.INFO, logger="repro")
+        logger = logging.getLogger("repro")
+        logger.addHandler(caplog.handler)
+        try:
+            rc = main(["run", "--topology", "torus", "--concentration", "2"])
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert rc == 2
+        assert ("repro: error: concentration 2 does not fit torus: "
+                "64 nodes on 64 routers") in caplog.text
+
+    def test_cmesh_runs_at_its_own_default(self, capsys):
+        argv = ["run", "--topology", "cmesh", "--technique", "secded",
+                "--benchmark", "swa", "--duration", "600", "--seed", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--concentration", "4"]) == 0
+        assert capsys.readouterr().out == default
+        assert "execution cycles" in default
+
+
 #: ``repro run``'s rows -> the ``RunMetrics`` value each prints.
 RUN_ROWS = {
     "execution cycles": lambda m: m.execution_cycles,

@@ -43,7 +43,7 @@ from repro.noc.router import Router
 from repro.noc.routing import NORTH, WEST, Direction
 from repro.noc.topology import (
     TOPOLOGY_BUILDERS, DatelineTopology, MeshTopology, build_topology,
-    registered_topologies,
+    default_concentration, registered_topologies,
 )
 from repro.noc.torus import TorusTopology
 from repro.noc.vc import VcState
@@ -544,6 +544,20 @@ class TestFabricOwnsItsConfig:
         assert type(network.topology) is OutsideMesh
         network.run_to_completion(5_000)
         assert network.stats.packets_completed == len(trace.events) > 0
+
+    def test_an_outside_fabric_defaults_to_one_core_per_router(self, monkeypatch):
+        monkeypatch.setitem(
+            TOPOLOGY_BUILDERS, OutsideMesh.name,
+            lambda noc: OutsideMesh(noc.width, noc.height, routing=noc.routing),
+        )
+        assert default_concentration(OutsideMesh.name) == 1
+
+    @pytest.mark.parametrize("fabric", registered_topologies())
+    def test_every_fabric_builds_at_its_default_concentration(self, fabric):
+        """The CLI's ``--concentration`` default is the fabric's own."""
+        concentration = default_concentration(fabric)
+        assert concentration == (4 if fabric == "cmesh" else 1)
+        assert builds(topology=fabric, concentration=concentration)
 
     @pytest.mark.parametrize("row", sorted(REFUSED))
     def test_every_refusal_holds(self, row):

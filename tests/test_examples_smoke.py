@@ -36,6 +36,10 @@ class TestCheapExamples:
         assert "delivery ratio" in out
         assert "west_first" in out
 
+    def test_adaptive_routing_demo(self):
+        out = run_example("adaptive_routing_demo.py")
+        assert "delivered 30/30 packets around the failed router" in out
+
     def test_examples_all_importable(self):
         """Every example compiles (no syntax/import-time errors)."""
         import py_compile
