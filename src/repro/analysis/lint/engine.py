@@ -14,7 +14,6 @@ differ from a fresh one (docs/analysis.md, "Runtime").
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -44,16 +43,14 @@ def discover_files(
     """Python files under *paths*, minus any path under an exclude prefix.
 
     Excludes only prune directory expansion; a file named explicitly is
-    always linted, even under an excluded prefix.
+    always linted, even under an excluded prefix.  Both sides are resolved
+    first, so a relative exclude prunes an absolute path and vice versa.
     """
-    norm_excludes = [os.path.normpath(e) for e in excludes]
+    resolved_excludes = [Path(e).resolve() for e in excludes]
 
     def excluded(candidate: Path) -> bool:
-        text = os.path.normpath(str(candidate))
-        return any(
-            text == ex or text.startswith(ex + os.sep)
-            for ex in norm_excludes
-        )
+        resolved = candidate.resolve()
+        return any(resolved.is_relative_to(ex) for ex in resolved_excludes)
 
     found: list[str] = []
     for raw in paths:
@@ -65,14 +62,7 @@ def discover_files(
             )
         elif target.suffix == ".py":
             found.append(str(target))
-    # dedupe, keep first-seen order
-    seen: set[str] = set()
-    unique: list[str] = []
-    for path in found:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
+    return list(dict.fromkeys(found))  # dedupe, keep first-seen order
 
 
 def _analyze_path(path: str) -> FileAnalysis:

@@ -327,7 +327,7 @@ class NocSanitizer:
     def _check_qtables(self, network: "Network", cycle: int) -> None:
         if self.checks_run % QTABLE_CHECK_EVERY != 1:
             return
-        agents = getattr(network.policy, "agents", None)
+        agents = network.policy.agents
         if not agents:
             return
         # During pre-training every agent shares one table; audit each

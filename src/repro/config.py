@@ -99,17 +99,11 @@ ECC_DECTED = EccScheme.DECTED
 
 
 class ControlPolicy(enum.Enum):
-    """How a technique picks router operation modes at runtime."""
+    """How a technique moves each router's mode on from ``rl.initial_mode``."""
 
-    STATIC = "static"  # fixed mode forever (baseline, EB)
-    IDLE_GATING = "idle_gating"  # power-gate on idle detection (CP)
+    STATIC = "static"  # hold the start mode forever (baseline, EB, CP)
     HEURISTIC = "heuristic"  # ECC follows previous-epoch error level (CPD)
     RL = "rl"  # per-router Q-learning (IntelliNoC)
-
-
-# The two members a simulator function names (`Router._adaptive`).
-POLICY_HEURISTIC = ControlPolicy.HEURISTIC
-POLICY_RL = ControlPolicy.RL
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ class RlConfig:
     epsilon: float = 0.05
     time_step: int = 1000  # cycles per control epoch
     num_bins: int = 5  # discretization bins per feature
-    initial_mode: int = 1  # all routers start in mode 1 (Section 6.3)
+    initial_mode: int = 1  # every router's start mode (Section 6.3)
     max_table_entries: int = 350  # hardware Q-table budget (Section 7.4)
     #: Eq. 1's term weights (latency, power, aging); the paper's reward is
     #: (1, 1, 1), and a 0 drops a term (the reward ablation).
@@ -280,7 +274,6 @@ class TechniqueConfig:
     name: str
     noc: NocConfig
     policy: ControlPolicy
-    static_ecc: EccScheme = EccScheme.SECDED
     uses_mfac: bool = False  # multi-function adaptive channels
     uses_bypass: bool = False  # stress-relaxing bypass under gating
     power_gating: bool = False
@@ -317,29 +310,28 @@ SECDED_BASELINE = TechniqueConfig(
     name="SECDED",
     noc=_BASELINE_NOC,
     policy=ControlPolicy.STATIC,
-    static_ecc=EccScheme.SECDED,
+    rl=RlConfig(initial_mode=2),
 )
 
 EB = TechniqueConfig(
     name="EB",
     noc=_EB_NOC,
     policy=ControlPolicy.STATIC,
-    static_ecc=EccScheme.SECDED,
+    rl=RlConfig(initial_mode=2),
 )
 
 CP = TechniqueConfig(
     name="CP",
     noc=_CHANNEL_NOC,
-    policy=ControlPolicy.IDLE_GATING,
-    static_ecc=EccScheme.SECDED,
+    policy=ControlPolicy.STATIC,
     power_gating=True,
+    rl=RlConfig(initial_mode=2),
 )
 
 CPD = TechniqueConfig(
     name="CPD",
     noc=_CHANNEL_NOC,
     policy=ControlPolicy.HEURISTIC,
-    static_ecc=EccScheme.SECDED,
     power_gating=True,
 )
 
@@ -347,7 +339,6 @@ INTELLINOC = TechniqueConfig(
     name="IntelliNoC",
     noc=_CHANNEL_NOC,
     policy=ControlPolicy.RL,
-    static_ecc=EccScheme.SECDED,
     uses_mfac=True,
     uses_bypass=True,
     power_gating=True,

@@ -1,11 +1,11 @@
 """Runtime operation-mode control policies (Sections 4-6.3).
 
-All five techniques run the *same* simulator; what differs is the policy
-that (re)configures routers at each control time step:
+All five techniques run the *same* simulator from ``rl.initial_mode``;
+what differs is the policy that (re)configures routers at each time step:
 
-* :class:`StaticPolicy` — baseline/EB: fixed SECDED, no gating, no mode
-  changes (CP also uses it: its gating is the router's idle detector, not
-  a mode decision).
+* :class:`StaticPolicy` — baseline, EB, CP: the start mode (2, SECDED)
+  forever; CP gates through the router's idle detector (``power_gating``),
+  not by a mode decision.
 * :class:`HeuristicEccPolicy` — CPD: pick the ECC level matching the most
   common error class of the previous time step.
 * :class:`RlPolicy` — IntelliNoC: per-router Q-learning agents choose one
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,27 +28,27 @@ from repro.rl.state import RouterObservation
 class ModePolicy(ABC):
     """Decides per-router operation modes at each control time step."""
 
+    agents: Sequence[RouterAgent] = ()  # per-router learners, if any
+    adapts = True  # whether modes ever change at runtime
+
     @abstractmethod
     def control_step(
         self, observations: list[RouterObservation], cycle: int
     ) -> list[int] | None:
         """Next operation mode per router, or None to leave modes alone."""
 
-    @property
-    def adapts(self) -> bool:
-        """Whether this policy ever changes modes at runtime."""
-        return True
+    def max_table_entries(self) -> int:
+        """The largest agent's Q-table size (0 for a policy with none)."""
+        return max((len(a.qtable) for a in self.agents), default=0)
 
 
 class StaticPolicy(ModePolicy):
-    """No runtime adaptation (SECDED baseline, EB, CP)."""
+    """No runtime adaptation: every router holds ``rl.initial_mode``."""
+
+    adapts = False
 
     def control_step(self, observations, cycle):
         return None
-
-    @property
-    def adapts(self) -> bool:
-        return False
 
 
 class HeuristicEccPolicy(ModePolicy):
@@ -107,9 +108,6 @@ class RlPolicy(ModePolicy):
             agents.append(agent)
         return RlPolicy(agents)
 
-    def max_table_entries(self) -> int:
-        return max(len(a.qtable) for a in self.agents)
-
 
 def make_policy(
     technique: TechniqueConfig,
@@ -117,7 +115,7 @@ def make_policy(
     rng_factory,
 ) -> ModePolicy:
     """Instantiate the policy matching a technique's configuration."""
-    if technique.policy in (ControlPolicy.STATIC, ControlPolicy.IDLE_GATING):
+    if technique.policy is ControlPolicy.STATIC:
         return StaticPolicy()
     if technique.policy is ControlPolicy.HEURISTIC:
         return HeuristicEccPolicy()

@@ -317,7 +317,7 @@ class ScenarioEngine:
         from repro.faults.control_plane import corrupt_random_entry
 
         net = self.network
-        agents = getattr(net.policy, "agents", None)
+        agents = net.policy.agents
         if not agents:
             return  # static/heuristic control plane: nothing to upset
         if self._qrng is None:

@@ -141,10 +141,6 @@ class RunMetrics:
             routers_failed=len(dead_routers),
             links_failed=len(network.dead_links),
         )
-        qtable_max = 0
-        policy = network.policy
-        if hasattr(policy, "max_table_entries"):
-            qtable_max = policy.max_table_entries()
         return cls(
             technique=network.technique.name,
             workload=workload_name or network.trace.name,
@@ -163,7 +159,7 @@ class RunMetrics:
             mode_breakdown=stats.mode_breakdown(),
             mean_temperature_k=network.thermal.mean_temperature(),
             max_temperature_k=network.thermal.hottest()[1],
-            qtable_entries_max=qtable_max,
+            qtable_entries_max=network.policy.max_table_entries(),
         )
 
 

@@ -297,10 +297,9 @@ class Network:
         for mode in applied:
             census[str(mode)] += 1
         tel.record("control", now, modes=census)
-        agents = getattr(self.policy, "agents", None)
-        if agents is None or not tel.sampled(now):
+        if not tel.sampled(now):
             return
-        for agent in agents:
+        for agent in self.policy.agents:
             terms = agent.last_reward_terms
             tel.record(
                 "rl",

@@ -26,8 +26,6 @@ from repro.config import (
     ECC_CRC,
     ECC_DECTED,
     ECC_SECDED,
-    POLICY_HEURISTIC,
-    POLICY_RL,
     PowerConfig,
     TechniqueConfig,
 )
@@ -110,7 +108,7 @@ class Router:
         self.downstream_ports: dict[int, InputPort] = {}
         self.downstream_routers: dict[int, "Router"] = {}
 
-        self.ecc = AdaptiveEccUnit(power_cfg, technique.static_ecc)
+        self.ecc = AdaptiveEccUnit(power_cfg)
         self.power_model = PowerModel(technique, power_cfg)
         # A flit hop costs this plus the active scheme's ``ecc.codec_pj``
         # (the sum is ``PowerModel.hop_energy_pj`` of that scheme).
@@ -127,7 +125,7 @@ class Router:
         )
         self.mfac_controller: MfacController | None = None  # set after wiring
 
-        self.mode = technique.rl.initial_mode if self._adaptive else 2
+        self.mode = technique.rl.initial_mode  # applied by finish_wiring
         self.relaxed_timing = False
 
         self._head_delay = 2 if noc.pipeline_stages >= 4 else 1
@@ -184,11 +182,6 @@ class Router:
         # otherwise so instrumented paths cost one check.
         self.telemetry: "Telemetry | None" = None
 
-    @property
-    def _adaptive(self) -> bool:
-        policy = self.technique.policy
-        return policy is POLICY_HEURISTIC or policy is POLICY_RL
-
     def finish_wiring(self) -> None:
         """Called by the network once channels and neighbors are attached."""
         if self.technique.uses_mfac:
@@ -199,8 +192,7 @@ class Router:
             sum(1 for c in self.incoming.values() if c.capacity == 0) >= 2
         )
         self._bypass_inputs = tuple(self.incoming.items())
-        if self._adaptive:
-            self.apply_mode(self.mode, cycle=0)
+        self.apply_mode(self.mode, cycle=0)
 
     # --- state queries --------------------------------------------------------
 

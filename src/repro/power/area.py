@@ -112,7 +112,7 @@ def _components(technique: TechniqueConfig) -> tuple[float, float, float, float,
     ecc = ECC_STATIC_AREA
     from repro.config import ControlPolicy
 
-    if technique.policy in (ControlPolicy.HEURISTIC, ControlPolicy.RL):
+    if technique.policy is not ControlPolicy.STATIC:
         ecc += ECC_ADAPTIVE_EXTRA
     qtable = 0.0
     if technique.policy is ControlPolicy.RL:

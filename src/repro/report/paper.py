@@ -2,12 +2,12 @@
 
 One :class:`PaperEvaluator` — an :class:`~repro.exec.engine.EngineOptions`
 like the campaign drivers — lays out every cell the paper's evaluation
-needs (the Figs. 9-16 suite, the Figs. 17-18 sweeps, the MFAC, bypass
-and Eq. 1 reward ablations) and runs them as *one* engine campaign:
-``--jobs`` spans the whole grid, one result store resumes it, the
-default-configuration cell the three RL sweeps share is simulated once,
-and a second run is pure cache reads.  Tables come from the pure
-renderers of :mod:`repro.core.figures` and
+needs (the Figs. 9-16 suite and its fixed-mode yardstick, the Figs. 17-18
+sweeps, the MFAC, bypass and Eq. 1 reward ablations) and runs them as
+*one* engine campaign: ``--jobs`` spans the whole grid, one result store
+resumes it, the default-configuration cell the three RL sweeps share is
+simulated once, and a second run is pure cache reads.  Tables come from
+the pure renderers of :mod:`repro.core.figures` and
 :func:`repro.power.area.area_table`.
 
 ``python -m repro verify-paper`` measures
@@ -31,6 +31,7 @@ from typing import NamedTuple
 from repro.config import (
     INTELLINOC,
     SECDED_BASELINE,
+    ControlPolicy,
     FaultConfig,
     all_techniques,
 )
@@ -61,6 +62,11 @@ ABLATIONS = {
         INTELLINOC, name="IntelliNoC-noBypass", uses_bypass=False
     )),
 }
+#: IntelliNoC's hardware, every router held in its start mode 1 (CRC) with
+#: no controller: the fixed mode its agent must beat (ROADMAP item 12),
+#: tabled below these figures.  Not a technique of the paper.
+INTELLINOC_MODE1 = replace(INTELLINOC, name="IntelliNoC-mode1", policy=ControlPolicy.STATIC)
+MODE1_FIGURES = ("fig10_latency", "fig13_energy_efficiency", "fig16_mttf")
 #: Reward-ablation variant -> Eq. 1's (latency, power, aging) weights.
 REWARD_WEIGHTS = {
     "full reward": (1.0, 1.0, 1.0),
@@ -127,6 +133,9 @@ class PaperEvaluator(EngineOptions):
         if not SUITE.isdisjoint(only):
             specs.update({(t.name, b): g.cell(t, b)
                           for t in all_techniques() for b in g.benchmarks})
+        if not set(MODE1_FIGURES).isdisjoint(only):
+            specs.update({(INTELLINOC_MODE1.name, b): g.cell(INTELLINOC_MODE1, b)
+                          for b in g.benchmarks})
         for knob, (figure, _, points, _, _) in SWEEPS.items():
             if figure in only:
                 for point in points:
@@ -172,6 +181,16 @@ class PaperEvaluator(EngineOptions):
             figure: _measured(figure, *render(cells, names, g.benchmarks))
             for figure, render in figures.SUITE_FIGURES.items() if figure in only
         }
+        mode1 = INTELLINOC_MODE1.name
+        for figure in (f for f in MODE1_FIGURES if f in only):
+            # Below the figure, which stays the table `repro campaign` prints.
+            table, values = figures.SUITE_FIGURES[figure](
+                cells, [SECDED_BASELINE.name, INTELLINOC.name, mode1], g.benchmarks)
+            above = out[figure]
+            out[figure] = Measured(
+                f"{above.table}\n\n{mode1}: IntelliNoC's hardware held in mode 1, "
+                f"not a technique of the paper\n{table}",
+                {**above.values, mode1: values[mode1]})
         if "rl_overhead" in only:
             entries = max(cells[INTELLINOC.name, b].qtable_entries_max
                           for b in g.benchmarks)

@@ -8,6 +8,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from repro.analysis.lint.engine import discover_files
 from repro.cli import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -21,6 +22,20 @@ class TestRepoGate:
         predates the violation baseline's removal)."""
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint"]) == 0
+
+    def test_the_fixture_exclude_holds_however_the_tree_is_spelled(self, monkeypatch):
+        """``repro lint tests`` and ``repro lint $PWD/tests`` lint the same
+        files, the fixtures excluded from both."""
+        monkeypatch.chdir(REPO_ROOT)
+        exclude = build_parser().parse_args(["lint"]).exclude
+        spellings = ["tests", str(REPO_ROOT / "tests")]
+        found = [
+            [Path(p).resolve() for p in discover_files([tree], exclude)]
+            for tree in spellings
+        ]
+        assert found[0] == found[1]
+        assert not any(FIXTURES in p.parents for p in found[0])
+        assert [main(["lint", tree]) for tree in spellings] == [0, 0]
 
 
 class TestOneCommand:

@@ -80,7 +80,7 @@ OPTION_CEILINGS = {
 #: flag), the second table of CI's step summary plus ``EngineOptions``.
 FIELD_CEILINGS = {
     "NocConfig": 15, "FaultConfig": 13, "PowerConfig": 21, "RlConfig": 8,
-    "TechniqueConfig": 10, "WorkloadSpec": 6, "CellSpec": 6,
+    "TechniqueConfig": 9, "WorkloadSpec": 6, "CellSpec": 6,
     "EngineOptions": 6, "SimulationConfig": 5,
 }
 

@@ -117,7 +117,7 @@ class TestTechniques:
     def test_policies(self):
         assert SECDED_BASELINE.policy is ControlPolicy.STATIC
         assert EB.policy is ControlPolicy.STATIC
-        assert CP.policy is ControlPolicy.IDLE_GATING
+        assert CP.policy is ControlPolicy.STATIC
         assert CPD.policy is ControlPolicy.HEURISTIC
         assert INTELLINOC.policy is ControlPolicy.RL
 

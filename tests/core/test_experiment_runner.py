@@ -13,7 +13,7 @@ from repro.core.experiment import FULL_GRID, REDUCED_GRID, ExperimentRunner
 from repro.exec import EngineOptions, worker
 from repro.exec.spec import parsec_cell
 from repro.exec.worker import build_trace, execute_cell
-from repro.report.paper import ERROR_RATES, PaperEvaluator
+from repro.report.paper import ERROR_RATES, INTELLINOC_MODE1, PaperEvaluator
 
 
 def render(runner, figure):
@@ -192,11 +192,14 @@ class TestOneGrid:
             duration=grid.duration, seed=grid.seed,
             benchmarks=list(grid.benchmarks), pretrain_cycles=grid.pretrain,
         )
-        suite = PaperEvaluator(grid=grid).specs(["fig10_latency"])
+        suite = PaperEvaluator(grid=grid).specs(["fig09_speedup"])
         assert {k: s.content_hash() for k, s in suite.items()} == {
             (t.name, b): runner.spec_for(t, b).content_hash()
             for t in runner.techniques for b in runner.benchmarks
         }
+        # Figs. 10, 13 and 16 add IntelliNoC's hardware held in mode 1.
+        mode1 = PaperEvaluator(grid=grid).specs(["fig10_latency"]).keys() - suite.keys()
+        assert mode1 == {(INTELLINOC_MODE1.name, b) for b in grid.benchmarks}
 
     @pytest.mark.parametrize("grid", [FULL_GRID, REDUCED_GRID], ids=lambda g: g.name)
     def test_every_paper_cell_is_its_grids_cell(self, grid):
@@ -256,9 +259,9 @@ class TestOneGrid:
     def test_full_grid_cache_keys_are_pinned(self):
         """A moved key re-simulates every cached cell of the table."""
         runner = ExperimentRunner()
-        assert runner.spec_for(INTELLINOC, "bod").content_hash().startswith("b571e824")
+        assert runner.spec_for(INTELLINOC, "bod").content_hash().startswith("6ce4038b")
         assert runner.spec_for(SECDED_BASELINE, "swa").content_hash().startswith(
-            "1a471363"
+            "98446f12"
         )
 
 

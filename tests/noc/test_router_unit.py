@@ -1,22 +1,31 @@
 """Router-level unit tests: pipeline, allocation, ECC latency, modes."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.channels.mfac import ChannelFunction
 from repro.config import (
     CPD,
     EB,
     EccScheme,
     INTELLINOC,
+    ControlPolicy,
     PowerConfig,
     SECDED_BASELINE,
+    SimulationConfig,
 )
 from repro.noc.flit import Packet
+from repro.noc.network import Network
 from repro.noc.power_gating import PowerState
 from repro.noc.router import MODE_SCHEME, Router
 from repro.noc.routing import Direction
 from repro.noc.statistics import RouterEpochCounters
 from repro.noc.topology import MeshTopology
 from repro.noc.vc import VcState
+from repro.power.model import PowerModel
+from repro.telemetry import Telemetry
+from repro.traffic.parsec import generate_parsec_trace
 
 
 def bare_router(technique=SECDED_BASELINE, rid=9):
@@ -194,6 +203,32 @@ class TestModeApplication:
     def test_static_technique_runs_secded(self):
         router = bare_router(SECDED_BASELINE)
         assert router.ecc.scheme is EccScheme.SECDED
+
+    def test_static_controller_holds_the_start_mode(self, monkeypatch):
+        """IntelliNoC's hardware under STATIC: every router starts and stays
+        in ``rl.initial_mode`` (mode 1, CRC), its MFACs as storage buffers,
+        and no control step runs or charges Q-table energy."""
+
+        def no_rl_step(model):
+            raise AssertionError("a control step charged RL energy")
+
+        monkeypatch.setattr(PowerModel, "rl_step_energy_pj", no_rl_step)
+        noc = replace(INTELLINOC.noc, width=4, height=4)
+        technique = replace(INTELLINOC, noc=noc, policy=ControlPolicy.STATIC)
+        trace = generate_parsec_trace("swa", 4, 4, 3000, noc.flits_per_packet, 7)
+        tel = Telemetry()
+        network = Network(SimulationConfig(technique=technique, seed=7), trace,
+                          telemetry=tel)
+        network.run_to_completion(50_000)
+        stats = network.stats
+        assert stats.packets_completed == stats.packets_injected > 0
+        assert {router.mode for router in network.routers} == {1}
+        assert {router.ecc.scheme for router in network.routers} == {EccScheme.CRC}
+        functions = {c.function for router in network.routers
+                     for c in router.outgoing.values() if c.is_mfac}
+        assert functions == {ChannelFunction.NORMAL}
+        assert {m for m, cycles in stats.mode_cycles.items() if cycles} == {1}
+        assert tel.events_of("control") == tel.events_of("mode") == []
 
     def test_mode4_sets_relaxed_timing(self):
         router = bare_router(INTELLINOC)

@@ -41,12 +41,39 @@ class TestUpdate:
         assert q.q_values((0,))[0] == pytest.approx(0.9 * 10.0)
 
     def test_convergence_on_self_loop(self):
-        """With a single action, updates converge to r / (1 - gamma)."""
+        """With a single action, updates converge to r / (1 - gamma); on a
+        two-state, two-action chain, to the chain's closed-form Q*.
+
+        The chain is what tells ``max`` from any other reduction of the
+        next state's row: a mutant bootstrapping on the row's mean (or its
+        min) still passes the one-action self-loop, not the chain."""
         q = QTable(1, 0.2, 0.5)
         s = (0,)
         for _ in range(500):
             q.update(s, 0, reward=-1.0, next_state=s)
         assert q.q_values(s)[0] == pytest.approx(-2.0, rel=1e-3)
+
+        # Action 0 stays, action 1 moves to the other state; a deterministic
+        # reward per (state, action).  Optimal: A moves, B stays.
+        gamma = 0.5
+        a, b = (0,), (1,)
+        reward = {(a, 0): -3.0, (a, 1): -1.0, (b, 0): -0.5, (b, 1): -4.0}
+        v_b = reward[b, 0] / (1 - gamma)  # B stays forever
+        v_a = reward[a, 1] + gamma * v_b  # A moves once, then stays
+        q_star = {
+            (a, 0): reward[a, 0] + gamma * v_a,
+            (a, 1): v_a,
+            (b, 0): v_b,
+            (b, 1): reward[b, 1] + gamma * v_a,
+        }
+        assert q_star[a, 0] < q_star[a, 1] and q_star[b, 1] < q_star[b, 0]
+        q = QTable(2, 0.2, gamma)
+        for _ in range(500):
+            for (state, action), r in reward.items():
+                after = state if action == 0 else (b if state == a else a)
+                q.update(state, action, reward=r, next_state=after)
+        for (state, action), expected in q_star.items():
+            assert q.q_values(state)[action] == pytest.approx(expected, rel=1e-6)
 
     def test_invalid_action_rejected(self):
         with pytest.raises(ValueError):
