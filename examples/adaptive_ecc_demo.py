@@ -13,8 +13,9 @@ ramps, with the associated energy/leakage trade-off.
 
 import numpy as np
 
-from repro.config import EccScheme, PowerConfig
+from repro.config import INTELLINOC, EccScheme, PowerConfig
 from repro.ecc import CRC16, AdaptiveEccUnit, DectedCodec, SecdedCodec
+from repro.power.model import PowerModel
 from repro.utils.tables import format_table
 
 
@@ -54,6 +55,7 @@ def demo_codecs() -> None:
 
 def demo_adaptive_unit() -> None:
     unit = AdaptiveEccUnit(PowerConfig(), EccScheme.CRC)
+    model = PowerModel(INTELLINOC, PowerConfig())
     rng = np.random.default_rng(7)
     rows = []
     # Ramp the observed per-flit error probability like a heating router.
@@ -68,8 +70,8 @@ def demo_adaptive_unit() -> None:
         rows.append([
             f"{error_rate:.0e}",
             unit.scheme.value.upper(),
-            unit.codec_energy_pj(),
-            unit.leakage_mw(),
+            unit.codec_pj,
+            model.ecc_leakage_mw(unit.scheme),
         ])
     print(format_table(
         ["flit error rate", "active scheme", "codec pJ/hop", "leakage mW"],

@@ -10,7 +10,7 @@ downstream router input port.  Three physical organizations share it:
   automatically when the downstream stalls (the congestion-signal-driven
   hold of Fig. 3(a)/(b)).
 * **MFAC** — adds the re-transmission buffer and relaxed timing functions
-  (Fig. 3(c)/(d)), selected at runtime by the MFAC controller.
+  (Fig. 3(c)/(d)), selected at runtime by the router's operation mode.
 
 Error handling hooks: flits are handed to the network's delivery logic
 together with the channel's current function, and NACKed flits re-enter

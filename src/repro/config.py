@@ -98,6 +98,31 @@ ECC_SECDED = EccScheme.SECDED
 ECC_DECTED = EccScheme.DECTED
 
 
+@dataclass(frozen=True)
+class OperationMode:
+    """One row of Section 4's mode table.  The MFAC function follows from
+    it: relaxed timing, else re-transmission buffers under per-hop ECC,
+    else transmission + link storage."""
+
+    scheme: EccScheme  # the router's ECC (CRC: end to end only)
+    relaxed: bool = False  # MFACs at doubled traversal time
+    gated: bool = False  # router power-gated; flits take the bypass
+
+
+#: Section 4's five operation modes, indexed by mode id.
+OPERATION_MODES = (
+    OperationMode(ECC_CRC, gated=True),  # 0: stress-relaxing bypass
+    OperationMode(ECC_CRC),  # 1: CRC only
+    OperationMode(ECC_SECDED),  # 2: per-hop SECDED
+    OperationMode(ECC_DECTED),  # 3: per-hop DECTED
+    OperationMode(ECC_SECDED, relaxed=True),  # 4: relaxed transmission
+)
+
+#: Where a router goes when the bypass cannot carry its load (the mode-0
+#: admission check and the congestion watchdog).
+BYPASS_EXIT_MODE = 1
+
+
 class ControlPolicy(enum.Enum):
     """How a technique moves each router's mode on from ``rl.initial_mode``."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from repro.config import OPERATION_MODES
 from repro.metrics.summary import RunMetrics
 from repro.utils.tables import format_table, geometric_mean, normalize_map
 
@@ -133,15 +134,14 @@ def figure14_mode_breakdown(
     technique_name: str = "IntelliNoC",
 ) -> tuple[str, dict[int, float]]:
     """Fig. 14: IntelliNoC operation-mode occupancy per benchmark."""
+    modes = range(len(OPERATION_MODES))
     rows = []
     for benchmark in benchmarks:
         breakdown = results[(technique_name, benchmark)].mode_breakdown
-        rows.append(
-            [benchmark] + [breakdown.get(mode, 0.0) for mode in range(5)]
-        )
-    headers = ["benchmark"] + [f"mode {m}" for m in range(5)]
+        rows.append([benchmark] + [breakdown.get(mode, 0.0) for mode in modes])
+    headers = ["benchmark"] + [f"mode {m}" for m in modes]
     table = format_table(headers, rows, title="Fig. 14 - Operation mode breakdown")
-    avg = {m: sum(r[1 + m] for r in rows) / len(rows) for m in range(5)}
+    avg = {m: sum(r[1 + m] for r in rows) / len(rows) for m in modes}
     return table, avg
 
 

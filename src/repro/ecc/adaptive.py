@@ -7,8 +7,9 @@ of the paper's adaptive hardware:
 * partially enabled -> per-hop SECDED,
 * fully enabled     -> per-hop DECTED,
 
-and reports the dynamic energy per protected flit hop and the leakage of
-whatever circuitry is currently powered, which feed the power model.
+and exposes what a flit hop needs of the active scheme as plain
+attributes (``per_hop``, ``hop_latency``, ``codec_pj``).  The leakage of the
+powered circuitry is the power model's (`PowerModel.ecc_leakage_mw`).
 """
 
 from __future__ import annotations
@@ -73,19 +74,6 @@ class AdaptiveEccUnit:
             self._set_scheme(scheme)
             if self.on_transition is not None:
                 self.on_transition(old, scheme)
-
-    def codec_energy_pj(self) -> float:
-        """Dynamic encode+decode energy for one flit hop under the current scheme."""
-        return self.codec_pj
-
-    def leakage_mw(self) -> float:
-        """Leakage of the currently-powered ECC circuitry (per router)."""
-        leak = self._power.crc_leak_mw  # CRC at the injection port, always on
-        if self._scheme is ECC_SECDED:
-            leak += self._power.secded_leak_mw
-        elif self._scheme is ECC_DECTED:
-            leak += self._power.secded_leak_mw + self._power.dected_extra_leak_mw
-        return leak
 
     def __repr__(self) -> str:
         return f"AdaptiveEccUnit(scheme={self._scheme.value})"

@@ -25,7 +25,13 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.channels.mfac import CHANNEL_RELAXED, Channel
-from repro.config import ECC_CRC, EccScheme, SimulationConfig
+from repro.config import (
+    BYPASS_EXIT_MODE,
+    ECC_CRC,
+    OPERATION_MODES,
+    EccScheme,
+    SimulationConfig,
+)
 from repro.ecc.outcomes import (
     OUTCOME_CORRECTED,
     OUTCOME_RETRANSMIT,
@@ -293,7 +299,7 @@ class Network:
         """Trace one control step: the applied-mode census plus, on the
         stride, each RL agent's reward decomposition and Q diagnostics."""
         tel = self._tel
-        census = {str(m): 0 for m in range(5)}
+        census = {str(m): 0 for m in range(len(OPERATION_MODES))}
         for mode in applied:
             census[str(mode)] += 1
         tel.record("control", now, modes=census)
@@ -672,7 +678,7 @@ class Network:
                 if moved is None:
                     # Congestion watchdog: leave mode 0 early; the next
                     # control step re-decides with fresh state.
-                    router.apply_mode(1, cycle)
+                    router.apply_mode(BYPASS_EXIT_MODE, cycle)
                     self.stats.wakeups += 1
                 elif moved:
                     self.stats.bypass_traversals += 1
@@ -1017,7 +1023,7 @@ class Network:
     # The stress-relaxing bypass "is operational for even low-to-moderate
     # traffic load" (Section 3.3): its single-flit-per-cycle switch cannot
     # sustain more, so mode-0 requests above this total input rate
-    # (flits/cycle across the five ports) fall back to mode 1.
+    # (flits/cycle across the five ports) fall back to BYPASS_EXIT_MODE.
     BYPASS_LOAD_LIMIT = 0.4
 
     def _bypass_admissible(self, router: Router, obs) -> bool:
@@ -1048,8 +1054,8 @@ class Network:
                     continue  # no hardware left to reconfigure
                 if rl_pj:
                     self.accountant.add_dynamic(router.id, rl_pj)
-                if mode == 0 and not self._bypass_admissible(router, obs):
-                    mode = 1
+                if OPERATION_MODES[mode].gated and not self._bypass_admissible(router, obs):
+                    mode = BYPASS_EXIT_MODE
                 router.apply_mode(mode, now)
                 applied.append(mode)
             if self._tel is not None:

@@ -9,6 +9,10 @@ Two gating styles share the controller:
   drains its internal buffers, gates, and keeps forwarding through the
   stress-relaxing bypass — no wakeup on arrival, flits use the MFACs.
 
+``Router.apply_mode`` only says "gate" (a gated row of the mode table) or
+"power on" (any other row); what that means for a gated router is decided
+here, by the ``bypass`` flag: a bypass router that is idle stays dark.
+
 The controller also keeps per-epoch powered/gated cycle accounting for the
 leakage model and the aging model.
 """
@@ -16,6 +20,8 @@ leakage model and the aging model.
 from __future__ import annotations
 
 import enum
+
+from repro.config import TechniqueConfig
 
 
 class PowerState(enum.Enum):
@@ -39,12 +45,12 @@ POWER_WAKING = PowerState.WAKING
 class PowerGatingController:
     """Gating state machine of one router."""
 
-    def __init__(self, wakeup_latency: int, idle_threshold: int, bypass: bool):
-        if wakeup_latency < 0 or idle_threshold < 1:
+    def __init__(self, technique: TechniqueConfig):
+        if technique.wakeup_latency < 0 or technique.idle_gate_threshold < 1:
             raise ValueError("bad gating parameters")
-        self.wakeup_latency = wakeup_latency
-        self.idle_threshold = idle_threshold
-        self.bypass = bypass
+        self.wakeup_latency = technique.wakeup_latency
+        self.idle_threshold = technique.idle_gate_threshold
+        self.bypass = technique.uses_bypass
         self.state = POWER_ON
         self._wake_ready_cycle = 0
         self._idle_cycles = 0
@@ -90,13 +96,18 @@ class PowerGatingController:
         else:
             self.state = POWER_DRAINING
 
-    def request_power_on(self, cycle: int) -> None:
-        """A non-zero operation mode selected while gated/draining.
+    def request_power_on(self, cycle: int, router_idle: bool) -> None:
+        """An ungated operation mode selected while gated/draining.
 
         Leaving mode 0 is proactive (decided a time step ahead), so the
-        bypass-style exit does not pay the reactive wakeup penalty.
+        bypass-style exit does not pay the reactive wakeup penalty.  An
+        idle bypass router stays dark (idle-driven gating, Section 1): the
+        bypass keeps covering sporadic flits, and the new mode's ECC
+        configuration takes effect once traffic re-powers the router.
         """
         if self.state is POWER_GATED:
+            if self.bypass and router_idle:
+                return
             self._accumulate_gated(cycle)
             if self.bypass:
                 self.state = POWER_ON

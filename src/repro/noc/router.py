@@ -20,15 +20,14 @@ from __future__ import annotations
 from collections.abc import Callable, Container
 from typing import TYPE_CHECKING
 
-from repro.channels.controller import MfacController
-from repro.channels.mfac import CHANNEL_RETRANSMISSION, Channel, InboundCounter
-from repro.config import (
-    ECC_CRC,
-    ECC_DECTED,
-    ECC_SECDED,
-    PowerConfig,
-    TechniqueConfig,
+from repro.channels.mfac import (
+    CHANNEL_NORMAL,
+    CHANNEL_RELAXED,
+    CHANNEL_RETRANSMISSION,
+    Channel,
+    InboundCounter,
 )
+from repro.config import ECC_CRC, OPERATION_MODES, PowerConfig, TechniqueConfig
 from repro.ecc.adaptive import AdaptiveEccUnit
 from repro.noc.adaptive_routing import select_output
 from repro.noc.arbiter import RoundRobinArbiter
@@ -54,16 +53,6 @@ from repro.power.model import PowerModel
 
 if TYPE_CHECKING:
     from repro.telemetry import Telemetry
-
-# Operation-mode -> per-hop ECC scheme (Section 4). Mode 0/1 leave only the
-# end-to-end CRC; mode 4 keeps SECDED active under relaxed timing.
-MODE_SCHEME = {
-    0: ECC_CRC,
-    1: ECC_CRC,
-    2: ECC_SECDED,
-    3: ECC_DECTED,
-    4: ECC_SECDED,
-}
 
 
 class Router:
@@ -118,12 +107,10 @@ class Router:
         self._bypass_base_pj = self.power_model.hop_energy_pj(
             ECC_CRC, via_bypass=True
         )
-        self.gating = PowerGatingController(
-            technique.wakeup_latency,
-            technique.idle_gate_threshold,
-            bypass=technique.uses_bypass,
-        )
-        self.mfac_controller: MfacController | None = None  # set after wiring
+        self.gating = PowerGatingController(technique)
+        # The outgoing MFACs, whose function follows the mode; set by
+        # ``finish_wiring`` (empty on a technique without MFACs).
+        self.mfacs: tuple[Channel, ...] = ()
 
         self.mode = technique.rl.initial_mode  # applied by finish_wiring
         self.relaxed_timing = False
@@ -184,10 +171,7 @@ class Router:
 
     def finish_wiring(self) -> None:
         """Called by the network once channels and neighbors are attached."""
-        if self.technique.uses_mfac:
-            self.mfac_controller = MfacController(
-                [c for c in self.outgoing.values() if c.is_mfac]
-            )
+        self.mfacs = tuple(c for c in self.outgoing.values() if c.is_mfac)
         self.congested_when_empty = (
             sum(1 for c in self.incoming.values() if c.capacity == 0) >= 2
         )
@@ -212,29 +196,28 @@ class Router:
     # --- operation modes --------------------------------------------------------
 
     def apply_mode(self, mode: int, cycle: int) -> None:
-        """Switch to operation *mode* (Section 4), reconfiguring the ECC
-        hardware, the outgoing MFACs, and the gating controller."""
-        if mode not in MODE_SCHEME:
+        """Switch to operation *mode*, a row of Section 4's table
+        (`repro.config.OPERATION_MODES`): the ECC hardware, relaxed timing,
+        the function of every outgoing MFAC, and gate or power on."""
+        if not 0 <= mode < len(OPERATION_MODES):
             raise ValueError(f"unknown operation mode {mode}")
+        record = OPERATION_MODES[mode]
         prev = self.mode
         self.mode = mode
-        self.relaxed_timing = mode == 4
-        self.ecc.configure(MODE_SCHEME[mode])
-        if self.mfac_controller is not None:
-            self.mfac_controller.apply_mode(mode)
-        if mode == 0:
-            self.gating.request_gate(cycle, self.is_empty())
-        elif (
-            self.gating.state is POWER_GATED
-            and self.technique.uses_bypass
-            and self.is_idle()
-        ):
-            # Idle-driven gating (Section 1): the router stays dark and the
-            # bypass keeps covering sporadic flits; the new mode's ECC
-            # configuration takes effect once traffic re-powers the router.
-            pass
+        self.relaxed_timing = record.relaxed
+        self.ecc.configure(record.scheme)
+        if record.relaxed:
+            function = CHANNEL_RELAXED
+        elif self.ecc.per_hop:
+            function = CHANNEL_RETRANSMISSION
         else:
-            self.gating.request_power_on(cycle)
+            function = CHANNEL_NORMAL
+        for channel in self.mfacs:
+            channel.set_function(function)
+        if record.gated:
+            self.gating.request_gate(cycle, self.is_empty())
+        else:
+            self.gating.request_power_on(cycle, self.is_idle())
         if self.telemetry is not None and mode != prev:
             self.telemetry.record(
                 "mode",
@@ -516,7 +499,7 @@ class Router:
         watchdog fires (:meth:`bypass_overloaded`; nothing is arbitrated
         and no source is touched), else True when a flit moved.
         """
-        if self.gating.state is not POWER_GATED or not self.technique.uses_bypass:
+        if self.gating.state is not POWER_GATED or not self.gating.bypass:
             return False
         # One walk over the incoming channels counts the congested ones
         # and raises the request lines, a bit per port: a channel asks

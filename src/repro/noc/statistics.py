@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import OPERATION_MODES
 from repro.noc.routing import NUM_PORTS
 
 #: Per-run cap on retained latency samples.  Mean latency is always exact
@@ -138,7 +139,7 @@ class NetworkStatistics:
         self.corrupted_packets_delivered = 0
         self.bypass_traversals = 0
         self.wakeups = 0
-        self.mode_cycles: dict[int, int] = {m: 0 for m in range(5)}
+        self.mode_cycles: dict[int, int] = {m: 0 for m in range(len(OPERATION_MODES))}
         self.last_completion_cycle = 0
         # Delivery accounting under scripted fault scenarios: every injected
         # packet must end up completed, dropped-with-reason, or refused as

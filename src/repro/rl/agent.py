@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import RlConfig
+from repro.config import OPERATION_MODES, RlConfig
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qlearning import QTable
 from repro.rl.reward import reward_components
 from repro.rl.state import RouterObservation, StateExtractor
-
-NUM_OPERATION_MODES = 5
-
 
 class RouterAgent:
     """The learner/decision-maker of one router."""
@@ -29,13 +26,13 @@ class RouterAgent:
         self.config = config
         self.extractor = StateExtractor(config.num_bins)
         self.qtable = QTable(
-            NUM_OPERATION_MODES,
+            len(OPERATION_MODES),
             config.learning_rate,
             config.discount,
             config.max_table_entries,
             preferred_action=config.initial_mode,
         )
-        self.policy = EpsilonGreedyPolicy(config.epsilon, NUM_OPERATION_MODES, rng)
+        self.policy = EpsilonGreedyPolicy(config.epsilon, len(OPERATION_MODES), rng)
         self._prev_state: tuple | None = None
         self._prev_action: int | None = None
         self.last_reward = 0.0

@@ -82,6 +82,13 @@ class TestFunctions:
         with pytest.raises(ValueError):
             ch.set_function(ChannelFunction.RETRANSMISSION)
 
+    def test_only_real_switches_count(self):
+        ch = make_channel()
+        ch.set_function(ChannelFunction.RETRANSMISSION)
+        ch.set_function(ChannelFunction.RETRANSMISSION)  # same function
+        ch.set_function(ChannelFunction.RELAXED)
+        assert ch.function_switches == 2
+
     def test_function_switch_clears_stale_copies(self):
         ch = make_channel()
         ch.set_function(ChannelFunction.RETRANSMISSION)

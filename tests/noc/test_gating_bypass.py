@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import CP, FaultConfig, INTELLINOC, SimulationConfig
+from repro.config import CP, INTELLINOC, ControlPolicy, FaultConfig, SimulationConfig
 from repro.control.policies import ModePolicy
 from repro.noc.network import Network
 from repro.noc.power_gating import PowerState
 from repro.noc.routing import Direction
 from repro.noc.vc import VcState
+from repro.telemetry import Telemetry
 from repro.traffic.trace import Trace, TraceEvent
 
 NO_FAULTS = FaultConfig(base_bit_error_rate=0.0)
@@ -148,6 +149,37 @@ class TestStressRelaxingBypass:
         net.run_to_completion(80_000)
         assert net.stats.packets_completed == net.stats.packets_injected
         assert net.stats.wakeups > 0
+
+
+class TestWatchdogModeWrite:
+    def test_watchdog_drops_an_idle_gated_router_to_mode_one(self):
+        """DESIGN.md §5: the bypass watchdog writes mode 1 on any gated
+        router it wakes, not only on one in mode 0.  Router 27 of IntelliNoC
+        held in mode 2 (STATIC) gates on idleness; two crossing flows then
+        overload its bypass, and it ends in mode 1 (CRC) with one `mode`
+        event.  Pinned as it stands: the fix (ROADMAP item 12), a watchdog
+        that re-powers the router and leaves its mode alone unless it is a
+        gated row, flips this to mode 2 and no `mode` event, and moves
+        IntelliNoC's `results/` rows."""
+        technique = replace(INTELLINOC, policy=ControlPolicy.STATIC).with_rl(
+            initial_mode=2
+        )
+        events = []
+        for i in range(100):
+            events.append(TraceEvent(150 + i, 24, 31, 4))
+            events.append(TraceEvent(150 + i, 3, 59, 4))
+        tel = Telemetry()
+        config = SimulationConfig(technique=technique, seed=1, faults=NO_FAULTS)
+        net = Network(config, Trace(events), telemetry=tel)
+        net.run(150)
+        assert net.routers[27].gating.state is PowerState.GATED  # idle-gated
+        net.run_to_completion(80_000)
+        assert net.stats.packets_completed == net.stats.packets_injected
+        assert net.stats.wakeups == 1
+        assert [(e["router"], e["prev"], e["mode"]) for e in tel.events_of("mode")] == [
+            (27, 2, 1)
+        ]
+        assert {r.id: r.mode for r in net.routers if r.mode != 2} == {27: 1}
 
 
 class TestIdleRouterSkip:

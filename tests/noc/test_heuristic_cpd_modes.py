@@ -26,9 +26,10 @@ def cpd_router():
 
 class TestCpdModes:
     def test_cpd_has_no_mfac_controller(self):
+        """No MFAC hardware: the router has no channel function to set."""
         router = cpd_router()
         router.finish_wiring()
-        assert router.mfac_controller is None
+        assert router.mfacs == ()
 
     def test_mode4_sets_relaxed_without_mfacs(self):
         router = cpd_router()

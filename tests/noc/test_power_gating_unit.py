@@ -1,12 +1,17 @@
 """Unit tests for the power-gating controller state machine."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.config import CP
 from repro.noc.power_gating import PowerGatingController, PowerState
 
 
 def controller(bypass=False, wakeup=8, idle=16):
-    return PowerGatingController(wakeup, idle, bypass)
+    return PowerGatingController(
+        replace(CP, wakeup_latency=wakeup, idle_gate_threshold=idle, uses_bypass=bypass)
+    )
 
 
 class TestIdleDrivenGating:
@@ -64,19 +69,31 @@ class TestModeDrivenGating:
     def test_power_on_from_bypass_is_instant(self):
         c = controller(bypass=True)
         c.request_gate(0, router_empty=True)
-        c.request_power_on(50)
+        c.request_power_on(50, router_idle=False)
         assert c.state is PowerState.ON
 
     def test_power_on_without_bypass_pays_wakeup(self):
         c = controller(bypass=False)
         c.request_gate(0, router_empty=True)
-        c.request_power_on(50)
+        c.request_power_on(50, router_idle=False)
+        assert c.state is PowerState.WAKING
+
+    def test_idle_bypass_router_stays_dark(self):
+        """Idle-driven gating: the bypass covers the idle router, so a
+        power-on request waits for traffic; without a bypass it wakes."""
+        c = controller(bypass=True)
+        c.request_gate(0, router_empty=True)
+        c.request_power_on(50, router_idle=True)
+        assert c.state is PowerState.GATED and c.wake_count == 0
+        c = controller(bypass=False)
+        c.request_gate(0, router_empty=True)
+        c.request_power_on(50, router_idle=True)
         assert c.state is PowerState.WAKING
 
     def test_power_on_cancels_drain(self):
         c = controller(bypass=True)
         c.request_gate(0, router_empty=False)
-        c.request_power_on(5)
+        c.request_power_on(5, router_idle=False)
         assert c.state is PowerState.ON
 
 
@@ -104,7 +121,7 @@ class TestEpochAccounting:
         c = controller(bypass=True)
         c.close_epoch(0)
         c.request_gate(10, router_empty=True)
-        c.request_power_on(30)
+        c.request_power_on(30, router_idle=False)
         c.request_gate(50, router_empty=True)
         powered, gated = c.close_epoch(100)
         assert gated == 20 + 50
@@ -112,6 +129,6 @@ class TestEpochAccounting:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerGatingController(-1, 16, False)
+            controller(wakeup=-1)
         with pytest.raises(ValueError):
-            PowerGatingController(8, 0, False)
+            controller(idle=0)

@@ -10,7 +10,9 @@ from repro.config import (
     EB,
     EccScheme,
     INTELLINOC,
+    OPERATION_MODES,
     ControlPolicy,
+    OperationMode,
     PowerConfig,
     SECDED_BASELINE,
     SimulationConfig,
@@ -18,7 +20,7 @@ from repro.config import (
 from repro.noc.flit import Packet
 from repro.noc.network import Network
 from repro.noc.power_gating import PowerState
-from repro.noc.router import MODE_SCHEME, Router
+from repro.noc.router import Router
 from repro.noc.routing import Direction
 from repro.noc.statistics import RouterEpochCounters
 from repro.noc.topology import MeshTopology
@@ -26,6 +28,7 @@ from repro.noc.vc import VcState
 from repro.power.model import PowerModel
 from repro.telemetry import Telemetry
 from repro.traffic.parsec import generate_parsec_trace
+from repro.traffic.trace import Trace
 
 
 def bare_router(technique=SECDED_BASELINE, rid=9):
@@ -46,18 +49,58 @@ def bare_router(technique=SECDED_BASELINE, rid=9):
     return router
 
 
+def wired_router(technique):
+    """Router 5 of a 4x4 network of *technique*, its channels attached."""
+    noc = replace(technique.noc, width=4, height=4)
+    config = SimulationConfig(technique=replace(technique, noc=noc), seed=1)
+    return Network(config, Trace([])).routers[5]
+
+
+#: Section 4, per mode id: (ECC scheme, MFAC function, relaxed, gated).
+SECTION_4 = [
+    (EccScheme.CRC, ChannelFunction.NORMAL, False, True),  # bypass
+    (EccScheme.CRC, ChannelFunction.NORMAL, False, False),
+    (EccScheme.SECDED, ChannelFunction.RETRANSMISSION, False, False),
+    (EccScheme.DECTED, ChannelFunction.RETRANSMISSION, False, False),
+    (EccScheme.SECDED, ChannelFunction.RELAXED, True, False),
+]
+
+
 class TestModeTable:
-    def test_mode_to_scheme_mapping(self):
-        assert MODE_SCHEME[0] is EccScheme.CRC
-        assert MODE_SCHEME[1] is EccScheme.CRC
-        assert MODE_SCHEME[2] is EccScheme.SECDED
-        assert MODE_SCHEME[3] is EccScheme.DECTED
-        assert MODE_SCHEME[4] is EccScheme.SECDED  # relaxed keeps SECDED
+    @pytest.mark.parametrize("technique", [INTELLINOC, CPD], ids=lambda t: t.name)
+    @pytest.mark.parametrize("mode", range(len(SECTION_4)))
+    def test_apply_mode_follows_the_table(self, technique, mode, monkeypatch):
+        """Section 4: record *m* is the paper's row, and after
+        ``apply_mode(m)``, from any previous mode, the ECC scheme, relaxed
+        timing, every outgoing MFAC's function and the gating request are
+        the record's (CPD has no MFACs to set)."""
+        scheme, function, relaxed, gated = SECTION_4[mode]
+        assert len(OPERATION_MODES) == len(SECTION_4)
+        record = OPERATION_MODES[mode]
+        assert record == OperationMode(scheme, relaxed=relaxed, gated=gated)
+        router = wired_router(technique)
+        mfacs = [c for c in router.outgoing.values() if c.is_mfac]
+        assert router.mfacs == tuple(mfacs)
+        assert bool(mfacs) == technique.uses_mfac
+        requests = []
+        monkeypatch.setattr(router.gating, "request_gate",
+                            lambda cycle, empty: requests.append("gate"))
+        monkeypatch.setattr(router.gating, "request_power_on",
+                            lambda cycle, idle: requests.append("power on"))
+        for prev in range(len(OPERATION_MODES)):
+            router.apply_mode(prev, 0)
+            router.apply_mode(mode, 0)
+            assert router.mode == mode
+            assert router.ecc.scheme is record.scheme
+            assert router.relaxed_timing == record.relaxed
+            assert all(c.function is function for c in mfacs)
+            assert requests[-1] == ("gate" if record.gated else "power on")
 
     def test_unknown_mode_rejected(self):
         router = bare_router(INTELLINOC)
-        with pytest.raises(ValueError):
-            router.apply_mode(7, 0)
+        for mode in (-1, len(OPERATION_MODES), 7):
+            with pytest.raises(ValueError):
+                router.apply_mode(mode, 0)
 
 
 class TestEccLatency:
@@ -94,11 +137,11 @@ class TestPerSchemeConstants:
             scheme, via_bypass=True
         )
         assert router.ecc.per_hop == scheme.per_hop
-        assert router.ecc.codec_pj == router.ecc.codec_energy_pj()
 
     def test_apply_mode_refreshes_them(self):
         router = bare_router(INTELLINOC)
-        for mode, scheme in MODE_SCHEME.items():
+        for mode, record in enumerate(OPERATION_MODES):
+            scheme = record.scheme
             router.apply_mode(mode, 0)
             assert router.ecc.per_hop == scheme.per_hop
             assert router.ecc.hop_latency == {"crc": 0, "secded": 2, "dected": 3}[

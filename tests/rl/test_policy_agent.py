@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.config import RlConfig
-from repro.rl.agent import NUM_OPERATION_MODES, RouterAgent
+from repro.config import OPERATION_MODES, RlConfig
+from repro.rl.agent import RouterAgent
 from repro.rl.policy import EpsilonGreedyPolicy
 from tests.rl.test_state import make_obs
 
@@ -49,7 +49,7 @@ class TestRouterAgent:
     def test_decide_returns_valid_mode(self):
         agent = self.agent()
         mode = agent.decide(make_obs())
-        assert 0 <= mode < NUM_OPERATION_MODES
+        assert 0 <= mode < len(OPERATION_MODES)
 
     def test_learning_happens_on_second_step(self):
         agent = self.agent(epsilon=0.0)
