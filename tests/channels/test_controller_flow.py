@@ -1,46 +1,48 @@
-"""Tests for the MFAC controller."""
+"""Tests for the MFAC control path: `Router.apply_mode` sets the function of
+a router's outgoing MFACs from Section 4's mode table."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.channels.controller import MfacController
-from repro.channels.mfac import Channel, ChannelFunction
-from repro.noc.routing import Direction
+from repro.channels.mfac import ChannelFunction
+from repro.config import CPD, INTELLINOC, OPERATION_MODES, SimulationConfig
+from repro.noc.network import Network
+from repro.traffic.trace import Trace
 
 
-def mfac(direction=Direction.EAST):
-    return Channel(
-        0, direction, 1, buffer_depth=8, links=2, link_latency=1, is_mfac=True
-    )
+def wired_router(technique):
+    """Router 5 of a 4x4 network of *technique*, its channels attached."""
+    noc = replace(technique.noc, width=4, height=4)
+    config = SimulationConfig(technique=replace(technique, noc=noc), seed=1)
+    return Network(config, Trace([])).routers[5]
 
 
 class TestMfacController:
-    def test_mode_function_pairing(self):
-        """Section 4: modes 0/1 -> storage, 2/3 -> retransmission, 4 -> relaxed."""
-        ctrl = MfacController([mfac()])
-        assert ctrl.apply_mode(0) is ChannelFunction.NORMAL
-        assert ctrl.apply_mode(1) is ChannelFunction.NORMAL
-        assert ctrl.apply_mode(2) is ChannelFunction.RETRANSMISSION
-        assert ctrl.apply_mode(3) is ChannelFunction.RETRANSMISSION
-        assert ctrl.apply_mode(4) is ChannelFunction.RELAXED
-
-    def test_configures_all_channels(self):
-        channels = [mfac(Direction.EAST), mfac(Direction.NORTH)]
-        ctrl = MfacController(channels)
-        ctrl.apply_mode(3)
-        assert all(c.function is ChannelFunction.RETRANSMISSION for c in channels)
-
-    def test_counts_real_reconfigurations_only(self):
-        ctrl = MfacController([mfac()])
-        ctrl.apply_mode(2)
-        ctrl.apply_mode(3)  # same function, no reconfiguration
-        ctrl.apply_mode(4)
-        assert ctrl.reconfigurations == 2
-
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            MfacController([mfac()]).apply_mode(9)
+        """An id outside the table is refused before anything changes: the
+        mode, the ECC scheme and every MFAC's function stay as they were."""
+        router = wired_router(INTELLINOC)
+        router.apply_mode(2, 0)
+        functions = [c.function for c in router.mfacs]
+        for mode in (-1, len(OPERATION_MODES), 9):
+            with pytest.raises(ValueError):
+                router.apply_mode(mode, 0)
+            assert router.mode == 2
+            assert router.ecc.scheme is OPERATION_MODES[2].scheme
+            assert [c.function for c in router.mfacs] == functions
 
     def test_rejects_non_mfac_channels(self):
-        wire = Channel(0, Direction.EAST, 1, buffer_depth=0)
-        with pytest.raises(ValueError):
-            MfacController([wire])
+        """Only MFACs are driven: an IntelliNoC router's MFAC set holds MFACs
+        only, and a CPD router's plain channels stay NORMAL in every mode."""
+        router = wired_router(INTELLINOC)
+        assert router.mfacs
+        assert all(c.is_mfac for c in router.mfacs)
+        plain = wired_router(CPD)
+        assert plain.mfacs == ()
+        for mode in range(len(OPERATION_MODES)):
+            plain.apply_mode(mode, 0)
+            assert all(
+                c.function is ChannelFunction.NORMAL
+                for c in plain.outgoing.values()
+            )

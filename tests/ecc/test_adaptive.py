@@ -42,6 +42,16 @@ class TestEnergyAndLeakage:
         assert crc == 0.0  # no per-hop codec under CRC
         assert 0 < secded < dected
 
+    def test_leakage_ordering(self, unit):
+        """The leakage the power model charges for the unit's configured
+        scheme grows from CRC to SECDED to DECTED."""
+        model = PowerModel(INTELLINOC, PowerConfig())
+        leaks = {}
+        for scheme in (EccScheme.CRC, EccScheme.SECDED, EccScheme.DECTED):
+            unit.configure(scheme)
+            leaks[scheme] = model.ecc_leakage_mw(unit.scheme)
+        assert leaks[EccScheme.CRC] < leaks[EccScheme.SECDED] < leaks[EccScheme.DECTED]
+
     def test_crc_leakage_never_gated(self):
         """The unit's leakage is the power model's: under CRC only the
         always-on CRC circuitry leaks."""
