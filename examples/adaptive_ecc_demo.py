@@ -7,14 +7,15 @@ hardware with the *bit-exact* codecs (not the simulator's sampled model):
 * SECDED (extended Hamming (72, 64)) — corrects 1, detects 2;
 * DECTED (shortened BCH (79, 64) + parity) — corrects 2, detects 3;
 
-then shows the AdaptiveEccUnit switching levels as the observed error rate
-ramps, with the associated energy/leakage trade-off.
+then walks Section 4's operation-mode table, whose ECC column is the
+hardware's activation level, with what each level costs a flit hop
+(latency, energy) and the router in leakage.
 """
 
-import numpy as np
-
-from repro.config import INTELLINOC, EccScheme, PowerConfig
-from repro.ecc import CRC16, AdaptiveEccUnit, DectedCodec, SecdedCodec
+from repro.config import INTELLINOC, OPERATION_MODES, PowerConfig
+from repro.ecc.crc import CRC16
+from repro.ecc.dected import DectedCodec
+from repro.ecc.hamming import SecdedCodec
 from repro.power.model import PowerModel
 from repro.utils.tables import format_table
 
@@ -53,34 +54,26 @@ def demo_codecs() -> None:
           f"DECTED +{dected.overhead_bits} bits per 64-bit word\n")
 
 
-def demo_adaptive_unit() -> None:
-    unit = AdaptiveEccUnit(PowerConfig(), EccScheme.CRC)
+def demo_mode_table() -> None:
     model = PowerModel(INTELLINOC, PowerConfig())
-    rng = np.random.default_rng(7)
     rows = []
-    # Ramp the observed per-flit error probability like a heating router.
-    for error_rate in (1e-8, 1e-6, 5e-5, 2e-3):
-        # A simple deployment rule, mirroring CPD's heuristic.
-        if error_rate < 1e-7:
-            unit.configure(EccScheme.CRC)
-        elif error_rate < 1e-4:
-            unit.configure(EccScheme.SECDED)
-        else:
-            unit.configure(EccScheme.DECTED)
+    for mode, record in enumerate(OPERATION_MODES):
+        scheme = record.scheme
         rows.append([
-            f"{error_rate:.0e}",
-            unit.scheme.value.upper(),
-            unit.codec_pj,
-            model.ecc_leakage_mw(unit.scheme),
+            mode,
+            scheme.value.upper(),
+            "gated, bypass" if record.gated else "relaxed" if record.relaxed else "",
+            scheme.hop_latency,
+            model.hop_energy_pj(scheme, via_bypass=record.gated),
+            model.ecc_leakage_mw(scheme),
         ])
     print(format_table(
-        ["flit error rate", "active scheme", "codec pJ/hop", "leakage mW"],
+        ["mode", "ECC level", "router", "codec cycles/hop", "hop pJ", "ECC leakage mW"],
         rows,
-        title="Adaptive ECC unit: protection level vs observed error rate",
+        title="Adaptive ECC hardware: the activation level of each operation mode",
     ))
-    print(f"\nruntime reconfigurations performed: {unit.transitions}")
 
 
 if __name__ == "__main__":
     demo_codecs()
-    demo_adaptive_unit()
+    demo_mode_table()

@@ -68,7 +68,6 @@ def fingerprint(obj: object) -> str:
 class EccScheme(enum.Enum):
     """Error-control schemes the adaptive hardware can realize."""
 
-    NONE = "none"
     CRC = "crc"  # end-to-end detection only
     SECDED = "secded"  # per-hop: correct 1, detect 2
     DECTED = "dected"  # per-hop: correct 2, detect 3
@@ -76,12 +75,19 @@ class EccScheme(enum.Enum):
     @property
     def correct_bits(self) -> int:
         """Number of bit errors the scheme corrects per flit."""
-        return {"none": 0, "crc": 0, "secded": 1, "dected": 2}[self.value]
+        return {"crc": 0, "secded": 1, "dected": 2}[self.value]
 
     @property
     def detect_bits(self) -> int:
         """Number of bit errors the scheme is guaranteed to detect per flit."""
-        return {"none": 0, "crc": 8, "secded": 2, "dected": 3}[self.value]
+        return {"crc": 8, "secded": 2, "dected": 3}[self.value]
+
+    @property
+    def hop_latency(self) -> int:
+        """Encode + decode pipeline cycles a flit hop pays: one each side
+        for SECDED, one more for DECTED's two-stage decoder, none for CRC
+        (checked once, end to end) — the CRC-only mode's latency win."""
+        return {"crc": 0, "secded": 2, "dected": 3}[self.value]
 
     @property
     def per_hop(self) -> bool:
@@ -92,7 +98,6 @@ class EccScheme(enum.Enum):
 # The members, bound once for the simulator's functions: a module-level
 # name costs a global load where ``EccScheme.CRC`` costs that plus a lookup
 # through ``EnumType`` (see the note in `repro.noc.power_gating`).
-ECC_NONE = EccScheme.NONE
 ECC_CRC = EccScheme.CRC
 ECC_SECDED = EccScheme.SECDED
 ECC_DECTED = EccScheme.DECTED

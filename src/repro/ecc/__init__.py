@@ -1,6 +1,7 @@
 """Error-control coding for NoC flits.
 
-Bit-exact codecs (used by examples/tests, and to validate the envelopes):
+Bit-exact codecs, imported from their own modules (examples and tests run
+them, and validate the envelopes against them; a simulation loads none):
 
 * :mod:`repro.ecc.crc` — table-driven CRC-8/16/32.
 * :mod:`repro.ecc.hamming` — extended Hamming (72, 64) SECDED.
@@ -11,24 +12,15 @@ Simulation-speed model:
 * :mod:`repro.ecc.outcomes` — per-flit error sampling plus the
   correct/detect envelope of each scheme (mathematically equivalent for
   independent random bit errors, far faster than bit-exact decoding).
-* :mod:`repro.ecc.adaptive` — the paper's per-router adaptive ECC hardware
-  (CRC-only / SECDED / DECTED activation levels).
+
+The adaptive hardware's activation level (CRC only / SECDED / DECTED) is
+the operation mode's scheme, `repro.config.OPERATION_MODES`, which
+`repro.noc.router.Router.apply_mode` activates.
 """
 
-from repro.ecc.adaptive import AdaptiveEccUnit
-from repro.ecc.crc import Crc, CRC8, CRC16, CRC32
-from repro.ecc.dected import DectedCodec
-from repro.ecc.hamming import SecdedCodec
 from repro.ecc.outcomes import DecodeOutcome, ErrorSampler, decode_outcome
 
 __all__ = [
-    "AdaptiveEccUnit",
-    "Crc",
-    "CRC8",
-    "CRC16",
-    "CRC32",
-    "DectedCodec",
-    "SecdedCodec",
     "DecodeOutcome",
     "ErrorSampler",
     "decode_outcome",

@@ -24,12 +24,11 @@ from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.channels.mfac import CHANNEL_RELAXED, Channel
+from repro.channels.mfac import Channel
 from repro.config import (
     BYPASS_EXIT_MODE,
     ECC_CRC,
     OPERATION_MODES,
-    EccScheme,
     SimulationConfig,
 )
 from repro.ecc.outcomes import (
@@ -255,15 +254,6 @@ class Network:
         self._epoch_power: "EpochPower | None" = None
         for router in self.routers:
             router.telemetry = self._tel
-            router.ecc.on_transition = self._make_ecc_observer(router.id)
-
-    def _make_ecc_observer(self, rid: int):
-        tel = self._tel
-
-        def observe(old: EccScheme, new: EccScheme) -> None:
-            tel.record("ecc", self.cycle, router=rid, prev=old.value, scheme=new.value)
-
-        return observe
 
     def _gauges(self) -> dict[str, float]:
         """Point-in-time physics and power, read from model state."""
@@ -481,10 +471,7 @@ class Network:
         :meth:`invalidate_hop_rates`.
         """
         src = channel.src
-        relaxed = (
-            self.routers[src].relaxed_timing
-            or channel.function is CHANNEL_RELAXED
-        )
+        relaxed = self.routers[src].relaxed_timing
         memo = self._hop_rates[relaxed]
         rates = memo[src]
         if rates is None:
@@ -515,10 +502,7 @@ class Network:
             if struck:
                 return struck
         # The memo of `_hop_error_rates`, read in place (it fills a miss).
-        rates = self._hop_rates[
-            self.routers[src].relaxed_timing
-            or channel.function is CHANNEL_RELAXED
-        ][src]
+        rates = self._hop_rates[self.routers[src].relaxed_timing][src]
         if rates is None:
             rates = self._hop_error_rates(channel)
         rate, p_fault = rates
@@ -576,11 +560,10 @@ class Network:
         vcs = dst_router.input_ports[in_port].vcs
         record_error_class = dst_router.counters.record_error_class
         upstream = self.routers[channel.src]
-        ecc = upstream.ecc
         # A gated upstream's encoder is off: its hops ride on the CRC
-        # (``ecc.per_hop and upstream.gating.powered``).
+        # (``upstream.per_hop and upstream.gating.powered``).
         state = upstream.gating.state
-        per_hop = ecc.per_hop and (state is POWER_ON or state is POWER_DRAINING)
+        per_hop = upstream.per_hop and (state is POWER_ON or state is POWER_DRAINING)
         queue = channel.queue
         budget = channel.bandwidth
         blocked_vcs = 0  # a bit per VC
@@ -609,7 +592,7 @@ class Network:
             record_error_class(errors)
             if errors:
                 if per_hop:
-                    outcome = decode_outcome(ecc.scheme, errors)
+                    outcome = decode_outcome(upstream.scheme, errors)
                     if outcome is OUTCOME_RETRANSMIT:
                         # The replay re-enters at the front, behind the
                         # walk; it preserves VC order.
@@ -968,7 +951,7 @@ class Network:
         dt = epoch / freq
         for rid, router in enumerate(self.routers):
             powered, gated = router.gating.close_epoch(now)
-            scheme = router.ecc.scheme
+            scheme = router.scheme
             if powered:
                 leak_on = self.power_model.router_leakage_mw(True, scheme)
                 self.accountant.add_static(rid, leak_on, powered)

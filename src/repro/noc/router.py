@@ -3,7 +3,8 @@
 One :class:`Router` models the paper's enhanced microarchitecture
 (Fig. 1): a 4-stage (or, for EB, 3-stage) input-queued pipeline with
 virtual channels and credit backpressure (each input VC's record is its
-unified Buffer State Table entry), the adaptive ECC unit, the power-gating
+unified Buffer State Table entry), the adaptive ECC hardware (its
+activation level is the operation mode's scheme), the power-gating
 controller, and — when gated with the stress-relaxing feature — the bypass
 switch that forwards flits from upstream MFACs to downstream MFACs without
 touching buffers or crossbar.
@@ -27,8 +28,7 @@ from repro.channels.mfac import (
     Channel,
     InboundCounter,
 )
-from repro.config import ECC_CRC, OPERATION_MODES, PowerConfig, TechniqueConfig
-from repro.ecc.adaptive import AdaptiveEccUnit
+from repro.config import OPERATION_MODES, EccScheme, PowerConfig, TechniqueConfig
 from repro.noc.adaptive_routing import select_output
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit
@@ -97,16 +97,7 @@ class Router:
         self.downstream_ports: dict[int, InputPort] = {}
         self.downstream_routers: dict[int, "Router"] = {}
 
-        self.ecc = AdaptiveEccUnit(power_cfg)
         self.power_model = PowerModel(technique, power_cfg)
-        # A flit hop costs this plus the active scheme's ``ecc.codec_pj``
-        # (the sum is ``PowerModel.hop_energy_pj`` of that scheme).
-        self._hop_base_pj = self.power_model.hop_energy_pj(
-            ECC_CRC, via_bypass=False
-        )
-        self._bypass_base_pj = self.power_model.hop_energy_pj(
-            ECC_CRC, via_bypass=True
-        )
         self.gating = PowerGatingController(technique)
         # The outgoing MFACs, whose function follows the mode; set by
         # ``finish_wiring`` (empty on a technique without MFACs).
@@ -114,6 +105,7 @@ class Router:
 
         self.mode = technique.rl.initial_mode  # applied by finish_wiring
         self.relaxed_timing = False
+        self._set_scheme(OPERATION_MODES[self.mode].scheme)
 
         self._head_delay = 2 if noc.pipeline_stages >= 4 else 1
         self._body_delay = 1
@@ -205,10 +197,11 @@ class Router:
         prev = self.mode
         self.mode = mode
         self.relaxed_timing = record.relaxed
-        self.ecc.configure(record.scheme)
+        if record.scheme is not self.scheme:
+            self._set_scheme(record.scheme)
         if record.relaxed:
             function = CHANNEL_RELAXED
-        elif self.ecc.per_hop:
+        elif self.per_hop:
             function = CHANNEL_RETRANSMISSION
         else:
             function = CHANNEL_NORMAL
@@ -225,9 +218,21 @@ class Router:
                 router=self.id,
                 mode=mode,
                 prev=prev,
-                scheme=self.ecc.scheme.value,
+                scheme=self.scheme.value,
                 gating=self.gating.state.value,
             )
+
+    def _set_scheme(self, scheme: EccScheme) -> None:
+        """Activate *scheme* on the ECC hardware (synchronized with the
+        upstream encoder by the mode-exchange protocol of Section 4).  What
+        a flit hop reads of it is worked out here, once per scheme change:
+        whether errors are handled hop by hop, the codec's pipeline cycles,
+        and the energy of a hop through the crossbar or the bypass."""
+        self.scheme = scheme
+        self.per_hop = scheme.per_hop
+        self.hop_latency = scheme.hop_latency
+        self.hop_pj = self.power_model.hop_energy_pj(scheme, via_bypass=False)
+        self.bypass_pj = self.power_model.hop_energy_pj(scheme, via_bypass=True)
 
     # --- flit delivery (called by the network) -----------------------------------
 
@@ -405,8 +410,7 @@ class Router:
         self._flit_count -= 1
         if not vc.queue:
             self._occupied_vcs &= ~(self._slot_bit[port.direction] << vci)
-        ecc = self.ecc
-        self.charge(self._hop_base_pj + ecc.codec_pj)
+        self.charge(self.hop_pj)
         self.counters.out_flits[route] += 1
 
         is_tail = flit.is_tail
@@ -423,7 +427,7 @@ class Router:
             flit,
             cycle,
             channel.function is CHANNEL_RETRANSMISSION,  # keep a copy
-            ecc.hop_latency,
+            self.hop_latency,
         )
         # Lookahead wakeup: power-gating designs signal the downstream
         # router as the flit leaves the switch, overlapping the wakeup
@@ -431,7 +435,7 @@ class Router:
         downstream = self.downstream_routers.get(route)
         if downstream is not None and downstream.gating.state is POWER_GATED:
             downstream.gating.request_wakeup(cycle)
-        if channel.is_wire and ecc.per_hop:
+        if channel.is_wire and self.per_hop:
             # Baseline SECDED: the copy occupies this VC until the ACK.
             vc.reserve()
             self._reserved_count += 1
@@ -653,7 +657,7 @@ class Router:
     ) -> None:
         """Drive *flit* out of the bypass switch: eject it or send it on
         *route*, and close the worm's input VC behind a tail."""
-        self.charge(self._bypass_base_pj + self.ecc.codec_pj)
+        self.charge(self.bypass_pj)
         self.counters.out_flits[route] += 1
         if route in self._ejection_ports:
             if flit.is_tail:

@@ -8,7 +8,9 @@ import pytest
 from repro.channels.mfac import ChannelFunction
 from repro.config import CPD, INTELLINOC, OPERATION_MODES, SimulationConfig
 from repro.noc.network import Network
+from repro.traffic.patterns import SyntheticPattern, generate_synthetic_trace
 from repro.traffic.trace import Trace
+from repro.utils.rng import make_rng
 
 
 def wired_router(technique):
@@ -18,7 +20,7 @@ def wired_router(technique):
     return Network(config, Trace([])).routers[5]
 
 
-class TestMfacController:
+class TestModeDrivesMfacs:
     def test_unknown_mode_rejected(self):
         """An id outside the table is refused before anything changes: the
         mode, the ECC scheme and every MFAC's function stay as they were."""
@@ -29,7 +31,7 @@ class TestMfacController:
             with pytest.raises(ValueError):
                 router.apply_mode(mode, 0)
             assert router.mode == 2
-            assert router.ecc.scheme is OPERATION_MODES[2].scheme
+            assert router.scheme is OPERATION_MODES[2].scheme
             assert [c.function for c in router.mfacs] == functions
 
     def test_rejects_non_mfac_channels(self):
@@ -46,3 +48,30 @@ class TestMfacController:
                 c.function is ChannelFunction.NORMAL
                 for c in plain.outgoing.values()
             )
+
+
+def test_relaxed_mfac_implies_relaxed_source_every_cycle():
+    """A channel runs RELAXED only while its source router runs relaxed
+    timing, so the link error rate reads that one fact.  A random agent
+    (epsilon 1, a decision every 100 cycles) visits all five modes on a
+    loaded 4x4 IntelliNoC; the law holds on every cycle."""
+    noc = replace(INTELLINOC.noc, width=4, height=4)
+    technique = replace(INTELLINOC, noc=noc).with_rl(epsilon=1.0, time_step=100)
+    trace = generate_synthetic_trace(
+        SyntheticPattern.UNIFORM, noc.num_nodes, noc.width, 3000, 0.03,
+        noc.flits_per_packet, make_rng(7, "relaxed-law"),
+    )
+    network = Network(SimulationConfig(technique=technique, seed=7), trace)
+    mfacs = [c for c in network.channels if c.is_mfac]
+    assert mfacs
+    relaxed_hops = 0
+    for _ in range(3000):
+        network.step()
+        for channel in mfacs:
+            if channel.function is ChannelFunction.RELAXED:
+                assert network.routers[channel.src].relaxed_timing, channel
+                relaxed_hops += 1
+    assert relaxed_hops
+    assert {m for m, cycles in network.stats.mode_cycles.items() if cycles} == set(
+        range(len(OPERATION_MODES))
+    )

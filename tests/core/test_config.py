@@ -143,7 +143,7 @@ class TestEccScheme:
 
     def test_per_hop_classification(self):
         assert EccScheme.SECDED.per_hop and EccScheme.DECTED.per_hop
-        assert not EccScheme.CRC.per_hop and not EccScheme.NONE.per_hop
+        assert not EccScheme.CRC.per_hop
 
 
 class TestValidation:

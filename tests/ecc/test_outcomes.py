@@ -27,7 +27,6 @@ class TestDecodeOutcome:
             (EccScheme.CRC, 1, DecodeOutcome.RETRANSMIT),
             (EccScheme.CRC, 8, DecodeOutcome.RETRANSMIT),
             (EccScheme.CRC, 9, DecodeOutcome.SILENT),
-            (EccScheme.NONE, 1, DecodeOutcome.SILENT),
         ],
     )
     def test_envelopes(self, scheme, errors, expected):

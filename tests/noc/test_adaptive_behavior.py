@@ -30,7 +30,7 @@ class TestCpdHeuristic:
         events = steady_events(rate_gap=3, count=1400)  # ~4200 cycles of load
         net = Network(config, Trace(events))
         net.run(4000)
-        schemes = {r.ecc.scheme for r in net.routers}
+        schemes = {r.scheme for r in net.routers}
         assert schemes - {EccScheme.CRC}, "some router must escalate beyond CRC"
 
     def test_cpd_relaxes_to_crc_when_clean(self):

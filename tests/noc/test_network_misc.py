@@ -127,7 +127,7 @@ class TestEpochMachinery:
                 ]
                 for router in net.routers
             ]
-            schemes = [router.ecc.scheme for router in net.routers]
+            schemes = [router.scheme for router in net.routers]
             for router in net.routers:
                 seen["skipped" if router.is_empty() else "walked"] += 1
             stats_epoch(now)

@@ -91,7 +91,7 @@ class TestModeTable:
             router.apply_mode(prev, 0)
             router.apply_mode(mode, 0)
             assert router.mode == mode
-            assert router.ecc.scheme is record.scheme
+            assert router.scheme is record.scheme
             assert router.relaxed_timing == record.relaxed
             assert all(c.function is function for c in mfacs)
             assert requests[-1] == ("gate" if record.gated else "power on")
@@ -103,50 +103,60 @@ class TestModeTable:
                 router.apply_mode(mode, 0)
 
 
+def mode_of(scheme):
+    """The first mode id whose record runs *scheme* ungated."""
+    return next(
+        m for m, record in enumerate(OPERATION_MODES)
+        if record.scheme is scheme and not record.gated
+    )
+
+
 class TestEccLatency:
     def test_crc_mode_is_free(self):
         router = bare_router(INTELLINOC)
-        router.ecc.configure(EccScheme.CRC)
-        assert router.ecc.hop_latency == 0
+        router.apply_mode(mode_of(EccScheme.CRC), 0)
+        assert router.hop_latency == 0
 
     def test_secded_costs_two_cycles(self):
         router = bare_router(SECDED_BASELINE)
-        assert router.ecc.hop_latency == 2
+        assert router.hop_latency == 2
 
     def test_dected_costs_three(self):
         router = bare_router(INTELLINOC)
-        router.ecc.configure(EccScheme.DECTED)
-        assert router.ecc.hop_latency == 3
+        router.apply_mode(mode_of(EccScheme.DECTED), 0)
+        assert router.hop_latency == 3
 
 
 class TestPerSchemeConstants:
-    """What a flit hop reads of the ECC scheme is refreshed by
-    `AdaptiveEccUnit.configure` alone."""
+    """What a flit hop reads of the ECC scheme is the mode record's, and
+    the hop energies are the power model's, refreshed by `apply_mode`."""
 
     @pytest.mark.parametrize(
         "scheme", [EccScheme.CRC, EccScheme.SECDED, EccScheme.DECTED]
     )
     def test_hop_energy_is_the_power_models(self, scheme):
         router = bare_router(INTELLINOC)
-        router.ecc.configure(scheme)
+        router.apply_mode(mode_of(scheme), 0)
         model = router.power_model
-        assert router._hop_base_pj + router.ecc.codec_pj == model.hop_energy_pj(
-            scheme, via_bypass=False
-        )
-        assert router._bypass_base_pj + router.ecc.codec_pj == model.hop_energy_pj(
-            scheme, via_bypass=True
-        )
-        assert router.ecc.per_hop == scheme.per_hop
+        assert router.hop_pj == model.hop_energy_pj(scheme, via_bypass=False)
+        assert router.bypass_pj == model.hop_energy_pj(scheme, via_bypass=True)
+        assert router.per_hop == scheme.per_hop
 
     def test_apply_mode_refreshes_them(self):
         router = bare_router(INTELLINOC)
-        for mode, record in enumerate(OPERATION_MODES):
-            scheme = record.scheme
-            router.apply_mode(mode, 0)
-            assert router.ecc.per_hop == scheme.per_hop
-            assert router.ecc.hop_latency == {"crc": 0, "secded": 2, "dected": 3}[
-                scheme.value
-            ]
+        model = router.power_model
+        for prev in range(len(OPERATION_MODES)):
+            for mode, record in enumerate(OPERATION_MODES):
+                scheme = record.scheme
+                router.apply_mode(prev, 0)
+                router.apply_mode(mode, 0)
+                assert router.scheme is scheme
+                assert router.per_hop == scheme.per_hop
+                assert router.hop_latency == {"crc": 0, "secded": 2, "dected": 3}[
+                    scheme.value
+                ]
+                assert router.hop_pj == model.hop_energy_pj(scheme, via_bypass=False)
+                assert router.bypass_pj == model.hop_energy_pj(scheme, via_bypass=True)
 
 
 class TestDropBuffered:
@@ -245,7 +255,7 @@ class TestModeApplication:
 
     def test_static_technique_runs_secded(self):
         router = bare_router(SECDED_BASELINE)
-        assert router.ecc.scheme is EccScheme.SECDED
+        assert router.scheme is EccScheme.SECDED
 
     def test_static_controller_holds_the_start_mode(self, monkeypatch):
         """IntelliNoC's hardware under STATIC: every router starts and stays
@@ -266,7 +276,7 @@ class TestModeApplication:
         stats = network.stats
         assert stats.packets_completed == stats.packets_injected > 0
         assert {router.mode for router in network.routers} == {1}
-        assert {router.ecc.scheme for router in network.routers} == {EccScheme.CRC}
+        assert {router.scheme for router in network.routers} == {EccScheme.CRC}
         functions = {c.function for router in network.routers
                      for c in router.outgoing.values() if c.is_mfac}
         assert functions == {ChannelFunction.NORMAL}
@@ -277,7 +287,7 @@ class TestModeApplication:
         router = bare_router(INTELLINOC)
         router.apply_mode(4, 0)
         assert router.relaxed_timing
-        assert router.ecc.scheme is EccScheme.SECDED
+        assert router.scheme is EccScheme.SECDED
         router.apply_mode(1, 0)
         assert not router.relaxed_timing
 

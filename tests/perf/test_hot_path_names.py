@@ -30,14 +30,14 @@ from tests.perf.test_calls_per_flit_hop import (
     small_gated_torus,
 )
 
-#: Whole packages and, of ``repro.ecc``, the two modules the loop runs.
-SCOPE = ("repro.noc", "repro.channels", "repro.ecc.outcomes", "repro.ecc.adaptive")
+#: Whole packages and, of ``repro.ecc``, the one module the loop runs.
+SCOPE = ("repro.noc", "repro.channels", "repro.ecc.outcomes")
 
 #: Enum-member loads the loop may execute per flit-hop on the busy mesh.
 #: Measured 25.0 (88 937 over 3 560 hops) before the constants and 0.03
 #: (96) after; what is left runs outside the packages above, per epoch
-#: (`PowerModel.ecc_leakage_mw`) or per ECC reconfiguration
-#: (`EccScheme.per_hop`) ...
+#: (`PowerModel.ecc_leakage_mw`) or per ECC scheme change
+#: (`EccScheme.per_hop`, `PowerModel.hop_energy_pj`) ...
 LOADS_PER_FLIT_HOP_BUDGET = 0.2
 #: ... and per flit move on the gated torus: 15.7 (93 926 over 5 972
 #: moves) before, 0.01 (63) after.

@@ -1,15 +1,18 @@
 """What a simulation process loads: the simulator, and nothing it does not run.
 
 Every campaign cell, bench child and sweep point is a process that pays for
-its modules in start-up time and resident memory.  Five never run in a
+its modules in start-up time and resident memory.  Nine never run in a
 simulation: the process pool (``multiprocessing`` and
 ``concurrent.futures.process``, needed only at ``--jobs N > 1``), numpy's
 masked arrays (which ``np.percentile`` loads to ask whether a list is
 masked), the lint engine (which the CLI's parser once loaded to define
-the ``lint`` subcommand) and the paper table (``repro.report``, which
+the ``lint`` subcommand), the paper table (``repro.report``, which
 only ``verify-paper`` and ``sweep`` load; the grid it measures lives in
-``repro.core.experiment``).  Each probe runs in a fresh interpreter, since
-this one has long since loaded all of them.
+``repro.core.experiment``) and the bit-exact codecs (``repro.ecc.crc``,
+``hamming``, ``dected`` and their field arithmetic ``gf``: the simulator
+samples error counts through ``repro.ecc.outcomes`` instead).  Each probe
+runs in a fresh interpreter, since this one has long since loaded all of
+them.
 """
 
 import json
@@ -31,6 +34,10 @@ FORBIDDEN = (
     "numpy.ma",
     "repro.analysis.lint",
     "repro.report",
+    "repro.ecc.crc",
+    "repro.ecc.hamming",
+    "repro.ecc.dected",
+    "repro.ecc.gf",
 )
 
 _REPORT = (

@@ -64,4 +64,3 @@ def test_disabled_hub_stays_empty_after_run():
     network.run_to_completion(50_000)
     network.finalize_telemetry()
     assert all(r.telemetry is None for r in network.routers)
-    assert all(r.ecc.on_transition is None for r in network.routers)

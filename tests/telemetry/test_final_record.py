@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import INTELLINOC, SimulationConfig
+from repro.config import INTELLINOC, OPERATION_MODES, SimulationConfig
 from repro.exec.spec import parsec_cell
 from repro.exec.worker import execute_cell
 from repro.metrics.summary import run_to_metrics
@@ -66,7 +66,6 @@ EPOCH_POWER = {
 #: Counters of unstrided event kinds: the count of records of that kind.
 EVENT_COUNTS = {
     "noc_mode_transitions_total": "mode",
-    "noc_ecc_transitions_total": "ecc",
     "noc_scenario_events_total": "scenario",
     "noc_packets_dropped_total": "drop",
 }
@@ -111,7 +110,6 @@ def fingerprint(network):
 def test_no_snapshot_value_is_lost(topology, scenario):
     tel = Telemetry()
     network = build(topology, scenario, telemetry=tel)
-    ecc_before = sum(r.ecc.transitions for r in network.routers)
     epochs = []
     close_epoch = network.accountant.close_epoch
     network.accountant.close_epoch = lambda now: epochs.append(close_epoch(now)) or epochs[-1]
@@ -130,11 +128,12 @@ def test_no_snapshot_value_is_lost(topology, scenario):
         s.packets_dropped_dead_router + s.packets_dropped_dead_link
         + s.packets_undeliverable
     )
-    assert counts["noc_ecc_transitions_total"] == (
-        sum(r.ecc.transitions for r in network.routers) - ecc_before
-    )
     assert (counts["noc_scenario_events_total"] > 0) == bool(scenario)
     assert counts["noc_mode_transitions_total"] > 0
+    # The ECC reconfigurations the snapshot counted are the `mode` events
+    # whose scheme changed: each carries its record's scheme.
+    for event in tel.events_of("mode"):
+        assert event["scheme"] == OPERATION_MODES[event["mode"]].scheme.value
 
 
 def test_observed_faulted_torus_is_bit_identical_to_a_bare_run():
