@@ -1,4 +1,4 @@
-.PHONY: install lint typecheck test test-output verify-paper bench-repo bench-pairs bench-test examples clean
+.PHONY: install lint typecheck test test-output verify-paper bench-repo bench-smoke bench-pairs bench-test examples clean
 
 install:
 	pip install -e .
@@ -52,6 +52,30 @@ verify-paper:
 BENCH_OUT ?= bench-result.json
 bench-repo:
 	python3 bench/run.py --seed 7 --out $(BENCH_OUT)
+
+# CI's bench step: one traced and one untraced one-second repeat per
+# workload (about 14 s).  A simulated result that moves is a behaviour
+# change, never a speed-up: each workload's sim_digest must start with its
+# pin, no operation may fail, and the workload set must be the pinned one.
+# The traced repeat runs NoCSan, so a sanitizer violation on any workload
+# fails too.  The pins live here only.
+define BENCH_SMOKE_PY
+import json, sys
+pins = {"parsec_light": "a0a6005e", "uniform_sat": "a71962af",
+        "torus_faults": "87205a5a", "campaign_fig": "aabfa59d"}
+workloads = json.load(open("bench-smoke.json"))["workloads"]
+bad = [f"{name}: digest {w['sim_digest'][:8]}, {w['ops_failed']} failed"
+       for name, w in workloads.items()
+       if not w["sim_digest"].startswith(pins.get(name, "?")) or w["ops_failed"]]
+if set(workloads) != set(pins):
+    bad.append(f"workloads {sorted(workloads)} != pinned {sorted(pins)}")
+print("\n".join(bad) or "all four digests hold their pins, 0 failed")
+sys.exit(1 if bad else 0)
+endef
+export BENCH_SMOKE_PY
+bench-smoke:
+	python3 bench/run.py --seconds 1 --trace 1 --out bench-smoke.json
+	@python3 -c "$$BENCH_SMOKE_PY"
 
 # The protocol for a claimed gain (bench/README.md, "Noise"): the driver's
 # contract command run alternately in a checkout of the parent commit and

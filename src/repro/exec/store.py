@@ -118,27 +118,13 @@ class ResultStore:
     def get(self, spec: Job) -> dict[str, Any] | None:
         """The stored artifact payload for *spec*, or None on any defect."""
         path = self.path_for(spec)
-        try:
-            head, blob = _split(path.read_bytes(), path)
-            artifact = json.loads(head)
-        except (OSError, ValueError):
+        kind = "policy" if isinstance(spec, PretrainSpec) else "result"
+        problem, artifact, blob = self._check_artifact(path, path.stem, kind)
+        # Guard against (vanishingly unlikely) hash collisions: the
+        # embedded spec must match byte for byte.
+        if problem or artifact["spec"] != spec.canonical():
             return None
-        if not isinstance(artifact, dict):
-            return None
-        if artifact.get("schema") != STORE_SCHEMA_VERSION:
-            return None
-        # Guard against corruption and (vanishingly unlikely) hash
-        # collisions: the embedded spec must match byte for byte.
-        if artifact.get("spec") != spec.canonical():
-            return None
-        if isinstance(spec, PretrainSpec):
-            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
-                return None
-            return {"policy": blob}
-        payload = artifact.get("payload")
-        if not isinstance(payload, dict) or "metrics" not in payload:
-            return None
-        return payload
+        return {"policy": blob} if kind == "policy" else artifact["payload"]
 
     def put(self, spec: Job, payload: dict[str, Any]) -> Path:
         """Atomically persist a finished job's artifact."""
@@ -198,48 +184,27 @@ class ResultStore:
             p for p in self.cache_dir.rglob("*") if p.suffix in (".json", ".policy")
         )
 
-    def _check_artifact(self, path: Path, stem_hash: str, kind: str) -> str:
-        """Problem description for one artifact of *kind*, or "" if healthy.
+    def _check_artifact(
+        self, path: Path, stem_hash: str, kind: str
+    ) -> tuple[str, dict[str, Any], bytes]:
+        """One artifact of *kind* read and checked: the problem ("" if
+        healthy), the parsed JSON and, for a policy, the bytes after it.
 
         Re-hashes the embedded canonical spec, and a policy's bytes, so
         bit-rot anywhere in the file — not just in the JSON framing — is
-        caught.
+        caught.  The one reader of a stored artifact: ``get`` serves what
+        it passes, ``audit`` reports what it finds.
         """
         try:
             head, blob = _split(path.read_bytes(), path)
             artifact = json.loads(head)
         except OSError as exc:
-            return f"unreadable: {exc}"
+            return f"unreadable: {exc}", {}, b""
         except ValueError:
-            return "unparsable JSON"
+            return "unparsable JSON", {}, b""
         if not isinstance(artifact, dict):
-            return "not a JSON object"
-        if artifact.get("schema") != STORE_SCHEMA_VERSION:
-            return f"schema {artifact.get('schema')!r} != {STORE_SCHEMA_VERSION}"
-        spec = artifact.get("spec")
-        if not isinstance(spec, dict):
-            return "missing embedded spec"
-        rehashed = hashlib.sha256(
-            canonical_json(spec).encode("utf-8")
-        ).hexdigest()
-        if rehashed != stem_hash:
-            return f"content hash mismatch (re-hash {rehashed[:12]}…)"
-        if kind == "policy":
-            if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
-                return "policy bytes do not match their digest"
-        elif kind == "failure":
-            if artifact.get("kind") != "failure":
-                return "not a failure post-mortem"
-        else:
-            payload = artifact.get("payload")
-            if not isinstance(payload, dict) or "metrics" not in payload:
-                return "payload missing metrics"
-        if spec.get("schema") != SPEC_SCHEMA_VERSION:
-            return (
-                f"{UNREACHABLE}: spec schema {spec.get('schema')!r} "
-                f"!= {SPEC_SCHEMA_VERSION}"
-            )
-        return ""
+            return "not a JSON object", {}, b""
+        return _problem(artifact, blob, stem_hash, kind), artifact, blob
 
     def audit(self) -> StoreAudit:
         """Verify every artifact: re-hash results, classify failures."""
@@ -251,9 +216,8 @@ class ResultStore:
             else:
                 stem = path.stem
                 kind = "policy" if path.suffix == ".policy" else "result"
-            entry = AuditEntry(
-                path, stem, kind, self._check_artifact(path, stem, kind)
-            )
+            problem, _, _ = self._check_artifact(path, stem, kind)
+            entry = AuditEntry(path, stem, kind, problem)
             audit.checked += 1
             if entry.problem.startswith(UNREACHABLE):
                 audit.unreachable.append(entry)
@@ -292,6 +256,33 @@ class ResultStore:
             unlink_all(audit.stale_failures),
             unlink_all(audit.unreachable),
         )
+
+
+def _problem(artifact: dict[str, Any], blob: bytes, stem_hash: str, kind: str) -> str:
+    if artifact.get("schema") != STORE_SCHEMA_VERSION:
+        return f"schema {artifact.get('schema')!r} != {STORE_SCHEMA_VERSION}"
+    spec = artifact.get("spec")
+    if not isinstance(spec, dict):
+        return "missing embedded spec"
+    rehashed = hashlib.sha256(canonical_json(spec).encode("utf-8")).hexdigest()
+    if rehashed != stem_hash:
+        return f"content hash mismatch (re-hash {rehashed[:12]}…)"
+    if kind == "policy":
+        if artifact.get("sha256") != hashlib.sha256(blob).hexdigest():
+            return "policy bytes do not match their digest"
+    elif kind == "failure":
+        if artifact.get("kind") != "failure":
+            return "not a failure post-mortem"
+    else:
+        payload = artifact.get("payload")
+        if not isinstance(payload, dict) or "metrics" not in payload:
+            return "payload missing metrics"
+    if spec.get("schema") != SPEC_SCHEMA_VERSION:
+        return (
+            f"{UNREACHABLE}: spec schema {spec.get('schema')!r} "
+            f"!= {SPEC_SCHEMA_VERSION}"
+        )
+    return ""
 
 
 def _split(data: bytes, path: Path) -> tuple[bytes, bytes]:

@@ -18,7 +18,7 @@ relax stress, which is exactly the MTTF lever of Operation Mode 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import FaultConfig
 
@@ -32,7 +32,6 @@ class AgingState:
     powered_seconds: float = 0.0
     total_seconds: float = 0.0
     failed: bool = False
-    _history: list[float] = field(default_factory=list, repr=False)
 
 
 class AgingModel:

@@ -3,10 +3,11 @@
 The paper feeds HotSpot temperatures into the VARIUS timing-error model to
 obtain a per-bit error rate ``Re`` that *increases with temperature* and
 *decreases with voltage margin*, then computes the flit fault probability
-with Eq. 3.  We implement that functional dependence directly with an
-Arrhenius-style exponential, calibrated so the nominal operating point sits
-at the configured base rate and the Fig. 17(b) sweep range (1e-10..1e-7) is
-reachable by scaling the base rate.
+with Eq. 3 (here :meth:`repro.ecc.outcomes.ErrorSampler.flit_fault_probability`).
+We implement that functional dependence directly with an Arrhenius-style
+exponential, calibrated so the nominal operating point sits at the
+configured base rate and the Fig. 17(b) sweep range (1e-10..1e-7) is
+reachable by setting ``FaultConfig.base_bit_error_rate``.
 """
 
 from __future__ import annotations
@@ -55,28 +56,3 @@ class TransientFaultModel:
         if relaxed_timing:
             rate *= cfg.relaxed_error_factor
         return min(rate, 0.5)
-
-    def flit_fault_probability(
-        self,
-        flit_bits: int,
-        temperature_k: float,
-        supply_voltage: float | None = None,
-        relaxed_timing: bool = False,
-    ) -> float:
-        """Eq. 3: ``P_fault = 1 - (1 - Re)^n`` for an n-bit flit."""
-        if flit_bits < 1:
-            raise ValueError("flit must carry at least one bit")
-        re = self.bit_error_rate(temperature_k, supply_voltage, relaxed_timing)
-        return -math.expm1(flit_bits * math.log1p(-re))
-
-    def scaled(self, base_bit_error_rate: float) -> "TransientFaultModel":
-        """A copy of this model with a different base error rate.
-
-        Used by the Fig. 17(b) sweep, which injects average bit error rates
-        of 1e-10 .. 1e-7.
-        """
-        from dataclasses import replace
-
-        return TransientFaultModel(
-            replace(self.config, base_bit_error_rate=base_bit_error_rate)
-        )

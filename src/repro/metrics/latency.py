@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.utils.percentile import percentile
 
@@ -24,27 +23,6 @@ class LatencySummary:
         """Summary of a run that completed no packets (saturated network)."""
         inf = float("inf")
         return cls(mean=inf, median=inf, p95=inf, p99=inf, maximum=0, count=0)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mean": self.mean,
-            "median": self.median,
-            "p95": self.p95,
-            "p99": self.p99,
-            "maximum": self.maximum,
-            "count": self.count,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LatencySummary":
-        return cls(
-            mean=float(data["mean"]),
-            median=float(data["median"]),
-            p95=float(data["p95"]),
-            p99=float(data["p99"]),
-            maximum=int(data["maximum"]),
-            count=int(data["count"]),
-        )
 
     @classmethod
     def from_samples(cls, latencies: list[int]) -> "LatencySummary":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from repro.metrics.energy import energy_delay_product, energy_efficiency
@@ -15,7 +15,12 @@ class RunMetrics:
     """Everything one simulation run reports.
 
     Built from a finished :class:`repro.noc.network.Network` via
-    :meth:`from_network`; every figure of Section 7 reads from here.
+    :meth:`from_network`; every figure of Section 7 reads from here.  The
+    record is its fields, every leaf a plain ``int``, ``float`` or ``str``:
+    :meth:`to_dict` / :meth:`from_dict` serialise through them, so a new
+    count is a field here plus one line in :meth:`from_network`, and a bump
+    of ``repro.exec.store.STORE_SCHEMA_VERSION`` so that no stored record
+    without it is served.
     """
 
     technique: str
@@ -62,44 +67,19 @@ class RunMetrics:
         between executor worker processes and the engine, so serial and
         parallel campaigns yield byte-identical results.
         """
-        return {
-            "technique": self.technique,
-            "workload": self.workload,
-            "execution_cycles": self.execution_cycles,
-            "packets_completed": self.packets_completed,
-            "packets_injected": self.packets_injected,
-            "latency": self.latency.to_dict(),
-            "static_power_w": self.static_power_w,
-            "dynamic_power_w": self.dynamic_power_w,
-            "total_energy_j": self.total_energy_j,
-            "reliability": self.reliability.to_dict(),
-            # JSON keys are strings; from_dict restores the int mode ids.
-            "mode_breakdown": {str(m): v for m, v in self.mode_breakdown.items()},
-            "mean_temperature_k": self.mean_temperature_k,
-            "max_temperature_k": self.max_temperature_k,
-            "qtable_entries_max": self.qtable_entries_max,
-        }
+        data = asdict(self)
+        # JSON keys are strings; from_dict restores the int mode ids.
+        data["mode_breakdown"] = {str(m): v for m, v in self.mode_breakdown.items()}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunMetrics":
-        return cls(
-            technique=str(data["technique"]),
-            workload=str(data["workload"]),
-            execution_cycles=int(data["execution_cycles"]),
-            packets_completed=int(data["packets_completed"]),
-            packets_injected=int(data.get("packets_injected", 0)),
-            latency=LatencySummary.from_dict(data["latency"]),
-            static_power_w=float(data["static_power_w"]),
-            dynamic_power_w=float(data["dynamic_power_w"]),
-            total_energy_j=float(data["total_energy_j"]),
-            reliability=ReliabilitySummary.from_dict(data["reliability"]),
-            mode_breakdown={
-                int(m): float(v) for m, v in data.get("mode_breakdown", {}).items()
-            },
-            mean_temperature_k=float(data["mean_temperature_k"]),
-            max_temperature_k=float(data["max_temperature_k"]),
-            qtable_entries_max=int(data["qtable_entries_max"]),
-        )
+        return cls(**{
+            **data,
+            "latency": LatencySummary(**data["latency"]),
+            "reliability": ReliabilitySummary(**data["reliability"]),
+            "mode_breakdown": {int(m): v for m, v in data["mode_breakdown"].items()},
+        })
 
     @classmethod
     def from_network(
@@ -128,8 +108,9 @@ class RunMetrics:
             corrupted_packets_delivered=stats.corrupted_packets_delivered,
             flits_delivered=stats.flits_delivered,
             mttf_seconds=mttf.system_mttf_seconds(),
-            mean_aging_factor=network.aging.mean_aging(),
-            max_aging_factor=network.aging.max_aging(),
+            # Plain floats: the HCI stress accrues numpy switching activity.
+            mean_aging_factor=float(network.aging.mean_aging()),
+            max_aging_factor=float(network.aging.max_aging()),
             packets_dropped_dead_router=stats.packets_dropped_dead_router,
             packets_dropped_dead_link=stats.packets_dropped_dead_link,
             packets_undeliverable=stats.packets_undeliverable,
@@ -147,8 +128,14 @@ class RunMetrics:
             execution_cycles=cycles,
             packets_completed=stats.packets_completed,
             packets_injected=stats.packets_injected,
+            # Percentiles and the maximum come from the latency reservoir;
+            # the mean and the count are the run's exact totals.
             latency=(
-                LatencySummary.from_samples(stats.latencies)
+                replace(
+                    LatencySummary.from_samples(stats.latencies),
+                    mean=stats.average_latency,
+                    count=stats.latency_count,
+                )
                 if stats.latencies
                 else LatencySummary.empty()
             ),

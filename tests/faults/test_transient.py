@@ -1,9 +1,13 @@
 """Tests for the VARIUS-substitute transient fault model."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import FaultConfig
+from repro.ecc.outcomes import ErrorSampler
 from repro.faults.transient import TransientFaultModel
 
 
@@ -45,33 +49,40 @@ class TestBitErrorRate:
 
 
 class TestFlitFaultProbability:
+    """Eq. 3 over this model's rate, by the sampler the network uses."""
+
     def test_eq3_shape(self, model):
         re = model.bit_error_rate(345.0)
-        p = model.flit_fault_probability(128, 345.0)
+        p = ErrorSampler(128, np.random.default_rng(0)).flit_fault_probability(re)
         assert p == pytest.approx(1 - (1 - re) ** 128, rel=1e-9)
 
     @given(st.integers(min_value=1, max_value=512))
     def test_monotone_in_flit_width(self, bits):
-        model = TransientFaultModel(FaultConfig())
-        p1 = model.flit_fault_probability(bits, 345.0)
-        p2 = model.flit_fault_probability(bits + 1, 345.0)
+        re = TransientFaultModel(FaultConfig()).bit_error_rate(345.0)
+        rng = np.random.default_rng(0)
+        p1 = ErrorSampler(bits, rng).flit_fault_probability(re)
+        p2 = ErrorSampler(bits + 1, rng).flit_fault_probability(re)
         assert p2 >= p1
 
-    def test_rejects_empty_flit(self, model):
+    def test_rejects_empty_flit(self):
         with pytest.raises(ValueError):
-            model.flit_fault_probability(0, 345.0)
+            ErrorSampler(0, np.random.default_rng(0))
+
+
+def with_base_rate(model, rate):
+    return TransientFaultModel(replace(model.config, base_bit_error_rate=rate))
 
 
 class TestScaled:
     def test_scaled_changes_base_rate_only(self, model):
-        scaled = model.scaled(1e-10)
+        scaled = with_base_rate(model, 1e-10)
         assert scaled.config.base_bit_error_rate == 1e-10
         assert scaled.config.reference_temperature == model.config.reference_temperature
         assert scaled.bit_error_rate(345.0) == pytest.approx(1e-10)
 
     def test_fig17b_sweep_range_ordering(self, model):
         rates = [
-            model.scaled(r).bit_error_rate(345.0)
+            with_base_rate(model, r).bit_error_rate(345.0)
             for r in (1e-10, 1e-9, 1e-8, 1e-7)
         ]
         assert rates == sorted(rates)

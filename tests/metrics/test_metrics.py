@@ -7,6 +7,7 @@ from repro.metrics.energy import energy_delay_product, energy_efficiency
 from repro.metrics.latency import LatencySummary
 from repro.metrics.reliability import ReliabilitySummary
 from repro.metrics.summary import RunMetrics
+from repro.noc.statistics import ReservoirSample
 from repro.traffic.trace import TraceEvent
 from tests.conftest import make_network
 
@@ -93,6 +94,24 @@ class TestRunMetricsFromNetwork:
             1.0 / (metrics.total_power_w * metrics.execution_seconds)
         )
         assert sum(metrics.mode_breakdown.values()) == pytest.approx(1.0)
+
+    def test_mean_and_count_are_exact_past_the_reservoir(self):
+        """Only the percentiles and the maximum are sampled once a run
+        outgrows the latency reservoir; the mean and the count are the
+        run's totals."""
+        events = [TraceEvent(i * 5, i % 64, (i + 9) % 64, 4) for i in range(1, 50)]
+        net = make_network(events=events, faults=FaultConfig(base_bit_error_rate=0.0))
+        net.stats._latency_reservoir = ReservoirSample(capacity=8, seed=7)
+        net.run_to_completion(5000)
+        stats = net.stats
+        latency = RunMetrics.from_network(net).latency
+        assert len(stats.latencies) == 8
+        assert latency.count == stats.latency_count == 49
+        assert latency.mean == stats.latency_sum / 49
+        sampled = LatencySummary.from_samples(stats.latencies)
+        assert (latency.median, latency.p95, latency.p99, latency.maximum) == (
+            sampled.median, sampled.p95, sampled.p99, sampled.maximum
+        )
 
     def test_energy_consistency(self):
         """Average power times time equals accumulated energy."""
