@@ -93,8 +93,6 @@ class Channel:
         "pending_acks",
         "_accepted_this_cycle",
         "_cycle_of_budget",
-        "flits_sent",
-        "flits_retransmitted",
         "function_switches",
         "capacity",
         "bandwidth",
@@ -155,8 +153,6 @@ class Channel:
         self.pending_acks: dict[Flit, tuple] = {}
         self._accepted_this_cycle = 0
         self._cycle_of_budget = -1
-        self.flits_sent = 0
-        self.flits_retransmitted = 0
         self.function_switches = 0  # runtime reconfigurations of this MFAC
         # Fault-scenario state.  ``down`` refuses new sends (intermittent
         # outage: queued flits are *held*, not lost); ``dead_reason`` marks
@@ -295,7 +291,6 @@ class Channel:
             self.busy.add(self.index)
         queue.append([flit, cycle + self.traversal_latency + extra_latency, None])
         self.inbound.flits += 1
-        self.flits_sent += 1
         if keep_copy:
             if not retransmission:
                 raise RuntimeError("copies are only kept in retransmission mode")
@@ -388,7 +383,6 @@ class Channel:
             self.busy.add(self.index)
         queue.insert(0, [entry[0], cycle + self.traversal_latency, None])
         self.inbound.flits += 1
-        self.flits_retransmitted += 1
 
     def stored_flits(self, cycle: int) -> int:
         """Flits currently *stored* (past their ready time): they are being

@@ -130,7 +130,7 @@ class Network:
         # mesh several nodes share one router, so the node->router / port
         # maps below are precomputed once and consulted on the hot paths.
         topo = self.topology
-        self.sources = [SourceQueue(i) for i in range(topo.num_nodes)]
+        self.sources = [SourceQueue(i, self._refuse) for i in range(topo.num_nodes)]
         self._node_router = [topo.router_of_node(n) for n in range(topo.num_nodes)]
         self._node_port = [topo.injection_port(n) for n in range(topo.num_nodes)]
         # The failure set (``fail_router`` / ``fail_link`` grow it), which
@@ -453,8 +453,7 @@ class Network:
             self._trace_index += 1
             packet = Packet.create(ev.src, ev.dst, ev.size, cycle, expects_reply=ev.reply)
             self.stats.record_injection()
-            if self.dead_routers and self._endpoint_dead(ev.src, ev.dst):
-                self._mark_dropped(packet, REASON_UNDELIVERABLE)
+            if self._refuse(packet):
                 continue
             self.sources[ev.src].enqueue(packet)
             self._active_sources.add(ev.src)
@@ -521,11 +520,11 @@ class Network:
             if channel.down:
                 continue  # scenario outage: flits are held, not lost
             dst_router = self.routers[channel.dst]
-            state = dst_router.gating.state
+            gating = dst_router.gating
+            state = gating.state
             if state is POWER_GATED:
-                if dst_router.technique.uses_bypass:
-                    continue  # the bypass switch pulls from the channel itself
-                dst_router.gating.request_wakeup(cycle)
+                if not gating.bypass:  # a bypass pulls from the channel itself
+                    gating.request_wakeup(cycle)
                 continue
             if state is POWER_WAKING:
                 continue
@@ -631,7 +630,6 @@ class Network:
 
     def _step_routers(self, cycle: int, lap: Callable[[str], None] | None) -> None:
         power_gating = self.technique.power_gating
-        uses_bypass = self.technique.uses_bypass
         for router, sources in self._live_routers:
             gating = router.gating
             state = gating.state
@@ -646,7 +644,7 @@ class Network:
                 # zero-capacity exception).  Skipping the visit is then
                 # exactly a no-op.
                 work = False
-                if uses_bypass:
+                if gating.bypass:
                     work = router.inbound.flits or router.congested_when_empty
                     if not work:
                         for _, source in sources:
@@ -702,48 +700,20 @@ class Network:
                 done.append(node)
                 continue
             router = self.routers[self._node_router[node]]
-            in_port = self._node_port[node]
-            state = router.gating.state
-            if state is POWER_GATED:
-                if not router.technique.uses_bypass:
-                    router.gating.request_wakeup(cycle)
-                continue  # bypass injection happened in phase 3
-            if state is POWER_DRAINING or state is POWER_WAKING:
+            gating = router.gating
+            state = gating.state
+            if state is not POWER_ON:
+                if state is POWER_GATED and not gating.bypass:
+                    gating.request_wakeup(cycle)  # a bypass injected in phase 3
                 continue
             flit = source.peek()
-            if (
-                self.dead_routers
-                and flit.is_head
-                and self._node_router[flit.packet.dst] in self.dead_routers
-            ):
-                # Destination died while this packet waited at the source:
-                # refuse injection and account for it instead of letting it
-                # wedge against the dead router's killed channels.
-                self._mark_dropped(flit.packet, REASON_UNDELIVERABLE)
-                source.discard_packet(flit.packet)
-                continue
+            in_port = self._node_port[node]
             port = router.input_ports[in_port]
-            if flit.is_head:
-                vci = port.free_vc_for_head()
-                if vci is None:
-                    continue
-                port.claim(vci, flit.packet)
-                source.current_vc = vci
-                flit.vc = vci
-                source.pop()
-                flit.packet.injection_cycle = cycle
-                router.deliver(flit, in_port, cycle)
-            else:
-                vci = source.current_vc
-                if vci is None:
-                    raise RuntimeError(f"node {node}: body flit with no open VC")
-                if not port.vcs[vci].can_accept():
-                    continue
-                flit.vc = vci
-                source.pop()
-                router.deliver(flit, in_port, cycle)
-                if flit.is_tail:
-                    source.current_vc = None
+            vci = source.vc_for(flit, port)
+            if vci is None or not port.vcs[vci].can_accept():
+                continue
+            source.take(port, vci, cycle)
+            router.deliver(flit, in_port, cycle)
         for node in done:
             self._active_sources.discard(node)
 
@@ -780,7 +750,7 @@ class Network:
         packet.completion_cycle = cycle
         if packet.corrupted:
             self.stats.corrupted_packets_delivered += 1
-        self.stats.record_completion(packet.latency, src_router, cycle, path=packet.path)
+        self.stats.record_completion(packet.latency, src_router, path=packet.path)
         if self._recovery_pending_since is not None:
             # First clean delivery since the last kill: the fabric has
             # re-converged around the damage (time-to-recover sample).
@@ -803,8 +773,7 @@ class Network:
                 packet.dst, packet.src, packet.size, cycle, is_reply=True
             )
             self.stats.record_injection()
-            if self.dead_routers and self._endpoint_dead(packet.dst, packet.src):
-                self._mark_dropped(reply, REASON_UNDELIVERABLE)
+            if self._refuse(reply):
                 return
             self.sources[packet.dst].enqueue(reply)
             self._active_sources.add(packet.dst)
@@ -822,11 +791,19 @@ class Network:
         if self._tel is not None:
             self._tel.record("scenario", cycle, event=kind, **fields)
 
-    def _endpoint_dead(self, src_node: int, dst_node: int) -> bool:
-        return (
-            self._node_router[src_node] in self.dead_routers
-            or self._node_router[dst_node] in self.dead_routers
-        )
+    def _refuse(self, packet: Packet) -> bool:
+        """Refuse *packet* as undeliverable, with accounting, when its
+        source or destination router is dead: a new packet at admission, a
+        reply, and at the NI a head whose destination died while it waited
+        (``SourceQueue.refuse``), instead of wedging against the dead
+        router's killed channels."""
+        dead = self.dead_routers
+        if dead and (
+            self._node_router[packet.src] in dead or self._node_router[packet.dst] in dead
+        ):
+            self._mark_dropped(packet, REASON_UNDELIVERABLE)
+            return True
+        return False
 
     def fail_router(self, rid: int, cycle: int) -> None:
         """Kill router *rid* permanently: every attached channel dies, every

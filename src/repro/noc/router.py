@@ -38,7 +38,6 @@ from repro.noc.power_gating import (
     POWER_ON,
     PowerGatingController,
 )
-from repro.noc.routing import LOCAL
 from repro.noc.statistics import RouterEpochCounters
 from repro.noc.topology import Topology
 from repro.noc.vc import (
@@ -573,9 +572,11 @@ class Router:
         self.on_drop(packet, self.outgoing[first].dead_reason)
 
     def _bypass_route_for(self, vc: VirtualChannel, flit: Flit, cycle: int):
-        """(route, out_vc) for a flit bypassed into input VC *vc*, or None
-        when blocked.  A head claims its downstream VC only once the
-        channel there can take it; a body follows the VC's open worm."""
+        """(route, out_vc) for a flit bypassed into input VC *vc*, from a
+        channel or a local source, or None.  A head with no live output is
+        dropped (``_drop_unroutable``); any other claims its downstream VC
+        only once the channel there can take it.  A body follows the VC's
+        open worm."""
         if flit.is_head:
             route = self.compute_route(flit.packet.dst)
             if route is None:
@@ -635,7 +636,6 @@ class Router:
             if routed is None:
                 blocked_vcs |= 1 << in_vc
                 continue
-            route, out_vc = routed
             # The queue changes under the iterator here; the walk ends
             # below without advancing it.
             channel.dequeue(entry)
@@ -644,80 +644,51 @@ class Router:
             if entry[2] is None and self.sample_link_errors is not None:
                 entry[2] = self.sample_link_errors(channel)
             flit.bit_errors += entry[2] or 0
-            if flit.is_head:
-                self._open(self._slot_bit[in_dir] << in_vc, vcs[in_vc], route, out_vc)
-                flit.packet.path.append(self.id)
             self.counters.in_flits[in_dir] += 1
-            self._bypass_emit(flit, in_dir, in_vc, route, out_vc, cycle)
+            self._bypass_emit(flit, in_dir, in_vc, routed, cycle)
             return True
         return False
 
+    def _bypass_inject(self, cycle: int, source, port: int) -> bool:
+        """Move the next flit of local *source* through the bypass switch:
+        the NI's protocol (``SourceQueue.vc_for`` / ``take``) around the
+        route-or-drop step every bypassed flit takes."""
+        in_port = self.input_ports[port]
+        flit = source.peek()  # not None: its request line was raised
+        in_vc = source.vc_for(flit, in_port)
+        if in_vc is None:
+            return False
+        routed = self._bypass_route_for(in_port.vcs[in_vc], flit, cycle)
+        if routed is None:
+            return False
+        source.take(in_port, in_vc, cycle)
+        self._bypass_emit(flit, port, in_vc, routed, cycle)
+        return True
+
     def _bypass_emit(
-        self, flit: Flit, in_port: int, in_vc: int, route: int, out_vc: int, cycle: int
+        self, flit: Flit, in_port: int, in_vc: int, routed: tuple[int, int], cycle: int
     ) -> None:
-        """Drive *flit* out of the bypass switch: eject it or send it on
-        *route*, and close the worm's input VC behind a tail."""
+        """Drive *flit* out of the bypass switch on *routed* (route,
+        out_vc): a head opens the worm on its input VC, the flit is ejected
+        or sent, and a tail closes the worm behind it."""
+        route, out_vc = routed
+        port = self.input_ports[in_port]
+        if flit.is_head:
+            self._open(self._slot_bit[in_port] << in_vc, port.vcs[in_vc], route, out_vc)
+            flit.packet.path.append(self.id)
         self.charge(self.bypass_pj)
         self.counters.out_flits[route] += 1
         if route in self._ejection_ports:
-            if flit.is_tail:
-                self._close(self.input_ports[in_port], in_vc)
             self.on_eject(flit, cycle)
-            return
-        flit.vc = out_vc
-        flit.hops += 1
-        out_channel = self.outgoing[route]
-        out_channel.send(
-            flit,
-            cycle,
-            keep_copy=out_channel.function is CHANNEL_RETRANSMISSION,
-        )
-        if flit.is_tail:
-            self._close(self.input_ports[in_port], in_vc)
-
-    def _bypass_inject(self, cycle: int, source, port: int = LOCAL) -> bool:
-        flit = source.peek()  # not None: its request line was raised
-        in_port = self.input_ports[port]
-        if flit.is_head:
-            in_vc = in_port.free_vc_for_head()
-            if in_vc is None:
-                return False
-            route = self.compute_route(flit.packet.dst)
-            if route is None:
-                # Not yet in the network: refuse injection, count the
-                # packet as undeliverable rather than losing it silently.
-                self.on_drop(flit.packet, "undeliverable")
-                return False
-            if route in self._ejection_ports:
-                # Destination shares this router (concentrated mesh):
-                # eject straight out of the bypass switch.
-                out_vc = 0
-            elif not self.outgoing[route].can_accept(cycle):
-                return False
-            else:
-                out_vc = self._claim_downstream_vc(route, flit.packet)
-                if out_vc is None:
-                    return False
-            in_port.claim(in_vc, flit.packet)
-            source.current_vc = in_vc
-            self._open(self._slot_bit[port] << in_vc, in_port.vcs[in_vc], route, out_vc)
-            flit.packet.injection_cycle = cycle
-            flit.packet.path.append(self.id)
         else:
-            in_vc = source.current_vc
-            vc = None if in_vc is None else in_port.vcs[in_vc]
-            if vc is None or vc.state is not VC_ACTIVE:
-                raise RuntimeError(f"router {self.id}: bypass body inject without an open VC")
-            route, out_vc = vc.route, vc.out_vc
-            if route not in self._ejection_ports and not self.outgoing[
-                route
-            ].can_accept(cycle):
-                return False
-        source.pop()
+            flit.vc = out_vc
+            flit.hops += 1
+            channel = self.outgoing[route]
+            channel.send(
+                flit, cycle, keep_copy=channel.function is CHANNEL_RETRANSMISSION
+            )
         if flit.is_tail:
-            source.current_vc = None
-        self._bypass_emit(flit, port, in_vc, route, out_vc, cycle)
-        return True
+            self._close(port, in_vc)
 
     def __repr__(self) -> str:
         return (

@@ -140,7 +140,6 @@ class NetworkStatistics:
         self.bypass_traversals = 0
         self.wakeups = 0
         self.mode_cycles: dict[int, int] = {m: 0 for m in range(len(OPERATION_MODES))}
-        self.last_completion_cycle = 0
         # Delivery accounting under scripted fault scenarios: every injected
         # packet must end up completed, dropped-with-reason, or refused as
         # undeliverable — the sanitizer audits exactly this ledger.
@@ -158,17 +157,12 @@ class NetworkStatistics:
         self.packets_injected += 1
 
     def record_completion(
-        self,
-        latency: int,
-        src_router: int,
-        cycle: int,
-        path: list[int] | None = None,
+        self, latency: int, src_router: int, path: list[int] | None = None
     ) -> None:
         self.packets_completed += 1
         self.latency_sum += latency
         self.latency_count += 1
         self._latency_reservoir.add(latency)
-        self.last_completion_cycle = cycle
         # Eq. 1's Latency_i: the end-to-end latency of "the specific router
         # i" is attributed to every router the packet transited, so a slow
         # router feels the slowdown it causes to through-traffic.

@@ -21,8 +21,6 @@ class EpsilonGreedyPolicy:
         self.epsilon = epsilon
         self.num_actions = num_actions
         self._rng = rng
-        self.exploration_count = 0
-        self.exploitation_count = 0
         # Telemetry diagnostic: whether the last select() explored.
         self.last_was_exploration = False
 
@@ -31,9 +29,7 @@ class EpsilonGreedyPolicy:
         if len(q_values) != self.num_actions:
             raise ValueError("q_values length does not match action space")
         if self._rng.random() < self.epsilon:
-            self.exploration_count += 1
             self.last_was_exploration = True
             return int(self._rng.integers(self.num_actions))
-        self.exploitation_count += 1
         self.last_was_exploration = False
         return int(np.argmax(q_values))

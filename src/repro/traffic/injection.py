@@ -1,38 +1,47 @@
 """Per-node source queues feeding the injection ports.
 
 A :class:`SourceQueue` holds the packets a node has produced but not yet
-pushed into the network, flit by flit, in order.  The network interface
-injects at most one flit per cycle; when the local router is power-gated
-with the stress-relaxing bypass, the bypass switch pulls flits from here
-directly (Section 3.3).
+pushed into the network, flit by flit, in order, and is the node's
+network interface (NI): :meth:`SourceQueue.vc_for` and
+:meth:`SourceQueue.take` are the one injection protocol.  The NI injects
+at most one flit per cycle, into the local router's buffers when it is
+powered; when it is power-gated with the stress-relaxing bypass, the
+bypass switch pulls flits from here directly (Section 3.3).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.noc.flit import Flit, Packet
+
+if TYPE_CHECKING:
+    from repro.noc.vc import InputPort
 
 
 class SourceQueue:
     """FIFO of pending packets at one node, exposed flit by flit."""
 
-    def __init__(self, node: int):
+    def __init__(self, node: int, refuse: Callable[[Packet], bool] | None = None):
         self.node = node
         self._packets: deque[Packet] = deque()
         self._current_flits: deque[Flit] = deque()
         self._current_packet: Packet | None = None
-        self.packets_enqueued = 0
         self.flits_popped = 0  # flits handed to the network (sanitizer ledger)
         # Input VC (at the local router) the in-flight packet's head claimed;
-        # body flits must follow it.  Managed by the injection logic.
+        # body flits must follow it.  Set and cleared by ``take``.
         self.current_vc: int | None = None
+        # The network's check on a head about to leave: True when it has
+        # refused (and accounted) the packet, whose destination router died
+        # while it waited here.  None admits every head.
+        self.refuse = refuse
 
     def enqueue(self, packet: Packet) -> None:
         if packet.src != self.node:
             raise ValueError(f"packet src {packet.src} does not match node {self.node}")
         self._packets.append(packet)
-        self.packets_enqueued += 1
 
     def requeue_front(self, packet: Packet) -> None:
         """Put a packet at the head of the queue (end-to-end retransmission).
@@ -74,11 +83,40 @@ class SourceQueue:
 
     def pop(self) -> Flit:
         """Consume the next flit (caller must have peeked successfully)."""
-        self._refill()
-        if not self._current_flits:
-            raise IndexError(f"node {self.node}: source queue is empty")
+        flits = self._current_flits
+        if not flits:
+            self._refill()
+            if not flits:
+                raise IndexError(f"node {self.node}: source queue is empty")
         self.flits_popped += 1
-        return self._current_flits.popleft()
+        return flits.popleft()
+
+    def vc_for(self, flit: Flit, port: InputPort) -> int | None:
+        """The VC of injection *port* for *flit*, the one :meth:`peek`
+        returned: a free VC for a head, its head's VC for a body; None for
+        a head that must wait or that ``refuse`` turned away (the drop
+        sweep takes that packet out of this queue)."""
+        if flit.is_head:
+            if self.refuse is not None and self.refuse(flit.packet):
+                return None
+            return port.free_vc_for_head()
+        if self.current_vc is None:
+            raise RuntimeError(f"node {self.node}: body flit with no open VC")
+        return self.current_vc
+
+    def take(self, port: InputPort, vci: int, cycle: int) -> Flit:
+        """Consume the next flit into VC *vci* of injection *port*
+        (:meth:`vc_for`'s answer): a head claims the VC and stamps the
+        injection cycle, and the source lets go of the VC behind the tail."""
+        flit = self.pop()
+        flit.vc = vci
+        if flit.is_head:
+            port.claim(vci, flit.packet)
+            self.current_vc = vci
+            flit.packet.injection_cycle = cycle
+        if flit.is_tail:
+            self.current_vc = None
+        return flit
 
     def current_packet(self) -> Packet | None:
         self._refill()

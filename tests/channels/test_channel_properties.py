@@ -138,7 +138,7 @@ class TestSendAgainstCanAccept:
         def state():
             return (
                 len(ch.queue), len(ch.copies), ch.inbound.flits, set(ch.busy),
-                ch._cycle_of_budget, ch._accepted_this_cycle, ch.flits_sent,
+                ch._cycle_of_budget, ch._accepted_this_cycle,
             )
 
         acceptable = ch.can_accept(cycle)
@@ -157,6 +157,5 @@ class TestSendAgainstCanAccept:
                 {ch.index},
                 cycle,
                 spent + 1 if budget_is_this_cycle else 1,
-                1,
             )
         return acceptable

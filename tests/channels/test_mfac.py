@@ -200,8 +200,9 @@ class TestRetransmission:
         ch.send(fs[0], 0, keep_copy=True)
         entry = ch.deliverable(1)[0]
         ch.nack_resend(entry, 1)
-        assert ch.flits_retransmitted == 1
-        # The replayed flit is at the queue front with a fresh sample slot.
+        # The replayed flit is at the queue front, once, with a fresh
+        # sample slot (the network counts the replay: hop_retransmissions).
+        assert len(ch.queue) == ch.inbound.flits == 1
         front = ch.queue[0]
         assert front[0] is fs[0]
         assert front[2] is None

@@ -40,7 +40,7 @@ def _oracle(samples: list[int], q: float) -> float:
 def _statistics_of(samples: list[int]) -> NetworkStatistics:
     stats = NetworkStatistics(num_routers=1)
     for latency in samples:
-        stats.record_completion(latency, 0, cycle=0)
+        stats.record_completion(latency, 0)
     return stats
 
 

@@ -40,21 +40,20 @@ class TestRouterEpochCounters:
 class TestNetworkStatistics:
     def test_completion_aggregates(self):
         stats = NetworkStatistics(4)
-        stats.record_completion(10, 0, cycle=100, path=[0, 1, 2])
-        stats.record_completion(30, 1, cycle=120, path=[1])
+        stats.record_completion(10, 0, path=[0, 1, 2])
+        stats.record_completion(30, 1, path=[1])
         assert stats.average_latency == 20
-        assert stats.last_completion_cycle == 120
 
     def test_path_attribution(self):
         stats = NetworkStatistics(4)
-        stats.record_completion(12, 0, cycle=0, path=[0, 2, 3])
+        stats.record_completion(12, 0, path=[0, 2, 3])
         assert stats.routers[0].latency_count == 1
         assert stats.routers[2].latency_sum == 12
         assert stats.routers[1].latency_count == 0
 
     def test_fallback_to_source_without_path(self):
         stats = NetworkStatistics(4)
-        stats.record_completion(12, 3, cycle=0, path=None)
+        stats.record_completion(12, 3, path=None)
         assert stats.routers[3].latency_count == 1
 
     def test_no_packets_raises(self):
@@ -121,7 +120,7 @@ class TestReservoirSample:
         stats = NetworkStatistics(4)
         stats._latency_reservoir.capacity = 16  # shrink for the test
         for i in range(100):
-            stats.record_completion(10 + i, 0, cycle=i)
+            stats.record_completion(10 + i, 0)
         assert len(stats.latencies) == 16
         assert stats.latency_count == 100
         assert stats.average_latency == pytest.approx(10 + 99 / 2)

@@ -24,9 +24,11 @@ class TestEpsilonGreedy:
     def test_exploration_rate_statistics(self):
         policy = EpsilonGreedyPolicy(0.2, 4, np.random.default_rng(1))
         q = np.zeros(4)
+        explored = 0
         for _ in range(2000):
             policy.select(q)
-        rate = policy.exploration_count / 2000
+            explored += policy.last_was_exploration
+        rate = explored / 2000
         assert 0.15 < rate < 0.25
 
     def test_wrong_qvector_length(self):
