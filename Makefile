@@ -62,7 +62,7 @@ bench-repo:
 define BENCH_SMOKE_PY
 import json, sys
 pins = {"parsec_light": "a0a6005e", "uniform_sat": "a71962af",
-        "torus_faults": "87205a5a", "campaign_fig": "aabfa59d"}
+        "torus_faults": "87205a5a", "campaign_fig": "d7a0ac5c"}
 workloads = json.load(open("bench-smoke.json"))["workloads"]
 bad = [f"{name}: digest {w['sim_digest'][:8]}, {w['ops_failed']} failed"
        for name, w in workloads.items()

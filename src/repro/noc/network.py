@@ -25,12 +25,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.channels.mfac import Channel
-from repro.config import (
-    BYPASS_EXIT_MODE,
-    ECC_CRC,
-    OPERATION_MODES,
-    SimulationConfig,
-)
+from repro.config import ECC_CRC, OPERATION_MODES, SimulationConfig
 from repro.ecc.outcomes import (
     OUTCOME_CORRECTED,
     OUTCOME_RETRANSMIT,
@@ -208,8 +203,8 @@ class Network:
                 self.config.power,
                 self.topology,
                 self.stats.routers[rid],
-                charge=self._make_charger(rid),
-                on_eject=self._make_ejector(rid),
+                charge=partial(self.accountant.add_dynamic, rid),
+                on_eject=partial(self._handle_ejection, rid),
                 on_drop=self._mark_dropped,
             )
             router.sample_link_errors = self._sample_channel_errors
@@ -240,12 +235,6 @@ class Network:
             self.routers[src].downstream_routers[direction] = self.routers[dst]
         for router in self.routers:
             router.finish_wiring()
-
-    def _make_charger(self, rid: int):
-        return partial(self.accountant.add_dynamic, rid)
-
-    def _make_ejector(self, rid: int):
-        return partial(self._handle_ejection, rid)
 
     # --- telemetry (observed runs only; see docs/observability.md) --------------
 
@@ -297,11 +286,13 @@ class Network:
             return
         for agent in self.policy.agents:
             terms = agent.last_reward_terms
+            router = self.routers[agent.router]
             tel.record(
                 "rl",
                 now,
                 router=agent.router,
                 mode=agent.last_action,
+                executed=0 if router.gating.state is POWER_GATED else router.mode,
                 reward=round(agent.last_reward, 6),
                 latency_term=round(terms[0], 6),
                 power_term=round(terms[1], 6),
@@ -657,10 +648,7 @@ class Network:
                     continue  # stays gated: the idle detector is off too
                 moved = router.bypass_step(cycle, sources)
                 if moved is None:
-                    # Congestion watchdog: leave mode 0 early; the next
-                    # control step re-decides with fresh state.
-                    router.apply_mode(BYPASS_EXIT_MODE, cycle)
-                    self.stats.wakeups += 1
+                    router.relieve_bypass(cycle)  # the congestion watchdog
                 elif moved:
                     self.stats.bypass_traversals += 1
                 if lap is not None:
@@ -674,16 +662,7 @@ class Network:
                 # router.  The detector only counts while ON, so nothing is
                 # computed for it in any other state.
                 if gating.state is POWER_ON:
-                    # `Router.is_idle()` and every local source empty.
-                    idle = not (
-                        router._flit_count or router.inbound.flits or router._open_vcs
-                    )
-                    if idle:
-                        for _, source in sources:
-                            if source._packets or source._current_flits:
-                                idle = False
-                                break
-                    gating.observe_idle(idle, cycle)
+                    gating.observe_idle(router.is_idle(sources), cycle)
                 if lap is not None:
                     lap("router.gating")
 
@@ -980,44 +959,18 @@ class Network:
         if self._tel is not None:
             self._observe_epoch(now, snapshot)
 
-    # The stress-relaxing bypass "is operational for even low-to-moderate
-    # traffic load" (Section 3.3): its single-flit-per-cycle switch cannot
-    # sustain more, so mode-0 requests above this total input rate
-    # (flits/cycle across the five ports) fall back to BYPASS_EXIT_MODE.
-    BYPASS_LOAD_LIMIT = 0.4
-
-    def _bypass_admissible(self, router: Router, obs) -> bool:
-        """Whether the router may enter mode 0 right now.
-
-        Two checks: the measured input rate must be within the bypass
-        switch's capability, and no incoming channel may be backed up —
-        under congestion collapse throughput measurements read *low*, so
-        occupancy is the reliable signal.
-        """
-        if float(obs.in_link_utilization.sum()) > self.BYPASS_LOAD_LIMIT:
-            return False
-        for channel in router.incoming.values():
-            if channel.occupancy >= max(2, channel.capacity // 2):
-                return False
-        if router._flit_count > router.noc.total_router_buffer_flits:
-            return False
-        return True
-
     def _control_step(self, now: int) -> None:
         observations = self._observe(now)
         modes = self.policy.control_step(observations, now)
         if modes is not None:
             rl_pj = self.power_model.rl_step_energy_pj()
             applied: list[int] = []
-            for router, mode, obs in zip(self.routers, modes, observations):
+            for router, mode in zip(self.routers, modes):
                 if router.id in self.dead_routers:
                     continue  # no hardware left to reconfigure
                 if rl_pj:
                     self.accountant.add_dynamic(router.id, rl_pj)
-                if OPERATION_MODES[mode].gated and not self._bypass_admissible(router, obs):
-                    mode = BYPASS_EXIT_MODE
-                router.apply_mode(mode, now)
-                applied.append(mode)
+                applied.append(router.apply_mode(mode, now))
             if self._tel is not None:
                 self._record_control(now, applied)
         self.stats.reset_epoch()

@@ -28,7 +28,9 @@ from repro.channels.mfac import (
     Channel,
     InboundCounter,
 )
-from repro.config import OPERATION_MODES, EccScheme, PowerConfig, TechniqueConfig
+from repro.config import (
+    BYPASS_EXIT_MODE, OPERATION_MODES, EccScheme, PowerConfig, TechniqueConfig,
+)
 from repro.noc.adaptive_routing import select_output
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.flit import Flit
@@ -52,6 +54,10 @@ from repro.power.model import PowerModel
 
 if TYPE_CHECKING:
     from repro.telemetry import Telemetry
+
+# Section 3.3's "low-to-moderate traffic load": the single-flit bypass switch
+# carries no more than this total input rate (flits/cycle over the window).
+BYPASS_LOAD_LIMIT = 0.4
 
 
 class Router:
@@ -171,28 +177,35 @@ class Router:
 
     # --- state queries --------------------------------------------------------
 
-    @property
-    def powered(self) -> bool:
-        return self.gating.powered
-
     def is_empty(self) -> bool:
         """No flits buffered and no retransmission reservations pending."""
         return self._flit_count == 0 and self._reserved_count == 0
 
-    def is_idle(self) -> bool:
-        """Idle for gating purposes: nothing buffered here or inbound, and
-        no worm open through here."""
-        return not (self._flit_count or self.inbound.flits or self._open_vcs)
+    def is_idle(self, sources=()) -> bool:
+        """Idle for gating purposes: nothing buffered here or inbound, no
+        worm open through here, and no flit in the local *sources*, given as
+        ``(injection port, SourceQueue)`` pairs (the idle detector's test)."""
+        if self._flit_count or self.inbound.flits or self._open_vcs:
+            return False
+        for _, source in sources:
+            if source._packets or source._current_flits:
+                return False  # not source.is_empty()
+        return True
 
     # --- operation modes --------------------------------------------------------
 
-    def apply_mode(self, mode: int, cycle: int) -> None:
+    def apply_mode(self, mode: int, cycle: int) -> int:
         """Switch to operation *mode*, a row of Section 4's table
         (`repro.config.OPERATION_MODES`): the ECC hardware, relaxed timing,
-        the function of every outgoing MFAC, and gate or power on."""
+        the function of every outgoing MFAC, and gate or power on.  A gated
+        row the bypass cannot carry (:meth:`_bypass_admissible`) applies
+        ``BYPASS_EXIT_MODE`` instead.  Returns the mode applied."""
         if not 0 <= mode < len(OPERATION_MODES):
             raise ValueError(f"unknown operation mode {mode}")
         record = OPERATION_MODES[mode]
+        if record.gated and not self._bypass_admissible():
+            mode = BYPASS_EXIT_MODE
+            record = OPERATION_MODES[mode]
         prev = self.mode
         self.mode = mode
         self.relaxed_timing = record.relaxed
@@ -220,6 +233,29 @@ class Router:
                 scheme=self.scheme.value,
                 gating=self.gating.state.value,
             )
+        return mode
+
+    def _bypass_admissible(self) -> bool:
+        """Whether the bypass can carry this router's load: the window's
+        input rate within ``BYPASS_LOAD_LIMIT``, no incoming channel backed
+        up (under congestion collapse throughput reads *low*, occupancy
+        does not), and no more flits buffered than the buffers hold."""
+        rates = self.counters.in_link_utilization(self.technique.rl.time_step)
+        if float(rates.sum()) > BYPASS_LOAD_LIMIT:
+            return False
+        for channel in self.incoming.values():
+            if channel.occupancy >= max(2, channel.capacity // 2):
+                return False
+        return self._flit_count <= self.noc.total_router_buffer_flits
+
+    def relieve_bypass(self, cycle: int) -> None:
+        """The congestion watchdog's response (:meth:`bypass_step` returned
+        None): re-power the router in its mode, its ECC, timing and MFAC
+        functions; only a gated row is left, for ``BYPASS_EXIT_MODE``."""
+        if OPERATION_MODES[self.mode].gated:
+            self.apply_mode(BYPASS_EXIT_MODE, cycle)
+        else:
+            self.gating.request_power_on(cycle, self.is_idle())
 
     def _set_scheme(self, scheme: EccScheme) -> None:
         """Activate *scheme* on the ECC hardware (synchronized with the
@@ -499,8 +535,9 @@ class Router:
         *local_sources* is a list of ``(injection port, SourceQueue)``
         pairs for the nodes attached to this router, so sporadic local
         traffic keeps flowing without a wakeup.  Returns None when the
-        watchdog fires (:meth:`bypass_overloaded`; nothing is arbitrated
-        and no source is touched), else True when a flit moved.
+        watchdog fires (:meth:`bypass_overloaded`; nothing is arbitrated,
+        no source is touched, and the caller answers with
+        :meth:`relieve_bypass`), else True when a flit moved.
         """
         if self.gating.state is not POWER_GATED or not self.gating.bypass:
             return False

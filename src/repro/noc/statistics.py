@@ -108,6 +108,10 @@ class RouterEpochCounters:
     def record_error_class(self, bit_errors: int) -> None:
         self.error_classes[bit_errors if bit_errors < 3 else 3] += 1
 
+    def in_link_utilization(self, window: int) -> np.ndarray:
+        """Flits per cycle received on each port over a *window*-cycle epoch."""
+        return np.array(self.in_flits, dtype=np.int64) / window
+
     def mean_buffer_utilization(self) -> np.ndarray:
         if self.num_occupancy_samples == 0:
             return np.zeros(self.num_ports)
@@ -138,7 +142,6 @@ class NetworkStatistics:
         self.silent_corruptions = 0  # flits past the detection envelope
         self.corrupted_packets_delivered = 0
         self.bypass_traversals = 0
-        self.wakeups = 0
         self.mode_cycles: dict[int, int] = {m: 0 for m in range(len(OPERATION_MODES))}
         # Delivery accounting under scripted fault scenarios: every injected
         # packet must end up completed, dropped-with-reason, or refused as

@@ -66,8 +66,7 @@ class RouterObservation:
         # flit hop); policies and the state extractor see arrays.
         return cls(
             router=router,
-            in_link_utilization=np.array(counters.in_flits, dtype=np.int64)
-            / epoch_cycles,
+            in_link_utilization=counters.in_link_utilization(epoch_cycles),
             buffer_utilization=counters.mean_buffer_utilization(),
             out_link_utilization=np.array(counters.out_flits, dtype=np.int64)
             / epoch_cycles,

@@ -33,7 +33,6 @@ def run_fingerprint(technique, telemetry, duration=1200, seed=7):
         s.latency_sum,
         s.total_retransmitted_flits,
         s.corrected_flits,
-        s.wakeups,
         dict(s.mode_cycles),
     )
 

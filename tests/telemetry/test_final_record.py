@@ -99,7 +99,7 @@ def fingerprint(network):
     return (
         network.cycle, s.packets_injected, s.packets_completed,
         s.flits_delivered, s.latency_sum, s.total_retransmitted_flits,
-        s.corrected_flits, s.wakeups, s.bypass_traversals,
+        s.corrected_flits, s.bypass_traversals,
         s.packets_dropped_dead_link, s.packets_undeliverable,
         dict(s.mode_cycles), round(network.accountant.total_pj(), 6),
     )
